@@ -5,12 +5,13 @@
 //! pipeline — progress matching, quiet recorded replay, happens-before
 //! index, and the parallel graph passes (causality, HB races with witness
 //! replays, perf, sync) — stays a near-linear pass over the trace. This
-//! module pins three lint-heavy workloads (including the wildcard-heavy
+//! module pins four lint-heavy workloads (including the wildcard-heavy
 //! master-worker, whose every task receive is an `ANY_SOURCE` race
-//! candidate), measures `lint_full` events/sec, and round-trips the
+//! candidate, and a 128-rank stencil, where any cost proportional to the
+//! rank count shows), measures `lint_full` events/sec, and round-trips the
 //! results through the same snapshot format as `BENCH_replay.json` so
 //! `lint.sh` can fail a change that regresses lint throughput by more than
-//! a threshold. A fourth row times the pass-8 schedule explorer
+//! a threshold. A fifth row times the pass-8 schedule explorer
 //! (`lint_explore`, budget 256) in forced replays per second, gating the explorer's per-schedule cost under the same
 //! host-calibrated threshold. The gate reuses [`perf::calibrate`](crate::perf::calibrate)
 //! host-speed scaling, so a loaded box loosens the floor instead of
@@ -36,7 +37,10 @@ fn trace_of(w: &dyn Workload, p: u32) -> MemTrace {
 /// The pinned lint workloads: the wildcard-heavy master-worker (every task
 /// pull is an `ANY_SOURCE` receive, so pass 4 enumerates and witness-
 /// replays real candidates), a waitall-heavy stencil (nonblocking request
-/// bookkeeping), and a long blocking token ring (matcher + wait-for graph).
+/// bookkeeping), a long blocking token ring (matcher + wait-for graph), and
+/// the same stencil on 128 ranks with few events each — the row that
+/// catches per-event work growing with the rank count, which rows of 8 and
+/// 16 ranks cannot show.
 pub fn pinned_traces() -> Vec<(&'static str, u32, MemTrace)> {
     let mw = MasterWorker {
         tasks: 60,
@@ -55,10 +59,15 @@ pub fn pinned_traces() -> Vec<(&'static str, u32, MemTrace)> {
         particles_per_rank: 2,
         work_per_pair: 1,
     };
+    let wide_stencil = Stencil {
+        iters: 30,
+        ..stencil
+    };
     vec![
         ("master-worker-8", 8, trace_of(&mw, 8)),
         ("stencil-8", 8, trace_of(&stencil, 8)),
         ("token-ring-16", 16, trace_of(&ring, 16)),
+        ("stencil-128", 128, trace_of(&wide_stencil, 128)),
     ]
 }
 
@@ -83,8 +92,9 @@ pub struct LintPerfSnapshot {
 pub fn measure(reps: u32) -> LintPerfSnapshot {
     let reps = reps.max(1);
     let mut workloads = Vec::new();
-    for (name, ranks, trace) in pinned_traces() {
-        let warm = mpg_lint::lint_full(&trace);
+    let traces = pinned_traces();
+    for (name, ranks, trace) in &traces {
+        let warm = mpg_lint::lint_full(trace);
         // The pinned workloads are clean traces: only advisory findings
         // (races on master-worker) may appear. An error here means the
         // bench is measuring a broken pipeline, not a slow one.
@@ -95,13 +105,13 @@ pub fn measure(reps: u32) -> LintPerfSnapshot {
         let mut best = f64::INFINITY;
         for _ in 0..reps {
             let t = Instant::now();
-            std::hint::black_box(mpg_lint::lint_full(&trace));
+            std::hint::black_box(mpg_lint::lint_full(trace));
             best = best.min(t.elapsed().as_secs_f64());
         }
         let events = trace.total_events() as u64;
         workloads.push(WorkloadPerf {
             name: name.to_string(),
-            ranks,
+            ranks: *ranks,
             events,
             events_per_sec: events as f64 / best,
             scheduler_wakeups: 0,
@@ -115,12 +125,12 @@ pub fn measure(reps: u32) -> LintPerfSnapshot {
     // replayed, not trace events — the unit the explorer's cost scales
     // with — so `events_per_sec` is forced replays per second.
     {
-        let (_, ranks, trace) = pinned_traces().swap_remove(0);
+        let (_, ranks, trace) = &traces[0];
         // Budget 256 (vs the CLI default 64) keeps each timed rep long
         // enough (~100ms) that thread-pool spawn jitter doesn't dominate
         // the measurement on a loaded box.
         let opts = mpg_lint::ExploreOptions::cli_default().budget(256);
-        let warm = mpg_lint::lint_explore(&trace, &opts);
+        let warm = mpg_lint::lint_explore(trace, &opts);
         assert!(
             warm.stats.budget_exhausted && warm.stats.explored == opts.budget,
             "explore bench workload no longer saturates its budget: {:?}",
@@ -129,12 +139,12 @@ pub fn measure(reps: u32) -> LintPerfSnapshot {
         let mut best = f64::INFINITY;
         for _ in 0..reps {
             let t = Instant::now();
-            std::hint::black_box(mpg_lint::lint_explore(&trace, &opts));
+            std::hint::black_box(mpg_lint::lint_explore(trace, &opts));
             best = best.min(t.elapsed().as_secs_f64());
         }
         workloads.push(WorkloadPerf {
             name: "explore-master-worker-8".to_string(),
-            ranks,
+            ranks: *ranks,
             events: warm.stats.explored,
             events_per_sec: warm.stats.explored as f64 / best,
             scheduler_wakeups: 0,
@@ -232,7 +242,7 @@ mod tests {
     #[test]
     fn measure_smoke() {
         let snap = measure(1);
-        assert_eq!(snap.workloads.len(), 4);
+        assert_eq!(snap.workloads.len(), 5);
         for w in &snap.workloads {
             assert!(w.events > 0 && w.events_per_sec > 0.0, "{w:?}");
         }

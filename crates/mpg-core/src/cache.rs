@@ -69,7 +69,10 @@ pub enum ArtifactKind {
     Report,
     /// An MPGA-encoded [`crate::GraphArena`].
     Arena,
-    /// Serialized [`crate::HbIndex`] vector clocks.
+    /// Serialized [`crate::HbIndex`] epoch clocks. The blob names its own
+    /// layout in its first word ([`crate::HbIndex::to_bytes`]), so a copy
+    /// cached under an earlier layout reads as a miss and is republished
+    /// without a [`CACHE_SCHEMA`] bump.
     HbClocks,
     /// Serialized [`crate::DriftSlack`] feasibility table.
     Slack,
@@ -572,6 +575,30 @@ mod tests {
             s.get("hot", ArtifactKind::Report).as_deref(),
             Some(&b"final"[..])
         );
+        let _ = fs::remove_dir_all(s.root());
+    }
+
+    /// A blob in the layout `HbIndex` used to write is a silent miss: the
+    /// index is rebuilt, republished over the stale entry, and served warm
+    /// from then on.
+    #[test]
+    fn stale_hb_layout_misses_and_is_republished() {
+        use crate::hb::tests::{dense_layout_blob, two_rank_message};
+
+        let s = temp_store("hb-layout");
+        let graph = two_rank_message();
+        let key = CacheStore::artifact_key("t", ArtifactKind::HbClocks, "cfg");
+        s.put(&key, ArtifactKind::HbClocks, &dense_layout_blob())
+            .unwrap();
+        let (cold, hit) = cached_hb_index(&s, "t", "cfg", &graph);
+        assert!(!hit);
+        assert_eq!(
+            s.get(&key, ArtifactKind::HbClocks),
+            Some(HbIndex::build(&graph).to_bytes())
+        );
+        let (warm, hit) = cached_hb_index(&s, "t", "cfg", &graph);
+        assert!(hit);
+        assert_eq!(warm.to_bytes(), cold.to_bytes());
         let _ = fs::remove_dir_all(s.root());
     }
 

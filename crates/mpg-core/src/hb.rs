@@ -3,8 +3,8 @@
 //! The replayed graph is one *timed* execution, but its edges — program
 //! order, message arrivals, collective hubs — encode the *order* constraints
 //! every execution consistent with the trace must respect. This module
-//! distils those edges into per-event vector clocks so lint passes can ask
-//! "must a precede b?" in O(1) after a single O(edges · ranks) build.
+//! distils those edges into vector clocks so lint passes can ask "must a
+//! precede b?" in O(1) after a single forward pass over the edges.
 //!
 //! Two relations are exposed, both derived from subevent reachability
 //! (§4.2 splits each event into a start and an end subevent):
@@ -15,20 +15,41 @@
 //!   `end(a) ⇝ start(b)`. `a` must have finished before `b` could begin;
 //!   this is the relation that constrains which sends a receive can match.
 //!
+//! # Epoch-compressed clocks
+//!
+//! A node's clock says, per rank `q`, how many of `q`'s start (resp. end)
+//! subevents reach it. Split it in two:
+//!
+//! * the **own-rank** component of a node `(r, s, point)` is a function of
+//!   the node's name — starts `0..=s` and ends `0..s` (`0..=s` at an end
+//!   node) of rank `r` reach it through program order — and the queries
+//!   never read it: same-rank pairs are answered from sequence numbers;
+//! * the **foreign** components can only change at a node with an in-edge
+//!   from another rank or from a collective hub (a message arrival, a
+//!   rendezvous acknowledgement, a collective exit). Every other node
+//!   inherits its program-order predecessor's foreign components unchanged.
+//!
+//! So clocks are stored once per **epoch** — a maximal program-order run of
+//! one rank's nodes between such joins — as a `p`-wide issue row and a
+//! `p`-wide completion row whose own-rank slot stays zero, and every event
+//! carries a `u32` epoch id. A join that changes nothing starts no epoch.
+//!
 //! The build walks the arena's edge columns once. Recorded edge order is a
 //! valid topological order by construction (see [`EventGraph`]), so a
-//! single forward pass of component-wise `max` joins computes, for every
-//! node `n` and rank `r`, how many of rank `r`'s start (resp. end)
-//! subevents reach `n`. Program order within a rank is seeded directly
-//! from sequence numbers: `start(r, s)` is reached by starts `0..=s` and
-//! ends `0..s` of its own rank, which the gap edges
-//! (`end(prev) → start(next)`) would derive anyway on a well-formed
-//! recorded graph.
+//! single forward pass of component-wise `max` joins is exact. Each node
+//! holds a 4-byte epoch pointer into a growing row store: a same-rank edge
+//! into a node nothing has reached yet copies the pointer, a row only one
+//! node points at is raised in place, and any other join that raises a
+//! component copies the row first (copy-on-write). The source's own-rank
+//! components are materialised from its [`NodeId`] only when an edge leaves
+//! its rank. Build time is `O(edges + joins · ranks)`, memory
+//! `O(events + epochs · ranks)`, a query is two loads and a compare.
 //!
-//! Transient per-node clocks live in one flat column indexed by the
-//! arena's dense [`NodeIdx`] — no node hashing anywhere in the build.
+//! Nothing here hashes a node except the hub bypass of
+//! [`HbIndex::build_bypassing`]; per-node state is indexed by the arena's
+//! dense [`NodeIdx`].
 
-use crate::arena::NodeIdx;
+use crate::arena::{GraphArena, NodeIdx, NO_NODE};
 use crate::cancel::{CancelReason, CancelToken, CHECK_INTERVAL};
 use crate::graph::{EventGraph, NodeId, Point};
 use mpg_trace::{Rank, Seq};
@@ -37,34 +58,226 @@ use mpg_trace::{Rank, Seq};
 /// `(rank, per-rank sequence number)`.
 pub type EventId = (Rank, Seq);
 
-/// Per-event vector clocks answering happens-before queries in O(1).
+/// One clock component: a count of one rank's subevents. The arena
+/// addresses nodes with a `u32` [`NodeIdx`], so no recorded graph holds
+/// 2³² events of one rank; a graph that names a larger sequence number is
+/// refused (see [`HbIndex::build`]).
+type Clock = u32;
+
+/// First word of [`HbIndex::to_bytes`]: `"HBEP"` then the layout version,
+/// little-endian. Read as the rank count that led the earlier dense layout
+/// it exceeds any blob's word count, so neither decoder accepts the
+/// other's bytes.
+const BLOB_MAGIC: u64 = u64::from_le_bytes(*b"HBEP\x01\0\0\0");
+
+/// Epoch-compressed vector clocks answering happens-before queries in
+/// O(1).
 ///
-/// Memory is `O(events · ranks)`: two `u64` clock rows (issue and
-/// completion counts) per event. Queries on events outside the graph
-/// return `false` (nothing is known to be ordered with them).
+/// Memory is `O(events + epochs · ranks)`: one `u32` epoch id per event and
+/// two `u32` clock rows (issue and completion counts) per epoch, where an
+/// epoch starts only at an event whose foreign clock components differ
+/// from its predecessor's — on a stencil trace, one event in seven.
+/// Queries on events outside the graph return `false` (nothing is known
+/// to be ordered with them).
 #[derive(Debug, Clone)]
 pub struct HbIndex {
     p: usize,
     /// Events per rank (max seq + 1 over nodes seen in the graph).
     counts: Vec<u64>,
-    /// Prefix sums of `counts` — row index of `(r, 0)` in the clock arrays.
+    /// Prefix sums of `counts` — position of `(r, 0)` in `epoch_of`.
     offsets: Vec<usize>,
-    /// `issue[row(b)*p + r] >= s+1` ⟺ `start(r, s) ⇝ start(b)`.
-    issue: Vec<u64>,
-    /// `complete[row(b)*p + r] >= s+1` ⟺ `end(r, s) ⇝ start(b)`.
-    complete: Vec<u64>,
+    /// Epoch of every event's start subevent; always `< issue.len() / p`.
+    epoch_of: Vec<u32>,
+    /// `issue[epoch(b)*p + r] >= s+1` ⟺ `start(r, s) ⇝ start(b)`, for
+    /// `r` other than `b`'s rank.
+    issue: Vec<Clock>,
+    /// `complete[epoch(b)*p + r] >= s+1` ⟺ `end(r, s) ⇝ start(b)`.
+    complete: Vec<Clock>,
+}
+
+/// Why a build stopped short of an index.
+enum Abort {
+    Cancelled(CancelReason),
+    /// A size derived from the graph overflows, cannot be allocated, or
+    /// describes more events than the graph has nodes.
+    Oversized,
+}
+
+fn oversized<E>(_: E) -> Abort {
+    Abort::Oversized
+}
+
+/// `n` default values, unless the allocator refuses the request.
+fn filled<T: Clone + Default>(n: usize) -> Result<Vec<T>, Abort> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(n).map_err(oversized)?;
+    v.resize(n, T::default());
+    Ok(v)
+}
+
+/// The rank whose program order node `n` belongs to. `None` for hubs and
+/// for ranks the graph does not declare, which seed to all-zero clocks.
+fn rank_of(n: &NodeId, p: usize) -> Option<usize> {
+    (!n.hub && (n.rank as usize) < p).then_some(n.rank as usize)
+}
+
+/// [`rank_of`] with the node's own-rank issue and completion components.
+fn own(n: &NodeId, p: usize) -> Option<(usize, Clock, Clock)> {
+    // The counting pass has already refused sequence numbers at or above
+    // `Clock::MAX`, so neither the cast nor the increment can wrap.
+    let s = n.seq as Clock;
+    let completed = if n.point == Point::End { s + 1 } else { s };
+    rank_of(n, p).map(|r| (r, s + 1, completed))
+}
+
+/// The transient state of one build: the growing row store and the epoch
+/// pointer of every node.
+struct Epochs {
+    p: usize,
+    /// Row `e` is `issue[e*p..(e+1)*p]`; row 0 is all zero, the clock of a
+    /// node nothing has reached.
+    issue: Vec<Clock>,
+    complete: Vec<Clock>,
+    /// Per row: the only node pointing at it, or [`NO_NODE`] once a second
+    /// node shares it. A sole owner's row may be raised in place.
+    sole: Vec<NodeIdx>,
+    /// Per node: its row. Seeding is lazy — every node starts on row 0.
+    epoch: Vec<u32>,
+    /// The source's clock as the sink sees it, rebuilt per join.
+    from_issue: Vec<Clock>,
+    from_complete: Vec<Clock>,
+}
+
+impl Epochs {
+    fn new(p: usize, n_nodes: usize) -> Result<Self, Abort> {
+        Ok(Self {
+            p,
+            issue: filled(p)?,
+            complete: filled(p)?,
+            sole: vec![NO_NODE],
+            epoch: filled(n_nodes)?,
+            from_issue: filled(p)?,
+            from_complete: filled(p)?,
+        })
+    }
+
+    fn span(&self, row: u32) -> std::ops::Range<usize> {
+        // The row is in the store, so its end fits a `usize`.
+        row as usize * self.p..(row as usize + 1) * self.p
+    }
+
+    /// Appends a copy of `row` for `owner` alone. Row ids are range-checked
+    /// here, where they are made.
+    fn fork(&mut self, row: u32, owner: NodeIdx) -> Result<u32, Abort> {
+        let id = u32::try_from(self.sole.len()).map_err(oversized)?;
+        let span = self.span(row);
+        for rows in [&mut self.issue, &mut self.complete] {
+            rows.try_reserve(self.p).map_err(oversized)?;
+            rows.extend_from_within(span.clone());
+        }
+        self.sole.push(owner);
+        Ok(id)
+    }
+
+    /// `clock(dst) = max(clock(dst), clock(src))` over the foreign
+    /// components of `dst`.
+    fn join(&mut self, arena: &GraphArena, src: NodeIdx, dst: NodeIdx) -> Result<(), Abort> {
+        let (rs, rd) = (self.epoch[src as usize], self.epoch[dst as usize]);
+        let src_own = own(&arena.node_id(src), self.p);
+        let dst_rank = rank_of(&arena.node_id(dst), self.p);
+        if dst_rank.is_some() && dst_rank == src_own.map(|(r, ..)| r) {
+            // Program order: the rows already share their zero own slot.
+            if rs == rd || rs == 0 {
+                return Ok(());
+            }
+            if rd == 0 {
+                self.epoch[dst as usize] = rs;
+                self.sole[rs as usize] = NO_NODE;
+                return Ok(());
+            }
+        }
+        let span = self.span(rs);
+        self.from_issue.copy_from_slice(&self.issue[span.clone()]);
+        self.from_complete.copy_from_slice(&self.complete[span]);
+        if let Some((r, issued, completed)) = src_own {
+            self.from_issue[r] = issued;
+            self.from_complete[r] = completed;
+        }
+        if let Some(r) = dst_rank {
+            self.from_issue[r] = 0;
+            self.from_complete[r] = 0;
+        }
+        let span = self.span(rd);
+        let raises = |from: &[Clock], into: &[Clock]| from.iter().zip(into).any(|(a, b)| a > b);
+        if !raises(&self.from_issue, &self.issue[span.clone()])
+            && !raises(&self.from_complete, &self.complete[span.clone()])
+        {
+            return Ok(());
+        }
+        let span = if self.sole[rd as usize] == dst {
+            span
+        } else {
+            let row = self.fork(rd, dst)?;
+            self.epoch[dst as usize] = row;
+            self.span(row)
+        };
+        let raise = |from: &[Clock], into: &mut [Clock]| {
+            for (a, b) in into.iter_mut().zip(from) {
+                *a = (*a).max(*b);
+            }
+        };
+        raise(&self.from_issue, &mut self.issue[span.clone()]);
+        raise(&self.from_complete, &mut self.complete[span]);
+        Ok(())
+    }
+
+    /// Drops every row `epoch_of` does not name, in place, renumbers
+    /// `epoch_of` to match and returns the surviving rows. Row 0 stays: it
+    /// answers for events whose start node the graph never mentions.
+    fn compact(mut self, epoch_of: &mut [u32]) -> Result<(Vec<Clock>, Vec<Clock>), Abort> {
+        let mut remap: Vec<u32> = filled(self.sole.len())?;
+        for &e in epoch_of.iter() {
+            remap[e as usize] = 1;
+        }
+        remap[0] = 1;
+        let mut kept = 0usize;
+        for (row, slot) in remap.iter_mut().enumerate() {
+            if *slot == 0 {
+                continue;
+            }
+            let (from, to) = (row * self.p..(row + 1) * self.p, kept * self.p);
+            self.issue.copy_within(from.clone(), to);
+            self.complete.copy_within(from, to);
+            // `kept <= row`, and `row` is an id `fork` range-checked.
+            *slot = kept as u32;
+            kept += 1;
+        }
+        for e in epoch_of {
+            *e = remap[*e as usize];
+        }
+        for rows in [&mut self.issue, &mut self.complete] {
+            rows.truncate(kept * self.p);
+            rows.shrink_to_fit();
+        }
+        Ok((self.issue, self.complete))
+    }
 }
 
 impl HbIndex {
     /// Builds the index from a recorded graph.
+    ///
+    /// A graph no replay could have recorded — a sequence number beyond
+    /// `u32`, more events than nodes, sizes that overflow or cannot be
+    /// allocated — yields an index that knows no events instead of a
+    /// panic: every query on it answers `false`.
     pub fn build(graph: &EventGraph) -> Self {
         Self::build_inner(graph, None, None).expect("uncancellable build completes")
     }
 
     /// [`HbIndex::build`] with a cooperative [`CancelToken`] polled every
-    /// [`CHECK_INTERVAL`] edges of the forward pass. A partial clock
-    /// matrix is useless (queries would silently under-order), so a fired
-    /// token aborts the build entirely rather than degrading.
+    /// [`CHECK_INTERVAL`] edges of the forward pass. Partial clocks are
+    /// useless (queries would silently under-order), so a fired token
+    /// aborts the build entirely rather than degrading.
     pub fn build_cancellable(
         graph: &EventGraph,
         cancel: &CancelToken,
@@ -87,51 +300,57 @@ impl HbIndex {
         bypass: Option<NodeId>,
         cancel: Option<&CancelToken>,
     ) -> Result<Self, CancelReason> {
+        match Self::try_build(graph, bypass, cancel) {
+            Ok(hb) => Ok(hb),
+            Err(Abort::Cancelled(reason)) => Err(reason),
+            Err(Abort::Oversized) => Ok(HbIndex {
+                p: 0,
+                counts: Vec::new(),
+                offsets: vec![0],
+                epoch_of: Vec::new(),
+                issue: Vec::new(),
+                complete: Vec::new(),
+            }),
+        }
+    }
+
+    fn try_build(
+        graph: &EventGraph,
+        bypass: Option<NodeId>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Self, Abort> {
         let arena = graph.arena();
         let p = graph.num_ranks();
         let n_nodes = arena.num_nodes();
-        let mut counts = vec![0u64; p];
+        let mut counts: Vec<u64> = filled(p)?;
         for i in 0..n_nodes as NodeIdx {
             let n = arena.node_id(i);
-            if !n.hub && (n.rank as usize) < p {
-                let c = &mut counts[n.rank as usize];
-                *c = (*c).max(n.seq + 1);
-            }
-        }
-        let mut offsets = vec![0usize; p + 1];
-        for r in 0..p {
-            offsets[r + 1] = offsets[r] + counts[r] as usize;
-        }
-        let rows = offsets[p];
-
-        // Transient per-node clocks, one flat column: node `i`'s row is
-        // `clocks[i*2p .. (i+1)*2p]` — `[0..p]` issue counts, `[p..2p]`
-        // completion counts. Seeded lazily on first touch.
-        let seed_into = |c: &mut [u64], n: &NodeId| {
-            c.fill(0);
-            if !n.hub && (n.rank as usize) < p {
-                let r = n.rank as usize;
-                match n.point {
-                    Point::Start => {
-                        c[r] = n.seq + 1;
-                        c[p + r] = n.seq;
-                    }
-                    Point::End => {
-                        c[r] = n.seq + 1;
-                        c[p + r] = n.seq + 1;
-                    }
+            if let Some(r) = rank_of(&n, p) {
+                if n.seq >= Clock::MAX as u64 {
+                    return Err(Abort::Oversized);
                 }
+                counts[r] = counts[r].max(n.seq + 1);
             }
-        };
-        let mut clocks = vec![0u64; n_nodes * 2 * p];
-        let mut seeded = vec![false; n_nodes];
+        }
+        let mut offsets: Vec<usize> = filled(p.checked_add(1).ok_or(Abort::Oversized)?)?;
+        for r in 0..p {
+            // Each count is at most `Clock::MAX`, so the cast is lossless.
+            offsets[r + 1] = offsets[r]
+                .checked_add(counts[r] as usize)
+                .ok_or(Abort::Oversized)?;
+        }
+        // Every recorded event has at least its start node.
+        if offsets[p] > n_nodes {
+            return Err(Abort::Oversized);
+        }
+
+        let mut epochs = Epochs::new(p, n_nodes)?;
         let bypass_idx = bypass.and_then(|h| arena.node_index(&h));
-        let mut from = vec![0u64; 2 * p];
         for e in 0..arena.num_edges() {
             if let Some(token) = cancel {
                 if (e as u64).is_multiple_of(CHECK_INTERVAL) {
                     if let Some(reason) = token.fired() {
-                        return Err(reason);
+                        return Err(Abort::Cancelled(reason));
                     }
                 }
             }
@@ -150,47 +369,23 @@ impl HbIndex {
                     }
                 }
             }
-            for i in [src, dst] {
-                if !seeded[i as usize] {
-                    let n = arena.node_id(i);
-                    seed_into(
-                        &mut clocks[i as usize * 2 * p..(i as usize + 1) * 2 * p],
-                        &n,
-                    );
-                    seeded[i as usize] = true;
-                }
-            }
-            from.copy_from_slice(&clocks[src as usize * 2 * p..(src as usize + 1) * 2 * p]);
-            let into = &mut clocks[dst as usize * 2 * p..(dst as usize + 1) * 2 * p];
-            for (a, b) in into.iter_mut().zip(&from) {
-                *a = (*a).max(*b);
-            }
+            epochs.join(arena, src, dst)?;
         }
 
-        let mut issue = vec![0u64; rows * p];
-        let mut complete = vec![0u64; rows * p];
-        let mut fallback = vec![0u64; 2 * p];
-        for r in 0..p {
-            for s in 0..counts[r] {
-                let start = NodeId::start(r as Rank, s);
-                let row = offsets[r] + s as usize;
-                let clock = match arena.node_index(&start) {
-                    Some(i) if seeded[i as usize] => {
-                        &clocks[i as usize * 2 * p..(i as usize + 1) * 2 * p]
-                    }
-                    _ => {
-                        seed_into(&mut fallback, &start);
-                        &fallback[..]
-                    }
-                };
-                issue[row * p..(row + 1) * p].copy_from_slice(&clock[..p]);
-                complete[row * p..(row + 1) * p].copy_from_slice(&clock[p..]);
+        // Events whose start node the graph never mentions stay on row 0.
+        let mut epoch_of: Vec<u32> = filled(offsets[p])?;
+        for i in 0..n_nodes as NodeIdx {
+            let n = arena.node_id(i);
+            if let (Point::Start, Some(r)) = (n.point, rank_of(&n, p)) {
+                epoch_of[offsets[r] + n.seq as usize] = epochs.epoch[i as usize];
             }
         }
+        let (issue, complete) = epochs.compact(&mut epoch_of)?;
         Ok(HbIndex {
             p,
             counts,
             offsets,
+            epoch_of,
             issue,
             complete,
         })
@@ -201,57 +396,92 @@ impl HbIndex {
         self.p
     }
 
+    /// Number of stored clock rows: one per epoch, plus the all-zero row.
+    /// Exposed so tests can pin the compression.
+    #[doc(hidden)]
+    pub fn epoch_rows(&self) -> usize {
+        self.issue.len().checked_div(self.p).unwrap_or(0)
+    }
+
     /// Serializes the index to a flat little-endian blob for cache
-    /// storage (`p`, then `counts`, then the clock matrices; `offsets`
-    /// are prefix sums and recomputed on load). Integrity is the cache
+    /// storage: four `u64` header words (the layout magic, `p`, the event
+    /// count, the epoch-row count), `counts` as `u64`, then `epoch_of`,
+    /// the issue rows and the completion rows as `u32`; `offsets` are
+    /// prefix sums and recomputed on load. Integrity is the cache
     /// envelope's job — this layer only guards structure.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let header = [
+            BLOB_MAGIC,
+            self.p as u64,
+            self.epoch_of.len() as u64,
+            self.epoch_rows() as u64,
+        ];
         let mut out = Vec::with_capacity(
-            8 + self.counts.len() * 8 + (self.issue.len() + self.complete.len()) * 8,
+            (header.len() + self.counts.len()) * 8
+                + (self.epoch_of.len() + self.issue.len() + self.complete.len()) * 4,
         );
-        out.extend_from_slice(&(self.p as u64).to_le_bytes());
-        for &c in &self.counts {
-            out.extend_from_slice(&c.to_le_bytes());
+        for &w in header.iter().chain(&self.counts) {
+            out.extend_from_slice(&w.to_le_bytes());
         }
-        for &x in self.issue.iter().chain(&self.complete) {
+        for &x in self
+            .epoch_of
+            .iter()
+            .chain(&self.issue)
+            .chain(&self.complete)
+        {
             out.extend_from_slice(&x.to_le_bytes());
         }
         out
     }
 
     /// Rebuilds an index from [`HbIndex::to_bytes`] output. `None` on any
-    /// structural inconsistency (wrong length, overflowing counts).
+    /// structural inconsistency: another layout (the earlier dense one
+    /// included), a length that disagrees with the header or overflows, an
+    /// event count that is not the sum of `counts`, an epoch id with no
+    /// row.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if !bytes.len().is_multiple_of(8) || bytes.is_empty() {
+        let (header, body) = bytes.split_at_checked(32)?;
+        let mut header = header
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        if header.next()? != BLOB_MAGIC {
             return None;
         }
-        let mut words = bytes.chunks_exact(8).map(|c| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(c);
-            u64::from_le_bytes(b)
-        });
-        let p = usize::try_from(words.next()?).ok()?;
-        let total_words = bytes.len() / 8;
-        if p.checked_add(1)? > total_words {
+        let p = usize::try_from(header.next()?).ok()?;
+        let events = usize::try_from(header.next()?).ok()?;
+        let rows = usize::try_from(header.next()?).ok()?;
+        let matrix = rows.checked_mul(p)?;
+        let words = events.checked_add(matrix.checked_mul(2)?)?;
+        if body.len() != p.checked_mul(8)?.checked_add(words.checked_mul(4)?)? {
             return None;
         }
-        let counts: Vec<u64> = words.by_ref().take(p).collect();
+        let (counts, body) = body.split_at(p * 8);
+        let counts: Vec<u64> = counts
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+            .collect();
         let mut offsets = vec![0usize; p + 1];
         for r in 0..p {
             let c = usize::try_from(counts[r]).ok()?;
             offsets[r + 1] = offsets[r].checked_add(c)?;
         }
-        let rows = offsets[p];
-        let matrix = rows.checked_mul(p)?;
-        if total_words != 1 + p + 2 * matrix {
+        if offsets[p] != events {
             return None;
         }
-        let issue: Vec<u64> = words.by_ref().take(matrix).collect();
-        let complete: Vec<u64> = words.collect();
+        let mut body = body
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")));
+        let epoch_of: Vec<u32> = body.by_ref().take(events).collect();
+        if epoch_of.iter().any(|&e| e as usize >= rows) {
+            return None;
+        }
+        let issue: Vec<Clock> = body.by_ref().take(matrix).collect();
+        let complete: Vec<Clock> = body.collect();
         Some(HbIndex {
             p,
             counts,
             offsets,
+            epoch_of,
             issue,
             complete,
         })
@@ -262,14 +492,33 @@ impl HbIndex {
         self.counts.get(rank as usize).copied().unwrap_or(0)
     }
 
-    fn row(&self, clocks: &[u64], e: EventId) -> Option<usize> {
+    /// Where event `e`'s clock row starts in `issue` / `complete`.
+    fn row(&self, e: EventId) -> Option<usize> {
         let r = e.0 as usize;
         if r >= self.p || e.1 >= self.counts[r] {
             return None;
         }
-        let row = self.offsets[r] + e.1 as usize;
-        debug_assert!((row + 1) * self.p <= clocks.len());
+        let row = self.epoch_of[self.offsets[r] + e.1 as usize] as usize * self.p;
+        debug_assert!(row + self.p <= self.issue.len());
         Some(row)
+    }
+
+    /// `clocks[row(b)][a.rank] > a.seq`, with same-rank pairs answered
+    /// from program order — the stored rows hold no own-rank component.
+    fn ordered(&self, clocks: &[Clock], a: EventId, b: EventId) -> bool {
+        if a == b {
+            return false;
+        }
+        if a.0 == b.0 {
+            return a.1 < b.1 && self.row(b).is_some();
+        }
+        if a.0 as usize >= self.p {
+            return false;
+        }
+        match self.row(b) {
+            Some(row) => u64::from(clocks[row + a.0 as usize]) > a.1,
+            None => false,
+        }
     }
 
     /// Issue order: must `a` have started before `b` could start?
@@ -277,19 +526,7 @@ impl HbIndex {
     /// Irreflexive and transitive; same-rank events are ordered by sequence
     /// number (MPI program order). Returns `false` for unknown events.
     pub fn happens_before(&self, a: EventId, b: EventId) -> bool {
-        if a == b {
-            return false;
-        }
-        if a.0 == b.0 {
-            return a.1 < b.1 && self.row(&self.issue, b).is_some();
-        }
-        if a.0 as usize >= self.p {
-            return false;
-        }
-        match self.row(&self.issue, b) {
-            Some(row) => self.issue[row * self.p + a.0 as usize] > a.1,
-            None => false,
-        }
+        self.ordered(&self.issue, a, b)
     }
 
     /// Completion order: must `a` have *finished* before `b` could start?
@@ -297,19 +534,7 @@ impl HbIndex {
     /// Stronger than [`Self::happens_before`]: a send's message can be in
     /// flight (issued, not completed) across many of the receiver's events.
     pub fn completes_before(&self, a: EventId, b: EventId) -> bool {
-        if a == b {
-            return false;
-        }
-        if a.0 == b.0 {
-            return a.1 < b.1 && self.row(&self.complete, b).is_some();
-        }
-        if a.0 as usize >= self.p {
-            return false;
-        }
-        match self.row(&self.complete, b) {
-            Some(row) => self.complete[row * self.p + a.0 as usize] > a.1,
-            None => false,
-        }
+        self.ordered(&self.complete, a, b)
     }
 
     /// Neither event's issue must precede the other's: the trace admits
@@ -320,7 +545,7 @@ impl HbIndex {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::graph::Edge;
     use crate::perturb::DeltaClass;
@@ -338,7 +563,7 @@ mod tests {
 
     /// Two ranks, one message 0→1: send (0,1) start reaches recv (1,1) end.
     /// Edges are emitted in a topological order, as the recorder guarantees.
-    fn two_rank_message() -> EventGraph {
+    pub(crate) fn two_rank_message() -> EventGraph {
         let mut g = EventGraph::new(2);
         for s in 0..3u64 {
             for r in 0..2u32 {
@@ -352,6 +577,19 @@ mod tests {
             }
         }
         g
+    }
+
+    /// The same two-rank index in the dense layout earlier versions cached.
+    pub(crate) fn dense_layout_blob() -> Vec<u8> {
+        let (p, counts) = (2u64, [3u64, 3]);
+        let issue = [1, 0, 2, 0, 3, 0, 0, 1, 0, 2, 2, 3u64];
+        let complete = [0, 0, 1, 0, 2, 0, 0, 0, 0, 1, 1, 2u64];
+        std::iter::once(&p)
+            .chain(&counts)
+            .chain(&issue)
+            .chain(&complete)
+            .flat_map(|w| w.to_le_bytes())
+            .collect()
     }
 
     #[test]
@@ -419,6 +657,107 @@ mod tests {
             HbIndex::build_cancellable(&g, &fired).err(),
             Some(crate::cancel::CancelReason::Cancelled),
         );
+    }
+
+    /// Rank 1's events before the receive stay on the all-zero row; the
+    /// receive's end starts the one epoch the message creates, and the
+    /// event after it inherits that row.
+    #[test]
+    fn epochs_start_only_where_a_join_raises_a_clock() {
+        let hb = HbIndex::build(&two_rank_message());
+        assert_eq!(hb.epoch_rows(), 2);
+        assert_eq!(hb.epoch_of, vec![0, 0, 0, 0, 0, 1]);
+        // The second row is rank 1's: its own slot stays zero.
+        assert_eq!(hb.issue[2..], [2, 0]);
+        assert_eq!(hb.complete[2..], [1, 0]);
+    }
+
+    /// Copy-on-write: a join into a node whose row a successor already
+    /// shares forks the row instead of raising it under the successor.
+    /// (Only an edge list that is not in topological order gets here; the
+    /// answer matches the single forward pass, which never revisits.)
+    #[test]
+    fn shared_row_is_copied_before_it_is_raised() {
+        let mut g = EventGraph::new(3);
+        g.add_edge(edge(NodeId::start(0, 0), NodeId::end(1, 0), true));
+        g.add_edge(edge(NodeId::end(1, 0), NodeId::start(1, 1), false));
+        // Late: (1,1) already took end(1,0)'s row.
+        g.add_edge(edge(NodeId::start(2, 0), NodeId::end(1, 0), true));
+        g.add_edge(edge(NodeId::end(1, 0), NodeId::start(1, 2), false));
+        let hb = HbIndex::build(&g);
+        assert!(hb.happens_before((0, 0), (1, 1)));
+        assert!(!hb.happens_before((2, 0), (1, 1)));
+        assert!(hb.happens_before((0, 0), (1, 2)));
+        assert!(hb.happens_before((2, 0), (1, 2)));
+    }
+
+    /// A graph no replay could have recorded gets an index that knows no
+    /// events, not an allocation sized by its wildest sequence number.
+    #[test]
+    fn unrecordable_graphs_build_an_index_that_knows_nothing() {
+        for seq in [u64::from(u32::MAX), u64::MAX - 1, 1 << 20] {
+            let mut g = EventGraph::new(2);
+            g.add_edge(edge(NodeId::start(0, 0), NodeId::end(1, seq), true));
+            let hb = HbIndex::build(&g);
+            assert_eq!(hb.num_ranks(), 0);
+            assert_eq!(hb.num_events(1), 0);
+            assert!(!hb.happens_before((0, 0), (1, seq)));
+            assert!(!hb.completes_before((0, 0), (1, seq)));
+            let bytes = hb.to_bytes();
+            assert_eq!(
+                HbIndex::from_bytes(&bytes).map(|h| h.to_bytes()),
+                Some(bytes)
+            );
+        }
+    }
+
+    fn all_queries(hb: &HbIndex) -> Vec<bool> {
+        let mut out = Vec::new();
+        for ra in 0..3u32 {
+            for rb in 0..3u32 {
+                for sa in 0..4u64 {
+                    for sb in 0..4u64 {
+                        out.push(hb.happens_before((ra, sa), (rb, sb)));
+                        out.push(hb.completes_before((ra, sa), (rb, sb)));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn blob_roundtrips_and_damage_never_panics() {
+        let hb = HbIndex::build(&two_rank_message());
+        let bytes = hb.to_bytes();
+        let back = HbIndex::from_bytes(&bytes).expect("own blob decodes");
+        assert_eq!(back.to_bytes(), bytes);
+        assert_eq!(all_queries(&back), all_queries(&hb));
+        // The length is exact: no proper prefix decodes.
+        for len in 0..bytes.len() {
+            assert!(HbIndex::from_bytes(&bytes[..len]).is_none(), "prefix {len}");
+        }
+        // Any single flipped bit either fails to decode or decodes to an
+        // index every query can be asked of.
+        let mut bad = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            bad[bit / 8] ^= 1 << (bit % 8);
+            if let Some(hb) = HbIndex::from_bytes(&bad) {
+                all_queries(&hb);
+            }
+            bad[bit / 8] ^= 1 << (bit % 8);
+        }
+        // An epoch id with no row behind it is structural damage.
+        let first_epoch = (4 + hb.p) * 8;
+        bad[first_epoch..first_epoch + 4].copy_from_slice(&2u32.to_le_bytes());
+        assert!(HbIndex::from_bytes(&bad).is_none());
+    }
+
+    /// The layout this one replaced: `p`, `counts`, then two dense
+    /// `events × p` matrices, all `u64`. Cached copies must read as a miss.
+    #[test]
+    fn dense_layout_blob_decodes_to_none() {
+        assert!(HbIndex::from_bytes(&dense_layout_blob()).is_none());
     }
 
     #[test]

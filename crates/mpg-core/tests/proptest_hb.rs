@@ -1,5 +1,5 @@
-//! Property test: the vector-clock happens-before index equals brute-force
-//! transitive closure.
+//! Property tests: the epoch-compressed happens-before index equals
+//! brute-force transitive closure.
 //!
 //! Random deadlock-free SPMD programs (the same round shapes the lane
 //! proptest uses, plus a wildcard-receive gather) are simulated, replayed
@@ -12,9 +12,16 @@
 //!
 //! under both send models (`ack_arm` on and off), so the index is exact —
 //! not just sound — on graphs with hubs, acknowledgement arms, gap edges
-//! and nonblocking completion edges.
+//! and nonblocking completion edges. The oracle is the only reference:
+//! there is no second clock implementation to compare against.
+//!
+//! Three legs: dense rounds on a few ranks; sparse hand-offs (rendezvous
+//! sends among them) and collectives on up to 24 ranks, where long runs of
+//! events share one epoch row; and [`HbIndex::build_bypassing`] against
+//! the closure of the graph with that hub rewritten by hand. Every case
+//! also pins the compression: no more epoch rows than joins.
 
-use mpg_core::{HbIndex, NodeId, PerturbationModel, ReplayConfig, Replayer};
+use mpg_core::{EventGraph, HbIndex, NodeId, PerturbationModel, ReplayConfig, Replayer};
 use mpg_noise::PlatformSignature;
 use mpg_sim::RankCtx;
 use mpg_trace::ANY_SOURCE;
@@ -48,6 +55,17 @@ enum Round {
         root: u32,
         tag: u32,
         bytes: u64,
+    },
+    /// One message between two ranks while everyone else computes — the
+    /// sparse shape where most events inherit their predecessor's epoch.
+    /// `sync` makes it a rendezvous send, which always records an
+    /// acknowledgement edge back to the sender.
+    Handoff {
+        from: u32,
+        hop: u32,
+        tag: u32,
+        bytes: u64,
+        sync: bool,
     },
     Barrier,
     Allreduce {
@@ -90,6 +108,25 @@ fn run_round(ctx: &mut RankCtx, round: &Round) {
                 ctx.send(root, tag, bytes);
             }
         }
+        Round::Handoff {
+            from,
+            hop,
+            tag,
+            bytes,
+            sync,
+        } => {
+            let from = from % p;
+            let to = (from + 1 + hop % (p - 1)) % p;
+            if me == from && sync {
+                ctx.ssend(to, tag, bytes);
+            } else if me == from {
+                ctx.send(to, tag, bytes);
+            } else if me == to {
+                ctx.recv(from, tag);
+            } else {
+                ctx.compute(bytes);
+            }
+        }
         Round::Barrier => ctx.barrier(),
         Round::Allreduce { bytes } => ctx.allreduce(bytes),
     }
@@ -115,6 +152,56 @@ fn round_strategy() -> impl Strategy<Value = Round> {
     ]
 }
 
+/// Rounds for the wide leg: mostly sparse hand-offs, so most of a rank's
+/// events sit between joins, with the occasional collective or ring to
+/// join everybody at once.
+fn sparse_round_strategy() -> impl Strategy<Value = Round> {
+    let handoff = || {
+        (0u32..24, 0u32..24, 0u32..4, 1u64..4_096, any::<bool>()).prop_map(
+            |(from, hop, tag, bytes, sync)| Round::Handoff {
+                from,
+                hop,
+                tag,
+                bytes,
+                sync,
+            },
+        )
+    };
+    prop_oneof![
+        handoff(),
+        handoff(),
+        handoff(),
+        (1u64..20_000).prop_map(Round::Compute),
+        (0u32..4, 1u64..4_096).prop_map(|(tag, bytes)| Round::Ring { tag, bytes }),
+        Just(Round::Barrier),
+        (1u64..2_048).prop_map(|bytes| Round::Allreduce { bytes }),
+    ]
+}
+
+/// Simulates `rounds` on `p` ranks and records the replayed graph. Returns
+/// it with the number of events per rank.
+fn record(p: u32, sim_seed: u64, rounds: &[Round], ack_arm: bool) -> (EventGraph, Vec<u64>) {
+    let trace = mpg_sim::Simulation::new(p, PlatformSignature::quiet("prop-hb"))
+        .ideal_clocks()
+        .seed(sim_seed)
+        .run(|ctx| {
+            for round in rounds {
+                run_round(ctx, round);
+            }
+        })
+        .expect("generated program simulates")
+        .trace;
+    let cfg = ReplayConfig::new(PerturbationModel::quiet("prop-hb"))
+        .seed(0)
+        .ack_arm(ack_arm)
+        .record_graph(true);
+    let report = Replayer::new(cfg).run(&trace).expect("valid trace replays");
+    let counts = (0..p as usize)
+        .map(|r| trace.rank(r).len() as u64)
+        .collect();
+    (report.graph.expect("graph recorded"), counts)
+}
+
 /// All nodes reachable from `from` by one or more edges.
 fn reachable(adj: &HashMap<NodeId, Vec<NodeId>>, from: NodeId) -> HashSet<NodeId> {
     let mut seen = HashSet::new();
@@ -129,6 +216,102 @@ fn reachable(adj: &HashMap<NodeId, Vec<NodeId>>, from: NodeId) -> HashSet<NodeId
     seen
 }
 
+/// Checks both relations of `hb` against DFS reachability over `edges`,
+/// for every ordered pair of events.
+fn check_against_closure(
+    hb: &HbIndex,
+    edges: impl Iterator<Item = (NodeId, NodeId)>,
+    counts: &[u64],
+    what: &str,
+) -> Result<(), String> {
+    let mut adj: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+    for (src, dst) in edges {
+        adj.entry(src).or_default().push(dst);
+    }
+    let p = counts.len() as u32;
+    for ra in 0..p {
+        for sa in 0..counts[ra as usize] {
+            let from_start = reachable(&adj, NodeId::start(ra, sa));
+            let from_end = reachable(&adj, NodeId::end(ra, sa));
+            for rb in 0..p {
+                for sb in 0..counts[rb as usize] {
+                    let a = (ra, sa);
+                    let b = (rb, sb);
+                    let oracle_hb = from_start.contains(&NodeId::start(rb, sb));
+                    if hb.happens_before(a, b) != oracle_hb {
+                        return Err(format!(
+                            "happens_before({a:?}, {b:?}) = {} disagrees with closure ({what})",
+                            !oracle_hb
+                        ));
+                    }
+                    let oracle_cb = from_end.contains(&NodeId::start(rb, sb));
+                    if hb.completes_before(a, b) != oracle_cb {
+                        return Err(format!(
+                            "completes_before({a:?}, {b:?}) = {} disagrees with closure ({what})",
+                            !oracle_cb
+                        ));
+                    }
+                    // `concurrent` is definitionally derived; check the
+                    // relational properties on the same pairs.
+                    if a != b {
+                        if hb.concurrent(a, b) != hb.concurrent(b, a) {
+                            return Err(format!("concurrent not symmetric at {a:?}/{b:?}"));
+                        }
+                        if hb.happens_before(a, b) && hb.happens_before(b, a) {
+                            return Err(format!("HB must be antisymmetric at {a:?}/{b:?}"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Nodes whose clock can differ from their program-order predecessor's:
+/// those with an in-edge from another rank or from a hub.
+fn join_nodes(graph: &EventGraph) -> usize {
+    graph
+        .edges()
+        .filter(|e| !e.dst.hub && (e.src.hub || e.src.rank != e.dst.rank))
+        .map(|e| e.dst)
+        .collect::<HashSet<_>>()
+        .len()
+}
+
+/// The compression invariant: an epoch row exists only because some join
+/// raised a clock (plus the all-zero row every rank starts on).
+fn check_compression(hb: &HbIndex, graph: &EventGraph) -> Result<(), String> {
+    let joins = join_nodes(graph);
+    if hb.epoch_rows() > joins + graph.num_ranks() {
+        return Err(format!(
+            "{} epoch rows for {joins} joins on {} ranks",
+            hb.epoch_rows(),
+            graph.num_ranks()
+        ));
+    }
+    Ok(())
+}
+
+fn plain_edges(graph: &EventGraph) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+    graph.edges().map(|e| (e.src, e.dst))
+}
+
+/// The edge list `build_bypassing(graph, hub)` promises to be equivalent
+/// to: the hub's exits removed, each entry passed through to the entering
+/// event's own end.
+fn bypassed_edges(graph: &EventGraph, hub: NodeId) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+    graph.edges().filter_map(move |e| {
+        if e.src == hub {
+            None
+        } else if e.dst == hub {
+            Some((e.src, NodeId::end(e.src.rank, e.src.seq)))
+        } else {
+            Some((e.src, e.dst))
+        }
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 20, ..ProptestConfig::default() })]
 
@@ -139,66 +322,60 @@ proptest! {
         rounds in prop::collection::vec(round_strategy(), 1..6),
         ack_arm in any::<bool>(),
     ) {
-        let trace = mpg_sim::Simulation::new(p, PlatformSignature::quiet("prop-hb"))
-            .ideal_clocks()
-            .seed(sim_seed)
-            .run(|ctx| {
-                for round in &rounds {
-                    run_round(ctx, round);
-                }
-            })
-            .expect("generated program simulates")
-            .trace;
-        let cfg = ReplayConfig::new(PerturbationModel::quiet("prop-hb"))
-            .seed(0)
-            .ack_arm(ack_arm)
-            .record_graph(true);
-        let report = Replayer::new(cfg).run(&trace).expect("valid trace replays");
-        let graph = report.graph.expect("graph recorded");
+        let (graph, counts) = record(p, sim_seed, &rounds, ack_arm);
         let hb = HbIndex::build(&graph);
+        let what = format!("ack_arm={ack_arm}");
+        prop_assert_eq!(check_against_closure(&hb, plain_edges(&graph), &counts, &what), Ok(()));
+        prop_assert_eq!(check_compression(&hb, &graph), Ok(()));
+    }
 
-        let mut adj: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-        for e in graph.edges() {
-            adj.entry(e.src).or_default().push(e.dst);
-        }
+    /// Wide and sparse: up to 24 ranks where a round usually touches two
+    /// of them, so almost every event inherits its epoch — the case the
+    /// compressed representation exists for, and where a wrongly shared or
+    /// wrongly raised row would show.
+    #[test]
+    fn wide_sparse_index_equals_transitive_closure(
+        p in 8u32..25,
+        sim_seed in 0u64..1_000,
+        rounds in prop::collection::vec(sparse_round_strategy(), 2..7),
+        ack_arm in any::<bool>(),
+    ) {
+        let (graph, counts) = record(p, sim_seed, &rounds, ack_arm);
+        let hb = HbIndex::build(&graph);
+        let what = format!("p={p} ack_arm={ack_arm}");
+        prop_assert_eq!(check_against_closure(&hb, plain_edges(&graph), &counts, &what), Ok(()));
+        prop_assert_eq!(check_compression(&hb, &graph), Ok(()));
+    }
 
-        let counts: Vec<u64> = (0..p as usize)
-            .map(|r| trace.rank(r).len() as u64)
+    /// Bypassing a hub equals the closure of the graph with that hub's
+    /// exits removed and its entries passed through, for every hub the
+    /// program recorded.
+    #[test]
+    fn bypassed_index_equals_closure_without_the_hub(
+        p in 2u32..9,
+        sim_seed in 0u64..1_000,
+        before in prop::collection::vec(sparse_round_strategy(), 0..4),
+        after in prop::collection::vec(sparse_round_strategy(), 0..4),
+        ack_arm in any::<bool>(),
+    ) {
+        // At least one collective, wherever the generated rounds put it.
+        let rounds: Vec<Round> = before
+            .into_iter()
+            .chain([Round::Barrier])
+            .chain(after)
             .collect();
-        for ra in 0..p {
-            for sa in 0..counts[ra as usize] {
-                let from_start = reachable(&adj, NodeId::start(ra, sa));
-                let from_end = reachable(&adj, NodeId::end(ra, sa));
-                for rb in 0..p {
-                    for sb in 0..counts[rb as usize] {
-                        let a = (ra, sa);
-                        let b = (rb, sb);
-                        let oracle_hb = from_start.contains(&NodeId::start(rb, sb));
-                        prop_assert_eq!(
-                            hb.happens_before(a, b),
-                            oracle_hb,
-                            "happens_before({:?}, {:?}) disagrees with closure (ack_arm={})",
-                            a, b, ack_arm
-                        );
-                        let oracle_cb = from_end.contains(&NodeId::start(rb, sb));
-                        prop_assert_eq!(
-                            hb.completes_before(a, b),
-                            oracle_cb,
-                            "completes_before({:?}, {:?}) disagrees with closure (ack_arm={})",
-                            a, b, ack_arm
-                        );
-                        // `concurrent` is definitionally derived; check the
-                        // relational properties on the same pairs.
-                        if a != b {
-                            prop_assert_eq!(hb.concurrent(a, b), hb.concurrent(b, a));
-                            prop_assert!(
-                                !(hb.happens_before(a, b) && hb.happens_before(b, a)),
-                                "HB must be antisymmetric at {:?}/{:?}", a, b
-                            );
-                        }
-                    }
-                }
-            }
+        let (graph, counts) = record(p, sim_seed, &rounds, ack_arm);
+        let mut hubs: Vec<NodeId> = graph.edges().map(|e| e.dst).filter(|n| n.hub).collect();
+        hubs.sort_unstable();
+        hubs.dedup();
+        prop_assert!(!hubs.is_empty());
+        for hub in hubs {
+            let hb = HbIndex::build_bypassing(&graph, hub);
+            let what = format!("bypassing {hub:?}, ack_arm={ack_arm}");
+            prop_assert_eq!(
+                check_against_closure(&hb, bypassed_edges(&graph, hub), &counts, &what),
+                Ok(())
+            );
         }
     }
 }

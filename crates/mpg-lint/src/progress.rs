@@ -309,10 +309,12 @@ impl<'a> Sim<'a> {
     /// already reported by validation).
     fn prescan(&mut self) {
         let p = self.p;
+        let mut n_sends = 0;
         for r in 0..p {
             for ev in self.ranks[r] {
                 let (peer, what) = match ev.kind {
                     EventKind::Send { peer, .. } | EventKind::Isend { peer, .. } => {
+                        n_sends += 1;
                         (Some(peer), "send names destination")
                     }
                     EventKind::Recv { peer, .. } | EventKind::Irecv { peer, .. } => {
@@ -344,6 +346,15 @@ impl<'a> Sim<'a> {
                 }
             }
         }
+        // A send is offered once and matches at most once, so the send
+        // count bounds all three. Sized up front because pass 4 runs one
+        // whole simulation per race candidate: growing them by doubling
+        // hundreds of times over was a fifth of `lint` on a wildcard-heavy
+        // trace, and left each run's footprint straddling the allocator's
+        // trim threshold.
+        self.sends.reserve_exact(n_sends);
+        self.pairs.reserve_exact(n_sends);
+        self.matched.reserve(2 * n_sends);
     }
 
     fn run(&mut self) {

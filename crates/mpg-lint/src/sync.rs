@@ -83,7 +83,14 @@ fn forbidden_matches(
     matching: &Matching,
     hb: &HbIndex,
 ) -> Vec<((Rank, Seq), (Rank, Seq))> {
-    // Posted patterns of every matched receive, keyed by the receive event.
+    // Sends bucketed by destination once, in `matching.sends` order, so
+    // each receive scans only the sends addressed to its rank.
+    let mut sends_to: Vec<Vec<&SendRec>> = vec![Vec::new(); trace.num_ranks()];
+    for s in &matching.sends {
+        if let Some(bucket) = sends_to.get_mut(s.dst as usize) {
+            bucket.push(s);
+        }
+    }
     let mut out = Vec::new();
     for pair in &matching.pairs {
         let (rrank, rseq) = pair.recv;
@@ -106,9 +113,8 @@ fn forbidden_matches(
             _ => continue,
         };
         let completion = (rrank, pair.completion);
-        for s in &matching.sends {
-            if s.dst != rrank
-                || (src_pat != ANY_SOURCE && s.src != src_pat)
+        for s in &sends_to[rrank as usize] {
+            if (src_pat != ANY_SOURCE && s.src != src_pat)
                 || (tag_pat != ANY_TAG && s.tag != tag_pat)
             {
                 continue;
@@ -147,6 +153,8 @@ fn redundant_barriers(
     let forbidden = forbidden_matches(trace, matching, hb);
     let mut diags = Vec::new();
     for hub in barriers {
+        // Scoped to the iteration: each bypassed index is dropped before
+        // the next barrier's is built, so at most one is alive at a time.
         let without = HbIndex::build_bypassing(graph, hub.node);
         let preserved = forbidden
             .iter()

@@ -261,6 +261,39 @@ fn good_traces() -> &'static [MemTrace] {
     })
 }
 
+/// Builds the happens-before index of `graph` and asks it about every
+/// pair among each rank's first, middle and last events, one past the end,
+/// and a rank past the last:
+/// nothing may panic, nothing precedes itself, and the cache blob
+/// round-trips.
+fn probe_hb_index(graph: &mpg::core::EventGraph, trace: &MemTrace) -> Result<(), String> {
+    let hb = mpg::core::HbIndex::build(graph);
+    let p = trace.num_ranks() as u32;
+    let probes: Vec<(u32, u64)> = (0..=p)
+        .flat_map(|r| {
+            let n = if r < p {
+                trace.rank(r as usize).len() as u64
+            } else {
+                0
+            };
+            [0, 1, n / 2, n.saturating_sub(1), n].map(|s| (r, s))
+        })
+        .collect();
+    for &a in &probes {
+        for &b in &probes {
+            let (hb_ab, cb_ab) = (hb.happens_before(a, b), hb.completes_before(a, b));
+            if a == b && (hb_ab || cb_ab || hb.concurrent(a, b)) {
+                return Err(format!("{a:?} is ordered with itself"));
+            }
+        }
+    }
+    let bytes = hb.to_bytes();
+    match mpg::core::HbIndex::from_bytes(&bytes) {
+        Some(back) if back.to_bytes() == bytes => Ok(()),
+        _ => Err("hb blob does not round-trip".into()),
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 enum Mutation {
     /// Remove one event from a rank's stream.
@@ -379,6 +412,27 @@ proptest! {
         }
     }
 
+    /// Whatever graph a crash-tolerant replay records from a mutated
+    /// trace, the happens-before index builds on it and answers queries —
+    /// including for events the damaged graph never mentions.
+    #[test]
+    fn hb_index_builds_on_mutated_graphs(
+        workload in 0usize..4,
+        rank in 0usize..4,
+        pos in 0usize..200,
+        mutation in mutation_strategy(),
+    ) {
+        if let Some(bad) = mutate(&good_traces()[workload], rank, pos, mutation) {
+            let cfg = ReplayConfig::new(PerturbationModel::quiet("fuzz-hb"))
+                .crash_tolerant(true)
+                .record_graph(true);
+            if let Ok(rep) = Replayer::new(cfg).run(&bad) {
+                let graph = rep.graph.expect("graph recorded");
+                prop_assert_eq!(probe_hb_index(&graph, &bad), Ok(()));
+            }
+        }
+    }
+
     /// Garbage traces lint without panicking (diagnostics optional: some
     /// random traces are genuinely well-formed).
     #[test]
@@ -430,7 +484,9 @@ proptest! {
         let loaded = FileTraceSet::load_salvage(&dir);
         std::fs::remove_dir_all(&dir).ok();
         let (trace, report) = loaded.expect("single-fault damage stays recoverable");
-        let cfg = ReplayConfig::new(PerturbationModel::quiet("crashfuzz")).crash_tolerant(true);
+        let cfg = ReplayConfig::new(PerturbationModel::quiet("crashfuzz"))
+            .crash_tolerant(true)
+            .record_graph(true);
         // Salvage can leave per-rank streams the matcher still rejects
         // (e.g. a collective participant lost mid-operation on some
         // workload shapes). An error is an acceptable terminal outcome;
@@ -438,6 +494,10 @@ proptest! {
         if let Ok(rep) = Replayer::new(cfg).run(&trace) {
             // Identity model: whatever survived must replay drift-free.
             prop_assert!(rep.final_drift.iter().all(|&d| d == 0));
+            // The salvaged graph stops at the crash frontier; the
+            // happens-before index must build on it all the same.
+            let graph = rep.graph.as_ref().expect("graph recorded");
+            prop_assert_eq!(probe_hb_index(graph, &trace), Ok(()));
             // A rank whose file vanished has no Finalize, so its
             // crash-exit must show up as a degradation frontier.
             if !report.missing_ranks().is_empty() {
