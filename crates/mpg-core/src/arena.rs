@@ -1,12 +1,11 @@
 //! Columnar graph arena: the single storage layer under every graph
 //! consumer.
 //!
-//! Before this module, each analysis pass over a recorded
-//! [`EventGraph`](crate::graph::EventGraph)
-//! built its own boxed adjacency — `HashMap<NodeId, Vec<u64>>` clocks in
-//! `hb`, `HashMap<NodeId, Vec<&Edge>>` incoming lists in `critical`, five
-//! more node-keyed maps in `feasible`. At the 10k-rank scale the ROADMAP
-//! targets, those maps dominate memory and their hashing dominates time.
+//! Every pass over a recorded [`EventGraph`](crate::graph::EventGraph) —
+//! clocks in `hb`, incoming lists in `critical`, the sweep columns in
+//! `feasible` — needs per-node state. Keyed by structural id, that state is
+//! a node-keyed map per pass, and at the 10k-rank scale the ROADMAP targets
+//! those maps dominate memory and their hashing dominates time.
 //!
 //! The arena stores the graph once, as flat columns (struct-of-arrays):
 //! node identity and label columns indexed by a dense `NodeIdx`, edge
@@ -17,6 +16,9 @@
 //!
 //! Edge order is creation order, which the recorder guarantees is a valid
 //! topological order; every traversal here leans on that.
+//!
+//! Structural ids resolve to dense indices through `NodeIndex`, a
+//! per-rank slot table: an array read, not a hash, on every node touch.
 
 use std::collections::HashMap;
 
@@ -53,7 +55,7 @@ pub struct GraphArena {
     pub(crate) labeled: usize,
 
     /// Interner: structural id → dense index.
-    pub(crate) index: HashMap<NodeId, NodeIdx>,
+    pub(crate) index: NodeIndex,
 
     // ---- edge columns, indexed by edge position (creation order) ----
     pub(crate) edge_src: Vec<NodeIdx>,
@@ -95,10 +97,10 @@ impl GraphArena {
 
     /// Interns `node`, returning its dense index.
     pub fn intern(&mut self, node: NodeId) -> NodeIdx {
-        if let Some(&i) = self.index.get(&node) {
+        let (i, fresh) = self.index.intern(node);
+        if !fresh {
             return i;
         }
-        let i = self.node_rank.len() as NodeIdx;
         self.node_rank.push(node.rank);
         self.node_seq.push(node.seq);
         let mut flags = 0u8;
@@ -111,13 +113,12 @@ impl GraphArena {
         self.node_flags.push(flags);
         self.label_kind.push("");
         self.label_t.push(0);
-        self.index.insert(node, i);
         i
     }
 
     /// Dense index of an already-interned node.
     pub fn node_index(&self, node: &NodeId) -> Option<NodeIdx> {
-        self.index.get(node).copied()
+        self.index.get(node)
     }
 
     /// Reconstructs the structural id of node `i`.
@@ -277,6 +278,124 @@ impl GraphArena {
     }
 }
 
+/// Slots a row spends per event sequence number: start, end, hub.
+const SLOTS_PER_SEQ: u64 = 3;
+
+/// Growth rule of [`NodeIndex`], the same for both dimensions: the table
+/// grows to reach position `k` only while `k < GROW_FACTOR · n + GROW_SLACK`,
+/// `n` being what is already stored there (nodes in the row for a slot, nodes
+/// in the whole index for a row). A recorded graph fills two slots in three,
+/// in roughly ascending order, and never comes near the limit.
+const GROW_FACTOR: usize = 4;
+const GROW_SLACK: usize = 64;
+
+/// Structural id → dense index, without hashing.
+///
+/// One row per rank; within a row, `(seq, point, hub)` sits at slot
+/// `3·seq + {start: 0, end: 1, hub: 2}` and holds the node's [`NodeIdx`] or
+/// [`NO_NODE`]. Trace validation makes `seq` dense per rank, so for a
+/// recorded graph every lookup is two array reads.
+///
+/// Ids reach this table from untrusted bytes too (an MPGA artifact's
+/// `node_rank` / `node_seq` columns), so its size never follows a number
+/// read from an id: an id the growth rule above will not reach — a forged
+/// `seq` of `2^40`, a rank far past the populated ones — and the one
+/// combination the layout has no slot for (a hub *start*) go to the `far`
+/// map instead. Rows therefore hold at most `4·filled + 64` slots and the
+/// index at most `4·len + 64` rows: O(nodes) memory for any input. An id
+/// lives in exactly one of the two places, decided when it is interned;
+/// a dense miss consults `far` only when `far` is non-empty.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct NodeIndex {
+    rows: Vec<Row>,
+    far: HashMap<NodeId, NodeIdx>,
+    len: usize,
+}
+
+#[derive(Debug, Default, Clone)]
+struct Row {
+    slots: Vec<NodeIdx>,
+    filled: usize,
+}
+
+impl NodeIndex {
+    fn slot_of(node: &NodeId) -> Option<usize> {
+        let lane = match (node.point, node.hub) {
+            (Point::Start, false) => 0,
+            (Point::End, false) => 1,
+            (Point::End, true) => 2,
+            (Point::Start, true) => return None,
+        };
+        let slot = node.seq.checked_mul(SLOTS_PER_SEQ)?.checked_add(lane)?;
+        usize::try_from(slot).ok()
+    }
+
+    fn dense(&self, node: &NodeId) -> Option<NodeIdx> {
+        let row = self.rows.get(node.rank as usize)?;
+        let &i = row.slots.get(Self::slot_of(node)?)?;
+        (i != NO_NODE).then_some(i)
+    }
+
+    /// Index of `node`, if interned.
+    pub(crate) fn get(&self, node: &NodeId) -> Option<NodeIdx> {
+        self.dense(node).or_else(|| {
+            if self.far.is_empty() {
+                None
+            } else {
+                self.far.get(node).copied()
+            }
+        })
+    }
+
+    /// Index of `node`, assigning the next one (`len`) on first sight;
+    /// the flag says whether it was assigned by this call.
+    pub(crate) fn intern(&mut self, node: NodeId) -> (NodeIdx, bool) {
+        if let Some(i) = self.get(&node) {
+            return (i, false);
+        }
+        let i = self.len as NodeIdx;
+        match Self::slot_of(&node).and_then(|s| self.reach(node.rank as usize, s)) {
+            Some(cell) => *cell = i,
+            None => {
+                self.far.insert(node, i);
+            }
+        }
+        self.len += 1;
+        (i, true)
+    }
+
+    /// The empty cell at `rows[rank].slots[slot]`, growing the table to it
+    /// if the growth rule allows; `None` sends the id to the `far` map.
+    fn reach(&mut self, rank: usize, slot: usize) -> Option<&mut NodeIdx> {
+        let within = |k: usize, stored: usize| {
+            k < GROW_FACTOR
+                .saturating_mul(stored)
+                .saturating_add(GROW_SLACK)
+        };
+        if rank >= self.rows.len() {
+            if !within(rank, self.len) {
+                return None;
+            }
+            self.rows.resize_with(rank + 1, Row::default);
+        }
+        let row = &mut self.rows[rank];
+        if slot >= row.slots.len() {
+            if !within(slot, row.filled) {
+                return None;
+            }
+            row.slots.resize(slot + 1, NO_NODE);
+        }
+        row.filled += 1;
+        Some(&mut row.slots[slot])
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// CSR builds performed by the current test thread.
+    pub(crate) static CSR_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Compressed sparse row adjacency: `items[offsets[v]..offsets[v+1]]` are
 /// the edge positions adjacent to node `v`, in creation order.
 #[derive(Debug, Clone)]
@@ -287,6 +406,8 @@ pub struct Csr {
 
 impl Csr {
     fn build(nodes: usize, keys: &[NodeIdx]) -> Self {
+        #[cfg(test)]
+        CSR_BUILDS.with(|c| c.set(c.get() + 1));
         let mut offsets = vec![0u32; nodes + 1];
         for &k in keys {
             offsets[k as usize + 1] += 1;
@@ -311,9 +432,8 @@ impl Csr {
     }
 }
 
-/// Node-indexed drift vector returned by propagation, answering the same
-/// by-`NodeId` queries the old `HashMap<NodeId, Drift>` did — against a
-/// flat column.
+/// Node-indexed drift vector returned by propagation, answering
+/// by-`NodeId` queries against a flat column.
 #[derive(Debug, Clone)]
 pub struct NodeDrifts<'g> {
     arena: &'g GraphArena,
@@ -369,6 +489,52 @@ mod tests {
         assert_eq!(a.node_id(i2), n2);
         assert!(a.is_hub(i2));
         assert!(!a.is_hub(i1));
+    }
+
+    #[test]
+    fn far_ids_take_the_side_map_and_rows_stay_small() {
+        let mut a = GraphArena::new(1);
+        for seq in 0..10 {
+            a.intern(NodeId::start(0, seq));
+            a.intern(NodeId::end(0, seq));
+        }
+        let filled = a.index.rows[0].filled;
+        assert_eq!(filled, 20);
+        // First slot the growth rule refuses, and the last one it allows.
+        let window = (GROW_FACTOR * filled + GROW_SLACK) as u64;
+        let past = NodeId::start(0, window.div_ceil(SLOTS_PER_SEQ));
+        let inside = NodeId::hub(0, (window - 1) / SLOTS_PER_SEQ - 1);
+        let far = [
+            past,
+            NodeId::end(0, 1 << 40),
+            NodeId::hub(0, u64::MAX),
+            NodeId::end(u32::MAX, 3),
+            NodeId {
+                hub: true,
+                ..NodeId::start(0, 2)
+            },
+        ];
+        for (k, id) in far.into_iter().enumerate() {
+            let i = a.intern(id);
+            assert_eq!(a.intern(id), i, "{id:?} re-interned");
+            assert_eq!(a.node_index(&id), Some(i));
+            assert_eq!(a.node_id(i), id);
+            assert_eq!(a.index.far.len(), k + 1, "{id:?} should be far");
+        }
+        let i = a.intern(inside);
+        assert_eq!(a.node_index(&inside), Some(i));
+        assert_eq!(a.index.far.len(), far.len(), "{inside:?} should be dense");
+        // One more node widens the window past `past`'s slot: `past` is
+        // still found where it was put, and an id interned now goes dense.
+        let beyond = NodeId::end(0, past.seq);
+        a.intern(beyond);
+        assert_eq!(a.index.far.len(), far.len(), "{beyond:?} should be dense");
+        assert_eq!(a.node_index(&past), Some(20));
+        // Nothing was sized by a number read from an id.
+        let row = &a.index.rows[0];
+        assert_eq!(a.index.rows.len(), 1);
+        assert!(row.slots.len() <= GROW_FACTOR * row.filled + GROW_SLACK);
+        assert_eq!(a.node_index(&NodeId::end(0, 1 << 41)), None);
     }
 
     #[test]

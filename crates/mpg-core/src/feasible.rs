@@ -63,10 +63,11 @@
 //! dynamic engine.
 
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 use mpg_noise::Dist;
 
-use crate::arena::{GraphArena, NodeIdx};
+use crate::arena::{Csr, GraphArena, NodeIdx};
 use crate::cancel::{CancelReason, CancelToken, CHECK_INTERVAL};
 use crate::graph::{EventGraph, NodeId, Point};
 use crate::perturb::{DeltaClass, PerturbSampler, PerturbationModel, SignedDist};
@@ -98,6 +99,11 @@ pub struct SlackSweep<'g> {
     /// Binding incoming message arm per end node: the edge position whose
     /// source time defines the wait interval (`NO_ARM` ⇒ none).
     binding: Vec<u32>,
+    /// Incoming-edge adjacency of `arena`, built by the first chain walk
+    /// and shared by every later one. It lives here, not on the arena: the
+    /// sweep's shared borrow is what guarantees no edge is pushed while it
+    /// is alive.
+    incoming: OnceLock<Csr>,
     /// Re-timed finish of the whole run: max over final end nodes.
     pub makespan: Cycles,
     /// The final end node realizing the makespan (ties: lowest rank).
@@ -351,6 +357,7 @@ impl<'g> SlackSweep<'g> {
             slack,
             wait,
             binding,
+            incoming: OnceLock::new(),
             makespan,
             anchor,
             retime_mismatches,
@@ -427,10 +434,15 @@ impl<'g> SlackSweep<'g> {
     /// Walks a tight chain backwards from an arbitrary anchor node. Every
     /// edge on the chain satisfies `earliest(src) + cost == earliest(dst)`;
     /// when the anchor realizes the makespan these are exactly zero-slack
-    /// edges.
+    /// edges. `graph` is the graph this sweep was run over.
     pub fn chain_from(&self, graph: &EventGraph, anchor: NodeId) -> StaticPath {
         let arena = graph.arena();
-        let incoming = arena.incoming();
+        debug_assert_eq!(
+            arena.num_edges(),
+            self.arena.num_edges(),
+            "not the swept graph"
+        );
+        let incoming = self.incoming.get_or_init(|| self.arena.incoming());
         let n_edges = arena.num_edges();
         let mut chain = Vec::new();
         let mut ranks = BTreeSet::new();
@@ -804,6 +816,23 @@ mod tests {
             .position(|e| e.src == NodeId::start(1, 0) && !e.is_message)
             .unwrap();
         assert_eq!(s.slack(init1), 90);
+    }
+
+    #[test]
+    fn chains_from_every_rank_share_one_csr_build() {
+        use crate::arena::CSR_BUILDS;
+        let g = late_sender_graph();
+        let s = SlackSweep::sweep(&g);
+        let before = CSR_BUILDS.with(|c| c.get());
+        let from_send = s.chain_from(&g, NodeId::end(0, 2));
+        let from_recv = s.chain_from(&g, NodeId::end(1, 1));
+        assert_eq!(s.static_critical_path(&g), Some(from_recv));
+        assert_eq!(from_send.finish, 110);
+        assert_eq!(CSR_BUILDS.with(|c| c.get()) - before, 1);
+        // A copy of the sweep carries the adjacency with it.
+        let copy = s.clone();
+        copy.chain_from(&g, NodeId::end(0, 2));
+        assert_eq!(CSR_BUILDS.with(|c| c.get()) - before, 1);
     }
 
     #[test]

@@ -46,7 +46,7 @@ use std::sync::{Mutex, OnceLock};
 
 use mpg_trace::frame::crc32c;
 
-use crate::arena::{GraphArena, FLAG_LABELED};
+use crate::arena::{GraphArena, NodeIndex, FLAG_LABELED};
 use crate::perturb::DeltaClass;
 
 /// Magic bytes opening an MPGA artifact.
@@ -430,7 +430,7 @@ pub fn decode_arena(bytes: &[u8]) -> Result<GraphArena, MpgaError> {
         label_kind,
         label_t,
         labeled,
-        index: HashMap::with_capacity(nodes),
+        index: NodeIndex::default(),
         edge_src,
         edge_dst,
         edge_base,
@@ -438,9 +438,11 @@ pub fn decode_arena(bytes: &[u8]) -> Result<GraphArena, MpgaError> {
         edge_sampled,
         edge_msg,
     };
+    // Interning in column order hands node `i` index `i`; an id seen twice
+    // is not fresh the second time, wherever its twin was stored.
     for i in 0..nodes {
-        let id = arena.node_id(i as u32);
-        if arena.index.insert(id, i as u32).is_some() {
+        let (_, fresh) = arena.index.intern(arena.node_id(i as u32));
+        if !fresh {
             return Err(MpgaError::Malformed("duplicate node identity".into()));
         }
     }

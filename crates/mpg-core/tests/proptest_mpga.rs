@@ -13,13 +13,20 @@
 //! 3. **Derived-artifact round-trips**: the [`HbIndex`] and [`DriftSlack`]
 //!    serializations are stable fixed points (`from_bytes ∘ to_bytes`
 //!    re-serializes to the same bytes).
+//! 4. **Forged node identities**: an artifact whose `node_seq` column was
+//!    rewritten (and the checksum re-sealed) to `u64::MAX`, `2^40`, or a
+//!    value around the edge of the index's dense window decodes without
+//!    sizing anything by the forged number, to an arena whose index finds
+//!    every node — or to a typed error; two nodes forged to one identity
+//!    are always `Malformed("duplicate node identity")`.
 
 use mpg_core::{
     cached_recorded_graph, critical_path, decode_arena, drift_slack, encode_arena, CacheStore,
-    DriftSlack, EventGraph, HbIndex, PerturbationModel, ReplayConfig, Replayer,
+    DriftSlack, EventGraph, HbIndex, MpgaError, NodeIdx, PerturbationModel, ReplayConfig, Replayer,
 };
 use mpg_noise::{Dist, PlatformSignature};
 use mpg_sim::RankCtx;
+use mpg_trace::frame::crc32c;
 use mpg_trace::MemTrace;
 use proptest::prelude::*;
 
@@ -95,8 +102,100 @@ fn temp_store(tag: &str) -> CacheStore {
     CacheStore::open(&d).unwrap()
 }
 
+/// Overwrites entry `node` of an MPGA artifact's `node_seq` column (header
+/// 40 bytes, kind table, `node_rank:u32[nodes]` padded to 8, then
+/// `node_seq:u64[nodes]` — the layout in `mpga.rs`) and re-seals the CRC,
+/// so only the structural validation stands between the forgery and the
+/// caller.
+fn forge_node_seq(bytes: &mut [u8], node: usize, seq: u64) {
+    let u32_at = |b: &[u8], o: usize| u32::from_le_bytes(b[o..o + 4].try_into().unwrap()) as usize;
+    let nodes = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
+    assert!(node < nodes);
+    let mut pos = 48;
+    for _ in 0..u32_at(bytes, 40) {
+        pos += 4 + u32_at(bytes, pos);
+    }
+    pos = pos.next_multiple_of(8) + (nodes * 4).next_multiple_of(8) + node * 8;
+    bytes[pos..pos + 8].copy_from_slice(&seq.to_le_bytes());
+    let body = bytes.len() - 4;
+    let crc = crc32c(&bytes[..body]);
+    bytes[body..].copy_from_slice(&crc.to_le_bytes());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// A forged `node_seq` either decodes to an arena whose index maps
+    /// every node back to itself (and re-encodes to the forged bytes), or
+    /// is a typed error — and returns at all, which a table sized by the
+    /// forged number (`2^40` slots) would not.
+    #[test]
+    fn forged_node_seq_decodes_or_errors(
+        p in 2u32..6,
+        sim_seed in 0u64..500,
+        pick in any::<u64>(),
+        forged in prop_oneof![
+            Just(u64::MAX),
+            Just(1u64 << 40),
+            // Around the edge of the dense window of a row this size.
+            (0u64..600).prop_map(|d| 20 + d),
+        ],
+        rounds in prop::collection::vec(round_strategy(), 1..5),
+    ) {
+        let trace = simulate(p, sim_seed, &rounds);
+        let cfg = ReplayConfig::new(model(sim_seed)).seed(3).record_graph(true);
+        let graph = record(&trace, &cfg);
+        let mut bytes = encode_arena(graph.arena());
+        let node = (pick % graph.arena().num_nodes() as u64) as usize;
+        forge_node_seq(&mut bytes, node, forged);
+        match decode_arena(&bytes) {
+            Ok(arena) => {
+                prop_assert_eq!(arena.node_id(node as NodeIdx).seq, forged);
+                for i in 0..arena.num_nodes() as NodeIdx {
+                    prop_assert_eq!(arena.node_index(&arena.node_id(i)), Some(i));
+                }
+                prop_assert_eq!(&encode_arena(&arena), &bytes);
+            }
+            Err(e) => prop_assert_eq!(
+                e,
+                MpgaError::Malformed("duplicate node identity".into())
+            ),
+        }
+    }
+
+    /// Two nodes forged to one identity are rejected wherever the first
+    /// of them was stored: in the dense table (a sequence number the row
+    /// already covers) or in the side map (`2^40`, `u64::MAX`).
+    #[test]
+    fn duplicate_identity_is_rejected_dense_or_far(
+        p in 2u32..6,
+        sim_seed in 0u64..500,
+        pick in any::<u64>(),
+        seq in prop_oneof![Just(None), Just(Some(1u64 << 40)), Just(Some(u64::MAX))],
+        rounds in prop::collection::vec(round_strategy(), 1..5),
+    ) {
+        let trace = simulate(p, sim_seed, &rounds);
+        let cfg = ReplayConfig::new(model(sim_seed)).seed(3).record_graph(true);
+        let graph = record(&trace, &cfg);
+        let arena = graph.arena();
+        // Two distinct nodes differing in `seq` alone: same rank, point, hub.
+        let a = (pick % arena.num_nodes() as u64) as NodeIdx;
+        let id = arena.node_id(a);
+        let twin = (0..arena.num_nodes() as NodeIdx).find(|&b| {
+            let other = arena.node_id(b);
+            b != a && (other.rank, other.point, other.hub) == (id.rank, id.point, id.hub)
+        });
+        if let Some(b) = twin {
+            let seq = seq.unwrap_or(id.seq);
+            let mut bytes = encode_arena(arena);
+            forge_node_seq(&mut bytes, a as usize, seq);
+            forge_node_seq(&mut bytes, b as usize, seq);
+            prop_assert_eq!(
+                decode_arena(&bytes).err(),
+                Some(MpgaError::Malformed("duplicate node identity".into()))
+            );
+        }
+    }
 
     /// Encode → decode → re-encode is bit-identical, and the rebuilt graph
     /// carries the same critical path and the same serialized

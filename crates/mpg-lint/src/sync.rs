@@ -26,7 +26,8 @@
 //! threshold means senders can outrun the receiver's consumption.
 
 use crate::progress::{Matching, SendRec};
-use mpg_core::{EventGraph, HbIndex, NodeId};
+use mpg_core::arena::NO_NODE;
+use mpg_core::{EventGraph, HbIndex, NodeId, NodeIdx};
 use mpg_trace::{Diagnostic, EventKind, MemTrace, Rank, Rule, Seq, Tag, ANY_SOURCE, ANY_TAG};
 use std::collections::{BTreeMap, HashMap};
 
@@ -51,28 +52,31 @@ struct Hub {
 }
 
 fn collect_hubs(graph: &EventGraph) -> Vec<Hub> {
-    let mut order: Vec<NodeId> = Vec::new();
-    let mut entries: HashMap<NodeId, Vec<(Rank, Seq)>> = HashMap::new();
-    for e in graph.edges() {
-        if e.dst.hub {
-            entries.entry(e.dst).or_insert_with(|| {
-                order.push(e.dst);
-                Vec::new()
-            });
-            entries
-                .get_mut(&e.dst)
-                .expect("just inserted")
-                .push((e.src.rank, e.src.seq));
+    let arena = graph.arena();
+    // Hub node index → its position in `hubs`.
+    let mut slot = vec![NO_NODE; arena.num_nodes()];
+    let mut hubs: Vec<Hub> = Vec::new();
+    for e in 0..arena.num_edges() {
+        let dst = arena.edge_dst(e);
+        if !arena.is_hub(dst) {
+            continue;
         }
+        if slot[dst as usize] == NO_NODE {
+            slot[dst as usize] = hubs.len() as NodeIdx;
+            hubs.push(Hub {
+                node: arena.node_id(dst),
+                entries: Vec::new(),
+            });
+        }
+        let src = arena.node_id(arena.edge_src(e));
+        hubs[slot[dst as usize] as usize]
+            .entries
+            .push((src.rank, src.seq));
     }
-    order
-        .into_iter()
-        .map(|node| {
-            let mut ent = entries.remove(&node).unwrap_or_default();
-            ent.sort_unstable();
-            Hub { node, entries: ent }
-        })
-        .collect()
+    for hub in &mut hubs {
+        hub.entries.sort_unstable();
+    }
+    hubs
 }
 
 /// The matches the recorded graph forbids: envelope-compatible

@@ -25,7 +25,8 @@
 
 use std::collections::HashMap;
 
-use mpg_core::{Cycles, DeltaClass, EventGraph, NodeId, SlackSweep};
+use mpg_core::arena::NO_NODE;
+use mpg_core::{Cycles, DeltaClass, EventGraph, NodeId, NodeIdx, SlackSweep};
 use mpg_trace::{Diagnostic, EventKind, MemTrace, Rule, Tag};
 
 use crate::slack::ChainSummary;
@@ -380,38 +381,56 @@ pub fn analyze_graph(trace: &MemTrace, graph: &EventGraph) -> PerfReport {
     // Entries: src → hub edges; members: hub → end edges. The latest
     // entrant is the root cause; `saved` is what would be reclaimed if it
     // entered at the second-latest time.
-    let mut hub_entries: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    let mut hub_members: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    let mut hub_order: Vec<NodeId> = Vec::new();
-    for e in graph.edges() {
-        if e.dst.hub && !e.src.hub {
-            let slot = hub_entries.entry(e.dst).or_default();
-            if slot.is_empty() {
-                hub_order.push(e.dst);
-            }
-            slot.push(e.src);
-        } else if e.src.hub && !e.dst.hub {
-            hub_members.entry(e.src).or_default().push(e.dst);
+    // Grouped through a node-indexed slot column, in creation order of the
+    // hubs — the order the findings are reported in.
+    struct HubEdges {
+        hub: NodeIdx,
+        entries: Vec<NodeIdx>,
+        members: Vec<NodeIdx>,
+        /// Classification of every member's wait, and the causing rank.
+        class: Option<(WaitClass, u32)>,
+    }
+    let arena = graph.arena();
+    let mut hub_slot = vec![NO_NODE; arena.num_nodes()];
+    let mut hubs: Vec<HubEdges> = Vec::new();
+    for e in 0..arena.num_edges() {
+        let (src, dst) = (arena.edge_src(e), arena.edge_dst(e));
+        let (hub, entering) = match (arena.is_hub(src), arena.is_hub(dst)) {
+            (false, true) => (dst, true),
+            (true, false) => (src, false),
+            _ => continue,
+        };
+        if hub_slot[hub as usize] == NO_NODE {
+            hub_slot[hub as usize] = hubs.len() as NodeIdx;
+            hubs.push(HubEdges {
+                hub,
+                entries: Vec::new(),
+                members: Vec::new(),
+                class: None,
+            });
+        }
+        let edges = &mut hubs[hub_slot[hub as usize] as usize];
+        if entering {
+            edges.entries.push(src);
+        } else {
+            edges.members.push(dst);
         }
     }
     let mut collectives = Vec::new();
-    // Per-member-end-node classification decided at the instance level.
-    let mut coll_class: HashMap<NodeId, (WaitClass, u32)> = HashMap::new();
-    for hub in &hub_order {
-        let entries = &hub_entries[hub];
-        let members = hub_members.get(hub).map_or(&[][..], |m| m.as_slice());
-        let hub_t = sweep.time(*hub).unwrap_or(0);
+    for edges in &mut hubs {
+        let (entries, members) = (&edges.entries, &edges.members);
+        let hub_t = sweep.time(arena.node_id(edges.hub)).unwrap_or(0);
         // Latest entrant (first wins on ties — entry edges are emitted in
         // rank order, so ties resolve to the lowest rank).
         let mut latest: Option<(NodeId, Cycles)> = None;
         let mut second = 0;
-        for src in entries {
-            let t = sweep.time(*src).unwrap_or(0);
+        for src in entries.iter().map(|&i| arena.node_id(i)) {
+            let t = sweep.time(src).unwrap_or(0);
             match latest {
-                None => latest = Some((*src, t)),
+                None => latest = Some((src, t)),
                 Some((_, lt)) if t > lt => {
                     second = lt;
-                    latest = Some((*src, t));
+                    latest = Some((src, t));
                 }
                 Some(_) => second = second.max(t),
             }
@@ -423,15 +442,16 @@ pub fn analyze_graph(trace: &MemTrace, graph: &EventGraph) -> PerfReport {
         let mut window_total = 0;
         let mut saved = 0;
         let mut op = "collective";
-        for m in members {
-            let w = sweep.wait(*m);
+        for &mi in members {
+            let m = arena.node_id(mi);
+            let w = sweep.wait(m);
             total_wait += w;
             let start = NodeId::start(m.rank, m.seq);
-            if let (Some(s), Some(t)) = (sweep.time(start), sweep.time(*m)) {
+            if let (Some(s), Some(t)) = (sweep.time(start), sweep.time(m)) {
                 window_total += t - s;
             }
             saved += w.min(hub_t.saturating_sub(second));
-            if let Some(label) = graph.node_label(m) {
+            if let Some(label) = arena.label_of(mi) {
                 op = label.kind;
             }
         }
@@ -441,9 +461,7 @@ pub fn analyze_graph(trace: &MemTrace, graph: &EventGraph) -> PerfReport {
         } else {
             WaitClass::ImbalanceAtCollective
         };
-        for m in members {
-            coll_class.insert(*m, (class, cause_node.rank));
-        }
+        edges.class = Some((class, cause_node.rank));
         collectives.push(CollectiveWait {
             op,
             cause: (cause_node.rank, cause_node.seq),
@@ -462,7 +480,9 @@ pub fn analyze_graph(trace: &MemTrace, graph: &EventGraph) -> PerfReport {
         let e = graph.edge(arm);
         let on_critical = sweep.slack(arm) == 0;
         if e.src.hub {
-            let (class, cause) = coll_class.get(&end).copied()?;
+            // Decided at the instance level, for all members alike.
+            let hub = hub_slot[arena.edge_src(arm) as usize];
+            let (class, cause) = hubs[hub as usize].class?;
             return Some((class, Some(cause), on_critical));
         }
         let class = match e.class {

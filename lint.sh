@@ -114,6 +114,38 @@ for wl in ring stencil master-worker solver pipeline transpose summa; do
 done
 echo "    analyze identity + fsck exit contract hold across 7 workloads"
 
+# Cold-path ratio gate — ROADMAP aim 1's target as a check: a cold
+# `analyze` may cost at most 10x the out-of-core replay of the same trace.
+# A ratio of two walls taken back to back on one host, best of three each,
+# so it needs no calibration. Measured 4.3-4.7x; a CSR build per rank or a
+# hash per node touch on the analyze path puts it at 20x.
+echo "==> cold analyze <= 10x replay --ooc (stencil, 256 ranks, scale 4)"
+RATIO_TRACE="$SMOKE_TMP/ratio-trace"
+"$MPGTOOL" gen --workload stencil --ranks 256 --scale 4 "$RATIO_TRACE" >/dev/null
+
+# best_ms CMD...: least wall-clock milliseconds over three runs.
+best_ms() {
+    best=""
+    for _ in 1 2 3; do
+        t0=$(date +%s%N)
+        "$@" >/dev/null
+        t1=$(date +%s%N)
+        ms=$(( (t1 - t0) / 1000000 ))
+        if [ -z "$best" ] || [ "$ms" -lt "$best" ]; then
+            best=$ms
+        fi
+    done
+    echo "$best"
+}
+analyze_ms=$(best_ms "$MPGTOOL" analyze "$RATIO_TRACE" --json)
+replay_ms=$(best_ms "$MPGTOOL" replay "$RATIO_TRACE" --ooc)
+if [ "$analyze_ms" -gt $(( 10 * replay_ms )) ]; then
+    echo "lint: FAIL: cold analyze ${analyze_ms} ms > 10x replay --ooc ${replay_ms} ms" >&2
+    exit 1
+fi
+echo "    analyze ${analyze_ms} ms, replay --ooc ${replay_ms} ms"
+rm -rf "$RATIO_TRACE"
+
 # Artifact-cache end-to-end: for each cached command, the cold run (which
 # populates the cache) and the warm run (which serves the memoized report)
 # must print stdout byte-identical to the uncached run; a corrupted

@@ -433,6 +433,37 @@ proptest! {
         }
     }
 
+    /// The graph recorded from a mutated trace — ids with gaps, ranks cut
+    /// short at the crash frontier — keeps every node findable by its id,
+    /// and its MPGA artifact decodes to an arena that does the same and
+    /// re-encodes to the same bytes.
+    #[test]
+    fn arena_index_roundtrips_on_mutated_graphs(
+        workload in 0usize..4,
+        rank in 0usize..4,
+        pos in 0usize..200,
+        mutation in mutation_strategy(),
+    ) {
+        if let Some(bad) = mutate(&good_traces()[workload], rank, pos, mutation) {
+            let cfg = ReplayConfig::new(PerturbationModel::quiet("fuzz-arena"))
+                .crash_tolerant(true)
+                .record_graph(true);
+            if let Ok(rep) = Replayer::new(cfg).run(&bad) {
+                let graph = rep.graph.expect("graph recorded");
+                let bytes = mpg::core::encode_arena(graph.arena());
+                let decoded = mpg::core::decode_arena(&bytes);
+                prop_assert!(decoded.is_ok(), "{:?}", decoded.err());
+                let decoded = decoded.unwrap();
+                for arena in [graph.arena(), &decoded] {
+                    for i in 0..arena.num_nodes() as u32 {
+                        prop_assert_eq!(arena.node_index(&arena.node_id(i)), Some(i));
+                    }
+                }
+                prop_assert_eq!(mpg::core::encode_arena(&decoded), bytes);
+            }
+        }
+    }
+
     /// Garbage traces lint without panicking (diagnostics optional: some
     /// random traces are genuinely well-formed).
     #[test]
