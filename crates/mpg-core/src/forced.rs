@@ -87,19 +87,6 @@ impl MatchPlan {
         self.forced.is_empty()
     }
 
-    /// Order-insensitive identity of the plan, used for sleep-set
-    /// deduplication: two plans forcing the same set of resolutions in a
-    /// different discovery order explore the same schedule.
-    pub fn canonical_key(&self) -> String {
-        let mut parts: Vec<String> = self
-            .forced
-            .iter()
-            .map(|f| format!("{}:{}<-{}", f.recv.0, f.recv.1, f.source))
-            .collect();
-        parts.sort_unstable();
-        parts.join(",")
-    }
-
     /// Stable byte serialization (little-endian), used by explored-
     /// frontier checkpoints in the artifact cache.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -213,15 +200,6 @@ mod tests {
         let plan = MatchPlan::new().force((0, 8), 2).force((0, 8), 7);
         assert_eq!(plan.len(), 1);
         assert_eq!(plan.source_for((0, 8), 1), 2);
-    }
-
-    #[test]
-    fn canonical_key_is_order_insensitive() {
-        let a = MatchPlan::new().force((0, 8), 2).force((3, 1), 5);
-        let b = MatchPlan::new().force((3, 1), 5).force((0, 8), 2);
-        assert_eq!(a.canonical_key(), b.canonical_key());
-        let c = MatchPlan::new().force((3, 1), 6).force((0, 8), 2);
-        assert_ne!(a.canonical_key(), c.canonical_key());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use mpg_sim::{RecvEnvelope, SendEnvelope};
 use mpg_trace::{Rank, ReqId, Seq, Tag};
 
 /// An offered (possibly unmatched) send, as the lint matcher sees it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct LintSend {
     /// Sender rank.
     pub src: Rank,
@@ -21,6 +21,10 @@ pub(crate) struct LintSend {
     pub bytes: u64,
     /// Sequence number of the send event on `src`.
     pub seq: Seq,
+    /// Position of the send event in `src`'s stream. Equal to `seq` in a
+    /// valid trace; the simulation keys its per-rank state on this one, so
+    /// duplicate or gapped sequence numbers cannot alias two events.
+    pub idx: usize,
     /// Global issue stamp (the matcher's wildcard arrival order).
     pub issue: u64,
 }
@@ -48,7 +52,7 @@ impl SendEnvelope for LintSend {
 /// Traces record the *matched* source, so the pattern posted here is the
 /// resolution the original run chose; the original wildcard survives only
 /// in `posted_any`, which drives the `MPG-WILD-RACE` feasibility probe.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct LintRecv {
     /// Receiver rank.
     pub dst: Rank,
@@ -61,6 +65,9 @@ pub(crate) struct LintRecv {
     pub bytes: u64,
     /// Sequence number of the receive event on `dst`.
     pub seq: Seq,
+    /// Position of the receive event in `dst`'s stream (see
+    /// [`LintSend::idx`]).
+    pub idx: usize,
     /// True when the original receive was posted with `MPI_ANY_SOURCE`.
     pub posted_any: bool,
     /// The nonblocking request this receive completes, if any.

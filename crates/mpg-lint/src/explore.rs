@@ -17,7 +17,7 @@
 //!   classified. A completed alternate is branched further: new
 //!   candidates are enumerated *on the alternate matching* and appended,
 //!   up to the depth bound.
-//! * **Pruning.** A sleep set over canonical plan keys kills every
+//! * **Pruning.** A sleep set over order-insensitive plan keys kills every
 //!   rediscovery of an already-scheduled resolution set (two discovery
 //!   orders of the same swaps are the same schedule). A persistent-set
 //!   restriction only branches on receives at or after the deepest
@@ -45,7 +45,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use crate::hb_races::wildcard_candidates;
 use crate::progress::{forced_replay, Matching};
 use crate::LintContext;
-use mpg_core::forced::{ForcedOutcome, MatchPlan};
+use mpg_core::forced::{ForcedMatch, ForcedOutcome, MatchPlan};
 use mpg_core::{CancelReason, CancelToken};
 use mpg_trace::{sort_diagnostics, Diagnostic, EventKind, MemTrace, Rank, Rule, Seq, Severity};
 
@@ -254,8 +254,8 @@ pub fn explore(ctx: &LintContext<'_>, opts: &ExploreOptions) -> ExploreReport {
     let base = matching_makespan(trace, &ctx.progress.matching);
     let stats = &mut report.stats;
 
-    // Sleep set: canonical keys of every plan ever scheduled.
-    let mut sleep: HashSet<String> = HashSet::new();
+    // Sleep set: the key of every plan ever scheduled.
+    let mut sleep: HashSet<Vec<ForcedMatch>> = HashSet::new();
     let mut frontier: VecDeque<(MatchPlan, usize)> = VecDeque::new();
 
     // Seed from the recorded matching, pinned-consumer alternates
@@ -267,7 +267,7 @@ pub fn explore(ctx: &LintContext<'_>, opts: &ExploreOptions) -> ExploreReport {
         seeds.rotate_left(rot);
     }
     for plan in seeds {
-        if sleep.insert(plan.canonical_key()) {
+        if sleep.insert(sleep_key(&plan)) {
             frontier.push_back((plan, 1));
         } else {
             stats.pruned += 1;
@@ -322,7 +322,7 @@ pub fn explore(ctx: &LintContext<'_>, opts: &ExploreOptions) -> ExploreReport {
                 }
                 if depth < opts.depth {
                     for next in extensions(trace, &rep.matching, hb, &plan) {
-                        if sleep.insert(next.canonical_key()) {
+                        if sleep.insert(sleep_key(&next)) {
                             frontier.push_back((next, depth + 1));
                         } else {
                             stats.pruned += 1;
@@ -338,6 +338,15 @@ pub fn explore(ctx: &LintContext<'_>, opts: &ExploreOptions) -> ExploreReport {
         }
     }
     report
+}
+
+/// Order-insensitive identity of a plan for the sleep set: two plans
+/// forcing the same resolutions in a different discovery order explore the
+/// same schedule.
+fn sleep_key(plan: &MatchPlan) -> Vec<ForcedMatch> {
+    let mut key = plan.forced().to_vec();
+    key.sort_unstable();
+    key
 }
 
 /// Extensions of `plan` from the candidates of `matching` (the matching
@@ -697,6 +706,15 @@ mod tests {
             ..ExploreStats::default()
         };
         assert!(cancelled.coverage().contains("cancelled"));
+    }
+
+    #[test]
+    fn sleep_key_is_order_insensitive() {
+        let a = MatchPlan::new().force((0, 8), 2).force((3, 1), 5);
+        let b = MatchPlan::new().force((3, 1), 5).force((0, 8), 2);
+        assert_eq!(sleep_key(&a), sleep_key(&b));
+        let c = MatchPlan::new().force((3, 1), 6).force((0, 8), 2);
+        assert_ne!(sleep_key(&a), sleep_key(&c));
     }
 
     #[test]

@@ -13,14 +13,17 @@
 //! concurrent message elsewhere (e.g. a later receive that *specifically*
 //! names that source has no other way to complete). Every candidate is
 //! therefore validated by **witness replay**: the progress simulation is
-//! re-run under a witness `MatchPolicy` that forces `R` onto `S'`'s
-//! source (and the wildcard receive that originally consumed `S'` onto
-//! `S`'s source, swapping the two messages). Only candidates whose forced
-//! schedule runs every rank to completion are reported, so each
-//! `MPG-WILD-RACE` diagnostic carries a concrete, replayable alternate
-//! match — never a hypothetical one.
+//! re-run under a plan that forces `R` onto `S'`'s source (and the
+//! wildcard receive that originally consumed `S'` onto `S`'s source,
+//! swapping the two messages). Only candidates whose forced schedule runs
+//! every rank to completion are reported, so each `MPG-WILD-RACE`
+//! diagnostic carries a concrete, replayable alternate match — never a
+//! hypothetical one. All candidates of a trace are replayed as one batch
+//! (`progress::replay_plans`): one recorded run, and per candidate only
+//! the part of its schedule after the point where it leaves the recorded
+//! one.
 
-use crate::progress::{forced_replay, MatchPair, Matching};
+use crate::progress::{forced_replay, replay_plans, MatchPair, Matching};
 use mpg_core::forced::MatchPlan;
 use mpg_core::HbIndex;
 use mpg_trace::{Diagnostic, EventKind, MemTrace, Rank, Rule, Seq, ANY_TAG};
@@ -65,11 +68,12 @@ pub fn witness_plan(w: &RaceWitness) -> MatchPlan {
     plan
 }
 
-/// Replays the progress simulation with the witness's matching forced,
+/// Replays the progress simulation with one witness's matching forced,
 /// through the shared [`forced_replay`] path. Returns the resulting
 /// [`Matching`] when the forced schedule completes *and* the racy
 /// receive really did take the alternate source; `None` when the witness
-/// is infeasible.
+/// is infeasible. ([`find_races`] reads the same verdict off a whole
+/// batch of witnesses without building their matchings.)
 pub fn witness_matching(trace: &MemTrace, w: &RaceWitness) -> Option<Matching> {
     let rep = forced_replay(trace, &witness_plan(w));
     let m = rep.matching;
@@ -162,12 +166,23 @@ pub(crate) fn wildcard_candidates(
 
 /// Finds every wildcard receive with a validated concurrent alternate.
 pub fn find_races(trace: &MemTrace, matching: &Matching, hb: &HbIndex) -> Vec<RaceFinding> {
+    let candidates = wildcard_candidates(trace, matching, hb, false);
+    // A witness holds when its forced schedule completes *and* the racy
+    // receive really took the alternate source.
+    let holds = {
+        let witnesses: Vec<&RaceWitness> = candidates.iter().flat_map(|(_, ws)| ws).collect();
+        let mut holds = vec![false; witnesses.len()];
+        let plan = |i: usize| witness_plan(witnesses[i]);
+        replay_plans(trace, witnesses.len(), plan, |i, sim| {
+            let w = witnesses[i];
+            holds[i] = sim.completed() && sim.delivered(w.recv, w.alternate.0);
+        });
+        holds
+    };
+    let mut holds = holds.into_iter();
     let mut findings = Vec::new();
-    for (pair, candidates) in wildcard_candidates(trace, matching, hb, false) {
-        let witnesses: Vec<RaceWitness> = candidates
-            .into_iter()
-            .filter(|w| witness_matching(trace, w).is_some())
-            .collect();
+    for (pair, mut witnesses) in candidates {
+        witnesses.retain(|_| holds.next().expect("one verdict per candidate"));
         if !witnesses.is_empty() {
             findings.push(RaceFinding {
                 recv: pair.recv,
@@ -213,4 +228,102 @@ pub fn lint_races(trace: &MemTrace, matching: &Matching, hb: &HbIndex) -> Vec<Di
             )
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::progress::{run_progress, MatchPolicy, BASE_RUNS, STEPS};
+    use crate::LintContext;
+    use mpg_apps::{MasterWorker, Workload};
+    use mpg_noise::PlatformSignature;
+
+    /// The trace of `mpgtool gen --workload master-worker --ranks 8
+    /// --scale 6` (the benchmark's `master-worker-wild-8`): 384 tasks
+    /// handed out through `ANY_SOURCE` result receives.
+    fn master_worker_trace() -> MemTrace {
+        let workload = MasterWorker {
+            tasks: 384,
+            task_work: 200_000,
+            task_bytes: 128,
+            result_bytes: 128,
+        };
+        mpg_sim::Simulation::new(8, PlatformSignature::quiet("mpgtool-gen"))
+            .seed(1)
+            .run(|ctx| workload.run(ctx))
+            .expect("master-worker simulates")
+            .trace
+    }
+
+    fn counted<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+        let before = (BASE_RUNS.with(|c| c.get()), STEPS.with(|c| c.get()));
+        let out = f();
+        let runs = BASE_RUNS.with(|c| c.get()) - before.0;
+        let steps = STEPS.with(|c| c.get()) - before.1;
+        (out, runs, steps)
+    }
+
+    #[test]
+    fn pass_4_is_one_recorded_run_plus_a_suffix_per_witness() {
+        let trace = master_worker_trace();
+        assert_eq!(trace.total_events(), 1950);
+        let ctx = LintContext::build(&trace);
+        let hb = ctx.hb.as_ref().expect("clean trace records a graph");
+        let matching = &ctx.progress.matching;
+        let candidates = wildcard_candidates(&trace, matching, hb, false);
+        let plans: usize = candidates.iter().map(|(_, ws)| ws.len()).sum();
+        assert_eq!(plans, 2304);
+
+        let (_, _, steps_per_run) = counted(|| run_progress(&trace, &MatchPolicy::Recorded));
+        let (findings, base_runs, steps) = counted(|| find_races(&trace, matching, hb));
+        assert_eq!(base_runs, 1, "one simulation started from step 0");
+        let from_scratch = plans * steps_per_run;
+        assert!(
+            (steps as f64) < 0.6 * from_scratch as f64,
+            "{steps} steps for {plans} witnesses of {steps_per_run} steps each"
+        );
+
+        // The verdicts are those of one whole simulation per candidate.
+        let mut expected = Vec::new();
+        for (pair, ws) in &candidates {
+            let holds: Vec<RaceWitness> = ws
+                .iter()
+                .filter(|w| {
+                    let policy = MatchPolicy::Witness(witness_plan(w));
+                    let m = run_progress(&trace, &policy).matching;
+                    let took = |p: &MatchPair| p.recv == w.recv && p.send.0 == w.alternate.0;
+                    m.completed && m.pairs.iter().any(took)
+                })
+                .copied()
+                .collect();
+            if !holds.is_empty() {
+                expected.push((pair.recv, holds));
+            }
+        }
+        let found: Vec<_> = findings
+            .into_iter()
+            .map(|f| (f.recv, f.witnesses))
+            .collect();
+        assert_eq!(found, expected);
+        assert_eq!(found.len(), 384);
+    }
+
+    #[test]
+    fn no_candidates_no_simulation() {
+        // A ring has no wildcard receive: pass 4 must not even run the
+        // recorded schedule.
+        let trace = mpg_sim::Simulation::new(4, PlatformSignature::quiet("ring"))
+            .run(|ctx| {
+                let (me, p) = (ctx.rank(), ctx.size());
+                ctx.sendrecv((me + 1) % p, 0, 64, (me + p - 1) % p, 0);
+            })
+            .expect("ring simulates")
+            .trace;
+        let ctx = LintContext::build(&trace);
+        let hb = ctx.hb.as_ref().expect("clean trace records a graph");
+        let (findings, base_runs, steps) =
+            counted(|| find_races(&trace, &ctx.progress.matching, hb));
+        assert!(findings.is_empty());
+        assert_eq!((base_runs, steps), (0, 0));
+    }
 }

@@ -73,8 +73,8 @@ pub use hb_races::{
     find_races, lint_races, witness_matching, witness_plan, RaceFinding, RaceWitness,
 };
 pub use progress::{
-    forced_replay, lint_progress, run_progress, ForcedReplay, MatchPair, MatchPolicy, Matching,
-    ProgressOutcome, SendRec,
+    forced_replay, forced_replays, lint_progress, run_progress, ForcedReplay, MatchPair,
+    MatchPolicy, Matching, ProgressOutcome, SendRec,
 };
 pub use slack::{lint_chains, rank_chains, ChainSummary};
 pub use sync::{lint_sync, SyncOptions};

@@ -25,15 +25,23 @@
 //! [`Matching::completed`] is how a race witness is validated as a real
 //! alternate schedule.
 //!
+//! A forced run *is* the recorded run until the first receive its plan
+//! names is about to be posted — the plan is read nowhere else — so forced
+//! replays are not simulated from step 0: `replay_plans`, behind
+//! [`forced_replays`] and pass 4, runs the recorded schedule once and
+//! forks each plan off it at that point (DESIGN.md §18). [`run_progress`] under a witness policy stays the
+//! from-scratch reference the forks are tested against.
+//!
 //! Matching reuses the simulator's [`EnvelopeMatcher`] so the lint passes
 //! and the runtime share one implementation of the non-overtaking,
 //! posted-order, wildcard-arbitration rules.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::envelope::{LintRecv, LintSend};
 use mpg_core::forced::{ForcedOutcome, MatchPlan};
+use mpg_core::EventId;
 use mpg_sim::EnvelopeMatcher;
 use mpg_trace::{
     Diagnostic, EventKind, EventRecord, MemTrace, Rank, ReqId, Rule, SendProtocol, Seq, Tag,
@@ -57,10 +65,10 @@ pub enum MatchPolicy {
 }
 
 impl MatchPolicy {
-    fn src_pattern(&self, rank: Rank, seq: Seq, recorded: Rank) -> Rank {
+    fn plan(&self) -> MatchPlan {
         match self {
-            MatchPolicy::Recorded => recorded,
-            MatchPolicy::Witness(plan) => plan.source_for((rank, seq), recorded),
+            MatchPolicy::Recorded => MatchPlan::new(),
+            MatchPolicy::Witness(plan) => plan.clone(),
         }
     }
 }
@@ -127,15 +135,12 @@ pub fn lint_progress(trace: &MemTrace) -> Vec<Diagnostic> {
     run_progress(trace, &MatchPolicy::Recorded).diags
 }
 
-/// Runs the progress simulation under `policy`, returning diagnostics and
-/// the matching.
+/// Runs the progress simulation under `policy` from its first step,
+/// returning diagnostics and the matching.
 pub fn run_progress(trace: &MemTrace, policy: &MatchPolicy) -> ProgressOutcome {
-    if trace.num_ranks() == 0 {
-        return ProgressOutcome::default();
-    }
-    let mut sim = Sim::new(trace, policy);
-    sim.prescan();
-    sim.run();
+    let prog = Program::scan(trace);
+    let mut sim = Sim::new(&prog, policy.plan());
+    sim.resume(|_| false);
     sim.finish()
 }
 
@@ -156,21 +161,113 @@ pub struct ForcedReplay {
 
 /// The single forced-replay code path: re-executes the trace under
 /// `plan` and classifies what happened. Pass 4's witness validation and
-/// the pass-8 explorer both go through here, so a forced-match sequence
-/// printed by any finding re-replays identically everywhere.
+/// the pass-8 explorer both come through the fork engine under
+/// [`forced_replays`], of which this is the batch of one, so a forced-match
+/// sequence printed by any finding re-replays identically everywhere.
 pub fn forced_replay(trace: &MemTrace, plan: &MatchPlan) -> ForcedReplay {
-    let out = run_progress(trace, &MatchPolicy::Witness(plan.clone()));
-    let outcome = if out.matching.completed {
-        ForcedOutcome::Completed
-    } else if out.diags.iter().any(|d| d.rule == Rule::Deadlock) {
-        ForcedOutcome::Deadlocked
-    } else {
-        ForcedOutcome::Stuck
+    forced_replays(trace, std::slice::from_ref(plan))
+        .pop()
+        .expect("one plan, one replay")
+}
+
+/// [`forced_replay`] of every plan in `plans`, in order, for the price of
+/// one recorded run plus one suffix per plan: each plan's run is forked off
+/// the recorded one where its first named receive is about to be posted.
+/// Each result equals `run_progress(trace, &MatchPolicy::Witness(plan))`,
+/// classified.
+pub fn forced_replays(trace: &MemTrace, plans: &[MatchPlan]) -> Vec<ForcedReplay> {
+    let mut replays: Vec<Option<ForcedReplay>> = vec![None; plans.len()];
+    let plan = |i: usize| plans[i].clone();
+    replay_plans(trace, plans.len(), plan, |i, sim| {
+        let out = sim.finish();
+        let outcome = if out.matching.completed {
+            ForcedOutcome::Completed
+        } else if out.diags.iter().any(|d| d.rule == Rule::Deadlock) {
+            ForcedOutcome::Deadlocked
+        } else {
+            ForcedOutcome::Stuck
+        };
+        replays[i] = Some(ForcedReplay {
+            outcome,
+            matching: out.matching,
+            diags: out.diags,
+        });
+    });
+    replays
+        .into_iter()
+        .map(|r| r.expect("every plan is replayed"))
+        .collect()
+}
+
+/// Replays the trace under each of the plans `plan(0..n_plans)`, handing
+/// each finished simulation to `verdict` with its plan's index, for one
+/// recorded run plus one *suffix* per plan instead of one whole simulation
+/// per plan.
+///
+/// The recorded run advances until it is about to post a receive some plan
+/// names. Up to there every such plan's run has been the recorded run, so
+/// each is forked off it here: the state is copied (sweep cursor included)
+/// into one scratch simulation whose buffers every fork reuses, the plan is
+/// switched in, and the copy runs to quiescence. Then the recorded run
+/// carries on. A plan none of whose receives is ever posted — a skipped
+/// bad-peer receive, a recorded run that wedges first — is forked from the
+/// quiescent state: it is the recorded run. The last plan standing needs no
+/// copy, as nobody is left to want the recorded state: it takes the
+/// recorded simulation over in place, which is all a batch of one does.
+///
+/// Plans are asked for when needed — once to index the receives they name,
+/// once when forked — and dropped again: a batch is thousands of them, and
+/// held all at once they outweigh everything else the batch keeps.
+pub(crate) fn replay_plans(
+    trace: &MemTrace,
+    n_plans: usize,
+    plan: impl Fn(usize) -> MatchPlan,
+    mut verdict: impl FnMut(usize, &mut Sim<'_>),
+) {
+    if n_plans == 0 {
+        return;
+    }
+    let prog = Program::scan(trace);
+    let mut base = Sim::new(&prog, MatchPlan::new());
+    let mut scratch: Option<Sim<'_>> = None;
+    // (receive, plan naming it), sorted: the plans of one receive are a run.
+    let mut names: Vec<(EventId, usize)> = Vec::with_capacity(n_plans);
+    for i in 0..n_plans {
+        names.extend(plan(i).forced().iter().map(|f| (f.recv, i)));
+    }
+    names.shrink_to_fit();
+    names.sort_unstable();
+    let naming = |recv: EventId| {
+        let first = names.partition_point(|&(named, _)| named < recv);
+        names[first..]
+            .iter()
+            .take_while(move |&&(named, _)| named == recv)
+            .map(|&(_, i)| i)
     };
-    ForcedReplay {
-        outcome,
-        matching: out.matching,
-        diags: out.diags,
+    let mut forked = vec![false; n_plans];
+    let mut left = n_plans;
+    while left > 0 {
+        // Pause where a plan still riding the recorded run first matters.
+        let due: Vec<usize> = match base.resume(|recv| naming(recv).any(|i| !forked[i])) {
+            Some(recv) => naming(recv).collect(),
+            None => (0..n_plans).collect(),
+        };
+        for i in due {
+            if std::mem::replace(&mut forked[i], true) {
+                continue;
+            }
+            left -= 1;
+            let sim = if left == 0 {
+                &mut base
+            } else {
+                let sim = scratch.get_or_insert_with(|| base.clone_sized());
+                sim.copy_from(&base);
+                sim
+            };
+            sim.plan = plan(i);
+            sim.resume(|_| false);
+            verdict(i, sim);
+        }
     }
 }
 
@@ -256,65 +353,49 @@ fn coll_sig(kind: &EventKind) -> Option<CollSig> {
 /// grouping the replayer uses — sub-communicator collectives are expanded
 /// to point-to-point traffic by the tracer, so traced collectives are
 /// always world-sized).
+#[derive(Clone)]
 struct EpochSlot {
+    k: u64,
     sig: CollSig,
     first: (Rank, Seq),
     arrived: Vec<(Rank, Seq)>,
     skews: Vec<String>,
 }
 
-struct Sim<'a> {
-    ranks: Vec<&'a [EventRecord]>,
-    p: usize,
-    policy: &'a MatchPolicy,
-    pc: Vec<usize>,
-    offered: Vec<bool>,
-    matcher: EnvelopeMatcher<LintSend, LintRecv>,
-    issue: u64,
-    matched: HashSet<(Rank, Seq)>,
-    reqs: Vec<HashMap<ReqId, ReqState>>,
-    coll_count: Vec<u64>,
-    epochs: BTreeMap<u64, EpochSlot>,
-    skip: HashSet<(Rank, Seq)>,
-    sends: Vec<SendRec>,
-    pairs: Vec<MatchPair>,
-    diags: Vec<Diagnostic>,
+/// What one pass over the trace settles before any event executes. Every
+/// simulation of the trace — the recorded run and each fork — shares it.
+struct Program<'t> {
+    ranks: Vec<&'t [EventRecord]>,
+    /// `skip[r][i]`: event `i` of rank `r` is a local no-op for the
+    /// simulation (a bad peer would never match; a self-message is already
+    /// reported by validation). A rank with no such event keeps an empty
+    /// row, which is every rank of a clean trace.
+    skip: Vec<Vec<bool>>,
+    /// The `MPG-BAD-PEER` findings; they open every run's diagnostics.
+    bad_peers: Vec<Diagnostic>,
+    /// Sends in the trace: each is offered once and matches at most once,
+    /// so this bounds both logs.
+    n_sends: usize,
 }
 
-impl<'a> Sim<'a> {
-    fn new(trace: &'a MemTrace, policy: &'a MatchPolicy) -> Self {
-        let p = trace.num_ranks();
-        Sim {
-            ranks: (0..p).map(|r| trace.rank(r)).collect(),
-            p,
-            policy,
-            pc: vec![0; p],
-            offered: vec![false; p],
-            matcher: EnvelopeMatcher::new(),
-            issue: 0,
-            matched: HashSet::new(),
-            reqs: vec![HashMap::new(); p],
-            coll_count: vec![0; p],
-            epochs: BTreeMap::new(),
-            skip: HashSet::new(),
-            sends: Vec::new(),
-            pairs: Vec::new(),
-            diags: Vec::new(),
-        }
-    }
-
+impl<'t> Program<'t> {
     /// Pass over every event flagging peers outside the communicator
     /// (`MPG-BAD-PEER`) and marking events the simulation must treat as
-    /// local no-ops (bad peers would never match; self-messages are
-    /// already reported by validation).
-    fn prescan(&mut self) {
-        let p = self.p;
-        let mut n_sends = 0;
+    /// local no-ops.
+    fn scan(trace: &'t MemTrace) -> Self {
+        let p = trace.num_ranks();
+        let mut prog = Program {
+            ranks: (0..p).map(|r| trace.rank(r)).collect(),
+            skip: vec![Vec::new(); p],
+            bad_peers: Vec::new(),
+            n_sends: 0,
+        };
         for r in 0..p {
-            for ev in self.ranks[r] {
+            let events = prog.ranks[r];
+            for (i, ev) in events.iter().enumerate() {
                 let (peer, what) = match ev.kind {
                     EventKind::Send { peer, .. } | EventKind::Isend { peer, .. } => {
-                        n_sends += 1;
+                        prog.n_sends += 1;
                         (Some(peer), "send names destination")
                     }
                     EventKind::Recv { peer, .. } | EventKind::Irecv { peer, .. } => {
@@ -327,46 +408,201 @@ impl<'a> Sim<'a> {
                     _ => (None, ""),
                 };
                 let Some(peer) = peer else { continue };
-                if peer as usize >= p {
-                    self.diags.push(
+                let bad = peer as usize >= p;
+                if bad {
+                    prog.bad_peers.push(
                         Diagnostic::new(
                             Rule::BadPeer,
                             format!("{what} rank {peer} but the trace has {p} ranks"),
                         )
                         .at(ev.rank, ev.seq),
                     );
-                    if !ev.kind.is_collective() {
-                        self.skip.insert((ev.rank, ev.seq));
-                    }
-                } else if peer == ev.rank && !ev.kind.is_collective() {
-                    // Self-messages are a validate-pass finding
-                    // (MPG-SELF-MESSAGE); skip them here so the matcher
-                    // never sees a rank-local channel.
-                    self.skip.insert((ev.rank, ev.seq));
+                }
+                // Self-messages are a validate-pass finding
+                // (MPG-SELF-MESSAGE); skipped here so the matcher never
+                // sees a rank-local channel.
+                if (bad || peer as usize == r) && !ev.kind.is_collective() {
+                    let row = &mut prog.skip[r];
+                    row.resize(events.len(), false);
+                    row[i] = true;
                 }
             }
         }
-        // A send is offered once and matches at most once, so the send
-        // count bounds all three. Sized up front because pass 4 runs one
-        // whole simulation per race candidate: growing them by doubling
-        // hundreds of times over was a fifth of `lint` on a wildcard-heavy
-        // trace, and left each run's footprint straddling the allocator's
-        // trim threshold.
-        self.sends.reserve_exact(n_sends);
-        self.pairs.reserve_exact(n_sends);
-        self.matched.reserve(2 * n_sends);
+        prog
     }
 
-    fn run(&mut self) {
-        let mut progressed = true;
-        while progressed {
-            progressed = false;
-            for r in 0..self.p {
-                while self.step(r) {
-                    progressed = true;
+    fn skips(&self, r: usize, i: usize) -> bool {
+        self.skip[r].get(i).copied().unwrap_or(false)
+    }
+}
+
+/// What [`Sim::step`] did with a rank's current event.
+enum Step {
+    /// Executed it; the rank moved on.
+    Advanced,
+    /// Its blocking condition does not hold (or the rank is finished).
+    Blocked,
+    /// It is a receive the caller asked to stop at, about to be posted;
+    /// nothing has changed.
+    Paused(EventId),
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Simulations started from step 0 by the current test thread.
+    pub(crate) static BASE_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// [`Sim::step`] calls made by the current test thread.
+    pub(crate) static STEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// One run of the progress simulation, at some point of its execution.
+///
+/// Everything a run has decided so far is in here — the sweep cursor
+/// included — so copying the fields forks the run: the copy, resumed under
+/// another plan, is exactly the run that would have reached this point
+/// under that plan, provided no receive the plan names was posted yet.
+#[derive(Clone)]
+pub(crate) struct Sim<'a> {
+    prog: &'a Program<'a>,
+    /// Forced sources, read when a receive is posted and nowhere else;
+    /// the empty plan posts every receive as recorded.
+    plan: MatchPlan,
+    /// Sweep cursor: the rank being stepped, and whether any rank advanced
+    /// in the current round over the ranks.
+    sweep: usize,
+    progressed: bool,
+    pc: Vec<usize>,
+    offered: Vec<bool>,
+    /// `matched[r]`: the event at `pc[r]` has found its counterpart. Only
+    /// the event a rank is blocked on is ever asked, so this bit — set in
+    /// `on_match` when the matched event is the current one, cleared when
+    /// the rank advances — answers what a set of every matched event would.
+    matched: Vec<bool>,
+    matcher: EnvelopeMatcher<LintSend, LintRecv>,
+    issue: u64,
+    reqs: Vec<HashMap<ReqId, ReqState>>,
+    coll_count: Vec<u64>,
+    /// The epoch ranks are arriving at. No rank reaches epoch k+1 before
+    /// all of them passed epoch k, so at most one is ever incomplete.
+    open_epoch: Option<EpochSlot>,
+    /// Completed epochs with something to report, in epoch order.
+    skewed_epochs: Vec<EpochSlot>,
+    sends: Vec<SendRec>,
+    pairs: Vec<MatchPair>,
+    diags: Vec<Diagnostic>,
+}
+
+impl<'a> Sim<'a> {
+    fn new(prog: &'a Program<'a>, plan: MatchPlan) -> Self {
+        #[cfg(test)]
+        BASE_RUNS.with(|c| c.set(c.get() + 1));
+        let p = prog.ranks.len();
+        Sim {
+            prog,
+            plan,
+            sweep: 0,
+            progressed: false,
+            pc: vec![0; p],
+            offered: vec![false; p],
+            matched: vec![false; p],
+            matcher: EnvelopeMatcher::new(),
+            issue: 0,
+            reqs: vec![HashMap::new(); p],
+            coll_count: vec![0; p],
+            open_epoch: None,
+            skewed_epochs: Vec::new(),
+            // Sized up front: growing by doubling leaves a long run's
+            // footprint straddling the allocator's trim threshold.
+            sends: Vec::with_capacity(prog.n_sends),
+            pairs: Vec::with_capacity(prog.n_sends),
+            diags: prog.bad_peers.clone(),
+        }
+    }
+
+    /// A copy whose logs have room for the whole run, as `new`'s do, so no
+    /// fork ever regrows them.
+    fn clone_sized(&self) -> Self {
+        let mut copy = self.clone();
+        let n = self.prog.n_sends;
+        copy.sends.reserve_exact(n.saturating_sub(copy.sends.len()));
+        copy.pairs.reserve_exact(n.saturating_sub(copy.pairs.len()));
+        copy
+    }
+
+    /// Makes `self` the run `other` is, into the buffers `self` already
+    /// owns: a fork costs the bytes of the state, not its allocations (two
+    /// fresh logs per fork, page faults included, cost as much as the
+    /// steps forking saves).
+    fn copy_from(&mut self, other: &Sim<'a>) {
+        // Exhaustive on purpose: a new field must decide how it is copied.
+        let Sim {
+            prog,
+            plan,
+            sweep,
+            progressed,
+            pc,
+            offered,
+            matched,
+            matcher,
+            issue,
+            reqs,
+            coll_count,
+            open_epoch,
+            skewed_epochs,
+            sends,
+            pairs,
+            diags,
+        } = other;
+        self.prog = prog;
+        self.plan.clone_from(plan);
+        self.sweep = *sweep;
+        self.progressed = *progressed;
+        self.pc.clone_from(pc);
+        self.offered.clone_from(offered);
+        self.matched.clone_from(matched);
+        self.matcher.clone_from(matcher);
+        self.issue = *issue;
+        self.reqs.clone_from(reqs);
+        self.coll_count.clone_from(coll_count);
+        self.open_epoch.clone_from(open_epoch);
+        self.skewed_epochs.clone_from(skewed_epochs);
+        self.sends.clone_from(sends);
+        self.pairs.clone_from(pairs);
+        self.diags.clone_from(diags);
+    }
+
+    /// Sweeps the ranks round-robin from the cursor, each stepped until it
+    /// blocks, round after round until one passes without progress. Stops
+    /// early — with nothing changed, so calling again carries on — when
+    /// the next thing to happen is the posting of a receive `pause_at`
+    /// accepts, and returns that receive.
+    fn resume(&mut self, pause_at: impl Fn(EventId) -> bool) -> Option<EventId> {
+        let p = self.prog.ranks.len();
+        loop {
+            while self.sweep < p {
+                match self.step(self.sweep, &pause_at) {
+                    Step::Advanced => self.progressed = true,
+                    Step::Blocked => self.sweep += 1,
+                    Step::Paused(recv) => return Some(recv),
                 }
             }
+            if !self.progressed {
+                return None;
+            }
+            self.sweep = 0;
+            self.progressed = false;
         }
+    }
+
+    /// True when every rank ran its program to the end (an empty trace
+    /// completes nothing).
+    pub(crate) fn completed(&self) -> bool {
+        !self.pc.is_empty() && (0..self.pc.len()).all(|r| self.pc[r] >= self.prog.ranks[r].len())
+    }
+
+    /// True when receive `recv` matched a message from rank `src`.
+    pub(crate) fn delivered(&self, recv: EventId, src: Rank) -> bool {
+        self.pairs.iter().any(|p| p.recv == recv && p.send.0 == src)
     }
 
     fn next_issue(&mut self) -> u64 {
@@ -402,8 +638,12 @@ impl<'a> Sim<'a> {
                 .involving([s.src]),
             );
         }
-        self.matched.insert((s.src, s.seq));
-        self.matched.insert((r.dst, r.seq));
+        if self.pc[s.src as usize] == s.idx {
+            self.matched[s.src as usize] = true;
+        }
+        if self.pc[r.dst as usize] == r.idx {
+            self.matched[r.dst as usize] = true;
+        }
         let pair = self.pairs.len();
         self.pairs.push(MatchPair {
             send: (s.src, s.seq),
@@ -435,16 +675,20 @@ impl<'a> Sim<'a> {
     }
 
     /// Executes the current event of rank `r` if its blocking condition is
-    /// satisfied. Returns true when the rank advanced.
-    fn step(&mut self, r: usize) -> bool {
-        let events = self.ranks[r];
+    /// satisfied.
+    fn step(&mut self, r: usize, pause_at: &impl Fn(EventId) -> bool) -> Step {
+        #[cfg(test)]
+        STEPS.with(|c| c.set(c.get() + 1));
+        let prog = self.prog;
         let i = self.pc[r];
-        if i >= events.len() {
-            return false;
-        }
-        let ev = &events[i];
-        let rank = ev.rank;
+        let Some(ev) = prog.ranks[r].get(i) else {
+            return Step::Blocked;
+        };
+        // The stream's rank, which is what every table here is indexed by
+        // (validation reports a record whose own rank field disagrees).
+        let rank = r as Rank;
         let seq = ev.seq;
+        let skipped = prog.skips(r, i);
         let advance = match &ev.kind {
             EventKind::Init | EventKind::Finalize | EventKind::Compute { .. } => true,
             EventKind::Test { req, completed } => {
@@ -453,41 +697,39 @@ impl<'a> Sim<'a> {
                 }
                 true
             }
+            EventKind::Send { .. } | EventKind::Recv { .. } if skipped => true,
             EventKind::Send {
                 peer,
                 tag,
                 bytes,
                 protocol,
             } => {
-                if self.skip.contains(&(rank, seq)) {
-                    true
-                } else {
-                    if !self.offered[r] {
-                        self.offered[r] = true;
-                        let issue = self.next_issue();
-                        self.sends.push(SendRec {
-                            src: rank,
-                            seq,
-                            dst: *peer,
-                            tag: *tag,
-                            bytes: *bytes,
-                            eager: *protocol != SendProtocol::Synchronous,
-                        });
-                        let env = LintSend {
-                            src: rank,
-                            dst: *peer,
-                            tag: *tag,
-                            bytes: *bytes,
-                            seq,
-                            issue,
-                        };
-                        self.offer_send(env);
-                    }
-                    // Only the synchronous form waits for the match; the
-                    // eager assumption keeps head-to-head standard sends
-                    // from reporting false deadlocks.
-                    *protocol != SendProtocol::Synchronous || self.matched.contains(&(rank, seq))
+                if !self.offered[r] {
+                    self.offered[r] = true;
+                    let issue = self.next_issue();
+                    self.sends.push(SendRec {
+                        src: rank,
+                        seq,
+                        dst: *peer,
+                        tag: *tag,
+                        bytes: *bytes,
+                        eager: *protocol != SendProtocol::Synchronous,
+                    });
+                    let env = LintSend {
+                        src: rank,
+                        dst: *peer,
+                        tag: *tag,
+                        bytes: *bytes,
+                        seq,
+                        idx: i,
+                        issue,
+                    };
+                    self.offer_send(env);
                 }
+                // Only the synchronous form waits for the match; the
+                // eager assumption keeps head-to-head standard sends
+                // from reporting false deadlocks.
+                *protocol != SendProtocol::Synchronous || self.matched[r]
             }
             EventKind::Recv {
                 peer,
@@ -495,24 +737,24 @@ impl<'a> Sim<'a> {
                 bytes,
                 posted_any,
             } => {
-                if self.skip.contains(&(rank, seq)) {
-                    true
-                } else {
-                    if !self.offered[r] {
-                        self.offered[r] = true;
-                        let env = LintRecv {
-                            dst: rank,
-                            src_pattern: self.policy.src_pattern(rank, seq, *peer),
-                            tag_pattern: *tag,
-                            bytes: *bytes,
-                            seq,
-                            posted_any: *posted_any,
-                            req: None,
-                        };
-                        self.offer_recv(env);
+                if !self.offered[r] {
+                    if pause_at((rank, seq)) {
+                        return Step::Paused((rank, seq));
                     }
-                    self.matched.contains(&(rank, seq))
+                    self.offered[r] = true;
+                    let env = LintRecv {
+                        dst: rank,
+                        src_pattern: self.plan.source_for((rank, seq), *peer),
+                        tag_pattern: *tag,
+                        bytes: *bytes,
+                        seq,
+                        idx: i,
+                        posted_any: *posted_any,
+                        req: None,
+                    };
+                    self.offer_recv(env);
                 }
+                self.matched[r]
             }
             EventKind::Isend {
                 peer,
@@ -521,7 +763,7 @@ impl<'a> Sim<'a> {
                 req,
             } => {
                 self.reqs[r].insert(*req, ReqState::SendDone);
-                if !self.skip.contains(&(rank, seq)) {
+                if !skipped {
                     let issue = self.next_issue();
                     self.sends.push(SendRec {
                         src: rank,
@@ -537,6 +779,7 @@ impl<'a> Sim<'a> {
                         tag: *tag,
                         bytes: *bytes,
                         seq,
+                        idx: i,
                         issue,
                     };
                     self.offer_send(env);
@@ -550,16 +793,20 @@ impl<'a> Sim<'a> {
                 req,
                 posted_any,
             } => {
-                if self.skip.contains(&(rank, seq)) {
+                if skipped {
                     self.reqs[r].insert(*req, ReqState::RecvDone { pair: None });
                 } else {
+                    if pause_at((rank, seq)) {
+                        return Step::Paused((rank, seq));
+                    }
                     self.reqs[r].insert(*req, ReqState::RecvPending { src: *peer, seq });
                     let env = LintRecv {
                         dst: rank,
-                        src_pattern: self.policy.src_pattern(rank, seq, *peer),
+                        src_pattern: self.plan.source_for((rank, seq), *peer),
                         tag_pattern: *tag,
                         bytes: *bytes,
                         seq,
+                        idx: i,
                         posted_any: *posted_any,
                         req: Some(*req),
                     };
@@ -600,27 +847,32 @@ impl<'a> Sim<'a> {
                     self.offered[r] = true;
                     self.arrive_collective(r, ev);
                 }
+                // This rank has arrived at epoch k, so an epoch k that is
+                // no longer the open one has everybody in.
                 let k = self.coll_count[r] - 1;
-                self.epochs
-                    .get(&k)
-                    .is_some_and(|s| s.arrived.len() == self.p)
+                self.open_epoch.as_ref().is_none_or(|slot| slot.k != k)
             }
             _ => true,
         };
-        if advance {
-            self.pc[r] += 1;
-            self.offered[r] = false;
+        if !advance {
+            return Step::Blocked;
         }
-        advance
+        self.pc[r] += 1;
+        self.offered[r] = false;
+        self.matched[r] = false;
+        Step::Advanced
     }
 
     fn arrive_collective(&mut self, r: usize, ev: &EventRecord) {
-        let rank = ev.rank;
+        let rank = r as Rank;
+        let p = self.prog.ranks.len();
         let sig = coll_sig(&ev.kind).expect("collective event");
         let k = self.coll_count[r];
         self.coll_count[r] += 1;
-        let world_bad = sig.comm_size as usize != self.p;
-        let slot = self.epochs.entry(k).or_insert_with(|| EpochSlot {
+        let world_bad = sig.comm_size as usize != p;
+        debug_assert!(self.open_epoch.as_ref().is_none_or(|slot| slot.k == k));
+        let slot = self.open_epoch.get_or_insert_with(|| EpochSlot {
+            k,
             sig: sig.clone(),
             first: (rank, ev.seq),
             arrived: Vec::new(),
@@ -634,17 +886,23 @@ impl<'a> Sim<'a> {
         }
         if world_bad {
             slot.skews.push(format!(
-                "rank {rank} names comm size {} but the trace has {} ranks",
-                sig.comm_size, self.p
+                "rank {rank} names comm size {} but the trace has {p} ranks",
+                sig.comm_size
             ));
         }
         slot.arrived.push((rank, ev.seq));
+        if slot.arrived.len() == p {
+            let done = self.open_epoch.take().expect("the slot just filled");
+            if !done.skews.is_empty() {
+                self.skewed_epochs.push(done);
+            }
+        }
     }
 
     /// Wait-for edges of a rank stuck at quiescence: which ranks could
     /// unblock it.
     fn wait_edges(&self, r: usize) -> Vec<Rank> {
-        let ev = &self.ranks[r][self.pc[r]];
+        let ev = &self.prog.ranks[r][self.pc[r]];
         match &ev.kind {
             EventKind::Send { peer, .. } | EventKind::Recv { peer, .. } => vec![*peer],
             EventKind::Wait { req } => self
@@ -663,13 +921,13 @@ impl<'a> Sim<'a> {
                 .map(|(src, _)| src)
                 .collect(),
             kind if kind.is_collective() => {
-                let k = self.coll_count[r] - 1;
+                // A rank stuck at a collective is stuck at the open epoch.
                 let arrived: HashSet<Rank> = self
-                    .epochs
-                    .get(&k)
-                    .map(|s| s.arrived.iter().map(|&(rank, _)| rank).collect())
-                    .unwrap_or_default();
-                (0..self.p as Rank)
+                    .open_epoch
+                    .iter()
+                    .flat_map(|slot| slot.arrived.iter().map(|&(rank, _)| rank))
+                    .collect();
+                (0..self.prog.ranks.len() as Rank)
                     .filter(|rank| !arrived.contains(rank))
                     .collect()
             }
@@ -681,8 +939,9 @@ impl<'a> Sim<'a> {
     /// deadlock cycle (its blocked event, plus the irecvs a wait covers) —
     /// used to suppress redundant unmatched-envelope diagnostics.
     fn blocked_ops(&self, r: usize) -> Vec<(Rank, Seq)> {
-        let ev = &self.ranks[r][self.pc[r]];
-        let mut ops = vec![(ev.rank, ev.seq)];
+        let ev = &self.prog.ranks[r][self.pc[r]];
+        let rank = r as Rank;
+        let mut ops = vec![(rank, ev.seq)];
         let reqs: &[ReqId] = match &ev.kind {
             EventKind::Wait { req } => std::slice::from_ref(req),
             EventKind::WaitAll { reqs } => reqs,
@@ -691,18 +950,21 @@ impl<'a> Sim<'a> {
         };
         for q in reqs {
             if let Some((_, seq)) = self.req_pending(r, q) {
-                ops.push((ev.rank, seq));
+                ops.push((rank, seq));
             }
         }
         ops
     }
 
-    fn finish(mut self) -> ProgressOutcome {
-        let p = self.p;
-        let stuck: Vec<usize> = (0..p)
-            .filter(|&r| self.pc[r] < self.ranks[r].len())
-            .collect();
-        let completed = stuck.is_empty();
+    /// Closes the run: the quiescence findings (passes 2 and 5, the
+    /// leftover envelopes of pass 1) join the diagnostics, and the logs
+    /// move out into the outcome. The simulation is spent afterwards;
+    /// [`Sim::copy_from`] makes it a run again.
+    pub(crate) fn finish(&mut self) -> ProgressOutcome {
+        let ranks = &self.prog.ranks;
+        let p = ranks.len();
+        let stuck: Vec<usize> = (0..p).filter(|&r| self.pc[r] < ranks[r].len()).collect();
+        let completed = self.completed();
 
         // Pass 2: wait-for graph over the stuck ranks, Tarjan SCC.
         let mut cycle_ops: HashSet<(Rank, Seq)> = HashSet::new();
@@ -719,7 +981,7 @@ impl<'a> Sim<'a> {
                 let mut parts = Vec::new();
                 for &rank in &comp {
                     let r = rank as usize;
-                    let ev = &self.ranks[r][self.pc[r]];
+                    let ev = &ranks[r][self.pc[r]];
                     let within: Vec<Rank> = self
                         .wait_edges(r)
                         .into_iter()
@@ -737,7 +999,7 @@ impl<'a> Sim<'a> {
                 }
                 let span = {
                     let r = comp[0] as usize;
-                    (comp[0], self.ranks[r][self.pc[r]].seq)
+                    (comp[0], ranks[r][self.pc[r]].seq)
                 };
                 self.diags.push(
                     Diagnostic::new(
@@ -751,7 +1013,8 @@ impl<'a> Sim<'a> {
         }
 
         // Pass 5: collective epoch consistency.
-        for (k, slot) in &self.epochs {
+        for slot in self.skewed_epochs.iter().chain(&self.open_epoch) {
+            let k = slot.k;
             let arrived_ranks: Vec<Rank> = slot.arrived.iter().map(|&(r, _)| r).collect();
             if !slot.skews.is_empty() {
                 self.diags.push(
@@ -849,10 +1112,10 @@ impl<'a> Sim<'a> {
         }
 
         ProgressOutcome {
-            diags: self.diags,
+            diags: std::mem::take(&mut self.diags),
             matching: Matching {
-                sends: self.sends,
-                pairs: self.pairs,
+                sends: std::mem::take(&mut self.sends),
+                pairs: std::mem::take(&mut self.pairs),
                 completed,
             },
         }
@@ -969,6 +1232,113 @@ mod tests {
         let mut adj = HashMap::new();
         adj.insert(0, vec![7]); // rank 7 is not blocked (absent from adj)
         assert!(cyclic_sccs(&adj).is_empty());
+    }
+
+    /// Two rendezvous sends under one sequence number (a trace `validate`
+    /// rejects, but `run_progress` is public): the second must wait for a
+    /// receive of its own, not ride on the first one's match.
+    #[test]
+    fn matched_bit_is_keyed_by_event_index_not_seq() {
+        let ev = |rank, seq, kind| EventRecord {
+            rank,
+            seq,
+            t_start: seq * 10,
+            t_end: seq * 10 + 5,
+            kind,
+        };
+        let ssend = EventKind::Send {
+            peer: 1,
+            tag: 0,
+            bytes: 8,
+            protocol: SendProtocol::Synchronous,
+        };
+        let recv = EventKind::Recv {
+            peer: 0,
+            tag: 0,
+            bytes: 8,
+            posted_any: false,
+        };
+        let trace = MemTrace::from_ranks(vec![
+            vec![
+                ev(0, 0, EventKind::Init),
+                ev(0, 1, ssend.clone()),
+                ev(0, 1, ssend),
+                ev(0, 2, EventKind::Finalize),
+            ],
+            vec![
+                ev(1, 0, EventKind::Init),
+                ev(1, 1, recv),
+                ev(1, 2, EventKind::Finalize),
+            ],
+        ]);
+        let out = run_progress(&trace, &MatchPolicy::Recorded);
+        assert!(!out.matching.completed);
+        assert_eq!(out.matching.pairs.len(), 1);
+        let rules: Vec<Rule> = out.diags.iter().map(|d| d.rule).collect();
+        assert_eq!(rules, vec![Rule::UnmatchedSend]);
+    }
+
+    /// A plan none of whose receives is ever posted — one is skipped for
+    /// its bad peer, the other sits behind the point where the recorded
+    /// run wedges — is the recorded run, in a batch and alone.
+    #[test]
+    fn plans_never_posted_replay_the_recorded_run() {
+        let ev = |rank, seq, kind| EventRecord {
+            rank,
+            seq,
+            t_start: seq * 10,
+            t_end: seq * 10 + 5,
+            kind,
+        };
+        let recv = |peer| EventKind::Recv {
+            peer,
+            tag: 0,
+            bytes: 8,
+            posted_any: true,
+        };
+        let send = |peer| EventKind::Send {
+            peer,
+            tag: 0,
+            bytes: 8,
+            protocol: SendProtocol::Standard,
+        };
+        // Head-to-head receives deadlock both ranks at seq 2.
+        let trace = MemTrace::from_ranks(vec![
+            vec![
+                ev(0, 0, EventKind::Init),
+                ev(0, 1, recv(7)),
+                ev(0, 2, recv(1)),
+                ev(0, 3, send(1)),
+                ev(0, 4, recv(1)),
+            ],
+            vec![
+                ev(1, 0, EventKind::Init),
+                ev(1, 1, EventKind::Compute { work: 1 }),
+                ev(1, 2, recv(0)),
+                ev(1, 3, send(0)),
+            ],
+        ]);
+        let plans = [
+            MatchPlan::new().force((0, 1), 1),
+            MatchPlan::new().force((0, 4), 1).force((0, 1), 1),
+            MatchPlan::new(),
+        ];
+        let recorded = run_progress(&trace, &MatchPolicy::Recorded);
+        assert!(recorded.diags.iter().any(|d| d.rule == Rule::Deadlock));
+        let (batch, base_runs) = {
+            let before = BASE_RUNS.with(|c| c.get());
+            let batch = forced_replays(&trace, &plans);
+            (batch, BASE_RUNS.with(|c| c.get()) - before)
+        };
+        assert_eq!(base_runs, 1);
+        for (plan, forked) in plans.iter().zip(&batch) {
+            for replay in [forked, &forced_replay(&trace, plan)] {
+                assert_eq!(replay.outcome, ForcedOutcome::Deadlocked, "[{plan}]");
+                assert_eq!(replay.diags, recorded.diags, "[{plan}]");
+                assert_eq!(replay.matching.pairs, recorded.matching.pairs, "[{plan}]");
+                assert_eq!(replay.matching.sends, recorded.matching.sends, "[{plan}]");
+            }
+        }
     }
 
     #[test]

@@ -84,24 +84,122 @@ impl RecvEnvelope for PostedRecv {
     }
 }
 
+/// Unmatched sends of one `(src, dst)` channel, in send order.
+#[derive(Debug)]
+struct Channel<S> {
+    src: Rank,
+    queue: VecDeque<S>,
+}
+
+/// Unmatched traffic addressed to one destination rank.
+#[derive(Debug)]
+struct Dest<S, R> {
+    rank: Rank,
+    /// One queue per source that ever left a message here, ascending by
+    /// source. A drained queue stays, so a channel allocates once however
+    /// often it empties.
+    channels: Vec<Channel<S>>,
+    /// Unmatched posted receives, in post order.
+    posted: Vec<R>,
+}
+
+impl<S, R> Dest<S, R> {
+    fn channel(&self, src: Rank) -> Option<usize> {
+        self.channels.binary_search_by_key(&src, |c| c.src).ok()
+    }
+
+    fn channel_mut(&mut self, src: Rank) -> &mut Channel<S> {
+        let c = match self.channels.binary_search_by_key(&src, |c| c.src) {
+            Ok(c) => c,
+            Err(c) => {
+                let channel = Channel {
+                    src,
+                    queue: VecDeque::new(),
+                };
+                self.channels.insert(c, channel);
+                c
+            }
+        };
+        &mut self.channels[c]
+    }
+}
+
+// `clone_from` is written out for the three state types so that copying
+// one matcher over another — which the lint crate does once per forked
+// witness replay — refills the queues it already owns instead of
+// allocating new ones (`derive(Clone)` would not).
+impl<S: Clone> Clone for Channel<S> {
+    fn clone(&self) -> Self {
+        Channel {
+            src: self.src,
+            queue: self.queue.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, other: &Self) {
+        self.src = other.src;
+        self.queue.clone_from(&other.queue);
+    }
+}
+
+impl<S: Clone, R: Clone> Clone for Dest<S, R> {
+    fn clone(&self) -> Self {
+        Dest {
+            rank: self.rank,
+            channels: self.channels.clone(),
+            posted: self.posted.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, other: &Self) {
+        self.rank = other.rank;
+        self.channels.clone_from(&other.channels);
+        self.posted.clone_from(&other.posted);
+    }
+}
+
 /// Pure matching state over generic envelopes: in-flight (unexpected)
 /// messages and posted receives.
+///
+/// Both are filed under their destination, and the destinations and each
+/// destination's source channels are kept sorted by rank and found by
+/// binary search: nothing is hashed, any `Rank` value costs one entry, and
+/// the orders the rules need (lowest source among equal arrivals, channel
+/// order for [`EnvelopeMatcher::into_unmatched`]) are the storage order.
 #[derive(Debug)]
 pub struct EnvelopeMatcher<S, R> {
-    /// Unmatched sends, FIFO per (src, dst) channel.
-    in_flight: HashMap<(Rank, Rank), VecDeque<S>>,
-    /// Unmatched posted receives per destination, in post order.
-    posted: HashMap<Rank, Vec<R>>,
+    dests: Vec<Dest<S, R>>,
+    in_flight: usize,
+    posted: usize,
     next_order: u64,
 }
 
 impl<S, R> Default for EnvelopeMatcher<S, R> {
     fn default() -> Self {
         EnvelopeMatcher {
-            in_flight: HashMap::new(),
-            posted: HashMap::new(),
+            dests: Vec::new(),
+            in_flight: 0,
+            posted: 0,
             next_order: 0,
         }
+    }
+}
+
+impl<S: Clone, R: Clone> Clone for EnvelopeMatcher<S, R> {
+    fn clone(&self) -> Self {
+        EnvelopeMatcher {
+            dests: self.dests.clone(),
+            in_flight: self.in_flight,
+            posted: self.posted,
+            next_order: self.next_order,
+        }
+    }
+
+    fn clone_from(&mut self, other: &Self) {
+        self.dests.clone_from(&other.dests);
+        self.in_flight = other.in_flight;
+        self.posted = other.posted;
+        self.next_order = other.next_order;
     }
 }
 
@@ -118,61 +216,81 @@ impl<S: SendEnvelope, R: RecvEnvelope> EnvelopeMatcher<S, R> {
         o
     }
 
+    fn dest(&self, rank: Rank) -> Option<&Dest<S, R>> {
+        let i = self.dests.binary_search_by_key(&rank, |d| d.rank).ok()?;
+        Some(&self.dests[i])
+    }
+
+    fn dest_mut(&mut self, rank: Rank) -> &mut Dest<S, R> {
+        let i = match self.dests.binary_search_by_key(&rank, |d| d.rank) {
+            Ok(i) => i,
+            Err(i) => {
+                let dest = Dest {
+                    rank,
+                    channels: Vec::new(),
+                    posted: Vec::new(),
+                };
+                self.dests.insert(i, dest);
+                i
+            }
+        };
+        &mut self.dests[i]
+    }
+
     /// Offers a send to the matcher. If a posted receive accepts it, the
     /// matched pair is returned; otherwise the message is queued.
     pub fn post_send(&mut self, msg: S) -> Option<(S, R)> {
-        let posted = self.posted.entry(msg.dst()).or_default();
-        if let Some(i) = posted
+        let dest = self.dest_mut(msg.dst());
+        if let Some(i) = dest
+            .posted
             .iter()
             .position(|pr| pr.accepts(msg.src(), msg.tag()))
         {
-            return Some((msg, posted.remove(i)));
+            let pr = dest.posted.remove(i);
+            self.posted -= 1;
+            return Some((msg, pr));
         }
-        self.in_flight
-            .entry((msg.src(), msg.dst()))
-            .or_default()
-            .push_back(msg);
+        dest.channel_mut(msg.src()).queue.push_back(msg);
+        self.in_flight += 1;
         None
     }
 
     /// Offers a posted receive. If an in-flight message matches, the matched
     /// pair is returned; otherwise the receive is queued.
     pub fn post_recv(&mut self, pr: R) -> Option<(S, R)> {
-        if pr.src_pattern() == ANY_SOURCE {
+        let dest = self.dest_mut(pr.dst());
+        let first_accepted =
+            |ch: &Channel<S>| ch.queue.iter().position(|m| pr.accepts(m.src(), m.tag()));
+        let hit = if pr.src_pattern() == ANY_SOURCE {
             // Candidate = first pattern-matching message per source channel;
-            // choose the earliest arrival (then lowest source) for
-            // determinism.
-            let mut best: Option<(u64, Rank, usize)> = None;
-            for (&(src, dst), q) in &self.in_flight {
-                if dst != pr.dst() {
-                    continue;
-                }
-                if let Some(i) = q.iter().position(|m| pr.accepts(m.src(), m.tag())) {
-                    let key = (q[i].arrival(), src, i);
-                    if best.is_none_or(|b| (key.0, key.1) < (b.0, b.1)) {
-                        best = Some(key);
+            // choose the earliest arrival. Channels ascend by source, so
+            // keeping the first of equal arrivals is the lowest source.
+            let mut best: Option<(u64, usize, usize)> = None;
+            for (c, ch) in dest.channels.iter().enumerate() {
+                if let Some(i) = first_accepted(ch) {
+                    let arrival = ch.queue[i].arrival();
+                    if best.is_none_or(|b| arrival < b.0) {
+                        best = Some((arrival, c, i));
                     }
                 }
             }
-            if let Some((_, src, i)) = best {
-                let q = self.in_flight.get_mut(&(src, pr.dst())).unwrap();
-                let msg = q.remove(i).unwrap();
-                if q.is_empty() {
-                    self.in_flight.remove(&(src, pr.dst()));
-                }
-                return Some((msg, pr));
+            best.map(|(_, c, i)| (c, i))
+        } else {
+            dest.channel(pr.src_pattern())
+                .and_then(|c| first_accepted(&dest.channels[c]).map(|i| (c, i)))
+        };
+        match hit {
+            Some((c, i)) => {
+                let msg = dest.channels[c].queue.remove(i).expect("position in queue");
+                self.in_flight -= 1;
+                Some((msg, pr))
             }
-        } else if let Some(q) = self.in_flight.get_mut(&(pr.src_pattern(), pr.dst())) {
-            if let Some(i) = q.iter().position(|m| pr.accepts(m.src(), m.tag())) {
-                let msg = q.remove(i).unwrap();
-                if q.is_empty() {
-                    self.in_flight.remove(&(pr.src_pattern(), pr.dst()));
-                }
-                return Some((msg, pr));
+            None => {
+                dest.posted.push(pr);
+                self.posted += 1;
+                None
             }
         }
-        self.posted.entry(pr.dst()).or_default().push(pr);
-        None
     }
 
     /// Distinct source ranks with an in-flight message this receive would
@@ -180,49 +298,55 @@ impl<S: SendEnvelope, R: RecvEnvelope> EnvelopeMatcher<S, R> {
     /// feasible sources at match time is exactly the nondeterminism the
     /// `MPG-WILD-RACE` lint reports.
     pub fn candidate_sources(&self, pr: &R) -> Vec<Rank> {
-        let mut srcs: Vec<Rank> = self
-            .in_flight
+        let Some(dest) = self.dest(pr.dst()) else {
+            return Vec::new();
+        };
+        dest.channels
             .iter()
-            .filter(|(&(_, dst), q)| {
-                dst == pr.dst() && q.iter().any(|m| pr.accepts(m.src(), m.tag()))
-            })
-            .map(|(&(src, _), _)| src)
-            .collect();
-        srcs.sort_unstable();
-        srcs
+            .filter(|ch| ch.queue.iter().any(|m| pr.accepts(m.src(), m.tag())))
+            .map(|ch| ch.src)
+            .collect()
     }
 
     /// Number of unmatched in-flight messages (bounded-memory accounting for
     /// the windowed analyzer and for leak checks at finalize).
     pub fn in_flight_count(&self) -> usize {
-        self.in_flight.values().map(VecDeque::len).sum()
+        self.in_flight
     }
 
     /// Number of unmatched posted receives.
     pub fn posted_count(&self) -> usize {
-        self.posted.values().map(Vec::len).sum()
+        self.posted
     }
 
     /// Every unmatched in-flight message, channel by channel.
     pub fn iter_in_flight(&self) -> impl Iterator<Item = &S> {
-        self.in_flight.values().flatten()
+        self.dests
+            .iter()
+            .flat_map(|d| d.channels.iter().flat_map(|ch| ch.queue.iter()))
     }
 
     /// Every unmatched posted receive.
     pub fn iter_posted(&self) -> impl Iterator<Item = &R> {
-        self.posted.values().flatten()
+        self.dests.iter().flat_map(|d| d.posted.iter())
     }
 
     /// Consume the matcher, returning the leftover unmatched sends and
     /// receives in deterministic order (sends by channel then FIFO,
     /// receives by destination then post order).
     pub fn into_unmatched(self) -> (Vec<S>, Vec<R>) {
-        let mut channels: Vec<((Rank, Rank), VecDeque<S>)> = self.in_flight.into_iter().collect();
+        let mut channels: Vec<((Rank, Rank), VecDeque<S>)> = Vec::new();
+        let mut recvs = Vec::with_capacity(self.posted);
+        for dest in self.dests {
+            recvs.extend(dest.posted);
+            for ch in dest.channels {
+                if !ch.queue.is_empty() {
+                    channels.push(((ch.src, dest.rank), ch.queue));
+                }
+            }
+        }
         channels.sort_by_key(|&(ch, _)| ch);
         let sends = channels.into_iter().flat_map(|(_, q)| q).collect();
-        let mut dests: Vec<(Rank, Vec<R>)> = self.posted.into_iter().collect();
-        dests.sort_by_key(|&(d, _)| d);
-        let recvs = dests.into_iter().flat_map(|(_, q)| q).collect();
         (sends, recvs)
     }
 }

@@ -306,6 +306,9 @@ enum Mutation {
     CorruptPeer,
     /// Bump a point-to-point event's tag.
     CorruptTag,
+    /// Make a blocking send synchronous and append a second copy of it:
+    /// two rendezvous sends under one sequence number.
+    DuplicateSsend,
 }
 
 fn is_p2p(kind: &EventKind) -> bool {
@@ -364,6 +367,17 @@ fn mutate(trace: &MemTrace, rank: usize, pos: usize, mutation: Mutation) -> Opti
                 return None; // swapping identical records is a no-op
             }
         }
+        Mutation::DuplicateSsend => {
+            let len = stream.len();
+            let target = (0..len)
+                .map(|i| (pos + i) % len)
+                .find(|&i| matches!(stream[i].kind, EventKind::Send { .. }))?;
+            if let EventKind::Send { protocol, .. } = &mut stream[target].kind {
+                *protocol = mpg::trace::SendProtocol::Synchronous;
+            }
+            let copy = stream[target].clone();
+            stream.insert(target + 1, copy);
+        }
         Mutation::CorruptPeer | Mutation::CorruptTag => {
             let len = stream.len();
             let target = (0..len)
@@ -386,6 +400,7 @@ fn mutation_strategy() -> impl Strategy<Value = Mutation> {
         Just(Mutation::Reorder),
         Just(Mutation::CorruptPeer),
         Just(Mutation::CorruptTag),
+        Just(Mutation::DuplicateSsend),
     ]
 }
 
@@ -409,6 +424,43 @@ proptest! {
                 !diags.is_empty(),
                 "{mutation:?} at rank {rank} pos {pos} of workload {workload} went undetected"
             );
+        }
+    }
+
+    /// `lint_trace`, `run_progress` and the forced replays are public and
+    /// do not validate first, so the progress simulation meets duplicate,
+    /// gapped and reordered sequence numbers directly. It must terminate
+    /// without panicking, and a forced replay forked off the recorded run
+    /// must still be the from-scratch simulation under the same plan.
+    #[test]
+    fn progress_simulation_survives_unvalidated_traces(
+        workload in 0usize..4,
+        rank in 0usize..4,
+        pos in 0usize..200,
+        mutation in mutation_strategy(),
+    ) {
+        use mpg::core::forced::MatchPlan;
+        use mpg::lint::{forced_replays, run_progress, MatchPolicy};
+        if let Some(bad) = mutate(&good_traces()[workload], rank, pos, mutation) {
+            let _ = mpg::lint::lint_trace(&bad);
+            // Force every receive of the mutated rank onto the next source
+            // over — duplicated sequence numbers make one plan entry name
+            // two events — one plan per receive plus one naming them all.
+            let p = bad.num_ranks() as u32;
+            let mut plans = vec![MatchPlan::new()];
+            for ev in bad.rank(rank) {
+                if let EventKind::Recv { peer, .. } | EventKind::Irecv { peer, .. } = ev.kind {
+                    plans[0].push((rank as u32, ev.seq), (peer + 1) % p);
+                    plans.push(MatchPlan::new().force((rank as u32, ev.seq), (peer + 1) % p));
+                }
+            }
+            for (plan, forked) in plans.iter().zip(forced_replays(&bad, &plans)) {
+                let reference = run_progress(&bad, &MatchPolicy::Witness(plan.clone()));
+                prop_assert_eq!(forked.matching.completed, reference.matching.completed);
+                prop_assert_eq!(&forked.matching.pairs, &reference.matching.pairs);
+                prop_assert_eq!(&forked.matching.sends, &reference.matching.sends);
+                prop_assert_eq!(&forked.diags, &reference.diags);
+            }
         }
     }
 
