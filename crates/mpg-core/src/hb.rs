@@ -48,6 +48,28 @@
 //! Nothing here hashes a node except the hub bypass of
 //! [`HbIndex::build_bypassing`]; per-node state is indexed by the arena's
 //! dense [`NodeIdx`].
+//!
+//! # Rows are thresholds
+//!
+//! A clock cell is a *count*, and the query compares it against a sequence
+//! number, so for a fixed `b` the events of any one rank that precede it
+//! are a **prefix** of that rank's program order, and the cell says where
+//! the prefix ends. [`HbIndex::issue_horizon`] and
+//! [`HbIndex::completion_horizon`] return that cell (with the own-rank and
+//! unknown-event cases filled in), and the boolean queries are
+//! `a.seq < horizon(a.rank, b)` — so a caller with many `a` of one rank to
+//! test against one `b` reads the horizon once and binary-searches, and the
+//! answer is the boolean's by construction, for any index.
+//!
+//! **Invariant (row monotonicity).** Along one rank's program order no
+//! horizon decreases: for `s < t`, `horizon(q, (r, s)) <= horizon(q, (r, t))`
+//! for every `q`, in both relations. It holds for every index built from a
+//! recorded graph — there `start(r, s) ⇝ end(r, s) ⇝ start(r, s + 1)`, so
+//! whatever reaches an event reaches its successors, with or without a
+//! bypassed hub — whenever the recorded sequence numbers ascend along each
+//! rank's stream (`mpg_trace::validate` rejects the others). So "does `a`
+//! precede this one?" over the events of one rank is a *suffix*: callers
+//! walking a rank's events in order may stop at the first one `a` precedes.
 
 use crate::arena::{GraphArena, NodeIdx, NO_NODE};
 use crate::cancel::{CancelReason, CancelToken, CHECK_INTERVAL};
@@ -503,22 +525,38 @@ impl HbIndex {
         Some(row)
     }
 
-    /// `clocks[row(b)][a.rank] > a.seq`, with same-rank pairs answered
-    /// from program order — the stored rows hold no own-rank component.
-    fn ordered(&self, clocks: &[Clock], a: EventId, b: EventId) -> bool {
-        if a == b {
-            return false;
-        }
-        if a.0 == b.0 {
-            return a.1 < b.1 && self.row(b).is_some();
-        }
-        if a.0 as usize >= self.p {
-            return false;
-        }
+    /// How many of `rank`'s subevents counted by `clocks` reach `start(b)`:
+    /// the cell `clocks[row(b)][rank]`, with `rank`'s own events answered
+    /// from program order — the stored rows hold no own-rank component —
+    /// and `0` for an unknown `b` or a rank the index does not cover.
+    fn horizon(&self, clocks: &[Clock], rank: Rank, b: EventId) -> Seq {
         match self.row(b) {
-            Some(row) => u64::from(clocks[row + a.0 as usize]) > a.1,
-            None => false,
+            Some(_) if rank == b.0 => b.1,
+            Some(row) if (rank as usize) < self.p => Seq::from(clocks[row + rank as usize]),
+            _ => 0,
         }
+    }
+
+    /// `a.seq < clocks[row(b)][a.rank]`: the one place a clock cell meets
+    /// a sequence number.
+    fn ordered(&self, clocks: &[Clock], a: EventId, b: EventId) -> bool {
+        a.1 < self.horizon(clocks, a.0, b)
+    }
+
+    /// The number of `rank`'s events that must have been *issued* before
+    /// `b` can start: `happens_before((rank, s), b)` exactly when
+    /// `s < issue_horizon(rank, b)`. `0` when `b` is unknown or `rank` is
+    /// not a rank of the graph.
+    pub fn issue_horizon(&self, rank: Rank, b: EventId) -> Seq {
+        self.horizon(&self.issue, rank, b)
+    }
+
+    /// The number of `rank`'s events that must have *completed* before `b`
+    /// can start: `completes_before((rank, s), b)` exactly when
+    /// `s < completion_horizon(rank, b)`. `0` when `b` is unknown or
+    /// `rank` is not a rank of the graph.
+    pub fn completion_horizon(&self, rank: Rank, b: EventId) -> Seq {
+        self.horizon(&self.complete, rank, b)
     }
 
     /// Issue order: must `a` have started before `b` could start?
@@ -607,6 +645,14 @@ pub(crate) mod tests {
         // Reverse direction stays concurrent.
         assert!(hb.concurrent((1, 0), (0, 2)));
         assert!(!hb.concurrent((0, 1), (1, 2)));
+        // The same facts as thresholds: two of rank 0's events must have
+        // been issued and one completed before (1,2) starts; nothing of
+        // rank 1 before any event of rank 0; own events by program order.
+        assert_eq!(hb.issue_horizon(0, (1, 2)), 2);
+        assert_eq!(hb.completion_horizon(0, (1, 2)), 1);
+        assert_eq!(hb.issue_horizon(1, (0, 2)), 0);
+        assert_eq!(hb.issue_horizon(1, (1, 2)), 2);
+        assert_eq!(hb.completion_horizon(1, (1, 2)), 2);
     }
 
     /// A barrier hub between seq-1 events orders everything across it; the
@@ -766,6 +812,18 @@ pub(crate) mod tests {
         assert!(!hb.happens_before((0, 1), (5, 0)));
         assert!(!hb.happens_before((5, 0), (0, 1)));
         assert!(!hb.happens_before((0, 1), (0, 99)));
+        // No horizon over an unknown event or for an unknown rank — not
+        // even the cell a rank past the last would alias in the next row.
+        for (rank, b) in [
+            (0, (5, 0)),
+            (0, (0, 99)),
+            (5, (0, 1)),
+            (2, (0, 1)),
+            (2, (1, 1)),
+        ] {
+            assert_eq!(hb.issue_horizon(rank, b), 0, "{rank} {b:?}");
+            assert_eq!(hb.completion_horizon(rank, b), 0, "{rank} {b:?}");
+        }
         assert_eq!(hb.num_events(0), 3);
         assert_eq!(hb.num_events(7), 0);
     }

@@ -20,6 +20,13 @@
 //! events share one epoch row; and [`HbIndex::build_bypassing`] against
 //! the closure of the graph with that hub rewritten by hand. Every case
 //! also pins the compression: no more epoch rows than joins.
+//!
+//! All three legs check the threshold reading of a row as well
+//! ([`check_horizons`]): `issue_horizon(q, b)` / `completion_horizon(q, b)`
+//! are the *number* of `q`'s events the oracle orders before `b`, those
+//! events are a prefix of `q`'s program order, the boolean queries are the
+//! one comparison against them — unknown events and ranks past the last
+//! included — and rows never decrease along a rank's program order.
 
 use mpg_core::{EventGraph, HbIndex, NodeId, PerturbationModel, ReplayConfig, Replayer};
 use mpg_noise::PlatformSignature;
@@ -229,6 +236,9 @@ fn check_against_closure(
         adj.entry(src).or_default().push(dst);
     }
     let p = counts.len() as u32;
+    // Per `(b, rank of a)`: how many `a` the oracle orders before `b`, by
+    // issue and by completion.
+    let mut ordered_before: HashMap<((u32, u64), u32), (u64, u64)> = HashMap::new();
     for ra in 0..p {
         for sa in 0..counts[ra as usize] {
             let from_start = reachable(&adj, NodeId::start(ra, sa));
@@ -238,6 +248,7 @@ fn check_against_closure(
                     let a = (ra, sa);
                     let b = (rb, sb);
                     let oracle_hb = from_start.contains(&NodeId::start(rb, sb));
+                    ordered_before.entry((b, ra)).or_default().0 += u64::from(oracle_hb);
                     if hb.happens_before(a, b) != oracle_hb {
                         return Err(format!(
                             "happens_before({a:?}, {b:?}) = {} disagrees with closure ({what})",
@@ -245,6 +256,7 @@ fn check_against_closure(
                         ));
                     }
                     let oracle_cb = from_end.contains(&NodeId::start(rb, sb));
+                    ordered_before.entry((b, ra)).or_default().1 += u64::from(oracle_cb);
                     if hb.completes_before(a, b) != oracle_cb {
                         return Err(format!(
                             "completes_before({a:?}, {b:?}) = {} disagrees with closure ({what})",
@@ -260,6 +272,54 @@ fn check_against_closure(
                         if hb.happens_before(a, b) && hb.happens_before(b, a) {
                             return Err(format!("HB must be antisymmetric at {a:?}/{b:?}"));
                         }
+                    }
+                }
+            }
+        }
+    }
+    // The booleans above agree with the oracle pair by pair, so a horizon
+    // that equals the oracle's count is also where the ordered prefix ends.
+    for (&(b, q), &oracle) in &ordered_before {
+        let horizons = (hb.issue_horizon(q, b), hb.completion_horizon(q, b));
+        if horizons != oracle {
+            return Err(format!(
+                "rank {q}'s issue/completion horizons over {b:?} are {horizons:?}, closure counts {oracle:?} ({what})"
+            ));
+        }
+    }
+    check_horizons(hb, counts, what)
+}
+
+/// The threshold contract of [`HbIndex`], needing no oracle: each boolean
+/// query is `a.seq < horizon(a.rank, b)` for every pair — events one and
+/// two past a rank's last and two ranks the graph does not have included —
+/// and along each rank's program order no horizon ever decreases.
+fn check_horizons(hb: &HbIndex, counts: &[u64], what: &str) -> Result<(), String> {
+    let p = counts.len() as u32;
+    let events = |r: u32| 0..counts.get(r as usize).copied().unwrap_or(0) + 2;
+    for rb in 0..p + 2 {
+        for sb in events(rb) {
+            let b = (rb, sb);
+            for ra in 0..p + 2 {
+                let (issue, complete) = (hb.issue_horizon(ra, b), hb.completion_horizon(ra, b));
+                for sa in events(ra) {
+                    let a = (ra, sa);
+                    if hb.happens_before(a, b) != (sa < issue)
+                        || hb.completes_before(a, b) != (sa < complete)
+                    {
+                        return Err(format!(
+                            "queries on ({a:?}, {b:?}) disagree with horizons {issue}/{complete} ({what})"
+                        ));
+                    }
+                }
+                if rb < p && sb > 0 && sb < counts[rb as usize] {
+                    let before = (rb, sb - 1);
+                    if hb.issue_horizon(ra, before) > issue
+                        || hb.completion_horizon(ra, before) > complete
+                    {
+                        return Err(format!(
+                            "rank {ra}'s horizon decreases from {before:?} to {b:?} ({what})"
+                        ));
                     }
                 }
             }

@@ -241,17 +241,19 @@ impl ExploreReport {
 /// The pass-8 entry point over a shared context. Requires a completed
 /// recorded matching and a happens-before index; degrades to an empty
 /// report otherwise (the progress/causality passes already own those
-/// failures). A zero budget does no work at all.
+/// failures). A zero budget does no work at all, and neither does a
+/// recorded matching without a wildcard pair: there is nothing to seed.
 pub fn explore(ctx: &LintContext<'_>, opts: &ExploreOptions) -> ExploreReport {
     let mut report = ExploreReport::default();
-    if opts.budget == 0 || !ctx.progress.matching.completed {
+    let recorded = &ctx.progress.matching;
+    if opts.budget == 0 || !recorded.completed || !recorded.pairs.iter().any(|p| p.posted_any) {
         return report;
     }
     let Some(hb) = ctx.hb.as_ref() else {
         return report;
     };
     let trace = ctx.trace;
-    let base = matching_makespan(trace, &ctx.progress.matching);
+    let base = matching_makespan(trace, recorded);
     let stats = &mut report.stats;
 
     // Sleep set: the key of every plan ever scheduled.
@@ -261,7 +263,7 @@ pub fn explore(ctx: &LintContext<'_>, opts: &ExploreOptions) -> ExploreReport {
     // Seed from the recorded matching, pinned-consumer alternates
     // included. The seed rotation makes small budgets sample different
     // neighborhoods deterministically.
-    let mut seeds = extensions(trace, &ctx.progress.matching, hb, &MatchPlan::new());
+    let mut seeds = extensions(trace, recorded, hb, &MatchPlan::new());
     if !seeds.is_empty() {
         let rot = (opts.seed as usize) % seeds.len();
         seeds.rotate_left(rot);
@@ -357,7 +359,7 @@ fn sleep_key(plan: &MatchPlan) -> Vec<ForcedMatch> {
 /// sibling branch that forced them first. Conflicting forcings (a
 /// receive or its displaced partner already pinned by the plan) are
 /// skipped.
-fn extensions(
+pub(crate) fn extensions(
     trace: &MemTrace,
     matching: &Matching,
     hb: &mpg_core::HbIndex,
@@ -394,6 +396,12 @@ fn extensions(
     out
 }
 
+#[cfg(test)]
+thread_local! {
+    /// [`matching_makespan`] passes made by the current test thread.
+    static MAKESPAN_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Estimated makespan of a matching: a timed lockstep pass over the
 /// trace that keeps every event's *recorded duration* but re-wires the
 /// cross-rank ordering to `matching`'s pairs — receive completions wait
@@ -403,6 +411,8 @@ fn extensions(
 /// contribution to the makespan. Returns `None` if the pass cannot run
 /// every rank to the end (never the case for a completed matching).
 pub fn matching_makespan(trace: &MemTrace, matching: &Matching) -> Option<u64> {
+    #[cfg(test)]
+    MAKESPAN_RUNS.with(|c| c.set(c.get() + 1));
     let p = trace.num_ranks();
     if p == 0 {
         return Some(0);
@@ -706,6 +716,26 @@ mod tests {
             ..ExploreStats::default()
         };
         assert!(cancelled.coverage().contains("cancelled"));
+    }
+
+    /// A ring has no wildcard receive: the explorer must not estimate a
+    /// makespan, nor index the matching, to find its frontier empty.
+    #[test]
+    fn nothing_to_explore_no_makespan_pass() {
+        let trace = mpg_sim::Simulation::new(4, mpg_noise::PlatformSignature::quiet("ring"))
+            .run(|ctx| {
+                let (me, p) = (ctx.rank(), ctx.size());
+                ctx.sendrecv((me + 1) % p, 0, 64, (me + p - 1) % p, 0);
+            })
+            .expect("ring simulates")
+            .trace;
+        let ctx = LintContext::build(&trace);
+        assert!(ctx.hb.is_some() && ctx.progress.matching.completed);
+        let before = MAKESPAN_RUNS.with(|c| c.get());
+        let report = explore(&ctx, &ExploreOptions::cli_default());
+        assert_eq!(MAKESPAN_RUNS.with(|c| c.get()) - before, 0);
+        assert!(report.findings.is_empty());
+        assert_eq!(report.stats, ExploreStats::default());
     }
 
     #[test]

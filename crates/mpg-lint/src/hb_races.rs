@@ -22,12 +22,28 @@
 //! (`progress::replay_plans`): one recorded run, and per candidate only
 //! the part of its schedule after the point where it leaves the recorded
 //! one.
+//!
+//! # Candidates by channel window
+//!
+//! Enumeration does not test every send against every wildcard pair. Sends
+//! are grouped per `(destination, source)` channel in sequence order, and
+//! for a recorded match `S` the sends of one source concurrent with it are
+//! a window of that channel (DESIGN.md §19): those that happen before `S`
+//! are the prefix below `issue_horizon(source, S)`, found by binary search
+//! and exact for any index; those `S` happens before are a suffix, because
+//! [`HbIndex`] rows never decrease along a rank's program order. The walk
+//! starts at the horizon, takes the first acceptable send and stops at the
+//! first one `S` precedes. On a trace whose sequence numbers do not ascend
+//! (`validate` rejects it; [`find_races`] does not ask) the suffix argument
+//! can fail, and the early stop can then only *drop* a candidate — what is
+//! returned is still envelope-compatible, concurrent and the earliest of
+//! its source.
 
-use crate::progress::{forced_replay, replay_plans, MatchPair, Matching};
+use crate::progress::{forced_replay, replay_plans, MatchPair, Matching, SendRec};
 use mpg_core::forced::MatchPlan;
 use mpg_core::HbIndex;
 use mpg_trace::{Diagnostic, EventKind, MemTrace, Rank, Rule, Seq, ANY_TAG};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// One validated alternate match for a racy wildcard receive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,52 +129,65 @@ pub(crate) fn wildcard_candidates(
     hb: &HbIndex,
     include_pinned: bool,
 ) -> Vec<(MatchPair, Vec<RaceWitness>)> {
+    if !matching.pairs.iter().any(|p| p.posted_any) {
+        return Vec::new();
+    }
     let consumer_of: HashMap<(Rank, Seq), &MatchPair> =
         matching.pairs.iter().map(|p| (p.send, p)).collect();
+    // Every `(dst, src)` channel as one run, ascending by `seq`. The sort
+    // is stable, so sends sharing a sequence number keep issue order.
+    let mut sends: Vec<&SendRec> = matching.sends.iter().collect();
+    sends.sort_by_key(|s| (s.dst, s.src, s.seq));
     let mut out = Vec::new();
     for pair in matching.pairs.iter().filter(|p| p.posted_any) {
         let (recv, matched) = (pair.recv, pair.send);
         let Some(tag_pattern) = posted_tag(trace, recv) else {
             continue;
         };
-        let mut candidates: BTreeMap<Rank, RaceWitness> = BTreeMap::new();
-        for s in &matching.sends {
-            if s.src == matched.0
-                || s.dst != recv.0
-                || (tag_pattern != ANY_TAG && s.tag != tag_pattern)
-                || !hb.concurrent((s.src, s.seq), matched)
-            {
+        let to_recv = &sends[sends.partition_point(|s| s.dst < recv.0)..];
+        let to_recv = &to_recv[..to_recv.partition_point(|s| s.dst == recv.0)];
+        let mut candidates = Vec::new();
+        for channel in to_recv.chunk_by(|a, b| a.src == b.src) {
+            let src = channel[0].src;
+            if src == matched.0 {
                 continue;
             }
-            let displaced = match consumer_of.get(&(s.src, s.seq)) {
-                Some(p) if !p.posted_any => {
-                    if !include_pinned {
-                        continue;
-                    }
-                    // The specific receive cannot be re-pointed; force
-                    // only the wildcard and let the replay decide.
-                    None
+            // The sends of `src` that happen before the match are a prefix
+            // of the channel; the earliest acceptable send past it is the
+            // candidate. Rows never decrease along a rank's program order
+            // (see `HbIndex`), so once the match happens before one send it
+            // happens before every later one.
+            let issued = hb.issue_horizon(src, matched);
+            for s in &channel[channel.partition_point(|s| s.seq < issued)..] {
+                if hb.happens_before(matched, (s.src, s.seq)) {
+                    break;
                 }
-                Some(p) => Some(p.recv),
-                None => None,
-            };
-            let w = RaceWitness {
-                recv,
-                matched,
-                alternate: (s.src, s.seq),
-                displaced,
-            };
-            candidates
-                .entry(s.src)
-                .and_modify(|held| {
-                    if s.seq < held.alternate.1 {
-                        *held = w;
+                if tag_pattern != ANY_TAG && s.tag != tag_pattern {
+                    continue;
+                }
+                let displaced = match consumer_of.get(&(s.src, s.seq)) {
+                    Some(p) if !p.posted_any => {
+                        if !include_pinned {
+                            continue;
+                        }
+                        // The specific receive cannot be re-pointed; force
+                        // only the wildcard and let the replay decide.
+                        None
                     }
-                })
-                .or_insert(w);
+                    Some(p) => Some(p.recv),
+                    None => None,
+                };
+                candidates.push(RaceWitness {
+                    recv,
+                    matched,
+                    alternate: (s.src, s.seq),
+                    displaced,
+                });
+                break;
+            }
         }
         if !candidates.is_empty() {
-            out.push((*pair, candidates.into_values().collect()));
+            out.push((*pair, candidates));
         }
     }
     out
@@ -231,12 +260,212 @@ pub fn lint_races(trace: &MemTrace, matching: &Matching, hb: &HbIndex) -> Vec<Di
 }
 
 #[cfg(test)]
+#[path = "../tests/shared/wildcard_programs.rs"]
+mod wildcard_programs;
+
+#[cfg(test)]
 mod tests {
+    use super::wildcard_programs::{round_strategy, simulate};
     use super::*;
+    use crate::explore::extensions;
     use crate::progress::{run_progress, MatchPolicy, BASE_RUNS, STEPS};
     use crate::LintContext;
     use mpg_apps::{MasterWorker, Workload};
+    use mpg_core::forced::ForcedOutcome;
     use mpg_noise::PlatformSignature;
+    use mpg_trace::EventRecord;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, VecDeque};
+
+    /// [`wildcard_candidates`] as one scan of every send per wildcard
+    /// pair, asking `concurrent` of each: the reference the channel
+    /// windows are checked against.
+    fn wildcard_candidates_linear(
+        trace: &MemTrace,
+        matching: &Matching,
+        hb: &HbIndex,
+        include_pinned: bool,
+    ) -> Vec<(MatchPair, Vec<RaceWitness>)> {
+        let consumer_of: HashMap<(Rank, Seq), &MatchPair> =
+            matching.pairs.iter().map(|p| (p.send, p)).collect();
+        let mut out = Vec::new();
+        for pair in matching.pairs.iter().filter(|p| p.posted_any) {
+            let (recv, matched) = (pair.recv, pair.send);
+            let Some(tag_pattern) = posted_tag(trace, recv) else {
+                continue;
+            };
+            let mut candidates: BTreeMap<Rank, RaceWitness> = BTreeMap::new();
+            for s in &matching.sends {
+                if s.src == matched.0
+                    || s.dst != recv.0
+                    || (tag_pattern != ANY_TAG && s.tag != tag_pattern)
+                    || !hb.concurrent((s.src, s.seq), matched)
+                {
+                    continue;
+                }
+                let displaced = match consumer_of.get(&(s.src, s.seq)) {
+                    Some(p) if !p.posted_any => {
+                        if !include_pinned {
+                            continue;
+                        }
+                        None
+                    }
+                    Some(p) => Some(p.recv),
+                    None => None,
+                };
+                let w = RaceWitness {
+                    recv,
+                    matched,
+                    alternate: (s.src, s.seq),
+                    displaced,
+                };
+                candidates
+                    .entry(s.src)
+                    .and_modify(|held| {
+                        if s.seq < held.alternate.1 {
+                            *held = w;
+                        }
+                    })
+                    .or_insert(w);
+            }
+            if !candidates.is_empty() {
+                out.push((*pair, candidates.into_values().collect()));
+            }
+        }
+        out
+    }
+
+    /// Windows against the scan on `matching`, for both `include_pinned`
+    /// values: witness for witness and in order.
+    fn assert_windows_equal_scan(
+        trace: &MemTrace,
+        matching: &Matching,
+        hb: &HbIndex,
+    ) -> Result<(), String> {
+        for include_pinned in [false, true] {
+            let windowed = wildcard_candidates(trace, matching, hb, include_pinned);
+            let linear = wildcard_candidates_linear(trace, matching, hb, include_pinned);
+            if windowed != linear {
+                return Err(format!(
+                    "include_pinned={include_pinned}: windows give {windowed:?}, the scan {linear:?}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// On the recorded matching and on every completed alternate the
+        /// explorer's walk reaches (depth ≤ 3, first 48 plans), whose
+        /// matchings list the sends in other issue orders.
+        #[test]
+        fn channel_windows_equal_the_linear_scan(
+            p in 2u32..7,
+            sim_seed in 0u64..1_000,
+            rounds in prop::collection::vec(round_strategy(), 1..6),
+        ) {
+            let trace = simulate(p, sim_seed, &rounds);
+            let ctx = LintContext::build(&trace);
+            let hb = ctx.hb.as_ref().expect("clean trace records a graph");
+            let recorded = &ctx.progress.matching;
+            prop_assert_eq!(assert_windows_equal_scan(&trace, recorded, hb), Ok(()));
+            let mut frontier: VecDeque<(MatchPlan, usize)> =
+                extensions(&trace, recorded, hb, &MatchPlan::new())
+                    .into_iter()
+                    .map(|plan| (plan, 1))
+                    .collect();
+            for _ in 0..48 {
+                let Some((plan, depth)) = frontier.pop_front() else { break };
+                let rep = forced_replay(&trace, &plan);
+                if rep.outcome != ForcedOutcome::Completed {
+                    continue;
+                }
+                prop_assert_eq!(assert_windows_equal_scan(&trace, &rep.matching, hb), Ok(()));
+                if depth < 3 {
+                    let next = extensions(&trace, &rep.matching, hb, &plan);
+                    frontier.extend(next.into_iter().map(|plan| (plan, depth + 1)));
+                }
+            }
+        }
+
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
+
+        /// `find_races` and `explore` are public and do not validate: a
+        /// stream whose sequence numbers skip, repeat or swap, or a send to
+        /// a rank that does not exist, reaches the windows as it is. They
+        /// must terminate without panicking and never invent a candidate.
+        /// Where every stream's sequence numbers still ascend — so rows
+        /// ascend along them, the invariant the early stop needs — they
+        /// equal the scan; a swapped pair can only cost candidates.
+        #[test]
+        fn channel_windows_survive_unvalidated_traces(
+            p in 3u32..6,
+            sim_seed in 0u64..1_000,
+            rounds in prop::collection::vec(round_strategy(), 2..6),
+            rank in 0usize..6,
+            pos in 0usize..64,
+            mutation in 0u32..4,
+        ) {
+            let good = simulate(p, sim_seed, &rounds);
+            let mut ranks: Vec<Vec<EventRecord>> =
+                (0..p as usize).map(|r| good.rank(r).to_vec()).collect();
+            let stream = &mut ranks[rank % p as usize];
+            let pos = pos % (stream.len() - 1);
+            match mutation {
+                0 => stream[pos..].iter_mut().for_each(|e| e.seq += 3),
+                1 => stream[pos + 1].seq = stream[pos].seq,
+                2 => {
+                    stream[pos].seq += 1;
+                    stream[pos + 1].seq -= 1;
+                }
+                _ => {
+                    let peer = stream.iter_mut().skip(pos).find_map(|e| match &mut e.kind {
+                        EventKind::Send { peer, .. } | EventKind::Isend { peer, .. } => Some(peer),
+                        _ => None,
+                    });
+                    if let Some(peer) = peer {
+                        *peer = p + 7;
+                    }
+                }
+            }
+            let ascending = ranks.iter().all(|s| s.windows(2).all(|w| w[0].seq <= w[1].seq));
+            let bad = MemTrace::from_ranks(ranks);
+            prop_assert_eq!(check_unvalidated(&bad, ascending), Ok(()));
+        }
+    }
+
+    fn check_unvalidated(bad: &MemTrace, ascending: bool) -> Result<(), String> {
+        let ctx = LintContext::build(bad);
+        let Some(hb) = ctx.hb.as_ref() else {
+            return Ok(());
+        };
+        let matching = &ctx.progress.matching;
+        for include_pinned in [false, true] {
+            let windowed = wildcard_candidates(bad, matching, hb, include_pinned);
+            let mut linear = wildcard_candidates_linear(bad, matching, hb, include_pinned);
+            if !ascending {
+                // Keep what the windows kept; the rest must match.
+                for (pair, ws) in &mut linear {
+                    let kept = windowed.iter().find(|(q, _)| q == pair);
+                    ws.retain(|w| kept.is_some_and(|(_, k)| k.contains(w)));
+                }
+                linear.retain(|(_, ws)| !ws.is_empty());
+            }
+            if windowed != linear {
+                return Err(format!(
+                    "include_pinned={include_pinned}: windows give {windowed:?}, the scan {linear:?}"
+                ));
+            }
+        }
+        find_races(bad, matching, hb);
+        crate::explore(&ctx, &crate::ExploreOptions::cli_default().budget(8));
+        Ok(())
+    }
 
     /// The trace of `mpgtool gen --workload master-worker --ranks 8
     /// --scale 6` (the benchmark's `master-worker-wild-8`): 384 tasks

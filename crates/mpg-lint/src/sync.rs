@@ -3,7 +3,7 @@
 //! **`MPG-REDUNDANT-SYNC`** — a barrier is *removable* when deleting it
 //! cannot enlarge the set of feasible matchings. A barrier constrains
 //! matching in exactly one way: a receive that completes before the
-//! barrier can never match a send issued after it. The pass collects every
+//! barrier can never match a send issued after it. The pass takes every
 //! envelope-compatible `(receive, send)` pair whose match is forbidden by
 //! the full graph's completion order, then rebuilds the happens-before
 //! index with the barrier's hub bypassed ([`HbIndex::build_bypassing`]);
@@ -24,6 +24,29 @@
 //! relation does **not** force its send to issue only after this point
 //! (`!completes_before`). The per-rank high-water mark above the advisory
 //! threshold means senders can outrun the receiver's consumption.
+//!
+//! # One horizon per send, not one question per pair
+//!
+//! Both rules ask `completes_before((d, c), send)` with the send fixed and
+//! `c` ranging over one rank's receive completions, and the index answers
+//! that as `c < completion_horizon(d, send)` ([`HbIndex`], "Rows are
+//! thresholds"): the completions a send must wait for are a prefix. So
+//! neither rule asks per pair (DESIGN.md §19):
+//!
+//! * the receives one send is forbidden to match are the compatible ones
+//!   completing below its horizon, and whether *all* of them stay
+//!   forbidden under another index is decided by the largest alone — the
+//!   pass keeps that one value per send, found by binary search in the
+//!   receiver's completions grouped by posted pattern, and each barrier
+//!   costs one horizon read per send;
+//! * message `j` is resident at point `c` exactly on the interval
+//!   `horizon_j <= c <= c_j`, so per-point occupancy is a count of
+//!   intervals stabbed, read off two sorted endpoint arrays.
+//!
+//! Both are exact for any index — they use nothing but the prefix shape the
+//! comparison has by construction — and `O(n log n)` in a receiver's
+//! messages where the pairwise form was `O(n²)` (and, for the forbidden
+//! set, `O(n²)` memory).
 
 use crate::progress::{Matching, SendRec};
 use mpg_core::arena::NO_NODE;
@@ -79,23 +102,42 @@ fn collect_hubs(graph: &EventGraph) -> Vec<Hub> {
     hubs
 }
 
-/// The matches the recorded graph forbids: envelope-compatible
-/// `(receive-completion event, send event)` pairs where the receive must
-/// complete before the send can issue.
-fn forbidden_matches(
-    trace: &MemTrace,
-    matching: &Matching,
-    hb: &HbIndex,
-) -> Vec<((Rank, Seq), (Rank, Seq))> {
-    // Sends bucketed by destination once, in `matching.sends` order, so
-    // each receive scans only the sends addressed to its rank.
-    let mut sends_to: Vec<Vec<&SendRec>> = vec![Vec::new(); trace.num_ranks()];
-    for s in &matching.sends {
-        if let Some(bucket) = sends_to.get_mut(s.dst as usize) {
-            bucket.push(s);
-        }
-    }
-    let mut out = Vec::new();
+#[cfg(test)]
+thread_local! {
+    /// Horizon reads made by the current test thread.
+    static HORIZON_READS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// [`HbIndex::completion_horizon`], the only happens-before read this pass
+/// makes: `(rank, c)` must complete before `b` can start exactly when
+/// `c < horizon(hb, rank, b)`.
+fn horizon(hb: &HbIndex, rank: Rank, b: (Rank, Seq)) -> Seq {
+    #[cfg(test)]
+    HORIZON_READS.with(|c| c.set(c.get() + 1));
+    hb.completion_horizon(rank, b)
+}
+
+/// What the recorded graph forbids one send to match: the receives of
+/// `dst` that are envelope-compatible with `send` and complete below its
+/// horizon. Only the largest such completion, `last`, is kept — under
+/// another index the same receives stay forbidden exactly when `last` is
+/// still below the send's horizon there, because a horizon cuts a rank's
+/// events at a prefix.
+struct Forbidden {
+    dst: Rank,
+    send: (Rank, Seq),
+    last: Seq,
+}
+
+/// The matches the recorded graph forbids, one [`Forbidden`] per send that
+/// has any: envelope-compatible `(receive-completion event, send event)`
+/// pairs where the receive must complete before the send can issue.
+fn forbidden_matches(trace: &MemTrace, matching: &Matching, hb: &HbIndex) -> Vec<Forbidden> {
+    // Receive completions under (receiving rank, posted source pattern,
+    // posted tag pattern), sorted: the completions one pattern admits are
+    // a contiguous ascending run.
+    type Pattern = (Rank, Rank, Tag);
+    let mut posted: Vec<(Pattern, Seq)> = Vec::new();
     for pair in &matching.pairs {
         let (rrank, rseq) = pair.recv;
         let Some(ev) = trace.rank(rrank as usize).get(rseq as usize) else {
@@ -116,16 +158,30 @@ fn forbidden_matches(
             } => (if posted_any { ANY_SOURCE } else { peer }, tag),
             _ => continue,
         };
-        let completion = (rrank, pair.completion);
-        for s in &sends_to[rrank as usize] {
-            if (src_pat != ANY_SOURCE && s.src != src_pat)
-                || (tag_pat != ANY_TAG && s.tag != tag_pat)
-            {
-                continue;
+        posted.push(((rrank, src_pat, tag_pat), pair.completion));
+    }
+    posted.sort_unstable();
+    let mut out = Vec::new();
+    for s in &matching.sends {
+        let send = (s.src, s.seq);
+        let below = horizon(hb, s.dst, send);
+        // At most four patterns admit this send.
+        let mut last = None;
+        for src_pat in [s.src, ANY_SOURCE] {
+            for tag_pat in [s.tag, ANY_TAG] {
+                let pattern = (s.dst, src_pat, tag_pat);
+                let end = posted.partition_point(|&e| e < (pattern, below));
+                if let Some(&(_, completion)) = posted[..end].last().filter(|e| e.0 == pattern) {
+                    last = last.max(Some(completion));
+                }
             }
-            if hb.completes_before(completion, (s.src, s.seq)) {
-                out.push((completion, (s.src, s.seq)));
-            }
+        }
+        if let Some(last) = last {
+            out.push(Forbidden {
+                dst: s.dst,
+                send,
+                last,
+            });
         }
     }
     out
@@ -162,7 +218,7 @@ fn redundant_barriers(
         let without = HbIndex::build_bypassing(graph, hub.node);
         let preserved = forbidden
             .iter()
-            .all(|&(recv, send)| without.completes_before(recv, send));
+            .all(|f| f.last < horizon(&without, f.dst, f.send));
         if preserved {
             let (rank, seq) = (hub.node.rank, hub.node.seq);
             diags.push(
@@ -203,22 +259,37 @@ fn buffer_watermarks(hb: &HbIndex, matching: &Matching, opts: &SyncOptions) -> V
     }
     let mut diags = Vec::new();
     for (dst, msgs) in per_dst {
+        // Message `j` is resident at receiver point `c` exactly when its
+        // consuming receive has not completed (`c <= c_j`) and nothing
+        // forces its send to wait for `c` (`c >= K_j`, the send's horizon
+        // on `dst`): an interval. Occupancy at `c` is the intervals opened
+        // at or before `c` minus those closed before it — empty intervals
+        // dropped first, so that closed-before implies opened-before.
+        let resident: Vec<(Seq, Seq, Rank)> = msgs
+            .iter()
+            .map(|&(c_j, send_j)| (horizon(hb, dst, send_j), c_j, send_j.0))
+            .filter(|&(k_j, c_j, _)| k_j <= c_j)
+            .collect();
+        let mut opens: Vec<Seq> = resident.iter().map(|&(k_j, ..)| k_j).collect();
+        let mut closes: Vec<Seq> = resident.iter().map(|&(_, c_j, _)| c_j).collect();
+        opens.sort_unstable();
+        closes.sort_unstable();
         let mut peak = 0usize;
         let mut peak_at: Seq = 0;
-        let mut peak_srcs: Vec<Rank> = Vec::new();
         for &(c_i, _) in &msgs {
-            let resident: Vec<(Rank, Seq)> = msgs
-                .iter()
-                .filter(|&&(c_j, send_j)| c_j >= c_i && !hb.completes_before((dst, c_i), send_j))
-                .map(|&(_, send_j)| send_j)
-                .collect();
-            if resident.len() > peak {
-                peak = resident.len();
+            let occupancy =
+                opens.partition_point(|&k| k <= c_i) - closes.partition_point(|&c| c < c_i);
+            if occupancy > peak {
+                peak = occupancy;
                 peak_at = c_i;
-                peak_srcs = resident.iter().map(|&(r, _)| r).collect();
             }
         }
         if peak > opts.watermark {
+            // The resident set is materialised for the peak alone.
+            let peak_srcs = resident
+                .iter()
+                .filter(|&&(k_j, c_j, _)| k_j <= peak_at && peak_at <= c_j)
+                .map(|&(.., src)| src);
             diags.push(
                 Diagnostic::new(
                     Rule::BufferWatermark,
@@ -248,4 +319,55 @@ pub fn lint_sync(
     let mut diags = redundant_barriers(trace, graph, hb, matching);
     diags.extend(buffer_watermarks(hb, matching, opts));
     diags
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::LintContext;
+    use mpg_noise::PlatformSignature;
+
+    /// A 4-rank ring of 2 000 eager messages per receiver with one barrier
+    /// halfway: the pass reads a horizon per message, per send and per
+    /// `(barrier, send)` — not one per `(receive, send)` pair, which is
+    /// 4 × 2 000² reads here — and holds no more than one forbidden-match
+    /// threshold per send.
+    #[test]
+    fn horizon_reads_are_linear_in_the_messages() {
+        const ROUNDS: usize = 2_000;
+        let trace = mpg_sim::Simulation::new(4, PlatformSignature::quiet("sync-ring"))
+            .run(|ctx| {
+                let (me, p) = (ctx.rank(), ctx.size());
+                for round in 0..ROUNDS {
+                    if round == ROUNDS / 2 {
+                        ctx.barrier();
+                    }
+                    ctx.sendrecv((me + 1) % p, 0, 64, (me + p - 1) % p, 0);
+                }
+            })
+            .expect("ring simulates")
+            .trace;
+        let ctx = LintContext::build(&trace);
+        let graph = ctx.graph.as_ref().expect("clean trace records a graph");
+        let hb = ctx.hb.as_ref().expect("and an index over it");
+        let matching = &ctx.progress.matching;
+        let messages = matching.pairs.len();
+        assert_eq!(messages, 4 * ROUNDS);
+
+        let forbidden = forbidden_matches(&trace, matching, hb);
+        assert!(!forbidden.is_empty(), "the barrier forbids something");
+        assert!(forbidden.len() <= matching.sends.len());
+
+        let before = HORIZON_READS.with(|c| c.get());
+        let diags = lint_sync(&trace, graph, hb, matching, &SyncOptions::default());
+        let reads = HORIZON_READS.with(|c| c.get()) - before;
+        assert!(reads >= messages, "{reads} reads for {messages} messages");
+        assert!(
+            reads < 16 * messages,
+            "{reads} reads for {messages} messages"
+        );
+        // The ring keeps every sender within a few rounds of its receiver,
+        // and the barrier shields each earlier receive from the later sends.
+        assert_eq!(diags, Vec::new());
+    }
 }

@@ -147,6 +147,31 @@ fi
 echo "    analyze ${analyze_ms} ms, replay --ooc ${replay_ms} ms"
 rm -rf "$RATIO_TRACE"
 
+# Same shape, for the lint passes: on a long ring (16 ranks, 256 032
+# events, 3 200 eager messages per receiver) a full `lint --all` may cost at
+# most 1.75x the `analyze --json` of the same trace — both build the same
+# recorded graph, so the ratio is what the passes add. Measured 1.0-1.2x;
+# a pass that asks happens-before once per (receive, send) pair of a
+# receiver puts it at 2.3-2.6x here, and further with every doubling of
+# the trace, because that cost is quadratic.
+echo "==> lint --all <= 1.75x analyze --json (ring, 16 ranks, scale 40)"
+RATIO_TRACE="$SMOKE_TMP/ratio-ring"
+# The simulator is one thread per rank: pinned to one CPU it generates the
+# trace several times faster.
+PIN=""
+if command -v taskset >/dev/null 2>&1; then
+    PIN="taskset -c 0"
+fi
+$PIN "$MPGTOOL" gen --workload ring --ranks 16 --scale 40 "$RATIO_TRACE" >/dev/null
+lint_ms=$(best_ms "$MPGTOOL" lint "$RATIO_TRACE" --all)
+analyze_ms=$(best_ms "$MPGTOOL" analyze "$RATIO_TRACE" --json)
+if [ $(( 100 * lint_ms )) -gt $(( 175 * analyze_ms )) ]; then
+    echo "lint: FAIL: lint --all ${lint_ms} ms > 1.75x analyze --json ${analyze_ms} ms" >&2
+    exit 1
+fi
+echo "    lint --all ${lint_ms} ms, analyze --json ${analyze_ms} ms"
+rm -rf "$RATIO_TRACE"
+
 # Artifact-cache end-to-end: for each cached command, the cold run (which
 # populates the cache) and the warm run (which serves the memoized report)
 # must print stdout byte-identical to the uncached run; a corrupted

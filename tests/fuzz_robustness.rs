@@ -215,7 +215,7 @@ fn collective_size_mismatch_reports_corrupt() {
 
 use std::sync::OnceLock;
 
-use mpg::apps::{AllreduceSolver, Pipeline, Stencil, TokenRing, Workload};
+use mpg::apps::{AllreduceSolver, MasterWorker, Pipeline, Stencil, TokenRing, Workload};
 use mpg::noise::PlatformSignature as Sig;
 use mpg::sim::Simulation;
 use mpg::trace::Severity;
@@ -258,6 +258,58 @@ fn good_traces() -> &'static [MemTrace] {
                     .trace
             })
             .collect()
+    })
+}
+
+/// Pass 7 as it was before it read happens-before rows as thresholds.
+#[path = "../crates/mpg-lint/tests/shared/sync_reference.rs"]
+mod sync_reference;
+
+/// What [`good_traces`] leaves out and the happens-before passes live on:
+/// barriers between eager and rendezvous exchanges (one of them implied
+/// by the rendezvous round-trip before it), and wildcard receives.
+fn sync_and_race_traces() -> &'static [MemTrace] {
+    static TRACES: OnceLock<Vec<MemTrace>> = OnceLock::new();
+    TRACES.get_or_init(|| {
+        let barriers = Simulation::new(4, Sig::quiet("fuzz-sync"))
+            .seed(7)
+            .run(|ctx| {
+                let (me, p) = (ctx.rank(), ctx.size());
+                let (left, right) = ((me + p - 1) % p, (me + 1) % p);
+                for round in 0..3 {
+                    for _ in 0..3 {
+                        ctx.sendrecv(right, round, 64, left, round);
+                    }
+                    ctx.barrier();
+                }
+                if me == 0 {
+                    for r in 1..p {
+                        ctx.recv(r, 9);
+                    }
+                    for r in 1..p {
+                        ctx.ssend(r, 9, 8);
+                    }
+                } else {
+                    ctx.ssend(0, 9, 8);
+                    ctx.recv(0, 9);
+                }
+                ctx.barrier();
+                ctx.sendrecv(right, 0, 64, left, 0);
+            })
+            .expect("barrier program simulates cleanly")
+            .trace;
+        let workers = MasterWorker {
+            tasks: 12,
+            task_work: 10_000,
+            task_bytes: 64,
+            result_bytes: 64,
+        };
+        let wildcards = Simulation::new(4, Sig::quiet("fuzz-race"))
+            .seed(7)
+            .run(|ctx| workers.run(ctx))
+            .expect("master-worker simulates cleanly")
+            .trace;
+        vec![barriers, wildcards]
     })
 }
 
@@ -309,6 +361,16 @@ enum Mutation {
     /// Make a blocking send synchronous and append a second copy of it:
     /// two rendezvous sends under one sequence number.
     DuplicateSsend,
+    /// Renumber the stream from one event on, leaving a gap of three
+    /// sequence numbers; records, order and clocks stay as they are (as in
+    /// the next three), so the trace still replays.
+    GapSeq,
+    /// Give one event its predecessor's sequence number.
+    RepeatSeq,
+    /// Exchange the sequence numbers of two neighbours.
+    SwapSeq,
+    /// Address a point-to-point event to a rank the trace does not have.
+    StrayPeer,
 }
 
 fn is_p2p(kind: &EventKind) -> bool {
@@ -321,14 +383,19 @@ fn is_p2p(kind: &EventKind) -> bool {
     )
 }
 
-fn bump_peer(kind: &mut EventKind, p: u32) {
+fn peer_mut(kind: &mut EventKind) -> &mut u32 {
     match kind {
         EventKind::Send { peer, .. }
         | EventKind::Recv { peer, .. }
         | EventKind::Isend { peer, .. }
-        | EventKind::Irecv { peer, .. } => *peer = (*peer + 1) % p,
+        | EventKind::Irecv { peer, .. } => peer,
         _ => unreachable!("mutation targets are point-to-point"),
     }
+}
+
+fn bump_peer(kind: &mut EventKind, p: u32) {
+    let peer = peer_mut(kind);
+    *peer = (*peer + 1) % p;
 }
 
 fn bump_tag(kind: &mut EventKind) {
@@ -378,7 +445,20 @@ fn mutate(trace: &MemTrace, rank: usize, pos: usize, mutation: Mutation) -> Opti
             let copy = stream[target].clone();
             stream.insert(target + 1, copy);
         }
-        Mutation::CorruptPeer | Mutation::CorruptTag => {
+        Mutation::GapSeq => stream[pos..].iter_mut().for_each(|e| e.seq += 3),
+        Mutation::RepeatSeq => {
+            let pos = pos.min(stream.len() - 2);
+            stream[pos + 1].seq = stream[pos].seq;
+        }
+        Mutation::SwapSeq => {
+            let pos = pos.min(stream.len() - 2);
+            let (a, b) = (stream[pos].seq, stream[pos + 1].seq);
+            if a == b {
+                return None;
+            }
+            (stream[pos].seq, stream[pos + 1].seq) = (b, a);
+        }
+        Mutation::CorruptPeer | Mutation::CorruptTag | Mutation::StrayPeer => {
             let len = stream.len();
             let target = (0..len)
                 .map(|i| (pos + i) % len)
@@ -386,6 +466,7 @@ fn mutate(trace: &MemTrace, rank: usize, pos: usize, mutation: Mutation) -> Opti
             match mutation {
                 Mutation::CorruptPeer => bump_peer(&mut stream[target].kind, p as u32),
                 Mutation::CorruptTag => bump_tag(&mut stream[target].kind),
+                Mutation::StrayPeer => *peer_mut(&mut stream[target].kind) = p as u32 + 1,
                 _ => unreachable!(),
             }
         }
@@ -401,6 +482,10 @@ fn mutation_strategy() -> impl Strategy<Value = Mutation> {
         Just(Mutation::CorruptPeer),
         Just(Mutation::CorruptTag),
         Just(Mutation::DuplicateSsend),
+        Just(Mutation::GapSeq),
+        Just(Mutation::RepeatSeq),
+        Just(Mutation::SwapSeq),
+        Just(Mutation::StrayPeer),
     ]
 }
 
@@ -481,6 +566,41 @@ proptest! {
             if let Ok(rep) = Replayer::new(cfg).run(&bad) {
                 let graph = rep.graph.expect("graph recorded");
                 prop_assert_eq!(probe_hb_index(&graph, &bad), Ok(()));
+            }
+        }
+    }
+
+    /// `lint_sync`, `find_races` and `explore` are public and reachable on
+    /// traces `validate` rejects, so the happens-before thresholds they
+    /// read meet skipped, repeated and swapped sequence numbers and peers
+    /// past the last rank. Wherever the lint context still records a graph
+    /// they terminate without panicking, and pass 7 renders what its
+    /// pairwise reference does (the thresholds are exact for any index;
+    /// pass 4's candidate windows are checked against their scan beside
+    /// them, in `hb_races.rs`).
+    #[test]
+    fn hb_threshold_passes_survive_unvalidated_traces(
+        workload in 0usize..6,
+        rank in 0usize..4,
+        pos in 0usize..200,
+        mutation in mutation_strategy(),
+    ) {
+        use mpg::lint::{explore, find_races, lint_sync, ExploreOptions, LintContext, SyncOptions};
+        let base = good_traces().iter().chain(sync_and_race_traces()).nth(workload).unwrap();
+        if let Some(bad) = mutate(base, rank, pos, mutation) {
+            let ctx = LintContext::build(&bad);
+            if let (Some(graph), Some(hb)) = (ctx.graph.as_ref(), ctx.hb.as_ref()) {
+                let matching = &ctx.progress.matching;
+                for watermark in [8, 0] {
+                    let opts = SyncOptions { watermark };
+                    prop_assert_eq!(
+                        lint_sync(&bad, graph, hb, matching, &opts),
+                        sync_reference::lint_sync(&bad, graph, hb, matching, &opts),
+                        "{:?} at rank {} pos {} of workload {}", mutation, rank, pos, workload
+                    );
+                }
+                find_races(&bad, matching, hb);
+                explore(&ctx, &ExploreOptions::cli_default().budget(8));
             }
         }
     }
