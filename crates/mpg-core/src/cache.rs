@@ -17,6 +17,11 @@
 //! either see the old file, the new file, or nothing. Losing a race just
 //! means both writers publish identical bytes.
 //!
+//! Publication is **not a commit**: nothing is fsynced. A power loss can
+//! leave a renamed entry short, empty or zero-filled (delayed allocation);
+//! the envelope below turns each of those into a miss that the next cold
+//! run overwrites, which is all the durability a cache needs.
+//!
 //! ## Envelope
 //!
 //! Each file wraps its payload in a checksummed envelope:
@@ -154,8 +159,8 @@ static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// How old a `tmp-*` file must be before [`CacheStore::gc`] treats it as a
 /// crashed writer's leftover rather than an in-flight publish. Writers
-/// hold a temp file for milliseconds (write + fsync + rename); minutes of
-/// grace keeps even a heavily descheduled writer safe.
+/// hold a temp file for well under a millisecond (write + rename);
+/// minutes of grace keeps even a heavily descheduled writer safe.
 const TMP_GRACE: Duration = Duration::from_secs(300);
 
 impl CacheStore {
@@ -219,7 +224,8 @@ impl CacheStore {
 
     /// Publishes an artifact atomically: the envelope is written to a
     /// temp file in the cache directory and renamed into place, so
-    /// concurrent readers never see a torn entry.
+    /// concurrent readers never see a torn entry. Not fsynced: what a
+    /// crash leaves behind fails [`CacheStore::get`]'s envelope check.
     pub fn put(&self, key: &str, kind: ArtifactKind, payload: &[u8]) -> std::io::Result<()> {
         let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
         out.extend_from_slice(MPGC_MAGIC);
@@ -231,11 +237,7 @@ impl CacheStore {
 
         let n = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
         let tmp = self.root.join(format!("tmp-{}-{n}", std::process::id()));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&out)?;
-            f.sync_all()?;
-        }
+        fs::File::create(&tmp)?.write_all(&out)?;
         match fs::rename(&tmp, self.path_of(key)) {
             Ok(()) => Ok(()),
             Err(e) => {
@@ -489,6 +491,49 @@ mod tests {
         assert!(s.get("k", ArtifactKind::Slack).is_none());
         fs::write(&p, b"").unwrap();
         assert!(s.get("k", ArtifactKind::Slack).is_none());
+        let _ = fs::remove_dir_all(s.root());
+    }
+
+    /// `put` does not fsync, so a power loss after the rename can leave the
+    /// entry at any length up to its own with any tail of it unwritten
+    /// (delayed allocation reads back as zeros). Every such file is a miss
+    /// and the next publish repairs it.
+    #[test]
+    fn unsynced_publish_cut_short_by_a_crash_is_a_miss_and_is_republished() {
+        let s = temp_store("crash");
+        let report = CachedReport {
+            exit_code: 0,
+            stdout: "makespan 1234 cycles\n".repeat(6),
+        };
+        s.put_report("k", &report).unwrap();
+        let p = s.root().join("k.mpgc");
+        let whole = fs::read(&p).unwrap();
+        let mut damaged: Vec<Vec<u8>> = Vec::new();
+        for kept in 0..whole.len() {
+            // Truncated to a prefix (zero length included) ...
+            damaged.push(whole[..kept].to_vec());
+            // ... or full length with everything after it zero-filled
+            // (all zeros included).
+            let mut zero_tail = whole.clone();
+            zero_tail[kept..].fill(0);
+            damaged.push(zero_tail);
+        }
+        for bytes in damaged {
+            fs::write(&p, &bytes).unwrap();
+            assert!(
+                s.get_report("k").is_none(),
+                "served a {}-byte damaged entry",
+                bytes.len()
+            );
+            s.put_report("k", &report).unwrap();
+            assert_eq!(fs::read(&p).unwrap(), whole);
+        }
+        assert_eq!(s.get_report("k"), Some(report));
+        // A crash before the rename leaves a young temp file, which gc
+        // must still take for a publish in flight.
+        fs::write(s.root().join("tmp-1-0"), &whole[..9]).unwrap();
+        assert_eq!(s.gc(u64::MAX), (0, 0));
+        assert!(s.root().join("tmp-1-0").exists());
         let _ = fs::remove_dir_all(s.root());
     }
 

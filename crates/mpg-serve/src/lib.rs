@@ -23,6 +23,9 @@
 //!   deterministically-jittered exponential backoff ([`RetryPolicy`]).
 //! * **Warm artifacts** — replay jobs share the content-addressed report
 //!   cache with solo `mpgtool` runs; cache anomalies are silent misses.
+//! * **Resident traces** — a decoded trace stays in memory under its
+//!   content fingerprint, within a byte budget, so the jobs of a sweep
+//!   over one trace decode it once.
 //! * **Chaos harness** — [`ChaosPlan`] injects seeded service-level faults
 //!   (panics, stalls, transient I/O errors, artifact corruption) and
 //!   [`JobRuntime::invariant_violations`] checks the contract afterwards:
@@ -38,6 +41,7 @@ pub mod chaos;
 pub mod job;
 pub mod proto;
 pub mod render;
+mod resident;
 pub mod retry;
 pub mod runtime;
 

@@ -159,7 +159,8 @@ pub fn serve_script(input: impl BufRead, out: &mut impl Write, rt: &JobRuntime) 
                     out,
                     "ok stats submitted={} done={} failed={} cancelled={} \
                      deadline-exceeded={} crashed={} respawns={} cache-hits={} \
-                     quarantined={} workers={}",
+                     quarantined={} workers={} trace-loads={} trace-hits={} \
+                     resident-bytes={}",
                     s.submitted,
                     s.done,
                     s.failed,
@@ -170,6 +171,9 @@ pub fn serve_script(input: impl BufRead, out: &mut impl Write, rt: &JobRuntime) 
                     s.cache_hits,
                     rt.quarantine().len(),
                     rt.live_workers(),
+                    s.trace_loads,
+                    s.trace_hits,
+                    s.resident_bytes,
                 )?;
             }
             "quarantine" => {

@@ -10,6 +10,10 @@
 //! folded into every public entry point). Cancellation and deadlines ride
 //! the engines' [`CancelToken`] plumbing, so a cut-short replay comes back
 //! as a *partial frontier report*, not an error.
+//!
+//! Every job kind gets its trace through `open_trace`, which serves it
+//! from the runtime's resident set (`resident.rs`, DESIGN §20) when a
+//! trace of the directory's content fingerprint is already decoded.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -20,11 +24,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mpg_core::{ArtifactKind, CacheStore, CancelToken, ReplayError, Replayer};
-use mpg_trace::{FileTraceSet, TraceError};
+use mpg_trace::{MemTrace, TraceError};
 
 use crate::chaos::{ChaosOp, ChaosPlan};
 use crate::job::{JobId, JobKind, JobSpec, JobState, JobStatus, ServeError};
 use crate::render;
+use crate::resident::{trace_key, ResidentTraces};
 use crate::retry::RetryPolicy;
 
 /// Runtime tuning knobs.
@@ -77,6 +82,13 @@ pub struct RuntimeStats {
     pub respawns: u64,
     /// Warm report-cache hits.
     pub cache_hits: u64,
+    /// Full trace decodes that completed (resident misses, and traces
+    /// without a fingerprint).
+    pub trace_loads: u64,
+    /// Jobs whose trace was already resident.
+    pub trace_hits: u64,
+    /// Estimated bytes of decoded traces held resident.
+    pub resident_bytes: u64,
 }
 
 struct JobRecord {
@@ -87,6 +99,18 @@ struct JobRecord {
     attempts: u32,
     started: bool,
     token: CancelToken,
+}
+
+impl JobRecord {
+    fn status(&self, id: JobId) -> JobStatus {
+        JobStatus {
+            id,
+            state: self.state,
+            output: self.output.clone(),
+            error: self.error.clone(),
+            attempts: self.attempts,
+        }
+    }
 }
 
 struct Shared {
@@ -101,13 +125,14 @@ struct Shared {
     cache_hits: AtomicU64,
     retry: RetryPolicy,
     cache: Option<CacheStore>,
+    resident: ResidentTraces,
     chaos: ChaosPlan,
 }
 
 /// Locks a mutex, recovering from poisoning: the runtime's shared state is
 /// only mutated under short, panic-free critical sections, so a poisoned
 /// lock means a *worker* died elsewhere — the data is still consistent.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -136,6 +161,7 @@ impl JobRuntime {
             cache_hits: AtomicU64::new(0),
             retry: cfg.retry,
             cache: cfg.cache,
+            resident: ResidentTraces::new(),
             chaos: cfg.chaos,
         });
         let workers = (0..cfg.workers.max(1))
@@ -210,13 +236,7 @@ impl JobRuntime {
         self.supervise();
         let jobs = lock(&self.shared.jobs);
         let rec = jobs.get(&id.0).ok_or(ServeError::UnknownJob(id))?;
-        Ok(JobStatus {
-            id,
-            state: rec.state,
-            output: rec.output.clone(),
-            error: rec.error.clone(),
-            attempts: rec.attempts,
-        })
+        Ok(rec.status(id))
     }
 
     /// Blocks until the job reaches a terminal state (or `timeout`
@@ -224,11 +244,15 @@ impl JobRuntime {
     pub fn wait(&self, id: JobId, timeout: Duration) -> Result<JobStatus, ServeError> {
         let deadline = Instant::now() + timeout;
         loop {
-            let st = self.status(id)?; // supervises each turn
-            if st.state.is_terminal() || Instant::now() >= deadline {
-                return Ok(st);
-            }
+            // The park's 20 ms timeout is the supervision heartbeat.
+            self.supervise();
             let jobs = lock(&self.shared.jobs);
+            let rec = jobs.get(&id.0).ok_or(ServeError::UnknownJob(id))?;
+            if rec.state.is_terminal() || Instant::now() >= deadline {
+                return Ok(rec.status(id));
+            }
+            // Parked under the acquisition that read the state, so no
+            // worker can set it and notify in between.
             let _ = self
                 .shared
                 .done_cv
@@ -314,6 +338,9 @@ impl JobRuntime {
             crashed: count(JobState::Crashed),
             respawns: self.shared.respawns.load(Ordering::Relaxed),
             cache_hits: self.shared.cache_hits.load(Ordering::Relaxed),
+            trace_loads: self.shared.resident.loads(),
+            trace_hits: self.shared.resident.hits(),
+            resident_bytes: self.shared.resident.bytes(),
         }
     }
 
@@ -326,7 +353,9 @@ impl JobRuntime {
     /// 3. the worker pool is back at full strength,
     /// 4. every terminal state carries its contractual payload (`done` ⇒
     ///    output, started `cancelled`/`deadline-exceeded` ⇒ partial
-    ///    output, `failed`/`crashed` ⇒ error).
+    ///    output, `failed`/`crashed` ⇒ error),
+    /// 5. the resident traces fit their byte budget, and no decode turn
+    ///    outlived its job.
     pub fn invariant_violations(&self) -> Vec<String> {
         self.supervise();
         let mut v = Vec::new();
@@ -382,6 +411,16 @@ impl JobRuntime {
                 "worker pool degraded: {live}/{} alive",
                 self.target_workers
             ));
+        }
+        let (resident, budget) = (self.shared.resident.bytes(), self.shared.resident.budget());
+        if resident > budget {
+            v.push(format!(
+                "resident traces over budget: {resident} > {budget} bytes"
+            ));
+        }
+        let turns = self.shared.resident.decoding();
+        if turns > 0 {
+            v.push(format!("{turns} trace decode turn(s) still held"));
         }
         v
     }
@@ -575,20 +614,29 @@ fn run_once(
             dir.as_path(),
             (*os_mean, *latency, *per_byte, *seed),
         ),
-        JobKind::Lint { dir } => run_lint(token, dir.as_path()),
-        JobKind::Explore { dir, budget, seed } => run_explore(token, dir.as_path(), *budget, *seed),
+        JobKind::Lint { dir } => run_lint(shared, token, dir.as_path()),
+        JobKind::Explore { dir, budget, seed } => {
+            run_explore(shared, token, dir.as_path(), *budget, *seed)
+        }
     }
 }
 
-fn open_trace(dir: &Path) -> Result<mpg_trace::MemTrace, RunFailure> {
-    let classify = |e: TraceError| RunFailure {
-        // I/O-level failures (vanished file, EIO) are the transient class
-        // the retry loop exists for; structural damage is permanent.
-        transient: matches!(e, TraceError::Io(_)),
-        msg: e.to_string(),
-    };
-    let set = FileTraceSet::open(dir).map_err(classify)?;
-    set.load().map_err(classify)
+/// `key` is the directory's [`trace_key`], taken by this job: what makes a
+/// resident copy current.
+fn open_trace(
+    shared: &Shared,
+    dir: &Path,
+    key: Option<String>,
+) -> Result<Arc<MemTrace>, RunFailure> {
+    shared
+        .resident
+        .open(dir, key)
+        .map_err(|e: TraceError| RunFailure {
+            // I/O-level failures (vanished file, EIO) are the transient class
+            // the retry loop exists for; structural damage is permanent.
+            transient: matches!(e, TraceError::Io(_)),
+            msg: e.to_string(),
+        })
 }
 
 fn run_replay(
@@ -601,10 +649,10 @@ fn run_replay(
     let cfg = render::replay_config(os_mean, latency, per_byte, seed);
     // Warm path: same key scheme as `mpgtool replay --cache`, so service
     // and CLI share artifacts. Any cache anomaly is a silent miss.
+    let key = trace_key(dir);
     let report_key = shared.cache.as_ref().and_then(|_| {
-        let trace_key = mpg_trace::trace_fingerprint(dir).ok()?.key();
         Some(CacheStore::artifact_key(
-            &trace_key,
+            key.as_deref()?,
             ArtifactKind::Report,
             &format!(
                 "cmd=replay;os={os_mean};latency={latency};per_byte={per_byte};seed={seed};shards=1;ooc=false;lint=false;{}",
@@ -623,7 +671,7 @@ fn run_replay(
             });
         }
     }
-    let trace = open_trace(dir)?;
+    let trace = open_trace(shared, dir, key)?;
     if let Some(ChaosOp::PanicAtCheck(k)) = chaos {
         token.fire_after_checks(*k);
     }
@@ -667,8 +715,8 @@ fn run_replay(
     })
 }
 
-fn run_lint(token: &CancelToken, dir: &Path) -> Result<Outcome, RunFailure> {
-    let trace = open_trace(dir)?;
+fn run_lint(shared: &Shared, token: &CancelToken, dir: &Path) -> Result<Outcome, RunFailure> {
+    let trace = open_trace(shared, dir, trace_key(dir))?;
     let out = mpg_lint::lint_full_cancellable(&trace, token);
     let output =
         render::render_lint_report(&out.diags, false, trace.total_events(), trace.num_ranks());
@@ -681,12 +729,13 @@ fn run_lint(token: &CancelToken, dir: &Path) -> Result<Outcome, RunFailure> {
 }
 
 fn run_explore(
+    shared: &Shared,
     token: &CancelToken,
     dir: &Path,
     budget: u64,
     seed: u64,
 ) -> Result<Outcome, RunFailure> {
-    let trace = open_trace(dir)?;
+    let trace = open_trace(shared, dir, trace_key(dir))?;
     let opts = mpg_lint::ExploreOptions {
         seed,
         cancel: Some(token.clone()),

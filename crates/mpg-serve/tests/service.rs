@@ -1,18 +1,21 @@
 //! Integration tests for the supervised job runtime: admission control,
 //! deadlines, panic quarantine + respawn, transient-failure retries, warm
-//! cache interop, the line protocol, and the chaos invariant checker.
+//! cache interop, resident traces, the line protocol, and the chaos
+//! invariant checker.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use mpg_apps::{Stencil, TokenRing, Workload};
+use mpg_apps::{MasterWorker, Stencil, TokenRing, Workload};
 use mpg_core::{CacheStore, Replayer};
 use mpg_noise::PlatformSignature;
 use mpg_serve::{
-    render_replay_report, replay_config, serve_script, ChaosOp, ChaosPlan, JobId, JobKind,
-    JobRuntime, JobSpec, JobState, RetryPolicy, RuntimeConfig, ServeError,
+    render_explore_report, render_lint_report, render_replay_report, replay_config, serve_script,
+    ChaosOp, ChaosPlan, JobId, JobKind, JobRuntime, JobSpec, JobState, RetryPolicy, RuntimeConfig,
+    ServeError,
 };
 use mpg_sim::Simulation;
+use mpg_trace::{FileTraceSet, MemTrace};
 
 fn unique_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -22,20 +25,25 @@ fn unique_dir(tag: &str) -> PathBuf {
     ))
 }
 
-/// Simulates a small token ring and writes its trace to a fresh dir.
-fn ring_trace_dir(tag: &str) -> PathBuf {
+/// A small token ring on four ranks.
+fn ring_trace(traversals: u32) -> MemTrace {
     let ring = TokenRing {
-        traversals: 3,
+        traversals,
         particles_per_rank: 8,
         work_per_pair: 25,
     };
-    let out = Simulation::new(4, PlatformSignature::quiet("svc"))
+    Simulation::new(4, PlatformSignature::quiet("svc"))
         .seed(17)
         .run(|ctx| ring.run(ctx))
-        .unwrap();
+        .unwrap()
+        .trace
+}
+
+/// Simulates a small token ring and writes its trace to a fresh dir.
+fn ring_trace_dir(tag: &str) -> PathBuf {
     let dir = unique_dir(tag);
     let _ = std::fs::remove_dir_all(&dir);
-    out.trace.save(&dir).unwrap();
+    ring_trace(3).save(&dir).unwrap();
     dir
 }
 
@@ -59,22 +67,70 @@ fn stencil_trace_dir(tag: &str) -> PathBuf {
 }
 
 fn replay_spec(dir: &Path) -> JobSpec {
+    replay_spec_seeded(dir, 9)
+}
+
+fn replay_spec_seeded(dir: &Path, seed: u64) -> JobSpec {
     JobSpec::new(JobKind::Replay {
         dir: dir.to_path_buf(),
         os_mean: 300.0,
         latency: 120.0,
         per_byte: 0.5,
-        seed: 9,
+        seed,
     })
+}
+
+fn load(dir: &Path) -> MemTrace {
+    FileTraceSet::open(dir).unwrap().load().unwrap()
 }
 
 /// The solo-CLI rendering of the same replay, computed through the shared
 /// render path — the byte-identity oracle.
 fn solo_output(dir: &Path) -> String {
-    let trace = mpg_trace::FileTraceSet::open(dir).unwrap().load().unwrap();
-    let cfg = replay_config(300.0, 120.0, 0.5, 9);
+    solo_replay(dir, 9)
+}
+
+fn solo_replay(dir: &Path, seed: u64) -> String {
+    let trace = load(dir);
+    let cfg = replay_config(300.0, 120.0, 0.5, seed);
     let report = Replayer::new(cfg).run(&trace).unwrap();
     render_replay_report(&report)
+}
+
+/// `mpgtool lint <dir>` through the shared render path.
+fn solo_lint(dir: &Path) -> String {
+    let trace = load(dir);
+    let mut diags = mpg_lint::lint_full(&trace);
+    mpg_trace::sort_diagnostics(&mut diags);
+    render_lint_report(&diags, false, trace.total_events(), trace.num_ranks())
+}
+
+/// `mpgtool explore <dir> --budget B --seed S` through the shared render
+/// path.
+fn solo_explore(dir: &Path, budget: u64, seed: u64) -> String {
+    let trace = load(dir);
+    let opts = mpg_lint::ExploreOptions {
+        seed,
+        ..mpg_lint::ExploreOptions::cli_default().budget(budget)
+    };
+    let mut out = mpg_lint::lint_explore(&trace, &opts);
+    mpg_trace::sort_diagnostics(&mut out.diags);
+    render_explore_report(
+        &out.diags,
+        &out.stats,
+        false,
+        trace.total_events(),
+        trace.num_ranks(),
+    )
+}
+
+/// What the runtime reported for an unreadable trace before it kept any
+/// trace resident: the error of a direct open + load.
+fn direct_error(dir: &Path) -> String {
+    FileTraceSet::open(dir)
+        .and_then(|set| set.load())
+        .unwrap_err()
+        .to_string()
 }
 
 fn wait_done(rt: &JobRuntime, id: JobId) -> mpg_serve::JobStatus {
@@ -436,4 +492,210 @@ fn shutdown_rejects_new_work() {
         ServeError::ShuttingDown
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn every_job_kind_on_a_resident_trace_prints_the_solo_bytes() {
+    // Wildcard receives, so the explorer has schedules to walk.
+    let mw = MasterWorker {
+        tasks: 12,
+        task_work: 400,
+        task_bytes: 64,
+        result_bytes: 32,
+    };
+    let dir = unique_dir("resident-kinds");
+    let _ = std::fs::remove_dir_all(&dir);
+    Simulation::new(4, PlatformSignature::quiet("svc"))
+        .seed(3)
+        .run(|ctx| mw.run(ctx))
+        .unwrap()
+        .trace
+        .save(&dir)
+        .unwrap();
+    let cache_dir = unique_dir("resident-kinds-store");
+    for with_cache in [false, true] {
+        let _ = std::fs::remove_dir_all(&cache_dir);
+        let rt = JobRuntime::start(RuntimeConfig {
+            workers: 1,
+            cache: with_cache.then(|| CacheStore::open(&cache_dir).unwrap()),
+            ..RuntimeConfig::default()
+        });
+        let explore = JobKind::Explore {
+            dir: dir.clone(),
+            budget: 8,
+            seed: 2,
+        };
+        // Job 1 decodes; every later job that opens the trace shares it.
+        let jobs = [
+            (replay_spec_seeded(&dir, 9), solo_replay(&dir, 9)),
+            (
+                JobSpec::new(JobKind::Lint { dir: dir.clone() }),
+                solo_lint(&dir),
+            ),
+            (JobSpec::new(explore), solo_explore(&dir, 8, 2)),
+            (replay_spec_seeded(&dir, 10), solo_replay(&dir, 10)),
+            // With a store this is a report hit and never opens the trace.
+            (replay_spec_seeded(&dir, 9), solo_replay(&dir, 9)),
+        ];
+        for (spec, oracle) in jobs {
+            let id = rt.submit(spec).unwrap();
+            let st = wait_done(&rt, id);
+            assert_eq!(st.state, JobState::Done, "{id}: {:?}", st.error);
+            assert_eq!(st.output.unwrap(), oracle, "{id}, cache {with_cache}");
+        }
+        let stats = rt.stats();
+        let report_hits = u64::from(with_cache);
+        assert_eq!(stats.cache_hits, report_hits);
+        assert_eq!(stats.trace_loads, 1);
+        assert_eq!(stats.trace_hits, 4 - report_hits);
+        assert!(stats.resident_bytes > 0);
+        assert!(rt.invariant_violations().is_empty());
+
+        let mut out = Vec::new();
+        serve_script(&b"stats\n"[..], &mut out, &rt).unwrap();
+        let line = String::from_utf8(out).unwrap();
+        let tail = format!(
+            " workers=1 trace-loads=1 trace-hits={} resident-bytes={}\n",
+            stats.trace_hits, stats.resident_bytes
+        );
+        assert!(line.ends_with(&tail), "{line}");
+        rt.shutdown(Duration::from_secs(10));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&cache_dir).unwrap();
+}
+
+#[test]
+fn trace_regenerated_in_place_is_decoded_again() {
+    let dir = ring_trace_dir("regen");
+    let rt = JobRuntime::start(RuntimeConfig::default());
+    let old = solo_output(&dir);
+    let first = rt.submit(replay_spec(&dir)).unwrap();
+    assert_eq!(wait_done(&rt, first).output.unwrap(), old);
+    assert_eq!(rt.stats().trace_loads, 1);
+
+    ring_trace(5).save(&dir).unwrap();
+    let new = solo_output(&dir);
+    assert_ne!(old, new);
+    let second = rt.submit(replay_spec(&dir)).unwrap();
+    assert_eq!(wait_done(&rt, second).output.unwrap(), new);
+    let stats = rt.stats();
+    assert_eq!((stats.trace_loads, stats.trace_hits), (2, 0));
+    rt.shutdown(Duration::from_secs(10));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn damaged_trace_fails_as_a_direct_load_does_and_is_not_retained() {
+    let dir = ring_trace_dir("damage");
+    let oracle = solo_output(&dir);
+    let rt = JobRuntime::start(RuntimeConfig {
+        retry: RetryPolicy {
+            attempts: 3,
+            base: Duration::from_millis(1),
+            seed: 1,
+        },
+        ..RuntimeConfig::default()
+    });
+    let good = rt.submit(replay_spec(&dir)).unwrap();
+    assert_eq!(wait_done(&rt, good).output.unwrap(), oracle);
+    let healthy = rt.stats();
+    assert_eq!((healthy.trace_loads, healthy.trace_hits), (1, 0));
+
+    let rank2 = dir.join("rank-2.mpg");
+    let sealed = std::fs::read(&rank2).unwrap();
+    // (what is wrong with the directory, attempts the job is given)
+    let damage: [(&dyn Fn(), u32); 3] = [
+        // Unsealed: the footer is cut off. Structural, so no retry.
+        (
+            &|| std::fs::write(&rank2, &sealed[..sealed.len() - 5]).unwrap(),
+            1,
+        ),
+        (&|| std::fs::remove_file(&rank2).unwrap(), 1),
+        // A vanished directory is the transient class: retried to the end.
+        (&|| std::fs::remove_dir_all(&dir).unwrap(), 3),
+    ];
+    for (apply, attempts) in damage {
+        apply();
+        let expected = direct_error(&dir);
+        let id = rt.submit(replay_spec(&dir)).unwrap();
+        let st = wait_done(&rt, id);
+        assert_eq!(st.state, JobState::Failed);
+        assert_eq!(st.error.unwrap(), expected);
+        assert_eq!(st.attempts, attempts, "{expected}");
+        let stats = rt.stats();
+        assert_eq!(
+            (stats.trace_loads, stats.trace_hits, stats.resident_bytes),
+            (1, 0, healthy.resident_bytes),
+            "{expected}"
+        );
+    }
+
+    ring_trace(3).save(&dir).unwrap();
+    let repaired = rt.submit(replay_spec(&dir)).unwrap();
+    let st = wait_done(&rt, repaired);
+    assert_eq!(st.state, JobState::Done, "{:?}", st.error);
+    assert_eq!(st.output.unwrap(), oracle);
+    assert!(rt.invariant_violations().is_empty());
+    rt.shutdown(Duration::from_secs(10));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The benchmark's `serve-small-jobs` shape: four traces, 150 jobs each
+/// (nine replays of distinct seed to one lint), four jobs outstanding, a
+/// fresh store. Returns the runtime's counters after the last job.
+fn small_jobs_pass(workers: usize, tag: &str) -> mpg_serve::RuntimeStats {
+    let dirs: Vec<PathBuf> = (0..4)
+        .map(|i| {
+            let dir = unique_dir(&format!("{tag}-trace-{i}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            ring_trace(2 + i).save(&dir).unwrap();
+            dir
+        })
+        .collect();
+    let cache_dir = unique_dir(&format!("{tag}-store"));
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let rt = JobRuntime::start(RuntimeConfig {
+        workers,
+        queue_depth: 64,
+        cache: Some(CacheStore::open(&cache_dir).unwrap()),
+        ..RuntimeConfig::default()
+    });
+    let mut in_flight = std::collections::VecDeque::new();
+    for job in 0..600u64 {
+        if in_flight.len() == 4 {
+            assert_eq!(
+                wait_done(&rt, in_flight.pop_front().unwrap()).state,
+                JobState::Done
+            );
+        }
+        let dir = &dirs[job as usize % 4];
+        let spec = if job % 10 == 9 {
+            JobSpec::new(JobKind::Lint { dir: dir.clone() })
+        } else {
+            replay_spec_seeded(dir, job)
+        };
+        in_flight.push_back(rt.submit(spec).unwrap());
+    }
+    for id in in_flight {
+        assert_eq!(wait_done(&rt, id).state, JobState::Done);
+    }
+    let stats = rt.stats();
+    assert!(rt.invariant_violations().is_empty());
+    rt.shutdown(Duration::from_secs(10));
+    for dir in dirs.iter().chain([&cache_dir]) {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+    stats
+}
+
+#[test]
+fn a_pass_of_small_jobs_decodes_each_trace_once() {
+    let one = small_jobs_pass(1, "pass-w1");
+    assert_eq!(one.cache_hits, 0);
+    assert_eq!((one.trace_loads, one.trace_hits), (4, 596));
+
+    // Two workers that miss a trace neither has seen take turns: the
+    // second waits for the first's decode and is served its copy.
+    assert_eq!(small_jobs_pass(2, "pass-w2"), one);
 }

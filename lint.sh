@@ -20,10 +20,11 @@ cargo bench --workspace --no-run
 # The happens-before oracle (index vs DFS closure, pair by pair), the
 # race-witness and fork properties, and the envelope matcher's oracle
 # (against a linear-scan reference) live in these crates' own suites, which
-# the tier-1 `cargo test -q` of the root package does not run. Before the
+# the tier-1 `cargo test -q` of the root package does not run; nor does it
+# run mpg-serve's service suite (chaos storm, resident traces). Before the
 # bench gates: a wrong index should fail here, not look fast there.
-echo "==> cargo test -q -p mpg-core -p mpg-lint -p mpg-sim"
-cargo test -q -p mpg-core -p mpg-lint -p mpg-sim
+echo "==> cargo test -q -p mpg-core -p mpg-lint -p mpg-sim -p mpg-serve"
+cargo test -q -p mpg-core -p mpg-lint -p mpg-sim -p mpg-serve
 
 # Replay-throughput regression gate: re-measure the pinned workloads plus
 # the lane-batched sweep (configs/sec, lanes vs threads-only) and fail if
@@ -271,7 +272,10 @@ echo "    exit contract holds; warm frontier = cold bytes; budget 0 inert"
 # corruption) across 12 jobs: nothing may wedge and the invariant checker
 # must come back clean. Leg 2 — chaos-free byte-identity + warm cache:
 # a service job's `result` bytes must equal the solo CLI run's stdout,
-# and the second submission must be a cache hit.
+# and the second submission must be a cache hit. Leg 3 — resident traces,
+# by count: two workers, 14 jobs of all three kinds on one trace, decoded
+# once (a worker that misses a trace being decoded waits for that copy, so
+# the counts repeat exactly).
 echo "==> serve chaos smoke (invariants + byte-identity vs solo run)"
 SERVE_TRACE="$SMOKE_TMP/serve-trace"
 SERVE_CACHE="$SMOKE_TMP/serve-cache"
@@ -327,6 +331,35 @@ grep -q "cache-hits=1" "$SMOKE_TMP/serve-ident-out.txt" || {
     echo "lint: FAIL: second service submission was not a warm cache hit" >&2; exit 1; }
 grep -q "^ok check clean$" "$SMOKE_TMP/serve-ident-out.txt" || {
     echo "lint: FAIL: identity leg broke a service invariant" >&2; exit 1; }
-echo "    chaos storm clean; service bytes = solo bytes; warm hit on resubmit"
+
+{
+    i=1
+    while [ "$i" -le 12 ]; do
+        echo "submit replay $SERVE_TRACE os=400 latency=150 seed=$i"
+        i=$((i + 1))
+    done
+    echo "submit lint $SERVE_TRACE"
+    echo "submit explore $SERVE_TRACE budget=4"
+    i=1
+    while [ "$i" -le 14 ]; do
+        echo "wait job-$i"
+        i=$((i + 1))
+    done
+    echo "stats"
+    echo "check"
+    echo "shutdown"
+} > "$SMOKE_TMP/serve-resident.txt"
+"$MPGTOOL" serve --script "$SMOKE_TMP/serve-resident.txt" --workers 2 \
+    > "$SMOKE_TMP/serve-resident-out.txt"
+grep -q "^ok stats submitted=14 done=14 .* trace-loads=1 trace-hits=13 " \
+    "$SMOKE_TMP/serve-resident-out.txt" || {
+    echo "lint: FAIL: 14 jobs on one trace were not 1 decode + 13 resident hits:" >&2
+    grep "^ok stats" "$SMOKE_TMP/serve-resident-out.txt" >&2
+    exit 1
+}
+grep -q "^ok check clean$" "$SMOKE_TMP/serve-resident-out.txt" || {
+    echo "lint: FAIL: resident leg broke a service invariant" >&2; exit 1; }
+echo "    chaos storm clean; service bytes = solo bytes; warm hit on resubmit;"
+echo "    14 jobs on one trace = 1 decode + 13 resident hits"
 
 echo "lint: clean"
