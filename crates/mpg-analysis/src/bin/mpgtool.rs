@@ -226,8 +226,8 @@ fn take_cache(args: &mut Vec<String>) -> Result<Option<CacheStore>, String> {
 }
 
 /// Content fingerprint of a trace directory for cache keying. Traces that
-/// cannot be fingerprinted cheaply — unsealed, salvaged, legacy — run
-/// cold and are never cached; the note goes to stderr so stdout stays
+/// cannot be fingerprinted cheaply — unsealed, salvaged — run cold and
+/// are never cached; the note goes to stderr so stdout stays
 /// byte-identical to an uncached run.
 fn cache_trace_key(dir: &str) -> Option<String> {
     match mpg_trace::trace_fingerprint(Path::new(dir)) {
@@ -239,7 +239,7 @@ fn cache_trace_key(dir: &str) -> Option<String> {
     }
 }
 
-///// Warm-path lookup: when a cached report exists for `key`, replays its
+/// Warm-path lookup: when a cached report exists for `key`, replays its
 /// stdout and exit code. The hit note goes to stderr.
 fn cached_report_exit(store: &CacheStore, key: &str, what: &str) -> Option<ExitCode> {
     let rep = store.get_report(key)?;
@@ -309,50 +309,18 @@ fn rules_to_json(rules: &[Rule]) -> String {
     format!("[{}]", objs.join(","))
 }
 
+/// The demo workloads: the `gen` table at scale 1, plus `summa`.
 fn workload_by_name(name: &str) -> Option<Box<dyn Workload>> {
-    Some(match name {
-        "ring" => Box::new(TokenRing {
-            traversals: 5,
-            particles_per_rank: 16,
-            work_per_pair: 25,
-        }),
-        "stencil" => Box::new(Stencil {
-            iters: 20,
-            cells_per_rank: 2_000,
-            work_per_cell: 40,
-            halo_bytes: 1_024,
-        }),
-        "master-worker" => Box::new(MasterWorker {
-            tasks: 64,
-            task_work: 200_000,
-            task_bytes: 128,
-            result_bytes: 128,
-        }),
-        "solver" => Box::new(AllreduceSolver {
-            iters: 20,
-            local_work: 200_000,
-            vector_bytes: 256,
-        }),
-        "pipeline" => Box::new(Pipeline {
-            waves: 20,
-            work_per_stage: 100_000,
-            payload: 512,
-        }),
-        "transpose" => Box::new(Transpose {
-            steps: 10,
-            rows_per_rank: 32,
-            work_per_element: 10,
-            block_bytes: 512,
-        }),
+    match name {
         // Requires --ranks 8 (a 2×4 grid).
-        "summa" => Box::new(GridSumma {
+        "summa" => Some(Box::new(GridSumma {
             rows: 2,
             cols: 4,
             panel_bytes: 4_096,
             local_work: 200_000,
-        }),
-        _ => return None,
-    })
+        })),
+        _ => scaled_workload(name, 1),
+    }
 }
 
 fn open_trace(dir: &str) -> Result<mpg_trace::MemTrace, String> {

@@ -14,8 +14,8 @@
 //!   directories with equal content share one copy. The fingerprint reads
 //!   footers, not frames, so a hit does not re-validate frame checksums a
 //!   miss validated — the trade the report tier already makes (DESIGN §20).
-//! * **No fingerprint** (unsealed, legacy MPG1, missing rank, vanished
-//!   directory) means no key: the load runs and reports exactly what it
+//! * **No fingerprint** (unsealed, missing rank, vanished directory)
+//!   means no key: the load runs and reports exactly what it
 //!   reported before this tier existed, and nothing is retained.
 //! * **Budget**: [`BUDGET_BYTES`] of decoded events, estimated once at
 //!   insert. Least-recently-used copies are evicted to make room; a trace
@@ -342,28 +342,11 @@ mod tests {
         assert!(matches!(err, TraceError::Io(_)), "{err}");
         assert_eq!((set.loads(), set.hits(), set.bytes()), (0, 0, 0));
 
-        // A legacy MPG1 stream loads but has no fingerprint: decoded per
-        // job, never retained.
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("meta.txt"), "ranks=2\n").unwrap();
-        for rank in 0..2 {
-            let file = std::fs::File::create(rank_path(&dir, rank)).unwrap();
-            let mut w = mpg_trace::TraceWriter::legacy_v1(file, 1 << 12);
-            for e in trace.rank(rank) {
-                w.record(e).unwrap();
-            }
-            w.finish().unwrap();
-        }
-        assert!(trace_key(&dir).is_none());
-        assert_eq!(*open(&set, &dir).unwrap(), trace);
-        assert_eq!(*open(&set, &dir).unwrap(), trace);
-        assert_eq!((set.loads(), set.hits(), set.bytes()), (2, 0, 0));
-
         // Repaired: sealed again, resident from the first job on.
         trace.save(&dir).unwrap();
         assert_eq!(*open(&set, &dir).unwrap(), trace);
         assert_eq!(*open(&set, &dir).unwrap(), trace);
-        assert_eq!((set.loads(), set.hits()), (3, 1));
+        assert_eq!((set.loads(), set.hits()), (1, 1));
         std::fs::remove_dir_all(dir).unwrap();
     }
 

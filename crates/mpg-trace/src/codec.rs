@@ -9,9 +9,6 @@
 use crate::event::{EventKind, EventRecord, SendProtocol};
 use crate::TraceError;
 
-/// Magic bytes opening every per-rank trace stream.
-pub const MAGIC: &[u8; 4] = b"MPG1";
-
 const K_INIT: u8 = 0;
 const K_FINALIZE: u8 = 1;
 const K_COMPUTE: u8 = 2;
@@ -259,8 +256,7 @@ impl Decoder {
             .checked_add(dur)
             .ok_or_else(|| TraceError::Corrupt("timestamp overflow".into()))?;
         // State commits (last_t, next_seq) happen only after the whole record
-        // decodes: a partial decode must leave the decoder reusable so the
-        // streaming reader can retry once more bytes arrive.
+        // decodes, so a failed decode leaves the decoder as it found it.
 
         let v = |input: &mut &[u8]| get_varint(input);
         let rank32 = |x: u64, what: &str| -> Result<u32, TraceError> {

@@ -153,9 +153,8 @@ fn bitflip(bytes: &[u8], rng: &mut SplitMix64) -> (Vec<u8>, String) {
 /// Applies `kind` to a copy of `bytes`, deterministically from `seed`.
 /// Returns `None` for [`FaultKind::DeleteRank`], which only makes sense at
 /// directory level ([`inject_dir`]). Frame-granular operators need frames
-/// to aim at; on input without enough valid frames (legacy v1 files,
-/// already-damaged bytes) they degrade to a bit flip so every call still
-/// damages the file.
+/// to aim at; on input without enough valid frames (already-damaged
+/// bytes) they degrade to a bit flip so every call still damages the file.
 pub fn mutate_bytes(bytes: &[u8], kind: FaultKind, seed: u64) -> Option<(Vec<u8>, String)> {
     let mut rng = SplitMix64::new(seed);
     let frames = scan_frames(bytes);

@@ -185,7 +185,7 @@ impl Footer {
     }
 
     /// Parses a footer like [`Footer::parse`], mapping failure to a typed
-    /// error for the strict reader.
+    /// error for the strict decoder.
     pub fn parse_strict(bytes: &[u8]) -> Result<Footer, TraceError> {
         Footer::parse(bytes)
             .ok_or_else(|| TraceError::Checksum("footer checksum or marker invalid".into()))

@@ -20,8 +20,8 @@
 //! - an **FNV-1a 64** over the same words for general collision
 //!   resistance across unrelated traces.
 //!
-//! Unsealed, salvaged, or legacy files have no trustworthy footer and get
-//! no fingerprint; callers fall back to the cold path and cache nothing.
+//! Unsealed or salvaged files have no trustworthy footer and get no
+//! fingerprint; callers fall back to the cold path and cache nothing.
 //!
 //! The fingerprint trusts the seal: it detects truncation (file length is
 //! mixed in) and any divergence introduced *through the writer*, but an
@@ -81,7 +81,7 @@ impl TraceFingerprint {
 /// each rank file's magic and trailing footer (≤ 33 bytes per rank).
 ///
 /// Fails with [`TraceError::Unsealed`] when any rank file lacks a valid
-/// sealed footer (crashed writer, legacy v1 file, or a corrupted seal) —
+/// sealed footer (crashed writer, foreign bytes, or a corrupted seal) —
 /// such traces must not be cached because their content checksum cannot
 /// be trusted without a full read.
 pub fn trace_fingerprint(dir: &Path) -> Result<TraceFingerprint, TraceError> {

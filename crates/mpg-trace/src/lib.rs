@@ -10,9 +10,10 @@
 //!
 //! This crate defines the event model ([`EventRecord`]/[`EventKind`]), a
 //! compact varint binary codec, the buffered [`TraceWriter`] mirroring the
-//! PMPI wrapper's flush-on-full behaviour, streaming readers for arbitrarily
-//! large traces, per-rank [`ClockModel`]s (traces deliberately carry
-//! *unsynchronized* clocks, §4.1), and structural validation.
+//! PMPI wrapper's flush-on-full behaviour, a streaming decoder for
+//! arbitrarily large traces ([`FrameCursor`]), per-rank [`ClockModel`]s
+//! (traces deliberately carry *unsynchronized* clocks, §4.1), and structural
+//! validation.
 //!
 //! The crate is dependency-free so every other crate can speak traces.
 
@@ -25,7 +26,6 @@ pub mod fileset;
 pub mod frame;
 pub mod hash;
 pub mod ooc;
-pub mod reader;
 pub mod salvage;
 pub mod stats;
 pub mod text;
@@ -41,7 +41,6 @@ pub use faultgen::{inject_dir, mutate_bytes, FaultKind, FaultPlan};
 pub use fileset::{FileTraceSet, FsckStatus, MemTrace, SalvageReport};
 pub use hash::{fnv1a64, fnv1a64_append, trace_fingerprint, TraceFingerprint};
 pub use ooc::{FrameCursor, FrameIndex, MappedFile, OocTraceSet};
-pub use reader::TraceReader;
 pub use salvage::{salvage_bytes, salvage_into, RankSalvage, SealStatus};
 pub use stats::{trace_stats, TraceStats};
 pub use text::{text_to_trace, trace_to_text};

@@ -1,43 +1,46 @@
-//! Out-of-core access to framed (`MPG2`) per-rank trace files.
+//! The strict decoder for framed (`MPG2`) per-rank trace files.
 //!
-//! The streaming reader ([`crate::reader`]) already bounds memory to one
-//! chunk plus one frame, but it still *copies* every byte through a heap
-//! buffer and decodes strictly in file order on the caller's thread. This
-//! module exploits the property the v2 frame layer was designed for — every
-//! frame decodes standalone (absolute `first_seq` head, per-frame codec
-//! reset) — to go further:
+//! Every strict read in the workspace — `FileTraceSet::load`,
+//! `FileTraceSet::streams`, `OocTraceSet::streams` — goes through the two
+//! steps here; only how the bytes were obtained differs. Both exploit the
+//! property the frame layer was designed for: every frame decodes
+//! standalone (absolute `first_seq` head, per-frame codec reset).
 //!
-//! * [`MappedFile`] maps a rank file read-only via `mmap(2)` (falling back
-//!   to a heap read where mapping is unavailable), so trace bytes live in
-//!   the page cache, not the process heap, and the kernel reclaims them
-//!   under pressure;
+//! * [`MappedFile`] is the byte view: a rank file mapped read-only via
+//!   `mmap(2)`, so trace bytes live in the page cache, not the process heap,
+//!   and the kernel reclaims them under pressure — or owned heap bytes
+//!   ([`MappedFile::from_bytes`]) when the caller has read the file;
 //! * [`FrameIndex::scan`] locates every frame boundary in one cheap pass
 //!   that parses only the 9-byte headers and the leading `first_seq`
 //!   varint — no CRC work, no record decode;
-//! * [`FrameCursor`] decodes frames lazily against the map, validating each
-//!   frame's CRC and the chained whole-file checksum exactly as the strict
-//!   reader would, just deferred to the moment the bytes are actually read;
-//! * [`OocTraceSet::streams_prefetch`] decodes each rank on its own worker
-//!   thread with a bounded frame lookahead, so a replay engine consuming
-//!   the streams overlaps decode with traversal while peak memory stays
-//!   `O(ranks × lookahead × frame)`.
+//! * [`FrameCursor`] decodes frames lazily against the view, validating each
+//!   frame's CRC, sequence contiguity, the chained whole-file checksum and
+//!   the footer counts at the moment the bytes are actually read.
 //!
-//! All four compose behind the same [`BoxedEventStream`] shape the replay
-//! engine already consumes, which is what makes replay of traces bigger
-//! than RAM a drop-in path rather than a second engine.
+//! Cursors have the [`BoxedEventStream`] shape the replay engine consumes,
+//! which is what makes replay of traces bigger than RAM a drop-in path
+//! rather than a second engine.
+//!
+//! Recovery from damage is the salvage walker's job ([`crate::salvage`]),
+//! not this module's: any deviation is a typed error, one class per cause.
+//!
+//! | defect                                                        | error      |
+//! |---------------------------------------------------------------|------------|
+//! | torn tail anywhere before a complete footer (magic onward)    | `Unsealed` |
+//! | frame, footer or whole-file CRC mismatch                      | `Checksum` |
+//! | bad or short magic, `MPG1`, oversized frame, unknown marker   | `Corrupt`  |
+//! | sequence gap, lying footer counts, bytes after the footer     | `Corrupt`  |
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use crate::codec::{get_varint, Decoder, MAGIC};
+use crate::codec::{get_varint, Decoder};
 use crate::event::EventRecord;
 use crate::fileset::BoxedEventStream;
 use crate::frame::{
     crc32c, crc32c_append, parse_frame_header, Footer, FOOTER_LEN, FOOTER_MARKER, FRAME_HEADER_LEN,
-    FRAME_MARKER, MAGIC2,
+    FRAME_MARKER, MAGIC2, MAX_FRAME_LEN,
 };
 use crate::TraceError;
 
@@ -47,8 +50,10 @@ use crate::TraceError;
 pub struct MappedFile {
     ptr: *const u8,
     len: usize,
-    /// Fallback storage when the file could not be mapped (non-unix
-    /// platform, empty file, or a refused `mmap`). `ptr` points into it.
+    /// Owned storage when there is no mapping: bytes handed to
+    /// [`MappedFile::from_bytes`], or a file that could not be mapped
+    /// (non-unix platform, empty file, a refused `mmap`). `ptr` points
+    /// into it.
     heap: Option<Vec<u8>>,
 }
 
@@ -115,12 +120,17 @@ impl MappedFile {
                 });
             }
         }
-        let heap = std::fs::read(path)?;
-        Ok(Self {
+        Ok(Self::from_bytes(std::fs::read(path)?))
+    }
+
+    /// A view over bytes the caller already holds (a rank file read whole).
+    /// Decodes exactly like a mapping; [`MappedFile::release`] is a no-op.
+    pub fn from_bytes(heap: Vec<u8>) -> Self {
+        Self {
             ptr: heap.as_ptr(),
             len: heap.len(),
             heap: Some(heap),
-        })
+        }
     }
 
     /// The mapped bytes.
@@ -230,19 +240,21 @@ pub struct FrameIndex {
 impl FrameIndex {
     /// Scans `bytes` (a whole rank file) for frame boundaries. Strict about
     /// structure — bad magic, a torn tail, a missing or lying footer are
-    /// typed errors, exactly as the streaming reader treats them — but
+    /// typed errors (the module docs give the class of each) — but
     /// deliberately skips all CRC and record-decode work: a 1 GiB file
     /// indexes by touching ~13 bytes per frame.
     pub fn scan(bytes: &[u8]) -> Result<Self, TraceError> {
-        if bytes.len() < 4 || &bytes[..4] == MAGIC {
+        let Some(magic) = bytes.get(..4) else {
+            return Err(TraceError::Corrupt("file shorter than magic header".into()));
+        };
+        if magic == b"MPG1" {
             return Err(TraceError::Corrupt(
-                "out-of-core access needs a framed (MPG2) file".into(),
+                "the unframed MPG1 format is no longer supported; record the trace again".into(),
             ));
         }
-        if &bytes[..4] != MAGIC2 {
+        if magic != MAGIC2 {
             return Err(TraceError::Corrupt(format!(
-                "bad magic {:?}, expected {MAGIC2:?}",
-                &bytes[..4]
+                "bad magic {magic:?}, expected {MAGIC2:?}"
             )));
         }
         let mut frames = Vec::new();
@@ -255,8 +267,13 @@ impl FrameIndex {
             };
             match marker {
                 FRAME_MARKER => {
+                    if bytes.len() - pos < FRAME_HEADER_LEN {
+                        return Err(TraceError::Unsealed("truncated frame header".into()));
+                    }
                     let hdr = parse_frame_header(&bytes[pos..]).ok_or_else(|| {
-                        TraceError::Corrupt(format!("bad frame header at offset {pos}"))
+                        TraceError::Corrupt(format!(
+                            "frame length at offset {pos} exceeds the {MAX_FRAME_LEN}-byte maximum"
+                        ))
                     })?;
                     let payload_off = pos + FRAME_HEADER_LEN;
                     let end = payload_off + hdr.len;
@@ -323,10 +340,10 @@ impl FrameIndex {
 
 /// Lazily decodes one rank's records straight off a [`MappedFile`], frame
 /// by frame. CRC validation (per-frame and the chained whole-file
-/// checksum), sequence contiguity and footer counts are enforced exactly
-/// as in the strict streaming reader — only *later*, when each frame is
-/// first touched. Peak heap is the decoder state: payload bytes are read
-/// in place from the map.
+/// checksum), sequence contiguity and footer counts are enforced when each
+/// frame is first touched, so a consumer that drains the cursor without an
+/// error has read a fully validated file. Peak heap is the decoder state:
+/// payload bytes are read in place from the view.
 pub struct FrameCursor {
     map: Arc<MappedFile>,
     index: Arc<FrameIndex>,
@@ -339,7 +356,6 @@ pub struct FrameCursor {
     records_seen: u64,
     last_t_end: u64,
     failed: bool,
-    finished: bool,
     /// Byte offset below which consumed frames have been released back to
     /// the kernel ([`MappedFile::release`]).
     retired: usize,
@@ -351,6 +367,19 @@ pub struct FrameCursor {
 const RETIRE_CHUNK: usize = 1 << 20;
 
 impl FrameCursor {
+    /// Scans a rank file the caller has read whole and returns the cursor
+    /// over it: the strict decode of bytes already in memory.
+    pub fn from_bytes(bytes: Vec<u8>, rank: u32) -> Result<Self, TraceError> {
+        let map = MappedFile::from_bytes(bytes);
+        let index = FrameIndex::scan(map.bytes())?;
+        Ok(Self::new(Arc::new(map), Arc::new(index), rank))
+    }
+
+    /// The frame index this cursor walks.
+    pub fn index(&self) -> &FrameIndex {
+        &self.index
+    }
+
     /// Creates a cursor over a scanned file, attributing records to `rank`.
     pub fn new(map: Arc<MappedFile>, index: Arc<FrameIndex>, rank: u32) -> Self {
         Self {
@@ -363,7 +392,6 @@ impl FrameCursor {
             records_seen: 0,
             last_t_end: 0,
             failed: false,
-            finished: false,
             retired: 0,
         }
     }
@@ -447,33 +475,8 @@ impl FrameCursor {
                 }
             }
             if !self.open_next_frame()? {
-                if !self.finished {
-                    self.finished = true;
-                    self.check_footer()?;
-                }
+                self.check_footer()?;
                 return Ok(None);
-            }
-        }
-    }
-
-    /// Decodes the remainder of the currently open frame plus the next
-    /// whole frame into `out`. Returns false once the stream is exhausted
-    /// (footer validated). This is the prefetch workers' unit of work: one
-    /// frame per channel send keeps the lookahead bound meaningful.
-    fn next_batch(&mut self, out: &mut Vec<EventRecord>) -> Result<bool, TraceError> {
-        if self.finished {
-            return Ok(false);
-        }
-        let stop_after = self.next_frame;
-        loop {
-            match self.try_decode()? {
-                Some(rec) => {
-                    out.push(rec);
-                    if self.body.is_empty() && self.next_frame > stop_after {
-                        return Ok(true);
-                    }
-                }
-                None => return Ok(!out.is_empty()),
             }
         }
     }
@@ -497,80 +500,9 @@ impl Iterator for FrameCursor {
     }
 }
 
-/// A per-rank stream whose frames are decoded ahead of the consumer by a
-/// dedicated worker thread, at most `lookahead` frames deep. Dropping the
-/// stream stops and joins the worker.
-pub struct PrefetchStream {
-    rx: Option<Receiver<Result<Vec<EventRecord>, TraceError>>>,
-    handle: Option<JoinHandle<()>>,
-    current: std::vec::IntoIter<EventRecord>,
-    failed: bool,
-}
-
-impl PrefetchStream {
-    fn spawn(mut cursor: FrameCursor, lookahead: usize) -> Self {
-        let (tx, rx) = sync_channel(lookahead.max(1));
-        let handle = std::thread::spawn(move || loop {
-            let mut batch = Vec::new();
-            match cursor.next_batch(&mut batch) {
-                Ok(true) => {
-                    if tx.send(Ok(batch)).is_err() {
-                        return; // consumer gone
-                    }
-                }
-                Ok(false) => return,
-                Err(e) => {
-                    let _ = tx.send(Err(e));
-                    return;
-                }
-            }
-        });
-        Self {
-            rx: Some(rx),
-            handle: Some(handle),
-            current: Vec::new().into_iter(),
-            failed: false,
-        }
-    }
-}
-
-impl Iterator for PrefetchStream {
-    type Item = Result<EventRecord, TraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            if let Some(rec) = self.current.next() {
-                return Some(Ok(rec));
-            }
-            match self.rx.as_ref()?.recv() {
-                Ok(Ok(batch)) => self.current = batch.into_iter(),
-                Ok(Err(e)) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-                Err(_) => return None, // worker finished cleanly
-            }
-        }
-    }
-}
-
-impl Drop for PrefetchStream {
-    fn drop(&mut self) {
-        // Disconnect first so a worker blocked on a full channel wakes up,
-        // then join it.
-        drop(self.rx.take());
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 /// An on-disk trace set opened for out-of-core reading: every rank file
 /// mapped and frame-indexed, nothing decoded. Decode cost is paid lazily,
-/// per frame, by whichever stream (or prefetch worker) first touches it.
+/// per frame, by whichever stream first touches it.
 #[derive(Debug)]
 pub struct OocTraceSet {
     dir: PathBuf,
@@ -579,9 +511,6 @@ pub struct OocTraceSet {
 }
 
 impl OocTraceSet {
-    /// Default frame lookahead per rank for [`OocTraceSet::streams_prefetch`].
-    pub const DEFAULT_LOOKAHEAD: usize = 4;
-
     /// Opens `dir` (a [`crate::FileTraceSet`] directory), mapping and
     /// indexing every rank file. Strict like `FileTraceSet::open`: all
     /// ranks must be present, framed and sealed.
@@ -652,19 +581,6 @@ impl OocTraceSet {
     pub fn streams(&self) -> Vec<BoxedEventStream<'static>> {
         (0..self.num_ranks())
             .map(|r| Box::new(self.cursor(r)) as BoxedEventStream<'static>)
-            .collect()
-    }
-
-    /// Per-rank streams decoded by worker threads with a bounded frame
-    /// lookahead (per rank). The consumer sees the same records in the
-    /// same order as [`OocTraceSet::streams`]; only the decode moves off
-    /// its thread.
-    pub fn streams_prefetch(&self, lookahead: usize) -> Vec<BoxedEventStream<'static>> {
-        (0..self.num_ranks())
-            .map(|r| {
-                Box::new(PrefetchStream::spawn(self.cursor(r), lookahead))
-                    as BoxedEventStream<'static>
-            })
             .collect()
     }
 }
@@ -757,7 +673,7 @@ mod tests {
     }
 
     #[test]
-    fn cursor_matches_strict_reader() {
+    fn cursor_reads_back_every_rank() {
         let dir = tmp_dir("cursor");
         let t = sample_set(&dir, 2, 300);
         let set = OocTraceSet::open(&dir).unwrap();
@@ -765,33 +681,6 @@ mod tests {
             let out: Vec<_> = set.cursor(r).collect::<Result<_, _>>().unwrap();
             assert_eq!(out, t.rank(r));
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn prefetch_streams_match_lazy_streams() {
-        let dir = tmp_dir("prefetch");
-        let t = sample_set(&dir, 3, 400);
-        let set = OocTraceSet::open(&dir).unwrap();
-        for (r, s) in set.streams_prefetch(2).into_iter().enumerate() {
-            let out: Vec<_> = s.collect::<Result<_, _>>().unwrap();
-            assert_eq!(out, t.rank(r), "rank {r}");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn dropping_prefetch_early_joins_worker() {
-        let dir = tmp_dir("drop");
-        sample_set(&dir, 1, 2000);
-        let set = OocTraceSet::open(&dir).unwrap();
-        let mut streams = set.streams_prefetch(1);
-        let mut s = streams.pop().unwrap();
-        // Consume a couple of records, then drop mid-stream: the worker
-        // must unblock and exit (Drop joins it; a deadlock hangs the test).
-        assert!(s.next().unwrap().is_ok());
-        assert!(s.next().unwrap().is_ok());
-        drop(s);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -808,7 +697,7 @@ mod tests {
         std::fs::write(&p, &bytes).unwrap();
         let set = OocTraceSet::open(&dir).expect("scan ignores payload damage");
         let results: Vec<_> = set.cursor(0).collect();
-        assert!(results.iter().any(|r| r.is_err()));
+        assert!(matches!(results.last(), Some(Err(TraceError::Checksum(_)))));
         assert!(results.first().unwrap().is_ok(), "early frames still read");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -827,20 +716,86 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn legacy_v1_refused() {
-        let dir = tmp_dir("legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut w = TraceWriter::legacy_v1(Vec::new(), 1 << 16);
-        for s in 0..10 {
-            w.record(&rec(0, s, s * 10)).unwrap();
+    /// A sealed two-frame stream, small enough to damage exhaustively.
+    fn two_frames() -> (Vec<EventRecord>, Vec<u8>) {
+        let records: Vec<_> = (0..24).map(|s| rec(0, s, s * 10)).collect();
+        let mut w = TraceWriter::new(Vec::new(), 64);
+        for r in &records {
+            w.record(r).unwrap();
         }
-        std::fs::write(crate::FileTraceSet::rank_path(&dir, 0), w.finish().unwrap()).unwrap();
-        std::fs::write(dir.join("meta.txt"), "ranks=1\n").unwrap();
-        assert!(matches!(
-            OocTraceSet::open(&dir),
-            Err(TraceError::Corrupt(_))
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
+        let bytes = w.finish().unwrap();
+        assert_eq!(FrameIndex::scan(&bytes).unwrap().num_frames(), 2);
+        (records, bytes)
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Vec<EventRecord>, TraceError> {
+        FrameCursor::from_bytes(bytes.to_vec(), 0)?.collect()
+    }
+
+    #[test]
+    fn every_prefix_is_unsealed() {
+        let (records, bytes) = two_frames();
+        assert_eq!(decode(&bytes).unwrap(), records);
+        for cut in 0..bytes.len() {
+            match decode(&bytes[..cut]) {
+                Err(TraceError::Corrupt(_)) if cut < 4 => {}
+                Err(TraceError::Unsealed(_)) if cut >= 4 => {}
+                other => panic!("prefix of {cut} bytes: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_byte_flip_is_a_typed_error_or_harmless() {
+        let (records, bytes) = two_frames();
+        for i in 0..bytes.len() {
+            for mask in [0x01u8, 0x10, 0x80, 0xff] {
+                let mut bad = bytes.clone();
+                bad[i] ^= mask;
+                if let Ok(out) = decode(&bad) {
+                    assert_eq!(out, records, "flip {mask:#04x} at {i} changed the records");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn structural_lies_are_corrupt() {
+        let (_, bytes) = two_frames();
+        let mut trailing = bytes.clone();
+        trailing.extend_from_slice(b"junk");
+        // A footer that validates but promises one record too many.
+        let body = bytes.len() - FOOTER_LEN;
+        let mut footer = Footer::parse(&bytes[body..]).unwrap();
+        footer.records += 1;
+        let mut lying = bytes[..body].to_vec();
+        footer.put(&mut lying);
+        // The second frame alone: its first_seq does not continue from 0.
+        let first = FRAME_HEADER_LEN + FrameIndex::scan(&bytes).unwrap().frames()[0].payload_len;
+        let mut gap = bytes[..4].to_vec();
+        gap.extend_from_slice(&bytes[4 + first..]);
+        let mut unknown_marker = bytes.clone();
+        unknown_marker[4] = 0x00;
+        for (what, bad) in [
+            ("trailing bytes", trailing),
+            ("lying record count", lying),
+            ("sequence gap", gap),
+            ("unknown marker", unknown_marker),
+            ("bad magic", b"NOPE....".to_vec()),
+        ] {
+            let got = decode(&bad);
+            assert!(
+                matches!(got, Err(TraceError::Corrupt(_))),
+                "{what}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn mpg1_magic_is_rejected_by_name() {
+        match FrameIndex::scan(b"MPG1\x00\x00\x00") {
+            Err(TraceError::Corrupt(m)) => assert!(m.contains("no longer supported"), "{m}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Salvage reader: best-effort recovery of damaged trace streams.
 //!
-//! The strict reader ([`crate::reader`]) refuses the first defect it sees —
+//! The strict decoder ([`crate::ooc`]) refuses the first defect it sees —
 //! correct for pipelines, useless for a post-mortem where the trace *is*
-//! the crash evidence. This module reads what the strict reader rejects:
+//! the crash evidence. This module reads what the strict decoder rejects:
 //! it walks a byte buffer frame by frame, resynchronizes to the next
 //! CRC-valid frame after a torn or corrupt region, reorders and
 //! deduplicates surviving frames by their recorded first sequence number,
@@ -15,7 +15,7 @@
 //! resynchronization needs random access, and recovery is a cold path run
 //! on files that already fit the writer's evidence (one file per rank).
 
-use crate::codec::{get_varint, Decoder, MAGIC};
+use crate::codec::{get_varint, Decoder};
 use crate::event::EventRecord;
 use crate::frame::{checked_frame_at, Footer, FOOTER_LEN, FOOTER_MARKER, FRAME_MARKER, MAGIC2};
 
@@ -26,8 +26,6 @@ pub enum SealStatus {
     Sealed,
     /// No footer: the writer crashed or the tail was lost.
     Unsealed,
-    /// Legacy v1 stream — the format has no seal.
-    LegacyV1,
     /// The rank's file is absent entirely.
     Missing,
 }
@@ -38,7 +36,6 @@ impl SealStatus {
         match self {
             SealStatus::Sealed => "sealed",
             SealStatus::Unsealed => "unsealed",
-            SealStatus::LegacyV1 => "legacy-v1",
             SealStatus::Missing => "missing",
         }
     }
@@ -100,8 +97,7 @@ impl RankSalvage {
     }
 
     /// True when the stream needed no recovery at all: every byte
-    /// accounted for, nothing lost, and a clean seal (or a fully-readable
-    /// legacy stream).
+    /// accounted for, nothing lost, and a clean seal.
     pub fn is_clean(&self) -> bool {
         self.present
             && self.frames_dropped == 0
@@ -109,7 +105,7 @@ impl RankSalvage {
             && self.records_lost == 0
             && !self.truncated_tail
             && self.notes.is_empty()
-            && matches!(self.seal, SealStatus::Sealed | SealStatus::LegacyV1)
+            && self.seal == SealStatus::Sealed
     }
 
     /// One-line damage summary, e.g. for `mpgtool fsck` output.
@@ -197,11 +193,7 @@ pub fn salvage_into(rank: u32, bytes: &[u8], sink: &mut dyn FnMut(EventRecord)) 
     let mut s = RankSalvage::new(rank);
     s.file_len = bytes.len() as u64;
 
-    if bytes.len() >= 4 && &bytes[..4] == MAGIC {
-        return salvage_legacy(rank, bytes, s, sink);
-    }
-
-    let mut pos = if bytes.len() >= 4 && &bytes[..4] == MAGIC2 {
+    let mut pos = if bytes.starts_with(MAGIC2) {
         4
     } else {
         // Header clobbered or absent: scan for frames from the start — a
@@ -225,7 +217,7 @@ pub fn salvage_into(rank: u32, bytes: &[u8], sink: &mut dyn FnMut(EventRecord)) 
                     }
                     // Out-of-order frames (reordered writeback) are fully
                     // recoverable via the pass-2 sort, but the file is not
-                    // *clean*: the strict reader would refuse it.
+                    // *clean*: the strict decoder would refuse it.
                     if frames.last().is_some_and(|(p, _, _)| first_seq < *p) {
                         s.notes.push(format!(
                             "frame order violation: seq {first_seq} arrived late"
@@ -328,38 +320,6 @@ pub fn salvage_into(rank: u32, bytes: &[u8], sink: &mut dyn FnMut(EventRecord)) 
     s
 }
 
-fn salvage_legacy(
-    rank: u32,
-    bytes: &[u8],
-    mut s: RankSalvage,
-    sink: &mut dyn FnMut(EventRecord),
-) -> RankSalvage {
-    s.seal = SealStatus::LegacyV1;
-    let mut dec = Decoder::new(rank);
-    let mut input = &bytes[4..];
-    loop {
-        match dec.decode(&mut input) {
-            Ok(Some(rec)) => {
-                s.records_recovered += 1;
-                sink(rec);
-            }
-            Ok(None) => break,
-            Err(e) => {
-                // v1 has no frames to resync to: everything after the
-                // first bad byte is unrecoverable.
-                s.bytes_skipped += input.len() as u64;
-                s.truncated_tail = true;
-                s.notes.push(format!(
-                    "legacy stream unreadable past record {}: {e}",
-                    s.records_recovered
-                ));
-                break;
-            }
-        }
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,35 +401,6 @@ mod tests {
         let (out, report) = salvage_bytes(0, &[]);
         assert!(out.is_empty());
         assert!(!report.is_clean());
-    }
-
-    #[test]
-    fn legacy_v1_full_read_is_clean() {
-        let records: Vec<_> = (0..50).map(|i| rec(i, i * 10)).collect();
-        let mut w = TraceWriter::legacy_v1(Vec::new(), 64);
-        for r in &records {
-            w.record(r).unwrap();
-        }
-        let bytes = w.finish().unwrap();
-        let (out, report) = salvage_bytes(1, &bytes);
-        assert_eq!(out, records);
-        assert!(report.is_clean(), "{report:?}");
-        assert_eq!(report.seal, SealStatus::LegacyV1);
-    }
-
-    #[test]
-    fn legacy_v1_truncated_keeps_prefix() {
-        let records: Vec<_> = (0..50).map(|i| rec(i, i * 10)).collect();
-        let mut w = TraceWriter::legacy_v1(Vec::new(), 1 << 16);
-        for r in &records {
-            w.record(r).unwrap();
-        }
-        let mut bytes = w.finish().unwrap();
-        bytes.truncate(bytes.len() - 3);
-        let (out, report) = salvage_bytes(1, &bytes);
-        assert!(!out.is_empty() && out.len() < 50);
-        assert_eq!(out, records[..out.len()]);
-        assert!(report.truncated_tail);
     }
 
     #[test]

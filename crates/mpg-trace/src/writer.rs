@@ -5,18 +5,18 @@
 //! future events. The size of this buffer can be tuned to compensate for
 //! event frequency and overhead for I/O."
 //!
-//! Since format v2 every buffer dump becomes one self-delimiting,
-//! CRC32C-checksummed frame (see [`crate::frame`]), and [`finish`] seals the
-//! stream with a footer. A writer killed mid-run therefore leaves behind a
-//! file whose complete frames are all still recoverable by the salvage
-//! reader; only the records still sitting in the memory-resident buffer are
-//! lost — exactly the paper's crash exposure, now bounded and detectable.
+//! Every buffer dump becomes one self-delimiting, CRC32C-checksummed frame
+//! (see [`crate::frame`]), and [`finish`] seals the stream with a footer. A
+//! writer killed mid-run therefore leaves behind a file whose complete
+//! frames are all still recoverable by the salvage reader; only the records
+//! still sitting in the memory-resident buffer are lost — exactly the
+//! paper's crash exposure, now bounded and detectable.
 //!
 //! [`finish`]: TraceWriter::finish
 
 use std::io::Write;
 
-use crate::codec::{put_varint, Encoder, MAGIC};
+use crate::codec::{put_varint, Encoder};
 use crate::event::EventRecord;
 use crate::frame::{put_frame, Footer, MAGIC2};
 use crate::TraceError;
@@ -37,10 +37,6 @@ pub struct TraceWriter<W: Write> {
     payload_crc: u32,
     /// `t_end` of the last record written (the footer's clock summary).
     last_t_end: u64,
-    /// When set, write the legacy v1 format: raw record stream, no frames,
-    /// no footer. Exists so tests can produce v1 fixtures for the legacy
-    /// decoder; new traces are always framed.
-    legacy_v1: bool,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -59,24 +55,12 @@ impl<W: Write> TraceWriter<W> {
             frame_first_seq: 0,
             payload_crc: 0,
             last_t_end: 0,
-            legacy_v1: false,
-        }
-    }
-
-    /// Creates a writer emitting the legacy v1 (`MPG1`) format — an
-    /// unframed, unsealed record stream. Only for producing fixtures that
-    /// exercise the legacy decoder.
-    pub fn legacy_v1(sink: W, buffer_bytes: usize) -> Self {
-        Self {
-            legacy_v1: true,
-            ..Self::new(sink, buffer_bytes)
         }
     }
 
     fn write_header(&mut self) -> Result<(), TraceError> {
         if !self.wrote_header {
-            self.sink
-                .write_all(if self.legacy_v1 { MAGIC } else { MAGIC2 })?;
+            self.sink.write_all(MAGIC2)?;
             self.wrote_header = true;
         }
         Ok(())
@@ -98,42 +82,36 @@ impl<W: Write> TraceWriter<W> {
         if self.buf.is_empty() {
             return Ok(());
         }
-        if self.legacy_v1 {
-            self.sink.write_all(&self.buf)?;
-        } else {
-            let mut payload = Vec::with_capacity(self.buf.len() + 10);
-            put_varint(&mut payload, self.frame_first_seq);
-            payload.extend_from_slice(&self.buf);
-            let mut framed = Vec::with_capacity(payload.len() + 9);
-            put_frame(&mut framed, &payload);
-            self.sink.write_all(&framed)?;
-            self.payload_crc = crate::frame::crc32c_append(self.payload_crc, &payload);
-            // The next frame must decode standalone: restart the timestamp
-            // delta base and note where its sequence numbering begins.
-            self.encoder = Encoder::new();
-            self.frame_first_seq = self.records;
-        }
+        let mut payload = Vec::with_capacity(self.buf.len() + 10);
+        put_varint(&mut payload, self.frame_first_seq);
+        payload.extend_from_slice(&self.buf);
+        let mut framed = Vec::with_capacity(payload.len() + 9);
+        put_frame(&mut framed, &payload);
+        self.sink.write_all(&framed)?;
+        self.payload_crc = crate::frame::crc32c_append(self.payload_crc, &payload);
+        // The next frame must decode standalone: restart the timestamp
+        // delta base and note where its sequence numbering begins.
+        self.encoder = Encoder::new();
+        self.frame_first_seq = self.records;
         self.buf.clear();
         self.flushes += 1;
         Ok(())
     }
 
     /// Flushes remaining buffered records, seals the stream with the
-    /// footer (v2), and returns the sink.
+    /// footer, and returns the sink.
     pub fn finish(mut self) -> Result<W, TraceError> {
         self.write_header()?;
         self.spill()?;
-        if !self.legacy_v1 {
-            let footer = Footer {
-                records: self.records,
-                frames: self.flushes,
-                last_t_end: self.last_t_end,
-                payload_crc: self.payload_crc,
-            };
-            let mut buf = Vec::new();
-            footer.put(&mut buf);
-            self.sink.write_all(&buf)?;
-        }
+        let footer = Footer {
+            records: self.records,
+            frames: self.flushes,
+            last_t_end: self.last_t_end,
+            payload_crc: self.payload_crc,
+        };
+        let mut buf = Vec::new();
+        footer.put(&mut buf);
+        self.sink.write_all(&buf)?;
         self.sink.flush()?;
         Ok(self.sink)
     }
@@ -155,7 +133,7 @@ mod tests {
     use super::*;
     use crate::event::EventKind;
     use crate::frame::{checked_frame_at, FOOTER_LEN};
-    use crate::reader::TraceReader;
+    use crate::ooc::FrameCursor;
 
     fn rec(seq: u64, t: u64) -> EventRecord {
         EventRecord {
@@ -175,7 +153,7 @@ mod tests {
         }
         let bytes = w.finish().unwrap();
         assert_eq!(&bytes[..4], MAGIC2);
-        let out: Vec<_> = TraceReader::new(bytes.as_slice(), 0)
+        let out: Vec<_> = FrameCursor::from_bytes(bytes, 0)
             .unwrap()
             .collect::<Result<_, _>>()
             .unwrap();
@@ -192,8 +170,10 @@ mod tests {
         assert!(w.flush_count() > 5, "flushes={}", w.flush_count());
         assert_eq!(w.record_count(), 1000);
         let bytes = w.finish().unwrap();
-        let n = TraceReader::new(bytes.as_slice(), 0).unwrap().count();
-        assert_eq!(n, 1000);
+        let cursor = FrameCursor::from_bytes(bytes, 0).unwrap();
+        assert!(cursor.index().num_frames() > 5);
+        let out: Vec<_> = cursor.collect::<Result<_, _>>().unwrap();
+        assert_eq!(out.len(), 1000);
     }
 
     #[test]
@@ -202,7 +182,7 @@ mod tests {
         let bytes = w.finish().unwrap();
         assert_eq!(&bytes[..4], MAGIC2);
         assert_eq!(bytes.len(), 4 + FOOTER_LEN);
-        assert_eq!(TraceReader::new(bytes.as_slice(), 0).unwrap().count(), 0);
+        assert_eq!(FrameCursor::from_bytes(bytes, 0).unwrap().count(), 0);
     }
 
     #[test]
@@ -225,20 +205,5 @@ mod tests {
         assert_eq!(footer.records, 100);
         assert_eq!(footer.frames, frames);
         assert_eq!(footer.last_t_end, 99 * 10 + 5);
-    }
-
-    #[test]
-    fn legacy_v1_writer_roundtrips_unsealed() {
-        let mut w = TraceWriter::legacy_v1(Vec::new(), 64);
-        for i in 0..20 {
-            w.record(&rec(i, i * 10)).unwrap();
-        }
-        let bytes = w.finish().unwrap();
-        assert_eq!(&bytes[..4], MAGIC);
-        let out: Vec<_> = TraceReader::new(bytes.as_slice(), 0)
-            .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(out.len(), 20);
     }
 }

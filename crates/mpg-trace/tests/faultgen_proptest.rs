@@ -4,11 +4,10 @@
 //! corrupted byte (ISSUE acceptance criterion).
 
 use proptest::prelude::*;
-use std::io::Cursor;
 
 use mpg_trace::frame::{checked_frame_at, FOOTER_MARKER, MAGIC2};
 use mpg_trace::{
-    mutate_bytes, salvage_bytes, EventKind, EventRecord, FaultKind, TraceReader, TraceWriter,
+    mutate_bytes, salvage_bytes, EventKind, EventRecord, FaultKind, FrameCursor, TraceWriter,
 };
 
 fn rec(seq: u64, gap: u64, dur: u64, work: u64) -> EventRecord {
@@ -31,11 +30,11 @@ fn build(n: u64, gap: u64, dur: u64, buffer_bytes: usize) -> (Vec<EventRecord>, 
     (records, w.finish().unwrap())
 }
 
-/// Drains the strict reader; Ok records or an Err are both acceptable —
+/// Drains the strict decoder; Ok records or an Err are both acceptable —
 /// the property is only "no panic, no hang".
 fn drain_strict(bytes: &[u8]) {
-    if let Ok(reader) = TraceReader::new(Cursor::new(bytes.to_vec()), 0) {
-        for item in reader.take(1 << 17) {
+    if let Ok(cursor) = FrameCursor::from_bytes(bytes.to_vec(), 0) {
+        for item in cursor.take(1 << 17) {
             if item.is_err() {
                 break;
             }
@@ -60,7 +59,7 @@ fn kind_strategy() -> impl Strategy<Value = FaultKind> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
 
-    /// (a) Arbitrary byte soup: neither the strict reader nor the salvage
+    /// (a) Arbitrary byte soup: neither the strict decoder nor the salvage
     /// reader may panic, whatever the bytes say.
     #[test]
     fn readers_never_panic_on_arbitrary_bytes(
@@ -71,8 +70,9 @@ proptest! {
         prop_assert_eq!(records.len() as u64, report.records_recovered);
     }
 
-    /// Arbitrary bytes behind a valid magic header: exercises the framed
-    /// and legacy decode paths specifically, not just the magic sniff.
+    /// Arbitrary bytes behind a known magic header: exercises the frame
+    /// walk (and the refusal of the retired `MPG1` magic) specifically, not
+    /// just the magic sniff.
     #[test]
     fn readers_never_panic_behind_valid_magic(
         v2 in any::<bool>(),

@@ -17,15 +17,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "==> cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
 
-# The happens-before oracle (index vs DFS closure, pair by pair), the
-# race-witness and fork properties, and the envelope matcher's oracle
-# (against a linear-scan reference) live in these crates' own suites, which
-# the tier-1 `cargo test -q` of the root package does not run; nor does it
-# run mpg-serve's service suite (chaos storm, resident traces). Before the
-# bench gates: a wrong index should fail here, not look fast there.
-echo "==> cargo test -q -p mpg-core -p mpg-lint -p mpg-sim -p mpg-serve"
-cargo test -q -p mpg-core -p mpg-lint -p mpg-sim -p mpg-serve
-
 # Replay-throughput regression gate: re-measure the pinned workloads plus
 # the lane-batched sweep (configs/sec, lanes vs threads-only) and fail if
 # any falls >20% below the tracked BENCH_replay.json numbers.

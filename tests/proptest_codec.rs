@@ -1,10 +1,10 @@
 //! Property tests on the trace codec: arbitrary record sequences must
-//! round-trip exactly through encode → (fragmented) decode.
+//! round-trip exactly through encode → decode, bare and framed.
 
 use proptest::prelude::*;
 
-use mpg::trace::codec::{Decoder, Encoder, MAGIC};
-use mpg::trace::{EventKind, EventRecord, TraceReader};
+use mpg::trace::codec::{Decoder, Encoder};
+use mpg::trace::{EventKind, EventRecord, FrameCursor, TraceWriter};
 
 fn kind_strategy() -> impl Strategy<Value = EventKind> {
     prop_oneof![
@@ -125,29 +125,19 @@ proptest! {
         prop_assert_eq!(out, recs);
     }
 
-    /// The streaming reader must produce identical records no matter how the
-    /// underlying reads fragment.
+    /// The strict decoder must produce identical records no matter where
+    /// the writer's buffer size puts the frame boundaries.
     #[test]
-    fn reader_fragmentation_invariant(
+    fn framed_roundtrip_is_frame_size_invariant(
         raw in prop::collection::vec((any::<u32>(), any::<u32>(), kind_strategy()), 1..40),
-        chunk in 1usize..64,
+        buffer in 1usize..512,
     ) {
         let recs = records(raw);
-        let mut buf = MAGIC.to_vec();
-        let mut enc = Encoder::new();
+        let mut w = TraceWriter::new(Vec::new(), buffer);
         for r in &recs {
-            enc.encode(r, &mut buf);
+            w.record(r).unwrap();
         }
-        struct Chunked<'a>(&'a [u8], usize);
-        impl std::io::Read for Chunked<'_> {
-            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-                let n = self.0.len().min(self.1).min(out.len());
-                out[..n].copy_from_slice(&self.0[..n]);
-                self.0 = &self.0[n..];
-                Ok(n)
-            }
-        }
-        let got: Vec<EventRecord> = TraceReader::new(Chunked(&buf, chunk), 3)
+        let got: Vec<EventRecord> = FrameCursor::from_bytes(w.finish().unwrap(), 3)
             .unwrap()
             .collect::<Result<_, _>>()
             .unwrap();
