@@ -32,7 +32,10 @@
 //!     Schedule-space exploration (lint pass 8 with a real budget): run
 //!     the full lint, then systematically re-replay the trace under forced
 //!     alternate wildcard matchings — up to --budget forced replays (default
-//!     64), --depth match decisions per schedule (default 3) — reporting
+//!     64), branching to --depth levels (default 3: a schedule composes at
+//!     most that many candidate swaps, each one or two forced matches; the
+//!     single swaps of the recorded matching are level 1 and are replayed
+//!     even at --depth 0) — reporting
 //!     MPG-MAY-DEADLOCK when an alternate matching reaches a wait-for cycle
 //!     (the finding names the exact forced match sequence, independently
 //!     re-replayable) and MPG-SCHEDULE-DIVERGENCE when it shifts the

@@ -11,11 +11,15 @@
 //! the pruning, or the makespan estimator shows up as a diff here, not
 //! as silent drift. The lint-pass diagnostics themselves are already
 //! pinned by `lint_golden.rs` and are excluded here.
+//!
+//! One more table pins the coverage accounting away from the defaults: the
+//! benchmark's master-worker trace over budgets × depths × seeds, recorded
+//! from the binary before the frontier went flat (ISSUE 21).
 
 use mpg_apps::{
     AllreduceSolver, GridSumma, MasterWorker, Pipeline, Stencil, TokenRing, Transpose, Workload,
 };
-use mpg_lint::{lint_explore, ExploreOptions};
+use mpg_lint::{explore, lint_explore, ExploreOptions, LintContext};
 use mpg_noise::PlatformSignature;
 use mpg_sim::Simulation;
 use mpg_trace::Rule;
@@ -177,4 +181,68 @@ fn grid_summa_explore() {
         },
         &["explored=0 infeasible=0 pruned=0 unexplored=0 max_depth=0 exhausted=false"],
     );
+}
+
+/// `mpgtool gen --workload master-worker --ranks 8 --scale 6` (the
+/// benchmark's `master-worker-wild-8`, 1 950 events), explored at budgets
+/// 8/64/256 × depths 1/3/5 × seeds 0/1/7: the coverage line of `mpgtool
+/// explore --budget B --depth D --seed S`, field for field, and no pass-8
+/// finding in any cell. Depth 5 repeats depth 3 because no budget here
+/// gets past the 2 304 seeds; seed 7 rotates a seed pair apart that seeds 0
+/// and 1 leave adjacent, hence its own pruned count.
+#[test]
+fn master_worker_gen_coverage_matrix() {
+    let workload = MasterWorker {
+        tasks: 384,
+        task_work: 200_000,
+        task_bytes: 128,
+        result_bytes: 128,
+    };
+    let trace = Simulation::new(8, PlatformSignature::quiet("mpgtool-gen"))
+        .seed(1)
+        .run(|ctx| workload.run(ctx))
+        .expect("workload simulates")
+        .trace;
+    assert_eq!(trace.total_events(), 1950);
+    let ctx = LintContext::build(&trace);
+    // (budget, depths, seeds, pruned, unexplored)
+    type Row = (u64, &'static [usize], &'static [u64], u64, u64);
+    let want: &[Row] = &[
+        (8, &[1], &[0, 1, 7], 21, 2275),
+        (8, &[3, 5], &[0, 1], 50, 20402),
+        (8, &[3, 5], &[7], 41, 20389),
+        (64, &[1], &[0, 1, 7], 21, 2219),
+        (64, &[3, 5], &[0, 1], 56, 145547),
+        (64, &[3, 5], &[7], 46, 145483),
+        (256, &[1], &[0, 1, 7], 21, 2027),
+        (256, &[3, 5], &[0, 1], 56, 550761),
+        (256, &[3, 5], &[7], 46, 550503),
+    ];
+    for &(budget, depths, seeds, pruned, unexplored) in want {
+        for (&depth, &seed) in depths
+            .iter()
+            .flat_map(|d| seeds.iter().map(move |s| (d, s)))
+        {
+            let opts = ExploreOptions {
+                depth,
+                seed,
+                ..ExploreOptions::cli_default().budget(budget)
+            };
+            let report = explore(&ctx, &opts);
+            let s = report.stats;
+            assert_eq!(
+                (s.explored, s.infeasible, s.pruned, s.frontier_unexplored),
+                (budget, 0, pruned, unexplored),
+                "budget {budget} depth {depth} seed {seed}"
+            );
+            assert_eq!(
+                (s.max_depth, s.budget_exhausted, s.cancelled),
+                (1, true, None)
+            );
+            assert!(
+                report.findings.is_empty(),
+                "budget {budget} depth {depth} seed {seed}"
+            );
+        }
+    }
 }

@@ -43,7 +43,6 @@ use crate::progress::{forced_replay, replay_plans, MatchPair, Matching, SendRec}
 use mpg_core::forced::MatchPlan;
 use mpg_core::HbIndex;
 use mpg_trace::{Diagnostic, EventKind, MemTrace, Rank, Rule, Seq, ANY_TAG};
-use std::collections::HashMap;
 
 /// One validated alternate match for a racy wildcard receive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,44 +111,134 @@ fn posted_tag(trace: &MemTrace, recv: (Rank, Seq)) -> Option<mpg_trace::Tag> {
     }
 }
 
-/// Enumerates the unvalidated alternate-match candidates of every
-/// wildcard pair in `matching`: envelope-compatible sends concurrent
-/// with the recorded match, earliest per alternate source (the
-/// non-overtaking rule hands a forced pattern the earliest unconsumed
-/// message of that source, so later ones are subsumed). With
-/// `include_pinned` false, alternates whose recorded consumer is a
-/// *specific* (non-wildcard) receive are skipped — swapping them would
-/// need a cascade of reassignments, so they are not single-swap
-/// alternates for pass 4. The pass-8 explorer sets it true: forcing the
-/// wildcard anyway and watching the specific receive starve is exactly
-/// how alternate-schedule deadlocks are found.
-pub(crate) fn wildcard_candidates(
-    trace: &MemTrace,
-    matching: &Matching,
-    hb: &HbIndex,
-    include_pinned: bool,
-) -> Vec<(MatchPair, Vec<RaceWitness>)> {
-    if !matching.pairs.iter().any(|p| p.posted_any) {
-        return Vec::new();
+/// What candidate enumeration reads of a trace's sends that no matching
+/// changes. Every completed schedule of one trace offers the same sends —
+/// only their issue order and their consumers differ — so the explorer
+/// builds this once and sweeps it per matching ([`Channels::sweep`]);
+/// pass 4 has one matching and builds it for that.
+pub(crate) struct Channels {
+    /// Every send, ascending by `(dst, src, seq)`. The sort is stable, so
+    /// sends sharing a sequence number keep issue order (within one rank
+    /// that is program order, under any matching).
+    sends: Vec<SendRec>,
+    /// The `(dst, src)` channels, ascending: each is one run of `sends`.
+    runs: Vec<Run>,
+    /// `runs[dst_runs[d]..dst_runs[d + 1]]` are the channels into rank `d`.
+    dst_runs: Vec<usize>,
+    /// Distinct `(src, seq)` of the sends, ascending: a send's position
+    /// here is its slot in a sweep's consumer table.
+    keys: Vec<(Rank, Seq)>,
+    /// `keys` position of each entry of `sends`.
+    slot: Vec<usize>,
+}
+
+/// One `(dst, src)` channel: `sends[start..end]`.
+struct Run {
+    dst: Rank,
+    src: Rank,
+    start: usize,
+    end: usize,
+}
+
+impl Channels {
+    /// Indexes the sends of `matching`, a matching of a trace of `ranks`
+    /// ranks.
+    pub(crate) fn new(matching: &Matching, ranks: usize) -> Self {
+        let mut sends = matching.sends.clone();
+        sends.sort_by_key(|s| (s.dst, s.src, s.seq));
+        let mut runs: Vec<Run> = Vec::new();
+        for (i, s) in sends.iter().enumerate() {
+            match runs.last_mut() {
+                Some(run) if (run.dst, run.src) == (s.dst, s.src) => run.end = i + 1,
+                _ => runs.push(Run {
+                    dst: s.dst,
+                    src: s.src,
+                    start: i,
+                    end: i + 1,
+                }),
+            }
+        }
+        let dst_runs = (0..=ranks)
+            .map(|d| runs.partition_point(|run| (run.dst as usize) < d))
+            .collect();
+        let mut keys: Vec<(Rank, Seq)> = sends.iter().map(|s| (s.src, s.seq)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let slot = sends
+            .iter()
+            .map(|s| keys.partition_point(|&k| k < (s.src, s.seq)))
+            .collect();
+        Channels {
+            sends,
+            runs,
+            dst_runs,
+            keys,
+            slot,
+        }
     }
-    let consumer_of: HashMap<(Rank, Seq), &MatchPair> =
-        matching.pairs.iter().map(|p| (p.send, p)).collect();
-    // Every `(dst, src)` channel as one run, ascending by `seq`. The sort
-    // is stable, so sends sharing a sequence number keep issue order.
-    let mut sends: Vec<&SendRec> = matching.sends.iter().collect();
-    sends.sort_by_key(|s| (s.dst, s.src, s.seq));
-    let mut out = Vec::new();
-    for pair in matching.pairs.iter().filter(|p| p.posted_any) {
+
+    /// Binds the index to one matching of its trace: who consumed which
+    /// send is the one thing enumeration needs that a matching changes.
+    pub(crate) fn sweep<'a>(
+        &'a self,
+        trace: &'a MemTrace,
+        matching: &'a Matching,
+        hb: &'a HbIndex,
+    ) -> Sweep<'a> {
+        let mut consumer = vec![None; self.keys.len()];
+        for pair in &matching.pairs {
+            if let Ok(slot) = self.keys.binary_search(&pair.send) {
+                consumer[slot] = Some(pair);
+            }
+        }
+        Sweep {
+            channels: self,
+            trace,
+            matching,
+            hb,
+            consumer,
+        }
+    }
+}
+
+/// [`Channels`] bound to one matching: enumerates the unvalidated
+/// alternate-match candidates of its wildcard pairs.
+pub(crate) struct Sweep<'a> {
+    channels: &'a Channels,
+    trace: &'a MemTrace,
+    matching: &'a Matching,
+    hb: &'a HbIndex,
+    /// The pair that consumed each send, by `Channels::keys` position.
+    consumer: Vec<Option<&'a MatchPair>>,
+}
+
+impl Sweep<'_> {
+    /// Hands `visit` the candidates of the wildcard pair at position `i`
+    /// of the matching, alternate sources ascending: envelope-compatible
+    /// sends concurrent with the recorded match, earliest per alternate
+    /// source (the non-overtaking rule hands a forced pattern the earliest
+    /// unconsumed message of that source, so later ones are subsumed).
+    /// With `include_pinned` false, alternates whose recorded consumer is
+    /// a *specific* (non-wildcard) receive are skipped — swapping them
+    /// would need a cascade of reassignments, so they are not single-swap
+    /// alternates for pass 4. The pass-8 explorer sets it true: forcing
+    /// the wildcard anyway and watching the specific receive starve is
+    /// exactly how alternate-schedule deadlocks are found.
+    pub(crate) fn candidates_of(
+        &self,
+        i: usize,
+        include_pinned: bool,
+        mut visit: impl FnMut(RaceWitness),
+    ) {
+        let pair = &self.matching.pairs[i];
         let (recv, matched) = (pair.recv, pair.send);
-        let Some(tag_pattern) = posted_tag(trace, recv) else {
-            continue;
+        let Some(tag_pattern) = posted_tag(self.trace, recv) else {
+            return;
         };
-        let to_recv = &sends[sends.partition_point(|s| s.dst < recv.0)..];
-        let to_recv = &to_recv[..to_recv.partition_point(|s| s.dst == recv.0)];
-        let mut candidates = Vec::new();
-        for channel in to_recv.chunk_by(|a, b| a.src == b.src) {
-            let src = channel[0].src;
-            if src == matched.0 {
+        let ch = self.channels;
+        let dst = recv.0 as usize;
+        for run in &ch.runs[ch.dst_runs[dst]..ch.dst_runs[dst + 1]] {
+            if run.src == matched.0 {
                 continue;
             }
             // The sends of `src` that happen before the match are a prefix
@@ -157,15 +246,17 @@ pub(crate) fn wildcard_candidates(
             // candidate. Rows never decrease along a rank's program order
             // (see `HbIndex`), so once the match happens before one send it
             // happens before every later one.
-            let issued = hb.issue_horizon(src, matched);
-            for s in &channel[channel.partition_point(|s| s.seq < issued)..] {
-                if hb.happens_before(matched, (s.src, s.seq)) {
+            let issued = self.hb.issue_horizon(run.src, matched);
+            let channel = &ch.sends[run.start..run.end];
+            let first = channel.partition_point(|s| s.seq < issued);
+            for (s, slot) in channel[first..].iter().zip(&ch.slot[run.start + first..]) {
+                if self.hb.happens_before(matched, (s.src, s.seq)) {
                     break;
                 }
                 if tag_pattern != ANY_TAG && s.tag != tag_pattern {
                     continue;
                 }
-                let displaced = match consumer_of.get(&(s.src, s.seq)) {
+                let displaced = match self.consumer[*slot] {
                     Some(p) if !p.posted_any => {
                         if !include_pinned {
                             continue;
@@ -177,7 +268,7 @@ pub(crate) fn wildcard_candidates(
                     Some(p) => Some(p.recv),
                     None => None,
                 };
-                candidates.push(RaceWitness {
+                visit(RaceWitness {
                     recv,
                     matched,
                     alternate: (s.src, s.seq),
@@ -186,6 +277,29 @@ pub(crate) fn wildcard_candidates(
                 break;
             }
         }
+    }
+}
+
+/// The candidates of every wildcard pair of `matching`, in match order
+/// ([`Sweep::candidates_of`] per pair; pairs without one are left out).
+pub(crate) fn wildcard_candidates(
+    trace: &MemTrace,
+    matching: &Matching,
+    hb: &HbIndex,
+    include_pinned: bool,
+) -> Vec<(MatchPair, Vec<RaceWitness>)> {
+    if !matching.pairs.iter().any(|p| p.posted_any) {
+        return Vec::new();
+    }
+    let channels = Channels::new(matching, trace.num_ranks());
+    let sweep = channels.sweep(trace, matching, hb);
+    let mut out = Vec::new();
+    for (i, pair) in matching.pairs.iter().enumerate() {
+        if !pair.posted_any {
+            continue;
+        }
+        let mut candidates = Vec::new();
+        sweep.candidates_of(i, include_pinned, |w| candidates.push(w));
         if !candidates.is_empty() {
             out.push((*pair, candidates));
         }
@@ -261,7 +375,26 @@ pub fn lint_races(trace: &MemTrace, matching: &Matching, hb: &HbIndex) -> Vec<Di
 
 #[cfg(test)]
 #[path = "../tests/shared/wildcard_programs.rs"]
-mod wildcard_programs;
+pub(crate) mod wildcard_programs;
+
+/// The trace of `mpgtool gen --workload master-worker --ranks 8 --scale 6`
+/// (the benchmark's `master-worker-wild-8`): 384 tasks handed out through
+/// `ANY_SOURCE` result receives.
+#[cfg(test)]
+pub(crate) fn master_worker_trace() -> MemTrace {
+    use mpg_apps::Workload;
+    let workload = mpg_apps::MasterWorker {
+        tasks: 384,
+        task_work: 200_000,
+        task_bytes: 128,
+        result_bytes: 128,
+    };
+    mpg_sim::Simulation::new(8, mpg_noise::PlatformSignature::quiet("mpgtool-gen"))
+        .seed(1)
+        .run(|ctx| workload.run(ctx))
+        .expect("master-worker simulates")
+        .trace
+}
 
 #[cfg(test)]
 mod tests {
@@ -270,12 +403,11 @@ mod tests {
     use crate::explore::extensions;
     use crate::progress::{run_progress, MatchPolicy, BASE_RUNS, STEPS};
     use crate::LintContext;
-    use mpg_apps::{MasterWorker, Workload};
     use mpg_core::forced::ForcedOutcome;
     use mpg_noise::PlatformSignature;
     use mpg_trace::EventRecord;
     use proptest::prelude::*;
-    use std::collections::{BTreeMap, VecDeque};
+    use std::collections::{BTreeMap, HashMap, VecDeque};
 
     /// [`wildcard_candidates`] as one scan of every send per wildcard
     /// pair, asking `concurrent` of each: the reference the channel
@@ -364,18 +496,29 @@ mod tests {
         fn channel_windows_equal_the_linear_scan(
             p in 2u32..7,
             sim_seed in 0u64..1_000,
-            rounds in prop::collection::vec(round_strategy(), 1..6),
+            rounds in prop::collection::vec(round_strategy(false), 1..6),
         ) {
             let trace = simulate(p, sim_seed, &rounds);
             let ctx = LintContext::build(&trace);
             let hb = ctx.hb.as_ref().expect("clean trace records a graph");
             let recorded = &ctx.progress.matching;
             prop_assert_eq!(assert_windows_equal_scan(&trace, recorded, hb), Ok(()));
-            let mut frontier: VecDeque<(MatchPlan, usize)> =
-                extensions(&trace, recorded, hb, &MatchPlan::new())
-                    .into_iter()
-                    .map(|plan| (plan, 1))
-                    .collect();
+            // The explorer's walk, without its pruning: one index of the
+            // recorded sends, swept per matching.
+            let channels = Channels::new(recorded, trace.num_ranks());
+            let children = |matching: &Matching, plan: &MatchPlan, depth: usize| {
+                let mut out = Vec::new();
+                let sweep = channels.sweep(&trace, matching, hb);
+                extensions(&sweep, matching, plan.forced(), |first, swap| {
+                    let mut next = plan.clone().force(first.recv, first.source);
+                    if let Some(swap) = swap {
+                        next.push(swap.recv, swap.source);
+                    }
+                    out.push((next, depth));
+                });
+                out
+            };
+            let mut frontier = VecDeque::from(children(recorded, &MatchPlan::new(), 1));
             for _ in 0..48 {
                 let Some((plan, depth)) = frontier.pop_front() else { break };
                 let rep = forced_replay(&trace, &plan);
@@ -384,8 +527,7 @@ mod tests {
                 }
                 prop_assert_eq!(assert_windows_equal_scan(&trace, &rep.matching, hb), Ok(()));
                 if depth < 3 {
-                    let next = extensions(&trace, &rep.matching, hb, &plan);
-                    frontier.extend(next.into_iter().map(|plan| (plan, depth + 1)));
+                    frontier.extend(children(&rep.matching, &plan, depth + 1));
                 }
             }
         }
@@ -406,7 +548,7 @@ mod tests {
         fn channel_windows_survive_unvalidated_traces(
             p in 3u32..6,
             sim_seed in 0u64..1_000,
-            rounds in prop::collection::vec(round_strategy(), 2..6),
+            rounds in prop::collection::vec(round_strategy(false), 2..6),
             rank in 0usize..6,
             pos in 0usize..64,
             mutation in 0u32..4,
@@ -465,23 +607,6 @@ mod tests {
         find_races(bad, matching, hb);
         crate::explore(&ctx, &crate::ExploreOptions::cli_default().budget(8));
         Ok(())
-    }
-
-    /// The trace of `mpgtool gen --workload master-worker --ranks 8
-    /// --scale 6` (the benchmark's `master-worker-wild-8`): 384 tasks
-    /// handed out through `ANY_SOURCE` result receives.
-    fn master_worker_trace() -> MemTrace {
-        let workload = MasterWorker {
-            tasks: 384,
-            task_work: 200_000,
-            task_bytes: 128,
-            result_bytes: 128,
-        };
-        mpg_sim::Simulation::new(8, PlatformSignature::quiet("mpgtool-gen"))
-            .seed(1)
-            .run(|ctx| workload.run(ctx))
-            .expect("master-worker simulates")
-            .trace
     }
 
     fn counted<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {

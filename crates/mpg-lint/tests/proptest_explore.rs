@@ -17,100 +17,11 @@ use mpg_lint::{
     forced_replay, lint_explore, lint_full, matching_makespan, ExploreFindingKind, ExploreOptions,
     LintContext,
 };
-use mpg_noise::PlatformSignature;
-use mpg_sim::RankCtx;
-use mpg_trace::ANY_SOURCE;
 use proptest::prelude::*;
 
-#[derive(Debug, Clone)]
-enum Round {
-    Compute(u64),
-    /// Everyone sends to the root; the root drains `p − 1` wildcards.
-    GatherAny {
-        root: u32,
-        tag: u32,
-        bytes: u64,
-    },
-    /// Ring where every receive is a wildcard.
-    RingAny {
-        tag: u32,
-        bytes: u64,
-    },
-    /// The root drains one wildcard and then one *specific* receive —
-    /// the pinned-consumer shape where may-deadlocks hide.
-    GatherPinned {
-        root: u32,
-        tag: u32,
-        bytes: u64,
-    },
-    Barrier,
-}
-
-fn run_round(ctx: &mut RankCtx, round: &Round) {
-    let p = ctx.size();
-    let me = ctx.rank();
-    match *round {
-        Round::Compute(work) => ctx.compute(work),
-        Round::GatherAny { root, tag, bytes } => {
-            let root = root % p;
-            if me == root {
-                for _ in 1..p {
-                    ctx.recv(ANY_SOURCE, tag);
-                }
-            } else {
-                ctx.send(root, tag, bytes);
-            }
-        }
-        Round::RingAny { tag, bytes } => {
-            let r = ctx.irecv(ANY_SOURCE, tag);
-            let s = ctx.isend((me + 1) % p, tag, bytes);
-            ctx.waitall(&[r, s]);
-        }
-        Round::GatherPinned { root, tag, bytes } => {
-            let root = root % p;
-            let pinned = (root + 1) % p;
-            if me == root {
-                ctx.recv(ANY_SOURCE, tag);
-                ctx.recv(pinned, tag);
-            } else if me == pinned {
-                ctx.send(root, tag, bytes);
-                ctx.send(root, tag, bytes);
-            }
-        }
-        Round::Barrier => ctx.barrier(),
-    }
-}
-
-fn round_strategy() -> impl Strategy<Value = Round> {
-    prop_oneof![
-        (1u64..10_000).prop_map(Round::Compute),
-        (0u32..8, 0u32..3, 1u64..2_048).prop_map(|(root, tag, bytes)| Round::GatherAny {
-            root,
-            tag,
-            bytes
-        }),
-        (0u32..3, 1u64..2_048).prop_map(|(tag, bytes)| Round::RingAny { tag, bytes }),
-        (0u32..8, 0u32..3, 1u64..2_048).prop_map(|(root, tag, bytes)| Round::GatherPinned {
-            root,
-            tag,
-            bytes
-        }),
-        Just(Round::Barrier),
-    ]
-}
-
-fn trace_of(p: u32, sim_seed: u64, rounds: &[Round]) -> mpg_trace::MemTrace {
-    mpg_sim::Simulation::new(p, PlatformSignature::quiet("prop-explore"))
-        .ideal_clocks()
-        .seed(sim_seed)
-        .run(|ctx| {
-            for round in rounds {
-                run_round(ctx, round);
-            }
-        })
-        .expect("generated program simulates")
-        .trace
-}
+#[path = "shared/wildcard_programs.rs"]
+mod wildcard_programs;
+use wildcard_programs::{round_strategy, simulate as trace_of};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
@@ -120,7 +31,7 @@ proptest! {
         p in 2u32..6,
         sim_seed in 0u64..1_000,
         explore_seed in 0u64..8,
-        rounds in prop::collection::vec(round_strategy(), 1..5),
+        rounds in prop::collection::vec(round_strategy(true), 1..5),
     ) {
         let trace = trace_of(p, sim_seed, &rounds);
         let opts = ExploreOptions {
@@ -163,7 +74,7 @@ proptest! {
     fn budget_zero_is_bit_identical_to_lint_full(
         p in 2u32..6,
         sim_seed in 0u64..1_000,
-        rounds in prop::collection::vec(round_strategy(), 1..5),
+        rounds in prop::collection::vec(round_strategy(true), 1..5),
     ) {
         let trace = trace_of(p, sim_seed, &rounds);
         let out = lint_explore(&trace, &ExploreOptions::default());

@@ -124,7 +124,7 @@ proptest! {
     fn forked_replay_equals_from_scratch_replay(
         p in 2u32..7,
         sim_seed in 0u64..1_000,
-        rounds in prop::collection::vec(round_strategy(), 1..6),
+        rounds in prop::collection::vec(round_strategy(false), 1..6),
     ) {
         let trace = simulate(p, sim_seed, &rounds);
         let ctx = LintContext::build(&trace);
@@ -145,7 +145,7 @@ proptest! {
     fn every_reported_race_has_a_replayable_witness(
         p in 2u32..7,
         sim_seed in 0u64..1_000,
-        rounds in prop::collection::vec(round_strategy(), 1..6),
+        rounds in prop::collection::vec(round_strategy(false), 1..6),
     ) {
         let trace = simulate(p, sim_seed, &rounds);
         let ctx = LintContext::build(&trace);

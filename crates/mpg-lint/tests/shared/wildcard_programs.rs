@@ -1,6 +1,8 @@
 //! Random SPMD programs heavy on wildcard receives (gathers, wildcard ring
-//! sinks), shared by `proptest_races.rs` and the candidate-window oracle in
-//! `src/hb_races.rs` (each includes this file with `#[path]`).
+//! sinks, a wildcard beside a pinned consumer), shared by
+//! `proptest_races.rs`, `proptest_explore.rs` and the oracles in
+//! `src/hb_races.rs` and `src/explore.rs` (each includes this file with
+//! `#[path]`, or reaches the copy `hb_races.rs` included).
 
 use mpg_noise::PlatformSignature;
 use mpg_sim::RankCtx;
@@ -19,6 +21,13 @@ pub enum Round {
     /// Ring where every receive is a wildcard (still deterministic when
     /// tags differ, racy when they collide across rounds).
     RingAny {
+        tag: u32,
+        bytes: u64,
+    },
+    /// The root drains one wildcard and then one *specific* receive —
+    /// the pinned-consumer shape where may-deadlocks hide.
+    GatherPinned {
+        root: u32,
         tag: u32,
         bytes: u64,
     },
@@ -51,6 +60,17 @@ fn run_round(ctx: &mut RankCtx, round: &Round) {
             let s = ctx.isend((me + 1) % p, tag, bytes);
             ctx.waitall(&[r, s]);
         }
+        Round::GatherPinned { root, tag, bytes } => {
+            let root = root % p;
+            let pinned = (root + 1) % p;
+            if me == root {
+                ctx.recv(ANY_SOURCE, tag);
+                ctx.recv(pinned, tag);
+            } else if me == pinned {
+                ctx.send(root, tag, bytes);
+                ctx.send(root, tag, bytes);
+            }
+        }
         Round::Shift { shift, tag, bytes } => {
             let shift = 1 + shift % (p - 1).max(1);
             ctx.sendrecv((me + shift) % p, tag, bytes, (me + p - shift) % p, tag);
@@ -59,7 +79,27 @@ fn run_round(ctx: &mut RankCtx, round: &Round) {
     }
 }
 
-pub fn round_strategy() -> impl Strategy<Value = Round> {
+/// With `pinned`, [`Round::GatherPinned`] takes the place of
+/// [`Round::Shift`]. The two do not mix: the ranks a pinned gather leaves
+/// out run ahead, its wildcard can take the message one of them sent for a
+/// later shift, and the shift's specific receive then deadlocks the
+/// *generating* simulation, before there is a trace to analyze.
+pub fn round_strategy(pinned: bool) -> impl Strategy<Value = Round> {
+    let specific = (0u32..8, 0u32..3, 1u64..2_048).prop_map(move |(peer, tag, bytes)| {
+        if pinned {
+            Round::GatherPinned {
+                root: peer,
+                tag,
+                bytes,
+            }
+        } else {
+            Round::Shift {
+                shift: peer,
+                tag,
+                bytes,
+            }
+        }
+    });
     prop_oneof![
         (1u64..10_000).prop_map(Round::Compute),
         (0u32..8, 0u32..3, 1u64..2_048).prop_map(|(root, tag, bytes)| Round::GatherAny {
@@ -68,16 +108,18 @@ pub fn round_strategy() -> impl Strategy<Value = Round> {
             bytes
         }),
         (0u32..3, 1u64..2_048).prop_map(|(tag, bytes)| Round::RingAny { tag, bytes }),
-        (0u32..8, 0u32..3, 1u64..2_048).prop_map(|(shift, tag, bytes)| Round::Shift {
-            shift,
-            tag,
-            bytes
-        }),
+        specific,
         Just(Round::Barrier),
     ]
 }
 
 pub fn simulate(p: u32, sim_seed: u64, rounds: &[Round]) -> MemTrace {
+    try_simulate(p, sim_seed, rounds).expect("generated program simulates")
+}
+
+/// `None` when the generated program deadlocks while it is being traced
+/// (wildcards that collide across rounds can starve a later receive).
+pub fn try_simulate(p: u32, sim_seed: u64, rounds: &[Round]) -> Option<MemTrace> {
     mpg_sim::Simulation::new(p, PlatformSignature::quiet("prop-race"))
         .ideal_clocks()
         .seed(sim_seed)
@@ -86,6 +128,6 @@ pub fn simulate(p: u32, sim_seed: u64, rounds: &[Round]) -> MemTrace {
                 run_round(ctx, round);
             }
         })
-        .expect("generated program simulates")
-        .trace
+        .ok()
+        .map(|outcome| outcome.trace)
 }

@@ -164,6 +164,25 @@ fi
 echo "    lint --all ${lint_ms} ms, analyze --json ${analyze_ms} ms"
 rm -rf "$RATIO_TRACE"
 
+# And for the pass-8 walk: `explore` is the full lint plus the explorer, so
+# on the benchmark's master-worker trace (1 950 events, 2 304 seeds)
+# `explore --budget 32` may cost at most 1.5x `lint --all`. Measured
+# 1.15-1.25x: 32 forced replays, 33 makespan passes and 74 514 frontier
+# extensions of a few words each. A `MatchPlan` cloned and a
+# `Vec<ForcedMatch>` hashed per extension put it at 1.9-2.0x (11x at
+# --budget 256).
+echo "==> explore --budget 32 <= 1.5x lint --all (master-worker, 8 ranks, scale 6)"
+RATIO_TRACE="$SMOKE_TMP/ratio-master-worker"
+"$MPGTOOL" gen --workload master-worker --ranks 8 --scale 6 "$RATIO_TRACE" >/dev/null
+explore_ms=$(best_ms "$MPGTOOL" explore "$RATIO_TRACE" --budget 32)
+lint_ms=$(best_ms "$MPGTOOL" lint "$RATIO_TRACE" --all)
+if [ $(( 100 * explore_ms )) -gt $(( 150 * lint_ms )) ]; then
+    echo "lint: FAIL: explore --budget 32 ${explore_ms} ms > 1.5x lint --all ${lint_ms} ms" >&2
+    exit 1
+fi
+echo "    explore --budget 32 ${explore_ms} ms, lint --all ${lint_ms} ms"
+rm -rf "$RATIO_TRACE"
+
 # Artifact-cache end-to-end: for each cached command, the cold run (which
 # populates the cache) and the warm run (which serves the memoized report)
 # must print stdout byte-identical to the uncached run; a corrupted
