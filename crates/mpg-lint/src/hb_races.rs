@@ -19,9 +19,13 @@
 //! every rank to completion are reported, so each `MPG-WILD-RACE`
 //! diagnostic carries a concrete, replayable alternate match — never a
 //! hypothetical one. All candidates of a trace are replayed as one batch
-//! (`progress::replay_plans`): one recorded run, and per candidate only
-//! the part of its schedule after the point where it leaves the recorded
-//! one.
+//! (`progress::replay_verdicts`): one recorded run, and per candidate only
+//! the part of its schedule that differs from the recorded one — from the
+//! point where it leaves it to the point where both swapped receives have
+//! matched and the rest is the recorded program again, which is known to
+//! complete (DESIGN.md §18.8; a candidate outside that argument's premise
+//! is replayed to the last event). [`witness_matching`] rebuilds the whole
+//! alternate matching of any witness on demand.
 //!
 //! # Candidates by channel window
 //!
@@ -39,7 +43,7 @@
 //! returned is still envelope-compatible, concurrent and the earliest of
 //! its source.
 
-use crate::progress::{forced_replay, replay_plans, MatchPair, Matching, SendRec};
+use crate::progress::{forced_replay, replay_verdicts, MatchPair, Matching, SendRec};
 use mpg_core::forced::MatchPlan;
 use mpg_core::HbIndex;
 use mpg_trace::{Diagnostic, EventKind, MemTrace, Rank, Rule, Seq, ANY_TAG};
@@ -307,20 +311,32 @@ pub(crate) fn wildcard_candidates(
     out
 }
 
+/// Whether each of `witnesses` holds — its forced schedule completes *and*
+/// the racy receive really took the alternate source — replayed as one
+/// batch off the recorded run of `trace`, which `matching` is.
+fn witnesses_hold(trace: &MemTrace, matching: &Matching, witnesses: &[&RaceWitness]) -> Vec<bool> {
+    let mut holds = vec![false; witnesses.len()];
+    let plan = |i: usize| witness_plan(witnesses[i]);
+    let recorded_completed = matching.completed;
+    replay_verdicts(
+        trace,
+        recorded_completed,
+        witnesses.len(),
+        plan,
+        |i, sim| {
+            let w = witnesses[i];
+            holds[i] = sim.completed() && sim.delivered(w.recv, w.alternate.0);
+        },
+    );
+    holds
+}
+
 /// Finds every wildcard receive with a validated concurrent alternate.
 pub fn find_races(trace: &MemTrace, matching: &Matching, hb: &HbIndex) -> Vec<RaceFinding> {
     let candidates = wildcard_candidates(trace, matching, hb, false);
-    // A witness holds when its forced schedule completes *and* the racy
-    // receive really took the alternate source.
     let holds = {
         let witnesses: Vec<&RaceWitness> = candidates.iter().flat_map(|(_, ws)| ws).collect();
-        let mut holds = vec![false; witnesses.len()];
-        let plan = |i: usize| witness_plan(witnesses[i]);
-        replay_plans(trace, witnesses.len(), plan, |i, sim| {
-            let w = witnesses[i];
-            holds[i] = sim.completed() && sim.delivered(w.recv, w.alternate.0);
-        });
-        holds
+        witnesses_hold(trace, matching, &witnesses)
     };
     let mut holds = holds.into_iter();
     let mut findings = Vec::new();
@@ -398,10 +414,12 @@ pub(crate) fn master_worker_trace() -> MemTrace {
 
 #[cfg(test)]
 mod tests {
-    use super::wildcard_programs::{round_strategy, simulate};
+    use super::wildcard_programs::{any_round_strategy, round_strategy, simulate, try_simulate};
     use super::*;
     use crate::explore::extensions;
-    use crate::progress::{run_progress, MatchPolicy, BASE_RUNS, STEPS};
+    use crate::progress::{
+        run_progress, MatchPolicy, BASE_RUNS, GUARD_REFUSALS, PAIRS_COPIED, REJOINS, STEPS,
+    };
     use crate::LintContext;
     use mpg_core::forced::ForcedOutcome;
     use mpg_noise::PlatformSignature;
@@ -604,9 +622,79 @@ mod tests {
                 ));
             }
         }
-        find_races(bad, matching, hb);
+        rejoin_equals_whole_suffix(bad, matching, hb)?;
         crate::explore(&ctx, &crate::ExploreOptions::cli_default().budget(8));
         Ok(())
+    }
+
+    /// The verdict one whole simulation under `w`'s plan gives.
+    fn whole_run_holds(trace: &MemTrace, w: &RaceWitness) -> bool {
+        let policy = MatchPolicy::Witness(witness_plan(w));
+        let m = run_progress(trace, &policy).matching;
+        let took = |p: &MatchPair| p.recv == w.recv && p.send.0 == w.alternate.0;
+        m.completed && m.pairs.iter().any(took)
+    }
+
+    /// Every candidate pass 4 would replay on `matching` — and the pinned
+    /// ones only the explorer forces, whose one-receive plans the guard
+    /// refuses — gets from a [`witnesses_hold`] batch the verdict of its own
+    /// whole simulation. Returns how many do not hold.
+    fn rejoin_equals_whole_suffix(
+        trace: &MemTrace,
+        matching: &Matching,
+        hb: &HbIndex,
+    ) -> Result<usize, String> {
+        let mut infeasible = 0;
+        for include_pinned in [false, true] {
+            let candidates = wildcard_candidates(trace, matching, hb, include_pinned);
+            let witnesses: Vec<&RaceWitness> = candidates.iter().flat_map(|(_, ws)| ws).collect();
+            let holds = witnesses_hold(trace, matching, &witnesses);
+            for (w, held) in witnesses.iter().zip(holds) {
+                if held != whole_run_holds(trace, w) {
+                    return Err(format!("{w:?}: the batch says {held}"));
+                }
+                infeasible += usize::from(!held);
+            }
+        }
+        Ok(infeasible)
+    }
+
+    /// DESIGN.md §18.8 as a property: stopping a fork where it rejoins the
+    /// recorded program never changes what pass 4 reads off it. Over
+    /// programs with every kind of gather, request–reply turns, wildcard
+    /// rings, pinned consumers and barriers.
+    #[test]
+    fn rejoin_verdict_equals_whole_suffix() {
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 160, ..ProptestConfig::default() })]
+
+            fn cases(
+                p in 2u32..7,
+                sim_seed in 0u64..1_000,
+                rounds in prop::collection::vec(any_round_strategy(), 1..6),
+            ) {
+                let Some(trace) = try_simulate(p, sim_seed, &rounds) else {
+                    continue;
+                };
+                let ctx = LintContext::build(&trace);
+                let hb = ctx.hb.as_ref().expect("clean trace records a graph");
+                let infeasible = rejoin_equals_whole_suffix(&trace, &ctx.progress.matching, hb);
+                prop_assert!(infeasible.is_ok(), "{:?}", infeasible);
+                INFEASIBLE.with(|c| c.set(c.get() + infeasible.unwrap()));
+            }
+        }
+        thread_local! {
+            static INFEASIBLE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        }
+        let before = (REJOINS.with(|c| c.get()), GUARD_REFUSALS.with(|c| c.get()));
+        cases();
+        let rejoins = REJOINS.with(|c| c.get()) - before.0;
+        let refusals = GUARD_REFUSALS.with(|c| c.get()) - before.1;
+        let infeasible = INFEASIBLE.with(|c| c.get());
+        // Not vacuous on any side (measured: 8 031, 15 and 17).
+        assert!(rejoins > 1_000, "{rejoins} forks stopped early");
+        assert!(refusals > 0, "{refusals} plans refused by the guard");
+        assert!(infeasible > 0, "{infeasible} infeasible candidates");
     }
 
     fn counted<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
@@ -615,6 +703,22 @@ mod tests {
         let runs = BASE_RUNS.with(|c| c.get()) - before.0;
         let steps = STEPS.with(|c| c.get()) - before.1;
         (out, runs, steps)
+    }
+
+    /// What `f` adds to the fork counters: forks stopped at their rejoin
+    /// point, plans the guard refused, log entries copied into forks.
+    fn forks_counted<T>(f: impl FnOnce() -> T) -> (T, [usize; 3]) {
+        let read = || {
+            [
+                REJOINS.with(|c| c.get()),
+                GUARD_REFUSALS.with(|c| c.get()),
+                PAIRS_COPIED.with(|c| c.get()),
+            ]
+        };
+        let before = read();
+        let out = f();
+        let after = read();
+        (out, [0, 1, 2].map(|i| after[i] - before[i]))
     }
 
     #[test]
@@ -629,25 +733,26 @@ mod tests {
         assert_eq!(plans, 2304);
 
         let (_, _, steps_per_run) = counted(|| run_progress(&trace, &MatchPolicy::Recorded));
-        let (findings, base_runs, steps) = counted(|| find_races(&trace, matching, hb));
+        let ((findings, base_runs, steps), [rejoins, refusals, pairs_copied]) =
+            forks_counted(|| counted(|| find_races(&trace, matching, hb)));
         assert_eq!(base_runs, 1, "one simulation started from step 0");
+        // Every fork stops where it rejoins the recorded program, some 23
+        // steps in (measured 0.0099 of the from-scratch count; forks run to
+        // quiescence took 0.51 of it), and none carries the logs.
         let from_scratch = plans * steps_per_run;
         assert!(
-            (steps as f64) < 0.6 * from_scratch as f64,
+            (steps as f64) < 0.02 * from_scratch as f64,
             "{steps} steps for {plans} witnesses of {steps_per_run} steps each"
         );
+        assert_eq!((rejoins, refusals), (plans, 0));
+        assert_eq!(pairs_copied, 0);
 
         // The verdicts are those of one whole simulation per candidate.
         let mut expected = Vec::new();
         for (pair, ws) in &candidates {
             let holds: Vec<RaceWitness> = ws
                 .iter()
-                .filter(|w| {
-                    let policy = MatchPolicy::Witness(witness_plan(w));
-                    let m = run_progress(&trace, &policy).matching;
-                    let took = |p: &MatchPair| p.recv == w.recv && p.send.0 == w.alternate.0;
-                    m.completed && m.pairs.iter().any(took)
-                })
+                .filter(|w| whole_run_holds(&trace, w))
                 .copied()
                 .collect();
             if !holds.is_empty() {

@@ -1,5 +1,6 @@
-//! Random SPMD programs heavy on wildcard receives (gathers, wildcard ring
-//! sinks, a wildcard beside a pinned consumer), shared by
+//! Random SPMD programs heavy on wildcard receives (gathers — blocking,
+//! synchronous-send and `irecv` + `waitall` —, request–reply turns,
+//! wildcard ring sinks, a wildcard beside a pinned consumer), shared by
 //! `proptest_races.rs`, `proptest_explore.rs` and the oracles in
 //! `src/hb_races.rs` and `src/explore.rs` (each includes this file with
 //! `#[path]`, or reaches the copy `hb_races.rs` included).
@@ -36,6 +37,29 @@ pub enum Round {
         shift: u32,
         tag: u32,
         bytes: u64,
+    },
+    /// [`Round::GatherAny`] with synchronous sends: a worker whose message
+    /// a swap hands to a later receive stays blocked until then.
+    GatherSync {
+        root: u32,
+        tag: u32,
+        bytes: u64,
+    },
+    /// The root posts `p − 1` wildcard `irecv`s and waits for all of them:
+    /// receives that are posted, and can match, far ahead of the rank.
+    GatherIrecv {
+        root: u32,
+        tag: u32,
+        bytes: u64,
+    },
+    /// `turns` times: every worker sends a request, computes, and blocks
+    /// for the answer; the root takes requests through a wildcard and
+    /// answers whoever it got — what it sends depends on what it matched.
+    RequestReply {
+        root: u32,
+        tag: u32,
+        bytes: u64,
+        turns: u32,
     },
     Barrier,
 }
@@ -75,6 +99,47 @@ fn run_round(ctx: &mut RankCtx, round: &Round) {
             let shift = 1 + shift % (p - 1).max(1);
             ctx.sendrecv((me + shift) % p, tag, bytes, (me + p - shift) % p, tag);
         }
+        Round::GatherSync { root, tag, bytes } => {
+            let root = root % p;
+            if me == root {
+                for _ in 1..p {
+                    ctx.recv(ANY_SOURCE, tag);
+                }
+            } else {
+                ctx.ssend(root, tag, bytes);
+            }
+        }
+        Round::GatherIrecv { root, tag, bytes } => {
+            let root = root % p;
+            if me == root {
+                let reqs: Vec<_> = (1..p).map(|_| ctx.irecv(ANY_SOURCE, tag)).collect();
+                ctx.waitall(&reqs);
+            } else {
+                ctx.send(root, tag, bytes);
+            }
+        }
+        Round::RequestReply {
+            root,
+            tag,
+            bytes,
+            turns,
+        } => {
+            let root = root % p;
+            // Answers travel under a tag no request carries.
+            let answer = tag + 3;
+            for _ in 0..turns {
+                if me == root {
+                    for _ in 1..p {
+                        let asked = ctx.recv(ANY_SOURCE, tag);
+                        ctx.send(asked.src, answer, bytes);
+                    }
+                } else {
+                    ctx.send(root, tag, bytes);
+                    ctx.compute(bytes);
+                    ctx.recv(root, answer);
+                }
+            }
+        }
         Round::Barrier => ctx.barrier(),
     }
 }
@@ -110,6 +175,33 @@ pub fn round_strategy(pinned: bool) -> impl Strategy<Value = Round> {
         (0u32..3, 1u64..2_048).prop_map(|(tag, bytes)| Round::RingAny { tag, bytes }),
         specific,
         Just(Round::Barrier),
+    ]
+}
+
+/// Every round there is, the gathers of all three kinds and the
+/// request–reply turns beside both specific-source shapes. Colliding tags
+/// let a wildcard of one round take a message meant for another, which can
+/// starve a specific receive while the program is traced: use
+/// [`try_simulate`]. (Not every test that includes this file draws from
+/// it.)
+#[allow(dead_code)]
+pub fn any_round_strategy() -> impl Strategy<Value = Round> {
+    let gather = (0u32..8, 0u32..3, 1u64..2_048);
+    prop_oneof![
+        round_strategy(false),
+        round_strategy(true),
+        gather
+            .clone()
+            .prop_map(|(root, tag, bytes)| Round::GatherSync { root, tag, bytes }),
+        gather
+            .clone()
+            .prop_map(|(root, tag, bytes)| Round::GatherIrecv { root, tag, bytes }),
+        (gather, 1u32..4).prop_map(|((root, tag, bytes), turns)| Round::RequestReply {
+            root,
+            tag,
+            bytes,
+            turns
+        }),
     ]
 }
 

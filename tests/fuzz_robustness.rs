@@ -577,7 +577,11 @@ proptest! {
     /// they terminate without panicking, and pass 7 renders what its
     /// pairwise reference does (the thresholds are exact for any index;
     /// pass 4's candidate windows are checked against their scan beside
-    /// them, in `hb_races.rs`).
+    /// them, in `hb_races.rs`). Pass 4 stops a witness fork where it
+    /// rejoins the recorded program (DESIGN.md §18.8), which a plan naming a
+    /// duplicated sequence number must not: every witness it reports holds
+    /// in a whole simulation from step 0 (`hb_races.rs` checks the
+    /// candidates it rejects as well).
     #[test]
     fn hb_threshold_passes_survive_unvalidated_traces(
         workload in 0usize..6,
@@ -585,7 +589,10 @@ proptest! {
         pos in 0usize..200,
         mutation in mutation_strategy(),
     ) {
-        use mpg::lint::{explore, find_races, lint_sync, ExploreOptions, LintContext, SyncOptions};
+        use mpg::lint::{
+            explore, find_races, lint_sync, run_progress, witness_plan, ExploreOptions,
+            LintContext, MatchPolicy, SyncOptions,
+        };
         let base = good_traces().iter().chain(sync_and_race_traces()).nth(workload).unwrap();
         if let Some(bad) = mutate(base, rank, pos, mutation) {
             let ctx = LintContext::build(&bad);
@@ -599,7 +606,14 @@ proptest! {
                         "{:?} at rank {} pos {} of workload {}", mutation, rank, pos, workload
                     );
                 }
-                find_races(&bad, matching, hb);
+                for w in find_races(&bad, matching, hb).iter().flat_map(|f| &f.witnesses) {
+                    let whole = run_progress(&bad, &MatchPolicy::Witness(witness_plan(w))).matching;
+                    let took = whole.pairs.iter().any(|p| p.recv == w.recv && p.send.0 == w.alternate.0);
+                    prop_assert!(
+                        whole.completed && took,
+                        "{:?} at rank {} pos {} of workload {}: {:?}", mutation, rank, pos, workload, w
+                    );
+                }
                 explore(&ctx, &ExploreOptions::cli_default().budget(8));
             }
         }
