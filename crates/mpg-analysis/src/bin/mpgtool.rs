@@ -120,14 +120,14 @@
 //!     (operators: panic, delay, io-error, corrupt-artifact); `check`
 //!     audits the runtime invariants afterwards.
 //!
-//! mpgtool bench [--lint] [--no-ooc] [--no-cache] [--out FILE] [--check FILE] [--threshold PCT] [--reps N]
-//!     Measure replay throughput (events/sec) on the pinned seed workloads.
-//!     With --out, write the machine-readable snapshot (BENCH_replay.json).
-//!     With --check, compare against a recorded snapshot and exit nonzero
-//!     if any workload regressed by more than PCT percent (default 20).
-//!     With --lint, measure full static-analysis (`lint_full`) throughput
-//!     on the pinned lint workloads instead (snapshot BENCH_lint.json).
-//!     --no-cache skips the cold/warm artifact-cache comparison.
+//! mpgtool bench [--out FILE] [--check] [--reps N]
+//!     Measure three pairs of walls, each pair taken in this process
+//!     seconds apart: the lane-batched sweep against one scalar traversal
+//!     per config (both on one thread), the
+//!     out-of-core replay of the pinned 10^7-event trace at 1 shard against
+//!     several (with its peak-RSS growth), and a warm cached analyze against
+//!     a cold one. With --out, write the snapshot (BENCH_replay.json). With
+//!     --check, exit 1 if a ratio falls below its fixed floor.
 //! ```
 //!
 //! `lint`, `analyze`, and `replay` accept `--cache` (or `--cache-dir DIR`,
@@ -208,10 +208,7 @@ fn usage() -> ExitCode {
     eprintln!("  mpgtool import <text-file> <trace-dir>");
     eprintln!("  mpgtool timeline <trace-dir> [--width N]");
     eprintln!("  mpgtool diff <trace-dir-a> <trace-dir-b>");
-    eprintln!(
-        "  mpgtool bench [--lint] [--no-ooc] [--no-cache] [--out FILE] [--check FILE] \
-         [--threshold PCT] [--reps N]"
-    );
+    eprintln!("  mpgtool bench [--out FILE] [--check] [--reps N]");
     ExitCode::from(2)
 }
 
@@ -1394,151 +1391,73 @@ fn cmd_diff(args: Vec<String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `mpgtool bench`: measure replay throughput on the pinned workloads,
-/// optionally writing the `BENCH_replay.json` snapshot and/or gating
-/// against a recorded one. With `--lint`, measure `lint_full` throughput
-/// instead (snapshot `BENCH_lint.json`), same `--out`/`--check` contract.
+/// `mpgtool bench`: measure the three same-process ratios, optionally
+/// writing the `BENCH_replay.json` snapshot and/or gating them against
+/// their fixed floors ([`mpg_analysis::perf::check`]).
 fn cmd_bench(mut args: Vec<String>) -> ExitCode {
-    let lint = take_switch(&mut args, "--lint");
-    let no_ooc = take_switch(&mut args, "--no-ooc");
-    let no_cache = take_switch(&mut args, "--no-cache");
     let out = take_flag(&mut args, "--out");
-    let check = take_flag(&mut args, "--check");
-    let threshold: f64 = take_flag(&mut args, "--threshold")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20.0);
+    let check = take_switch(&mut args, "--check");
     let reps: u32 = take_flag(&mut args, "--reps")
         .and_then(|v| v.parse().ok())
         .unwrap_or(5);
     if !args.is_empty() {
         return fail(&format!("bench: unexpected argument '{}'", args[0]));
     }
-    if lint {
-        let snap = mpg_analysis::lintperf::measure(reps);
-        println!(
-            "{:>16} {:>6} {:>10} {:>14}",
-            "workload", "ranks", "events", "lint ev/sec"
-        );
-        for w in &snap.workloads {
-            println!(
-                "{:>16} {:>6} {:>10} {:>14.0}",
-                w.name, w.ranks, w.events, w.events_per_sec
-            );
-        }
-        if let Some(path) = out {
-            if let Err(e) = std::fs::write(&path, snap.to_json()) {
-                return fail(&format!("writing {path}: {e}"));
-            }
-            println!("snapshot: wrote {path}");
-        }
-        if let Some(path) = check {
-            let recorded = match std::fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(e) => return fail(&format!("reading {path}: {e}")),
-            };
-            let msgs = mpg_analysis::lintperf::regressions(&recorded, &snap, threshold);
-            if msgs.is_empty() {
-                println!("check: within {threshold}% of {path}");
-            } else {
-                for m in &msgs {
-                    eprintln!("mpgtool: bench regression: {m}");
-                }
-                return ExitCode::FAILURE;
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-    let mut snap = mpg_analysis::perf::measure(reps);
-    if !no_ooc {
-        // The out-of-core section replays ~10⁷ events per rep over a
-        // (cached) 93 MiB trace; cap reps so the gate stays minutes-scale.
-        match mpg_analysis::perf::measure_ooc(&mpg_analysis::perf::pinned_ooc(), reps.min(3)) {
-            Ok(o) => snap.ooc = Some(o),
-            Err(e) => return fail(&format!("ooc bench: {e}")),
-        }
-    }
-    if !no_cache {
-        // Cold-vs-warm artifact-cache comparison on the same pinned trace;
-        // one rep each — the cold leg alone is a full 10^7-event analyze.
-        match mpg_analysis::perf::measure_cache(&mpg_analysis::perf::pinned_ooc()) {
-            Ok(c) => snap.cache = Some(c),
-            Err(e) => return fail(&format!("cache bench: {e}")),
-        }
-    }
+    let snap = match mpg_analysis::perf::measure(reps) {
+        Ok(snap) => snap,
+        Err(e) => return fail(&e),
+    };
+    let (s, o, c) = (&snap.sweep, &snap.ooc, &snap.cache);
     println!(
-        "{:>16} {:>6} {:>10} {:>14} {:>10} {:>13}",
-        "workload", "ranks", "events", "events/sec", "wakeups", "polls avoided"
+        "sweep: {} configs on {} in {} lane batch(es), {} traversal(s) saved: \
+         {:.1} configs/sec vs {:.1} scalar, one thread each ({:.2}x)",
+        s.configs,
+        s.workload,
+        s.lane_batches,
+        s.traversals_saved,
+        s.configs_per_sec,
+        s.scalar_configs_per_sec,
+        s.speedup_vs_scalar()
     );
-    for w in &snap.workloads {
-        println!(
-            "{:>16} {:>6} {:>10} {:>14.0} {:>10} {:>13}",
-            w.name, w.ranks, w.events, w.events_per_sec, w.scheduler_wakeups, w.polls_avoided
-        );
-    }
-    if let Some(s) = &snap.sweep {
-        println!(
-            "sweep: {} configs on {} in {} lane batch(es), {} traversal(s) saved: \
-             {:.1} configs/sec vs {:.1} threads-only ({:.2}x)",
-            s.configs,
-            s.workload,
-            s.lane_batches,
-            s.traversals_saved,
-            s.configs_per_sec,
-            s.threads_only_configs_per_sec,
-            s.speedup_vs_threads()
-        );
-    }
-    if let Some(o) = &snap.ooc {
-        println!(
-            "ooc: {} on {} ranks, {} events ({:.0} MiB mapped): \
-             {:.0} ev/sec windowed, {:.0} ev/sec at {} shards ({:.2}x, {} cpu(s)), \
-             peak RSS +{:.1} MiB",
-            o.name,
-            o.ranks,
-            o.events,
-            o.trace_mib,
-            o.events_per_sec_1shard,
-            o.events_per_sec_sharded,
-            o.shards,
-            o.shard_speedup(),
-            o.host_cpus,
-            o.peak_rss_growth_mib
-        );
-    }
-    if let Some(c) = &snap.cache {
-        println!(
-            "cache: {} on {} ranks, {} events: cold analyze {:.2}s, warm {:.3}s ({:.1}x)",
-            c.name,
-            c.ranks,
-            c.events,
-            c.cold_secs,
-            c.warm_secs,
-            c.warm_speedup()
-        );
-    }
-    for n in &snap.notes {
-        println!("note: {n}");
-    }
+    println!(
+        "ooc: {} on {} ranks, {} events ({:.0} MiB mapped): \
+         {:.0} ev/sec windowed, {:.0} ev/sec at {} shards ({:.2}x, {} cpu(s)), \
+         peak RSS +{:.1} MiB",
+        o.name,
+        o.ranks,
+        o.events,
+        o.trace_mib,
+        o.events_per_sec_1shard,
+        o.events_per_sec_sharded,
+        o.shards,
+        o.shard_speedup(),
+        o.host_cpus,
+        o.peak_rss_growth_mib
+    );
+    println!(
+        "cache: {} on {} ranks, {} events: cold analyze {:.2}s, warm {:.3}s ({:.1}x)",
+        c.name,
+        c.ranks,
+        c.events,
+        c.cold_secs,
+        c.warm_secs,
+        c.warm_speedup()
+    );
     if let Some(path) = out {
         if let Err(e) = std::fs::write(&path, snap.to_json()) {
             return fail(&format!("writing {path}: {e}"));
         }
         println!("snapshot: wrote {path}");
     }
-    if let Some(path) = check {
-        let recorded = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => return fail(&format!("reading {path}: {e}")),
-        };
-        let msgs = mpg_analysis::perf::regressions(&recorded, &snap, threshold);
-        if msgs.is_empty() {
-            println!("check: within {threshold}% of {path}");
-        } else {
+    if check {
+        let msgs = mpg_analysis::perf::check(&snap);
+        if !msgs.is_empty() {
             for m in &msgs {
                 eprintln!("mpgtool: bench regression: {m}");
             }
             return ExitCode::FAILURE;
         }
+        println!("check: every ratio at or above its floor");
     }
     ExitCode::SUCCESS
 }

@@ -29,17 +29,15 @@
 //! (the test suite uses that mode). [`history`] implements the paper's
 //! future-work experiment-history store.
 
-pub mod benchjson;
 pub mod experiments;
 pub mod history;
-pub mod lintperf;
 pub mod perf;
 pub mod sweep;
 pub mod table;
 
 pub use experiments::{all_experiments, Experiment, ExperimentResult};
 pub use history::{record_from_report, AnalysisRecord, HistoryStore};
-pub use perf::{measure as measure_perf, regressions as perf_regressions, PerfSnapshot};
+pub use perf::PerfSnapshot;
 pub use sweep::{parallel_replays, sweep_replays, sweep_replays_cancellable, SweepMode};
 pub use table::Table;
 

@@ -1,54 +1,68 @@
-//! Replay-throughput measurement and the tracked `BENCH_replay.json`
-//! perf snapshot.
+//! `mpgtool bench`: the measurements behind `BENCH_replay.json` and the
+//! floors `bench --check` holds them to.
 //!
-//! The paper's §4.2 pitch is that graph replay is *cheap* — a streaming
-//! pass over the trace. This module pins three replay-heavy workloads,
-//! measures events/sec through the full `Replayer` pipeline, and
-//! round-trips the results through a small JSON snapshot so `lint.sh` (and
-//! any CI) can fail a change that regresses replay throughput by more than
-//! a threshold. The snapshot also records the pre-scheduler polling
-//! engine's numbers, preserving the speedup evidence for the event-driven
-//! rewrite.
+//! The paper's §4.2 claim is relative — replaying a trace is a cheap
+//! streaming pass compared with analysing it — so every gate here is a
+//! ratio of two walls taken seconds apart in one process, never one
+//! number against a snapshot recorded on another day's host:
+//!
+//! - the lane-batched sweep against one scalar traversal per config, both
+//!   on one thread;
+//! - the out-of-core replay of the pinned 10⁷-event trace at 1 shard
+//!   against several, and its peak-RSS growth against the trace size;
+//! - a warm cached analyze of that trace against a cold one.
+//!
+//! [`PerfSnapshot::to_json`] records the 10⁷-event figures that the
+//! process-level `benchmark/` runs cannot afford. Nothing reads it back.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::sweep::{sweep_replays, SweepMode};
-use mpg_apps::{Pipeline, Stencil, TokenRing, Workload};
+use mpg_apps::{Stencil, TokenRing, Workload};
 use mpg_core::{
-    cached_recorded_graph, plan_lanes, ArtifactKind, CacheStore, CachedReport, PerturbationModel,
-    ReplayConfig, Replayer,
+    cached_recorded_graph, plan_lanes, replay_batch, ArtifactKind, CacheStore, CachedReport,
+    LaneBatch, PerturbationModel, ReplayConfig, Replayer,
 };
 use mpg_noise::{Dist, PlatformSignature};
 use mpg_sim::Simulation;
 use mpg_trace::{FileTraceSet, MemTrace, OocTraceSet};
 
-/// Events/sec of the pre-scheduler round-robin polling engine on the same
-/// pinned workloads (best of 5, recorded immediately before the
-/// event-driven scheduler landed). Kept so every snapshot documents the
-/// speedup baseline.
-pub const POLLING_BASELINE: [(&str, f64); 3] = [
-    ("token-ring-16", 5_345_832.0),
-    ("stencil-8", 4_048_870.0),
-    ("pipeline-32", 6_869_414.0),
-];
+/// Lane-batched over scalar configs/sec on the pinned sweep. Both sides run
+/// every traversal on the calling thread, so the ratio is traversal sharing
+/// alone and does not move with the CPU count. Measured 3.04× pinned to
+/// 1 CPU and 3.05–3.13× on 2 CPUs. A lane
+/// plan that gives every config its own batch, so each config pays its own
+/// graph traversal again, reads 1.00×.
+pub const SWEEP_LANES_FLOOR: f64 = 2.0;
 
-/// Findings about the pinned numbers that a reader of `BENCH_replay.json`
-/// would otherwise re-investigate; carried verbatim into every snapshot.
-pub const BENCH_NOTES: [&str; 1] = [
-    "pipeline-32's ~1.3x speedup vs polling is structural, not a regression: \
-     the wavefront retires events in rank order, exactly the order the old \
-     round-robin poller scanned, so the polling baseline wasted little there \
-     (6.9M events/sec, the fastest of the three baselines) while the ready \
-     queue pays one wakeup per ~3.9 events on the long dependency chain \
-     versus ~12.8 on stencil-8",
-];
+/// Out-of-core peak-RSS growth may reach half the on-disk trace or this
+/// many MiB, whichever is larger; the constant absorbs allocator noise on
+/// small traces. Measured +2.6 to +5.7 MiB over the pinned 93 MiB trace. A
+/// windowed replay that buffers its input grows by the trace size or more
+/// (the decoded trace is ~800 MiB).
+pub const OOC_RSS_CAP_MIN_MIB: f64 = 48.0;
 
-/// The perturbation model applied in every throughput measurement (the
-/// bench suite's standard mixed model).
-pub fn perf_model() -> PerturbationModel {
+/// Sharded over 1-shard out-of-core replay of the pinned trace, checked
+/// only with [`SHARD_MIN_CPUS`] CPUs or more. Measured on 2 CPUs: 1.72–1.98×
+/// at the pinned 4 shards here, and `mpgtool replay --ooc` reads 1.79× at
+/// 2 shards and 1.75× at 4. Shards that serialise on one another read
+/// ≤ 1×, as every run on a 1-CPU host does (0.87× recorded there).
+pub const SHARD_SPEEDUP_FLOOR: f64 = 1.2;
+
+/// CPUs from which [`SHARD_SPEEDUP_FLOOR`] is checked.
+pub const SHARD_MIN_CPUS: u32 = 2;
+
+/// Cold over warm analyze of the pinned trace. Measured 3 753–4 370× on 2
+/// CPUs (19.4–23.7 s cold, ~5 ms warm): a warm run is a fingerprint and a
+/// memoised-report read. The floor asks only that the cache is wired in —
+/// [`measure_cache`] already fails when the warm run misses the report,
+/// and a hit that still costs a third of the cold analyze is no cache.
+pub const WARM_SPEEDUP_FLOOR: f64 = 3.0;
+
+/// The perturbation model of every out-of-core replay measurement.
+fn perf_model() -> PerturbationModel {
     let mut m = PerturbationModel::quiet("perf");
     m.os_local = Dist::Exponential { mean: 500.0 }.into();
     m.latency = Dist::Exponential { mean: 700.0 }.into();
@@ -56,86 +70,25 @@ pub fn perf_model() -> PerturbationModel {
     m
 }
 
-/// Iterations/sec of a fixed integer spin loop, measured alongside every
-/// snapshot and every check. The ratio between the recorded and current
-/// calibration estimates how much slower the host is right now (background
-/// load, different machine), so the regression gate can scale its floor and
-/// track the engine rather than the host. Deliberately does not touch the
-/// replay engine — that would cancel the very regressions the gate exists
-/// to catch.
-pub fn calibrate() -> f64 {
-    const ITERS: u64 = 20_000_000;
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
-        let t = Instant::now();
-        for _ in 0..ITERS {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-        }
-        std::hint::black_box(x);
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    ITERS as f64 / best
-}
-
-fn trace_of(w: &dyn Workload, p: u32) -> MemTrace {
-    Simulation::new(p, PlatformSignature::quiet("perf"))
-        .ideal_clocks()
-        .seed(1)
-        .run(|ctx| w.run(ctx))
-        .expect("pinned perf workload runs")
-        .trace
-}
-
-/// The pinned seed workloads: a blocked-heavy many-rank token ring
-/// (sendrecv chains — the polling engine's worst case for wasted polls), a
-/// waitall-heavy stencil, and a long-dependency-chain pipeline.
-pub fn pinned_traces() -> Vec<(&'static str, u32, MemTrace)> {
+/// The trace the pinned sweep replays: a blocked-heavy 16-rank token ring
+/// (sendrecv chains), 76 832 events.
+fn pinned_ring() -> MemTrace {
     let ring = TokenRing {
         traversals: 60,
         particles_per_rank: 2,
         work_per_pair: 1,
     };
-    let stencil = Stencil {
-        iters: 300,
-        cells_per_rank: 10,
-        work_per_cell: 5,
-        halo_bytes: 256,
-    };
-    let pipeline = Pipeline {
-        waves: 100,
-        work_per_stage: 100,
-        payload: 64,
-    };
-    vec![
-        ("token-ring-16", 16, trace_of(&ring, 16)),
-        ("stencil-8", 8, trace_of(&stencil, 8)),
-        ("pipeline-32", 32, trace_of(&pipeline, 32)),
-    ]
-}
-
-/// One pinned workload's measurement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkloadPerf {
-    /// Pinned workload name.
-    pub name: String,
-    /// Rank count.
-    pub ranks: u32,
-    /// Events replayed per run.
-    pub events: u64,
-    /// Best-of-reps throughput.
-    pub events_per_sec: f64,
-    /// Ready-queue pops taken by the scheduler.
-    pub scheduler_wakeups: u64,
-    /// Round-robin polls the wakeup queue avoided.
-    pub polls_avoided: u64,
+    Simulation::new(16, PlatformSignature::quiet("perf"))
+        .ideal_clocks()
+        .seed(1)
+        .run(|ctx| ring.run(ctx))
+        .expect("pinned perf workload runs")
+        .trace
 }
 
 /// The lane-path sweep measurement: K configs over one pinned trace,
-/// replayed through the two-level scheduler and through the threads-only
-/// scalar baseline it is gated against.
+/// replayed as the lane plan's batches and as one scalar traversal per
+/// config, each side on one thread.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepPerf {
     /// Pinned workload the sweep replays.
@@ -146,17 +99,17 @@ pub struct SweepPerf {
     pub lane_batches: u32,
     /// Graph traversals the lane plan avoided (`configs − batches`).
     pub traversals_saved: u64,
-    /// Best-of-reps lane-path throughput.
+    /// Best-of-reps lane-batched throughput.
     pub configs_per_sec: f64,
-    /// Best-of-reps scalar threads-only throughput.
-    pub threads_only_configs_per_sec: f64,
+    /// Best-of-reps throughput at one scalar traversal per config.
+    pub scalar_configs_per_sec: f64,
 }
 
 impl SweepPerf {
-    /// Lane-path throughput over the threads-only baseline.
-    pub fn speedup_vs_threads(&self) -> f64 {
-        if self.threads_only_configs_per_sec > 0.0 {
-            self.configs_per_sec / self.threads_only_configs_per_sec
+    /// Lane-batched throughput over the scalar baseline.
+    pub fn speedup_vs_scalar(&self) -> f64 {
+        if self.scalar_configs_per_sec > 0.0 {
+            self.configs_per_sec / self.scalar_configs_per_sec
         } else {
             0.0
         }
@@ -216,8 +169,8 @@ pub struct OocPerf {
     pub trace_mib: f64,
     /// Shard count of the parallel run.
     pub shards: usize,
-    /// CPUs available to this process when measured; wall-clock shard
-    /// speedup is only meaningful (and only gated) when this is > 1.
+    /// CPUs available to this process when measured; the shard speedup is
+    /// only checked from [`SHARD_MIN_CPUS`].
     pub host_cpus: u32,
     /// Best-of-reps single-shard (windowed, single-threaded) throughput.
     pub events_per_sec_1shard: f64,
@@ -325,33 +278,35 @@ fn ensure_ooc_trace(spec: &OocSpec) -> Result<PathBuf, String> {
     Ok(dir)
 }
 
-/// Measures the out-of-core replay path: `reps` timed replays at 1 shard
-/// and at [`OocSpec::shards`] shards over the mmap-backed cursors, with the
-/// resident-set sampler running across the whole section. The trace is
-/// generated once and cached in the system temp dir.
+/// Measures the out-of-core replay path: `reps` rounds of one timed replay
+/// at 1 shard then one at [`OocSpec::shards`] shards over the mmap-backed
+/// cursors, best of each kept, with the resident-set sampler running across
+/// the whole section. Alternating the two keeps each pair of walls seconds
+/// apart. The trace is generated once and cached in the system temp dir.
 pub fn measure_ooc(spec: &OocSpec, reps: u32) -> Result<OocPerf, String> {
-    let reps = reps.max(1);
     let dir = ensure_ooc_trace(spec)?;
     let set = OocTraceSet::open(&dir).map_err(|e| format!("opening ooc bench trace: {e}"))?;
     let trace_mib = set.total_bytes() as f64 / (1024.0 * 1024.0);
     let replayer = Replayer::new(ReplayConfig::new(perf_model()).seed(42));
     let timed = |shards: usize| -> Result<(u64, f64), String> {
-        let mut best = f64::INFINITY;
-        let mut events = 0;
-        for _ in 0..reps {
-            let streams: Vec<_> = (0..set.num_ranks()).map(|r| set.cursor(r)).collect();
-            let t = Instant::now();
-            let rep = replayer
-                .run_streams_parallel(streams, shards)
-                .map_err(|e| format!("ooc bench replay failed: {e}"))?;
-            best = best.min(t.elapsed().as_secs_f64());
-            events = rep.stats.events;
-        }
-        Ok((events, events as f64 / best))
+        let streams: Vec<_> = (0..set.num_ranks()).map(|r| set.cursor(r)).collect();
+        let t = Instant::now();
+        let rep = replayer
+            .run_streams_parallel(streams, shards)
+            .map_err(|e| format!("ooc bench replay failed: {e}"))?;
+        Ok((rep.stats.events, t.elapsed().as_secs_f64()))
     };
-    let (runs, baseline, peak) =
-        with_peak_rss(|| Ok::<_, String>((timed(1)?, timed(spec.shards)?)));
-    let ((events, eps_1shard), (_, eps_sharded)) = runs?;
+    let (runs, baseline, peak) = with_peak_rss(|| {
+        let (mut events, mut best_1, mut best_n) = (0, f64::INFINITY, f64::INFINITY);
+        for _ in 0..reps.max(1) {
+            let (n, secs) = timed(1)?;
+            events = n;
+            best_1 = best_1.min(secs);
+            best_n = best_n.min(timed(spec.shards)?.1);
+        }
+        Ok::<_, String>((events, best_1, best_n))
+    });
+    let (events, best_1, best_n) = runs?;
     Ok(OocPerf {
         name: spec.name.to_string(),
         ranks: spec.ranks,
@@ -359,8 +314,8 @@ pub fn measure_ooc(spec: &OocSpec, reps: u32) -> Result<OocPerf, String> {
         trace_mib,
         shards: spec.shards,
         host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get() as u32),
-        events_per_sec_1shard: eps_1shard,
-        events_per_sec_sharded: eps_sharded,
+        events_per_sec_1shard: events as f64 / best_1,
+        events_per_sec_sharded: events as f64 / best_n,
         baseline_rss_mib: baseline,
         peak_rss_growth_mib: (peak - baseline).max(0.0),
     })
@@ -472,37 +427,26 @@ pub fn measure_cache(spec: &OocSpec) -> Result<CachePerf, String> {
 /// A full measurement snapshot (what `BENCH_replay.json` holds).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfSnapshot {
-    /// Engine description recorded in the snapshot.
-    pub engine: String,
-    /// Timed repetitions per workload (best is kept).
-    pub reps: u32,
-    /// Host-speed calibration ([`calibrate`]) taken with the measurement.
-    pub calibration: f64,
-    /// Recorded findings about the pinned numbers ([`BENCH_NOTES`]).
-    pub notes: Vec<String>,
-    /// The multi-config sweep measurement (lane path vs threads-only).
-    pub sweep: Option<SweepPerf>,
+    /// The multi-config sweep measurement (lane-batched vs scalar).
+    pub sweep: SweepPerf,
     /// The out-of-core replay measurement (mmap-backed windowed +
     /// partition-parallel path over the pinned 10⁷-event trace).
-    pub ooc: Option<OocPerf>,
+    pub ooc: OocPerf,
     /// The artifact-cache measurement (cold vs warm analyze over the same
     /// pinned trace).
-    pub cache: Option<CachePerf>,
-    /// Per-workload results.
-    pub workloads: Vec<WorkloadPerf>,
+    pub cache: CachePerf,
 }
 
 /// Config count of the pinned sweep measurement: two full lane batches'
 /// worth, so the plan exercises the batch split and the acceptance target
-/// (≥ 2× vs threads-only at K ≥ 8) is measured past the single-batch case.
+/// (≥ 2× vs scalar at K ≥ 8) is measured past the single-batch case.
 pub const SWEEP_CONFIGS: u32 = 16;
 
 /// The pinned sweep's config set: the §6.1 headline shape — K constant
 /// per-message noise levels in 100-cycle increments (E6 runs eight of
 /// these) — each config its own lane. Per-lane work here is pure max-plus
 /// drift arithmetic, the regime the lane bank exists to amortize;
-/// sampling-heavy sweeps are covered by the `sweep_throughput` criterion
-/// bench.
+/// sampling-heavy sweeps are timed by `benchmark/`'s `sweep_wall_s`.
 pub fn sweep_configs(k: u32) -> Vec<ReplayConfig> {
     (0..k)
         .map(|i| {
@@ -515,557 +459,301 @@ pub fn sweep_configs(k: u32) -> Vec<ReplayConfig> {
         .collect()
 }
 
-/// Measures every pinned workload: one warmup replay, then `reps` timed
-/// replays, keeping the best (noise on shared machines only ever slows a
-/// run down). Also measures the pinned K-config sweep through both sweep
-/// modes on the first pinned trace.
-pub fn measure(reps: u32) -> PerfSnapshot {
-    let reps = reps.max(1);
-    let traces = pinned_traces();
-    let mut workloads = Vec::new();
-    for (name, ranks, trace) in &traces {
-        let replayer = Replayer::new(ReplayConfig::new(perf_model()).seed(42));
-        let warm = replayer.run(trace).expect("pinned workload replays");
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t = Instant::now();
-            let rep = replayer.run(trace).expect("pinned workload replays");
-            best = best.min(t.elapsed().as_secs_f64());
-            debug_assert_eq!(rep.stats.events, warm.stats.events);
-        }
-        workloads.push(WorkloadPerf {
-            name: (*name).to_string(),
-            ranks: *ranks,
-            events: warm.stats.events,
-            events_per_sec: warm.stats.events as f64 / best,
-            scheduler_wakeups: warm.stats.scheduler_wakeups,
-            polls_avoided: warm.stats.polls_avoided,
-        });
-    }
-
-    let (sweep_name, _, sweep_trace) = &traces[0];
+/// Measures the pinned K-config sweep two ways: the lane plan's batches,
+/// and one scalar traversal per config. Both sides replay every batch in
+/// turn on the calling thread — `sweep_replays` would spread the plan's
+/// few batches over fewer workers than the K singletons, and the ratio
+/// would then move with the CPU count. One warmup each, then `reps` rounds
+/// of one pass per side, keeping the best of each (noise on shared machines
+/// only ever slows a run down).
+pub fn measure_sweep(reps: u32) -> SweepPerf {
+    let trace = pinned_ring();
     let configs = sweep_configs(SWEEP_CONFIGS);
-    let plan = plan_lanes(&configs);
-    let mut best_by_mode = [f64::INFINITY; 2];
-    for (slot, mode) in [SweepMode::Lanes, SweepMode::ThreadsOnly]
-        .into_iter()
-        .enumerate()
-    {
-        std::hint::black_box(sweep_replays(sweep_trace, &configs, mode));
-        for _ in 0..reps {
-            let t = Instant::now();
-            std::hint::black_box(sweep_replays(sweep_trace, &configs, mode));
-            best_by_mode[slot] = best_by_mode[slot].min(t.elapsed().as_secs_f64());
+    let plans = [
+        plan_lanes(&configs),
+        (0..configs.len())
+            .map(|i| LaneBatch { members: vec![i] })
+            .collect(),
+    ];
+    let pass = |plan: &[LaneBatch]| {
+        let t = Instant::now();
+        for batch in plan {
+            std::hint::black_box(replay_batch(&trace, &configs, batch));
+        }
+        t.elapsed().as_secs_f64()
+    };
+    for plan in &plans {
+        pass(plan);
+    }
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..reps.max(1) {
+        for (slot, plan) in plans.iter().enumerate() {
+            best[slot] = best[slot].min(pass(plan));
         }
     }
-    let sweep = SweepPerf {
-        workload: (*sweep_name).to_string(),
+    SweepPerf {
+        workload: "token-ring-16".to_string(),
         configs: SWEEP_CONFIGS,
-        lane_batches: plan.len() as u32,
-        traversals_saved: (configs.len() - plan.len()) as u64,
-        configs_per_sec: f64::from(SWEEP_CONFIGS) / best_by_mode[0],
-        threads_only_configs_per_sec: f64::from(SWEEP_CONFIGS) / best_by_mode[1],
-    };
-
-    PerfSnapshot {
-        engine: "event-driven ready-queue".to_string(),
-        reps,
-        calibration: calibrate(),
-        notes: BENCH_NOTES.iter().map(|n| (*n).to_string()).collect(),
-        sweep: Some(sweep),
-        // The out-of-core and cache sections cost minutes (10⁷-event
-        // trace); callers that want them attach them separately via
-        // [`measure_ooc`] and [`measure_cache`].
-        ooc: None,
-        cache: None,
-        workloads,
+        lane_batches: plans[0].len() as u32,
+        traversals_saved: (configs.len() - plans[0].len()) as u64,
+        configs_per_sec: f64::from(SWEEP_CONFIGS) / best[0],
+        scalar_configs_per_sec: f64::from(SWEEP_CONFIGS) / best[1],
     }
+}
+
+/// Takes every section of the snapshot: the sweep at `reps` rounds, the
+/// out-of-core replay of the pinned 10⁷-event trace at `reps` capped to 3
+/// (each rep replays ~10⁷ events twice, so the gate stays minutes-scale),
+/// and one cold and one warm analyze of that trace.
+pub fn measure(reps: u32) -> Result<PerfSnapshot, String> {
+    let sweep = measure_sweep(reps);
+    let spec = pinned_ooc();
+    let ooc = measure_ooc(&spec, reps.min(3)).map_err(|e| format!("ooc bench: {e}"))?;
+    let cache = measure_cache(&spec).map_err(|e| format!("cache bench: {e}"))?;
+    Ok(PerfSnapshot { sweep, ooc, cache })
+}
+
+/// One `"name": { "key": value, … }` object of the snapshot document;
+/// string values arrive already quoted.
+fn json_block(name: &str, fields: &[(&str, String)]) -> String {
+    let body: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| format!("    \"{k}\": {v}"))
+        .collect();
+    format!("  \"{name}\": {{\n{}\n  }}", body.join(",\n"))
 }
 
 impl PerfSnapshot {
-    /// Renders the snapshot as the `BENCH_replay.json` document.
+    /// Renders the snapshot as the `BENCH_replay.json` document: one block
+    /// per section.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        crate::benchjson::write_header(&mut out, "replay_throughput", self.reps, self.calibration);
-        out.push_str(&format!("  \"engine\": \"{}\",\n", self.engine));
-        crate::benchjson::write_notes(&mut out, &self.notes);
-        if let Some(s) = &self.sweep {
-            out.push_str("  \"sweep\": {\n");
-            out.push_str(&format!("    \"workload\": \"{}\",\n", s.workload));
-            out.push_str(&format!("    \"configs\": {},\n", s.configs));
-            out.push_str(&format!("    \"lane_batches\": {},\n", s.lane_batches));
-            out.push_str(&format!(
-                "    \"traversals_saved\": {},\n",
-                s.traversals_saved
-            ));
-            out.push_str(&format!(
-                "    \"configs_per_sec\": {:.1},\n",
-                s.configs_per_sec
-            ));
-            out.push_str(&format!(
-                "    \"threads_only_configs_per_sec\": {:.1},\n",
-                s.threads_only_configs_per_sec
-            ));
-            out.push_str(&format!(
-                "    \"speedup_vs_threads\": {:.2}\n",
-                s.speedup_vs_threads()
-            ));
-            out.push_str("  },\n");
-        }
-        if let Some(o) = &self.ooc {
-            out.push_str("  \"ooc\": {\n");
-            out.push_str(&format!("    \"name\": \"{}\",\n", o.name));
-            out.push_str(&format!("    \"ranks\": {},\n", o.ranks));
-            out.push_str(&format!("    \"events\": {},\n", o.events));
-            out.push_str(&format!("    \"trace_mib\": {:.1},\n", o.trace_mib));
-            out.push_str(&format!("    \"shards\": {},\n", o.shards));
-            out.push_str(&format!("    \"host_cpus\": {},\n", o.host_cpus));
-            out.push_str(&format!(
-                "    \"events_per_sec_1shard\": {:.0},\n",
-                o.events_per_sec_1shard
-            ));
-            out.push_str(&format!(
-                "    \"events_per_sec_sharded\": {:.0},\n",
-                o.events_per_sec_sharded
-            ));
-            out.push_str(&format!(
-                "    \"shard_speedup\": {:.2},\n",
-                o.shard_speedup()
-            ));
-            out.push_str(&format!(
-                "    \"baseline_rss_mib\": {:.1},\n",
-                o.baseline_rss_mib
-            ));
-            out.push_str(&format!(
-                "    \"peak_rss_growth_mib\": {:.1}\n",
-                o.peak_rss_growth_mib
-            ));
-            out.push_str("  },\n");
-        }
-        if let Some(c) = &self.cache {
-            out.push_str("  \"cache\": {\n");
-            out.push_str(&format!("    \"name\": \"{}\",\n", c.name));
-            out.push_str(&format!("    \"ranks\": {},\n", c.ranks));
-            out.push_str(&format!("    \"events\": {},\n", c.events));
-            out.push_str(&format!("    \"cold_secs\": {:.3},\n", c.cold_secs));
-            out.push_str(&format!("    \"warm_secs\": {:.4},\n", c.warm_secs));
-            out.push_str(&format!("    \"warm_speedup\": {:.1}\n", c.warm_speedup()));
-            out.push_str("  },\n");
-        }
-        crate::benchjson::write_workloads(&mut out, &self.workloads, true, &POLLING_BASELINE);
-        out
-    }
-
-    /// Extracts the recorded host calibration from a snapshot document, if
-    /// present (older documents lack the key). Thin shim over
-    /// [`benchjson::calibration`](crate::benchjson::calibration).
-    pub fn parse_calibration(json: &str) -> Option<f64> {
-        crate::benchjson::calibration(json)
-    }
-
-    /// Extracts the recorded lane-path sweep throughput (configs/sec), if
-    /// the snapshot carries a sweep measurement.
-    pub fn parse_sweep_configs_per_sec(json: &str) -> Option<f64> {
-        crate::benchjson::number(json, "configs_per_sec")
-    }
-
-    /// Extracts the first numeric value stored under `key` in a snapshot
-    /// document. Thin shim over
-    /// [`benchjson::number`](crate::benchjson::number).
-    pub fn parse_number(json: &str, key: &str) -> Option<f64> {
-        crate::benchjson::number(json, key)
-    }
-
-    /// Extracts the recorded out-of-core throughputs `(1-shard, sharded)`,
-    /// if the snapshot carries an `"ooc"` section. The key names are
-    /// unique to that section, so no scoping is needed.
-    pub fn parse_ooc_events_per_sec(json: &str) -> Option<(f64, f64)> {
-        Some((
-            Self::parse_number(json, "events_per_sec_1shard")?,
-            Self::parse_number(json, "events_per_sec_sharded")?,
-        ))
-    }
-
-    /// Extracts `(name, events_per_sec)` pairs from a snapshot document.
-    /// Thin shim over
-    /// [`benchjson::events_per_sec`](crate::benchjson::events_per_sec).
-    pub fn parse_events_per_sec(json: &str) -> Vec<(String, f64)> {
-        crate::benchjson::events_per_sec(json)
+        let (s, o, c) = (&self.sweep, &self.ooc, &self.cache);
+        let blocks = [
+            json_block(
+                "sweep",
+                &[
+                    ("workload", format!("\"{}\"", s.workload)),
+                    ("configs", s.configs.to_string()),
+                    ("lane_batches", s.lane_batches.to_string()),
+                    ("traversals_saved", s.traversals_saved.to_string()),
+                    ("configs_per_sec", format!("{:.1}", s.configs_per_sec)),
+                    (
+                        "scalar_configs_per_sec",
+                        format!("{:.1}", s.scalar_configs_per_sec),
+                    ),
+                    ("speedup_vs_scalar", format!("{:.2}", s.speedup_vs_scalar())),
+                ],
+            ),
+            json_block(
+                "ooc",
+                &[
+                    ("name", format!("\"{}\"", o.name)),
+                    ("ranks", o.ranks.to_string()),
+                    ("events", o.events.to_string()),
+                    ("trace_mib", format!("{:.1}", o.trace_mib)),
+                    ("shards", o.shards.to_string()),
+                    ("host_cpus", o.host_cpus.to_string()),
+                    (
+                        "events_per_sec_1shard",
+                        format!("{:.0}", o.events_per_sec_1shard),
+                    ),
+                    (
+                        "events_per_sec_sharded",
+                        format!("{:.0}", o.events_per_sec_sharded),
+                    ),
+                    ("shard_speedup", format!("{:.2}", o.shard_speedup())),
+                    ("baseline_rss_mib", format!("{:.1}", o.baseline_rss_mib)),
+                    (
+                        "peak_rss_growth_mib",
+                        format!("{:.1}", o.peak_rss_growth_mib),
+                    ),
+                ],
+            ),
+            json_block(
+                "cache",
+                &[
+                    ("name", format!("\"{}\"", c.name)),
+                    ("ranks", c.ranks.to_string()),
+                    ("events", c.events.to_string()),
+                    ("cold_secs", format!("{:.3}", c.cold_secs)),
+                    ("warm_secs", format!("{:.4}", c.warm_secs)),
+                    ("warm_speedup", format!("{:.1}", c.warm_speedup())),
+                ],
+            ),
+        ];
+        format!("{{\n{}\n}}\n", blocks.join(",\n"))
     }
 }
 
-/// Compares a fresh measurement against a recorded snapshot document.
-/// Returns one message per workload whose throughput fell more than
-/// `threshold_pct` percent below the recorded value; an empty vector means
-/// the gate passes. Workloads present on only one side are ignored (the
-/// pinned set may grow).
-///
-/// When both sides carry a host calibration, the recorded floor is scaled
-/// down by the host-speed ratio — a box that spins integers 30% slower
-/// right now (background load, weaker machine) is forgiven 30% of its
-/// replay throughput. The scale only ever *loosens* the gate (capped at
-/// 1.0): a faster host never tightens it, since calibration and replay
-/// don't speed up in lockstep.
-pub fn regressions(recorded_json: &str, current: &PerfSnapshot, threshold_pct: f64) -> Vec<String> {
-    let host_scale = crate::benchjson::host_scale(recorded_json, current.calibration);
-    let mut msgs = crate::benchjson::throughput_regressions(
-        recorded_json,
-        &current.workloads,
-        host_scale,
-        threshold_pct,
-        "events/sec",
-    );
-    // The sweep workload gates on configs/sec, same host scale and
-    // threshold. A snapshot recorded before the sweep existed gates
-    // nothing here (the pinned set may grow).
-    if let (Some(rec_cps), Some(cur)) = (
-        PerfSnapshot::parse_sweep_configs_per_sec(recorded_json),
-        current.sweep.as_ref(),
-    ) {
-        let scaled = rec_cps * host_scale;
-        let floor = scaled * (1.0 - threshold_pct / 100.0);
-        if cur.configs_per_sec < floor {
-            msgs.push(format!(
-                "sweep({}): {:.1} configs/sec is {:.1}% below the recorded {:.1} \
-                 (host-speed scale {:.2}, allowed drop {:.0}%)",
-                cur.workload,
-                cur.configs_per_sec,
-                (1.0 - cur.configs_per_sec / scaled) * 100.0,
-                rec_cps,
-                host_scale,
-                threshold_pct
-            ));
-        }
-    }
-    // Out-of-core gates. Throughput compares against the recorded snapshot
-    // (host-scaled, like the workloads above); the RSS-flatness and
-    // shard-speedup checks are absolute properties of the current
-    // measurement, so they run whenever one was taken.
-    if let Some(cur) = current.ooc.as_ref() {
-        if let Some((rec_1shard, rec_sharded)) =
-            PerfSnapshot::parse_ooc_events_per_sec(recorded_json)
-        {
-            for (what, rec, got) in [
-                ("1-shard", rec_1shard, cur.events_per_sec_1shard),
-                ("sharded", rec_sharded, cur.events_per_sec_sharded),
-            ] {
-                let scaled = rec * host_scale;
-                let floor = scaled * (1.0 - threshold_pct / 100.0);
-                if got < floor {
-                    msgs.push(format!(
-                        "ooc({}, {what}): {:.0} events/sec is {:.1}% below the recorded \
-                         {:.0} (host-speed scale {:.2}, allowed drop {:.0}%)",
-                        cur.name,
-                        got,
-                        (1.0 - got / scaled) * 100.0,
-                        rec,
-                        host_scale,
-                        threshold_pct
-                    ));
-                }
-            }
-        }
-        // Flat peak RSS: resident growth across the out-of-core replays
-        // must stay well under the on-disk trace size, else the windowed
-        // cursor path is silently buffering (superlinear RSS). The floor
-        // term absorbs allocator noise on small traces.
-        let rss_cap = (0.5 * cur.trace_mib).max(48.0);
-        if cur.peak_rss_growth_mib > rss_cap {
-            msgs.push(format!(
-                "ooc({}): peak RSS grew {:.1} MiB over a {:.1} MiB trace \
-                 (flat-RSS cap {:.1} MiB) — the windowed replay is buffering",
-                cur.name, cur.peak_rss_growth_mib, cur.trace_mib, rss_cap
-            ));
-        }
-        // Shard speedup only means anything with real CPUs under it; a
-        // 1-core container serializes the shards (and pays exchange
-        // overhead), so the check arms at 4 cores.
-        if cur.host_cpus >= 4 && cur.shards >= 4 && cur.shard_speedup() < 1.2 {
-            msgs.push(format!(
-                "ooc({}): {} shards on {} CPUs yields {:.2}x over 1 shard \
-                 (expected > 1.2x) — partition-parallel replay is not scaling",
-                cur.name,
-                cur.shards,
-                cur.host_cpus,
-                cur.shard_speedup()
-            ));
-        }
-    }
-    // Warm-path cache gate: an absolute property of the current
-    // measurement (like the flat-RSS cap), host-calibrated in the
-    // loosening direction only — a loaded box slows the warm leg's
-    // filesystem work more than the ratio's numerator, so the 3x floor
-    // scales down with host speed and never up.
-    if let Some(cur) = current.cache.as_ref() {
-        let floor = 3.0 * host_scale;
-        if cur.warm_speedup() < floor {
-            msgs.push(format!(
-                "cache({}): warm analyze is only {:.1}x faster than cold \
-                 (floor {:.1}x, host-speed scale {:.2}) — the artifact cache \
-                 is not paying for itself",
-                cur.name,
-                cur.warm_speedup(),
-                floor,
-                host_scale
-            ));
-        }
-    }
-    msgs
+/// [`SWEEP_LANES_FLOOR`]: `Some(message)` when the lanes fall below it.
+fn check_sweep(s: &SweepPerf) -> Option<String> {
+    (s.speedup_vs_scalar() < SWEEP_LANES_FLOOR).then(|| {
+        format!(
+            "sweep({}): lanes run {:.2}x the scalar configs/sec (floor \
+             {SWEEP_LANES_FLOOR}x) — lane batches are not sharing graph traversals",
+            s.workload,
+            s.speedup_vs_scalar()
+        )
+    })
+}
+
+/// [`OOC_RSS_CAP_MIN_MIB`]: `Some(message)` when the out-of-core replay's
+/// peak-RSS growth passes max(48 MiB, trace/2).
+fn check_ooc_rss(o: &OocPerf) -> Option<String> {
+    let rss_cap = (0.5 * o.trace_mib).max(OOC_RSS_CAP_MIN_MIB);
+    (o.peak_rss_growth_mib > rss_cap).then(|| {
+        format!(
+            "ooc({}): peak RSS grew {:.1} MiB over a {:.1} MiB trace \
+             (flat-RSS cap {:.1} MiB) — the windowed replay is buffering",
+            o.name, o.peak_rss_growth_mib, o.trace_mib, rss_cap
+        )
+    })
+}
+
+/// [`SHARD_SPEEDUP_FLOOR`], armed from [`SHARD_MIN_CPUS`] CPUs and 2 shards:
+/// `Some(message)` when the sharded replay falls below it.
+fn check_shards(o: &OocPerf) -> Option<String> {
+    let armed = o.host_cpus >= SHARD_MIN_CPUS && o.shards >= 2;
+    (armed && o.shard_speedup() < SHARD_SPEEDUP_FLOOR).then(|| {
+        format!(
+            "ooc({}): {} shards on {} CPUs run {:.2}x 1 shard (floor \
+             {SHARD_SPEEDUP_FLOOR}x) — partition-parallel replay is not scaling",
+            o.name,
+            o.shards,
+            o.host_cpus,
+            o.shard_speedup()
+        )
+    })
+}
+
+/// [`WARM_SPEEDUP_FLOOR`]: `Some(message)` when a warm analyze falls below it.
+fn check_cache(c: &CachePerf) -> Option<String> {
+    (c.warm_speedup() < WARM_SPEEDUP_FLOOR).then(|| {
+        format!(
+            "cache({}): warm analyze is only {:.1}x faster than cold (floor \
+             {WARM_SPEEDUP_FLOOR}x) — the artifact cache is not paying for itself",
+            c.name,
+            c.warm_speedup()
+        )
+    })
+}
+
+/// Holds every section of `snap` to its fixed floor. Returns one message
+/// per ratio below its floor; empty means the gate passes.
+pub fn check(snap: &PerfSnapshot) -> Vec<String> {
+    [
+        check_sweep(&snap.sweep),
+        check_ooc_rss(&snap.ooc),
+        check_shards(&snap.ooc),
+        check_cache(&snap.cache),
+    ]
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn snapshot(eps: &[(&str, f64)]) -> PerfSnapshot {
-        snapshot_cal(eps, 1.0e9)
+    fn sweep(speedup: f64) -> SweepPerf {
+        SweepPerf {
+            workload: "token-ring-16".into(),
+            configs: 16,
+            lane_batches: 2,
+            traversals_saved: 14,
+            configs_per_sec: 100.0 * speedup,
+            scalar_configs_per_sec: 100.0,
+        }
     }
 
-    fn snapshot_cal(eps: &[(&str, f64)], calibration: f64) -> PerfSnapshot {
-        PerfSnapshot {
-            engine: "test".into(),
-            reps: 1,
-            calibration,
-            notes: vec!["a note with \"quotes\"".into()],
-            sweep: Some(SweepPerf {
-                workload: "token-ring-16".into(),
-                configs: 16,
-                lane_batches: 2,
-                traversals_saved: 14,
-                configs_per_sec: 400.0,
-                threads_only_configs_per_sec: 100.0,
-            }),
-            ooc: None,
-            cache: None,
-            workloads: eps
-                .iter()
-                .map(|(n, e)| WorkloadPerf {
-                    name: (*n).into(),
-                    ranks: 8,
-                    events: 1000,
-                    events_per_sec: *e,
-                    scheduler_wakeups: 10,
-                    polls_avoided: 5,
-                })
-                .collect(),
+    fn ooc(trace_mib: f64, rss_growth: f64, speedup: f64, cpus: u32) -> OocPerf {
+        OocPerf {
+            name: "ooc-test".into(),
+            ranks: 1024,
+            events: 10_000_000,
+            trace_mib,
+            shards: 4,
+            host_cpus: cpus,
+            events_per_sec_1shard: 1.0e6,
+            events_per_sec_sharded: 1.0e6 * speedup,
+            baseline_rss_mib: 800.0,
+            peak_rss_growth_mib: rss_growth,
+        }
+    }
+
+    fn cache(warm_speedup: f64) -> CachePerf {
+        CachePerf {
+            name: "cache-test".into(),
+            ranks: 1024,
+            events: 10_000_000,
+            cold_secs: 10.0,
+            warm_secs: 10.0 / warm_speedup,
         }
     }
 
     #[test]
-    fn json_roundtrip() {
-        let snap = snapshot(&[("token-ring-16", 1.0e7), ("stencil-8", 5.0e6)]);
-        let parsed = PerfSnapshot::parse_events_per_sec(&snap.to_json());
-        assert_eq!(
-            parsed,
-            vec![
-                ("token-ring-16".to_string(), 1.0e7),
-                ("stencil-8".to_string(), 5.0e6)
-            ]
-        );
+    fn sweep_floor_fires_below_2x() {
+        assert_eq!(check_sweep(&sweep(3.04)), None);
+        let msg = check_sweep(&sweep(1.99)).expect("below the floor");
+        assert!(msg.starts_with("sweep(token-ring-16):"), "{msg}");
     }
 
     #[test]
-    fn regression_gate_fires_only_past_threshold() {
-        let recorded = snapshot(&[("a", 1.0e6), ("b", 1.0e6)]).to_json();
-        // 10% down: within a 20% allowance.
-        let ok = snapshot(&[("a", 9.0e5), ("b", 1.1e6)]);
-        assert!(regressions(&recorded, &ok, 20.0).is_empty());
-        // 30% down on one workload: the gate names it.
-        let bad = snapshot(&[("a", 7.0e5), ("b", 1.1e6)]);
-        let msgs = regressions(&recorded, &bad, 20.0);
-        assert_eq!(msgs.len(), 1);
-        assert!(msgs[0].starts_with("a:"), "{msgs:?}");
+    fn ooc_rss_cap_is_half_the_trace_or_48_mib() {
+        // Measured: up to +5.7 MiB over the pinned 93 MiB trace.
+        assert_eq!(check_ooc_rss(&ooc(93.4, 5.7, 1.72, 2)), None);
+        // Half a 200 MiB trace is the cap.
+        assert_eq!(check_ooc_rss(&ooc(200.0, 99.9, 1.72, 2)), None);
+        let msg = check_ooc_rss(&ooc(200.0, 100.1, 1.72, 2)).expect("past the cap");
+        assert!(msg.contains("flat-RSS"), "{msg}");
+        // On a small trace the 48 MiB constant is.
+        assert_eq!(check_ooc_rss(&ooc(10.0, 47.9, 1.72, 2)), None);
+        assert!(check_ooc_rss(&ooc(10.0, 48.1, 1.72, 2)).is_some());
     }
 
     #[test]
-    fn loaded_host_loosens_but_fast_host_never_tightens() {
-        let recorded = snapshot_cal(&[("a", 1.0e6)], 1.0e9).to_json();
-        assert_eq!(PerfSnapshot::parse_calibration(&recorded), Some(1.0e9));
-        // Host half as fast now: a 55% drop scales to ~10% and passes.
-        let loaded = snapshot_cal(&[("a", 4.5e5)], 0.5e9);
-        assert!(regressions(&recorded, &loaded, 20.0).is_empty());
-        // Same throughput drop at full host speed: the gate fires.
-        let slow = snapshot_cal(&[("a", 4.5e5)], 1.0e9);
-        assert_eq!(regressions(&recorded, &slow, 20.0).len(), 1);
-        // Host twice as fast: the floor must NOT double — unchanged
-        // throughput still passes.
-        let fast = snapshot_cal(&[("a", 1.0e6)], 2.0e9);
-        assert!(regressions(&recorded, &fast, 20.0).is_empty());
-        // A snapshot without the calibration key gates unscaled.
-        let legacy = recorded
-            .lines()
-            .filter(|l| !l.contains("calibration_iters_per_sec"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert_eq!(PerfSnapshot::parse_calibration(&legacy), None);
-        assert_eq!(regressions(&legacy, &loaded, 20.0).len(), 1);
+    fn shard_floor_is_armed_from_2_cpus() {
+        assert_eq!(check_shards(&ooc(93.4, 5.7, 1.72, 2)), None);
+        let msg = check_shards(&ooc(93.4, 5.7, 1.19, 2)).expect("below the floor");
+        assert!(msg.contains("not scaling"), "{msg}");
+        // One CPU serialises the shards: the 0.87x it recorded is no finding.
+        assert_eq!(check_shards(&ooc(93.4, 5.7, 0.87, 1)), None);
     }
 
     #[test]
-    fn sweep_roundtrips_and_gates() {
-        let recorded = snapshot(&[("a", 1.0e6)]);
-        let json = recorded.to_json();
-        assert_eq!(
-            PerfSnapshot::parse_sweep_configs_per_sec(&json),
-            Some(400.0)
-        );
-        // Lane throughput 30% down: the sweep gate names it past a 20%
-        // threshold even though the event workloads held steady.
-        let mut slow = recorded.clone();
-        slow.sweep.as_mut().unwrap().configs_per_sec = 280.0;
-        let msgs = regressions(&json, &slow, 20.0);
-        assert_eq!(msgs.len(), 1);
-        assert!(msgs[0].starts_with("sweep(token-ring-16):"), "{msgs:?}");
-        assert!(regressions(&json, &slow, 40.0).is_empty());
-        // A pre-sweep snapshot gates nothing on the sweep.
-        let legacy: String = json
-            .lines()
-            .filter(|l| !l.trim_start().starts_with("\"configs_per_sec\""))
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(regressions(&legacy, &slow, 20.0).is_empty());
+    fn warm_floor_is_3x_on_any_host() {
+        assert_eq!(check_cache(&cache(3753.0)), None);
+        let msg = check_cache(&cache(2.99)).expect("below the floor");
+        assert!(msg.starts_with("cache(cache-test):"), "{msg}");
     }
 
     #[test]
-    fn notes_escape_quotes() {
-        let json = snapshot(&[("a", 1.0e6)]).to_json();
-        assert!(json.contains("a note with 'quotes'"), "{json}");
-    }
-
-    #[test]
-    fn unknown_workloads_are_ignored() {
-        let recorded = snapshot(&[("a", 1.0e6)]).to_json();
-        let current = snapshot(&[("new-workload", 1.0)]);
-        assert!(regressions(&recorded, &current, 20.0).is_empty());
+    fn check_holds_every_section() {
+        let passing = PerfSnapshot {
+            sweep: sweep(3.04),
+            ooc: ooc(93.4, 5.7, 1.72, 2),
+            cache: cache(3753.0),
+        };
+        assert!(check(&passing).is_empty());
+        let failing = PerfSnapshot {
+            sweep: sweep(1.0),
+            ooc: ooc(93.4, 60.0, 1.0, 2),
+            cache: cache(1.0),
+        };
+        assert_eq!(check(&failing).len(), 4);
     }
 
     #[test]
     fn measure_smoke() {
-        // One rep over the pinned set: sane, internally-consistent numbers.
-        let snap = measure(1);
-        assert_eq!(snap.workloads.len(), 3);
-        for w in &snap.workloads {
-            assert!(w.events > 0 && w.events_per_sec > 0.0, "{w:?}");
-            // The tentpole invariant: turns never exceed events + matches
-            // (+ collective entries, absent from these point-to-point
-            // workloads' wakeup budget only via the epoch fill).
-            assert!(
-                w.scheduler_wakeups <= 2 * w.events,
-                "wakeups {} vs events {}",
-                w.scheduler_wakeups,
-                w.events
-            );
-        }
-        let sweep = snap.sweep.expect("sweep measured");
+        // One rep of the pinned sweep: sane, internally consistent numbers.
+        let sweep = measure_sweep(1);
         assert_eq!(sweep.configs, SWEEP_CONFIGS);
         assert_eq!(
             u64::from(sweep.configs),
             u64::from(sweep.lane_batches) + sweep.traversals_saved
         );
-        assert!(sweep.configs_per_sec > 0.0 && sweep.threads_only_configs_per_sec > 0.0);
-        assert!(!snap.notes.is_empty());
-    }
-
-    fn ooc_perf(eps_1: f64, eps_n: f64, rss_growth: f64, cpus: u32) -> OocPerf {
-        OocPerf {
-            name: "ooc-test".into(),
-            ranks: 64,
-            events: 100_000,
-            trace_mib: 100.0,
-            shards: 4,
-            host_cpus: cpus,
-            events_per_sec_1shard: eps_1,
-            events_per_sec_sharded: eps_n,
-            baseline_rss_mib: 20.0,
-            peak_rss_growth_mib: rss_growth,
-        }
-    }
-
-    #[test]
-    fn ooc_roundtrips_and_gates() {
-        let mut recorded = snapshot(&[("a", 1.0e6)]);
-        recorded.ooc = Some(ooc_perf(4.0e6, 3.5e6, 10.0, 1));
-        let json = recorded.to_json();
-        assert_eq!(
-            PerfSnapshot::parse_ooc_events_per_sec(&json),
-            Some((4.0e6, 3.5e6))
-        );
-        // Unchanged numbers pass; the workload "name" inside the ooc
-        // section must not confuse the per-workload parser.
-        assert!(regressions(&json, &recorded, 20.0).is_empty());
-        assert_eq!(PerfSnapshot::parse_events_per_sec(&json).len(), 1);
-        // 1-shard throughput 30% down: the ooc gate names it.
-        let mut slow = recorded.clone();
-        slow.ooc.as_mut().unwrap().events_per_sec_1shard = 2.8e6;
-        let msgs = regressions(&json, &slow, 20.0);
-        assert_eq!(msgs.len(), 1, "{msgs:?}");
-        assert!(msgs[0].starts_with("ooc(ooc-test, 1-shard):"), "{msgs:?}");
-        // A pre-ooc snapshot gates nothing on ooc throughput.
-        let legacy: String = json
-            .lines()
-            .filter(|l| !l.trim_start().starts_with("\"events_per_sec_1shard\""))
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(regressions(&legacy, &slow, 20.0).is_empty());
-    }
-
-    #[test]
-    fn ooc_absolute_gates() {
-        let recorded = snapshot(&[("a", 1.0e6)]).to_json();
-        // RSS growth past the cap (0.5 × 100 MiB trace) fires even against
-        // a recorded snapshot with no ooc section — it's an absolute check.
-        let mut bloated = snapshot(&[("a", 1.0e6)]);
-        bloated.ooc = Some(ooc_perf(4.0e6, 3.5e6, 80.0, 1));
-        let msgs = regressions(&recorded, &bloated, 20.0);
-        assert_eq!(msgs.len(), 1, "{msgs:?}");
-        assert!(msgs[0].contains("flat-RSS"), "{msgs:?}");
-        // No shard speedup on a 1-core host: forgiven. Same numbers on an
-        // 8-core host: the scaling gate fires.
-        let mut serial = snapshot(&[("a", 1.0e6)]);
-        serial.ooc = Some(ooc_perf(4.0e6, 3.5e6, 10.0, 1));
-        assert!(regressions(&recorded, &serial, 20.0).is_empty());
-        serial.ooc.as_mut().unwrap().host_cpus = 8;
-        let msgs = regressions(&recorded, &serial, 20.0);
-        assert_eq!(msgs.len(), 1, "{msgs:?}");
-        assert!(msgs[0].contains("not scaling"), "{msgs:?}");
-    }
-
-    #[test]
-    fn cache_roundtrips_and_gates() {
-        let mut recorded = snapshot(&[("a", 1.0e6)]);
-        recorded.cache = Some(CachePerf {
-            name: "cache-test".into(),
-            ranks: 64,
-            events: 100_000,
-            cold_secs: 10.0,
-            warm_secs: 0.1,
-        });
-        let json = recorded.to_json();
-        assert_eq!(PerfSnapshot::parse_number(&json, "cold_secs"), Some(10.0));
-        assert_eq!(
-            PerfSnapshot::parse_number(&json, "warm_speedup"),
-            Some(100.0)
-        );
-        // 100x warm speedup clears the 3x floor.
-        assert!(regressions(&json, &recorded, 20.0).is_empty());
-        // A warm path barely faster than cold: the absolute gate fires even
-        // against a recorded snapshot with no cache section.
-        let mut slow = snapshot(&[("a", 1.0e6)]);
-        slow.cache = Some(CachePerf {
-            name: "cache-test".into(),
-            ranks: 64,
-            events: 100_000,
-            cold_secs: 10.0,
-            warm_secs: 5.0,
-        });
-        let legacy = snapshot(&[("a", 1.0e6)]).to_json();
-        let msgs = regressions(&legacy, &slow, 20.0);
-        assert_eq!(msgs.len(), 1, "{msgs:?}");
-        assert!(msgs[0].starts_with("cache(cache-test):"), "{msgs:?}");
-        // Half-speed host: the floor loosens to 1.5x and 2x passes.
-        let mut loaded = slow.clone();
-        loaded.calibration = 0.5e9;
-        assert!(regressions(&legacy, &loaded, 20.0).is_empty());
+        assert!(sweep.configs_per_sec > 0.0 && sweep.scalar_configs_per_sec > 0.0);
     }
 
     #[test]

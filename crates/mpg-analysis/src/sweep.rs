@@ -30,8 +30,8 @@ pub enum SweepMode {
     /// across threads. The default everywhere.
     Lanes,
     /// One scalar traversal per config, threads only — the pre-lane
-    /// behaviour, kept as the baseline the sweep bench gates the lane
-    /// path against.
+    /// behaviour, kept as the baseline `benchmark/` times the lane path
+    /// against.
     ThreadsOnly,
 }
 

@@ -415,3 +415,27 @@ fn lint_usage_and_io_errors_exit_2() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
 }
+
+/// `bench` takes `--out FILE`, `--check` and `--reps N` and nothing else.
+/// The flags of the recorded-snapshot gate it replaced must fail before
+/// anything is measured, never run a check that gates nothing.
+#[test]
+fn bench_rejects_the_retired_gate_flags() {
+    for (args, stray) in [
+        (&["bench", "--lint"][..], "--lint"),
+        (&["bench", "--threshold", "20"][..], "--threshold"),
+        (
+            &["bench", "--check", "BENCH_replay.json"][..],
+            "BENCH_replay.json",
+        ),
+    ] {
+        let out = mpgtool().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unexpected argument '{stray}'")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} measured something");
+    }
+}

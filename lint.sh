@@ -14,28 +14,13 @@ cargo fmt --all -- --check
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "==> cargo bench --workspace --no-run"
-cargo bench --workspace --no-run
-
-# Replay-throughput regression gate: re-measure the pinned workloads plus
-# the lane-batched sweep (configs/sec, lanes vs threads-only) and fail if
-# any falls >20% below the tracked BENCH_replay.json numbers.
-# Best-of-9 so transient machine load doesn't masquerade as a regression.
-if [ -f BENCH_replay.json ]; then
-    echo "==> mpgtool bench --check BENCH_replay.json --threshold 20"
-    cargo run --release -q -p mpg-analysis --bin mpgtool -- \
-        bench --check BENCH_replay.json --threshold 20 --reps 9
-fi
-
-# Lint-throughput regression gate: same contract, over the full pass
-# manager (progress matching + recorded graph + happens-before index +
-# parallel passes, including witness replays on the wildcard-heavy
-# master-worker) against the tracked BENCH_lint.json numbers.
-if [ -f BENCH_lint.json ]; then
-    echo "==> mpgtool bench --lint --check BENCH_lint.json --threshold 20"
-    cargo run --release -q -p mpg-analysis --bin mpgtool -- \
-        bench --lint --check BENCH_lint.json --threshold 20 --reps 9
-fi
+# Same-process ratio gates over the pinned 10^7-event trace: lanes vs
+# scalar sweep on one thread, 1 shard vs several, out-of-core RSS growth
+# vs trace size, warm vs cold analyze, each held to a fixed floor
+# (perf.rs). The first run generates the trace under
+# $TMPDIR/mpg-bench-ooc-*; later runs reuse it.
+echo "==> mpgtool bench --check --reps 9"
+cargo run --release -q -p mpg-analysis --bin mpgtool -- bench --check --reps 9
 
 # Per-workload smoke suites. Every demo workload is traced once; the trace
 # then feeds (a) the wait-state analyzer and (b) the fsck fault-injection
@@ -107,105 +92,8 @@ for wl in ring stencil master-worker solver pipeline transpose summa; do
 done
 echo "    analyze identity + fsck exit contract hold across 7 workloads"
 
-# Cold-path ratio gate — ROADMAP aim 1's target as a check: a cold
-# `analyze` may cost at most 10x the out-of-core replay of the same trace.
-# A ratio of two walls taken back to back on one host, best of three each,
-# so it needs no calibration. Measured 4.3-4.7x; a CSR build per rank or a
-# hash per node touch on the analyze path puts it at 20x.
-echo "==> cold analyze <= 10x replay --ooc (stencil, 256 ranks, scale 4)"
-RATIO_TRACE="$SMOKE_TMP/ratio-trace"
-"$MPGTOOL" gen --workload stencil --ranks 256 --scale 4 "$RATIO_TRACE" >/dev/null
-
-# best_ms CMD...: least wall-clock milliseconds over three runs.
-best_ms() {
-    best=""
-    for _ in 1 2 3; do
-        t0=$(date +%s%N)
-        "$@" >/dev/null
-        t1=$(date +%s%N)
-        ms=$(( (t1 - t0) / 1000000 ))
-        if [ -z "$best" ] || [ "$ms" -lt "$best" ]; then
-            best=$ms
-        fi
-    done
-    echo "$best"
-}
-analyze_ms=$(best_ms "$MPGTOOL" analyze "$RATIO_TRACE" --json)
-replay_ms=$(best_ms "$MPGTOOL" replay "$RATIO_TRACE" --ooc)
-if [ "$analyze_ms" -gt $(( 10 * replay_ms )) ]; then
-    echo "lint: FAIL: cold analyze ${analyze_ms} ms > 10x replay --ooc ${replay_ms} ms" >&2
-    exit 1
-fi
-echo "    analyze ${analyze_ms} ms, replay --ooc ${replay_ms} ms"
-rm -rf "$RATIO_TRACE"
-
-# Same shape, for the lint passes: on a long ring (16 ranks, 256 032
-# events, 3 200 eager messages per receiver) a full `lint --all` may cost at
-# most 1.75x the `analyze --json` of the same trace — both build the same
-# recorded graph, so the ratio is what the passes add. Measured 1.0-1.2x;
-# a pass that asks happens-before once per (receive, send) pair of a
-# receiver puts it at 2.3-2.6x here, and further with every doubling of
-# the trace, because that cost is quadratic.
-echo "==> lint --all <= 1.75x analyze --json (ring, 16 ranks, scale 40)"
-RATIO_TRACE="$SMOKE_TMP/ratio-ring"
-# The simulator is one thread per rank: pinned to one CPU it generates the
-# trace several times faster.
-PIN=""
-if command -v taskset >/dev/null 2>&1; then
-    PIN="taskset -c 0"
-fi
-$PIN "$MPGTOOL" gen --workload ring --ranks 16 --scale 40 "$RATIO_TRACE" >/dev/null
-lint_ms=$(best_ms "$MPGTOOL" lint "$RATIO_TRACE" --all)
-analyze_ms=$(best_ms "$MPGTOOL" analyze "$RATIO_TRACE" --json)
-if [ $(( 100 * lint_ms )) -gt $(( 175 * analyze_ms )) ]; then
-    echo "lint: FAIL: lint --all ${lint_ms} ms > 1.75x analyze --json ${analyze_ms} ms" >&2
-    exit 1
-fi
-echo "    lint --all ${lint_ms} ms, analyze --json ${analyze_ms} ms"
-rm -rf "$RATIO_TRACE"
-
-# And for the pass-8 walk: `explore` is the full lint plus the explorer, so
-# on the benchmark's master-worker trace (1 950 events, 2 304 seeds)
-# `explore --budget 32` may cost at most 5x `lint --all`. Measured
-# 3.1-3.3x (25-26 ms over 8 ms): 32 forced replays, 33 makespan passes and
-# 74 514 frontier extensions of a few words each, some 17 ms. The bound was
-# 1.5x (1.15-1.25x measured) while the denominator still held 2 304 witness
-# suffixes run to the last event (74 ms); they now stop where they rejoin
-# the recorded program (DESIGN.md 18.8), the walk is unchanged, and the
-# frontier this gate was written against - a `MatchPlan` cloned and a
-# `Vec<ForcedMatch>` hashed per extension, a 70 ms walk - reads 6-10x on
-# the new denominator (1.9-2.0x on the old).
-echo "==> explore --budget 32 <= 5x lint --all (master-worker, 8 ranks, scale 6)"
-RATIO_TRACE="$SMOKE_TMP/ratio-master-worker"
-"$MPGTOOL" gen --workload master-worker --ranks 8 --scale 6 "$RATIO_TRACE" >/dev/null
-explore_ms=$(best_ms "$MPGTOOL" explore "$RATIO_TRACE" --budget 32)
-lint_ms=$(best_ms "$MPGTOOL" lint "$RATIO_TRACE" --all)
-if [ "$explore_ms" -gt $(( 5 * lint_ms )) ]; then
-    echo "lint: FAIL: explore --budget 32 ${explore_ms} ms > 5x lint --all ${lint_ms} ms" >&2
-    exit 1
-fi
-echo "    explore --budget 32 ${explore_ms} ms, lint --all ${lint_ms} ms"
-rm -rf "$RATIO_TRACE"
-
-# Pass 4 itself, where its cost would show: the same generator at scale 24
-# (7 710 events, 1 536 wildcard receives, 9 216 race candidates). `lint
-# --all` may cost at most 10x the `analyze --json` of the trace. Measured
-# 3.0-3.2x (24-25 ms over 8 ms): a candidate costs the couple of dozen
-# simulation steps between the point where its plan first matters and the
-# point where both swapped receives have matched. Run to the last event and
-# carrying the logs, a candidate costs in proportion to the trace and the
-# pass grows with its square: 137x here (1 094 ms), 9x at scale 6.
-echo "==> lint --all <= 10x analyze --json (master-worker, 8 ranks, scale 24)"
-RATIO_TRACE="$SMOKE_TMP/ratio-master-worker-24"
-"$MPGTOOL" gen --workload master-worker --ranks 8 --scale 24 "$RATIO_TRACE" >/dev/null
-lint_ms=$(best_ms "$MPGTOOL" lint "$RATIO_TRACE" --all)
-analyze_ms=$(best_ms "$MPGTOOL" analyze "$RATIO_TRACE" --json)
-if [ "$lint_ms" -gt $(( 10 * analyze_ms )) ]; then
-    echo "lint: FAIL: lint --all ${lint_ms} ms > 10x analyze --json ${analyze_ms} ms" >&2
-    exit 1
-fi
-echo "    lint --all ${lint_ms} ms, analyze --json ${analyze_ms} ms"
-rm -rf "$RATIO_TRACE"
+# Same-host ratios of two verbs on one trace (see ratios.sh).
+./ratios.sh
 
 # Artifact-cache end-to-end: for each cached command, the cold run (which
 # populates the cache) and the warm run (which serves the memoized report)
