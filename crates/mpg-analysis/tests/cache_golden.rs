@@ -129,6 +129,92 @@ fn warm_runs_are_byte_identical_across_demo_workloads() {
     }
 }
 
+/// The one `arena-*` artifact in a cache directory.
+fn arena_artifact(cache_dir: &Path) -> PathBuf {
+    let mut arenas = std::fs::read_dir(cache_dir)
+        .expect("cache dir readable")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("arena-"))
+        });
+    let path = arenas.next().expect("an arena artifact");
+    assert!(arenas.next().is_none(), "more than one arena artifact");
+    path
+}
+
+/// A well-formed arena artifact of *another* trace, planted under this
+/// trace's key (the key is only a fingerprint; the directory is
+/// untrusted): the warm path sees the layout differ from the trace's, so
+/// it re-records — output byte-identical to a cold run — and republishes.
+#[test]
+fn planted_arena_of_another_trace_is_a_miss() {
+    let dirs: Vec<PathBuf> = ["ring", "stencil"]
+        .iter()
+        .map(|wl| tmp(&format!("planted-{wl}")))
+        .collect();
+    let caches: Vec<PathBuf> = ["ring", "stencil"]
+        .iter()
+        .map(|wl| tmp(&format!("planted-cache-{wl}")))
+        .collect();
+    for (wl, (dir, cache)) in ["ring", "stencil"].iter().zip(dirs.iter().zip(&caches)) {
+        let _ = std::fs::remove_dir_all(dir);
+        let _ = std::fs::remove_dir_all(cache);
+        let (_, err, code) = run(&[
+            "demo",
+            wl,
+            "--ranks",
+            "8",
+            "--seed",
+            "3",
+            dir.to_str().unwrap(),
+        ]);
+        assert_eq!(code, 0, "demo {wl}: {err}");
+        let (_, err, code) = run(&[
+            "analyze",
+            dir.to_str().unwrap(),
+            "--cache",
+            "--cache-dir",
+            cache.to_str().unwrap(),
+        ]);
+        assert_eq!(code, 0, "cold analyze {wl}: {err}");
+    }
+    let (ring, cache) = (dirs[0].to_str().unwrap(), caches[0].to_str().unwrap());
+    let (cold, _, code) = run(&["analyze", ring]);
+    assert_eq!(code, 0);
+
+    // Drop the memoized report so the run reads the arena, and put the
+    // stencil's arena under the ring's key.
+    for entry in std::fs::read_dir(&caches[0]).unwrap() {
+        let path = entry.unwrap().path();
+        if path
+            .file_name()
+            .unwrap()
+            .to_str()
+            .unwrap()
+            .starts_with("report-")
+        {
+            std::fs::remove_file(path).unwrap();
+        }
+    }
+    let ring_arena = arena_artifact(&caches[0]);
+    let planted = std::fs::read(arena_artifact(&caches[1])).unwrap();
+    assert_ne!(std::fs::read(&ring_arena).unwrap(), planted);
+    std::fs::write(&ring_arena, &planted).unwrap();
+
+    let (out, err, code) = run(&["analyze", ring, "--cache", "--cache-dir", cache]);
+    assert_eq!((out.as_str(), code), (cold.as_str(), 0), "{err}");
+    assert_ne!(
+        std::fs::read(&ring_arena).unwrap(),
+        planted,
+        "the re-recorded arena was not republished"
+    );
+    for dir in dirs.iter().chain(&caches) {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
 #[test]
 fn cache_subcommand_ls_gc_clear() {
     let trace = tmp("trace-cachecmd");

@@ -439,3 +439,96 @@ fn bench_rejects_the_retired_gate_flags() {
         assert!(out.stdout.is_empty(), "{args:?} measured something");
     }
 }
+
+/// Salvage keeps each surviving frame's sequence numbers, so a rank that
+/// lost a frame in the middle of its stream holds events numbered past
+/// its record count. `analyze --salvage` records the lost records as holes
+/// of the graph layout and reports exactly what it reported when graph
+/// nodes were interned by id: the JSON is pinned whole, the text by its
+/// FNV-1a 64 hash (566 224 bytes, mostly late-sender findings).
+#[test]
+fn analyze_salvage_reads_past_a_frame_lost_mid_stream() {
+    let dir = tmp("salvage-gap");
+    let damaged = tmp("salvage-gap-injected");
+    for d in [&dir, &damaged] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+    // Rank 1 writes 19 203 records in three frames.
+    let out = mpgtool()
+        .args(["gen", "--workload", "master-worker", "--ranks", "2"])
+        .args(["--scale", "100"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = mpgtool()
+        .arg("fsck")
+        .arg(&dir)
+        .args(["--inject", "frame-drop", "--seed", "4", "--out"])
+        .arg(&damaged)
+        .output()
+        .unwrap();
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(
+        stderr.contains("dropped frame 1 (65551 bytes) (rank 1)"),
+        "{stderr}"
+    );
+    assert!(
+        stdout.contains("rank 1: 11011 record(s) from 2 frame(s)"),
+        "{stdout}"
+    );
+
+    let analyze = |json: bool| {
+        let mut cmd = mpgtool();
+        cmd.args(["analyze", "--salvage"]).arg(&damaged);
+        if json {
+            cmd.arg("--json");
+        }
+        let out = cmd.output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            out.stderr.is_empty(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    assert_eq!(
+        String::from_utf8(analyze(true)).unwrap(),
+        concat!(
+            r#"{"ranks":2,"makespan":1310241226,"compute":1292894190,"transfer":576850557,"#,
+            r#""wait":{"late_sender":734537897,"late_receiver":16170361,"wait_at_collective":0,"#,
+            r#""imbalance_at_collective":0,"exit_skew":29447},"wait_total":750737705,"#,
+            r#""identity_holds":true,"efficiency":0.713512,"imbalance":0.286488,"#,
+            r#""zero_slack_edges":28878,"edge_count":51372,"causality_clamps":6449,"#,
+            r#""retime_mismatches":12898,"per_rank":[{"rank":0,"compute":2000,"#,
+            r#""transfer":560069001,"wait":750170225},{"rank":1,"compute":1292892190,"#,
+            r#""transfer":16781556,"wait":567480}],"by_tag":[{"tag":"2","count":4150,"#,
+            r#""wait":735105377},{"tag":"1","count":3669,"wait":15602881}],"#,
+            r#""by_op":[{"op":"recv","count":3669,"wait":734537897},{"op":"send","#,
+            r#""count":4150,"wait":16170361}],"collectives":[],"chains":[{"rank":1,"#,
+            r#""finish":1310239926,"steps":25686,"message_hops":7339,"ranks_touched":2,"#,
+            r#""wait_cycles":735105377},{"rank":0,"finish":1310235562,"steps":25685,"#,
+            r#""message_hops":7338,"ranks_touched":2,"wait_cycles":735105377}]}"#,
+            "\n"
+        )
+    );
+    let text = analyze(false);
+    assert_eq!(text.len(), 566_224);
+    assert_eq!(mpg_trace::fnv1a64(&text), 0x7f37_bea7_181e_2a10);
+    for d in [&dir, &damaged] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
+}

@@ -8,19 +8,35 @@
 //! those maps dominate memory and their hashing dominates time.
 //!
 //! The arena stores the graph once, as flat columns (struct-of-arrays):
-//! node identity and label columns indexed by a dense `NodeIdx`, edge
-//! endpoint/weight columns indexed by edge position, plus an on-demand CSR
-//! of incoming edges. Consumers address nodes by index into plain `Vec`s —
-//! no hashing on the hot path, no per-node boxes, and the columns a pass
-//! doesn't touch stay cold.
+//! node label columns indexed by a dense `NodeIdx`, edge endpoint/weight
+//! columns indexed by edge position, plus an on-demand CSR of incoming
+//! edges. Consumers address nodes by index into plain `Vec`s — no hashing
+//! on the hot path, no per-node boxes, and the columns a pass doesn't
+//! touch stay cold.
 //!
 //! Edge order is creation order, which the recorder guarantees is a valid
 //! topological order; every traversal here leans on that.
 //!
-//! Structural ids resolve to dense indices through `NodeIndex`, a
-//! per-rank slot table: an array read, not a hash, on every node touch.
+//! # Layout
+//!
+//! The trace fixes every node: each event has exactly one start and one
+//! end subevent (§4.2). So the arena is built over declared per-rank event
+//! counts, and a node's index is arithmetic, rank-major:
+//! `base[rank] + 2·seq + point` (start 0, end 1). Collective hubs — one
+//! node per collective instance, none on point-to-point traces — are
+//! numbered after every event slot, in the order they are first touched;
+//! a small `(rank, seq) → ordinal` map finds them.
+//!
+//! A slot the recording never reaches (events past a crash frontier, or
+//! the unreplayed tail of a salvaged trace) is a hole: it has an index
+//! but no `FLAG_TOUCHED`, and every id-level view — [`GraphArena::node_index`],
+//! the graph's `nodes()` and `final_drifts()`, the happens-before event
+//! counts — skips it.
 
 use std::collections::HashMap;
+use std::ops::Range;
+
+use mpg_trace::{EventKind, Rank, Seq};
 
 use crate::graph::{Edge, NodeId, NodeLabel, Point};
 use crate::perturb::DeltaClass;
@@ -32,30 +48,34 @@ pub type NodeIdx = u32;
 /// Sentinel for "no node".
 pub const NO_NODE: NodeIdx = u32::MAX;
 
-pub(crate) const FLAG_END: u8 = 1 << 0;
-pub(crate) const FLAG_HUB: u8 = 1 << 1;
-pub(crate) const FLAG_LABELED: u8 = 1 << 2;
+/// Set on every node an edge or a label has named.
+pub(crate) const FLAG_TOUCHED: u8 = 1 << 0;
+/// Set on labeled nodes; their `label_code` / `label_t` are meaningful.
+pub(crate) const FLAG_LABELED: u8 = 1 << 1;
 
 /// Columnar storage for one recorded message-passing graph.
 ///
-/// Nodes are interned on first touch (as an edge endpoint or a label
-/// target) and keep their dense index forever; edges append to parallel
-/// columns in creation order. All columns are flat `Vec`s.
-#[derive(Debug, Default, Clone)]
+/// Node columns cover the whole layout from construction; edges append to
+/// parallel columns in creation order. All columns are flat `Vec`s.
+#[derive(Debug, Clone)]
 pub struct GraphArena {
-    pub(crate) ranks: usize,
+    /// `base[r]` is the index of rank `r`'s `(seq 0, start)` slot;
+    /// `base[ranks]` is the first hub's index.
+    pub(crate) base: Vec<NodeIdx>,
+    /// Hub identities `(rank, seq)`, by ordinal.
+    pub(crate) hubs: Vec<(Rank, Seq)>,
+    hub_ordinal: HashMap<(Rank, Seq), u32>,
 
     // ---- node columns, indexed by NodeIdx ----
+    /// Owning rank (a hub's anchor rank), read on every edge by `hb` and
+    /// the sweep.
     pub(crate) node_rank: Vec<u32>,
-    pub(crate) node_seq: Vec<u64>,
     pub(crate) node_flags: Vec<u8>,
-    /// Label columns; meaningful only when `FLAG_LABELED` is set.
-    pub(crate) label_kind: Vec<&'static str>,
+    /// Label columns; meaningful only when `FLAG_LABELED` is set. A label
+    /// kind is its index into [`EventKind::NAMES`].
+    pub(crate) label_code: Vec<u8>,
     pub(crate) label_t: Vec<Cycles>,
     pub(crate) labeled: usize,
-
-    /// Interner: structural id → dense index.
-    pub(crate) index: NodeIndex,
 
     // ---- edge columns, indexed by edge position (creation order) ----
     pub(crate) edge_src: Vec<NodeIdx>,
@@ -67,22 +87,62 @@ pub struct GraphArena {
 }
 
 impl GraphArena {
-    /// An empty arena over `ranks` ranks.
-    pub fn new(ranks: usize) -> Self {
-        Self {
-            ranks,
-            ..Self::default()
+    /// An empty graph over ranks holding `events[r]` events each.
+    ///
+    /// # Panics
+    ///
+    /// When the layout does not fit the `u32` index space: `3·Σ events`
+    /// must stay below `u32::MAX`.
+    pub fn new(events: &[usize]) -> Self {
+        Self::with_layout(events).expect("layout fits the u32 node index space")
+    }
+
+    /// An empty graph over ranks holding `events[r]` events each, or
+    /// `None` when the layout does not fit the `u32` index space. The
+    /// bound leaves room for one hub per event, so no recording over the
+    /// layout can run out of indices.
+    pub(crate) fn with_layout(events: &[usize]) -> Option<Self> {
+        let total = events.iter().try_fold(0usize, |a, &n| a.checked_add(n))?;
+        if total.checked_mul(3)? >= NO_NODE as usize {
+            return None;
         }
+        let mut base = Vec::with_capacity(events.len() + 1);
+        let mut node_rank = Vec::with_capacity(2 * total);
+        let mut at: NodeIdx = 0;
+        for (r, &n) in events.iter().enumerate() {
+            base.push(at);
+            node_rank.resize(node_rank.len() + 2 * n, r as u32);
+            at += 2 * n as NodeIdx;
+        }
+        base.push(at);
+        let slots = at as usize;
+        Some(Self {
+            base,
+            hubs: Vec::new(),
+            hub_ordinal: HashMap::new(),
+            node_rank,
+            node_flags: vec![0; slots],
+            label_code: vec![0; slots],
+            label_t: vec![0; slots],
+            labeled: 0,
+            edge_src: Vec::new(),
+            edge_dst: Vec::new(),
+            edge_base: Vec::new(),
+            edge_class: Vec::new(),
+            edge_sampled: Vec::new(),
+            edge_msg: Vec::new(),
+        })
     }
 
     /// Number of ranks.
     pub fn num_ranks(&self) -> usize {
-        self.ranks
+        self.base.len() - 1
     }
 
-    /// Number of interned nodes (labeled or not).
+    /// Size of the node index space: every event slot, reached or not,
+    /// plus every hub. Per-node columns of a pass are this long.
     pub fn num_nodes(&self) -> usize {
-        self.node_rank.len()
+        self.node_flags.len()
     }
 
     /// Number of edges.
@@ -95,59 +155,150 @@ impl GraphArena {
         self.labeled
     }
 
-    /// Interns `node`, returning its dense index.
-    pub fn intern(&mut self, node: NodeId) -> NodeIdx {
-        let (i, fresh) = self.index.intern(node);
-        if !fresh {
-            return i;
-        }
-        self.node_rank.push(node.rank);
-        self.node_seq.push(node.seq);
-        let mut flags = 0u8;
-        if node.point == Point::End {
-            flags |= FLAG_END;
-        }
+    /// Number of collective hubs.
+    pub fn num_hubs(&self) -> usize {
+        self.hubs.len()
+    }
+
+    /// Events the layout declares for `rank`.
+    pub(crate) fn rank_events(&self, rank: usize) -> usize {
+        ((self.base[rank + 1] - self.base[rank]) / 2) as usize
+    }
+
+    /// Index range of `rank`'s event slots: start then end subevent of
+    /// each event, in sequence order.
+    pub(crate) fn rank_nodes(&self, rank: usize) -> Range<NodeIdx> {
+        self.base[rank]..self.base[rank + 1]
+    }
+
+    /// One past the highest sequence number of `rank` whose start or end
+    /// subevent was reached: the rank's event count as the graph saw it.
+    pub(crate) fn events_reached(&self, rank: usize) -> u64 {
+        let slots = self.rank_nodes(rank);
+        slots
+            .clone()
+            .rev()
+            .find(|&i| self.is_touched(i))
+            .map_or(0, |i| u64::from((i - slots.start) / 2 + 1))
+    }
+
+    fn hub_base(&self) -> NodeIdx {
+        self.base[self.num_ranks()]
+    }
+
+    /// Layout slot of `node`, reached or not; `None` when the layout has
+    /// no slot for it (a rank or sequence number past the declared ones,
+    /// a hub never created, a hub *start*).
+    fn slot(&self, node: &NodeId) -> Option<NodeIdx> {
         if node.hub {
-            flags |= FLAG_HUB;
+            if node.point != Point::End {
+                return None;
+            }
+            let &o = self.hub_ordinal.get(&(node.rank, node.seq))?;
+            return Some(self.hub_base() + o);
         }
-        self.node_flags.push(flags);
-        self.label_kind.push("");
+        let r = node.rank as usize;
+        let (lo, hi) = (*self.base.get(r)?, *self.base.get(r + 1)?);
+        let off = node.seq.checked_mul(2)? + u64::from(node.point == Point::End);
+        (off < u64::from(hi - lo)).then(|| lo + off as NodeIdx)
+    }
+
+    /// Appends the hub of the collective anchored at event `(rank, seq)`,
+    /// or returns its index if it exists. `None` when `(rank, seq)` is not
+    /// an event of the layout.
+    pub(crate) fn add_hub(&mut self, rank: Rank, seq: Seq) -> Option<NodeIdx> {
+        if let Some(&o) = self.hub_ordinal.get(&(rank, seq)) {
+            return Some(self.hub_base() + o);
+        }
+        self.slot(&NodeId::start(rank, seq))?;
+        let o = self.hubs.len() as u32;
+        self.hubs.push((rank, seq));
+        self.hub_ordinal.insert((rank, seq), o);
+        self.node_rank.push(rank);
+        self.node_flags.push(0);
+        self.label_code.push(0);
         self.label_t.push(0);
+        Some(self.hub_base() + o)
+    }
+
+    /// Marks `node` reached and returns its index.
+    ///
+    /// # Panics
+    ///
+    /// When `node` lies outside the layout: the recorder checks every
+    /// event against the layout before it touches a node.
+    fn touch(&mut self, node: NodeId) -> NodeIdx {
+        let i = match node {
+            NodeId {
+                hub: true,
+                point: Point::End,
+                rank,
+                seq,
+            } => self.add_hub(rank, seq),
+            _ => self.slot(&node),
+        }
+        .unwrap_or_else(|| panic!("{node:?} lies outside the graph's layout"));
+        self.node_flags[i as usize] |= FLAG_TOUCHED;
         i
     }
 
-    /// Dense index of an already-interned node.
+    /// Index of a node the graph has reached; `None` for a hole or an id
+    /// the layout has no slot for.
     pub fn node_index(&self, node: &NodeId) -> Option<NodeIdx> {
-        self.index.get(node)
+        self.slot(node).filter(|&i| self.is_touched(i))
     }
 
-    /// Reconstructs the structural id of node `i`.
+    /// The structural id of node `i`.
     pub fn node_id(&self, i: NodeIdx) -> NodeId {
-        let flags = self.node_flags[i as usize];
+        if let Some(o) = self.hub_ordinal(i) {
+            let (rank, seq) = self.hubs[o];
+            return NodeId::hub(rank, seq);
+        }
+        let rank = self.node_rank[i as usize];
+        let off = i - self.base[rank as usize];
         NodeId {
-            rank: self.node_rank[i as usize],
-            seq: self.node_seq[i as usize],
-            point: if flags & FLAG_END != 0 {
+            rank,
+            seq: Seq::from(off / 2),
+            point: if off & 1 == 1 {
                 Point::End
             } else {
                 Point::Start
             },
-            hub: flags & FLAG_HUB != 0,
+            hub: false,
         }
     }
 
     /// True when node `i` is a collective hub.
     pub fn is_hub(&self, i: NodeIdx) -> bool {
-        self.node_flags[i as usize] & FLAG_HUB != 0
+        i >= self.hub_base()
     }
 
-    /// Attaches a label to a node, interning it if needed. Idempotent: the
-    /// first label wins, as recorder call sites rely on.
-    pub fn label(&mut self, node: NodeId, kind: &'static str, t: Cycles) {
-        let i = self.intern(node) as usize;
+    /// The hub ordinal of node `i` (its position among hubs, in the order
+    /// they were first touched); `None` for event nodes.
+    pub fn hub_ordinal(&self, i: NodeIdx) -> Option<usize> {
+        i.checked_sub(self.hub_base()).map(|o| o as usize)
+    }
+
+    /// True when an edge or a label has named node `i`.
+    pub fn is_touched(&self, i: NodeIdx) -> bool {
+        self.node_flags[i as usize] & FLAG_TOUCHED != 0
+    }
+
+    /// The start subevent of the event whose subevent `i` is (`i` itself
+    /// for a start). `i` must be an event slot, not a hub.
+    pub(crate) fn start_of(&self, i: NodeIdx) -> NodeIdx {
+        let rank = self.node_rank[i as usize] as usize;
+        i - ((i - self.base[rank]) & 1)
+    }
+
+    /// Attaches a label, `code` indexing [`EventKind::NAMES`]. Idempotent:
+    /// the first label wins, as recorder call sites rely on.
+    pub(crate) fn label(&mut self, node: NodeId, code: u8, t: Cycles) {
+        debug_assert!((code as usize) < EventKind::NAMES.len());
+        let i = self.touch(node) as usize;
         if self.node_flags[i] & FLAG_LABELED == 0 {
             self.node_flags[i] |= FLAG_LABELED;
-            self.label_kind[i] = kind;
+            self.label_code[i] = code;
             self.label_t[i] = t;
             self.labeled += 1;
         }
@@ -156,15 +307,35 @@ impl GraphArena {
     /// The label of node `i`, if any.
     pub fn label_of(&self, i: NodeIdx) -> Option<NodeLabel> {
         (self.node_flags[i as usize] & FLAG_LABELED != 0).then(|| NodeLabel {
-            kind: self.label_kind[i as usize],
+            kind: EventKind::NAMES[self.label_code[i as usize] as usize],
             t: self.label_t[i as usize],
         })
     }
 
-    /// Appends an edge, interning both endpoints.
+    /// The label time of node `i`, if it is labeled.
+    pub(crate) fn label_time(&self, i: NodeIdx) -> Option<Cycles> {
+        (self.node_flags[i as usize] & FLAG_LABELED != 0).then(|| self.label_t[i as usize])
+    }
+
+    /// `rank`'s labeled end subevent with the highest sequence number —
+    /// the node the rank's final drift, makespan share and tight chain
+    /// are read at.
+    pub fn last_end(&self, rank: usize) -> Option<NodeIdx> {
+        let slots = self.rank_nodes(rank);
+        slots
+            .clone()
+            .rev()
+            .find(|&i| (i - slots.start) & 1 == 1 && self.label_time(i).is_some())
+    }
+
+    /// Appends an edge, marking both endpoints reached.
+    ///
+    /// # Panics
+    ///
+    /// When an endpoint lies outside the layout.
     pub fn push_edge(&mut self, edge: Edge) {
-        let src = self.intern(edge.src);
-        let dst = self.intern(edge.dst);
+        let src = self.touch(edge.src);
+        let dst = self.touch(edge.dst);
         self.edge_src.push(src);
         self.edge_dst.push(dst);
         self.edge_base.push(edge.base);
@@ -229,7 +400,7 @@ impl GraphArena {
 
     /// Dense perturbation propagation: `D(dst) = max(D(dst), D(src) +
     /// sampled)` over edges in creation (topological) order, drifts
-    /// anchored at zero. Returns one drift per interned node.
+    /// anchored at zero. Returns one drift per node index.
     pub fn propagate_dense(&self) -> Vec<Drift> {
         let mut drift = vec![0i64; self.num_nodes()];
         for i in 0..self.num_edges() {
@@ -278,124 +449,6 @@ impl GraphArena {
     }
 }
 
-/// Slots a row spends per event sequence number: start, end, hub.
-const SLOTS_PER_SEQ: u64 = 3;
-
-/// Growth rule of [`NodeIndex`], the same for both dimensions: the table
-/// grows to reach position `k` only while `k < GROW_FACTOR · n + GROW_SLACK`,
-/// `n` being what is already stored there (nodes in the row for a slot, nodes
-/// in the whole index for a row). A recorded graph fills two slots in three,
-/// in roughly ascending order, and never comes near the limit.
-const GROW_FACTOR: usize = 4;
-const GROW_SLACK: usize = 64;
-
-/// Structural id → dense index, without hashing.
-///
-/// One row per rank; within a row, `(seq, point, hub)` sits at slot
-/// `3·seq + {start: 0, end: 1, hub: 2}` and holds the node's [`NodeIdx`] or
-/// [`NO_NODE`]. Trace validation makes `seq` dense per rank, so for a
-/// recorded graph every lookup is two array reads.
-///
-/// Ids reach this table from untrusted bytes too (an MPGA artifact's
-/// `node_rank` / `node_seq` columns), so its size never follows a number
-/// read from an id: an id the growth rule above will not reach — a forged
-/// `seq` of `2^40`, a rank far past the populated ones — and the one
-/// combination the layout has no slot for (a hub *start*) go to the `far`
-/// map instead. Rows therefore hold at most `4·filled + 64` slots and the
-/// index at most `4·len + 64` rows: O(nodes) memory for any input. An id
-/// lives in exactly one of the two places, decided when it is interned;
-/// a dense miss consults `far` only when `far` is non-empty.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct NodeIndex {
-    rows: Vec<Row>,
-    far: HashMap<NodeId, NodeIdx>,
-    len: usize,
-}
-
-#[derive(Debug, Default, Clone)]
-struct Row {
-    slots: Vec<NodeIdx>,
-    filled: usize,
-}
-
-impl NodeIndex {
-    fn slot_of(node: &NodeId) -> Option<usize> {
-        let lane = match (node.point, node.hub) {
-            (Point::Start, false) => 0,
-            (Point::End, false) => 1,
-            (Point::End, true) => 2,
-            (Point::Start, true) => return None,
-        };
-        let slot = node.seq.checked_mul(SLOTS_PER_SEQ)?.checked_add(lane)?;
-        usize::try_from(slot).ok()
-    }
-
-    fn dense(&self, node: &NodeId) -> Option<NodeIdx> {
-        let row = self.rows.get(node.rank as usize)?;
-        let &i = row.slots.get(Self::slot_of(node)?)?;
-        (i != NO_NODE).then_some(i)
-    }
-
-    /// Index of `node`, if interned.
-    pub(crate) fn get(&self, node: &NodeId) -> Option<NodeIdx> {
-        self.dense(node).or_else(|| {
-            if self.far.is_empty() {
-                None
-            } else {
-                self.far.get(node).copied()
-            }
-        })
-    }
-
-    /// Index of `node`, assigning the next one (`len`) on first sight;
-    /// the flag says whether it was assigned by this call.
-    pub(crate) fn intern(&mut self, node: NodeId) -> (NodeIdx, bool) {
-        if let Some(i) = self.get(&node) {
-            return (i, false);
-        }
-        let i = self.len as NodeIdx;
-        match Self::slot_of(&node).and_then(|s| self.reach(node.rank as usize, s)) {
-            Some(cell) => *cell = i,
-            None => {
-                self.far.insert(node, i);
-            }
-        }
-        self.len += 1;
-        (i, true)
-    }
-
-    /// The empty cell at `rows[rank].slots[slot]`, growing the table to it
-    /// if the growth rule allows; `None` sends the id to the `far` map.
-    fn reach(&mut self, rank: usize, slot: usize) -> Option<&mut NodeIdx> {
-        let within = |k: usize, stored: usize| {
-            k < GROW_FACTOR
-                .saturating_mul(stored)
-                .saturating_add(GROW_SLACK)
-        };
-        if rank >= self.rows.len() {
-            if !within(rank, self.len) {
-                return None;
-            }
-            self.rows.resize_with(rank + 1, Row::default);
-        }
-        let row = &mut self.rows[rank];
-        if slot >= row.slots.len() {
-            if !within(slot, row.filled) {
-                return None;
-            }
-            row.slots.resize(slot + 1, NO_NODE);
-        }
-        row.filled += 1;
-        Some(&mut row.slots[slot])
-    }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// CSR builds performed by the current test thread.
-    pub(crate) static CSR_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
 /// Compressed sparse row adjacency: `items[offsets[v]..offsets[v+1]]` are
 /// the edge positions adjacent to node `v`, in creation order.
 #[derive(Debug, Clone)]
@@ -406,8 +459,6 @@ pub struct Csr {
 
 impl Csr {
     fn build(nodes: usize, keys: &[NodeIdx]) -> Self {
-        #[cfg(test)]
-        CSR_BUILDS.with(|c| c.set(c.get() + 1));
         let mut offsets = vec![0u32; nodes + 1];
         for &k in keys {
             offsets[k as usize + 1] += 1;
@@ -477,69 +528,52 @@ mod tests {
     }
 
     #[test]
-    fn intern_is_stable_and_roundtrips() {
-        let mut a = GraphArena::new(2);
-        let n1 = NodeId::start(0, 3);
-        let n2 = NodeId::hub(1, 4);
-        let i1 = a.intern(n1);
-        let i2 = a.intern(n2);
-        assert_ne!(i1, i2);
-        assert_eq!(a.intern(n1), i1);
+    fn index_is_structural_and_roundtrips() {
+        let mut a = GraphArena::new(&[4, 5]);
+        let (n1, n2) = (NodeId::start(0, 3), NodeId::hub(1, 4));
+        a.push_edge(edge(n1, n2, 0));
+        let (i1, i2) = (a.node_index(&n1).unwrap(), a.node_index(&n2).unwrap());
+        // Rank-major arithmetic; the hub comes after all 18 event slots.
+        assert_eq!(i1, 6);
+        assert_eq!(a.node_index(&NodeId::end(1, 4)), None, "a hole");
+        assert_eq!(i2, 18);
         assert_eq!(a.node_id(i1), n1);
         assert_eq!(a.node_id(i2), n2);
-        assert!(a.is_hub(i2));
-        assert!(!a.is_hub(i1));
+        assert_eq!(a.node_id(11), NodeId::end(1, 1));
+        assert_eq!(a.start_of(11), 10);
+        assert!(a.is_hub(i2) && !a.is_hub(i1));
+        assert_eq!((a.hub_ordinal(i2), a.hub_ordinal(i1)), (Some(0), None));
+        assert_eq!((a.num_nodes(), a.num_hubs()), (19, 1));
+        assert_eq!((a.events_reached(0), a.events_reached(1)), (4, 0));
     }
 
     #[test]
-    fn far_ids_take_the_side_map_and_rows_stay_small() {
-        let mut a = GraphArena::new(1);
-        for seq in 0..10 {
-            a.intern(NodeId::start(0, seq));
-            a.intern(NodeId::end(0, seq));
-        }
-        let filled = a.index.rows[0].filled;
-        assert_eq!(filled, 20);
-        // First slot the growth rule refuses, and the last one it allows.
-        let window = (GROW_FACTOR * filled + GROW_SLACK) as u64;
-        let past = NodeId::start(0, window.div_ceil(SLOTS_PER_SEQ));
-        let inside = NodeId::hub(0, (window - 1) / SLOTS_PER_SEQ - 1);
-        let far = [
-            past,
+    fn ids_outside_the_layout_have_no_index() {
+        let mut a = GraphArena::new(&[10]);
+        a.push_edge(edge(NodeId::start(0, 9), NodeId::end(0, 9), 0));
+        for id in [
+            NodeId::start(0, 10),
             NodeId::end(0, 1 << 40),
-            NodeId::hub(0, u64::MAX),
+            NodeId::end(0, u64::MAX),
             NodeId::end(u32::MAX, 3),
+            NodeId::hub(0, 9),
             NodeId {
                 hub: true,
                 ..NodeId::start(0, 2)
             },
-        ];
-        for (k, id) in far.into_iter().enumerate() {
-            let i = a.intern(id);
-            assert_eq!(a.intern(id), i, "{id:?} re-interned");
-            assert_eq!(a.node_index(&id), Some(i));
-            assert_eq!(a.node_id(i), id);
-            assert_eq!(a.index.far.len(), k + 1, "{id:?} should be far");
+        ] {
+            assert_eq!(a.node_index(&id), None, "{id:?}");
         }
-        let i = a.intern(inside);
-        assert_eq!(a.node_index(&inside), Some(i));
-        assert_eq!(a.index.far.len(), far.len(), "{inside:?} should be dense");
-        // One more node widens the window past `past`'s slot: `past` is
-        // still found where it was put, and an id interned now goes dense.
-        let beyond = NodeId::end(0, past.seq);
-        a.intern(beyond);
-        assert_eq!(a.index.far.len(), far.len(), "{beyond:?} should be dense");
-        assert_eq!(a.node_index(&past), Some(20));
-        // Nothing was sized by a number read from an id.
-        let row = &a.index.rows[0];
-        assert_eq!(a.index.rows.len(), 1);
-        assert!(row.slots.len() <= GROW_FACTOR * row.filled + GROW_SLACK);
-        assert_eq!(a.node_index(&NodeId::end(0, 1 << 41)), None);
+        assert_eq!(a.add_hub(0, 10), None);
+        assert_eq!(a.add_hub(1, 0), None);
+        assert_eq!(a.num_nodes(), 20);
+        assert!(GraphArena::with_layout(&[usize::MAX, 2]).is_none());
+        assert!(GraphArena::with_layout(&[1 << 31]).is_none());
     }
 
     #[test]
     fn edge_columns_roundtrip() {
-        let mut a = GraphArena::new(2);
+        let mut a = GraphArena::new(&[2, 2]);
         let e = Edge {
             src: NodeId::start(0, 1),
             dst: NodeId::end(1, 1),
@@ -557,7 +591,7 @@ mod tests {
 
     #[test]
     fn csr_groups_by_node() {
-        let mut a = GraphArena::new(1);
+        let mut a = GraphArena::new(&[2]);
         let x = NodeId::start(0, 0);
         let y = NodeId::end(0, 0);
         let z = NodeId::end(0, 1);
@@ -575,7 +609,7 @@ mod tests {
 
     #[test]
     fn dense_propagate_matches_expectation() {
-        let mut a = GraphArena::new(1);
+        let mut a = GraphArena::new(&[2]);
         let x = NodeId::start(0, 0);
         let y = NodeId::end(0, 0);
         let z = NodeId::end(0, 1);
@@ -589,18 +623,19 @@ mod tests {
 
     #[test]
     fn label_first_wins() {
-        let mut a = GraphArena::new(1);
+        let mut a = GraphArena::new(&[1]);
         let n = NodeId::start(0, 0);
-        a.label(n, "send", 5);
-        a.label(n, "recv", 9);
+        a.label(n, 3, 5);
+        a.label(n, 4, 9);
         let i = a.node_index(&n).unwrap();
         assert_eq!(a.label_of(i).unwrap().kind, "send");
+        assert_eq!(a.label_of(i).unwrap().t, 5);
         assert_eq!(a.num_labeled(), 1);
     }
 
     #[test]
     fn acyclic_check_finds_cycle_residue() {
-        let mut a = GraphArena::new(2);
+        let mut a = GraphArena::new(&[2, 3]);
         let p = NodeId::end(0, 1);
         let q = NodeId::end(1, 1);
         let r = NodeId::end(1, 2);
@@ -608,8 +643,8 @@ mod tests {
         a.push_edge(edge(q, p, 1));
         a.push_edge(edge(q, r, 1));
         let residue = a.verify_acyclic().unwrap_err();
-        assert!(residue.contains(&p) && residue.contains(&q) && residue.contains(&r));
-        let mut ok = GraphArena::new(2);
+        assert_eq!(residue, vec![p, q, r]);
+        let mut ok = GraphArena::new(&[2, 3]);
         ok.push_edge(edge(p, q, 1));
         ok.push_edge(edge(q, r, 1));
         assert!(ok.verify_acyclic().is_ok());

@@ -49,7 +49,7 @@ use crate::feasible::{drift_slack, DriftSlack};
 use crate::graph::EventGraph;
 use crate::hb::HbIndex;
 use crate::mpga::{decode_arena, encode_arena};
-use crate::replay::{ReplayConfig, Replayer};
+use crate::replay::{trace_layout, ReplayConfig, Replayer};
 use crate::report::ReplayError;
 
 /// Envelope magic bytes.
@@ -65,7 +65,7 @@ const HEADER_LEN: usize = 4 + 4 + 1 + 8 + 4;
 /// the *semantics* of a derived artifact change (report wording, graph
 /// recording rules) without a format change — old entries then simply
 /// stop matching instead of serving stale content.
-pub const CACHE_SCHEMA: u32 = 1;
+pub const CACHE_SCHEMA: u32 = 2;
 
 /// What a cached artifact contains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -378,7 +378,9 @@ impl CacheStore {
 ///
 /// `trace_key` must be the trace's content-fingerprint key; `config` is
 /// forced to record mode. A corrupt or stale artifact is a miss, never an
-/// error.
+/// error — and so is a well-formed artifact whose layout is not the one a
+/// recording of `trace` declares (each rank's event count): the key is
+/// only a fingerprint, and the cache directory is untrusted.
 pub fn cached_recorded_graph(
     store: &CacheStore,
     trace_key: &str,
@@ -389,7 +391,16 @@ pub fn cached_recorded_graph(
     let key = CacheStore::artifact_key(trace_key, ArtifactKind::Arena, &config.fingerprint());
     if let Some(bytes) = store.get(&key, ArtifactKind::Arena) {
         if let Ok(arena) = decode_arena(&bytes) {
-            return Ok((EventGraph::from_arena(arena), true));
+            let fits = trace_layout(trace).is_ok_and(|layout| {
+                arena.num_ranks() == layout.len()
+                    && layout
+                        .iter()
+                        .enumerate()
+                        .all(|(r, &n)| arena.rank_events(r) == n)
+            });
+            if fits {
+                return Ok((EventGraph::from_arena(arena), true));
+            }
         }
     }
     let report = Replayer::new(config).run(trace)?;

@@ -7,7 +7,7 @@
 //! drifted finalize, always following the arm that produced each node's
 //! drift, yields that chain.
 
-use crate::graph::{Edge, EventGraph, NodeId, Point};
+use crate::graph::{Edge, EventGraph};
 use crate::perturb::DeltaClass;
 use crate::Drift;
 
@@ -107,19 +107,9 @@ pub fn critical_path(graph: &EventGraph) -> Option<CriticalPath> {
     if final_drift <= 0 {
         return None;
     }
-    // Find that rank's last labeled end node.
-    let mut anchor: Option<NodeId> = None;
-    for (node, _) in graph.nodes() {
-        if node.rank == rank
-            && node.point == Point::End
-            && !node.hub
-            && anchor.is_none_or(|a| node.seq > a.seq)
-        {
-            anchor = Some(node);
-        }
-    }
+    // Start at that rank's last labeled end node.
     let arena = graph.arena();
-    let mut current = arena.node_index(&anchor?)?;
+    let mut current = arena.last_end(rank as usize)?;
 
     // Reverse adjacency straight from the arena — no per-pass map.
     let incoming = arena.incoming();

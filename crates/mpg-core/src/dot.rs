@@ -96,7 +96,7 @@ mod tests {
     use crate::graph::{Edge, EventGraph, NodeId};
 
     fn tiny_graph() -> EventGraph {
-        let mut g = EventGraph::new(2);
+        let mut g = EventGraph::new(&[1, 1]);
         let s0 = NodeId::start(0, 0);
         let e0 = NodeId::end(0, 0);
         let e1 = NodeId::end(1, 0);

@@ -63,47 +63,46 @@
 //! dynamic engine.
 
 use std::collections::BTreeSet;
-use std::sync::OnceLock;
 
 use mpg_noise::Dist;
 
-use crate::arena::{Csr, GraphArena, NodeIdx};
+use crate::arena::{GraphArena, NodeIdx};
 use crate::cancel::{CancelReason, CancelToken, CHECK_INTERVAL};
 use crate::graph::{EventGraph, NodeId, Point};
 use crate::perturb::{DeltaClass, PerturbSampler, PerturbationModel, SignedDist};
 use crate::{Cycles, Drift};
 
-/// Sentinel for "no binding arm" in the dense binding column.
+/// Sentinel for "no edge" in the dense binding and `pred` columns.
 const NO_ARM: u32 = u32::MAX;
 
 /// Result of the zero-drift forward/backward feasibility sweep. Borrows
 /// the swept graph's arena so queries by [`NodeId`] resolve through the
-/// arena's interner onto flat columns.
+/// arena's layout onto flat columns.
 #[derive(Debug, Clone)]
 pub struct SlackSweep<'g> {
     arena: &'g GraphArena,
-    /// Re-timed observed time per node (per-rank offsets removed; hub
-    /// nodes get the max of their entry times). Valid where `has_time`.
-    time: Vec<Cycles>,
-    has_time: Vec<bool>,
+    /// Per-rank re-timing offset: the rank's earliest label time. A
+    /// labeled event node's observed time is its label time minus this.
+    rank_base: Vec<Cycles>,
+    /// Observed time of each hub, by hub ordinal: the max of its entry
+    /// times (`None` for a hub no entry edge reaches).
+    hub_time: Vec<Option<Cycles>>,
     /// Earliest feasible time per node under the effective costs.
     earliest: Vec<Cycles>,
     /// Latest feasible time per node that keeps the makespan.
     latest: Vec<Cycles>,
     /// Effective cost per edge (parallel to edge positions).
     cost: Vec<Cycles>,
-    /// Slack per edge (parallel to edge positions).
-    slack: Vec<Cycles>,
     /// Wait interval per blocking-op end node (0 ⇒ none).
     wait: Vec<Cycles>,
     /// Binding incoming message arm per end node: the edge position whose
     /// source time defines the wait interval (`NO_ARM` ⇒ none).
     binding: Vec<u32>,
-    /// Incoming-edge adjacency of `arena`, built by the first chain walk
-    /// and shared by every later one. It lives here, not on the arena: the
-    /// sweep's shared borrow is what guarantees no edge is pushed while it
-    /// is alive.
-    incoming: OnceLock<Csr>,
+    /// Preferred tight incoming edge per node — the step a chain walk
+    /// takes back from it (`NO_ARM` ⇒ none; see DESIGN.md §17.3).
+    pred: Vec<u32>,
+    /// Number of zero-slack edges.
+    zero_slack: usize,
     /// Re-timed finish of the whole run: max over final end nodes.
     pub makespan: Cycles,
     /// The final end node realizing the makespan (ties: lowest rank).
@@ -138,138 +137,110 @@ pub struct StaticPath {
     pub wait_cycles: Cycles,
 }
 
+/// Re-timed observed time of node `i`: a labeled event node's label time
+/// less its rank's offset, a hub's entry maximum; `None` otherwise.
+fn observed(
+    arena: &GraphArena,
+    rank_base: &[Cycles],
+    hub_time: &[Option<Cycles>],
+    i: NodeIdx,
+) -> Option<Cycles> {
+    match arena.hub_ordinal(i) {
+        Some(h) => hub_time[h],
+        None => arena
+            .label_time(i)
+            .map(|t| t - rank_base[arena.node_rank[i as usize] as usize]),
+    }
+}
+
 impl<'g> SlackSweep<'g> {
     /// Runs the forward/backward sweep over a recorded graph.
     pub fn sweep(graph: &'g EventGraph) -> Self {
         let arena = graph.arena();
         let n_nodes = arena.num_nodes();
         let n_edges = arena.num_edges();
+        let (src_of, dst_of) = (|e: usize| arena.edge_src(e), |e: usize| arena.edge_dst(e));
 
         // -- Re-time: per-rank offset removal -------------------------------
-        let mut base: Vec<Option<Cycles>> = vec![None; graph.num_ranks()];
-        for i in 0..n_nodes as NodeIdx {
-            let Some(label) = arena.label_of(i) else {
-                continue;
-            };
-            if arena.is_hub(i) {
-                continue;
-            }
-            let slot = &mut base[arena.node_id(i).rank as usize];
-            *slot = Some(slot.map_or(label.t, |b| b.min(label.t)));
-        }
-        let mut time = vec![0 as Cycles; n_nodes];
-        let mut has_time = vec![false; n_nodes];
-        for i in 0..n_nodes as NodeIdx {
-            let Some(label) = arena.label_of(i) else {
-                continue;
-            };
-            if arena.is_hub(i) {
-                continue;
-            }
-            let b = base[arena.node_id(i).rank as usize].unwrap_or(0);
-            time[i as usize] = label.t - b;
-            has_time[i as usize] = true;
-        }
+        let rank_base: Vec<Cycles> = (0..arena.num_ranks())
+            .map(|r| {
+                arena
+                    .rank_nodes(r)
+                    .filter_map(|i| arena.label_time(i))
+                    .min()
+                    .unwrap_or(0)
+            })
+            .collect();
         // Hub times: max over entry-edge sources. Entry edges precede the
         // hub's outgoing edges in creation order, so one pass suffices.
+        let mut hub_time = vec![None; arena.num_hubs()];
         for e in 0..n_edges {
-            let (src, dst) = (arena.edge_src(e), arena.edge_dst(e));
-            if arena.is_hub(dst) && !arena.is_hub(src) {
-                let src_t = if has_time[src as usize] {
-                    time[src as usize]
-                } else {
-                    0
-                };
-                if !has_time[dst as usize] {
-                    has_time[dst as usize] = true;
-                    time[dst as usize] = 0;
-                }
-                let slot = &mut time[dst as usize];
-                *slot = (*slot).max(src_t);
+            let (src, dst) = (src_of(e), dst_of(e));
+            if let (Some(h), false) = (arena.hub_ordinal(dst), arena.is_hub(src)) {
+                // An event node's time reads no hub time.
+                let src_t = observed(arena, &rank_base, &[], src).unwrap_or(0);
+                let slot: &mut Option<Cycles> = &mut hub_time[h];
+                *slot = Some(slot.unwrap_or(0).max(src_t));
             }
         }
+        let time = |i: NodeIdx| observed(arena, &rank_base, &hub_time, i);
 
         // -- Wait intervals & binding arms ----------------------------------
         // An incoming message arm is remote when its source is another
         // rank's node or a collective hub; an acknowledgement edge from the
         // rank's *own* send-start (arrival-resolved ack) is not a cause of
-        // waiting and is excluded.
+        // waiting and is excluded. The binding arm is the latest-arriving
+        // one (the first of equals).
         let mut wait = vec![0 as Cycles; n_nodes];
         let mut binding = vec![NO_ARM; n_nodes];
-        let mut arrival = vec![0 as Cycles; n_nodes];
-        let mut has_arrival = vec![false; n_nodes];
         let mut causality_clamps = 0usize;
         for e in 0..n_edges {
-            let (src, dst) = (arena.edge_src(e), arena.edge_dst(e));
+            let (src, dst) = (src_of(e), dst_of(e));
             if !arena.edge_is_message(e) || arena.is_hub(dst) {
                 continue;
             }
-            let src_id = arena.node_id(src);
-            let dst_id = arena.node_id(dst);
-            if !src_id.hub && src_id.rank == dst_id.rank {
+            if !arena.is_hub(src) && arena.node_rank[src as usize] == arena.node_rank[dst as usize]
+            {
                 continue;
             }
-            let src_t = if has_time[src as usize] {
-                time[src as usize]
-            } else {
-                0
-            };
-            if binding[dst as usize] == NO_ARM || src_t > arrival[dst as usize] {
-                arrival[dst as usize] = arrival[dst as usize].max(src_t);
-                has_arrival[dst as usize] = true;
+            let b = binding[dst as usize];
+            if b == NO_ARM || time(src).unwrap_or(0) > time(src_of(b as usize)).unwrap_or(0) {
                 binding[dst as usize] = e as u32;
             }
         }
-        for end in 0..n_nodes as NodeIdx {
-            if !has_arrival[end as usize] {
+        for (end, &b) in binding.iter().enumerate() {
+            if b == NO_ARM {
                 continue;
             }
-            let m = arrival[end as usize];
-            let end_id = arena.node_id(end);
-            let start = NodeId::start(end_id.rank, end_id.seq);
-            let Some(start_idx) = arena.node_index(&start) else {
+            let end = end as NodeIdx;
+            let m = time(src_of(b as usize)).unwrap_or(0);
+            let (Some(t_start), Some(t_end)) = (time(arena.start_of(end)), time(end)) else {
                 continue;
             };
-            if !(has_time[start_idx as usize] && has_time[end as usize]) {
-                continue;
-            }
-            let (t_start, t_end) = (time[start_idx as usize], time[end as usize]);
             if m > t_end {
                 causality_clamps += 1;
             }
-            wait[end as usize] = m.saturating_sub(t_start).min(t_end - t_start);
+            wait[end as usize] = m.saturating_sub(t_start).min(t_end.saturating_sub(t_start));
         }
 
         // -- Effective edge costs -------------------------------------------
-        let mut cost: Vec<Cycles> = Vec::with_capacity(n_edges);
-        for e in 0..n_edges {
-            let (src, dst) = (arena.edge_src(e), arena.edge_dst(e));
-            let c = if arena.edge_is_message(e) {
-                if arena.is_hub(dst) {
-                    // Entry into the hub: only the last rank in is tight.
-                    0
-                } else {
+        let cost: Vec<Cycles> = (0..n_edges)
+            .map(|e| {
+                let (src, dst) = (src_of(e), dst_of(e));
+                if arena.edge_is_message(e) {
+                    if arena.is_hub(dst) {
+                        // Entry into the hub: only the last rank in is tight.
+                        return 0;
+                    }
                     // Post-wait residue of the receiving op's window; the
                     // same for every arm, so tightness is decided by the
                     // arm's source time alone.
-                    let dst_id = arena.node_id(dst);
-                    let start = NodeId::start(dst_id.rank, dst_id.seq);
-                    let dur = match arena.node_index(&start) {
-                        Some(s) if has_time[s as usize] && has_time[dst as usize] => {
-                            time[dst as usize] - time[s as usize]
-                        }
+                    let dur = match (time(arena.start_of(dst)), time(dst)) {
+                        (Some(s), Some(t)) => t.saturating_sub(s),
                         _ => 0,
                     };
                     dur.saturating_sub(wait[dst as usize])
-                }
-            } else {
-                let src_id = arena.node_id(src);
-                let dst_id = arena.node_id(dst);
-                if src_id.rank == dst_id.rank
-                    && src_id.seq == dst_id.seq
-                    && src_id.point == Point::Start
-                    && dst_id.point == Point::End
-                {
+                } else if !arena.is_hub(dst) && dst == src + 1 && arena.start_of(dst) == src {
                     // Intra edge of an op: its duration minus time spent
                     // blocked (zero for ops with no remote arm).
                     arena.edge_base(e).saturating_sub(wait[dst as usize])
@@ -277,52 +248,50 @@ impl<'g> SlackSweep<'g> {
                     // Gap edges and other local structure: traced interval.
                     arena.edge_base(e)
                 }
-            };
-            cost.push(c);
-        }
+            })
+            .collect();
 
         // -- Forward sweep (earliest) ---------------------------------------
         let mut earliest = vec![0 as Cycles; n_nodes];
         for e in 0..n_edges {
-            let cand = earliest[arena.edge_src(e) as usize] + cost[e];
-            let slot = &mut earliest[arena.edge_dst(e) as usize];
+            let cand = earliest[src_of(e) as usize].saturating_add(cost[e]);
+            let slot = &mut earliest[dst_of(e) as usize];
             *slot = (*slot).max(cand);
         }
-        let mut retime_mismatches = 0usize;
-        for i in 0..n_nodes {
-            if has_time[i] && earliest[i] != time[i] {
-                retime_mismatches += 1;
+        let retime_mismatches = (0..n_nodes as NodeIdx)
+            .filter(|&i| time(i).is_some_and(|t| t != earliest[i as usize]))
+            .count();
+
+        // -- Preferred tight arms (the chain walk's steps) ------------------
+        // The binding message arm when it is tight (it names the true cause
+        // of a wait); otherwise any tight arm, message edges first, later
+        // sources first, then the later edge — one forward pass, since a
+        // later edge wins every tie the first two keys leave.
+        let tight = |e: usize| {
+            earliest[src_of(e) as usize].saturating_add(cost[e]) == earliest[dst_of(e) as usize]
+        };
+        let key = |e: usize| (arena.edge_is_message(e), earliest[src_of(e) as usize]);
+        let mut pred = vec![NO_ARM; n_nodes];
+        for e in (0..n_edges).filter(|&e| tight(e)) {
+            let p = &mut pred[dst_of(e) as usize];
+            if *p == NO_ARM || key(e) >= key(*p as usize) {
+                *p = e as u32;
+            }
+        }
+        for (p, &b) in pred.iter_mut().zip(&binding) {
+            if b != NO_ARM && tight(b as usize) {
+                *p = b;
             }
         }
 
         // -- Makespan & anchor ----------------------------------------------
-        let mut finals: Vec<Option<NodeIdx>> = vec![None; graph.num_ranks()];
-        for i in 0..n_nodes as NodeIdx {
-            if arena.label_of(i).is_none() || arena.is_hub(i) {
-                continue;
-            }
-            let node = arena.node_id(i);
-            if node.point != Point::End {
-                continue;
-            }
-            let slot = &mut finals[node.rank as usize];
-            match slot {
-                Some(cur) if arena.node_id(*cur).seq >= node.seq => {}
-                _ => *slot = Some(i),
-            }
-        }
         let mut makespan = 0;
         let mut anchor: Option<NodeId> = None;
-        for idx in finals.iter().flatten() {
-            let n = arena.node_id(*idx);
-            let t = earliest[*idx as usize];
-            let better = match anchor {
-                None => true,
-                Some(a) => t > makespan || (t == makespan && n.rank < a.rank),
-            };
-            if better {
+        for i in (0..arena.num_ranks()).filter_map(|r| arena.last_end(r)) {
+            let t = earliest[i as usize];
+            if anchor.is_none() || t > makespan {
                 makespan = t;
-                anchor = Some(n);
+                anchor = Some(arena.node_id(i));
             }
         }
 
@@ -333,36 +302,29 @@ impl<'g> SlackSweep<'g> {
         // makespan-initialized slots are equivalent to lazy insertion.
         let mut latest = vec![makespan; n_nodes];
         for e in (0..n_edges).rev() {
-            let cand = latest[arena.edge_dst(e) as usize].saturating_sub(cost[e]);
-            let slot = &mut latest[arena.edge_src(e) as usize];
+            let cand = latest[dst_of(e) as usize].saturating_sub(cost[e]);
+            let slot = &mut latest[src_of(e) as usize];
             *slot = (*slot).min(cand);
         }
 
-        // -- Per-edge slack --------------------------------------------------
-        let slack: Vec<Cycles> = (0..n_edges)
-            .map(|e| {
-                let dst_l = latest[arena.edge_dst(e) as usize];
-                let src_e = earliest[arena.edge_src(e) as usize];
-                dst_l.saturating_sub(src_e + cost[e])
-            })
-            .collect();
-
-        Self {
+        let mut sweep = Self {
             arena,
-            time,
-            has_time,
+            rank_base,
+            hub_time,
             earliest,
             latest,
             cost,
-            slack,
             wait,
             binding,
-            incoming: OnceLock::new(),
+            pred,
+            zero_slack: 0,
             makespan,
             anchor,
             retime_mismatches,
             causality_clamps,
-        }
+        };
+        sweep.zero_slack = (0..n_edges).filter(|&e| sweep.slack(e) == 0).count();
+        sweep
     }
 
     fn idx(&self, node: &NodeId) -> Option<NodeIdx> {
@@ -371,8 +333,12 @@ impl<'g> SlackSweep<'g> {
 
     /// Re-timed observed time of a node (offset-normalized local clock).
     pub fn time(&self, node: NodeId) -> Option<Cycles> {
-        let i = self.idx(&node)? as usize;
-        self.has_time[i].then(|| self.time[i])
+        observed(
+            self.arena,
+            &self.rank_base,
+            &self.hub_time,
+            self.idx(&node)?,
+        )
     }
 
     /// Earliest feasible time of a node (equals the observed time when the
@@ -395,7 +361,9 @@ impl<'g> SlackSweep<'g> {
     /// Slack of edge `i`: the largest delay injectable on that edge alone
     /// that leaves the makespan unchanged.
     pub fn slack(&self, i: usize) -> Cycles {
-        self.slack[i]
+        let dst_l = self.latest[self.arena.edge_dst(i) as usize];
+        let src_e = self.earliest[self.arena.edge_src(i) as usize];
+        dst_l.saturating_sub(src_e.saturating_add(self.cost[i]))
     }
 
     /// Wait interval of a blocking op's end node: the part of its duration
@@ -415,14 +383,16 @@ impl<'g> SlackSweep<'g> {
 
     /// Number of zero-slack edges (the static critical network).
     pub fn zero_slack_edges(&self) -> usize {
-        self.slack.iter().filter(|&&s| s == 0).count()
+        self.zero_slack
     }
 
     /// How many edges a perturbation of `magnitude` cycles could propagate
     /// through (slack below the magnitude) — the "analyze first, then only
     /// sweep where it matters" count.
     pub fn perturbable_edges(&self, magnitude: Cycles) -> usize {
-        self.slack.iter().filter(|&&s| s < magnitude).count()
+        (0..self.cost.len())
+            .filter(|&i| self.slack(i) < magnitude)
+            .count()
     }
 
     /// Walks the static critical path: from the makespan anchor backwards
@@ -442,7 +412,6 @@ impl<'g> SlackSweep<'g> {
             self.arena.num_edges(),
             "not the swept graph"
         );
-        let incoming = self.incoming.get_or_init(|| self.arena.incoming());
         let n_edges = arena.num_edges();
         let mut chain = Vec::new();
         let mut ranks = BTreeSet::new();
@@ -454,44 +423,20 @@ impl<'g> SlackSweep<'g> {
         let finish = self.earliest(anchor);
         let mut current = arena.node_index(&anchor);
         while let Some(cur) = current {
-            let e_cur = self.earliest[cur as usize];
-            if e_cur == 0 {
+            let cur = cur as usize;
+            if self.earliest[cur] == 0 || self.pred[cur] == NO_ARM {
                 break;
             }
-            // Prefer the binding message arm when it is tight (it names
-            // the true cause of a wait); otherwise any tight arm, message
-            // edges first, later sources first — deterministic because the
-            // edge order is fixed.
-            let tight =
-                |i: usize| self.earliest[arena.edge_src(i) as usize] + self.cost[i] == e_cur;
-            let bound = self.binding[cur as usize];
-            let chosen = match bound {
-                b if b != NO_ARM && tight(b as usize) => Some(b as usize),
-                _ => incoming
-                    .of(cur)
-                    .iter()
-                    .map(|&i| i as usize)
-                    .filter(|&i| tight(i))
-                    .max_by_key(|&i| {
-                        (
-                            arena.edge_is_message(i),
-                            self.earliest[arena.edge_src(i) as usize],
-                            i,
-                        )
-                    }),
-            };
-            let Some(i) = chosen else {
-                break;
-            };
+            let i = self.pred[cur] as usize;
             if arena.edge_is_message(i) {
                 message_hops += 1;
             }
-            if bound == i as u32 {
-                wait_cycles += self.wait[cur as usize];
+            if self.binding[cur] == i as u32 {
+                wait_cycles += self.wait[cur];
             }
             let src = arena.edge_src(i);
             if !arena.is_hub(src) {
-                ranks.insert(arena.node_id(src).rank);
+                ranks.insert(arena.node_rank[src as usize]);
             }
             chain.push(i);
             current = Some(src);
@@ -542,17 +487,16 @@ pub fn predicted_graph(graph: &EventGraph, model: &PerturbationModel) -> Option<
         return None;
     }
     let mut sampler = PerturbSampler::new(model.clone(), 1, 0);
-    let mut out = EventGraph::new(graph.num_ranks());
-    for (node, label) in graph.nodes() {
-        out.label(node, label.kind, label.t);
-    }
-    for mut e in graph.edges() {
-        let sampled = match e.class {
+    let mut out = graph.clone();
+    let arena = out.arena_mut();
+    for i in 0..arena.num_edges() {
+        let src = arena.node_id(arena.edge_src(i));
+        arena.edge_sampled[i] = match arena.edge_class(i) {
             DeltaClass::None => 0,
             // An acknowledgement arm anchored at the sender's own start
             // subevent stands for the full forward path plus the return
             // hop (the engine records `d_msg − d_src + λ_ack` on it).
-            DeltaClass::Lambda if e.src.point == Point::Start && !e.src.hub => {
+            DeltaClass::Lambda if src.point == Point::Start && !src.hub => {
                 if model.per_byte != 0.0 {
                     return None;
                 }
@@ -561,8 +505,6 @@ pub fn predicted_graph(graph: &EventGraph, model: &PerturbationModel) -> Option<
             }
             class => sampler.sample(0, class),
         };
-        e.sampled = sampled;
-        out.add_edge(e);
     }
     Some(out)
 }
@@ -602,25 +544,13 @@ fn drift_slack_inner(
     if anchor_drift <= 0 {
         return Ok(None);
     }
-    let mut anchor: Option<NodeId> = None;
-    for (node, _) in graph.nodes() {
-        if node.rank == anchor_rank as u32
-            && node.point == Point::End
-            && !node.hub
-            && anchor.is_none_or(|a| node.seq > a.seq)
-        {
-            anchor = Some(node);
-        }
-    }
-    let Some(anchor) = anchor else {
+    let Some(anchor_idx) = arena.last_end(anchor_rank) else {
         return Ok(None);
     };
+    let anchor = arena.node_id(anchor_idx);
     // Best achievable delta-sum from each node to the anchor, dense over
     // the arena's index space (`None` ⇔ cannot reach the anchor).
     let mut reach: Vec<Option<Drift>> = vec![None; arena.num_nodes()];
-    let Some(anchor_idx) = arena.node_index(&anchor) else {
-        return Ok(None);
-    };
     reach[anchor_idx as usize] = Some(0);
     let n_edges = arena.num_edges();
     let mut slack = vec![None; n_edges];
@@ -746,7 +676,7 @@ mod tests {
     /// Rank 1 posts its receive at 10 but the message only leaves rank 0
     /// at 100; the receive's 105-cycle duration is mostly wait.
     fn late_sender_graph() -> EventGraph {
-        let mut g = EventGraph::new(2);
+        let mut g = EventGraph::new(&[3, 2]);
         let e = |src, dst, base, is_message| Edge {
             src,
             dst,
@@ -819,20 +749,78 @@ mod tests {
     }
 
     #[test]
-    fn chains_from_every_rank_share_one_csr_build() {
-        use crate::arena::CSR_BUILDS;
+    fn chains_follow_tight_arms_from_any_anchor() {
         let g = late_sender_graph();
         let s = SlackSweep::sweep(&g);
-        let before = CSR_BUILDS.with(|c| c.get());
         let from_send = s.chain_from(&g, NodeId::end(0, 2));
         let from_recv = s.chain_from(&g, NodeId::end(1, 1));
-        assert_eq!(s.static_critical_path(&g), Some(from_recv));
+        assert_eq!(s.static_critical_path(&g), Some(from_recv.clone()));
         assert_eq!(from_send.finish, 110);
-        assert_eq!(CSR_BUILDS.with(|c| c.get()) - before, 1);
-        // A copy of the sweep carries the adjacency with it.
-        let copy = s.clone();
-        copy.chain_from(&g, NodeId::end(0, 2));
-        assert_eq!(CSR_BUILDS.with(|c| c.get()) - before, 1);
+        // The receive steps back through its binding arm, not its local
+        // start, and every step is tight.
+        assert_eq!(Some(from_recv.edges[0]), s.binding_arm(NodeId::end(1, 1)));
+        for path in [&from_send, &from_recv] {
+            for &i in &path.edges {
+                let e = g.edge(i);
+                assert_eq!(s.earliest(e.src) + s.cost(i), s.earliest(e.dst), "edge {i}");
+            }
+        }
+        // The walk ends at time zero, on rank 0's init.
+        let last = *from_recv.edges.last().unwrap();
+        assert_eq!(s.earliest(g.edge(last).src), 0);
+    }
+
+    /// Ranks 0 and 1 each send at 100 into rank 2's one `waitall`: two
+    /// tight remote arms of equal arrival. The binding arm is the first;
+    /// the chain must step through it (and count its wait), not through
+    /// the later edge the message/source/index order alone would pick.
+    #[test]
+    fn tied_arms_step_back_through_the_binding_arm() {
+        let mut g = EventGraph::new(&[3, 3, 2]);
+        let e = |src, dst, base, is_message| Edge {
+            src,
+            dst,
+            base,
+            class: DeltaClass::None,
+            sampled: 0,
+            is_message,
+        };
+        for r in 0..2 {
+            for (seq, kind, t0, t1) in [
+                (0, "init", 0, 10),
+                (1, "compute", 10, 100),
+                (2, "send", 100, 110),
+            ] {
+                g.label(NodeId::start(r, seq), kind, t0);
+                g.label(NodeId::end(r, seq), kind, t1);
+                if seq > 0 {
+                    g.add_edge(e(NodeId::end(r, seq - 1), NodeId::start(r, seq), 0, false));
+                }
+                g.add_edge(e(
+                    NodeId::start(r, seq),
+                    NodeId::end(r, seq),
+                    t1 - t0,
+                    false,
+                ));
+            }
+        }
+        g.label(NodeId::start(2, 0), "init", 0);
+        g.label(NodeId::end(2, 0), "init", 10);
+        g.label(NodeId::start(2, 1), "waitall", 10);
+        g.label(NodeId::end(2, 1), "waitall", 115);
+        g.add_edge(e(NodeId::start(2, 0), NodeId::end(2, 0), 10, false));
+        g.add_edge(e(NodeId::end(2, 0), NodeId::start(2, 1), 0, false));
+        g.add_edge(e(NodeId::start(2, 1), NodeId::end(2, 1), 105, false));
+        g.add_edge(e(NodeId::start(0, 2), NodeId::end(2, 1), 0, true));
+        g.add_edge(e(NodeId::start(1, 2), NodeId::end(2, 1), 0, true));
+        let s = SlackSweep::sweep(&g);
+        let arm = s.binding_arm(NodeId::end(2, 1)).expect("binding arm");
+        assert_eq!(g.edge(arm).src, NodeId::start(0, 2));
+        let path = s.static_critical_path(&g).expect("path");
+        assert_eq!(path.anchor, NodeId::end(2, 1));
+        assert_eq!(path.edges[0], arm);
+        assert_eq!(path.wait_cycles, 90);
+        assert_eq!(path.ranks_touched, 2);
     }
 
     #[test]
@@ -865,7 +853,7 @@ mod tests {
     #[test]
     fn collective_hub_wait_classifies_members() {
         // Three ranks into a barrier hub; rank 2 arrives last.
-        let mut g = EventGraph::new(3);
+        let mut g = EventGraph::new(&[2, 2, 2]);
         let hub = NodeId::hub(0, 1);
         let e = |src, dst, base, is_message| Edge {
             src,
@@ -931,7 +919,7 @@ mod tests {
 
     #[test]
     fn predicted_graph_stamps_constants() {
-        let mut g = EventGraph::new(2);
+        let mut g = EventGraph::new(&[1, 1]);
         g.label(NodeId::start(0, 0), "send", 0);
         g.label(NodeId::end(1, 0), "recv", 50);
         g.add_edge(Edge {
@@ -958,7 +946,7 @@ mod tests {
 
     #[test]
     fn drift_slack_zero_on_binding_chain() {
-        let mut g = EventGraph::new(2);
+        let mut g = EventGraph::new(&[1, 2]);
         g.label(NodeId::end(0, 0), "compute", 10);
         g.label(NodeId::end(1, 1), "recv", 50);
         let e = |src, dst, sampled| Edge {

@@ -21,7 +21,7 @@
 use crate::arena::{GraphArena, NodeDrifts, NodeIdx};
 use crate::perturb::DeltaClass;
 use crate::{Cycles, Drift};
-use mpg_trace::{Rank, Seq};
+use mpg_trace::{EventKind, Rank, Seq};
 
 /// Which subevent of an event a node refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -107,22 +107,23 @@ pub struct NodeLabel {
 }
 
 /// The recorded message-passing graph — a façade over [`GraphArena`].
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct EventGraph {
     arena: GraphArena,
 }
 
 impl EventGraph {
-    /// Creates an empty graph over `ranks` ranks.
-    pub fn new(ranks: usize) -> Self {
+    /// Creates an empty graph over ranks holding `events[r]` events each
+    /// (see [`GraphArena::new`], whose panic it shares).
+    pub fn new(events: &[usize]) -> Self {
         Self {
-            arena: GraphArena::new(ranks),
+            arena: GraphArena::new(events),
         }
     }
 
-    /// Wraps an already-built arena — the warm path: a graph decoded from
-    /// an MPGA artifact (see [`crate::mpga`]) instead of recorded by
-    /// replay.
+    /// Wraps an already-built arena — the recorder's, or the warm path's:
+    /// a graph decoded from an MPGA artifact (see [`crate::mpga`]) instead
+    /// of recorded by replay.
     pub fn from_arena(arena: GraphArena) -> Self {
         Self { arena }
     }
@@ -138,14 +139,27 @@ impl EventGraph {
         &self.arena
     }
 
+    pub(crate) fn arena_mut(&mut self) -> &mut GraphArena {
+        &mut self.arena
+    }
+
     /// Adds an edge (recorder use).
     pub fn add_edge(&mut self, edge: Edge) {
         self.arena.push_edge(edge);
     }
 
-    /// Attaches a label to a node (recorder use; idempotent).
-    pub fn label(&mut self, node: NodeId, kind: &'static str, t: Cycles) {
-        self.arena.label(node, kind, t);
+    /// Attaches a label to a node (idempotent).
+    ///
+    /// # Panics
+    ///
+    /// When `kind` is not an [`EventKind::name`], or `node` lies outside
+    /// the layout.
+    pub fn label(&mut self, node: NodeId, kind: &str, t: Cycles) {
+        let code = EventKind::NAMES
+            .iter()
+            .position(|&k| k == kind)
+            .unwrap_or_else(|| panic!("`{kind}` is not an event kind"));
+        self.arena.label(node, code as u8, t);
     }
 
     /// All edges in topological (creation) order, materialized by value
@@ -166,7 +180,8 @@ impl EventGraph {
             .and_then(|i| self.arena.label_of(i))
     }
 
-    /// All labeled nodes, in interning order (deterministic).
+    /// All labeled nodes, in index order: rank by rank, each event's start
+    /// then end, hubs last.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, NodeLabel)> + '_ {
         (0..self.arena.num_nodes() as NodeIdx)
             .filter_map(|i| self.arena.label_of(i).map(|l| (self.arena.node_id(i), l)))
@@ -208,25 +223,14 @@ impl EventGraph {
         self.arena.verify_acyclic()
     }
 
-    /// The largest drift over each rank's final (maximum-seq) end node —
-    /// the graph-walk equivalent of the streaming report's final drifts.
+    /// The drift of each rank's final (maximum-seq) labeled end node — the
+    /// graph-walk equivalent of the streaming report's final drifts; 0 for
+    /// a rank with none.
     pub fn final_drifts(&self) -> Vec<Drift> {
         let drifts = self.arena.propagate_dense();
-        let mut finals: Vec<(Seq, Drift)> = vec![(0, 0); self.arena.num_ranks()];
-        for i in 0..self.arena.num_nodes() as NodeIdx {
-            if self.arena.label_of(i).is_none() {
-                continue;
-            }
-            let node = self.arena.node_id(i);
-            if node.hub || node.point != Point::End {
-                continue;
-            }
-            let slot = &mut finals[node.rank as usize];
-            if node.seq >= slot.0 {
-                *slot = (node.seq, drifts[i as usize]);
-            }
-        }
-        finals.into_iter().map(|(_, d)| d).collect()
+        (0..self.arena.num_ranks())
+            .map(|r| self.arena.last_end(r).map_or(0, |i| drifts[i as usize]))
+            .collect()
     }
 }
 
@@ -247,7 +251,7 @@ mod tests {
 
     #[test]
     fn propagate_chain() {
-        let mut g = EventGraph::new(1);
+        let mut g = EventGraph::new(&[2]);
         let a = NodeId::start(0, 0);
         let b = NodeId::end(0, 0);
         let c = NodeId::end(0, 1);
@@ -260,7 +264,7 @@ mod tests {
 
     #[test]
     fn propagate_max_of_arms() {
-        let mut g = EventGraph::new(2);
+        let mut g = EventGraph::new(&[2, 2]);
         let s = NodeId::start(0, 1);
         let r = NodeId::start(1, 1);
         let re = NodeId::end(1, 1);
@@ -274,7 +278,7 @@ mod tests {
     fn zero_anchor_holds() {
         // Negative sampled deltas never pull a drift below zero in the
         // generic pass.
-        let mut g = EventGraph::new(1);
+        let mut g = EventGraph::new(&[1]);
         let a = NodeId::start(0, 0);
         let b = NodeId::end(0, 0);
         g.add_edge(edge(a, b, -50));
@@ -284,7 +288,7 @@ mod tests {
 
     #[test]
     fn final_drifts_take_last_end() {
-        let mut g = EventGraph::new(1);
+        let mut g = EventGraph::new(&[6]);
         let e0 = NodeId::end(0, 0);
         let e5 = NodeId::end(0, 5);
         g.label(e0, "init", 0);
@@ -296,7 +300,7 @@ mod tests {
 
     #[test]
     fn labels_idempotent() {
-        let mut g = EventGraph::new(1);
+        let mut g = EventGraph::new(&[1]);
         let n = NodeId::start(0, 0);
         g.label(n, "send", 5);
         g.label(n, "recv", 9);
@@ -311,7 +315,7 @@ mod tests {
 
     #[test]
     fn edges_roundtrip_by_index() {
-        let mut g = EventGraph::new(2);
+        let mut g = EventGraph::new(&[2, 2]);
         let e = Edge {
             src: NodeId::start(0, 1),
             dst: NodeId::end(1, 1),
@@ -327,7 +331,7 @@ mod tests {
 
     #[test]
     fn acyclic_graph_verifies() {
-        let mut g = EventGraph::new(2);
+        let mut g = EventGraph::new(&[1, 1]);
         let a = NodeId::start(0, 0);
         let b = NodeId::end(0, 0);
         let c = NodeId::end(1, 0);
@@ -338,7 +342,7 @@ mod tests {
 
     #[test]
     fn cycle_is_detected_with_residue() {
-        let mut g = EventGraph::new(2);
+        let mut g = EventGraph::new(&[2, 3]);
         let a = NodeId::end(0, 1);
         let b = NodeId::end(1, 1);
         let c = NodeId::end(1, 2);

@@ -81,9 +81,8 @@ use mpg_trace::{Rank, Seq};
 pub type EventId = (Rank, Seq);
 
 /// One clock component: a count of one rank's subevents. The arena
-/// addresses nodes with a `u32` [`NodeIdx`], so no recorded graph holds
-/// 2³² events of one rank; a graph that names a larger sequence number is
-/// refused (see [`HbIndex::build`]).
+/// addresses nodes with a `u32` [`NodeIdx`] and lays out fewer than
+/// `u32::MAX / 3` events, so every count fits.
 type Clock = u32;
 
 /// First word of [`HbIndex::to_bytes`]: `"HBEP"` then the layout version,
@@ -120,8 +119,7 @@ pub struct HbIndex {
 /// Why a build stopped short of an index.
 enum Abort {
     Cancelled(CancelReason),
-    /// A size derived from the graph overflows, cannot be allocated, or
-    /// describes more events than the graph has nodes.
+    /// A size derived from the graph cannot be allocated.
     Oversized,
 }
 
@@ -145,8 +143,8 @@ fn rank_of(n: &NodeId, p: usize) -> Option<usize> {
 
 /// [`rank_of`] with the node's own-rank issue and completion components.
 fn own(n: &NodeId, p: usize) -> Option<(usize, Clock, Clock)> {
-    // The counting pass has already refused sequence numbers at or above
-    // `Clock::MAX`, so neither the cast nor the increment can wrap.
+    // The layout bounds every sequence number far below `Clock::MAX`, so
+    // neither the cast nor the increment can wrap.
     let s = n.seq as Clock;
     let completed = if n.point == Point::End { s + 1 } else { s };
     rank_of(n, p).map(|r| (r, s + 1, completed))
@@ -288,10 +286,10 @@ impl Epochs {
 impl HbIndex {
     /// Builds the index from a recorded graph.
     ///
-    /// A graph no replay could have recorded — a sequence number beyond
-    /// `u32`, more events than nodes, sizes that overflow or cannot be
-    /// allocated — yields an index that knows no events instead of a
-    /// panic: every query on it answers `false`.
+    /// Per-rank event counts are those the graph reached (holes past a
+    /// crash frontier are not events of the index). A graph whose clock
+    /// rows cannot be allocated yields an index that knows no events
+    /// instead of an abort: every query on it answers `false`.
     pub fn build(graph: &EventGraph) -> Self {
         Self::build_inner(graph, None, None).expect("uncancellable build completes")
     }
@@ -343,30 +341,15 @@ impl HbIndex {
     ) -> Result<Self, Abort> {
         let arena = graph.arena();
         let p = graph.num_ranks();
-        let n_nodes = arena.num_nodes();
-        let mut counts: Vec<u64> = filled(p)?;
-        for i in 0..n_nodes as NodeIdx {
-            let n = arena.node_id(i);
-            if let Some(r) = rank_of(&n, p) {
-                if n.seq >= Clock::MAX as u64 {
-                    return Err(Abort::Oversized);
-                }
-                counts[r] = counts[r].max(n.seq + 1);
-            }
-        }
-        let mut offsets: Vec<usize> = filled(p.checked_add(1).ok_or(Abort::Oversized)?)?;
+        // Events the graph reached, per rank; the layout holds fewer than
+        // `u32::MAX / 3` events, so no count reaches `Clock::MAX`.
+        let counts: Vec<u64> = (0..p).map(|r| arena.events_reached(r)).collect();
+        let mut offsets: Vec<usize> = filled(p + 1)?;
         for r in 0..p {
-            // Each count is at most `Clock::MAX`, so the cast is lossless.
-            offsets[r + 1] = offsets[r]
-                .checked_add(counts[r] as usize)
-                .ok_or(Abort::Oversized)?;
-        }
-        // Every recorded event has at least its start node.
-        if offsets[p] > n_nodes {
-            return Err(Abort::Oversized);
+            offsets[r + 1] = offsets[r] + counts[r] as usize;
         }
 
-        let mut epochs = Epochs::new(p, n_nodes)?;
+        let mut epochs = Epochs::new(p, arena.num_nodes())?;
         let bypass_idx = bypass.and_then(|h| arena.node_index(&h));
         for e in 0..arena.num_edges() {
             if let Some(token) = cancel {
@@ -394,12 +377,12 @@ impl HbIndex {
             epochs.join(arena, src, dst)?;
         }
 
-        // Events whose start node the graph never mentions stay on row 0.
+        // Events whose start node the graph never reached stay on row 0.
         let mut epoch_of: Vec<u32> = filled(offsets[p])?;
-        for i in 0..n_nodes as NodeIdx {
-            let n = arena.node_id(i);
-            if let (Point::Start, Some(r)) = (n.point, rank_of(&n, p)) {
-                epoch_of[offsets[r] + n.seq as usize] = epochs.epoch[i as usize];
+        for r in 0..p {
+            let starts = arena.rank_nodes(r).step_by(2);
+            for (slot, start) in epoch_of[offsets[r]..offsets[r + 1]].iter_mut().zip(starts) {
+                *slot = epochs.epoch[start as usize];
             }
         }
         let (issue, complete) = epochs.compact(&mut epoch_of)?;
@@ -602,7 +585,7 @@ pub(crate) mod tests {
     /// Two ranks, one message 0→1: send (0,1) start reaches recv (1,1) end.
     /// Edges are emitted in a topological order, as the recorder guarantees.
     pub(crate) fn two_rank_message() -> EventGraph {
-        let mut g = EventGraph::new(2);
+        let mut g = EventGraph::new(&[3, 3]);
         for s in 0..3u64 {
             for r in 0..2u32 {
                 if s > 0 {
@@ -659,7 +642,7 @@ pub(crate) mod tests {
     /// bypassed build removes exactly that ordering.
     #[test]
     fn hub_orders_and_bypass_removes() {
-        let mut g = EventGraph::new(2);
+        let mut g = EventGraph::new(&[3, 3]);
         let hub = NodeId::hub(0, 1);
         for r in 0..2u32 {
             g.add_edge(edge(NodeId::start(r, 0), NodeId::end(r, 0), false));
@@ -724,7 +707,7 @@ pub(crate) mod tests {
     /// answer matches the single forward pass, which never revisits.)
     #[test]
     fn shared_row_is_copied_before_it_is_raised() {
-        let mut g = EventGraph::new(3);
+        let mut g = EventGraph::new(&[1, 3, 1]);
         g.add_edge(edge(NodeId::start(0, 0), NodeId::end(1, 0), true));
         g.add_edge(edge(NodeId::end(1, 0), NodeId::start(1, 1), false));
         // Late: (1,1) already took end(1,0)'s row.
@@ -737,24 +720,27 @@ pub(crate) mod tests {
         assert!(hb.happens_before((2, 0), (1, 2)));
     }
 
-    /// A graph no replay could have recorded gets an index that knows no
-    /// events, not an allocation sized by its wildest sequence number.
+    /// Events the layout declares but the recording never reached (a
+    /// crash frontier) are not events of the index: it counts only the
+    /// reached ones, sizes nothing by the layout, and orders nothing with
+    /// a sequence number past them — or past the layout.
     #[test]
-    fn unrecordable_graphs_build_an_index_that_knows_nothing() {
-        for seq in [u64::from(u32::MAX), u64::MAX - 1, 1 << 20] {
-            let mut g = EventGraph::new(2);
-            g.add_edge(edge(NodeId::start(0, 0), NodeId::end(1, seq), true));
-            let hb = HbIndex::build(&g);
-            assert_eq!(hb.num_ranks(), 0);
-            assert_eq!(hb.num_events(1), 0);
+    fn events_the_graph_never_reached_are_unknown() {
+        let mut g = EventGraph::new(&[1, 1 << 16]);
+        g.add_edge(edge(NodeId::start(0, 0), NodeId::end(1, 0), true));
+        let hb = HbIndex::build(&g);
+        assert_eq!((hb.num_events(0), hb.num_events(1)), (1, 1));
+        for seq in [1, (1 << 16) - 1, u64::from(u32::MAX), u64::MAX - 1] {
             assert!(!hb.happens_before((0, 0), (1, seq)));
             assert!(!hb.completes_before((0, 0), (1, seq)));
-            let bytes = hb.to_bytes();
-            assert_eq!(
-                HbIndex::from_bytes(&bytes).map(|h| h.to_bytes()),
-                Some(bytes)
-            );
+            assert_eq!(hb.issue_horizon(0, (1, seq)), 0);
         }
+        let bytes = hb.to_bytes();
+        assert!(bytes.len() < 128, "{} bytes", bytes.len());
+        assert_eq!(
+            HbIndex::from_bytes(&bytes).map(|h| h.to_bytes()),
+            Some(bytes)
+        );
     }
 
     fn all_queries(hb: &HbIndex) -> Vec<bool> {

@@ -1,31 +1,35 @@
 //! MPGA: the compiled on-disk form of a [`GraphArena`].
 //!
 //! Recording a graph from a trace costs a full replay — frame decode,
-//! matching, interning — even though the result is deterministic for a
-//! given (trace, model, seed). MPGA serializes the arena's columns
+//! matching, edge construction — even though the result is deterministic
+//! for a given (trace, model, seed). MPGA serializes the arena's columns
 //! directly so a warm run rebuilds the graph at memcpy speed and skips
 //! both the frame decode and the recording replay.
 //!
 //! ## Layout (all little-endian)
 //!
 //! ```text
-//! file    := header kinds column* crc:u32le
-//! header  := "MPGA" version:u32le ranks:u64 nodes:u64 edges:u64 labeled:u64
-//! kinds   := count:u32le pad:u32le (len:u32le bytes)* pad8
-//! column* := node_rank:u32[nodes]    pad8     ; fixed order, each section
-//!            node_seq:u64[nodes]              ; padded to an 8-byte
-//!            node_flags:u8[nodes]    pad8     ; boundary
-//!            kind_id:u32[nodes]      pad8
-//!            label_t:u64[nodes]
-//!            edge_src:u32[edges]     pad8
-//!            edge_dst:u32[edges]     pad8
+//! file    := header counts hubs column* crc:u32le
+//! header  := "MPGA" version:u32le ranks:u64 hubs:u64 edges:u64
+//! counts  := events:u64[ranks]               ; the arena's layout
+//! hubs    := hub_rank:u32[hubs]       pad8   ; per hub ordinal, the event
+//!            hub_seq:u64[hubs]               ; anchoring the hub
+//! column* := node_flags:u8[nodes]     pad8   ; nodes = 2·Σ events + hubs,
+//!            kind_code:u8[nodes]      pad8   ; in index order; fixed
+//!            label_t:u64[nodes]              ; order, each section padded
+//!            edge_src:u32[edges]      pad8   ; to an 8-byte boundary
+//!            edge_dst:u32[edges]      pad8
 //!            edge_base:u64[edges]
 //!            edge_sampled:i64[edges]
-//!            class_tag:u8[edges]     pad8
+//!            class_tag:u8[edges]      pad8
 //!            class_bytes:u64[edges]
-//!            class_rounds:u32[edges] pad8
-//!            edge_msg:u8[edges]      pad8
+//!            class_rounds:u32[edges]  pad8
+//!            edge_msg:u8[edges]       pad8
 //! ```
+//!
+//! No node identity is stored: a node's `(rank, seq, point)` is its index
+//! in the layout the count table declares (see [`crate::arena`]). A kind
+//! code indexes [`EventKind::NAMES`].
 //!
 //! The trailing `crc` is CRC32C over every preceding byte, so truncation
 //! and bitflips are always detected. Column sections start on 8-byte
@@ -37,23 +41,24 @@
 //!
 //! Decoding is defensive — artifacts live in a cache directory anyone can
 //! scribble on. Every failure mode maps to a typed [`MpgaError`] and the
-//! caller falls back to the cold path; a bad artifact can never produce a
-//! graph that differs from the cold one because endpoint indices, kind
-//! ids, flag/label consistency, and the checksum are all validated.
-
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+//! caller falls back to the cold path. Every table is read, bounds-checked
+//! against the blob, before anything is sized by the counts it holds; the
+//! hub table, node flags, kind codes and edge endpoints are then checked
+//! against the layout. A decoded arena is one the recorder could have
+//! laid out: every node's rank is a rank of the layout, and every edge
+//! joins two reached nodes.
 
 use mpg_trace::frame::crc32c;
+use mpg_trace::EventKind;
 
-use crate::arena::{GraphArena, NodeIndex, FLAG_LABELED};
+use crate::arena::{GraphArena, FLAG_LABELED, FLAG_TOUCHED};
 use crate::perturb::DeltaClass;
 
 /// Magic bytes opening an MPGA artifact.
 pub const MPGA_MAGIC: &[u8; 4] = b"MPGA";
 
 /// Current MPGA format version; bump on any layout change.
-pub const MPGA_VERSION: u32 = 1;
+pub const MPGA_VERSION: u32 = 2;
 
 /// Why an MPGA artifact was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,22 +125,6 @@ fn class_from_columns(tag: u8, bytes: u64, rounds: u32) -> Result<DeltaClass, Mp
     })
 }
 
-/// Label kinds in the arena are `&'static str` (recorder call sites pass
-/// literals). Deserialized kinds come off disk as owned strings; this
-/// process-global interner leaks each **distinct** kind once to recover
-/// `'static`. Bounded: the recorder emits ~a dozen kinds, ever.
-fn intern_kind(s: &str) -> &'static str {
-    static KINDS: OnceLock<Mutex<HashMap<String, &'static str>>> = OnceLock::new();
-    let map = KINDS.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = map.lock().unwrap();
-    if let Some(&k) = map.get(s) {
-        return k;
-    }
-    let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    map.insert(s.to_owned(), leaked);
-    leaked
-}
-
 fn pad8(out: &mut Vec<u8>) {
     while !out.len().is_multiple_of(8) {
         out.push(0);
@@ -169,45 +158,28 @@ fn put_u8s(out: &mut Vec<u8>, xs: &[u8]) {
     pad8(out);
 }
 
-/// Serializes an arena into the MPGA byte layout (header, kind table,
-/// columns, whole-file CRC32C).
+/// Serializes an arena into the MPGA byte layout (header, count table,
+/// hub table, columns, whole-file CRC32C).
 pub fn encode_arena(arena: &GraphArena) -> Vec<u8> {
+    let ranks = arena.num_ranks();
     let nodes = arena.num_nodes();
     let edges = arena.num_edges();
+    let hubs = arena.num_hubs();
 
-    // Distinct label kinds, in first-appearance order for determinism.
-    let mut kind_ids: Vec<u32> = Vec::with_capacity(nodes);
-    let mut kinds: Vec<&str> = Vec::new();
-    let mut kind_index: HashMap<&str, u32> = HashMap::new();
-    for i in 0..nodes {
-        let k = arena.label_kind[i];
-        let id = *kind_index.entry(k).or_insert_with(|| {
-            kinds.push(k);
-            (kinds.len() - 1) as u32
-        });
-        kind_ids.push(id);
-    }
-
-    let mut out = Vec::with_capacity(64 + nodes * 25 + edges * 39);
+    let mut out = Vec::with_capacity(40 + ranks * 8 + hubs * 12 + nodes * 10 + edges * 39);
     out.extend_from_slice(MPGA_MAGIC);
     out.extend_from_slice(&MPGA_VERSION.to_le_bytes());
-    out.extend_from_slice(&(arena.ranks as u64).to_le_bytes());
-    out.extend_from_slice(&(nodes as u64).to_le_bytes());
-    out.extend_from_slice(&(edges as u64).to_le_bytes());
-    out.extend_from_slice(&(arena.labeled as u64).to_le_bytes());
-
-    out.extend_from_slice(&(kinds.len() as u32).to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes());
-    for k in &kinds {
-        out.extend_from_slice(&(k.len() as u32).to_le_bytes());
-        out.extend_from_slice(k.as_bytes());
+    for n in [ranks, hubs, edges] {
+        out.extend_from_slice(&(n as u64).to_le_bytes());
     }
-    pad8(&mut out);
+    let counts: Vec<u64> = (0..ranks).map(|r| arena.rank_events(r) as u64).collect();
+    put_u64s(&mut out, &counts);
+    let (hub_rank, hub_seq): (Vec<u32>, Vec<u64>) = arena.hubs.iter().copied().unzip();
+    put_u32s(&mut out, &hub_rank);
+    put_u64s(&mut out, &hub_seq);
 
-    put_u32s(&mut out, &arena.node_rank);
-    put_u64s(&mut out, &arena.node_seq);
     put_u8s(&mut out, &arena.node_flags);
-    put_u32s(&mut out, &kind_ids);
+    put_u8s(&mut out, &arena.label_code);
     put_u64s(&mut out, &arena.label_t);
 
     put_u32s(&mut out, &arena.edge_src);
@@ -244,11 +216,9 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], MpgaError> {
-        let s = self
-            .bytes
-            .get(self.pos..self.pos + n)
-            .ok_or(MpgaError::Truncated)?;
-        self.pos += n;
+        let end = self.pos.checked_add(n).ok_or(MpgaError::Truncated)?;
+        let s = self.bytes.get(self.pos..end).ok_or(MpgaError::Truncated)?;
+        self.pos = end;
         Ok(s)
     }
 
@@ -259,16 +229,11 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
-    fn u32(&mut self) -> Result<u32, MpgaError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, MpgaError> {
+    /// A `u64` count, as a `usize`.
+    fn count(&mut self) -> Result<usize, MpgaError> {
         let b = self.take(8)?;
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(b);
-        Ok(u64::from_le_bytes(buf))
+        let n = u64::from_le_bytes(b.try_into().expect("8-byte slice"));
+        usize::try_from(n).map_err(|_| MpgaError::Truncated)
     }
 
     fn u32s(&mut self, n: usize) -> Result<Vec<u32>, MpgaError> {
@@ -305,9 +270,10 @@ impl<'a> Reader<'a> {
 
 /// Decodes and validates an MPGA artifact back into a [`GraphArena`].
 ///
-/// Every anomaly — wrong magic/version, truncation, checksum mismatch,
-/// out-of-range index, inconsistent label accounting — is an error; no
-/// partially-decoded arena ever escapes.
+/// Every anomaly — wrong magic/version, truncation, checksum mismatch, a
+/// count table the blob does not hold, a hub that names no event or
+/// repeats one, flags, kind codes or edge endpoints the layout does not
+/// allow — is an error; no partially-decoded arena ever escapes.
 pub fn decode_arena(bytes: &[u8]) -> Result<GraphArena, MpgaError> {
     if bytes.len() < 4 {
         return Err(MpgaError::Truncated);
@@ -340,36 +306,23 @@ pub fn decode_arena(bytes: &[u8]) -> Result<GraphArena, MpgaError> {
         bytes: body,
         pos: 8,
     };
-    let ranks = r.u64()? as usize;
-    let nodes_w = r.u64()?;
-    let edges_w = r.u64()?;
-    let labeled = r.u64()? as usize;
-    // Counts bound allocations: the columns must actually fit in the body.
-    if nodes_w > body.len() as u64 || edges_w > body.len() as u64 {
-        return Err(MpgaError::Malformed("counts exceed artifact size".into()));
-    }
-    let nodes = nodes_w as usize;
-    let edges = edges_w as usize;
-
-    let kind_count = r.u32()? as usize;
-    let _pad = r.u32()?;
-    if kind_count > body.len() {
-        return Err(MpgaError::Malformed("kind table exceeds artifact".into()));
-    }
-    let mut kinds: Vec<&'static str> = Vec::with_capacity(kind_count);
-    for _ in 0..kind_count {
-        let len = r.u32()? as usize;
-        let raw = r.take(len)?;
-        let s = std::str::from_utf8(raw)
-            .map_err(|_| MpgaError::Malformed("kind string is not UTF-8".into()))?;
-        kinds.push(if s.is_empty() { "" } else { intern_kind(s) });
-    }
-    r.align8()?;
-
-    let node_rank = r.u32s(nodes)?;
-    let node_seq = r.u64s(nodes)?;
+    let (ranks, hubs, edges) = (r.count()?, r.count()?, r.count()?);
+    // `ranks` is the length of a table the body must hold, and the node
+    // columns must hold every slot it declares: nothing is sized by a
+    // count before the bytes behind it are there.
+    let events = r
+        .u64s(ranks)?
+        .into_iter()
+        .map(|c| usize::try_from(c).map_err(|_| MpgaError::Truncated))
+        .collect::<Result<Vec<usize>, _>>()?;
+    let hub_rank = r.u32s(hubs)?;
+    let hub_seq = r.u64s(hubs)?;
+    let nodes = events
+        .iter()
+        .try_fold(hubs, |a, &n| a.checked_add(n.checked_mul(2)?))
+        .ok_or(MpgaError::Truncated)?;
     let node_flags = r.u8s(nodes)?;
-    let kind_ids = r.u32s(nodes)?;
+    let label_code = r.u8s(nodes)?;
     let label_t = r.u64s(nodes)?;
 
     let edge_src = r.u32s(edges)?;
@@ -387,65 +340,59 @@ pub fn decode_arena(bytes: &[u8]) -> Result<GraphArena, MpgaError> {
         )));
     }
 
-    for (&s, &d) in edge_src.iter().zip(&edge_dst) {
-        if s as usize >= nodes || d as usize >= nodes {
-            return Err(MpgaError::Malformed("edge endpoint out of range".into()));
+    let malformed = |m: &str| MpgaError::Malformed(m.into());
+    let mut arena = GraphArena::with_layout(&events)
+        .ok_or_else(|| malformed("layout exceeds the node index space"))?;
+    for (k, (&rank, &seq)) in hub_rank.iter().zip(&hub_seq).enumerate() {
+        let hub = arena
+            .add_hub(rank, seq)
+            .ok_or_else(|| malformed("hub names no event of the layout"))?;
+        if arena.hub_ordinal(hub) != Some(k) {
+            return Err(malformed("duplicate hub"));
         }
     }
-    let mut label_kind: Vec<&'static str> = Vec::with_capacity(nodes);
-    let mut counted_labeled = 0usize;
-    for i in 0..nodes {
-        if node_flags[i] & FLAG_LABELED != 0 {
-            counted_labeled += 1;
-            let id = kind_ids[i] as usize;
-            if id >= kinds.len() {
-                return Err(MpgaError::Malformed("kind id out of range".into()));
-            }
-            label_kind.push(kinds[id]);
+    let mut labeled = 0usize;
+    for (i, (&flags, &code)) in node_flags.iter().zip(&label_code).enumerate() {
+        let touched = flags & FLAG_TOUCHED != 0;
+        let is_labeled = flags & FLAG_LABELED != 0;
+        if flags & !(FLAG_TOUCHED | FLAG_LABELED) != 0 || (is_labeled && !touched) {
+            return Err(malformed("bad node flags"));
+        }
+        if arena.is_hub(i as u32) && !touched {
+            return Err(malformed("hub never reached"));
+        }
+        let known = if is_labeled {
+            (code as usize) < EventKind::NAMES.len()
         } else {
-            label_kind.push("");
+            code == 0
+        };
+        if !known {
+            return Err(malformed("kind code out of range"));
+        }
+        labeled += usize::from(is_labeled);
+    }
+    for &i in edge_src.iter().chain(&edge_dst) {
+        if node_flags
+            .get(i as usize)
+            .is_none_or(|f| f & FLAG_TOUCHED == 0)
+        {
+            return Err(malformed("edge endpoint is not a reached node"));
         }
     }
-    if counted_labeled != labeled {
-        return Err(MpgaError::Malformed(format!(
-            "labeled count {labeled} disagrees with flags ({counted_labeled})"
-        )));
-    }
+    let edge_class = (0..edges)
+        .map(|i| class_from_columns(tags[i], class_bytes[i], class_rounds[i]))
+        .collect::<Result<Vec<_>, _>>()?;
 
-    let mut edge_class = Vec::with_capacity(edges);
-    for i in 0..edges {
-        edge_class.push(class_from_columns(
-            tags[i],
-            class_bytes[i],
-            class_rounds[i],
-        )?);
-    }
-    let edge_msg: Vec<bool> = msg.iter().map(|&m| m != 0).collect();
-
-    let mut arena = GraphArena {
-        ranks,
-        node_rank,
-        node_seq,
-        node_flags,
-        label_kind,
-        label_t,
-        labeled,
-        index: NodeIndex::default(),
-        edge_src,
-        edge_dst,
-        edge_base,
-        edge_class,
-        edge_sampled,
-        edge_msg,
-    };
-    // Interning in column order hands node `i` index `i`; an id seen twice
-    // is not fresh the second time, wherever its twin was stored.
-    for i in 0..nodes {
-        let (_, fresh) = arena.index.intern(arena.node_id(i as u32));
-        if !fresh {
-            return Err(MpgaError::Malformed("duplicate node identity".into()));
-        }
-    }
+    arena.node_flags = node_flags;
+    arena.label_code = label_code;
+    arena.label_t = label_t;
+    arena.labeled = labeled;
+    arena.edge_src = edge_src;
+    arena.edge_dst = edge_dst;
+    arena.edge_base = edge_base;
+    arena.edge_class = edge_class;
+    arena.edge_sampled = edge_sampled;
+    arena.edge_msg = msg.iter().map(|&m| m != 0).collect();
     Ok(arena)
 }
 
@@ -455,7 +402,7 @@ mod tests {
     use crate::graph::{Edge, NodeId};
 
     fn sample_arena() -> GraphArena {
-        let mut a = GraphArena::new(3);
+        let mut a = GraphArena::new(&[1, 6, 8]);
         let e = |src, dst, base, class, sampled, is_message| Edge {
             src,
             dst,
@@ -491,14 +438,15 @@ mod tests {
             0,
             true,
         ));
-        a.label(NodeId::end(0, 0), "send", 99);
-        a.label(NodeId::end(1, 4), "recv", 130);
+        a.label(NodeId::end(0, 0), EventKind::NAMES.len() as u8 - 1, 99);
+        a.label(NodeId::end(1, 4), 4, 130);
         a
     }
 
     fn assert_same(a: &GraphArena, b: &GraphArena) {
         assert_eq!(a.num_ranks(), b.num_ranks());
         assert_eq!(a.num_nodes(), b.num_nodes());
+        assert_eq!(a.num_hubs(), b.num_hubs());
         assert_eq!(a.num_edges(), b.num_edges());
         assert_eq!(a.num_labeled(), b.num_labeled());
         for i in 0..a.num_edges() {
@@ -507,7 +455,8 @@ mod tests {
         for i in 0..a.num_nodes() as u32 {
             assert_eq!(a.node_id(i), b.node_id(i));
             assert_eq!(a.label_of(i), b.label_of(i));
-            assert_eq!(b.node_index(&a.node_id(i)), Some(i));
+            assert_eq!(a.is_touched(i), b.is_touched(i));
+            assert_eq!(b.node_index(&a.node_id(i)), a.is_touched(i).then_some(i));
         }
     }
 
@@ -517,11 +466,12 @@ mod tests {
         let bytes = encode_arena(&a);
         let b = decode_arena(&bytes).unwrap();
         assert_same(&a, &b);
+        assert_eq!(b.label_of(1).unwrap().kind, "alltoall");
     }
 
     #[test]
     fn empty_arena_roundtrips() {
-        let a = GraphArena::new(0);
+        let a = GraphArena::new(&[]);
         let b = decode_arena(&encode_arena(&a)).unwrap();
         assert_same(&a, &b);
     }
@@ -544,17 +494,64 @@ mod tests {
         }
     }
 
+    /// Each structural check, one forged (and re-sealed) field at a time.
+    #[test]
+    fn forged_structure_is_malformed() {
+        let a = sample_arena();
+        let good = encode_arena(&a);
+        let nodes = a.num_nodes();
+        let hub_rank = 32 + 8 * a.num_ranks();
+        let hub_seq = hub_rank + 8;
+        let flags = hub_seq + 8;
+        let codes = flags + nodes.next_multiple_of(8);
+        let edge_src = codes + nodes.next_multiple_of(8) + 8 * nodes;
+        let forged = |at: usize, v: &[u8]| {
+            let mut b = good.clone();
+            b[at..at + v.len()].copy_from_slice(v);
+            let n = b.len();
+            let crc = crc32c(&b[..n - 4]);
+            b[n - 4..].copy_from_slice(&crc.to_le_bytes());
+            decode_arena(&b).err()
+        };
+        let malformed = |m: &str| Some(MpgaError::Malformed(m.into()));
+        // Slot 2 is start(1, 0), which no edge or label reached; slot 1 is
+        // the labeled end(0, 0); the hub is the last node.
+        let hole = 2u32;
+        assert!(!a.is_touched(hole) && a.label_of(1).is_some());
+        let stray = malformed("hub names no event of the layout");
+        assert_eq!(forged(hub_rank, &3u32.to_le_bytes()), stray);
+        assert_eq!(forged(hub_seq, &8u64.to_le_bytes()), stray);
+        assert_eq!(forged(flags, &[4]), malformed("bad node flags"));
+        assert_eq!(
+            forged(flags + hole as usize, &[FLAG_LABELED]),
+            malformed("bad node flags")
+        );
+        assert_eq!(
+            forged(flags + nodes - 1, &[0]),
+            malformed("hub never reached")
+        );
+        let bad_code = malformed("kind code out of range");
+        assert_eq!(forged(codes + 1, &[EventKind::NAMES.len() as u8]), bad_code);
+        assert_eq!(forged(codes + hole as usize, &[1]), bad_code);
+        let bad_end = malformed("edge endpoint is not a reached node");
+        assert_eq!(forged(edge_src, &hole.to_le_bytes()), bad_end);
+        assert_eq!(forged(edge_src, &(nodes as u32).to_le_bytes()), bad_end);
+        assert!(forged(0, b"M").is_none(), "the unforged bytes decode");
+    }
+
     #[test]
     fn version_bump_is_rejected() {
-        let mut bytes = encode_arena(&sample_arena());
-        bytes[4..8].copy_from_slice(&(MPGA_VERSION + 1).to_le_bytes());
-        // Re-seal the checksum so only the version differs.
-        let n = bytes.len();
-        let crc = crc32c(&bytes[..n - 4]);
-        bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(
-            decode_arena(&bytes).err(),
-            Some(MpgaError::BadVersion(MPGA_VERSION + 1))
-        );
+        for version in [MPGA_VERSION + 1, 1] {
+            let mut bytes = encode_arena(&sample_arena());
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            // Re-seal the checksum so only the version differs.
+            let n = bytes.len();
+            let crc = crc32c(&bytes[..n - 4]);
+            bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(
+                decode_arena(&bytes).err(),
+                Some(MpgaError::BadVersion(version))
+            );
+        }
     }
 }

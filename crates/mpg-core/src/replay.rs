@@ -33,6 +33,7 @@
 
 use std::collections::VecDeque;
 
+use crate::arena::GraphArena;
 use crate::cancel::{CancelReason, CancelToken, CHECK_INTERVAL};
 use crate::graph::{Edge, EventGraph, NodeId};
 use crate::perturb::{DeltaClass, PerturbSampler, PerturbationModel};
@@ -284,26 +285,59 @@ impl Replayer {
                     .map(Ok as fn(EventRecord) -> Result<EventRecord, TraceError>)
             })
             .collect();
-        let bank = ScalarBank::new(&self.config, trace.num_ranks());
-        let reports = Engine::new(EngineKnobs::of(&self.config), bank, streams)
-            .with_cancel(self.config.cancel.clone())
-            .run()?;
-        Ok(reports
-            .into_iter()
-            .next()
-            .expect("scalar replay yields exactly one report"))
+        if !self.config.record_graph {
+            return self.run_scalar(streams, None);
+        }
+        let layout = trace_layout(trace)?;
+        self.run_scalar(streams, Some(&layout))
     }
 
     /// Replays per-rank event streams (the arbitrarily-large-trace path:
     /// pair with [`FileTraceSet::streams`](mpg_trace::FileTraceSet::streams)).
+    /// A graph recording needs the streams' event counts up front: use
+    /// [`Replayer::run_streams_with_layout`].
     pub fn run_streams<'a>(
         &self,
         streams: Vec<Box<dyn Iterator<Item = Result<EventRecord, TraceError>> + 'a>>,
     ) -> Result<ReplayReport, ReplayError> {
+        self.run_scalar(streams, None)
+    }
+
+    /// [`Replayer::run_streams`] with each stream's event count declared
+    /// (an out-of-core set's frame-index record counts), so the replay can
+    /// record a graph.
+    pub fn run_streams_with_layout<'a>(
+        &self,
+        streams: Vec<Box<dyn Iterator<Item = Result<EventRecord, TraceError>> + 'a>>,
+        events_per_rank: &[usize],
+    ) -> Result<ReplayReport, ReplayError> {
+        self.run_scalar(streams, Some(events_per_rank))
+    }
+
+    /// One single-threaded replay. A graph recording is laid out over
+    /// `layout`; asking for one without it is [`ReplayError::NoLayout`].
+    fn run_scalar<I>(
+        &self,
+        streams: Vec<I>,
+        layout: Option<&[usize]>,
+    ) -> Result<ReplayReport, ReplayError>
+    where
+        I: Iterator<Item = Result<EventRecord, TraceError>>,
+    {
         let bank = ScalarBank::new(&self.config, streams.len());
-        let reports = Engine::new(EngineKnobs::of(&self.config), bank, streams)
-            .with_cancel(self.config.cancel.clone())
-            .run()?;
+        let mut engine = Engine::new(EngineKnobs::of(&self.config), bank, streams)
+            .with_cancel(self.config.cancel.clone());
+        if self.config.record_graph {
+            let layout = layout.ok_or(ReplayError::NoLayout)?;
+            let arena = GraphArena::with_layout(layout).ok_or_else(|| {
+                ReplayError::Corrupt(format!(
+                    "{} events are too many to record as one graph",
+                    layout.iter().sum::<usize>()
+                ))
+            })?;
+            engine.graph = Some(EventGraph::from_arena(arena));
+        }
+        let reports = engine.run()?;
         Ok(reports
             .into_iter()
             .next()
@@ -320,7 +354,8 @@ impl Replayer {
     ///
     /// Falls back to the single-threaded engine when sharding cannot help or
     /// cannot preserve semantics: one shard requested, fewer than two ranks,
-    /// graph recording (edge order is a whole-trace total order), an
+    /// graph recording (edge order is a whole-trace total order; without a
+    /// declared layout it fails as in [`Replayer::run_streams`]), an
     /// admission gate, crash tolerance, or a cancel token (a cancelled
     /// partial frontier must be a single engine's clean state, not a
     /// mid-exchange snapshot).
@@ -339,29 +374,43 @@ impl Replayer {
             || self.config.crash_tolerant
             || self.config.cancel.is_some()
         {
-            let bank = ScalarBank::new(&self.config, streams.len());
-            let reports = Engine::new(EngineKnobs::of(&self.config), bank, streams)
-                .with_cancel(self.config.cancel.clone())
-                .run()?;
-            return Ok(reports
-                .into_iter()
-                .next()
-                .expect("scalar replay yields exactly one report"));
+            return self.run_scalar(streams, None);
         }
         crate::shard::run_sharded_scalar(&self.config, streams, shards)
     }
 }
 
+/// The graph layout a recording of `trace` declares: one past each rank's
+/// highest sequence number, so the records a salvage lost (it keeps the
+/// survivors' numbers) are holes. Holes cost node columns and sequence
+/// numbers are untrusted, so a layout past `4 × events + 65 536` events is
+/// [`ReplayError::Corrupt`], not an allocation sized by a forged number.
+pub(crate) fn trace_layout(trace: &MemTrace) -> Result<Vec<usize>, ReplayError> {
+    let held = trace.total_events() as u64;
+    let span = |r| trace.rank(r).iter().map(|e| e.seq.saturating_add(1)).max();
+    let layout: Vec<u64> = (0..trace.num_ranks())
+        .map(|r| span(r).unwrap_or(0))
+        .collect();
+    let declared = layout.iter().fold(0u64, |a, &n| a.saturating_add(n));
+    if declared > held.saturating_mul(4).saturating_add(1 << 16) {
+        return Err(ReplayError::Corrupt(format!(
+            "sequence numbers declaring {declared} events cannot come from {held}"
+        )));
+    }
+    Ok(layout.into_iter().map(|n| n as usize).collect())
+}
+
 /// The structural knobs shared by every lane of a batch: they decide
-/// *traversal* (which arms exist, how receives bound, whether a graph is
-/// recorded), so configs must agree on them to share one pass. Everything
-/// else in a [`ReplayConfig`] (model, seed, timeline stride) is per-lane.
+/// *traversal* (which arms exist, how receives bound, whether a crash
+/// ends the run), so configs must agree on them to share one pass.
+/// Everything else in a [`ReplayConfig`] (model, seed, timeline stride) is
+/// per-lane; graph recording is a singleton-batch knob, attached by
+/// `Replayer`'s single-engine path.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EngineKnobs {
     pub(crate) absorption: AbsorptionMode,
     pub(crate) ack_arm: bool,
     pub(crate) arrival_bound: bool,
-    pub(crate) record_graph: bool,
     pub(crate) crash_tolerant: bool,
 }
 
@@ -371,7 +420,6 @@ impl EngineKnobs {
             absorption: cfg.absorption,
             ack_arm: cfg.ack_arm,
             arrival_bound: cfg.arrival_bound,
-            record_graph: cfg.record_graph,
             crash_tolerant: cfg.crash_tolerant,
         }
     }
@@ -968,7 +1016,7 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
             pops: 0,
             stats: ReplayStats::default(),
             warnings: Vec::new(),
-            graph: knobs.record_graph.then(|| EventGraph::new(p)),
+            graph: None,
             knobs,
             bank,
             shard: None,
@@ -1365,8 +1413,16 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
                     // edge of this event, so the recorded edge order stays
                     // topological (EventGraph::propagate is a single pass).
                     if let Some(g) = self.graph.as_mut() {
+                        let declared = g.arena().rank_events(ri);
+                        if ev.seq >= declared as u64 {
+                            return Err(ReplayError::Corrupt(format!(
+                                "rank {r} event {} lies past the {declared} event(s) \
+                                 its layout declares",
+                                ev.seq
+                            )));
+                        }
                         let start = NodeId::start(r, ev.seq);
-                        g.label(start, ev.kind.name(), ev.t_start);
+                        g.arena_mut().label(start, ev.kind.code(), ev.t_start);
                         if let Some(prev) = self.cursors[ri].last_end_node {
                             g.add_edge(Edge {
                                 src: prev,
@@ -2276,7 +2332,8 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
     fn complete(&mut self, r: Rank, ev: &EventRecord, d_end: B::Val, _info: Option<()>) {
         let ri = r as usize;
         if let Some(g) = self.graph.as_mut() {
-            g.label(NodeId::end(r, ev.seq), ev.kind.name(), ev.t_end);
+            g.arena_mut()
+                .label(NodeId::end(r, ev.seq), ev.kind.code(), ev.t_end);
         }
         let c = &mut self.cursors[ri];
         c.drift = d_end;
@@ -2819,6 +2876,39 @@ mod tests {
         assert!(tolerant.degradation.is_none());
         assert_eq!(plain.final_drift, tolerant.final_drift);
         assert_eq!(plain.warnings, tolerant.warnings);
+    }
+
+    /// A recording is laid out over one past each rank's highest sequence
+    /// number, so records a salvage lost are holes; a sequence number far
+    /// past what the trace holds is refused before anything is sized by it.
+    #[test]
+    fn recording_layout_spans_lost_records_and_refuses_wild_seqs() {
+        let trace = quiet_sim(1, |ctx| {
+            for _ in 0..6 {
+                ctx.compute(100);
+            }
+        });
+        let mut events = trace.rank(0).to_vec();
+        let last = events.last().unwrap().seq;
+        let lost: Vec<u64> = events.drain(2..4).map(|e| e.seq).collect();
+        let cfg = ReplayConfig::new(PerturbationModel::quiet("m")).record_graph(true);
+        let graph = Replayer::new(cfg.clone())
+            .run(&MemTrace::from_ranks(vec![events.clone()]))
+            .unwrap()
+            .graph
+            .unwrap();
+        assert_eq!(graph.arena().rank_events(0) as u64, last + 1);
+        assert_eq!(graph.node_count(), 2 * events.len());
+        for seq in lost {
+            assert_eq!(graph.arena().node_index(&NodeId::start(0, seq)), None);
+        }
+        for wild in [1 << 40, u64::MAX] {
+            events.last_mut().unwrap().seq = wild;
+            match Replayer::new(cfg.clone()).run(&MemTrace::from_ranks(vec![events.clone()])) {
+                Err(ReplayError::Corrupt(m)) => assert!(m.contains("cannot come from"), "{m}"),
+                other => panic!("seq {wild}: {other:?}"),
+            }
+        }
     }
 
     #[test]

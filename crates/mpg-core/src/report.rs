@@ -193,6 +193,10 @@ pub enum ReplayError {
     /// A configured [`TraceGate`](crate::TraceGate) rejected the trace
     /// before replay; carries the rendered error-severity diagnostics.
     Gated(Vec<String>),
+    /// Graph recording was asked of streams whose per-rank event counts
+    /// were not declared (see
+    /// [`Replayer::run_streams_with_layout`](crate::Replayer::run_streams_with_layout)).
+    NoLayout,
 }
 
 impl std::fmt::Display for ReplayError {
@@ -201,6 +205,9 @@ impl std::fmt::Display for ReplayError {
             ReplayError::Trace(m) => write!(f, "trace error: {m}"),
             ReplayError::Corrupt(m) => write!(f, "corrupt trace: {m}"),
             ReplayError::CollectiveMismatch(m) => write!(f, "collective mismatch: {m}"),
+            ReplayError::NoLayout => {
+                write!(f, "graph recording needs each stream's event count")
+            }
             ReplayError::Gated(diags) => {
                 write!(f, "trace rejected by lint gate ({} error(s))", diags.len())?;
                 if let Some(first) = diags.first() {

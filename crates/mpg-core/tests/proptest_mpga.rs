@@ -13,88 +13,19 @@
 //! 3. **Derived-artifact round-trips**: the [`HbIndex`] and [`DriftSlack`]
 //!    serializations are stable fixed points (`from_bytes ∘ to_bytes`
 //!    re-serializes to the same bytes).
-//! 4. **Forged node identities**: an artifact whose `node_seq` column was
-//!    rewritten (and the checksum re-sealed) to `u64::MAX`, `2^40`, or a
-//!    value around the edge of the index's dense window decodes without
-//!    sizing anything by the forged number, to an arena whose index finds
-//!    every node — or to a typed error; two nodes forged to one identity
-//!    are always `Malformed("duplicate node identity")`.
+//!
+//! Forged artifacts, which must also reach no panic in the analyzer, are
+//! the workspace's `tests/forged_mpga.rs`.
 
 use mpg_core::{
     cached_recorded_graph, critical_path, decode_arena, drift_slack, encode_arena, CacheStore,
-    DriftSlack, EventGraph, HbIndex, MpgaError, NodeIdx, PerturbationModel, ReplayConfig, Replayer,
+    DriftSlack, EventGraph, HbIndex, ReplayConfig,
 };
-use mpg_noise::{Dist, PlatformSignature};
-use mpg_sim::RankCtx;
-use mpg_trace::frame::crc32c;
-use mpg_trace::MemTrace;
 use proptest::prelude::*;
 
-/// One deadlock-free SPMD round (every rank runs the same sequence).
-#[derive(Debug, Clone)]
-enum Round {
-    Compute(u64),
-    Ring { tag: u32, bytes: u64 },
-    Barrier,
-    Allreduce { bytes: u64 },
-}
-
-fn run_round(ctx: &mut RankCtx, round: &Round) {
-    let p = ctx.size();
-    let me = ctx.rank();
-    match *round {
-        Round::Compute(work) => ctx.compute(work),
-        Round::Ring { tag, bytes } => {
-            let r = ctx.irecv((me + p - 1) % p, tag);
-            let s = ctx.isend((me + 1) % p, tag, bytes);
-            ctx.waitall(&[r, s]);
-        }
-        Round::Barrier => ctx.barrier(),
-        Round::Allreduce { bytes } => ctx.allreduce(bytes),
-    }
-}
-
-fn round_strategy() -> impl Strategy<Value = Round> {
-    prop_oneof![
-        (1u64..10_000).prop_map(Round::Compute),
-        (0u32..4, 1u64..2_048).prop_map(|(tag, bytes)| Round::Ring { tag, bytes }),
-        Just(Round::Barrier),
-        (1u64..1_024).prop_map(|bytes| Round::Allreduce { bytes }),
-    ]
-}
-
-fn simulate(p: u32, sim_seed: u64, rounds: &[Round]) -> MemTrace {
-    mpg_sim::Simulation::new(p, PlatformSignature::quiet("mpga-prop"))
-        .ideal_clocks()
-        .seed(sim_seed)
-        .run(|ctx| {
-            for round in rounds {
-                run_round(ctx, round);
-            }
-        })
-        .expect("generated program simulates")
-        .trace
-}
-
-/// A mildly noisy model so recorded labels carry nonzero perturbations.
-fn model(seed_hint: u64) -> PerturbationModel {
-    let mut m = PerturbationModel::quiet("mpga-prop");
-    m.os_local = Dist::Exponential {
-        mean: 30.0 + (seed_hint % 5) as f64,
-    }
-    .into();
-    m.latency = Dist::Exponential { mean: 90.0 }.into();
-    m.per_byte = 0.02;
-    m
-}
-
-fn record(trace: &MemTrace, cfg: &ReplayConfig) -> EventGraph {
-    Replayer::new(cfg.clone())
-        .run(trace)
-        .expect("recording replay succeeds")
-        .graph
-        .expect("graph recorded")
-}
+#[path = "shared/spmd.rs"]
+mod spmd;
+use spmd::{model, record, round_strategy, simulate};
 
 fn temp_store(tag: &str) -> CacheStore {
     let d = std::env::temp_dir().join(format!("mpg-mpgaprop-{tag}-{}", std::process::id()));
@@ -102,100 +33,8 @@ fn temp_store(tag: &str) -> CacheStore {
     CacheStore::open(&d).unwrap()
 }
 
-/// Overwrites entry `node` of an MPGA artifact's `node_seq` column (header
-/// 40 bytes, kind table, `node_rank:u32[nodes]` padded to 8, then
-/// `node_seq:u64[nodes]` — the layout in `mpga.rs`) and re-seals the CRC,
-/// so only the structural validation stands between the forgery and the
-/// caller.
-fn forge_node_seq(bytes: &mut [u8], node: usize, seq: u64) {
-    let u32_at = |b: &[u8], o: usize| u32::from_le_bytes(b[o..o + 4].try_into().unwrap()) as usize;
-    let nodes = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-    assert!(node < nodes);
-    let mut pos = 48;
-    for _ in 0..u32_at(bytes, 40) {
-        pos += 4 + u32_at(bytes, pos);
-    }
-    pos = pos.next_multiple_of(8) + (nodes * 4).next_multiple_of(8) + node * 8;
-    bytes[pos..pos + 8].copy_from_slice(&seq.to_le_bytes());
-    let body = bytes.len() - 4;
-    let crc = crc32c(&bytes[..body]);
-    bytes[body..].copy_from_slice(&crc.to_le_bytes());
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-    /// A forged `node_seq` either decodes to an arena whose index maps
-    /// every node back to itself (and re-encodes to the forged bytes), or
-    /// is a typed error — and returns at all, which a table sized by the
-    /// forged number (`2^40` slots) would not.
-    #[test]
-    fn forged_node_seq_decodes_or_errors(
-        p in 2u32..6,
-        sim_seed in 0u64..500,
-        pick in any::<u64>(),
-        forged in prop_oneof![
-            Just(u64::MAX),
-            Just(1u64 << 40),
-            // Around the edge of the dense window of a row this size.
-            (0u64..600).prop_map(|d| 20 + d),
-        ],
-        rounds in prop::collection::vec(round_strategy(), 1..5),
-    ) {
-        let trace = simulate(p, sim_seed, &rounds);
-        let cfg = ReplayConfig::new(model(sim_seed)).seed(3).record_graph(true);
-        let graph = record(&trace, &cfg);
-        let mut bytes = encode_arena(graph.arena());
-        let node = (pick % graph.arena().num_nodes() as u64) as usize;
-        forge_node_seq(&mut bytes, node, forged);
-        match decode_arena(&bytes) {
-            Ok(arena) => {
-                prop_assert_eq!(arena.node_id(node as NodeIdx).seq, forged);
-                for i in 0..arena.num_nodes() as NodeIdx {
-                    prop_assert_eq!(arena.node_index(&arena.node_id(i)), Some(i));
-                }
-                prop_assert_eq!(&encode_arena(&arena), &bytes);
-            }
-            Err(e) => prop_assert_eq!(
-                e,
-                MpgaError::Malformed("duplicate node identity".into())
-            ),
-        }
-    }
-
-    /// Two nodes forged to one identity are rejected wherever the first
-    /// of them was stored: in the dense table (a sequence number the row
-    /// already covers) or in the side map (`2^40`, `u64::MAX`).
-    #[test]
-    fn duplicate_identity_is_rejected_dense_or_far(
-        p in 2u32..6,
-        sim_seed in 0u64..500,
-        pick in any::<u64>(),
-        seq in prop_oneof![Just(None), Just(Some(1u64 << 40)), Just(Some(u64::MAX))],
-        rounds in prop::collection::vec(round_strategy(), 1..5),
-    ) {
-        let trace = simulate(p, sim_seed, &rounds);
-        let cfg = ReplayConfig::new(model(sim_seed)).seed(3).record_graph(true);
-        let graph = record(&trace, &cfg);
-        let arena = graph.arena();
-        // Two distinct nodes differing in `seq` alone: same rank, point, hub.
-        let a = (pick % arena.num_nodes() as u64) as NodeIdx;
-        let id = arena.node_id(a);
-        let twin = (0..arena.num_nodes() as NodeIdx).find(|&b| {
-            let other = arena.node_id(b);
-            b != a && (other.rank, other.point, other.hub) == (id.rank, id.point, id.hub)
-        });
-        if let Some(b) = twin {
-            let seq = seq.unwrap_or(id.seq);
-            let mut bytes = encode_arena(arena);
-            forge_node_seq(&mut bytes, a as usize, seq);
-            forge_node_seq(&mut bytes, b as usize, seq);
-            prop_assert_eq!(
-                decode_arena(&bytes).err(),
-                Some(MpgaError::Malformed("duplicate node identity".into()))
-            );
-        }
-    }
 
     /// Encode → decode → re-encode is bit-identical, and the rebuilt graph
     /// carries the same critical path and the same serialized

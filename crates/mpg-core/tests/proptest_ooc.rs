@@ -237,15 +237,23 @@ proptest! {
         assert_bit_identical(&base, &sharded, "windowed 4 shards");
 
         // Critical path: graph recording forces the single-engine path, but
-        // must still work (and agree) over the windowed streams.
+        // must still work (and agree) over the windowed streams, laid out
+        // from the frame indexes' record counts.
         let rec_cfg = config.record_graph(true);
+        let layout: Vec<usize> = (0..ooc.num_ranks())
+            .map(|r| ooc.frame_index(r).num_records() as usize)
+            .collect();
         let g_mem = Replayer::new(rec_cfg.clone())
             .run(&trace)
             .expect("recording replay succeeds")
             .graph
             .expect("graph recorded");
+        prop_assert!(matches!(
+            Replayer::new(rec_cfg.clone()).run_streams(ooc.streams()),
+            Err(mpg_core::ReplayError::NoLayout)
+        ));
         let g_ooc = Replayer::new(rec_cfg)
-            .run_streams(ooc.streams())
+            .run_streams_with_layout(ooc.streams(), &layout)
             .expect("windowed recording replay succeeds")
             .graph
             .expect("graph recorded");

@@ -97,7 +97,7 @@ mod tests {
 
     #[test]
     fn clean_graph_passes() {
-        let mut g = EventGraph::new(2);
+        let mut g = EventGraph::new(&[2, 2]);
         g.add_edge(edge(NodeId::start(0, 0), NodeId::end(0, 0), false));
         g.add_edge(edge(NodeId::end(0, 0), NodeId::start(0, 1), false));
         g.add_edge(edge(NodeId::start(0, 1), NodeId::end(1, 1), true));
@@ -106,7 +106,7 @@ mod tests {
 
     #[test]
     fn cycle_reports_mpg_cycle() {
-        let mut g = EventGraph::new(2);
+        let mut g = EventGraph::new(&[2, 2]);
         g.add_edge(edge(NodeId::end(0, 1), NodeId::end(1, 1), true));
         g.add_edge(edge(NodeId::end(1, 1), NodeId::end(0, 1), true));
         let diags = lint_graph(&g);
@@ -115,7 +115,7 @@ mod tests {
 
     #[test]
     fn backward_local_edge_reports_causality() {
-        let mut g = EventGraph::new(1);
+        let mut g = EventGraph::new(&[6]);
         g.add_edge(edge(NodeId::end(0, 5), NodeId::start(0, 2), false));
         let diags = lint_graph(&g);
         assert!(diags.iter().any(|d| d.rule == Rule::Causality), "{diags:?}");
@@ -123,7 +123,7 @@ mod tests {
 
     #[test]
     fn backward_same_rank_message_edge_reports_causality() {
-        let mut g = EventGraph::new(1);
+        let mut g = EventGraph::new(&[6]);
         g.add_edge(edge(NodeId::end(0, 5), NodeId::end(0, 2), true));
         let diags = lint_graph(&g);
         assert_eq!(
@@ -136,14 +136,14 @@ mod tests {
     fn forward_same_rank_message_edge_is_legitimate() {
         // The replayer's acknowledgement arm ties an isend to its own wait
         // with a message-class edge; forward in program order, not a defect.
-        let mut g = EventGraph::new(1);
+        let mut g = EventGraph::new(&[6]);
         g.add_edge(edge(NodeId::end(0, 3), NodeId::end(0, 5), true));
         assert!(lint_graph(&g).is_empty());
     }
 
     #[test]
     fn hub_edges_are_exempt() {
-        let mut g = EventGraph::new(2);
+        let mut g = EventGraph::new(&[4, 1]);
         // Hub fan-in/fan-out can touch the hub's own rank "backwards".
         g.add_edge(edge(NodeId::hub(0, 3), NodeId::end(0, 3), false));
         assert!(lint_graph(&g).is_empty());

@@ -14,7 +14,7 @@
 //! of a given magnitude could even reach, so a replay sweep can skip
 //! configurations whose deltas are everywhere absorbable.
 
-use mpg_core::{Cycles, EventGraph, NodeId, Point, SlackSweep};
+use mpg_core::{Cycles, EventGraph, SlackSweep};
 use mpg_trace::{Diagnostic, Rule};
 
 use crate::waitstate::{PerfReport, PerfThresholds};
@@ -43,20 +43,11 @@ pub struct ChainSummary {
 /// returns the summaries sorted by finish time, longest first — so index
 /// 0 describes the static critical path of the whole run.
 pub fn rank_chains(graph: &EventGraph, sweep: &SlackSweep) -> Vec<ChainSummary> {
-    let mut anchors: Vec<Option<NodeId>> = vec![None; graph.num_ranks()];
-    for (node, _) in graph.nodes() {
-        if node.hub || node.point != Point::End {
-            continue;
-        }
-        let slot = &mut anchors[node.rank as usize];
-        if slot.is_none_or(|a| node.seq > a.seq) {
-            *slot = Some(node);
-        }
-    }
-    let mut chains: Vec<ChainSummary> = anchors
-        .into_iter()
-        .flatten()
-        .map(|anchor| {
+    let arena = graph.arena();
+    let mut chains: Vec<ChainSummary> = (0..graph.num_ranks())
+        .filter_map(|r| arena.last_end(r))
+        .map(|i| {
+            let anchor = arena.node_id(i);
             let path = sweep.chain_from(graph, anchor);
             ChainSummary {
                 rank: anchor.rank,

@@ -76,23 +76,23 @@ struct Hub {
 
 fn collect_hubs(graph: &EventGraph) -> Vec<Hub> {
     let arena = graph.arena();
-    // Hub node index → its position in `hubs`.
-    let mut slot = vec![NO_NODE; arena.num_nodes()];
+    // Hub ordinal → its position in `hubs`.
+    let mut slot = vec![NO_NODE; arena.num_hubs()];
     let mut hubs: Vec<Hub> = Vec::new();
     for e in 0..arena.num_edges() {
         let dst = arena.edge_dst(e);
-        if !arena.is_hub(dst) {
+        let Some(ordinal) = arena.hub_ordinal(dst) else {
             continue;
-        }
-        if slot[dst as usize] == NO_NODE {
-            slot[dst as usize] = hubs.len() as NodeIdx;
+        };
+        if slot[ordinal] == NO_NODE {
+            slot[ordinal] = hubs.len() as NodeIdx;
             hubs.push(Hub {
                 node: arena.node_id(dst),
                 entries: Vec::new(),
             });
         }
         let src = arena.node_id(arena.edge_src(e));
-        hubs[slot[dst as usize] as usize]
+        hubs[slot[ordinal] as usize]
             .entries
             .push((src.rank, src.seq));
     }

@@ -381,8 +381,8 @@ pub fn analyze_graph(trace: &MemTrace, graph: &EventGraph) -> PerfReport {
     // Entries: src → hub edges; members: hub → end edges. The latest
     // entrant is the root cause; `saved` is what would be reclaimed if it
     // entered at the second-latest time.
-    // Grouped through a node-indexed slot column, in creation order of the
-    // hubs — the order the findings are reported in.
+    // Grouped through a slot per hub ordinal, in order of each hub's first
+    // edge — the order the findings are reported in.
     struct HubEdges {
         hub: NodeIdx,
         entries: Vec<NodeIdx>,
@@ -391,7 +391,8 @@ pub fn analyze_graph(trace: &MemTrace, graph: &EventGraph) -> PerfReport {
         class: Option<(WaitClass, u32)>,
     }
     let arena = graph.arena();
-    let mut hub_slot = vec![NO_NODE; arena.num_nodes()];
+    let mut hub_slot = vec![NO_NODE; arena.num_hubs()];
+    let slot_of = |hub: NodeIdx| arena.hub_ordinal(hub).expect("a hub node");
     let mut hubs: Vec<HubEdges> = Vec::new();
     for e in 0..arena.num_edges() {
         let (src, dst) = (arena.edge_src(e), arena.edge_dst(e));
@@ -400,8 +401,9 @@ pub fn analyze_graph(trace: &MemTrace, graph: &EventGraph) -> PerfReport {
             (true, false) => (src, false),
             _ => continue,
         };
-        if hub_slot[hub as usize] == NO_NODE {
-            hub_slot[hub as usize] = hubs.len() as NodeIdx;
+        let slot = &mut hub_slot[slot_of(hub)];
+        if *slot == NO_NODE {
+            *slot = hubs.len() as NodeIdx;
             hubs.push(HubEdges {
                 hub,
                 entries: Vec::new(),
@@ -409,7 +411,7 @@ pub fn analyze_graph(trace: &MemTrace, graph: &EventGraph) -> PerfReport {
                 class: None,
             });
         }
-        let edges = &mut hubs[hub_slot[hub as usize] as usize];
+        let edges = &mut hubs[*slot as usize];
         if entering {
             edges.entries.push(src);
         } else {
@@ -438,24 +440,27 @@ pub fn analyze_graph(trace: &MemTrace, graph: &EventGraph) -> PerfReport {
         let Some((cause_node, _)) = latest else {
             continue;
         };
-        let mut total_wait = 0;
-        let mut window_total = 0;
-        let mut saved = 0;
+        // Sums saturate: a graph decoded from a forged artifact may carry
+        // any label time.
+        let mut total_wait: Cycles = 0;
+        let mut window_total: Cycles = 0;
+        let mut saved: Cycles = 0;
         let mut op = "collective";
         for &mi in members {
             let m = arena.node_id(mi);
             let w = sweep.wait(m);
-            total_wait += w;
+            total_wait = total_wait.saturating_add(w);
             let start = NodeId::start(m.rank, m.seq);
             if let (Some(s), Some(t)) = (sweep.time(start), sweep.time(m)) {
-                window_total += t - s;
+                window_total = window_total.saturating_add(t.saturating_sub(s));
             }
-            saved += w.min(hub_t.saturating_sub(second));
+            saved = saved.saturating_add(w.min(hub_t.saturating_sub(second)));
             if let Some(label) = arena.label_of(mi) {
                 op = label.kind;
             }
         }
-        let dominated = entries.len() >= 2 && saved * 2 >= total_wait && total_wait > 0;
+        let dominated =
+            entries.len() >= 2 && saved.saturating_mul(2) >= total_wait && total_wait > 0;
         let class = if dominated {
             WaitClass::WaitAtCollective
         } else {
@@ -481,7 +486,7 @@ pub fn analyze_graph(trace: &MemTrace, graph: &EventGraph) -> PerfReport {
         let on_critical = sweep.slack(arm) == 0;
         if e.src.hub {
             // Decided at the instance level, for all members alike.
-            let hub = hub_slot[arena.edge_src(arm) as usize];
+            let hub = hub_slot[slot_of(arena.edge_src(arm))];
             let (class, cause) = hubs[hub as usize].class?;
             return Some((class, Some(cause), on_critical));
         }
@@ -537,7 +542,9 @@ pub fn analyze_graph(trace: &MemTrace, graph: &EventGraph) -> PerfReport {
             match classified {
                 Some((class, cause, on_critical)) => {
                     row.wait[class.idx()] += w;
-                    let residue = dur - w;
+                    // `w` fits the graph's window of this event, which is
+                    // the trace's own unless the graph came from elsewhere.
+                    let residue = dur.saturating_sub(w);
                     if ev.kind.is_communication() {
                         row.transfer += residue;
                     } else {

@@ -1,12 +1,13 @@
-//! Property test: the chain walks of one sweep share a single incoming
-//! CSR, and sharing changes nothing.
+//! Property test: the chain walks of one sweep follow its `pred` column,
+//! and that changes nothing.
 //!
 //! [`rank_chains`] walks one tight chain per rank over one [`SlackSweep`],
-//! which builds its incoming-edge adjacency once, on the first walk. The
-//! reference here is the walk as it was before the adjacency moved onto
-//! the sweep: the same tie-breaks, written against the sweep's public
-//! accessors, over an `arena.incoming()` built afresh for every anchor.
-//! Over random SPMD programs the two must agree chain for chain.
+//! stepping back along each node's preferred tight arm, which the sweep
+//! picks once per node in a forward pass over the edges. The reference
+//! here is the walk as it was before that column existed: the same
+//! tie-breaks, written against the sweep's public accessors, over an
+//! `arena.incoming()` built afresh for every anchor. Over random SPMD
+//! programs the two must agree chain for chain.
 
 use std::collections::BTreeSet;
 
@@ -115,7 +116,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     #[test]
-    fn shared_csr_chains_equal_fresh_csr_chains(
+    fn pred_chains_equal_fresh_csr_chains(
         p in 2u32..9,
         sim_seed in 0u64..1_000,
         rounds in prop::collection::vec(round_strategy(), 1..8),
@@ -152,8 +153,7 @@ proptest! {
         prop_assert_eq!(got.len(), p as usize);
         prop_assert!(got[0].steps > 0, "critical chain is empty: {:?}", got[0]);
         prop_assert_eq!(&got, &want);
-        // Walking again over the same sweep reuses the adjacency and
-        // repeats the answer.
+        // Walking again over the same sweep repeats the answer.
         prop_assert_eq!(&rank_chains(graph, &sweep), &want);
     }
 }

@@ -235,29 +235,58 @@ impl EventKind {
         )
     }
 
+    /// Every [`EventKind::name`], indexed by [`EventKind::code`]. Stable:
+    /// recorded graphs and their on-disk form store the code, not the name.
+    pub const NAMES: [&'static str; 19] = [
+        "init",
+        "finalize",
+        "compute",
+        "send",
+        "recv",
+        "isend",
+        "irecv",
+        "wait",
+        "waitall",
+        "waitsome",
+        "barrier",
+        "bcast",
+        "reduce",
+        "allreduce",
+        "test",
+        "scatter",
+        "gather",
+        "allgather",
+        "alltoall",
+    ];
+
+    /// This kind's index into [`EventKind::NAMES`].
+    pub fn code(&self) -> u8 {
+        match self {
+            EventKind::Init => 0,
+            EventKind::Finalize => 1,
+            EventKind::Compute { .. } => 2,
+            EventKind::Send { .. } => 3,
+            EventKind::Recv { .. } => 4,
+            EventKind::Isend { .. } => 5,
+            EventKind::Irecv { .. } => 6,
+            EventKind::Wait { .. } => 7,
+            EventKind::WaitAll { .. } => 8,
+            EventKind::WaitSome { .. } => 9,
+            EventKind::Barrier { .. } => 10,
+            EventKind::Bcast { .. } => 11,
+            EventKind::Reduce { .. } => 12,
+            EventKind::Allreduce { .. } => 13,
+            EventKind::Test { .. } => 14,
+            EventKind::Scatter { .. } => 15,
+            EventKind::Gather { .. } => 16,
+            EventKind::Allgather { .. } => 17,
+            EventKind::Alltoall { .. } => 18,
+        }
+    }
+
     /// Short lowercase name for DOT labels and table rows.
     pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::Init => "init",
-            EventKind::Finalize => "finalize",
-            EventKind::Compute { .. } => "compute",
-            EventKind::Send { .. } => "send",
-            EventKind::Recv { .. } => "recv",
-            EventKind::Isend { .. } => "isend",
-            EventKind::Irecv { .. } => "irecv",
-            EventKind::Wait { .. } => "wait",
-            EventKind::WaitAll { .. } => "waitall",
-            EventKind::WaitSome { .. } => "waitsome",
-            EventKind::Barrier { .. } => "barrier",
-            EventKind::Bcast { .. } => "bcast",
-            EventKind::Reduce { .. } => "reduce",
-            EventKind::Allreduce { .. } => "allreduce",
-            EventKind::Test { .. } => "test",
-            EventKind::Scatter { .. } => "scatter",
-            EventKind::Gather { .. } => "gather",
-            EventKind::Allgather { .. } => "allgather",
-            EventKind::Alltoall { .. } => "alltoall",
-        }
+        Self::NAMES[self.code() as usize]
     }
 }
 
@@ -330,6 +359,14 @@ mod tests {
             "allreduce"
         );
         assert_eq!(EventKind::Compute { work: 1 }.name(), "compute");
+        assert_eq!(
+            EventKind::Alltoall {
+                bytes: 1,
+                comm_size: 2
+            }
+            .name(),
+            "alltoall"
+        );
     }
 
     #[test]
