@@ -43,10 +43,7 @@
 //!     report carries one coverage line (schedules replayed / pruned /
 //!     frontier left unexplored) so an exhausted budget is never silent.
 //!     Same exit contract as lint; `mpgtool lint <dir> --explore` is a
-//!     shorthand. With --cache, the merged report is checkpointed as a
-//!     frontier artifact keyed by (trace, budget, depth, threshold, seed);
-//!     a warm run re-renders it byte-identically without reopening the
-//!     trace.
+//!     shorthand.
 //!
 //! mpgtool analyze <trace-dir> [--json] [--top K] [--salvage]
 //!     Static wait-state & slack analysis (no perturbation): decompose
@@ -130,17 +127,24 @@
 //!     --check, exit 1 if a ratio falls below its fixed floor.
 //! ```
 //!
-//! `lint`, `analyze`, and `replay` accept `--cache` (or `--cache-dir DIR`,
-//! which implies it): finished reports and the recorded graph (as an MPGA
-//! artifact) are memoized in a content-addressed on-disk cache keyed by
-//! the trace's sealed-footer CRC chain, so repeat runs skip frame decode
-//! and graph recording entirely. Cached output is byte-identical to a
-//! cold run; cache status notes go to stderr. Salvaged, unsealed, and
-//! history-logging runs are never cached.
+//! `replay`, `lint`, `explore` and `analyze` accept `--cache` (or
+//! `--cache-dir DIR`, which implies it) and cache alike: the finished
+//! report — exit code and stdout — is memoized in a content-addressed
+//! on-disk cache under a key made of the trace's sealed-footer CRC chain
+//! and every option that shapes the output, so a repeat run prints it
+//! without opening the trace. On a miss, `lint`, `explore` and `analyze`
+//! still load the recorded graph (an MPGA artifact) and `lint`/`explore`
+//! the happens-before clocks from the same cache. Cached output is
+//! byte-identical to a cold run; cache status notes go to stderr.
+//! Salvaged, unsealed, and history-logging runs are never cached.
+//! Numeric flags take a number: a value that does not parse, or a flag
+//! given last with no value, exits 2 naming the flag.
 
 use std::fmt::Write as _;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use mpg_analysis::history::{record_from_report, HistoryStore};
 use mpg_analysis::Table;
@@ -225,39 +229,108 @@ fn take_cache(args: &mut Vec<String>) -> Result<Option<CacheStore>, String> {
         .map_err(|e| format!("opening cache {}: {e}", root.display()))
 }
 
-/// Content fingerprint of a trace directory for cache keying. Traces that
-/// cannot be fingerprinted cheaply — unsealed, salvaged — run cold and
-/// are never cached; the note goes to stderr so stdout stays
-/// byte-identical to an uncached run.
-fn cache_trace_key(dir: &str) -> Option<String> {
-    match mpg_trace::trace_fingerprint(Path::new(dir)) {
-        Ok(fp) => Some(fp.key()),
-        Err(e) => {
-            eprintln!("mpgtool: cache: {e}; running cold without caching");
-            None
+/// Where one verb run keeps its finished report: the store, the trace's
+/// content key (the arena and clock artifacts are keyed by it too) and
+/// the key the report's `(exit code, stdout)` is memoized under.
+struct ReportTier {
+    store: CacheStore,
+    trace_key: String,
+    key: String,
+}
+
+impl ReportTier {
+    /// Opens the report tier of a `verb` run on `dir`, `report_key`
+    /// deriving the report's key from the trace's content key. A trace
+    /// that cannot be fingerprinted cheaply (unsealed) runs cold and
+    /// uncached; the note goes to stderr so stdout stays byte-identical to
+    /// an uncached run. On a warm hit the cached stdout is printed and
+    /// `Break` carries the cached exit code.
+    fn open(
+        cache: Option<CacheStore>,
+        dir: &str,
+        verb: &str,
+        report_key: impl FnOnce(&str) -> String,
+    ) -> ControlFlow<ExitCode, Option<Self>> {
+        let Some(store) = cache else {
+            return ControlFlow::Continue(None);
+        };
+        let trace_key = match mpg_trace::trace_fingerprint(Path::new(dir)) {
+            Ok(fp) => fp.key(),
+            Err(e) => {
+                eprintln!("mpgtool: cache: {e}; running cold without caching");
+                return ControlFlow::Continue(None);
+            }
+        };
+        let key = report_key(&trace_key);
+        if let Some(rep) = store.get_report(&key) {
+            eprintln!("mpgtool: cache: warm hit ({verb} report)");
+            print!("{}", rep.stdout);
+            return ControlFlow::Break(ExitCode::from(rep.exit_code));
         }
+        ControlFlow::Continue(Some(ReportTier {
+            store,
+            trace_key,
+            key,
+        }))
+    }
+
+    /// The store and trace key the arena and clock artifacts go through.
+    fn artifacts(&self) -> (&CacheStore, &str) {
+        (&self.store, &self.trace_key)
     }
 }
 
-/// Warm-path lookup: when a cached report exists for `key`, replays its
-/// stdout and exit code. The hit note goes to stderr.
-fn cached_report_exit(store: &CacheStore, key: &str, what: &str) -> Option<ExitCode> {
-    let rep = store.get_report(key)?;
-    eprintln!("mpgtool: cache: warm hit ({what})");
-    print!("{}", rep.stdout);
-    Some(ExitCode::from(rep.exit_code))
-}
-
-/// Publishes a finished report; failures are nonfatal (the run already
-/// produced its output).
-fn publish_report(store: &CacheStore, key: &str, exit_code: u8, stdout: &str) {
-    let _ = store.put_report(
-        key,
-        &CachedReport {
+/// Prints a finished report and exits with `exit_code`, publishing the
+/// report to `tier` first. A failed publish is nonfatal: the run already
+/// has its output.
+fn finish(tier: Option<&ReportTier>, exit_code: u8, stdout: &str) -> ExitCode {
+    if let Some(tier) = tier {
+        let report = CachedReport {
             exit_code,
             stdout: stdout.to_string(),
-        },
-    );
+        };
+        let _ = tier.store.put_report(&tier.key, &report);
+    }
+    print!("{stdout}");
+    ExitCode::from(exit_code)
+}
+
+/// Pulls `--flag value` out of `args` and parses the value; `Ok(None)`
+/// when the flag is absent. A value that does not parse, or the flag
+/// given last with no value, is a usage error naming the flag.
+fn take_num<T: FromStr>(args: &mut Vec<String>, flag: &str) -> Result<Option<T>, String> {
+    if args.last().is_some_and(|a| a == flag) {
+        return Err(format!("{flag} needs a value"));
+    }
+    take_flag(args, flag)
+        .map(|v| v.parse().map_err(|_| format!("bad {flag} '{v}'")))
+        .transpose()
+}
+
+/// Pulls every `--deny MPG-RULE` out of `args`.
+fn take_deny(args: &mut Vec<String>) -> Result<Vec<Rule>, String> {
+    let mut deny = Vec::new();
+    while let Some(code) = take_flag(args, "--deny") {
+        deny.push(Rule::from_code(&code).ok_or(format!("unknown rule '{code}' for --deny"))?);
+    }
+    Ok(deny)
+}
+
+/// The `--deny` set as a report key names it: codes sorted, comma-joined.
+fn deny_key(deny: &[Rule]) -> String {
+    let mut codes: Vec<&str> = deny.iter().map(|r| r.code()).collect();
+    codes.sort_unstable();
+    codes.join(",")
+}
+
+/// Escalates every `--deny` rule to error severity, then re-sorts.
+fn apply_deny(diags: &mut [Diagnostic], deny: &[Rule]) {
+    for d in diags.iter_mut() {
+        if deny.contains(&d.rule) {
+            d.severity = Severity::Error;
+        }
+    }
+    sort_diagnostics(diags);
 }
 
 /// Pulls `--flag value` out of `args`, returning the value.
@@ -389,36 +462,26 @@ fn scaled_workload(name: &str, scale: u64) -> Option<Box<dyn Workload>> {
 
 /// `mpgtool gen`: synthesize an arbitrarily large trace for out-of-core
 /// replay experiments — a `demo` whose event volume is dialed by `--scale`.
-fn cmd_gen(mut args: Vec<String>) -> ExitCode {
+fn cmd_gen(mut args: Vec<String>) -> Result<ExitCode, String> {
     let workload = take_flag(&mut args, "--workload").unwrap_or_else(|| "stencil".into());
-    let ranks: u32 = take_flag(&mut args, "--ranks")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
-    let scale: u64 = take_flag(&mut args, "--scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let seed: u64 = take_flag(&mut args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let ranks: u32 = take_num(&mut args, "--ranks")?.unwrap_or(8);
+    let scale: u64 = take_num(&mut args, "--scale")?.unwrap_or(1);
+    let seed: u64 = take_num(&mut args, "--seed")?.unwrap_or(1);
     let [dir] = args.as_slice() else {
-        return fail("gen needs a trace directory");
+        return Err("gen needs a trace directory".into());
     };
-    let Some(w) = scaled_workload(&workload, scale.max(1)) else {
-        return fail(&format!(
-            "unknown or unscalable workload '{workload}' \
-             (one of: ring, stencil, master-worker, solver, pipeline, transpose)"
-        ));
-    };
-    let outcome = match Simulation::new(ranks, PlatformSignature::quiet("mpgtool-gen"))
+    let w = scaled_workload(&workload, scale.max(1)).ok_or(format!(
+        "unknown or unscalable workload '{workload}' \
+         (one of: ring, stencil, master-worker, solver, pipeline, transpose)"
+    ))?;
+    let outcome = Simulation::new(ranks, PlatformSignature::quiet("mpgtool-gen"))
         .seed(seed)
         .run(|ctx| w.run(ctx))
-    {
-        Ok(o) => o,
-        Err(e) => return fail(&format!("simulation failed: {e}")),
-    };
-    if let Err(e) = outcome.trace.save(&PathBuf::from(dir)) {
-        return fail(&format!("writing trace: {e}"));
-    }
+        .map_err(|e| format!("simulation failed: {e}"))?;
+    outcome
+        .trace
+        .save(&PathBuf::from(dir))
+        .map_err(|e| format!("writing trace: {e}"))?;
     let bytes: u64 = std::fs::read_dir(dir)
         .map(|rd| {
             rd.flatten()
@@ -432,57 +495,44 @@ fn cmd_gen(mut args: Vec<String>) -> ExitCode {
         outcome.trace.total_events(),
         bytes / (1 << 20),
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_demo(mut args: Vec<String>) -> ExitCode {
-    let ranks: u32 = take_flag(&mut args, "--ranks")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
-    let seed: u64 = take_flag(&mut args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+fn cmd_demo(mut args: Vec<String>) -> Result<ExitCode, String> {
+    let ranks: u32 = take_num(&mut args, "--ranks")?.unwrap_or(8);
+    let seed: u64 = take_num(&mut args, "--seed")?.unwrap_or(1);
     let [name, dir] = args.as_slice() else {
-        return fail("demo needs a workload name and a trace directory");
+        return Err("demo needs a workload name and a trace directory".into());
     };
-    let Some(w) = workload_by_name(name) else {
-        return fail(&format!("unknown workload '{name}'"));
-    };
-    let outcome = match Simulation::new(ranks, PlatformSignature::quiet("mpgtool"))
+    let w = workload_by_name(name).ok_or(format!("unknown workload '{name}'"))?;
+    let outcome = Simulation::new(ranks, PlatformSignature::quiet("mpgtool"))
         .seed(seed)
         .run(|ctx| w.run(ctx))
-    {
-        Ok(o) => o,
-        Err(e) => return fail(&format!("simulation failed: {e}")),
-    };
-    if let Err(e) = outcome.trace.save(&PathBuf::from(dir)) {
-        return fail(&format!("writing trace: {e}"));
-    }
+        .map_err(|e| format!("simulation failed: {e}"))?;
+    outcome
+        .trace
+        .save(&PathBuf::from(dir))
+        .map_err(|e| format!("writing trace: {e}"))?;
     println!(
         "traced '{name}' on {ranks} ranks: {} events, makespan {} cycles -> {dir}",
         outcome.trace.total_events(),
         outcome.makespan()
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_stats(args: Vec<String>) -> ExitCode {
+fn cmd_stats(args: Vec<String>) -> Result<ExitCode, String> {
     let [dir] = args.as_slice() else {
-        return fail("stats needs a trace directory");
+        return Err("stats needs a trace directory".into());
     };
-    match open_trace(dir) {
-        Ok(trace) => {
-            print!("{}", trace_stats(&trace).render());
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(&e),
-    }
+    print!("{}", trace_stats(&open_trace(dir)?).render());
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_validate(mut args: Vec<String>) -> ExitCode {
+fn cmd_validate(mut args: Vec<String>) -> Result<ExitCode, String> {
     let json = take_switch(&mut args, "--json");
     let [dir] = args.as_slice() else {
-        return fail("validate needs a trace directory");
+        return Err("validate needs a trace directory".into());
     };
     // Strict read first; when it fails, fall back to the salvage path so
     // validate can still report *which* rank files are missing, short, or
@@ -492,7 +542,7 @@ fn cmd_validate(mut args: Vec<String>) -> ExitCode {
         Ok(trace) => (trace, None),
         Err(strict_err) => match open_salvage(dir) {
             Ok((trace, report)) => (trace, Some(report)),
-            Err(_) => return fail(&strict_err),
+            Err(_) => return Err(strict_err),
         },
     };
     let mut diags = validate_trace_diagnostics(&trace);
@@ -514,18 +564,18 @@ fn cmd_validate(mut args: Vec<String>) -> ExitCode {
             println!("{d}");
         }
     }
-    if diags.is_empty() {
+    Ok(if diags.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
 /// `mpgtool lint`: the full static-analysis pipeline of `mpg-lint`.
 ///
 /// Exit code contract (also used by `validate`): 0 when no error-severity
 /// diagnostic fired, 1 when at least one did, 2 on usage or I/O errors.
-fn cmd_lint(mut args: Vec<String>) -> ExitCode {
+fn cmd_lint(mut args: Vec<String>) -> Result<ExitCode, String> {
     // `lint --explore` is a shorthand for the explore subcommand with its
     // defaults; explore's own flags (--budget etc.) pass straight through.
     if take_switch(&mut args, "--explore") {
@@ -544,12 +594,10 @@ fn cmd_lint(mut args: Vec<String>) -> ExitCode {
                 mpg_analysis::Table::rule_registry(mpg_trace::Rule::ALL).render()
             );
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     if let Some(code) = take_flag(&mut args, "--explain") {
-        let Some(rule) = Rule::from_code(&code) else {
-            return fail(&format!("unknown rule '{code}' for --explain"));
-        };
+        let rule = Rule::from_code(&code).ok_or(format!("unknown rule '{code}' for --explain"))?;
         if json {
             println!("{}", rule_to_json(rule));
         } else {
@@ -558,228 +606,108 @@ fn cmd_lint(mut args: Vec<String>) -> ExitCode {
             println!("  pass:     {}", rule.pass());
             println!("  meaning:  {}", rule.doc());
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let all = take_switch(&mut args, "--all");
     let salvage = take_switch(&mut args, "--salvage");
-    let cache = match take_cache(&mut args) {
-        Ok(c) => c,
-        Err(e) => return fail(&e),
-    };
-    let mut deny: Vec<Rule> = Vec::new();
-    while let Some(code) = take_flag(&mut args, "--deny") {
-        match Rule::from_code(&code) {
-            Some(r) => deny.push(r),
-            None => return fail(&format!("unknown rule '{code}' for --deny")),
-        }
-    }
+    let cache = take_cache(&mut args)?;
+    let deny = take_deny(&mut args)?;
     let [dir] = args.as_slice() else {
-        return fail("lint needs a trace directory");
+        return Err("lint needs a trace directory".into());
     };
     // Salvaged traces have no trustworthy content fingerprint — never
     // cached.
-    let cache_ctx: Option<(CacheStore, String)> = if salvage {
-        None
-    } else {
-        cache.and_then(|store| cache_trace_key(dir).map(|key| (store, key)))
-    };
-    let report_key = cache_ctx.as_ref().map(|(_, trace_key)| {
-        let mut deny_codes: Vec<&str> = deny.iter().map(|r| r.code()).collect();
-        deny_codes.sort_unstable();
+    let tier = match ReportTier::open(cache.filter(|_| !salvage), dir, "lint", |trace_key| {
         CacheStore::artifact_key(
             trace_key,
             ArtifactKind::Report,
             &format!(
                 "cmd=lint;json={json};all={all};deny={};rules={}",
-                deny_codes.join(","),
+                deny_key(&deny),
                 mpg_lint::ruleset_fingerprint()
             ),
         )
-    });
-    if let (Some((store, _)), Some(key)) = (&cache_ctx, &report_key) {
-        if let Some(code) = cached_report_exit(store, key, "lint report") {
-            return code;
-        }
-    }
-    let (trace, mut diags) = if salvage {
-        match open_salvage(dir) {
-            Ok((t, report)) => {
-                let d = mpg_lint::lint_salvaged(&t, &report);
-                (t, d)
-            }
-            Err(e) => return fail(&e),
-        }
-    } else {
-        match open_trace(dir) {
-            Ok(t) => {
-                let d = match &cache_ctx {
-                    Some((store, trace_key)) => mpg_lint::lint_full_cached(&t, store, trace_key),
-                    None => mpg_lint::lint_full(&t),
-                };
-                (t, d)
-            }
-            Err(e) => return fail(&e),
-        }
+    }) {
+        ControlFlow::Break(code) => return Ok(code),
+        ControlFlow::Continue(tier) => tier,
     };
-    for d in &mut diags {
-        if deny.contains(&d.rule) {
-            d.severity = Severity::Error;
-        }
-    }
-    sort_diagnostics(&mut diags);
-    let shown: Vec<&Diagnostic> = diags
-        .iter()
-        .filter(|d| all || d.severity >= Severity::Warning)
-        .collect();
-    let errors = diags
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .count();
-    let mut out = String::new();
-    if json {
-        let _ = writeln!(out, "{}", diags_to_json(&shown));
+    let (trace, mut diags) = if salvage {
+        let (t, report) = open_salvage(dir)?;
+        let d = mpg_lint::lint_salvaged(&t, &report);
+        (t, d)
+    } else {
+        let t = open_trace(dir)?;
+        let d = mpg_lint::lint_full_with(&t, tier.as_ref().map(ReportTier::artifacts), None);
+        (t, d.diags)
+    };
+    apply_deny(&mut diags, &deny);
+    let out = if json {
+        let shown: Vec<&Diagnostic> = diags
+            .iter()
+            .filter(|d| all || d.severity >= Severity::Warning)
+            .collect();
+        format!("{}\n", diags_to_json(&shown))
     } else {
         // Shared with `mpgtool serve` — service lint output must stay
         // byte-identical to this path.
-        out.push_str(&mpg_serve::render_lint_report(
-            &diags,
-            all,
-            trace.total_events(),
-            trace.num_ranks(),
-        ));
-    }
-    let exit_code: u8 = if errors > 0 { 1 } else { 0 };
-    if let (Some((store, _)), Some(key)) = (&cache_ctx, &report_key) {
-        publish_report(store, key, exit_code, &out);
-    }
-    print!("{out}");
-    ExitCode::from(exit_code)
+        mpg_serve::render_lint_report(&diags, all, trace.total_events(), trace.num_ranks())
+    };
+    let errors = diags.iter().any(|d| d.severity == Severity::Error);
+    Ok(finish(tier.as_ref(), u8::from(errors), &out))
 }
 
 /// `mpgtool explore`: full lint plus the bounded pass-8 schedule-space
-/// walk. Exit contract matches lint (0 clean / 1 errors / 2 usage). With
-/// `--cache`, the merged report is checkpointed as a `frontier` artifact;
-/// a warm run decodes and re-renders it byte-identically without
-/// reopening the trace.
-fn cmd_explore(mut args: Vec<String>) -> ExitCode {
+/// walk. Exit contract matches lint (0 clean / 1 errors / 2 usage), and
+/// so does `--cache`: the rendered report is memoized under a key naming
+/// every explore option.
+fn cmd_explore(mut args: Vec<String>) -> Result<ExitCode, String> {
     let json = take_switch(&mut args, "--json");
     let all = take_switch(&mut args, "--all");
-    let cache = match take_cache(&mut args) {
-        Ok(c) => c,
-        Err(e) => return fail(&e),
-    };
-    let mut deny: Vec<Rule> = Vec::new();
-    while let Some(code) = take_flag(&mut args, "--deny") {
-        match Rule::from_code(&code) {
-            Some(r) => deny.push(r),
-            None => return fail(&format!("unknown rule '{code}' for --deny")),
-        }
-    }
+    let cache = take_cache(&mut args)?;
+    let deny = take_deny(&mut args)?;
     let mut opts = mpg_lint::ExploreOptions::cli_default();
-    macro_rules! parse_flag {
-        ($flag:literal, $field:ident, $what:literal) => {
-            if let Some(v) = take_flag(&mut args, $flag) {
-                match v.parse() {
-                    Ok(x) => opts.$field = x,
-                    Err(_) => return fail(&format!(concat!("bad ", $what, " '{}'"), v)),
-                }
-            }
-        };
-    }
-    parse_flag!("--budget", budget, "--budget");
-    parse_flag!("--depth", depth, "--depth");
-    parse_flag!("--threshold", divergence_pct, "--threshold");
-    parse_flag!("--seed", seed, "--seed");
+    opts.budget = take_num(&mut args, "--budget")?.unwrap_or(opts.budget);
+    opts.depth = take_num(&mut args, "--depth")?.unwrap_or(opts.depth);
+    opts.divergence_pct = take_num(&mut args, "--threshold")?.unwrap_or(opts.divergence_pct);
+    opts.seed = take_num(&mut args, "--seed")?.unwrap_or(opts.seed);
     if !opts.divergence_pct.is_finite() || opts.divergence_pct < 0.0 {
-        return fail("--threshold must be a non-negative percentage");
+        return Err("--threshold must be a non-negative percentage".into());
     }
     let [dir] = args.as_slice() else {
-        return fail("explore needs a trace directory");
+        return Err("explore needs a trace directory".into());
     };
-    let cache_ctx: Option<(CacheStore, String)> =
-        cache.and_then(|store| cache_trace_key(dir).map(|key| (store, key)));
-    let frontier_key = cache_ctx.as_ref().map(|(_, trace_key)| {
-        let mut deny_codes: Vec<&str> = deny.iter().map(|r| r.code()).collect();
-        deny_codes.sort_unstable();
+    let tier = match ReportTier::open(cache, dir, "explore", |trace_key| {
         CacheStore::artifact_key(
             trace_key,
-            ArtifactKind::Frontier,
+            ArtifactKind::Report,
             &format!(
                 "cmd=explore;json={json};all={all};deny={};{};rules={}",
-                deny_codes.join(","),
+                deny_key(&deny),
                 opts.fingerprint(),
                 mpg_lint::ruleset_fingerprint()
             ),
         )
-    });
-    let render = |diags: &[Diagnostic],
-                  stats: &mpg_lint::ExploreStats,
-                  total_events: usize,
-                  num_ranks: usize| {
-        if json {
-            let shown: Vec<Diagnostic> = diags
-                .iter()
-                .filter(|d| all || d.severity >= Severity::Warning)
-                .cloned()
-                .collect();
-            format!("{}\n", mpg_lint::explore_json(&shown, stats))
-        } else {
-            mpg_serve::render_explore_report(diags, stats, all, total_events, num_ranks)
-        }
+    }) {
+        ControlFlow::Break(code) => return Ok(code),
+        ControlFlow::Continue(tier) => tier,
     };
-    let exit_of = |diags: &[Diagnostic]| -> u8 {
-        u8::from(diags.iter().any(|d| d.severity == Severity::Error))
+    let trace = open_trace(dir)?;
+    let mut out = mpg_lint::lint_explore(&trace, &opts, tier.as_ref().map(ReportTier::artifacts));
+    apply_deny(&mut out.diags, &deny);
+    let rendered = if json {
+        let shown: Vec<Diagnostic> = out
+            .diags
+            .iter()
+            .filter(|d| all || d.severity >= Severity::Warning)
+            .cloned()
+            .collect();
+        format!("{}\n", mpg_lint::explore_json(&shown, &out.stats))
+    } else {
+        let (events, ranks) = (trace.total_events(), trace.num_ranks());
+        mpg_serve::render_explore_report(&out.diags, &out.stats, all, events, ranks)
     };
-    // Warm path: decode the checkpointed frontier and re-render — no
-    // trace open, no replay. Any decode anomaly is a silent miss.
-    if let (Some((store, _)), Some(key)) = (&cache_ctx, &frontier_key) {
-        if let Some((diags, stats, total_events, num_ranks)) = store
-            .get(key, ArtifactKind::Frontier)
-            .and_then(|bytes| mpg_lint::decode_frontier(&bytes))
-        {
-            eprintln!("mpgtool: cache: warm hit (explore frontier)");
-            let out = render(&diags, &stats, total_events as usize, num_ranks as usize);
-            print!("{out}");
-            return ExitCode::from(exit_of(&diags));
-        }
-    }
-    let trace = match open_trace(dir) {
-        Ok(t) => t,
-        Err(e) => return fail(&e),
-    };
-    let mut out = match &cache_ctx {
-        Some((store, trace_key)) => {
-            mpg_lint::lint_explore_with(&trace, &opts, Some((store, trace_key)))
-        }
-        None => mpg_lint::lint_explore(&trace, &opts),
-    };
-    for d in &mut out.diags {
-        if deny.contains(&d.rule) {
-            d.severity = Severity::Error;
-        }
-    }
-    sort_diagnostics(&mut out.diags);
-    let rendered = render(
-        &out.diags,
-        &out.stats,
-        trace.total_events(),
-        trace.num_ranks(),
-    );
-    if let (Some((store, _)), Some(key)) = (&cache_ctx, &frontier_key) {
-        // Only complete walks are checkpointed (uncancellable here, but
-        // the contract is the same as the service's: a partial frontier
-        // must never warm a future run).
-        if out.cancelled.is_none() {
-            let blob = mpg_lint::encode_frontier(
-                &out,
-                trace.total_events() as u64,
-                trace.num_ranks() as u32,
-            );
-            let _ = store.put(key, ArtifactKind::Frontier, &blob);
-        }
-    }
-    print!("{rendered}");
-    ExitCode::from(exit_of(&out.diags))
+    let errors = out.diags.iter().any(|d| d.severity == Severity::Error);
+    Ok(finish(tier.as_ref(), u8::from(errors), &rendered))
 }
 
 /// `mpgtool analyze`: static wait-state & slack analysis of a trace — no
@@ -791,18 +719,13 @@ fn cmd_explore(mut args: Vec<String>) -> ExitCode {
 /// Exit 0 on success (findings are advisory), 2 on usage/I-O errors or if
 /// the accounting identity fails (which would mean the analyzer is wrong
 /// about this trace, so no report is better than a lying one).
-fn cmd_analyze(mut args: Vec<String>) -> ExitCode {
+fn cmd_analyze(mut args: Vec<String>) -> Result<ExitCode, String> {
     let json = take_switch(&mut args, "--json");
     let salvage = take_switch(&mut args, "--salvage");
-    let cache = match take_cache(&mut args) {
-        Ok(c) => c,
-        Err(e) => return fail(&e),
-    };
-    let top: usize = take_flag(&mut args, "--top")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
+    let cache = take_cache(&mut args)?;
+    let top: usize = take_num(&mut args, "--top")?.unwrap_or(5);
     let [dir] = args.as_slice() else {
-        return fail("analyze needs a trace directory");
+        return Err("analyze needs a trace directory".into());
     };
     let cfg = ReplayConfig::new(PerturbationModel::quiet("analyze"))
         .seed(0)
@@ -810,12 +733,7 @@ fn cmd_analyze(mut args: Vec<String>) -> ExitCode {
         .crash_tolerant(salvage);
     // Salvaged traces have no trustworthy content fingerprint — never
     // cached.
-    let cache_ctx: Option<(CacheStore, String)> = if salvage {
-        None
-    } else {
-        cache.and_then(|store| cache_trace_key(dir).map(|key| (store, key)))
-    };
-    let report_key = cache_ctx.as_ref().map(|(_, trace_key)| {
+    let tier = match ReportTier::open(cache.filter(|_| !salvage), dir, "analyze", |trace_key| {
         CacheStore::artifact_key(
             trace_key,
             ArtifactKind::Report,
@@ -825,48 +743,36 @@ fn cmd_analyze(mut args: Vec<String>) -> ExitCode {
                 cfg.fingerprint()
             ),
         )
-    });
-    if let (Some((store, _)), Some(key)) = (&cache_ctx, &report_key) {
-        if let Some(code) = cached_report_exit(store, key, "analyze report") {
-            return code;
-        }
-    }
+    }) {
+        ControlFlow::Break(code) => return Ok(code),
+        ControlFlow::Continue(tier) => tier,
+    };
     let mut o = String::new();
     let trace = if salvage {
-        match open_salvage(dir) {
-            Ok((t, report)) => {
-                if !report.is_clean() && !json {
-                    let _ = writeln!(o, "salvage: {report}");
-                }
-                t
-            }
-            Err(e) => return fail(&e),
+        let (t, report) = open_salvage(dir)?;
+        if !report.is_clean() && !json {
+            let _ = writeln!(o, "salvage: {report}");
         }
+        t
     } else {
-        match open_trace(dir) {
-            Ok(t) => t,
-            Err(e) => return fail(&e),
-        }
+        open_trace(dir)?
     };
     // On a report miss with caching enabled, the recorded graph itself is
     // still memoized as an MPGA artifact — a warm arena skips the
     // recording replay even when the rendered report key changed (e.g. a
     // different --top).
-    let graph = match &cache_ctx {
+    let graph = match tier.as_ref().map(ReportTier::artifacts) {
         Some((store, trace_key)) => {
-            match cached_recorded_graph(store, trace_key, &trace, cfg.clone()) {
-                Ok((g, _hit)) => g,
-                Err(e) => return fail(&format!("replay failed: {e}")),
-            }
+            cached_recorded_graph(store, trace_key, &trace, cfg).map(|(graph, _, _)| graph)
         }
-        None => match Replayer::new(cfg).run(&trace) {
-            Ok(r) => r.graph.expect("graph recorded"),
-            Err(e) => return fail(&format!("replay failed: {e}")),
-        },
-    };
+        None => Replayer::new(cfg)
+            .run(&trace)
+            .map(|r| r.graph.expect("graph recorded")),
+    }
+    .map_err(|e| format!("replay failed: {e}"))?;
     let report = mpg_lint::analyze_graph(&trace, &graph);
     if !report.identity_holds() {
-        return fail(&format!(
+        return Err(format!(
             "accounting identity violated: compute {} + transfer {} + waits {} != makespan {} x {} ranks",
             report.compute,
             report.transfer,
@@ -877,11 +783,7 @@ fn cmd_analyze(mut args: Vec<String>) -> ExitCode {
     }
     if json {
         let _ = writeln!(o, "{}", report.to_json());
-        if let (Some((store, _)), Some(key)) = (&cache_ctx, &report_key) {
-            publish_report(store, key, 0, &o);
-        }
-        print!("{o}");
-        return ExitCode::SUCCESS;
+        return Ok(finish(tier.as_ref(), 0, &o));
     }
 
     let total = report.makespan * report.ranks as u64;
@@ -1027,50 +929,33 @@ fn cmd_analyze(mut args: Vec<String>) -> ExitCode {
     for d in &findings {
         let _ = writeln!(o, "{d}");
     }
-    if let (Some((store, _)), Some(key)) = (&cache_ctx, &report_key) {
-        publish_report(store, key, 0, &o);
-    }
-    print!("{o}");
-    ExitCode::SUCCESS
+    Ok(finish(tier.as_ref(), 0, &o))
 }
 
-fn cmd_replay(mut args: Vec<String>) -> ExitCode {
-    let os_mean: f64 = take_flag(&mut args, "--os")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
-    let latency: f64 = take_flag(&mut args, "--latency")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
-    let per_byte: f64 = take_flag(&mut args, "--per-byte")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
-    let seed: u64 = take_flag(&mut args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
+fn cmd_replay(mut args: Vec<String>) -> Result<ExitCode, String> {
+    let os_mean: f64 = take_num(&mut args, "--os")?.unwrap_or(0.0);
+    let latency: f64 = take_num(&mut args, "--latency")?.unwrap_or(0.0);
+    let per_byte: f64 = take_num(&mut args, "--per-byte")?.unwrap_or(0.0);
+    let seed: u64 = take_num(&mut args, "--seed")?.unwrap_or(0);
     let history = take_flag(&mut args, "--history");
     let lint = take_switch(&mut args, "--lint");
     let salvage = take_switch(&mut args, "--salvage");
     let ooc = take_switch(&mut args, "--ooc");
-    let cache = match take_cache(&mut args) {
-        Ok(c) => c,
-        Err(e) => return fail(&e),
-    };
-    let shards: usize = take_flag(&mut args, "--shards")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let cache = take_cache(&mut args)?;
+    let shards: usize = take_num(&mut args, "--shards")?.unwrap_or(1);
     if lint && salvage {
         // A salvaged partial trace cannot pass the completed-run lint gate
         // (missing finalizes, unmatched tails) — the combination would
         // always refuse to replay.
-        return fail("--lint and --salvage are mutually exclusive");
+        return Err("--lint and --salvage are mutually exclusive".into());
     }
     if ooc && (lint || salvage) {
         // Both need the whole trace in memory (the gate pre-scans it, the
         // salvage path rewrites it), which defeats out-of-core streaming.
-        return fail("--ooc is incompatible with --lint and --salvage");
+        return Err("--ooc is incompatible with --lint and --salvage".into());
     }
     let [dir] = args.as_slice() else {
-        return fail("replay needs a trace directory");
+        return Err("replay needs a trace directory".into());
     };
 
     // Model + config construction shared with `mpgtool serve`.
@@ -1082,36 +967,22 @@ fn cmd_replay(mut args: Vec<String>) -> ExitCode {
 
     // Salvaged traces have no trustworthy fingerprint, and --history
     // appends to an external store on every run — neither may short-circuit
-    // through the cache.
-    let cache_ctx: Option<(CacheStore, String)> = if salvage || history.is_some() {
-        None
-    } else {
-        cache.and_then(|store| cache_trace_key(dir).map(|key| (store, key)))
+    // through the cache. The key is the one a service replay job uses.
+    let cache = cache.filter(|_| !salvage && history.is_none());
+    let tier = match ReportTier::open(cache, dir, "replay", |trace_key| {
+        let knobs = (os_mean, latency, per_byte, seed);
+        mpg_serve::replay_report_key(trace_key, knobs, shards, ooc, lint, &cfg)
+    }) {
+        ControlFlow::Break(code) => return Ok(code),
+        ControlFlow::Continue(tier) => tier,
     };
-    let report_key = cache_ctx.as_ref().map(|(_, trace_key)| {
-        CacheStore::artifact_key(
-            trace_key,
-            ArtifactKind::Report,
-            &format!(
-                "cmd=replay;os={os_mean};latency={latency};per_byte={per_byte};seed={seed};shards={shards};ooc={ooc};lint={lint};{}",
-                cfg.fingerprint()
-            ),
-        )
-    });
-    if let (Some((store, _)), Some(key)) = (&cache_ctx, &report_key) {
-        if let Some(code) = cached_report_exit(store, key, "replay report") {
-            return code;
-        }
-    }
     let mut o = String::new();
 
     let run = if ooc {
         // Out-of-core: mmap the MPG2 files and stream frames lazily —
         // the trace is never materialized in memory.
-        let set = match OocTraceSet::open(Path::new(dir)) {
-            Ok(s) => s,
-            Err(e) => return fail(&format!("{e} — try `mpgtool fsck {dir}`")),
-        };
+        let set = OocTraceSet::open(Path::new(dir))
+            .map_err(|e| format!("{e} — try `mpgtool fsck {dir}`"))?;
         let _ = writeln!(
             o,
             "out-of-core: {} ranks, {} records, {} MiB mapped, {} shard(s)",
@@ -1124,29 +995,21 @@ fn cmd_replay(mut args: Vec<String>) -> ExitCode {
         Replayer::new(cfg).run_streams_parallel(streams, shards)
     } else {
         let trace = if salvage {
-            match open_salvage(dir) {
-                Ok((t, report)) => {
-                    if !report.is_clean() {
-                        let _ = writeln!(o, "salvage: {report}");
-                    }
-                    t
-                }
-                Err(e) => return fail(&e),
+            let (t, report) = open_salvage(dir)?;
+            if !report.is_clean() {
+                let _ = writeln!(o, "salvage: {report}");
             }
+            t
         } else {
-            match open_trace(dir) {
-                Ok(t) => t,
-                Err(e) => return fail(&e),
-            }
+            open_trace(dir)?
         };
         if shards > 1 {
-            let streams: Vec<Vec<mpg_trace::EventRecord>> = (0..trace.num_ranks())
-                .map(|r| trace.rank(r).to_vec())
+            // The shards run on scoped threads, so they stream the
+            // loaded ranks in place.
+            let streams = (0..trace.num_ranks())
+                .map(|r| trace.iter_rank(r).map(Ok))
                 .collect();
-            Replayer::new(cfg).run_streams_parallel(
-                streams.into_iter().map(|v| v.into_iter().map(Ok)).collect(),
-                shards,
-            )
+            Replayer::new(cfg).run_streams_parallel(streams, shards)
         } else {
             Replayer::new(cfg).run(&trace)
         }
@@ -1162,11 +1025,11 @@ fn cmd_replay(mut args: Vec<String>) -> ExitCode {
                 "mpgtool: trace rejected by lint gate ({} error(s))",
                 diags.len()
             );
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         Err(e) => {
             print!("{o}");
-            return fail(&format!("replay failed: {e}"));
+            return Err(format!("replay failed: {e}"));
         }
     };
     // Shared with `mpgtool serve` — service output must stay
@@ -1177,7 +1040,7 @@ fn cmd_replay(mut args: Vec<String>) -> ExitCode {
         let rec = record_from_report(dir, seed, &report, "mpgtool replay");
         if let Err(e) = store.append(&rec) {
             print!("{o}");
-            return fail(&format!("writing history: {e}"));
+            return Err(format!("writing history: {e}"));
         }
         let n = store.for_trace(dir).map(|v| v.len()).unwrap_or(0);
         let _ = writeln!(
@@ -1185,11 +1048,7 @@ fn cmd_replay(mut args: Vec<String>) -> ExitCode {
             "history: appended to {hist} ({n} record(s) for this trace)"
         );
     }
-    if let (Some((store, _)), Some(key)) = (&cache_ctx, &report_key) {
-        publish_report(store, key, 0, &o);
-    }
-    print!("{o}");
-    ExitCode::SUCCESS
+    Ok(finish(tier.as_ref(), 0, &o))
 }
 
 /// Copies the flat trace directory `src` into `dst` (created fresh).
@@ -1209,44 +1068,39 @@ fn copy_trace_dir(src: &Path, dst: &Path) -> std::io::Result<()> {
 ///
 /// Exit code contract: 0 clean, 1 damaged-but-salvaged, 2 unrecoverable
 /// (or usage/I/O error). Scripts rely on this — see `lint.sh`.
-fn cmd_fsck(mut args: Vec<String>) -> ExitCode {
+fn cmd_fsck(mut args: Vec<String>) -> Result<ExitCode, String> {
     let json = take_switch(&mut args, "--json");
     let inject = take_flag(&mut args, "--inject");
-    let seed: u64 = take_flag(&mut args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let seed: u64 = take_num(&mut args, "--seed")?.unwrap_or(1);
     let out = take_flag(&mut args, "--out");
     let [dir] = args.as_slice() else {
-        return fail("fsck needs a trace directory");
+        return Err("fsck needs a trace directory".into());
     };
     let mut target = PathBuf::from(dir);
     if let Some(kind_name) = inject {
         let Some(kind) = FaultKind::from_name(&kind_name) else {
             let names: Vec<&str> = FaultKind::ALL.iter().map(|k| k.name()).collect();
-            return fail(&format!(
+            return Err(format!(
                 "unknown fault kind '{kind_name}' (one of: {})",
                 names.join(", ")
             ));
         };
         let dst = out.map_or_else(|| PathBuf::from(format!("{dir}-injected")), PathBuf::from);
-        if let Err(e) = copy_trace_dir(&target, &dst) {
-            return fail(&format!("copying {dir} -> {}: {e}", dst.display()));
-        }
-        match inject_dir(&dst, kind, seed) {
-            Ok(plan) => eprintln!(
-                "fsck: injected into {}: {} (rank {})",
-                dst.display(),
-                plan.description,
-                plan.rank
-            ),
-            Err(e) => return fail(&format!("injecting fault: {e}")),
-        }
+        copy_trace_dir(&target, &dst)
+            .map_err(|e| format!("copying {dir} -> {}: {e}", dst.display()))?;
+        let plan = inject_dir(&dst, kind, seed).map_err(|e| format!("injecting fault: {e}"))?;
+        eprintln!(
+            "fsck: injected into {}: {} (rank {})",
+            dst.display(),
+            plan.description,
+            plan.rank
+        );
         target = dst;
     }
     // Streaming scan: frames are CRC-checked and counted without ever
     // buffering the decoded records, so fsck runs in O(frame) memory even
     // on traces far bigger than RAM.
-    match FileTraceSet::scan_salvage(&target) {
+    Ok(match FileTraceSet::scan_salvage(&target) {
         Ok(report) => {
             let status = report.status();
             if json {
@@ -1267,56 +1121,39 @@ fn cmd_fsck(mut args: Vec<String>) -> ExitCode {
             }
             ExitCode::from(2)
         }
-    }
+    })
 }
 
-fn cmd_dot(args: Vec<String>) -> ExitCode {
+fn cmd_dot(args: Vec<String>) -> Result<ExitCode, String> {
     let [dir] = args.as_slice() else {
-        return fail("dot needs a trace directory");
+        return Err("dot needs a trace directory".into());
     };
-    let trace = match open_trace(dir) {
-        Ok(t) => t,
-        Err(e) => return fail(&e),
-    };
+    let trace = open_trace(dir)?;
     let report =
-        match Replayer::new(ReplayConfig::new(PerturbationModel::quiet("dot")).record_graph(true))
+        Replayer::new(ReplayConfig::new(PerturbationModel::quiet("dot")).record_graph(true))
             .run(&trace)
-        {
-            Ok(r) => r,
-            Err(e) => return fail(&format!("replay failed: {e}")),
-        };
+            .map_err(|e| format!("replay failed: {e}"))?;
     print!(
         "{}",
         dot::to_dot(report.graph.as_ref().expect("graph recorded"), dir)
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_export(args: Vec<String>) -> ExitCode {
+fn cmd_export(args: Vec<String>) -> Result<ExitCode, String> {
     let [dir] = args.as_slice() else {
-        return fail("export needs a trace directory");
+        return Err("export needs a trace directory".into());
     };
-    match open_trace(dir) {
-        Ok(trace) => {
-            print!("{}", trace_to_text(&trace));
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(&e),
-    }
+    print!("{}", trace_to_text(&open_trace(dir)?));
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_import(args: Vec<String>) -> ExitCode {
+fn cmd_import(args: Vec<String>) -> Result<ExitCode, String> {
     let [file, dir] = args.as_slice() else {
-        return fail("import needs a text file and a trace directory");
+        return Err("import needs a text file and a trace directory".into());
     };
-    let text = match std::fs::read_to_string(file) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("reading {file}: {e}")),
-    };
-    let trace = match text_to_trace(&text) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("parsing {file}: {e}")),
-    };
+    let text = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
+    let trace = text_to_trace(&text).map_err(|e| format!("parsing {file}: {e}"))?;
     let violations = validate_trace(&trace);
     if !violations.is_empty() {
         eprintln!(
@@ -1324,41 +1161,32 @@ fn cmd_import(args: Vec<String>) -> ExitCode {
             violations.len()
         );
     }
-    if let Err(e) = trace.save(&PathBuf::from(dir)) {
-        return fail(&format!("writing trace: {e}"));
-    }
+    trace
+        .save(&PathBuf::from(dir))
+        .map_err(|e| format!("writing trace: {e}"))?;
     println!(
         "imported {} events across {} ranks -> {dir}",
         trace.total_events(),
         trace.num_ranks()
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_timeline(mut args: Vec<String>) -> ExitCode {
-    let width: usize = take_flag(&mut args, "--width")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100);
+fn cmd_timeline(mut args: Vec<String>) -> Result<ExitCode, String> {
+    let width: usize = take_num(&mut args, "--width")?.unwrap_or(100);
     let [dir] = args.as_slice() else {
-        return fail("timeline needs a trace directory");
+        return Err("timeline needs a trace directory".into());
     };
-    match open_trace(dir) {
-        Ok(trace) => {
-            print!("{}", render_trace_gantt(&trace, width.clamp(10, 400)));
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(&e),
-    }
+    let trace = open_trace(dir)?;
+    print!("{}", render_trace_gantt(&trace, width.clamp(10, 400)));
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_diff(args: Vec<String>) -> ExitCode {
+fn cmd_diff(args: Vec<String>) -> Result<ExitCode, String> {
     let [a, b] = args.as_slice() else {
-        return fail("diff needs two trace directories");
+        return Err("diff needs two trace directories".into());
     };
-    let (ta, tb) = match (open_trace(a), open_trace(b)) {
-        (Ok(x), Ok(y)) => (x, y),
-        (Err(e), _) | (_, Err(e)) => return fail(&e),
-    };
+    let (ta, tb) = (open_trace(a)?, open_trace(b)?);
     let (sa, sb) = (trace_stats(&ta), trace_stats(&tb));
     println!("{:>12} {:>20} {:>20} {:>10}", "kind", a, b, "ratio");
     let kinds: std::collections::BTreeSet<&str> = sa
@@ -1388,25 +1216,20 @@ fn cmd_diff(args: Vec<String>) -> ExitCode {
             sb.total_span as f64 / sa.total_span as f64
         }
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `mpgtool bench`: measure the three same-process ratios, optionally
 /// writing the `BENCH_replay.json` snapshot and/or gating them against
 /// their fixed floors ([`mpg_analysis::perf::check`]).
-fn cmd_bench(mut args: Vec<String>) -> ExitCode {
+fn cmd_bench(mut args: Vec<String>) -> Result<ExitCode, String> {
     let out = take_flag(&mut args, "--out");
     let check = take_switch(&mut args, "--check");
-    let reps: u32 = take_flag(&mut args, "--reps")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
+    let reps: u32 = take_num(&mut args, "--reps")?.unwrap_or(5);
     if !args.is_empty() {
-        return fail(&format!("bench: unexpected argument '{}'", args[0]));
+        return Err(format!("bench: unexpected argument '{}'", args[0]));
     }
-    let snap = match mpg_analysis::perf::measure(reps) {
-        Ok(snap) => snap,
-        Err(e) => return fail(&e),
-    };
+    let snap = mpg_analysis::perf::measure(reps)?;
     let (s, o, c) = (&snap.sweep, &snap.ooc, &snap.cache);
     println!(
         "sweep: {} configs on {} in {} lane batch(es), {} traversal(s) saved: \
@@ -1444,9 +1267,7 @@ fn cmd_bench(mut args: Vec<String>) -> ExitCode {
         c.warm_speedup()
     );
     if let Some(path) = out {
-        if let Err(e) = std::fs::write(&path, snap.to_json()) {
-            return fail(&format!("writing {path}: {e}"));
-        }
+        std::fs::write(&path, snap.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
         println!("snapshot: wrote {path}");
     }
     if check {
@@ -1455,11 +1276,11 @@ fn cmd_bench(mut args: Vec<String>) -> ExitCode {
             for m in &msgs {
                 eprintln!("mpgtool: bench regression: {m}");
             }
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         println!("check: every ratio at or above its floor");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `mpgtool cache`: inspect and maintain the on-disk artifact cache.
@@ -1468,24 +1289,20 @@ fn cmd_bench(mut args: Vec<String>) -> ExitCode {
 /// (default 512) and sweeps leftover temp files, `clear` removes
 /// everything. All operate on `--cache-dir DIR`, else `$MPG_CACHE_DIR`,
 /// else the system temp default.
-fn cmd_cache(mut args: Vec<String>) -> ExitCode {
+fn cmd_cache(mut args: Vec<String>) -> Result<ExitCode, String> {
     if args.is_empty() {
-        return fail("cache needs a subcommand: ls, gc, or clear");
+        return Err("cache needs a subcommand: ls, gc, or clear".into());
     }
     let sub = args.remove(0);
     let root =
         take_flag(&mut args, "--cache-dir").map_or_else(CacheStore::default_dir, PathBuf::from);
-    let max_mib: u64 = take_flag(&mut args, "--max-mib")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(512);
+    let max_mib: u64 = take_num(&mut args, "--max-mib")?.unwrap_or(512);
     if !args.is_empty() {
-        return fail(&format!("cache: unexpected argument '{}'", args[0]));
+        return Err(format!("cache: unexpected argument '{}'", args[0]));
     }
-    let store = match CacheStore::open(&root) {
-        Ok(s) => s,
-        Err(e) => return fail(&format!("opening cache {}: {e}", root.display())),
-    };
-    match sub.as_str() {
+    let store =
+        CacheStore::open(&root).map_err(|e| format!("opening cache {}: {e}", root.display()))?;
+    Ok(match sub.as_str() {
         "ls" => {
             let entries = store.ls();
             let total: u64 = entries.iter().map(|e| e.bytes).sum();
@@ -1516,10 +1333,12 @@ fn cmd_cache(mut args: Vec<String>) -> ExitCode {
             );
             ExitCode::SUCCESS
         }
-        other => fail(&format!(
-            "unknown cache subcommand '{other}' (ls, gc, clear)"
-        )),
-    }
+        other => {
+            return Err(format!(
+                "unknown cache subcommand '{other}' (ls, gc, clear)"
+            ))
+        }
+    })
 }
 
 /// `mpgtool serve`: the supervised job runtime driven by the line
@@ -1528,41 +1347,24 @@ fn cmd_cache(mut args: Vec<String>) -> ExitCode {
 /// file; `-` or no flag reads stdin. Exit 0 on a completed stream
 /// (protocol-level errors are in-band `err` lines), 2 on usage or I/O
 /// failure.
-fn cmd_serve(mut args: Vec<String>) -> ExitCode {
+fn cmd_serve(mut args: Vec<String>) -> Result<ExitCode, String> {
     use std::time::Duration;
     let script = take_flag(&mut args, "--script");
-    let workers: usize = take_flag(&mut args, "--workers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let queue: usize = take_flag(&mut args, "--queue")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
-    let deadline_ms: Option<u64> =
-        take_flag(&mut args, "--deadline-ms").and_then(|v| v.parse().ok());
-    let retries: u32 = take_flag(&mut args, "--retries")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-    let retry_base_ms: u64 = take_flag(&mut args, "--retry-base-ms")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
-    let chaos_seed: u64 = take_flag(&mut args, "--chaos-seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
+    let workers: usize = take_num(&mut args, "--workers")?.unwrap_or(2);
+    let queue: usize = take_num(&mut args, "--queue")?.unwrap_or(16);
+    let deadline_ms: Option<u64> = take_num(&mut args, "--deadline-ms")?;
+    let retries: u32 = take_num(&mut args, "--retries")?.unwrap_or(3);
+    let retry_base_ms: u64 = take_num(&mut args, "--retry-base-ms")?.unwrap_or(10);
+    let chaos_seed: u64 = take_num(&mut args, "--chaos-seed")?.unwrap_or(0);
     let chaos_ops = take_flag(&mut args, "--chaos");
-    let cache = match take_cache(&mut args) {
-        Ok(c) => c,
-        Err(e) => return fail(&e),
-    };
+    let cache = take_cache(&mut args)?;
     if let Some(extra) = args.first() {
-        return fail(&format!("serve: unexpected argument '{extra}'"));
+        return Err(format!("serve: unexpected argument '{extra}'"));
     }
     let chaos = match chaos_ops {
         Some(list) => {
             let fams: Vec<&str> = list.split(',').filter(|s| !s.is_empty()).collect();
-            match mpg_serve::ChaosPlan::seeded(chaos_seed, &fams) {
-                Ok(p) => p,
-                Err(e) => return fail(&e),
-            }
+            mpg_serve::ChaosPlan::seeded(chaos_seed, &fams)?
         }
         None => mpg_serve::ChaosPlan::none(),
     };
@@ -1583,16 +1385,14 @@ fn cmd_serve(mut args: Vec<String>) -> ExitCode {
         None | Some("-") => {
             mpg_serve::serve_script(std::io::stdin().lock(), &mut stdout.lock(), &rt)
         }
-        Some(path) => match std::fs::File::open(path) {
-            Ok(f) => mpg_serve::serve_script(std::io::BufReader::new(f), &mut stdout.lock(), &rt),
-            Err(e) => return fail(&format!("serve: opening {path}: {e}")),
-        },
+        Some(path) => {
+            let f = std::fs::File::open(path).map_err(|e| format!("serve: opening {path}: {e}"))?;
+            mpg_serve::serve_script(std::io::BufReader::new(f), &mut stdout.lock(), &rt)
+        }
     };
     rt.shutdown(Duration::from_secs(60));
-    match res {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&format!("serve: {e}")),
-    }
+    res.map_err(|e| format!("serve: {e}"))?;
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
@@ -1601,7 +1401,7 @@ fn main() -> ExitCode {
         return usage();
     }
     let cmd = args.remove(0);
-    match cmd.as_str() {
+    let run = match cmd.as_str() {
         "demo" => cmd_demo(args),
         "gen" => cmd_gen(args),
         "stats" => cmd_stats(args),
@@ -1619,6 +1419,7 @@ fn main() -> ExitCode {
         "bench" => cmd_bench(args),
         "cache" => cmd_cache(args),
         "serve" => cmd_serve(args),
-        _ => usage(),
-    }
+        _ => return usage(),
+    };
+    run.unwrap_or_else(|e| fail(&e))
 }

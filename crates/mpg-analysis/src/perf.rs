@@ -387,7 +387,7 @@ pub fn measure_cache(spec: &OocSpec) -> Result<CachePerf, String> {
         let trace = FileTraceSet::open(&dir)
             .and_then(|s| s.load())
             .map_err(|e| format!("loading cache bench trace: {e}"))?;
-        let (graph, _) = cached_recorded_graph(store, &key, &trace, cfg)
+        let (graph, _, _) = cached_recorded_graph(store, &key, &trace, cfg)
             .map_err(|e| format!("cache bench replay failed: {e}"))?;
         let report = mpg_lint::analyze_graph(&trace, &graph);
         let out = report.to_json();

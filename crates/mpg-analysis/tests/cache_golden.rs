@@ -1,5 +1,5 @@
 //! Warm-path golden test: across all seven demo workloads, `mpgtool
-//! replay`/`lint`/`analyze` must produce **byte-identical stdout and the
+//! replay`/`lint`/`explore`/`analyze` must produce **byte-identical stdout and the
 //! same exit code** in four regimes — no cache, cold cache (populating),
 //! warm cache (hitting), and a cache where every artifact has been
 //! corrupted (falling back cold and republishing). The cache may only ever
@@ -74,9 +74,10 @@ fn warm_runs_are_byte_identical_across_demo_workloads() {
         let trace = trace.to_str().unwrap().to_string();
         let cache_str = cache.to_str().unwrap().to_string();
 
-        let commands: [Vec<&str>; 3] = [
+        let commands: [Vec<&str>; 4] = [
             vec!["replay", &trace, "--os", "200", "--seed", "5"],
             vec!["lint", &trace],
+            vec!["explore", &trace, "--budget", "16"],
             vec!["analyze", &trace],
         ];
         for base_args in &commands {
@@ -127,6 +128,79 @@ fn warm_runs_are_byte_identical_across_demo_workloads() {
         let _ = std::fs::remove_dir_all(&cache);
         let _ = std::fs::remove_dir_all(Path::new(&trace));
     }
+}
+
+/// A `serve` replay job and `mpgtool replay` with the same knobs key their
+/// reports alike: whichever runs first warms the other, and the warm
+/// bytes are the cold run's bytes.
+#[test]
+fn cli_and_service_replays_share_reports() {
+    let trace = tmp("shared-trace");
+    let _ = std::fs::remove_dir_all(&trace);
+    let trace = trace.to_str().unwrap();
+    let (_, err, code) = run(&["demo", "ring", "--ranks", "4", "--seed", "2", trace]);
+    assert_eq!(code, 0, "demo: {err}");
+    for cli_first in [true, false] {
+        let cache = tmp(&format!("shared-cache-{cli_first}"));
+        let result = tmp(&format!("shared-result-{cli_first}"));
+        let script = tmp(&format!("shared-script-{cli_first}"));
+        let _ = std::fs::remove_dir_all(&cache);
+        std::fs::write(
+            &script,
+            format!(
+                "submit replay {trace} os=200 seed=5\nwait job-1\nresult job-1 out={}\nstats\nshutdown\n",
+                result.display()
+            ),
+        )
+        .unwrap();
+        let cache = cache.to_str().unwrap();
+        let serve = || {
+            let (out, err, code) = run(&[
+                "serve",
+                "--script",
+                script.to_str().unwrap(),
+                "--workers",
+                "1",
+                "--cache-dir",
+                cache,
+            ]);
+            assert_eq!(code, 0, "serve: {err}");
+            assert!(out.contains("ok job-1 done"), "{out}");
+            (out, std::fs::read_to_string(&result).unwrap())
+        };
+        let cli = || {
+            let args = [
+                "replay",
+                trace,
+                "--os",
+                "200",
+                "--seed",
+                "5",
+                "--cache-dir",
+                cache,
+            ];
+            let (out, err, code) = run(&args);
+            assert_eq!(code, 0, "replay: {err}");
+            (out, err)
+        };
+        if cli_first {
+            let (cold, err) = cli();
+            assert!(!err.contains("warm hit"), "{err}");
+            let (stats, job) = serve();
+            assert!(stats.contains(" cache-hits=1 "), "{stats}");
+            assert_eq!(job, cold);
+        } else {
+            let (stats, job) = serve();
+            assert!(stats.contains(" cache-hits=0 "), "{stats}");
+            let (warm, err) = cli();
+            assert!(err.contains("warm hit (replay report)"), "{err}");
+            assert_eq!(warm, job);
+        }
+        let _ = std::fs::remove_dir_all(cache);
+        let _ = std::fs::remove_file(&result);
+        let _ = std::fs::remove_file(&script);
+    }
+    let _ = std::fs::remove_dir_all(trace);
 }
 
 /// The one `arena-*` artifact in a cache directory.

@@ -405,6 +405,44 @@ fn lint_json_is_empty_array_for_clean_trace() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A numeric flag whose value does not parse, or that is given last with
+/// no value, is a usage error naming the flag: exit 2 before anything
+/// runs, nothing on stdout.
+#[test]
+fn bad_numeric_flags_exit_2_naming_the_flag() {
+    let dir = tmp("badflag");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = mpgtool()
+        .args(["demo", "ring", "--ranks", "2"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let dir = dir.to_str().unwrap();
+    let gen_dir = tmp("badflag-gen");
+    for (args, needle) in [
+        (
+            vec!["replay", dir, "--os", "nonsense"],
+            "bad --os 'nonsense'",
+        ),
+        (vec!["replay", dir, "--os", "4OO"], "bad --os '4OO'"),
+        (vec!["analyze", dir, "--top", "x"], "bad --top 'x'"),
+        (
+            vec!["gen", "--ranks", "x", gen_dir.to_str().unwrap()],
+            "bad --ranks 'x'",
+        ),
+        (vec!["replay", dir, "--shards"], "--shards needs a value"),
+    ] {
+        let out = mpgtool().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
+    assert!(!gen_dir.exists(), "gen wrote a trace on a bad flag");
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
 #[test]
 fn lint_usage_and_io_errors_exit_2() {
     let out = mpgtool().arg("lint").output().unwrap();

@@ -31,7 +31,7 @@ fn explore_workload(w: &dyn Workload) -> Vec<String> {
         .run(|ctx| w.run(ctx))
         .expect("workload simulates")
         .trace;
-    let out = lint_explore(&trace, &ExploreOptions::cli_default());
+    let out = lint_explore(&trace, &ExploreOptions::cli_default(), None);
     let s = out.stats;
     let mut lines = vec![format!(
         "explored={} infeasible={} pruned={} unexplored={} max_depth={} exhausted={}",

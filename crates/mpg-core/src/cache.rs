@@ -2,7 +2,7 @@
 //!
 //! Every artifact the analyzer derives from a trace — the recorded graph
 //! (as an MPGA blob, [`crate::mpga`]), happens-before vector clocks,
-//! drift-slack tables, rendered lint/analyze/replay reports — is a pure
+//! rendered replay/lint/explore/analyze reports — is a pure
 //! function of (trace content, configuration). The [`CacheStore`]
 //! memoizes them on disk, keyed by the trace's cheap content fingerprint
 //! ([`mpg_trace::trace_fingerprint`], derived from the per-frame CRC32C
@@ -45,7 +45,7 @@ use std::time::{Duration, SystemTime};
 use mpg_trace::frame::crc32c;
 use mpg_trace::{fnv1a64, MemTrace};
 
-use crate::feasible::{drift_slack, DriftSlack};
+use crate::cancel::{CancelReason, CancelToken};
 use crate::graph::EventGraph;
 use crate::hb::HbIndex;
 use crate::mpga::{decode_arena, encode_arena};
@@ -79,22 +79,17 @@ pub enum ArtifactKind {
     /// cached under an earlier layout reads as a miss and is republished
     /// without a [`CACHE_SCHEMA`] bump.
     HbClocks,
-    /// Serialized [`crate::DriftSlack`] feasibility table.
-    Slack,
-    /// An explored-frontier checkpoint from the schedule-space explorer:
-    /// findings + coverage stats for a `(trace, budget, seed)` triple.
-    Frontier,
 }
 
 impl ArtifactKind {
-    /// Stable one-byte envelope tag.
+    /// Stable one-byte envelope tag. Tags 4 and 5 belonged to kinds since
+    /// removed; a file still carrying one never matches a lookup, so it
+    /// reads as a miss.
     fn tag(self) -> u8 {
         match self {
             ArtifactKind::Report => 1,
             ArtifactKind::Arena => 2,
             ArtifactKind::HbClocks => 3,
-            ArtifactKind::Slack => 4,
-            ArtifactKind::Frontier => 5,
         }
     }
 
@@ -104,8 +99,6 @@ impl ArtifactKind {
             ArtifactKind::Report => "report",
             ArtifactKind::Arena => "arena",
             ArtifactKind::HbClocks => "hb",
-            ArtifactKind::Slack => "slack",
-            ArtifactKind::Frontier => "frontier",
         }
     }
 }
@@ -381,12 +374,16 @@ impl CacheStore {
 /// error — and so is a well-formed artifact whose layout is not the one a
 /// recording of `trace` declares (each rank's event count): the key is
 /// only a fingerprint, and the cache directory is untrusted.
+///
+/// A cancel token in `config` that cuts the recording short shows in the
+/// third return, as in [`crate::ReplayReport::cancelled`]; the graph is
+/// then partial and is never published, so it cannot warm a later run.
 pub fn cached_recorded_graph(
     store: &CacheStore,
     trace_key: &str,
     trace: &MemTrace,
     config: ReplayConfig,
-) -> Result<(EventGraph, bool), ReplayError> {
+) -> Result<(EventGraph, bool, Option<CancelReason>), ReplayError> {
     let config = config.record_graph(true);
     let key = CacheStore::artifact_key(trace_key, ArtifactKind::Arena, &config.fingerprint());
     if let Some(bytes) = store.get(&key, ArtifactKind::Arena) {
@@ -399,7 +396,7 @@ pub fn cached_recorded_graph(
                         .all(|(r, &n)| arena.rank_events(r) == n)
             });
             if fits {
-                return Ok((EventGraph::from_arena(arena), true));
+                return Ok((EventGraph::from_arena(arena), true, None));
             }
         }
     }
@@ -407,54 +404,36 @@ pub fn cached_recorded_graph(
     let graph = report
         .graph
         .expect("record_graph(true) always yields a graph");
-    let _ = store.put(&key, ArtifactKind::Arena, &encode_arena(graph.arena()));
-    Ok((graph, false))
+    if report.cancelled.is_none() {
+        let _ = store.put(&key, ArtifactKind::Arena, &encode_arena(graph.arena()));
+    }
+    Ok((graph, false, report.cancelled))
 }
 
 /// Memoized happens-before clocks: loads the [`HbIndex`] for
 /// `(trace, config)` from the cache when present, building and publishing
-/// it otherwise. The second return is `true` on a hit.
+/// it otherwise. The `bool` is `true` on a hit. With a `cancel` token the
+/// build is [`HbIndex::build_cancellable`]: a fired token returns its
+/// reason and publishes nothing.
 pub fn cached_hb_index(
     store: &CacheStore,
     trace_key: &str,
     config_fp: &str,
     graph: &EventGraph,
-) -> (HbIndex, bool) {
+    cancel: Option<&CancelToken>,
+) -> Result<(HbIndex, bool), CancelReason> {
     let key = CacheStore::artifact_key(trace_key, ArtifactKind::HbClocks, config_fp);
     if let Some(bytes) = store.get(&key, ArtifactKind::HbClocks) {
         if let Some(hb) = HbIndex::from_bytes(&bytes) {
-            return (hb, true);
+            return Ok((hb, true));
         }
     }
-    let hb = HbIndex::build(graph);
+    let hb = match cancel {
+        Some(token) => HbIndex::build_cancellable(graph, token)?,
+        None => HbIndex::build(graph),
+    };
     let _ = store.put(&key, ArtifactKind::HbClocks, &hb.to_bytes());
-    (hb, false)
-}
-
-/// Memoized drift-slack table: loads the [`DriftSlack`] result for
-/// `(trace, config)` from the cache when present, computing and
-/// publishing it otherwise. `drift_slack`'s `None` (quiet replay, no
-/// drift) is cached too, as an empty payload. The second return is `true`
-/// on a hit.
-pub fn cached_drift_slack(
-    store: &CacheStore,
-    trace_key: &str,
-    config_fp: &str,
-    graph: &EventGraph,
-) -> (Option<DriftSlack>, bool) {
-    let key = CacheStore::artifact_key(trace_key, ArtifactKind::Slack, config_fp);
-    if let Some(bytes) = store.get(&key, ArtifactKind::Slack) {
-        if bytes.is_empty() {
-            return (None, true);
-        }
-        if let Some(s) = DriftSlack::from_bytes(&bytes) {
-            return (Some(s), true);
-        }
-    }
-    let slack = drift_slack(graph);
-    let payload = slack.as_ref().map(DriftSlack::to_bytes).unwrap_or_default();
-    let _ = store.put(&key, ArtifactKind::Slack, &payload);
-    (slack, false)
+    Ok((hb, false))
 }
 
 #[cfg(test)]
@@ -484,7 +463,7 @@ mod tests {
     #[test]
     fn corrupt_entry_degrades_to_miss() {
         let s = temp_store("corrupt");
-        s.put("k", ArtifactKind::Slack, b"0123456789").unwrap();
+        s.put("k", ArtifactKind::HbClocks, b"0123456789").unwrap();
         let p = s.root().join("k.mpgc");
         let mut bytes = fs::read(&p).unwrap();
         for i in 0..bytes.len() {
@@ -492,16 +471,16 @@ mod tests {
             bytes[i] ^= 0x08;
             fs::write(&p, &bytes).unwrap();
             assert!(
-                s.get("k", ArtifactKind::Slack).is_none(),
+                s.get("k", ArtifactKind::HbClocks).is_none(),
                 "flip at {i} served corrupt payload"
             );
             bytes[i] = orig;
         }
         // Truncations too.
         fs::write(&p, &bytes[..bytes.len() - 1]).unwrap();
-        assert!(s.get("k", ArtifactKind::Slack).is_none());
+        assert!(s.get("k", ArtifactKind::HbClocks).is_none());
         fs::write(&p, b"").unwrap();
-        assert!(s.get("k", ArtifactKind::Slack).is_none());
+        assert!(s.get("k", ArtifactKind::HbClocks).is_none());
         let _ = fs::remove_dir_all(s.root());
     }
 
@@ -646,15 +625,37 @@ mod tests {
         let key = CacheStore::artifact_key("t", ArtifactKind::HbClocks, "cfg");
         s.put(&key, ArtifactKind::HbClocks, &dense_layout_blob())
             .unwrap();
-        let (cold, hit) = cached_hb_index(&s, "t", "cfg", &graph);
+        let (cold, hit) = cached_hb_index(&s, "t", "cfg", &graph, None).unwrap();
         assert!(!hit);
         assert_eq!(
             s.get(&key, ArtifactKind::HbClocks),
             Some(HbIndex::build(&graph).to_bytes())
         );
-        let (warm, hit) = cached_hb_index(&s, "t", "cfg", &graph);
+        let (warm, hit) = cached_hb_index(&s, "t", "cfg", &graph, None).unwrap();
         assert!(hit);
         assert_eq!(warm.to_bytes(), cold.to_bytes());
+        let _ = fs::remove_dir_all(s.root());
+    }
+
+    /// An artifact file whose envelope names a kind that no longer exists
+    /// (tag 5, as older cache directories hold) is a miss under every
+    /// current kind, never a panic.
+    #[test]
+    fn retired_kind_tag_is_a_miss() {
+        let s = temp_store("retired");
+        s.put("k", ArtifactKind::Report, b"\x00ok\n").unwrap();
+        let p = s.root().join("k.mpgc");
+        let mut bytes = fs::read(&p).unwrap();
+        bytes[8] = 5;
+        fs::write(&p, &bytes).unwrap();
+        for kind in [
+            ArtifactKind::Report,
+            ArtifactKind::Arena,
+            ArtifactKind::HbClocks,
+        ] {
+            assert!(s.get("k", kind).is_none(), "{kind:?}");
+        }
+        assert!(s.get_report("k").is_none());
         let _ = fs::remove_dir_all(s.root());
     }
 

@@ -590,76 +590,6 @@ pub struct DriftSlack {
     pub slack: Vec<Option<Drift>>,
 }
 
-impl DriftSlack {
-    /// Serializes the table to a flat little-endian blob for cache
-    /// storage: the anchor's identity words, its drift, then one
-    /// `(present:u64, value:u64)` pair per edge. Integrity is the cache
-    /// envelope's job — this layer only guards structure.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(40 + self.slack.len() * 16);
-        out.extend_from_slice(&u64::from(self.anchor.rank).to_le_bytes());
-        out.extend_from_slice(&self.anchor.seq.to_le_bytes());
-        let flags = u64::from(self.anchor.point == Point::End) | (u64::from(self.anchor.hub) << 1);
-        out.extend_from_slice(&flags.to_le_bytes());
-        out.extend_from_slice(&self.anchor_drift.to_le_bytes());
-        out.extend_from_slice(&(self.slack.len() as u64).to_le_bytes());
-        for s in &self.slack {
-            out.extend_from_slice(&u64::from(s.is_some()).to_le_bytes());
-            out.extend_from_slice(&s.unwrap_or(0).to_le_bytes());
-        }
-        out
-    }
-
-    /// Rebuilds a table from [`DriftSlack::to_bytes`] output. `None` on
-    /// any structural inconsistency.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if !bytes.len().is_multiple_of(8) || bytes.len() < 40 {
-            return None;
-        }
-        let mut words = bytes.chunks_exact(8).map(|c| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(c);
-            u64::from_le_bytes(b)
-        });
-        let rank = u32::try_from(words.next()?).ok()?;
-        let seq = words.next()?;
-        let flags = words.next()?;
-        if flags > 3 {
-            return None;
-        }
-        let anchor = NodeId {
-            rank,
-            seq,
-            point: if flags & 1 != 0 {
-                Point::End
-            } else {
-                Point::Start
-            },
-            hub: flags & 2 != 0,
-        };
-        let anchor_drift = words.next()? as i64;
-        let n = usize::try_from(words.next()?).ok()?;
-        if bytes.len() != 40 + n.checked_mul(16)? {
-            return None;
-        }
-        let mut slack = Vec::with_capacity(n);
-        for _ in 0..n {
-            let present = words.next()?;
-            let value = words.next()? as i64;
-            slack.push(match present {
-                0 => None,
-                1 => Some(value),
-                _ => return None,
-            });
-        }
-        Some(DriftSlack {
-            anchor,
-            anchor_drift,
-            slack,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

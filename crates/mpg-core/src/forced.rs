@@ -5,9 +5,8 @@
 //! a *forced* resolution of one or more wildcard receives and observe
 //! what the program does. This module owns the data contract for that
 //! machinery — the [`MatchPlan`] naming which receives are forced onto
-//! which sources, the [`ForcedOutcome`] classification of a forced
-//! replay, and a stable serialization so explored-frontier checkpoints
-//! can round-trip through the artifact cache. The single execution path
+//! which sources and the [`ForcedOutcome`] classification of a forced
+//! replay. The single execution path
 //! that interprets a plan lives in `mpg-lint` (`forced_replay`), because
 //! the lockstep progress simulation needs the envelope matcher; every
 //! caller goes through it, so a witness printed by any pass can be
@@ -86,40 +85,6 @@ impl MatchPlan {
     pub fn is_empty(&self) -> bool {
         self.forced.is_empty()
     }
-
-    /// Stable byte serialization (little-endian), used by explored-
-    /// frontier checkpoints in the artifact cache.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + self.forced.len() * 20);
-        out.extend_from_slice(&(self.forced.len() as u32).to_le_bytes());
-        for f in &self.forced {
-            out.extend_from_slice(&f.recv.0.to_le_bytes());
-            out.extend_from_slice(&f.recv.1.to_le_bytes());
-            out.extend_from_slice(&f.source.to_le_bytes());
-        }
-        out
-    }
-
-    /// Decode a plan serialized by [`MatchPlan::to_bytes`], advancing
-    /// `pos`. Returns `None` on any truncation or malformation.
-    pub fn from_bytes(bytes: &[u8], pos: &mut usize) -> Option<MatchPlan> {
-        let n = read_u32(bytes, pos)? as usize;
-        // Each entry is 16 bytes (rank u32, seq u64, source u32).
-        if n > bytes.len().saturating_sub(*pos) / 16 {
-            return None;
-        }
-        let mut forced = Vec::with_capacity(n);
-        for _ in 0..n {
-            let rank = read_u32(bytes, pos)?;
-            let seq = read_u64(bytes, pos)?;
-            let source = read_u32(bytes, pos)?;
-            forced.push(ForcedMatch {
-                recv: (rank, seq),
-                source,
-            });
-        }
-        Some(MatchPlan { forced })
-    }
 }
 
 impl fmt::Display for MatchPlan {
@@ -163,23 +128,6 @@ impl ForcedOutcome {
     }
 }
 
-/// Reads a little-endian `u32` at `*pos`, advancing it; `None` on
-/// truncation. Shared by every hand-rolled artifact codec that embeds
-/// [`MatchPlan`]s.
-pub fn read_u32(bytes: &[u8], pos: &mut usize) -> Option<u32> {
-    let b = bytes.get(*pos..*pos + 4)?;
-    *pos += 4;
-    Some(u32::from_le_bytes(b.try_into().ok()?))
-}
-
-/// Reads a little-endian `u64` at `*pos`, advancing it; `None` on
-/// truncation.
-pub fn read_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-    let b = bytes.get(*pos..*pos + 8)?;
-    *pos += 8;
-    Some(u64::from_le_bytes(b.try_into().ok()?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,19 +148,6 @@ mod tests {
         let plan = MatchPlan::new().force((0, 8), 2).force((0, 8), 7);
         assert_eq!(plan.len(), 1);
         assert_eq!(plan.source_for((0, 8), 1), 2);
-    }
-
-    #[test]
-    fn bytes_roundtrip() {
-        let plan = MatchPlan::new().force((0, 8), 2).force((3, 1), 5);
-        let bytes = plan.to_bytes();
-        let mut pos = 0;
-        let back = MatchPlan::from_bytes(&bytes, &mut pos).unwrap();
-        assert_eq!(back, plan);
-        assert_eq!(pos, bytes.len());
-        // Truncation is a clean None, not a panic.
-        let mut pos = 0;
-        assert!(MatchPlan::from_bytes(&bytes[..bytes.len() - 1], &mut pos).is_none());
     }
 
     #[test]

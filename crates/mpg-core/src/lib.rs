@@ -82,8 +82,8 @@ pub mod timeline;
 
 pub use arena::{Csr, GraphArena, NodeDrifts, NodeIdx};
 pub use cache::{
-    cached_drift_slack, cached_hb_index, cached_recorded_graph, ArtifactKind, CacheEntry,
-    CacheStore, CachedReport, CACHE_SCHEMA,
+    cached_hb_index, cached_recorded_graph, ArtifactKind, CacheEntry, CacheStore, CachedReport,
+    CACHE_SCHEMA,
 };
 pub use cancel::{CancelReason, CancelToken, CHECK_INTERVAL};
 pub use critical::{critical_path, CriticalPath};

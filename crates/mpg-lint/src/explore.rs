@@ -99,7 +99,7 @@ impl ExploreOptions {
         self
     }
 
-    /// Configuration fingerprint for frontier-checkpoint cache keys:
+    /// Configuration fingerprint for `mpgtool explore`'s report cache key:
     /// exactly the knobs that change the explored set. The cancel token
     /// is deliberately excluded.
     pub fn fingerprint(&self) -> String {
@@ -724,17 +724,12 @@ pub struct ExploreOutcome {
     pub cancelled: Option<CancelReason>,
 }
 
-/// Runs the full lint with the explorer enabled at `opts`. With
-/// `opts.budget == 0` the diagnostics are exactly [`crate::lint_full`]'s
-/// (bit-identical; the explorer never runs).
-pub fn lint_explore(trace: &MemTrace, opts: &ExploreOptions) -> ExploreOutcome {
-    lint_explore_with(trace, opts, None)
-}
-
-/// [`lint_explore`] with the graph and happens-before artifacts memoized
-/// through a [`CacheStore`](mpg_core::CacheStore) (see
-/// [`LintContext::build_cached`]).
-pub fn lint_explore_with(
+/// Runs the full lint with the explorer enabled at `opts`, over a context
+/// built by [`LintContext::build_with`]: the graph and happens-before
+/// artifacts memoized through `cache`, the build cancellable through
+/// `opts.cancel`. With `opts.budget == 0` the diagnostics are exactly
+/// [`crate::lint_full`]'s (bit-identical; the explorer never runs).
+pub fn lint_explore(
     trace: &MemTrace,
     opts: &ExploreOptions,
     cache: Option<(&mpg_core::CacheStore, &str)>,
@@ -749,11 +744,7 @@ pub fn lint_explore_with(
             cancelled: None,
         };
     }
-    let (ctx, build_cancelled) = match (&opts.cancel, cache) {
-        (Some(token), _) => LintContext::build_cancellable(trace, token),
-        (None, Some((store, key))) => (LintContext::build_cached(trace, store, key), None),
-        (None, None) => (LintContext::build(trace), None),
-    };
+    let (ctx, build_cancelled) = LintContext::build_with(trace, cache, opts.cancel.as_ref());
     let report = explore(&ctx, opts);
     let mut diags = crate::lint_over_context(diags, ctx);
     diags.extend(report.diags());
@@ -765,137 +756,6 @@ pub fn lint_explore_with(
         stats: report.stats,
         cancelled,
     }
-}
-
-// ---- frontier checkpoints ---------------------------------------------
-
-/// Schema byte of the frontier-checkpoint payload; bump on layout change
-/// so stale checkpoints miss instead of misparsing.
-const FRONTIER_SCHEMA: u8 = 1;
-
-/// Serializes an explore outcome as an explored-frontier checkpoint for
-/// the artifact cache: the merged diagnostics, the coverage stats, and
-/// the trace dimensions a warm run needs to re-render byte-identically.
-/// Cancelled runs should not be checkpointed (partial coverage).
-pub fn encode_frontier(out: &ExploreOutcome, total_events: u64, num_ranks: u32) -> Vec<u8> {
-    let mut bytes = vec![FRONTIER_SCHEMA];
-    bytes.extend_from_slice(&total_events.to_le_bytes());
-    bytes.extend_from_slice(&num_ranks.to_le_bytes());
-    let s = &out.stats;
-    bytes.extend_from_slice(&s.explored.to_le_bytes());
-    bytes.extend_from_slice(&s.infeasible.to_le_bytes());
-    bytes.extend_from_slice(&s.pruned.to_le_bytes());
-    bytes.extend_from_slice(&s.frontier_unexplored.to_le_bytes());
-    bytes.extend_from_slice(&s.max_depth.to_le_bytes());
-    bytes.push(s.budget_exhausted as u8);
-    bytes.extend_from_slice(&(out.diags.len() as u32).to_le_bytes());
-    for d in &out.diags {
-        put_str(&mut bytes, d.rule.code());
-        bytes.push(match d.severity {
-            Severity::Info => 0,
-            Severity::Warning => 1,
-            Severity::Error => 2,
-        });
-        put_str(&mut bytes, &d.message);
-        bytes.extend_from_slice(&(d.ranks.len() as u32).to_le_bytes());
-        for &r in &d.ranks {
-            bytes.extend_from_slice(&r.to_le_bytes());
-        }
-        match d.span {
-            Some((rank, seq)) => {
-                bytes.push(1);
-                bytes.extend_from_slice(&rank.to_le_bytes());
-                bytes.extend_from_slice(&seq.to_le_bytes());
-            }
-            None => bytes.push(0),
-        }
-    }
-    bytes
-}
-
-/// Decodes a frontier checkpoint; `None` on any truncation, unknown
-/// schema, or unknown rule code (a silent cache miss, like every other
-/// artifact).
-pub fn decode_frontier(bytes: &[u8]) -> Option<(Vec<Diagnostic>, ExploreStats, u64, u32)> {
-    use mpg_core::forced::{read_u32, read_u64};
-    let mut pos = 0usize;
-    if *bytes.first()? != FRONTIER_SCHEMA {
-        return None;
-    }
-    pos += 1;
-    let total_events = read_u64(bytes, &mut pos)?;
-    let num_ranks = read_u32(bytes, &mut pos)?;
-    let mut stats = ExploreStats {
-        explored: read_u64(bytes, &mut pos)?,
-        infeasible: read_u64(bytes, &mut pos)?,
-        pruned: read_u64(bytes, &mut pos)?,
-        frontier_unexplored: read_u64(bytes, &mut pos)?,
-        max_depth: read_u64(bytes, &mut pos)?,
-        ..ExploreStats::default()
-    };
-    stats.budget_exhausted = match bytes.get(pos)? {
-        0 => false,
-        1 => true,
-        _ => return None,
-    };
-    pos += 1;
-    let n = read_u32(bytes, &mut pos)? as usize;
-    let mut diags = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let rule = Rule::from_code(&get_str(bytes, &mut pos)?)?;
-        let severity = match bytes.get(pos)? {
-            0 => Severity::Info,
-            1 => Severity::Warning,
-            2 => Severity::Error,
-            _ => return None,
-        };
-        pos += 1;
-        let message = get_str(bytes, &mut pos)?;
-        let nranks = read_u32(bytes, &mut pos)? as usize;
-        if nranks > bytes.len().saturating_sub(pos) / 4 {
-            return None;
-        }
-        let mut ranks = Vec::with_capacity(nranks);
-        for _ in 0..nranks {
-            ranks.push(read_u32(bytes, &mut pos)?);
-        }
-        let span = match bytes.get(pos)? {
-            0 => {
-                pos += 1;
-                None
-            }
-            1 => {
-                pos += 1;
-                let rank = read_u32(bytes, &mut pos)?;
-                let seq = read_u64(bytes, &mut pos)?;
-                Some((rank, seq))
-            }
-            _ => return None,
-        };
-        diags.push(Diagnostic {
-            rule,
-            severity,
-            message,
-            ranks,
-            span,
-        });
-    }
-    if pos != bytes.len() {
-        return None;
-    }
-    Some((diags, stats, total_events, num_ranks))
-}
-
-fn put_str(bytes: &mut Vec<u8>, s: &str) {
-    bytes.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(s.as_bytes());
-}
-
-fn get_str(bytes: &[u8], pos: &mut usize) -> Option<String> {
-    let len = mpg_core::forced::read_u32(bytes, pos)? as usize;
-    let b = bytes.get(*pos..pos.checked_add(len)?)?;
-    *pos += len;
-    String::from_utf8(b.to_vec()).ok()
 }
 
 /// JSON body shared by `mpgtool explore --json` and any future service
@@ -1072,39 +932,6 @@ mod tests {
         let (ids, depth) = frontier.pop().unwrap();
         assert_eq!((ids.len(), depth), (3, 2));
         assert!(frontier.pop().is_none());
-    }
-
-    #[test]
-    fn frontier_roundtrip() {
-        let out = ExploreOutcome {
-            diags: vec![
-                Diagnostic::new(Rule::MayDeadlock, "cycle under [rank 0 seq 1 <- rank 2]")
-                    .at(0, 1)
-                    .involving([0, 1]),
-                Diagnostic::new(Rule::WildRace, "advisory"),
-            ],
-            findings: Vec::new(),
-            stats: ExploreStats {
-                explored: 9,
-                infeasible: 1,
-                pruned: 4,
-                frontier_unexplored: 2,
-                max_depth: 3,
-                budget_exhausted: true,
-                cancelled: None,
-            },
-            cancelled: None,
-        };
-        let bytes = encode_frontier(&out, 120, 8);
-        let (diags, stats, events, ranks) = decode_frontier(&bytes).unwrap();
-        assert_eq!(diags, out.diags);
-        assert_eq!(stats, out.stats);
-        assert_eq!((events, ranks), (120, 8));
-        // Any corruption or truncation is a clean miss.
-        assert!(decode_frontier(&bytes[..bytes.len() - 1]).is_none());
-        let mut bad = bytes.clone();
-        bad[0] = 99;
-        assert!(decode_frontier(&bad).is_none());
     }
 
     #[test]

@@ -64,9 +64,8 @@ pub mod sync;
 pub mod waitstate;
 
 pub use explore::{
-    decode_frontier, encode_frontier, explore, explore_json, lint_explore, lint_explore_with,
-    matching_makespan, ExploreFinding, ExploreFindingKind, ExploreOptions, ExploreOutcome,
-    ExploreReport, ExploreStats,
+    explore, explore_json, lint_explore, matching_makespan, ExploreFinding, ExploreFindingKind,
+    ExploreOptions, ExploreOutcome, ExploreReport, ExploreStats,
 };
 pub use graphcheck::lint_graph;
 pub use hb_races::{
@@ -90,7 +89,8 @@ use mpg_core::{
 use mpg_trace::{sort_diagnostics, Diagnostic, MemTrace, Rule, Severity};
 
 /// The quiet recording-replay configuration behind every lint context —
-/// one definition so the cold and cached builds can never diverge.
+/// one definition, so the report keys ([`ruleset_fingerprint`]) and the
+/// artifact keys of [`LintContext::build_with`] name what the build runs.
 ///
 /// `ack_arm(false)`: model standard sends as eager. The default
 /// acknowledgement arm would order every send after its matching receive —
@@ -172,93 +172,66 @@ impl<'t> LintContext<'t> {
     /// recording replay run concurrently (they are independent), then the
     /// happens-before index is derived from the graph.
     pub fn build(trace: &'t MemTrace) -> Self {
-        let (progress, replayed) = std::thread::scope(|scope| {
-            let graph_thread = scope.spawn(|| Replayer::new(lint_replay_config()).run(trace));
-            let progress = run_progress(trace, &MatchPolicy::Recorded);
-            (progress, graph_thread.join().expect("replay panicked"))
-        });
-        let (graph, graph_error) = match replayed {
-            Ok(report) => (report.graph, None),
-            Err(e) => (None, Some(e.to_string())),
-        };
-        let hb = graph.as_ref().map(HbIndex::build);
-        LintContext {
-            trace,
-            progress,
-            graph,
-            graph_error,
-            hb,
-        }
+        Self::build_with(trace, None, None).0
     }
 
-    /// Like [`LintContext::build`], but with the expensive artifacts
-    /// memoized through a [`CacheStore`]: the recorded graph loads from
-    /// its MPGA artifact when cached (skipping the recording replay) and
-    /// the happens-before index from its clock blob (skipping the clock
-    /// propagation). `trace_key` must be the trace's content-fingerprint
-    /// key. Artifacts produced cold are published for the next run.
-    /// Output is identical to the cold build by construction — the cache
-    /// stores exactly what the cold path computes.
-    pub fn build_cached(trace: &'t MemTrace, store: &CacheStore, trace_key: &str) -> Self {
-        let cfg = lint_replay_config();
-        let (progress, replayed) = std::thread::scope(|scope| {
-            let graph_thread =
-                scope.spawn(|| cached_recorded_graph(store, trace_key, trace, cfg.clone()));
-            let progress = run_progress(trace, &MatchPolicy::Recorded);
-            (progress, graph_thread.join().expect("replay panicked"))
-        });
-        let (graph, graph_error) = match replayed {
-            Ok((graph, _hit)) => (Some(graph), None),
-            Err(e) => (None, Some(e.to_string())),
-        };
-        let hb = graph
-            .as_ref()
-            .map(|g| cached_hb_index(store, trace_key, &cfg.fingerprint(), g).0);
-        LintContext {
-            trace,
-            progress,
-            graph,
-            graph_error,
-            hb,
-        }
-    }
-
-    /// Like [`LintContext::build`], but cooperatively cancellable: the
-    /// token is installed into the recording replay (checked every
+    /// [`LintContext::build`] with the recorded graph and the
+    /// happens-before index memoized through `cache`, and the build
+    /// cancellable through `cancel`.
+    ///
+    /// `cache` is a store and the trace's content-fingerprint key: the
+    /// graph loads from its MPGA artifact when cached (skipping the
+    /// recording replay) and the index from its clock blob (skipping the
+    /// clock propagation); what a cold build makes is published for the
+    /// next run. The cache stores exactly what the cold path computes, so
+    /// the context is the same either way.
+    ///
+    /// `cancel` is installed into the recording replay (checked every
     /// [`CHECK_INTERVAL`](mpg_core::CHECK_INTERVAL) events) and into the
-    /// happens-before construction. When the token fires mid-build the
-    /// partial graph is *discarded* — a half-stitched graph would make the
-    /// graph-backed passes report phantom defects — and the context
-    /// degrades to the salvage shape (progress artifacts only), exactly as
-    /// if the graph could not be built. The second return value reports
-    /// whether (and why) the build was cut short.
-    pub fn build_cancellable(
+    /// happens-before construction. When it fires mid-build the partial
+    /// graph is *discarded* — a half-stitched graph would make the
+    /// graph-backed passes report phantom defects — nothing is published,
+    /// and the context degrades to the salvage shape (progress artifacts
+    /// only), exactly as if the graph could not be built. The second
+    /// return value reports whether (and why) the build was cut short.
+    pub fn build_with(
         trace: &'t MemTrace,
-        cancel: &CancelToken,
+        cache: Option<(&CacheStore, &str)>,
+        cancel: Option<&CancelToken>,
     ) -> (Self, Option<CancelReason>) {
-        let cfg = lint_replay_config().cancel_token(cancel.clone());
+        let mut cfg = lint_replay_config();
+        if let Some(token) = cancel {
+            cfg = cfg.cancel_token(token.clone());
+        }
         let (progress, replayed) = std::thread::scope(|scope| {
-            let graph_thread = scope.spawn(|| Replayer::new(cfg).run(trace));
+            let graph_thread = scope.spawn(|| match cache {
+                Some((store, trace_key)) => {
+                    cached_recorded_graph(store, trace_key, trace, cfg.clone())
+                        .map(|(graph, _hit, cancelled)| (Some(graph), cancelled))
+                }
+                None => Replayer::new(cfg.clone())
+                    .run(trace)
+                    .map(|report| (report.graph, report.cancelled)),
+            });
             let progress = run_progress(trace, &MatchPolicy::Recorded);
             (progress, graph_thread.join().expect("replay panicked"))
         });
         let (graph, graph_error, mut cancelled) = match replayed {
-            Ok(report) => match report.cancelled {
-                Some(reason) => (None, None, Some(reason)),
-                None => (report.graph, None, None),
-            },
+            Ok((_, Some(reason))) => (None, None, Some(reason)),
+            Ok((graph, None)) => (graph, None, None),
             Err(e) => (None, Some(e.to_string()), None),
         };
-        let hb = match (&graph, cancelled) {
-            (Some(g), None) => match HbIndex::build_cancellable(g, cancel) {
-                Ok(hb) => Some(hb),
-                Err(reason) => {
-                    cancelled = Some(reason);
-                    None
+        let hb = graph.as_ref().and_then(|g| {
+            let built = match (cache, cancel) {
+                (Some((store, trace_key)), _) => {
+                    cached_hb_index(store, trace_key, &cfg.fingerprint(), g, cancel)
+                        .map(|(hb, _hit)| hb)
                 }
-            },
-            _ => None,
-        };
+                (None, Some(token)) => HbIndex::build_cancellable(g, token),
+                (None, None) => Ok(HbIndex::build(g)),
+            };
+            built.map_err(|reason| cancelled = Some(reason)).ok()
+        });
         // A fired token invalidates the graph for pass scheduling too.
         let graph = if cancelled.is_some() { None } else { graph };
         (
@@ -370,18 +343,10 @@ pub const PASSES: &[LintPass] = &[
 /// replayer still rejects the trace, that *is* reported as `MPG-CYCLE`.
 /// Passes with satisfied needs run in parallel over the immutable context.
 pub fn lint_full(trace: &MemTrace) -> Vec<Diagnostic> {
-    lint_full_impl(trace, None)
+    lint_full_with(trace, None, None).diags
 }
 
-/// [`lint_full`] with the graph and happens-before artifacts memoized
-/// through a [`CacheStore`] (see [`LintContext::build_cached`]).
-/// Diagnostics are identical to the cold path; only the artifact
-/// construction is skipped on a warm cache.
-pub fn lint_full_cached(trace: &MemTrace, store: &CacheStore, trace_key: &str) -> Vec<Diagnostic> {
-    lint_full_impl(trace, Some((store, trace_key)))
-}
-
-/// Result of a cancellable full lint ([`lint_full_cancellable`]).
+/// Result of a full lint ([`lint_full_with`]).
 ///
 /// `cancelled: Some(_)` means the run was cut short: `diags` still carries
 /// everything computed before the cut — validation plus, when the progress
@@ -397,11 +362,17 @@ pub struct LintOutcome {
     pub cancelled: Option<CancelReason>,
 }
 
-/// [`lint_full`] under a [`CancelToken`]: deadline- and cancel-aware for
-/// supervised (service) runs. A fired token degrades the output to the
-/// salvage path — validation and progress findings only — rather than
-/// erroring; see [`LintOutcome`].
-pub fn lint_full_cancellable(trace: &MemTrace, cancel: &CancelToken) -> LintOutcome {
+/// [`lint_full`] over [`LintContext::build_with`]: the graph and
+/// happens-before artifacts memoized through `cache`, the run deadline-
+/// and cancel-aware through `cancel`. Diagnostics are identical to the
+/// cold path; a warm cache only skips the artifact construction. A fired
+/// token degrades the output to the salvage path — validation and
+/// progress findings only — rather than erroring; see [`LintOutcome`].
+pub fn lint_full_with(
+    trace: &MemTrace,
+    cache: Option<(&CacheStore, &str)>,
+    cancel: Option<&CancelToken>,
+) -> LintOutcome {
     let mut diags = mpg_trace::validate_trace_diagnostics(trace);
     if diags.iter().any(|d| d.severity == Severity::Error) {
         sort_diagnostics(&mut diags);
@@ -410,27 +381,15 @@ pub fn lint_full_cancellable(trace: &MemTrace, cancel: &CancelToken) -> LintOutc
             cancelled: None,
         };
     }
-    let (ctx, cancelled) = LintContext::build_cancellable(trace, cancel);
+    let (ctx, cancelled) = LintContext::build_with(trace, cache, cancel);
     let diags = lint_over_context(diags, ctx);
     LintOutcome { diags, cancelled }
 }
 
-fn lint_full_impl(trace: &MemTrace, cache: Option<(&CacheStore, &str)>) -> Vec<Diagnostic> {
-    let mut diags = mpg_trace::validate_trace_diagnostics(trace);
-    if diags.iter().any(|d| d.severity == Severity::Error) {
-        sort_diagnostics(&mut diags);
-        return diags;
-    }
-    let ctx = match cache {
-        Some((store, trace_key)) => LintContext::build_cached(trace, store, trace_key),
-        None => LintContext::build(trace),
-    };
-    lint_over_context(diags, ctx)
-}
-
-/// Shared back half of [`lint_full_impl`] and [`lint_full_cancellable`]:
-/// progress-error short-circuit, graph-stitch reporting, then the parallel
-/// pass schedule over whatever artifacts the context has.
+/// Shared back half of [`lint_full_with`] and
+/// [`lint_explore`](explore::lint_explore): progress-error short-circuit,
+/// graph-stitch reporting, then the parallel pass schedule over whatever
+/// artifacts the context has.
 fn lint_over_context(mut diags: Vec<Diagnostic>, ctx: LintContext<'_>) -> Vec<Diagnostic> {
     let progress_errors = ctx
         .progress
@@ -582,10 +541,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = CacheStore::open(&dir).unwrap();
         let cold = lint_full(&mt);
-        let miss = lint_full_cached(&mt, &store, "unit-key");
-        let hit = lint_full_cached(&mt, &store, "unit-key");
-        assert_eq!(cold, miss);
-        assert_eq!(cold, hit);
+        let miss = lint_full_with(&mt, Some((&store, "unit-key")), None);
+        let hit = lint_full_with(&mt, Some((&store, "unit-key")), None);
+        assert_eq!(cold, miss.diags);
+        assert_eq!(cold, hit.diags);
         assert!(
             !store.ls().is_empty(),
             "cached lint should publish artifacts"
@@ -602,16 +561,63 @@ mod tests {
         ]);
         // Live token: identical to the plain full lint.
         let live = CancelToken::new();
-        let out = lint_full_cancellable(&mt, &live);
+        let out = lint_full_with(&mt, None, Some(&live));
         assert!(out.cancelled.is_none());
         assert_eq!(out.diags, lint_full(&mt));
         // Pre-fired token: degrades to the salvage shape (progress-only),
         // reports the cut, and never invents diagnostics.
         let fired = CancelToken::new();
         fired.cancel();
-        let out = lint_full_cancellable(&mt, &fired);
+        let out = lint_full_with(&mt, None, Some(&fired));
         assert_eq!(out.cancelled, Some(CancelReason::Cancelled));
         assert_eq!(out.diags, lint_trace(&mt));
+    }
+
+    /// A token fired at any poll of a cached build — in the recording
+    /// replay or in the clock propagation — leaves nothing partial in the
+    /// store: a recording cut short publishes nothing at all, and whatever
+    /// a later cut leaves is byte for byte what an uncut build publishes.
+    #[test]
+    fn cancelled_build_publishes_nothing_partial() {
+        let trace = hb_races::master_worker_trace();
+        let published = |tag: &str, cancel: Option<&CancelToken>| {
+            let dir =
+                std::env::temp_dir().join(format!("mpg-lint-cancel-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = CacheStore::open(&dir).unwrap();
+            let (ctx, cancelled) = LintContext::build_with(&trace, Some((&store, "k")), cancel);
+            assert_eq!(cancelled.is_some(), ctx.graph.is_none() && ctx.hb.is_none());
+            let files: Vec<(String, Vec<u8>)> = store
+                .ls()
+                .into_iter()
+                .map(|e| {
+                    let bytes = std::fs::read(dir.join(format!("{}.mpgc", e.key))).unwrap();
+                    (e.key, bytes)
+                })
+                .collect();
+            let _ = std::fs::remove_dir_all(&dir);
+            (files, cancelled)
+        };
+        let (whole, _) = published("whole", None);
+        assert_eq!(whole.len(), 2, "the arena and the clocks");
+        for checks in 0.. {
+            let token = CancelToken::new();
+            token.fire_after_checks(checks);
+            let (files, cancelled) = published(&format!("cut-{checks}"), Some(&token));
+            if cancelled.is_none() {
+                assert_eq!(files, whole);
+                assert!(checks > 1, "the token never fired mid-build");
+                break;
+            }
+            if checks == 0 {
+                assert!(files.is_empty(), "a cut recording was published");
+            }
+            assert!(files.len() < whole.len(), "cut at poll {checks}");
+            assert!(
+                files.iter().all(|f| whole.contains(f)),
+                "cut at poll {checks}"
+            );
+        }
     }
 
     #[test]

@@ -128,7 +128,7 @@ fn planted_may_deadlock_is_found_and_replayable() {
         seed: 0,
         cancel: None,
     };
-    let out = lint_explore(&t, &opts);
+    let out = lint_explore(&t, &opts, None);
     let finding = out
         .findings
         .iter()
@@ -182,7 +182,7 @@ fn schedule_divergence_is_quantified() {
         seed: 0,
         cancel: None,
     };
-    let out = lint_explore(&t, &opts);
+    let out = lint_explore(&t, &opts, None);
     let finding = out
         .findings
         .iter()
@@ -216,7 +216,7 @@ fn exhausted_budget_is_reported_honestly() {
         seed: 0,
         cancel: None,
     };
-    let out = lint_explore(&t, &opts);
+    let out = lint_explore(&t, &opts, None);
     assert_eq!(out.stats.explored, 1);
     assert!(out.stats.budget_exhausted);
     assert!(out.stats.frontier_unexplored > 0);
@@ -230,7 +230,7 @@ fn exhausted_budget_is_reported_honestly() {
 #[test]
 fn budget_zero_is_bit_identical_to_lint_full() {
     for t in [may_deadlock_trace(), divergence_trace()] {
-        let out = lint_explore(&t, &ExploreOptions::default());
+        let out = lint_explore(&t, &ExploreOptions::default(), None);
         assert_eq!(out.diags, lint_full(&t));
         assert!(out.findings.is_empty());
         assert_eq!(out.stats.explored, 0);
@@ -253,7 +253,7 @@ fn seed_rotates_exploration_order_deterministically() {
             seed,
             cancel: None,
         };
-        lint_explore(&t, &opts)
+        lint_explore(&t, &opts, None)
     };
     let (a, b) = (run(0), run(0));
     assert_eq!(a.diags, b.diags, "same seed, same everything");

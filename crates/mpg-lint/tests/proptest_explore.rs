@@ -41,7 +41,7 @@ proptest! {
             seed: explore_seed,
             cancel: None,
         };
-        let out = lint_explore(&trace, &opts);
+        let out = lint_explore(&trace, &opts, None);
         prop_assert!(out.stats.explored <= opts.budget);
         if !out.stats.budget_exhausted && out.stats.cancelled.is_none() {
             prop_assert_eq!(out.stats.frontier_unexplored, 0,
@@ -77,7 +77,7 @@ proptest! {
         rounds in prop::collection::vec(round_strategy(true), 1..5),
     ) {
         let trace = trace_of(p, sim_seed, &rounds);
-        let out = lint_explore(&trace, &ExploreOptions::default());
+        let out = lint_explore(&trace, &ExploreOptions::default(), None);
         prop_assert_eq!(out.diags, lint_full(&trace));
         prop_assert!(out.findings.is_empty());
         prop_assert_eq!(out.stats, mpg_lint::ExploreStats::default());

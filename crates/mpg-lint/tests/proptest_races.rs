@@ -69,7 +69,7 @@ fn plans_for(trace: &MemTrace, ctx: &LintContext<'_>) -> Vec<MatchPlan> {
         ..ExploreOptions::cli_default()
     };
     plans.extend(
-        lint_explore(trace, &opts)
+        lint_explore(trace, &opts, None)
             .findings
             .into_iter()
             .map(|f| f.plan),

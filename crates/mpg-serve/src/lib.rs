@@ -48,6 +48,9 @@ pub mod runtime;
 pub use chaos::{ChaosOp, ChaosPlan, CHAOS_OPS};
 pub use job::{JobId, JobKind, JobSpec, JobState, JobStatus, ServeError};
 pub use proto::serve_script;
-pub use render::{render_explore_report, render_lint_report, render_replay_report, replay_config};
+pub use render::{
+    render_explore_report, render_lint_report, render_replay_report, replay_config,
+    replay_report_key,
+};
 pub use retry::RetryPolicy;
 pub use runtime::{JobRuntime, RuntimeConfig, RuntimeStats};

@@ -6,7 +6,7 @@
 
 use std::fmt::Write as _;
 
-use mpg_core::{PerturbationModel, ReplayConfig, ReplayReport};
+use mpg_core::{ArtifactKind, CacheStore, PerturbationModel, ReplayConfig, ReplayReport};
 use mpg_trace::{Diagnostic, Severity};
 
 /// The `mpgtool replay` perturbation model and config for the given knobs
@@ -23,6 +23,31 @@ pub fn replay_config(os_mean: f64, latency: f64, per_byte: f64, seed: u64) -> Re
     model.per_byte = per_byte;
     model.name = format!("os={os_mean} latency={latency} per_byte={per_byte}");
     ReplayConfig::new(model).seed(seed)
+}
+
+/// The report-cache key of `mpgtool replay` with the knobs
+/// `(os_mean, latency, per_byte, seed)` — what [`replay_config`] built
+/// `cfg` from — on the trace whose content key is `trace_key`. `shards`,
+/// `ooc` and `lint` are the replay's `--shards N`, `--ooc` and `--lint`
+/// (a service job replays as `1, false, false`). One definition, so a CLI
+/// replay and a service replay job warm each other's reports.
+pub fn replay_report_key(
+    trace_key: &str,
+    (os_mean, latency, per_byte, seed): (f64, f64, f64, u64),
+    shards: usize,
+    ooc: bool,
+    lint: bool,
+    cfg: &ReplayConfig,
+) -> String {
+    CacheStore::artifact_key(
+        trace_key,
+        ArtifactKind::Report,
+        &format!(
+            "cmd=replay;os={os_mean};latency={latency};per_byte={per_byte};seed={seed};\
+             shards={shards};ooc={ooc};lint={lint};{}",
+            cfg.fingerprint()
+        ),
+    )
 }
 
 /// Renders a replay report exactly as `mpgtool replay` prints it: model
@@ -153,9 +178,9 @@ fn lint_summary(
 /// Renders a schedule-exploration report exactly as `mpgtool explore`
 /// prints it (the non-JSON branch): the merged lint + explore
 /// diagnostics, one coverage line — always present, so a truncated walk
-/// is never silent — then the lint summary. Shared by the solo CLI, the
-/// frontier-checkpoint warm path, and `submit explore` service jobs;
-/// byte-identity across the three is a test invariant.
+/// is never silent — then the lint summary. Shared by the solo CLI and
+/// `submit explore` service jobs; byte-identity across the two is a test
+/// invariant.
 pub fn render_explore_report(
     diags: &[Diagnostic],
     stats: &mpg_lint::ExploreStats,

@@ -23,7 +23,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mpg_core::{ArtifactKind, CacheStore, CancelToken, ReplayError, Replayer};
+use mpg_core::{CacheStore, CancelToken, ReplayError, Replayer};
 use mpg_trace::{MemTrace, TraceError};
 
 use crate::chaos::{ChaosOp, ChaosPlan};
@@ -647,17 +647,18 @@ fn run_replay(
     (os_mean, latency, per_byte, seed): (f64, f64, f64, u64),
 ) -> Result<Outcome, RunFailure> {
     let cfg = render::replay_config(os_mean, latency, per_byte, seed);
-    // Warm path: same key scheme as `mpgtool replay --cache`, so service
-    // and CLI share artifacts. Any cache anomaly is a silent miss.
+    // Warm path: the key of `mpgtool replay --cache` with the same knobs,
+    // so service and CLI share reports. Any cache anomaly is a silent miss.
     let key = trace_key(dir);
     let report_key = shared.cache.as_ref().and_then(|_| {
-        Some(CacheStore::artifact_key(
+        let knobs = (os_mean, latency, per_byte, seed);
+        Some(render::replay_report_key(
             key.as_deref()?,
-            ArtifactKind::Report,
-            &format!(
-                "cmd=replay;os={os_mean};latency={latency};per_byte={per_byte};seed={seed};shards=1;ooc=false;lint=false;{}",
-                cfg.fingerprint()
-            ),
+            knobs,
+            1,
+            false,
+            false,
+            &cfg,
         ))
     });
     if let (Some(store), Some(key)) = (&shared.cache, &report_key) {
@@ -717,7 +718,7 @@ fn run_replay(
 
 fn run_lint(shared: &Shared, token: &CancelToken, dir: &Path) -> Result<Outcome, RunFailure> {
     let trace = open_trace(shared, dir, trace_key(dir))?;
-    let out = mpg_lint::lint_full_cancellable(&trace, token);
+    let out = mpg_lint::lint_full_with(&trace, None, Some(token));
     let output =
         render::render_lint_report(&out.diags, false, trace.total_events(), trace.num_ranks());
     Ok(Outcome {
@@ -741,7 +742,7 @@ fn run_explore(
         cancel: Some(token.clone()),
         ..mpg_lint::ExploreOptions::cli_default().budget(budget)
     };
-    let out = mpg_lint::lint_explore(&trace, &opts);
+    let out = mpg_lint::lint_explore(&trace, &opts, None);
     let output = render::render_explore_report(
         &out.diags,
         &out.stats,

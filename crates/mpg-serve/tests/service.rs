@@ -113,7 +113,7 @@ fn solo_explore(dir: &Path, budget: u64, seed: u64) -> String {
         seed,
         ..mpg_lint::ExploreOptions::cli_default().budget(budget)
     };
-    let mut out = mpg_lint::lint_explore(&trace, &opts);
+    let mut out = mpg_lint::lint_explore(&trace, &opts, None);
     mpg_trace::sort_diagnostics(&mut out.diags);
     render_explore_report(
         &out.diags,
