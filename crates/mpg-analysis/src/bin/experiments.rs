@@ -7,6 +7,8 @@
 //! With no ids, runs all thirteen experiments in paper order and prints
 //! their tables. `--quick` shrinks problem sizes (CI mode).
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use mpg_analysis::experiments::{all_experiments, by_id};

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Experiment harness: reproduces every figure and table of the paper.
 //!

@@ -8,8 +8,10 @@
 //!
 //! - the lane-batched sweep against one scalar traversal per config, both
 //!   on one thread;
-//! - the out-of-core replay of the pinned 10⁷-event trace at 1 shard
-//!   against several, and its peak-RSS growth against the trace size;
+//! - a strict frame-cursor drain of the pinned 10⁷-event trace against a
+//!   bare decode of the same frame payloads;
+//! - the out-of-core replay of that trace at 1 shard against several, and
+//!   its peak-RSS growth against the trace size;
 //! - a warm cached analyze of that trace against a cold one.
 //!
 //! [`PerfSnapshot::to_json`] records the 10⁷-event figures that the
@@ -27,7 +29,8 @@ use mpg_core::{
 };
 use mpg_noise::{Dist, PlatformSignature};
 use mpg_sim::Simulation;
-use mpg_trace::{FileTraceSet, MemTrace, OocTraceSet};
+use mpg_trace::codec::{get_varint, Decoder};
+use mpg_trace::{FileTraceSet, MemTrace, OocTraceSet, TraceError};
 
 /// Lane-batched over scalar configs/sec on the pinned sweep. Both sides run
 /// every traversal on the calling thread, so the ratio is traversal sharing
@@ -60,6 +63,16 @@ pub const SHARD_MIN_CPUS: u32 = 2;
 /// [`measure_cache`] already fails when the warm run misses the report,
 /// and a hit that still costs a third of the cold analyze is no cache.
 pub const WARM_SPEEDUP_FLOOR: f64 = 3.0;
+
+/// Strict cursor drain over bare decode of the pinned trace's frames: the
+/// price of every check the cursor makes (frame CRC, whole-file CRC,
+/// sequence contiguity, footer counts) on top of decoding. Measured 1.7–2.1×
+/// with the slicing-by-8 kernel run once per payload byte and the whole-file
+/// CRC combined from the frame CRCs; a bytewise kernel run twice per byte
+/// reads 2.85–3.8×. Either restored alone reads 2.2–2.5× (bytewise, once) or
+/// 1.9–2.2× (slicing-by-8, twice): inside the ratio's run-to-run movement,
+/// so the ceiling does not separate them from the one fast pass.
+pub const INGEST_OVER_DECODE_CEILING: f64 = 2.5;
 
 /// The perturbation model of every out-of-core replay measurement.
 fn perf_model() -> PerturbationModel {
@@ -321,6 +334,110 @@ pub fn measure_ooc(spec: &OocSpec, reps: u32) -> Result<OocPerf, String> {
     })
 }
 
+/// Strict-ingest measurement (the `"ingest"` section of
+/// `BENCH_replay.json`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct IngestPerf {
+    /// Workload name ([`OocSpec::name`]).
+    pub name: String,
+    /// Records decoded per pass.
+    pub events: u64,
+    /// On-disk trace size (MiB).
+    pub trace_mib: f64,
+    /// Wall of draining every rank's strict `FrameCursor` (sum over ranks
+    /// of the best rep).
+    pub cursor_secs: f64,
+    /// Wall of a bare `Decoder` pass over the same frame payloads, summed
+    /// likewise: no CRC, no sequence or footer check.
+    pub decode_secs: f64,
+    /// Resident growth across `OocTraceSet::open` (MiB), ungated. The
+    /// frame scan touches every page header, and fault-around maps the
+    /// pages around each one, so on small rank files this is close to the
+    /// whole trace — resident before any cursor runs, and so already
+    /// inside the baseline the out-of-core RSS gate measures from.
+    pub open_rss_growth_mib: f64,
+}
+
+impl IngestPerf {
+    /// Cursor drain over bare decode.
+    pub fn cursor_over_decode(&self) -> f64 {
+        if self.decode_secs > 0.0 {
+            self.cursor_secs / self.decode_secs
+        } else {
+            0.0
+        }
+    }
+}
+
+/// Measures strict ingest of the pinned trace: each rank file drained
+/// through its [`FrameCursor`](mpg_trace::FrameCursor) and decoded bare,
+/// `reps` times each, on the calling thread. The two sides alternate rank
+/// by rank, which side goes first alternating too, so both see the same
+/// host speed and the same cache state; each side's wall is the sum over
+/// ranks of its best rep. Fails if the sides disagree on a record count.
+pub fn measure_ingest(spec: &OocSpec, reps: u32) -> Result<IngestPerf, String> {
+    let dir = ensure_ooc_trace(spec)?;
+    let before = resident_mib();
+    let set = OocTraceSet::open(&dir).map_err(|e| format!("opening ingest bench trace: {e}"))?;
+    let open_rss_growth_mib = match (before, resident_mib()) {
+        (Some(b), Some(a)) => (a - b).max(0.0),
+        _ => 0.0,
+    };
+    let drain = |r: usize| -> Result<u64, TraceError> {
+        let mut events = 0;
+        for rec in set.cursor(r) {
+            std::hint::black_box(rec?);
+            events += 1;
+        }
+        Ok(events)
+    };
+    let decode = |r: usize| -> Result<u64, TraceError> {
+        let bytes = set.rank_bytes(r);
+        let mut decoder = Decoder::new(r as u32);
+        let mut events = 0;
+        for f in set.frame_index(r).frames() {
+            let mut body = &bytes[f.payload_off..f.payload_off + f.payload_len];
+            decoder.reset_frame(get_varint(&mut body)?);
+            while let Some(rec) = decoder.decode(&mut body)? {
+                std::hint::black_box(rec);
+                events += 1;
+            }
+        }
+        Ok(events)
+    };
+    let (mut events, mut cursor_secs, mut decode_secs) = (0, 0.0, 0.0);
+    for r in 0..set.num_ranks() {
+        let mut best = [f64::INFINITY; 2];
+        let mut counts = [0; 2];
+        for rep in 0..reps.max(1) as usize {
+            for side in [(r + rep) % 2, (r + rep + 1) % 2] {
+                let t = Instant::now();
+                let n = if side == 0 { drain(r) } else { decode(r) }
+                    .map_err(|e| format!("rank {r}: {e}"))?;
+                best[side] = best[side].min(t.elapsed().as_secs_f64());
+                counts[side] = n;
+            }
+        }
+        if counts[0] != counts[1] {
+            return Err(format!(
+                "rank {r}: cursor drained {} records, bare decode {}",
+                counts[0], counts[1]
+            ));
+        }
+        events += counts[0];
+        cursor_secs += best[0];
+        decode_secs += best[1];
+    }
+    Ok(IngestPerf {
+        name: spec.name.to_string(),
+        events,
+        trace_mib: set.total_bytes() as f64 / (1024.0 * 1024.0),
+        cursor_secs,
+        decode_secs,
+        open_rss_growth_mib,
+    })
+}
+
 /// Cold-vs-warm artifact-cache measurement (the `"cache"` section of
 /// `BENCH_replay.json`).
 #[derive(Debug, Clone, PartialEq)]
@@ -429,6 +546,9 @@ pub fn measure_cache(spec: &OocSpec) -> Result<CachePerf, String> {
 pub struct PerfSnapshot {
     /// The multi-config sweep measurement (lane-batched vs scalar).
     pub sweep: SweepPerf,
+    /// The strict-ingest measurement (cursor drain vs bare decode of the
+    /// pinned 10⁷-event trace).
+    pub ingest: IngestPerf,
     /// The out-of-core replay measurement (mmap-backed windowed +
     /// partition-parallel path over the pinned 10⁷-event trace).
     pub ooc: OocPerf,
@@ -502,15 +622,21 @@ pub fn measure_sweep(reps: u32) -> SweepPerf {
 }
 
 /// Takes every section of the snapshot: the sweep at `reps` rounds, the
-/// out-of-core replay of the pinned 10⁷-event trace at `reps` capped to 3
-/// (each rep replays ~10⁷ events twice, so the gate stays minutes-scale),
-/// and one cold and one warm analyze of that trace.
+/// ingest and out-of-core replay of the pinned 10⁷-event trace at `reps`
+/// capped to 3 (each rep reads ~10⁷ events twice, so the gate stays
+/// minutes-scale), and one cold and one warm analyze of that trace.
 pub fn measure(reps: u32) -> Result<PerfSnapshot, String> {
     let sweep = measure_sweep(reps);
     let spec = pinned_ooc();
+    let ingest = measure_ingest(&spec, reps.min(3)).map_err(|e| format!("ingest bench: {e}"))?;
     let ooc = measure_ooc(&spec, reps.min(3)).map_err(|e| format!("ooc bench: {e}"))?;
     let cache = measure_cache(&spec).map_err(|e| format!("cache bench: {e}"))?;
-    Ok(PerfSnapshot { sweep, ooc, cache })
+    Ok(PerfSnapshot {
+        sweep,
+        ingest,
+        ooc,
+        cache,
+    })
 }
 
 /// One `"name": { "key": value, … }` object of the snapshot document;
@@ -527,7 +653,7 @@ impl PerfSnapshot {
     /// Renders the snapshot as the `BENCH_replay.json` document: one block
     /// per section.
     pub fn to_json(&self) -> String {
-        let (s, o, c) = (&self.sweep, &self.ooc, &self.cache);
+        let (s, i, o, c) = (&self.sweep, &self.ingest, &self.ooc, &self.cache);
         let blocks = [
             json_block(
                 "sweep",
@@ -542,6 +668,24 @@ impl PerfSnapshot {
                         format!("{:.1}", s.scalar_configs_per_sec),
                     ),
                     ("speedup_vs_scalar", format!("{:.2}", s.speedup_vs_scalar())),
+                ],
+            ),
+            json_block(
+                "ingest",
+                &[
+                    ("name", format!("\"{}\"", i.name)),
+                    ("events", i.events.to_string()),
+                    ("trace_mib", format!("{:.1}", i.trace_mib)),
+                    ("cursor_secs", format!("{:.3}", i.cursor_secs)),
+                    ("decode_secs", format!("{:.3}", i.decode_secs)),
+                    (
+                        "cursor_over_decode",
+                        format!("{:.2}", i.cursor_over_decode()),
+                    ),
+                    (
+                        "open_rss_growth_mib",
+                        format!("{:.1}", i.open_rss_growth_mib),
+                    ),
                 ],
             ),
             json_block(
@@ -597,6 +741,20 @@ fn check_sweep(s: &SweepPerf) -> Option<String> {
     })
 }
 
+/// [`INGEST_OVER_DECODE_CEILING`]: `Some(message)` when the strict cursor
+/// costs more than that many bare decodes.
+fn check_ingest(i: &IngestPerf) -> Option<String> {
+    (i.cursor_over_decode() > INGEST_OVER_DECODE_CEILING).then(|| {
+        format!(
+            "ingest({}): the strict cursor drain runs {:.2}x a bare decode of the \
+             same frames (ceiling {INGEST_OVER_DECODE_CEILING}x) — checksumming costs \
+             more than one fast pass over the bytes",
+            i.name,
+            i.cursor_over_decode()
+        )
+    })
+}
+
 /// [`OOC_RSS_CAP_MIN_MIB`]: `Some(message)` when the out-of-core replay's
 /// peak-RSS growth passes max(48 MiB, trace/2).
 fn check_ooc_rss(o: &OocPerf) -> Option<String> {
@@ -643,6 +801,7 @@ fn check_cache(c: &CachePerf) -> Option<String> {
 pub fn check(snap: &PerfSnapshot) -> Vec<String> {
     [
         check_sweep(&snap.sweep),
+        check_ingest(&snap.ingest),
         check_ooc_rss(&snap.ooc),
         check_shards(&snap.ooc),
         check_cache(&snap.cache),
@@ -664,6 +823,17 @@ mod tests {
             traversals_saved: 14,
             configs_per_sec: 100.0 * speedup,
             scalar_configs_per_sec: 100.0,
+        }
+    }
+
+    fn ingest(ratio: f64) -> IngestPerf {
+        IngestPerf {
+            name: "ingest-test".into(),
+            events: 10_000_000,
+            trace_mib: 93.4,
+            cursor_secs: 0.4 * ratio,
+            decode_secs: 0.4,
+            open_rss_growth_mib: 95.0,
         }
     }
 
@@ -700,6 +870,13 @@ mod tests {
     }
 
     #[test]
+    fn ingest_ceiling_fires_above_2_5x() {
+        assert_eq!(check_ingest(&ingest(2.2)), None);
+        let msg = check_ingest(&ingest(2.9)).expect("above the ceiling");
+        assert!(msg.starts_with("ingest(ingest-test):"), "{msg}");
+    }
+
+    #[test]
     fn ooc_rss_cap_is_half_the_trace_or_48_mib() {
         // Measured: up to +5.7 MiB over the pinned 93 MiB trace.
         assert_eq!(check_ooc_rss(&ooc(93.4, 5.7, 1.72, 2)), None);
@@ -732,16 +909,18 @@ mod tests {
     fn check_holds_every_section() {
         let passing = PerfSnapshot {
             sweep: sweep(3.04),
+            ingest: ingest(2.0),
             ooc: ooc(93.4, 5.7, 1.72, 2),
             cache: cache(3753.0),
         };
         assert!(check(&passing).is_empty());
         let failing = PerfSnapshot {
             sweep: sweep(1.0),
+            ingest: ingest(3.0),
             ooc: ooc(93.4, 60.0, 1.0, 2),
             cache: cache(1.0),
         };
-        assert_eq!(check(&failing).len(), 4);
+        assert_eq!(check(&failing).len(), 5);
     }
 
     #[test]
@@ -772,6 +951,22 @@ mod tests {
         assert_eq!(perf.ranks, 4);
         assert!(perf.events > 0);
         assert!(perf.cold_secs > 0.0 && perf.warm_secs > 0.0);
+    }
+
+    #[test]
+    fn measure_ingest_smoke() {
+        let spec = OocSpec {
+            name: "ingest-smoke",
+            workload: "stencil",
+            ranks: 4,
+            scale: 1,
+            seed: 4,
+            shards: 1,
+        };
+        let perf = measure_ingest(&spec, 1).expect("ingest measurement");
+        assert!(perf.events > 0);
+        assert!(perf.cursor_secs > 0.0 && perf.decode_secs > 0.0);
+        assert!(perf.open_rss_growth_mib >= 0.0);
     }
 
     #[test]

@@ -570,3 +570,27 @@ fn analyze_salvage_reads_past_a_frame_lost_mid_stream() {
         std::fs::remove_dir_all(d).unwrap();
     }
 }
+
+/// The content fingerprint of a generated trace is the cache's trace key.
+/// It folds each rank footer's whole-file CRC, so this pins the bytes the
+/// writer produces: a writer whose frame or whole-file CRC drifts turns
+/// every cache directory written before it into misses.
+#[test]
+fn generated_trace_fingerprint_is_pinned() {
+    let dir = tmp("gen-fingerprint");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = mpgtool()
+        .args(["gen", "--workload", "ring", "--ranks", "4"])
+        .args(["--scale", "1", "--seed", "1"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let key = mpg_trace::trace_fingerprint(&dir).unwrap().key();
+    assert_eq!(key, "0004-965df8f5-3707b03697e18f03");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

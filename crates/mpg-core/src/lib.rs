@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! The message-passing graph analyzer — the paper's primary contribution.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Baseline comparator: a general discrete-event simulator and a
 //! Dimemas-like trace-replay model (§1, §1.1).

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Static defect analysis of message-passing traces (`mpg-lint`).
 //!

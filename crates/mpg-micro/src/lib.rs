@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Microbenchmarks for platform parameterization (§5).
 //!

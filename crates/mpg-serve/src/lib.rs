@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Supervised job runtime for trace analysis (`mpgtool serve`).
 //!

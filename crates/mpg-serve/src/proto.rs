@@ -89,9 +89,22 @@ fn parse_submit(parts: &[&str]) -> Result<JobSpec, String> {
 /// Drives the runtime from a command stream. Returns on end-of-input or
 /// `shutdown`; the runtime is *not* shut down on plain EOF (the caller
 /// owns that), so embedders can interleave scripts.
-pub fn serve_script(input: impl BufRead, out: &mut impl Write, rt: &JobRuntime) -> io::Result<()> {
-    for line in input.lines() {
-        let line = line?;
+pub fn serve_script(
+    mut input: impl BufRead,
+    out: &mut impl Write,
+    rt: &JobRuntime,
+) -> io::Result<()> {
+    let mut raw = Vec::new();
+    loop {
+        raw.clear();
+        if input.read_until(b'\n', &mut raw)? == 0 {
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&raw) else {
+            writeln!(out, "err line is not valid UTF-8")?;
+            out.flush()?;
+            continue;
+        };
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -117,14 +130,17 @@ pub fn serve_script(input: impl BufRead, out: &mut impl Write, rt: &JobRuntime) 
                         Err(e) => writeln!(out, "err {e}")?,
                     },
                     "wait" => {
-                        let ms: u64 = opt(rest, "timeout-ms")
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or(30_000);
-                        match rt.wait(id, Duration::from_millis(ms)) {
-                            Ok(st) => {
-                                writeln!(out, "ok {id} {} attempts={}", st.state, st.attempts)?
+                        let timeout = opt(rest, "timeout-ms");
+                        match timeout.map_or(Ok(30_000), str::parse) {
+                            Err(_) => {
+                                writeln!(out, "err bad timeout-ms={}", timeout.unwrap_or_default())?
                             }
-                            Err(e) => writeln!(out, "err {e}")?,
+                            Ok(ms) => match rt.wait(id, Duration::from_millis(ms)) {
+                                Ok(st) => {
+                                    writeln!(out, "ok {id} {} attempts={}", st.state, st.attempts)?
+                                }
+                                Err(e) => writeln!(out, "err {e}")?,
+                            },
                         }
                     }
                     "cancel" => match rt.cancel(id) {
@@ -135,14 +151,16 @@ pub fn serve_script(input: impl BufRead, out: &mut impl Write, rt: &JobRuntime) 
                         Ok(st) => {
                             let body = st.output.or(st.error).unwrap_or_default();
                             if let Some(path) = opt(rest, "out") {
-                                std::fs::write(path, &body)?;
-                                writeln!(
-                                    out,
-                                    "ok {id} {} attempts={} bytes={}",
-                                    st.state,
-                                    st.attempts,
-                                    body.len()
-                                )?;
+                                match std::fs::write(path, &body) {
+                                    Ok(()) => writeln!(
+                                        out,
+                                        "ok {id} {} attempts={} bytes={}",
+                                        st.state,
+                                        st.attempts,
+                                        body.len()
+                                    )?,
+                                    Err(e) => writeln!(out, "err writing {path}: {e}")?,
+                                }
                             } else {
                                 writeln!(out, "ok {id} {} attempts={}", st.state, st.attempts)?;
                                 out.write_all(body.as_bytes())?;

@@ -699,3 +699,71 @@ fn a_pass_of_small_jobs_decodes_each_trace_once() {
     // second waits for the first's decode and is served its copy.
     assert_eq!(small_jobs_pass(2, "pass-w2"), one);
 }
+
+/// Runs `script` against a fresh runtime and returns its reply lines; the
+/// script must run to its end for `serve_script` to return `Ok`.
+fn serve_lines(script: &[u8]) -> Vec<String> {
+    let rt = JobRuntime::start(RuntimeConfig::default());
+    let mut out = Vec::new();
+    serve_script(script, &mut out, &rt).expect("a protocol error is answered, not fatal");
+    rt.shutdown(Duration::from_secs(10));
+    String::from_utf8(out)
+        .unwrap()
+        .lines()
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn non_utf8_line_is_answered_and_the_script_goes_on() {
+    let lines = serve_lines(b"check\n\xff\xfe submit\ncheck\n");
+    assert_eq!(
+        lines,
+        [
+            "ok check clean",
+            "err line is not valid UTF-8",
+            "ok check clean"
+        ]
+    );
+}
+
+#[test]
+fn unwritable_result_path_is_answered_and_the_script_goes_on() {
+    let dir = ring_trace_dir("proto-unwritable");
+    // A regular file cannot hold a directory entry, whoever runs the test.
+    let blocker = dir.join("meta.txt");
+    let script = format!(
+        "submit lint {d}\nwait job-1\nresult job-1 out={b}/report.txt\ncheck\n",
+        d = dir.display(),
+        b = blocker.display()
+    );
+    let lines = serve_lines(script.as_bytes());
+    assert_eq!(lines[..2], ["ok job-1 queued", "ok job-1 done attempts=1"]);
+    assert!(
+        lines[2].starts_with(&format!("err writing {}/report.txt: ", blocker.display())),
+        "{lines:?}"
+    );
+    assert_eq!(lines[3..], ["ok check clean"]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn bad_wait_timeout_is_refused_like_a_bad_deadline() {
+    let dir = ring_trace_dir("proto-timeout");
+    let script = format!(
+        "submit lint {d} deadline-ms=abc\nsubmit lint {d}\nwait job-1 timeout-ms=abc\n\
+         wait job-1\n",
+        d = dir.display()
+    );
+    let lines = serve_lines(script.as_bytes());
+    assert_eq!(
+        lines,
+        [
+            "err bad deadline-ms=abc",
+            "ok job-1 queued",
+            "err bad timeout-ms=abc",
+            "ok job-1 done attempts=1",
+        ]
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+// The one exception is `ooc::MappedFile`, which maps rank files.
+#![deny(unsafe_code)]
 
 //! Event traces for message-passing programs (§4 of the paper).
 //!

@@ -18,7 +18,7 @@ use std::io::Write;
 
 use crate::codec::{put_varint, Encoder};
 use crate::event::EventRecord;
-use crate::frame::{put_frame, Footer, MAGIC2};
+use crate::frame::{crc32c_combine, put_frame, Footer, MAGIC2};
 use crate::TraceError;
 
 /// Buffered, flush-on-full writer for one rank's event stream.
@@ -33,7 +33,7 @@ pub struct TraceWriter<W: Write> {
     /// Sequence number of the first record in the current (unflushed)
     /// buffer; written at the head of the frame payload.
     frame_first_seq: u64,
-    /// CRC32C chained over every flushed frame payload.
+    /// CRC32C of every flushed frame payload, concatenated.
     payload_crc: u32,
     /// `t_end` of the last record written (the footer's clock summary).
     last_t_end: u64,
@@ -86,9 +86,9 @@ impl<W: Write> TraceWriter<W> {
         put_varint(&mut payload, self.frame_first_seq);
         payload.extend_from_slice(&self.buf);
         let mut framed = Vec::with_capacity(payload.len() + 9);
-        put_frame(&mut framed, &payload);
+        let crc = put_frame(&mut framed, &payload);
         self.sink.write_all(&framed)?;
-        self.payload_crc = crate::frame::crc32c_append(self.payload_crc, &payload);
+        self.payload_crc = crc32c_combine(self.payload_crc, crc, payload.len() as u64);
         // The next frame must decode standalone: restart the timestamp
         // delta base and note where its sequence numbering begins.
         self.encoder = Encoder::new();
@@ -131,7 +131,7 @@ impl<W: Write> TraceWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
+    use crate::event::{EventKind, SendProtocol};
     use crate::frame::{checked_frame_at, FOOTER_LEN};
     use crate::ooc::FrameCursor;
 
@@ -143,6 +143,73 @@ mod tests {
             t_end: t + 5,
             kind: EventKind::Compute { work: 5 },
         }
+    }
+
+    /// A fixed stream of six record shapes (plain and request-carrying
+    /// point-to-point, compute, wait), with irregularly growing timestamps.
+    fn fixed_stream() -> Vec<EventRecord> {
+        let mut t = 17u64;
+        (0..3000u64)
+            .map(|seq| {
+                let kind = match seq % 6 {
+                    0 => EventKind::Compute {
+                        work: seq * 37 % 9001,
+                    },
+                    1 => EventKind::Send {
+                        peer: (seq % 5) as u32,
+                        tag: (seq % 3) as u32,
+                        bytes: seq * 64,
+                        protocol: SendProtocol::Synchronous,
+                    },
+                    2 => EventKind::Recv {
+                        peer: (seq % 7) as u32,
+                        tag: 1,
+                        bytes: 4096,
+                        posted_any: seq % 4 == 2,
+                    },
+                    3 => EventKind::Isend {
+                        peer: 1,
+                        tag: 9,
+                        bytes: 8,
+                        req: seq,
+                    },
+                    4 => EventKind::Irecv {
+                        peer: 2,
+                        tag: 9,
+                        bytes: 8,
+                        req: seq,
+                        posted_any: true,
+                    },
+                    _ => EventKind::Wait { req: seq - 2 },
+                };
+                let t_start = t;
+                t += 1 + seq * seq % 977;
+                EventRecord {
+                    rank: 3,
+                    seq,
+                    t_start,
+                    t_end: t,
+                    kind,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn writer_bytes_are_pinned() {
+        // FNV-1a 64 of the bytes the bytewise, twice-hashing writer wrote
+        // for this stream: frame CRCs and the combined whole-file CRC must
+        // reproduce it exactly.
+        let mut w = TraceWriter::new(Vec::new(), 700);
+        for r in &fixed_stream() {
+            w.record(r).unwrap();
+        }
+        assert!(w.flush_count() > 30, "flushes={}", w.flush_count());
+        let bytes = w.finish().unwrap();
+        assert_eq!(
+            (bytes.len(), crate::hash::fnv1a64(&bytes)),
+            (23_406, 0xD1BB_2820_83C5_B513)
+        );
     }
 
     #[test]

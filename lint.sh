@@ -14,10 +14,30 @@ cargo fmt --all -- --check
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
+# `unsafe` is confined by the compiler: every crate root forbids it except
+# mpg-trace's, which denies it so that ooc.rs's MappedFile items (the rank
+# file maps) can allow it, and nothing else does.
+echo "==> unsafe_code attribute on every crate root"
+for root in crates/*/src/lib.rs crates/*/src/bin/*.rs src/lib.rs; do
+    case "$root" in
+        crates/mpg-trace/src/lib.rs) want='#![deny(unsafe_code)]' ;;
+        *) want='#![forbid(unsafe_code)]' ;;
+    esac
+    if ! grep -qxF "$want" "$root"; then
+        echo "lint: FAIL: $root lacks $want" >&2
+        exit 1
+    fi
+done
+allowed="$(grep -rlF 'allow(unsafe_code)' crates src --include='*.rs' || true)"
+if [ "$allowed" != "crates/mpg-trace/src/ooc.rs" ]; then
+    echo "lint: FAIL: unsafe_code allowed outside ooc.rs: $allowed" >&2
+    exit 1
+fi
+
 # Same-process ratio gates over the pinned 10^7-event trace: lanes vs
-# scalar sweep on one thread, 1 shard vs several, out-of-core RSS growth
-# vs trace size, warm vs cold analyze, each held to a fixed floor
-# (perf.rs). The first run generates the trace under
+# scalar sweep on one thread, strict cursor drain vs bare decode, 1 shard
+# vs several, out-of-core RSS growth vs trace size, warm vs cold analyze,
+# each held to a fixed bound (perf.rs). The first run generates the trace under
 # $TMPDIR/mpg-bench-ooc-*; later runs reuse it.
 echo "==> mpgtool bench --check --reps 9"
 cargo run --release -q -p mpg-analysis --bin mpgtool -- bench --check --reps 9
