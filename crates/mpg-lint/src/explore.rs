@@ -17,9 +17,10 @@
 //!   when it is popped, is re-replayed through the shared
 //!   [`forced_replay`] path and classified. A completed alternate is
 //!   branched further: new candidates are enumerated *on the alternate
-//!   matching* and appended, up to the depth bound. Only the at most
-//!   `budget` popped entries ever exist as plans; an unexplored one costs
-//!   a few words.
+//!   matching* and appended, up to the depth bound. Only the first
+//!   `budget` entries scheduled can be popped, so only they are stored;
+//!   every later offer is a 20-byte record, counted exactly when the walk
+//!   stops.
 //! * **Pruning.** A sleep set over order-insensitive plan keys kills every
 //!   rediscovery of an already-scheduled resolution set (two discovery
 //!   orders of the same swaps are the same schedule). A persistent-set
@@ -268,7 +269,7 @@ pub fn explore(ctx: &LintContext<'_>, opts: &ExploreOptions) -> ExploreReport {
     let base = matching_makespan(trace, recorded);
     let stats = &mut report.stats;
     let channels = Channels::new(recorded, trace.num_ranks());
-    let mut frontier = Frontier::default();
+    let mut frontier = Frontier::new(usize::try_from(opts.budget).unwrap_or(usize::MAX));
 
     // Seed from the recorded matching, pinned-consumer alternates
     // included. The seed rotation makes small budgets sample different
@@ -283,28 +284,34 @@ pub fn explore(ctx: &LintContext<'_>, opts: &ExploreOptions) -> ExploreReport {
         seeds.rotate_left(rot);
     }
     for (first, swap) in seeds {
-        if !frontier.offer(0..0, first, swap, 1) {
-            stats.pruned += 1;
-        }
+        frontier.offer(None, first, swap);
     }
 
-    while let Some((ids, depth)) = frontier.pop() {
+    loop {
+        // With the stored entries spent, the walk has a next entry only if
+        // a spilled offer settles as a schedule of its own.
+        let entry = frontier.pop();
+        if entry.is_none() && frontier.settle() == stats.explored {
+            break;
+        }
         if let Some(token) = &opts.cancel {
             if let Some(reason) = token.fired() {
                 stats.cancelled = Some(reason);
-                stats.frontier_unexplored = frontier.scheduled - stats.explored;
+                stats.frontier_unexplored = frontier.settle() - stats.explored;
                 break;
             }
         }
-        if stats.explored >= opts.budget {
+        // The store holds the first `budget` entries, so a next entry it
+        // does not hold is one the budget forbids.
+        let Some(entry) = entry else {
             stats.budget_exhausted = true;
-            stats.frontier_unexplored = frontier.scheduled - stats.explored;
+            stats.frontier_unexplored = frontier.settle() - stats.explored;
             break;
-        }
+        };
         stats.explored += 1;
-        stats.max_depth = stats.max_depth.max(u64::from(depth));
+        stats.max_depth = stats.max_depth.max(u64::from(entry.depth));
         // The one place a frontier entry becomes a `MatchPlan`.
-        let plan = frontier.plan(ids.clone());
+        let plan = frontier.plan(entry);
         let seed_recv = plan.forced()[0].recv;
         let rep = forced_replay(trace, &plan);
         match rep.outcome {
@@ -338,12 +345,10 @@ pub fn explore(ctx: &LintContext<'_>, opts: &ExploreOptions) -> ExploreReport {
                         }
                     }
                 }
-                if (depth as usize) < opts.depth {
+                if (entry.depth as usize) < opts.depth {
                     let sweep = channels.sweep(trace, &rep.matching, hb);
                     extensions(&sweep, &rep.matching, plan.forced(), |first, swap| {
-                        if !frontier.offer(ids.clone(), first, swap, depth + 1) {
-                            stats.pruned += 1;
-                        }
+                        frontier.offer(Some(entry), first, swap)
                     });
                 }
             }
@@ -354,8 +359,9 @@ pub fn explore(ctx: &LintContext<'_>, opts: &ExploreOptions) -> ExploreReport {
             ForcedOutcome::Stuck => stats.infeasible += 1,
         }
     }
+    stats.pruned = frontier.pruned;
     #[cfg(test)]
-    FRONTIER_BYTES.set(frontier.bytes());
+    FRONTIER.set((frontier.bytes(), frontier.stored));
     report
 }
 
@@ -405,34 +411,79 @@ pub(crate) fn extensions(
     }
 }
 
-/// The schedules not yet replayed and the sleep set, held as what they
-/// are — a few words per entry — until one is popped.
+/// The schedules not yet replayed and the sleep set. Entries are popped in
+/// FIFO order and the walk stops after `budget` pops, so only the first
+/// `budget` entries scheduled can ever become plans; the frontier stores
+/// those and merely counts the rest.
 ///
-/// Every `ForcedMatch` the walk meets is interned to a `u32` once. A
-/// scheduled entry is a run of the arena: `[len, depth]`, its `len`
-/// resolution ids in plan order (the parent's, then the one or two it
-/// adds), then the same ids ascending — its sleep-set key: two plans
-/// forcing the same resolutions in a different discovery order explore the
-/// same schedule, and equal id sets are equal `ForcedMatch` sets. Entries
-/// sit in the arena in the order they were scheduled, so the FIFO queue is
-/// an offset, and the sleep set is an open-addressing table of entry
-/// offsets hashed by key. A pruned entry is truncated away; only
-/// [`Frontier::plan`] builds a `MatchPlan`.
+/// Every `ForcedMatch` the walk meets is interned to a `u32` once, and an
+/// entry's identity is its *set* of ids: two plans forcing the same
+/// resolutions in a different discovery order explore the same schedule,
+/// and equal id sets are equal `ForcedMatch` sets. Its hash is
+/// order-insensitive — a wrapping sum of one mixed word per id — so an
+/// offer's is its parent's plus one or two terms.
+///
+/// * **Stored** (the first `capacity` entries scheduled): a run of the arena,
+///   `[len, depth]` then the `len` ids in plan order (the parent's, then the
+///   one or two it adds). Entries sit in the order they were scheduled, so
+///   the FIFO queue is an offset, and the sleep set is an open-addressing
+///   table of `(hash, offset)`: a probe compares hashes, and only an equal
+///   hash compares the two id sets. A pruned entry is truncated away.
+/// * **Spilled** (every offer once the store is full): its hash, its parent's
+///   offset and its one or two ids, appended to [`Spill`] with no probe.
+///   [`Frontier::settle`] counts them exactly when the walk stops.
+///
+/// Only [`Frontier::plan`] builds a `MatchPlan`.
 #[derive(Default)]
 struct Frontier {
     resolutions: Vec<ForcedMatch>,
     ids: HashMap<ForcedMatch, u32, BuildHasherDefault<WordHasher>>,
+    /// Entries the store may hold: the budget.
+    capacity: usize,
     arena: Vec<u32>,
     /// Arena offset of the next entry to pop.
     head: usize,
-    /// The sleep set: arena offsets of every entry ever scheduled, `EMPTY`
-    /// elsewhere; a power of two long, at most half full.
-    slots: Vec<u32>,
-    /// Entries ever scheduled (the sleep set's size).
-    scheduled: u64,
+    /// The sleep set of the stored entries, `EMPTY` offsets elsewhere; a
+    /// power of two long, at most half full.
+    slots: Vec<Slot>,
+    /// Entries stored (the table's size).
+    stored: usize,
+    spill: Spill,
+    /// Offers the sleep set dropped: those made to the store, plus the
+    /// spilled ones once settled.
+    pruned: u64,
+    /// The spilled offers that settled as schedules of their own, once
+    /// [`Frontier::settle`] has counted them.
+    settled: Option<u64>,
 }
 
-/// A free sleep-set slot.
+/// A sleep-set slot: a stored entry's set hash and arena offset.
+#[derive(Clone, Copy)]
+struct Slot {
+    hash: u64,
+    at: u32,
+}
+
+/// The offers made once the store was full, one record each across four
+/// columns: set hash, parent's arena offset (`EMPTY` for a seed), the id
+/// added, and the swapped one (`EMPTY` when none).
+#[derive(Default)]
+struct Spill {
+    hashes: Vec<u64>,
+    parents: Vec<u32>,
+    firsts: Vec<u32>,
+    swaps: Vec<u32>,
+}
+
+/// A popped entry: where it sits in the arena, its level and its set hash.
+#[derive(Clone, Copy)]
+struct Entry {
+    at: usize,
+    depth: u32,
+    hash: u64,
+}
+
+/// A free sleep-set slot, a seed's parent, an absent swap.
 const EMPTY: u32 = u32::MAX;
 /// Words of an entry before its ids.
 const HEADER: usize = 2;
@@ -442,10 +493,34 @@ fn mix(hash: u64, word: u64) -> u64 {
     (hash.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Hash of an id sequence, for a table indexed by its top bits. The ids are
-/// this module's own dense numbering, not bytes of the trace.
-fn hash_ids(ids: &[u32]) -> u64 {
-    ids.iter().fold(0, |h, &id| mix(h, u64::from(id)))
+/// An id's term of a set hash: the splitmix64 finalizer, so that sums of
+/// distinct ids do not collide the way sums of their multiples would.
+fn term(id: u32) -> u64 {
+    #[cfg(test)]
+    if COLLIDE.get() {
+        return 0;
+    }
+    let mut z = u64::from(id).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The order-insensitive hash of an id set.
+fn set_hash(ids: &[u32]) -> u64 {
+    ids.iter().fold(0, |h, &id| h.wrapping_add(term(id)))
+}
+
+/// `ids` ascending: the set's canonical form, for the rare full compare.
+fn sorted(ids: &[u32]) -> Vec<u32> {
+    let mut ids = ids.to_vec();
+    ids.sort_unstable();
+    ids
+}
+
+/// Whether two id runs name the same set.
+fn same_set(a: &[u32], b: &[u32]) -> bool {
+    a.len() == b.len() && sorted(a) == sorted(b)
 }
 
 /// [`mix`] as a `Hasher`, for interning `ForcedMatch`es: three
@@ -479,103 +554,197 @@ impl Hasher for WordHasher {
 }
 
 impl Frontier {
+    /// An empty frontier that stores at most `capacity` entries (at least
+    /// one: the sleep set exists once anything is spilled).
+    fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "a frontier stores at least one entry");
+        Frontier {
+            capacity,
+            ..Frontier::default()
+        }
+    }
+
     fn intern(&mut self, f: ForcedMatch) -> u32 {
         *self.ids.entry(f).or_insert_with(|| {
             self.resolutions.push(f);
-            u32::try_from(self.resolutions.len() - 1).expect("fewer than 2^32 resolutions")
+            u32::try_from(self.resolutions.len() - 1)
+                .ok()
+                .filter(|&id| id != EMPTY)
+                .expect("fewer than 2^32 - 1 resolutions")
         })
     }
 
-    /// The sleep-set key of the entry at `at`.
-    fn key(&self, at: usize) -> &[u32] {
-        let len = self.arena[at] as usize;
-        &self.arena[at + HEADER + len..at + HEADER + 2 * len]
+    /// Where the ids of the stored entry at `at` sit in the arena.
+    fn span(&self, at: usize) -> Range<usize> {
+        at + HEADER..at + HEADER + self.arena[at] as usize
     }
 
-    /// The slot `key` occupies, or the free one it would take.
-    fn slot_of(&self, key: &[u32]) -> usize {
+    /// The ids, in plan order, of the stored entry at `at`.
+    fn ids_at(&self, at: usize) -> &[u32] {
+        &self.arena[self.span(at)]
+    }
+
+    /// The first slot from `hash`'s home that is free or holds `hash` for
+    /// an entry `same` accepts.
+    fn probe(&self, hash: u64, mut same: impl FnMut(usize) -> bool) -> usize {
         let mask = self.slots.len() - 1;
-        let mut i = (hash_ids(key) >> (64 - self.slots.len().trailing_zeros())) as usize;
-        while self.slots[i] != EMPTY && self.key(self.slots[i] as usize) != key {
+        let mut i = (hash >> (64 - self.slots.len().trailing_zeros())) as usize;
+        while self.slots[i].at != EMPTY
+            && !(self.slots[i].hash == hash && same(self.slots[i].at as usize))
+        {
             i = (i + 1) & mask;
         }
         i
     }
 
-    /// Schedules the entry `parent`'s ids + `first` [+ `swap`] unless the
-    /// sleep set has seen its key; false when it was pruned.
-    fn offer(
-        &mut self,
-        parent: Range<usize>,
-        first: ForcedMatch,
-        swap: Option<ForcedMatch>,
-        depth: u32,
-    ) -> bool {
+    /// Offers the entry `parent`'s ids + `first` [+ `swap`] (a seed when
+    /// `parent` is `None`). While the store has room it is scheduled unless
+    /// the sleep set has seen its set; after that it is spilled.
+    fn offer(&mut self, parent: Option<Entry>, first: ForcedMatch, swap: Option<ForcedMatch>) {
         let (first, swap) = (self.intern(first), swap.map(|f| self.intern(f)));
-        if (self.scheduled as usize + 1) * 2 > self.slots.len() {
+        let hash = parent
+            .map_or(0, |p| p.hash)
+            .wrapping_add(term(first))
+            .wrapping_add(swap.map_or(0, term));
+        if self.stored == self.capacity {
+            let spill = &mut self.spill;
+            spill.hashes.push(hash);
+            spill.parents.push(parent.map_or(EMPTY, |p| p.at as u32));
+            spill.firsts.push(first);
+            spill.swaps.push(swap.unwrap_or(EMPTY));
+            return;
+        }
+        if (self.stored + 1) * 2 > self.slots.len() {
             self.grow();
         }
         let at = self.arena.len();
-        let len = parent.len() + 1 + usize::from(swap.is_some());
-        let (ids, key) = (at + HEADER, at + HEADER + len);
-        self.arena.resize(key + len, 0);
-        self.arena[at] = len as u32;
-        self.arena[at + 1] = depth;
-        self.arena.copy_within(parent.clone(), ids);
-        self.arena[ids + parent.len()] = first;
-        if let Some(swap) = swap {
-            self.arena[key - 1] = swap;
-        }
-        self.arena.copy_within(ids..key, key);
-        self.arena[key..].sort_unstable();
-        let slot = self.slot_of(self.key(at));
-        if self.slots[slot] != EMPTY {
+        let parent_ids = parent.map_or(0..0, |p| self.span(p.at));
+        let len = parent_ids.len() + 1 + usize::from(swap.is_some());
+        self.arena.push(len as u32);
+        self.arena.push(parent.map_or(1, |p| p.depth + 1));
+        self.arena.extend_from_within(parent_ids);
+        self.arena.push(first);
+        self.arena.extend(swap);
+        let slot = self.probe(hash, |other| same_set(self.ids_at(other), self.ids_at(at)));
+        if self.slots[slot].at != EMPTY {
             self.arena.truncate(at);
-            return false;
+            self.pruned += 1;
+            return;
         }
-        self.slots[slot] = u32::try_from(at)
+        let at = u32::try_from(at)
             .ok()
             .filter(|&at| at != EMPTY)
             .expect("frontier arena within 2^32 words");
-        self.scheduled += 1;
-        true
+        self.slots[slot] = Slot { hash, at };
+        self.stored += 1;
     }
 
-    /// Doubles the sleep set, re-placing every entry by its key.
+    /// Doubles the sleep set, re-placing every entry by its stored hash.
     fn grow(&mut self) {
-        self.slots = vec![EMPTY; (self.slots.len() * 2).max(16)];
-        let mut at = 0;
-        while at < self.arena.len() {
-            let slot = self.slot_of(self.key(at));
-            self.slots[slot] = at as u32;
-            at += HEADER + 2 * self.arena[at] as usize;
+        let empty = Slot { hash: 0, at: EMPTY };
+        let len = (self.slots.len() * 2).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![empty; len]);
+        for slot in old.into_iter().filter(|s| s.at != EMPTY) {
+            let i = self.probe(slot.hash, |_| false);
+            self.slots[i] = slot;
         }
     }
 
-    /// The next unexplored entry in FIFO order: where its ids are, and its
-    /// depth.
-    fn pop(&mut self) -> Option<(Range<usize>, u32)> {
-        let header = self.arena.get(self.head..self.head + HEADER)?;
-        let (len, depth) = (header[0] as usize, header[1]);
-        let ids = self.head + HEADER..self.head + HEADER + len;
-        self.head = ids.end + len;
-        Some((ids, depth))
+    /// The next stored entry in FIFO order.
+    fn pop(&mut self) -> Option<Entry> {
+        let at = self.head;
+        let depth = *self.arena.get(at + 1)?;
+        self.head = self.span(at).end;
+        Some(Entry {
+            at,
+            depth,
+            hash: set_hash(self.ids_at(at)),
+        })
     }
 
+    /// The id set of spilled offer `i`, ascending.
+    fn spilled_set(&self, i: usize) -> Vec<u32> {
+        let spill = &self.spill;
+        let mut set = match spill.parents[i] {
+            EMPTY => Vec::new(),
+            at => self.ids_at(at as usize).to_vec(),
+        };
+        set.push(spill.firsts[i]);
+        set.extend((spill.swaps[i] != EMPTY).then_some(spill.swaps[i]));
+        set.sort_unstable();
+        set
+    }
+
+    /// Entries ever scheduled, stored and spilled, once the walk has stopped:
+    /// counts the spilled offers on the first call ([`Frontier::fresh`]) and
+    /// adds the rest of them to `pruned`.
+    fn settle(&mut self) -> u64 {
+        let fresh = match self.settled {
+            Some(fresh) => fresh,
+            None => {
+                let fresh = self.fresh();
+                self.pruned += self.spill.hashes.len() as u64 - fresh;
+                *self.settled.insert(fresh)
+            }
+        };
+        self.stored as u64 + fresh
+    }
+
+    /// The spilled offers that are schedules of their own: whose id set is
+    /// neither stored nor an earlier spilled offer's. Sorts the hashes once:
+    /// a hash met once and not in the table is a set met once; the offers
+    /// under any other hash have their sets compared in full.
+    fn fresh(&self) -> u64 {
+        let hashes = &self.spill.hashes;
+        let mut by_hash = hashes.clone();
+        by_hash.sort_unstable();
+        let stored_hash = |h| self.slots[self.probe(h, |_| true)].at != EMPTY;
+        let mut fresh = 0;
+        let mut suspects = Vec::new();
+        for group in by_hash.chunk_by(|a, b| a == b) {
+            if group.len() == 1 && !stored_hash(group[0]) {
+                fresh += 1;
+            } else {
+                suspects.push(group[0]);
+            }
+        }
+        if !suspects.is_empty() {
+            let mut sets: Vec<(u64, Vec<u32>)> = (0..hashes.len())
+                .filter(|&i| suspects.binary_search(&hashes[i]).is_ok())
+                .map(|i| (hashes[i], self.spilled_set(i)))
+                .collect();
+            sets.sort_unstable();
+            sets.dedup();
+            fresh += sets
+                .iter()
+                .filter(|(h, set)| {
+                    self.slots[self.probe(*h, |at| sorted(self.ids_at(at)) == *set)].at == EMPTY
+                })
+                .count();
+        }
+        fresh as u64
+    }
+
+    /// What the frontier holds at its peak: arena, sleep set, interned
+    /// resolutions, the spilled records and [`Frontier::fresh`]'s sorted
+    /// copy of their hashes.
     #[cfg(test)]
     fn bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.arena.len() + self.slots.len()) * size_of::<u32>()
+        let spilled = self.spill.hashes.len();
+        self.arena.len() * size_of::<u32>()
+            + self.slots.len() * size_of::<Slot>()
             + self.resolutions.len() * size_of::<ForcedMatch>()
             + self.ids.capacity() * size_of::<(ForcedMatch, u32)>()
+            + spilled * (2 * size_of::<u64>() + 3 * size_of::<u32>())
     }
 
-    /// Materialises the plan whose resolution ids are `arena[ids]`.
-    fn plan(&self, ids: Range<usize>) -> MatchPlan {
+    /// Materialises the plan of a popped entry.
+    fn plan(&self, entry: Entry) -> MatchPlan {
         #[cfg(test)]
         PLANS_BUILT.set(PLANS_BUILT.get() + 1);
         let mut plan = MatchPlan::new();
-        for &id in &self.arena[ids] {
+        for &id in self.ids_at(entry.at) {
             let f = self.resolutions[id as usize];
             plan.push(f.recv, f.source);
         }
@@ -589,8 +758,11 @@ thread_local! {
     /// popped entry, one more per divergence finding.
     static PLANS_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     /// What the frontier of the current test thread's last walk held when
-    /// it stopped: arena, sleep-set slots and the interned resolutions.
-    static FRONTIER_BYTES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// it stopped ([`Frontier::bytes`]), and how many entries it stored.
+    static FRONTIER: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
+    /// Forces every set hash to one value on the current test thread, so
+    /// that every sleep-set comparison falls through to the full id sets.
+    static COLLIDE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 #[cfg(test)]
@@ -606,7 +778,9 @@ thread_local! {
 /// latest arrival. Comparing the recorded and an alternate matching
 /// through the same estimator isolates exactly the schedule's
 /// contribution to the makespan. Returns `None` if the pass cannot run
-/// every rank to the end (never the case for a completed matching).
+/// every rank to the end (never the case for a completed matching). Sums
+/// saturate at `u64::MAX`: an alternate matching can chain recorded
+/// intervals of several ranks that no recorded run put end to end.
 pub fn matching_makespan(trace: &MemTrace, matching: &Matching) -> Option<u64> {
     #[cfg(test)]
     MAKESPAN_RUNS.with(|c| c.set(c.get() + 1));
@@ -672,7 +846,7 @@ pub fn matching_makespan(trace: &MemTrace, matching: &Matching) -> Option<u64> {
                     if n < p {
                         break;
                     }
-                    clock[r] = entry_max + dur;
+                    clock[r] = entry_max.saturating_add(dur);
                     arrived[r] = false;
                 } else {
                     let mut start = clock[r];
@@ -694,7 +868,7 @@ pub fn matching_makespan(trace: &MemTrace, matching: &Matching) -> Option<u64> {
                     if !ready {
                         break;
                     }
-                    let done = start + dur;
+                    let done = start.saturating_add(dur);
                     end[first[r] + pc[r]] = done;
                     clock[r] = done;
                 }
@@ -784,25 +958,114 @@ mod tests {
     use crate::hb_races::wildcard_programs::{round_strategy, try_simulate};
     use proptest::prelude::*;
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+    /// A budget drawn from fixed values or from around the program's seed
+    /// count, where the store fills exactly with the seeds.
+    #[derive(Debug, Clone, Copy)]
+    enum Budget {
+        Fixed(u64),
+        /// `seeds - 1`, `seeds` or `seeds + 1` for 0, 1, 2 (at least 1).
+        NearSeeds(u64),
+    }
 
-        /// The flat frontier against the eager walk it replaced: the same
-        /// findings (plans, order, kinds, makespans) and the same value in
-        /// every `ExploreStats` field, whether the walk drains the
-        /// frontier, runs out of budget or is cancelled between replays.
-        /// An unbounded budget always gets a token: depth 4 over a few
-        /// gathers does not drain.
+    /// When the cancel token fires, in polls.
+    #[derive(Debug, Clone, Copy)]
+    enum Fire {
+        Never,
+        After(u64),
+        /// On the first poll past the budget: the one the walk makes only
+        /// when a past-budget offer settles as a schedule of its own.
+        PastBudget,
+    }
+
+    /// The seed offers `explore` makes over `ctx` (pruned ones included).
+    fn seed_count(ctx: &LintContext<'_>) -> u64 {
+        let recorded = &ctx.progress.matching;
+        let Some(hb) = ctx.hb.as_ref().filter(|_| recorded.completed) else {
+            return 0;
+        };
+        let channels = Channels::new(recorded, ctx.trace.num_ranks());
+        let mut n = 0;
+        extensions(
+            &channels.sweep(ctx.trace, recorded, hb),
+            recorded,
+            &[],
+            |_, _| n += 1,
+        );
+        n
+    }
+
+    /// Runs both walks over `ctx` and requires the same findings (plans,
+    /// order, kinds, makespans) and the same value in every `ExploreStats`
+    /// field. An unbounded budget always gets a token: depth 4 over a few
+    /// gathers does not drain.
+    fn assert_equals_the_eager_walk(
+        ctx: &LintContext<'_>,
+        budget: Budget,
+        depth: usize,
+        divergence_pct: f64,
+        seed: u64,
+        fire: Fire,
+    ) {
+        let budget = match budget {
+            Budget::Fixed(n) => n,
+            Budget::NearSeeds(k) => (seed_count(ctx) + k).saturating_sub(1).max(1),
+        };
+        let fire_after = match fire {
+            _ if budget == u64::MAX => Some(160),
+            Fire::Never => None,
+            Fire::After(n) => Some(n),
+            Fire::PastBudget => Some(budget + 1),
+        };
+        let opts = || ExploreOptions {
+            budget,
+            depth,
+            divergence_pct,
+            seed,
+            cancel: fire_after.map(|n| {
+                let token = CancelToken::new();
+                token.fire_after_checks(n);
+                token
+            }),
+        };
+        let (flat, eager) = (explore(ctx, &opts()), reference::explore(ctx, &opts()));
+        assert_eq!(flat.stats, eager.stats);
+        assert_eq!(flat.findings, eager.findings);
+    }
+
+    fn budgets() -> impl Strategy<Value = Budget> {
+        prop_oneof![
+            Just(Budget::Fixed(1)),
+            Just(Budget::Fixed(4)),
+            Just(Budget::Fixed(32)),
+            (0u64..3).prop_map(Budget::NearSeeds),
+        ]
+    }
+
+    fn fires() -> impl Strategy<Value = Fire> {
+        prop_oneof![
+            Just(Fire::Never),
+            (0u64..48).prop_map(Fire::After),
+            Just(Fire::PastBudget),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 400, ..ProptestConfig::default() })]
+
+        /// The stored-and-spilled frontier against the eager walk it
+        /// replaced, whether the walk drains the frontier, runs out of
+        /// budget or is cancelled between replays — budgets around the seed
+        /// count and a token firing on the poll past the budget included.
         #[test]
         fn flat_frontier_equals_the_eager_walk(
             p in 2u32..7,
             sim_seed in 0u64..1_000,
             rounds in prop::collection::vec(round_strategy(true), 1..6),
-            budget in prop_oneof![Just(1u64), Just(4), Just(32), Just(u64::MAX)],
+            budget in prop_oneof![budgets(), Just(Budget::Fixed(u64::MAX))],
             depth in 1usize..5,
             seed in 0u64..8,
             divergence_pct in prop_oneof![Just(0.0), Just(10.0)],
-            fire_after in prop_oneof![Just(None), (0u64..48).prop_map(Some)],
+            fire in fires(),
         ) {
             let Some(trace) = try_simulate(p, sim_seed, &rounds) else {
                 continue;
@@ -813,22 +1076,62 @@ mod tests {
                 matching_makespan(&trace, recorded),
                 reference::matching_makespan(&trace, recorded)
             );
-            let fire_after = fire_after.or((budget == u64::MAX).then_some(160));
-            let opts = || ExploreOptions {
-                budget,
-                depth,
-                divergence_pct,
-                seed,
-                cancel: fire_after.map(|n| {
-                    let token = CancelToken::new();
-                    token.fire_after_checks(n);
-                    token
-                }),
-            };
-            let (flat, eager) = (explore(&ctx, &opts()), reference::explore(&ctx, &opts()));
-            prop_assert_eq!(flat.stats, eager.stats);
-            prop_assert_eq!(flat.findings, eager.findings);
+            assert_equals_the_eager_walk(&ctx, budget, depth, divergence_pct, seed, fire);
         }
+
+        /// Every set hash forced to one value: each sleep-set probe and
+        /// each settled offer falls through to the full id sets, and the
+        /// counts still equal the eager walk's. They are exact, not
+        /// probabilistic. (Bounded budgets only: with every key colliding
+        /// the table probes linearly.)
+        #[test]
+        fn colliding_set_hashes_still_equal_the_eager_walk(
+            p in 2u32..7,
+            sim_seed in 0u64..1_000,
+            rounds in prop::collection::vec(round_strategy(true), 1..6),
+            budget in budgets(),
+            depth in 1usize..5,
+            seed in 0u64..8,
+            fire in fires(),
+        ) {
+            let Some(trace) = try_simulate(p, sim_seed, &rounds) else {
+                continue;
+            };
+            let ctx = LintContext::build(&trace);
+            COLLIDE.set(true);
+            assert_equals_the_eager_walk(&ctx, budget, depth, 10.0, seed, fire);
+            COLLIDE.set(false);
+        }
+    }
+
+    /// Three ranks, two wildcard receives at rank 0: both seeds swap the
+    /// same two receives, one found from each side. At budget 1 the second
+    /// seed is offered to a full store, so it is spilled, and settles as a
+    /// duplicate of the first: the frontier is exhausted, not the budget.
+    #[test]
+    fn past_budget_duplicates_leave_the_frontier_exhausted() {
+        let trace = mpg_sim::Simulation::new(3, mpg_noise::PlatformSignature::quiet("gather"))
+            .run(|ctx| {
+                if ctx.rank() == 0 {
+                    ctx.recv(mpg_trace::ANY_SOURCE, 0);
+                    ctx.recv(mpg_trace::ANY_SOURCE, 0);
+                } else {
+                    ctx.send(0, 0, 64);
+                }
+            })
+            .expect("gather simulates")
+            .trace;
+        let ctx = LintContext::build(&trace);
+        assert_eq!(seed_count(&ctx), 2);
+        let opts = ExploreOptions::cli_default().budget(1);
+        let report = explore(&ctx, &opts);
+        assert_eq!(FRONTIER.get().1, 1, "the store held the first seed only");
+        let stats = report.stats;
+        assert_eq!((stats.explored, stats.pruned), (1, 1));
+        assert!(!stats.budget_exhausted);
+        assert_eq!(stats.frontier_unexplored, 0);
+        assert_eq!(stats.coverage(), "coverage complete: frontier exhausted");
+        assert_eq!(stats, reference::explore(&ctx, &opts).stats);
     }
 
     #[test]
@@ -853,7 +1156,10 @@ mod tests {
     /// The benchmark's master-worker trace at `--budget 32`: 74 514
     /// extensions generated, 32 replayed. Plans exist for the replayed ones
     /// only, the estimator runs once per completed replay plus once for the
-    /// recorded matching, and the rest of the walk is words in an arena.
+    /// recorded matching, the sleep set holds no more entries than the
+    /// budget, and every other extension is a 20-byte spilled record (28
+    /// with its hash's sorted copy in `settle`): 30.3 bytes per extension
+    /// with the interned resolutions.
     #[test]
     fn a_plan_per_replay_and_words_per_extension() {
         let trace = crate::hb_races::master_worker_trace();
@@ -876,10 +1182,14 @@ mod tests {
         );
         assert_eq!(makespans, 32 + 1);
         let generated = stats.explored + stats.frontier_unexplored + stats.pruned;
-        let bytes = FRONTIER_BYTES.get();
+        let (bytes, stored) = FRONTIER.get();
         assert!(
-            bytes as u64 <= 64 * generated,
-            "{bytes} bytes of frontier and sleep set for {generated} extensions"
+            stored <= 32,
+            "{stored} entries in the sleep set at budget 32"
+        );
+        assert!(
+            bytes as u64 <= 32 * generated,
+            "{bytes} bytes of frontier, sleep set and spill for {generated} extensions"
         );
     }
 
@@ -903,35 +1213,110 @@ mod tests {
         assert_eq!(report.stats, ExploreStats::default());
     }
 
+    /// The sleep set's three claims, on both sides of the store's
+    /// capacity: the key ignores order, each resolution is interned once,
+    /// and a child repeats its parent's ids.
     #[test]
     fn sleep_key_is_order_insensitive() {
-        let mut frontier = Frontier::default();
         let f = |recv, source| ForcedMatch { recv, source };
-        let (a, b, c) = (f((0, 8), 2), f((3, 1), 5), f((3, 1), 6));
-        assert!(frontier.offer(0..0, a, Some(b), 1));
-        assert!(
-            !frontier.offer(0..0, b, Some(a), 1),
+        let (a, b, c, d) = (f((0, 8), 2), f((3, 1), 5), f((3, 1), 6), f((5, 2), 1));
+        // Stored: the probe prunes a rediscovery at once, and the queue is
+        // what was kept, in order, as plans in discovery order.
+        let mut frontier = Frontier::new(8);
+        frontier.offer(None, a, Some(b));
+        frontier.offer(None, b, Some(a));
+        assert_eq!(
+            (frontier.stored, frontier.pruned),
+            (1, 1),
             "same set, other order"
         );
-        assert!(frontier.offer(0..0, c, Some(a), 1), "another source");
-        // Pruned entries leave nothing behind; the queue is what was kept,
-        // in order, as plans in discovery order.
-        assert_eq!(frontier.scheduled, 2);
-        assert_eq!(frontier.resolutions, [a, b, c], "each interned once");
-        let (ids, depth) = frontier.pop().unwrap();
-        assert_eq!(depth, 1);
-        let plan = frontier.plan(ids.clone());
-        assert_eq!(plan, MatchPlan::new().force((0, 8), 2).force((3, 1), 5));
-        // A child repeats its parent's ids, then adds its own.
-        assert!(frontier.offer(ids, c, None, 2));
-        let (ids, _) = frontier.pop().unwrap();
+        frontier.offer(None, c, Some(a));
+        assert_eq!((frontier.stored, frontier.pruned), (2, 1), "another source");
+        let seed = frontier.pop().unwrap();
+        assert_eq!(seed.depth, 1);
+        let plan = MatchPlan::new().force((0, 8), 2).force((3, 1), 5);
+        assert_eq!(frontier.plan(seed), plan);
+        frontier.offer(Some(seed), d, None);
+        let next = frontier.pop().unwrap();
         assert_eq!(
-            frontier.plan(ids),
+            frontier.plan(next),
             MatchPlan::new().force((3, 1), 6).force((0, 8), 2)
         );
-        let (ids, depth) = frontier.pop().unwrap();
-        assert_eq!((ids.len(), depth), (3, 2));
+        let child = frontier.pop().unwrap();
+        assert_eq!(child.depth, 2);
+        assert_eq!(frontier.plan(child), plan.force((5, 2), 1));
         assert!(frontier.pop().is_none());
+        assert_eq!(frontier.settle(), 3);
+        assert_eq!(frontier.resolutions, [a, b, c, d], "each interned once");
+
+        // Spilled past a store of one: the same offers, and rediscoveries
+        // of the stored entry, of a spilled one and of a spilled child,
+        // settle to the same sets.
+        let mut frontier = Frontier::new(1);
+        frontier.offer(None, a, Some(b));
+        let seed = frontier.pop().unwrap();
+        frontier.offer(None, b, Some(a));
+        frontier.offer(None, c, Some(a));
+        frontier.offer(None, a, Some(c));
+        frontier.offer(Some(seed), d, None);
+        frontier.offer(Some(seed), d, None);
+        assert_eq!((frontier.stored, frontier.spill.hashes.len()), (1, 5));
+        assert_eq!(
+            frontier.spilled_set(3),
+            [0, 1, 3],
+            "the seed's ids, then d's"
+        );
+        assert_eq!(frontier.settle(), 3);
+        assert_eq!(frontier.pruned, 3);
+        assert_eq!(frontier.resolutions, [a, b, c, d], "each interned once");
+    }
+
+    /// A `validate`-clean trace whose recorded intervals are each about a
+    /// third of `u64::MAX` and whose recorded run chains two of them, while
+    /// the alternate matching chains three: forcing rank 0's first wildcard
+    /// onto rank 1's late send makes rank 0 wait out rank 1's compute before
+    /// its own, and rank 2's specific receive of what rank 0 sends next
+    /// then starts its compute after both. The estimate saturates at
+    /// `u64::MAX` instead of overflowing, in both estimators.
+    #[test]
+    fn makespan_saturates_when_an_alternate_chains_long_intervals() {
+        let d = u64::MAX / 20 * 7;
+        let text = format!(
+            "ranks=3\n\
+             rank 0\n0 0 init\n1 2 recv peer=2 tag=0 bytes=8 any=1\n2 {d2} compute work=1\n\
+             {d2} {d3} send peer=2 tag=0 bytes=8\n{d3} {d4} recv peer=1 tag=0 bytes=8 any=1\n\
+             {d4} {d4} finalize\n\
+             rank 1\n0 0 init\n0 {d} compute work=1\n{d} {d1} send peer=0 tag=0 bytes=8\n\
+             {d1} {d1} finalize\n\
+             rank 2\n0 0 init\n0 1 send peer=0 tag=0 bytes=8\n{d2} {d3} recv peer=0 tag=0 bytes=8 any=0\n\
+             {d3} {dd3} compute work=1\n{dd3} {dd3} finalize\n",
+            d1 = d + 1,
+            d2 = d + 2,
+            d3 = d + 3,
+            d4 = d + 4,
+            dd3 = 2 * d + 3,
+        );
+        let trace = mpg_trace::text_to_trace(&text).expect("well-formed text trace");
+        assert!(mpg_trace::validate_trace_diagnostics(&trace).is_empty());
+        let ctx = LintContext::build(&trace);
+        let base = 2 * d + 4;
+        assert_eq!(
+            matching_makespan(&trace, &ctx.progress.matching),
+            Some(base)
+        );
+        let opts = ExploreOptions::cli_default();
+        let report = explore(&ctx, &opts);
+        assert_eq!(report.stats.explored, 1);
+        let alts: Vec<_> = report
+            .findings
+            .iter()
+            .map(|f| match f.kind {
+                ExploreFindingKind::Divergence { base, alt, .. } => (base, alt),
+                ExploreFindingKind::MayDeadlock { .. } => panic!("the swap completes"),
+            })
+            .collect();
+        assert_eq!(alts, [(base, u64::MAX)]);
+        assert_eq!(report.findings, reference::explore(&ctx, &opts).findings);
     }
 
     #[test]

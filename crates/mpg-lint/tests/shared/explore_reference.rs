@@ -2,10 +2,11 @@
 //! cloned and extended per candidate, a `HashSet` of sorted `ForcedMatch`
 //! vectors as the sleep set, a `VecDeque` of plans as the frontier, the
 //! makespan estimator on three hash maps and the candidate enumeration
-//! re-sorting every send per call. Kept verbatim as the reference
-//! `src/explore.rs` is checked against (it includes this file with
-//! `#[path]` under `#[cfg(test)]`): findings, their order and every
-//! `ExploreStats` field must be equal.
+//! re-sorting every send per call. Kept as the reference `src/explore.rs`
+//! is checked against (it includes this file with `#[path]` under
+//! `#[cfg(test)]`): findings, their order and every `ExploreStats` field
+//! must be equal. Its only change since is the estimator's saturating
+//! adds, which both estimators share.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -212,7 +213,7 @@ pub fn matching_makespan(trace: &MemTrace, matching: &Matching) -> Option<u64> {
                     if n < p {
                         break;
                     }
-                    clock[r] = entry_max + dur;
+                    clock[r] = entry_max.saturating_add(dur);
                     arrived[r] = false;
                 } else {
                     let mut start = clock[r];
@@ -231,7 +232,7 @@ pub fn matching_makespan(trace: &MemTrace, matching: &Matching) -> Option<u64> {
                             break;
                         }
                     }
-                    let end = start + dur;
+                    let end = start.saturating_add(dur);
                     if matches!(ev.kind, EventKind::Send { .. } | EventKind::Isend { .. }) {
                         send_end.insert((ev.rank, ev.seq), end);
                     }
