@@ -4,7 +4,7 @@
 //! experiments [--quick] [id ...]
 //! ```
 //!
-//! With no ids, runs all thirteen experiments in paper order and prints
+//! With no ids, runs all sixteen experiments in paper order and prints
 //! their tables. `--quick` shrinks problem sizes (CI mode).
 
 #![forbid(unsafe_code)]
@@ -24,7 +24,7 @@ fn main() {
         ids.iter()
             .map(|id| {
                 by_id(id).unwrap_or_else(|| {
-                    eprintln!("unknown experiment '{id}'; known: e1..e13");
+                    eprintln!("unknown experiment '{id}'; known: e1..e16");
                     std::process::exit(2);
                 })
             })

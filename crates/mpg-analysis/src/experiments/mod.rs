@@ -22,7 +22,7 @@ mod e16_parameterization;
 /// Everything an experiment produced.
 #[derive(Debug, Clone)]
 pub struct ExperimentResult {
-    /// Short id (`e1` … `e13`).
+    /// Short id (`e1` … `e16`).
     pub id: &'static str,
     /// Human title naming the paper artifact.
     pub title: &'static str,
@@ -50,7 +50,7 @@ impl ExperimentResult {
 
 /// One reproducible experiment.
 pub trait Experiment: Sync {
-    /// Short id (`e1` … `e13`).
+    /// Short id (`e1` … `e16`).
     fn id(&self) -> &'static str;
 
     /// Human title naming the paper artifact.

@@ -65,7 +65,7 @@ const HEADER_LEN: usize = 4 + 4 + 1 + 8 + 4;
 /// the *semantics* of a derived artifact change (report wording, graph
 /// recording rules) without a format change — old entries then simply
 /// stop matching instead of serving stale content.
-pub const CACHE_SCHEMA: u32 = 2;
+pub const CACHE_SCHEMA: u32 = 3;
 
 /// What a cached artifact contains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

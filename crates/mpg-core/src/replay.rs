@@ -777,10 +777,17 @@ impl<V> ReqTable<V> {
     }
 }
 
-#[derive(Debug)]
-struct CollEntry<V> {
+/// One rank's entry into a collective epoch, drawn when the rank enters.
+#[derive(Debug, Clone)]
+pub(crate) struct CollEntry<V> {
     rank: Rank,
-    drift: V,
+    /// `D(enter) + lδ`: the rank's contribution to the hub.
+    contrib: V,
+    /// The rank's `lδ` draw.
+    delta: V,
+    /// Rounds the draw charged (a bcast charges its root only).
+    rounds: u32,
+    /// The rank's start subevent (the hub anchor and the edge source).
     start_node: NodeId,
 }
 
@@ -788,8 +795,6 @@ struct CollEntry<V> {
 struct CollSlot<V> {
     kind_name: &'static str,
     bytes: u64,
-    root_full_rounds: Option<Rank>, // Bcast: only the root samples rounds
-    rounds: u32,
     entries: Vec<CollEntry<V>>,
 }
 
@@ -1050,54 +1055,32 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
         self.cancel.as_ref().and_then(|t| t.fired())
     }
 
+    /// Replays the ranks this engine owns — every rank, or one shard's
+    /// share (see [`crate::shard`]) — to the end of their streams, a
+    /// deadlock, a crash frontier or a cancellation. A sharded engine
+    /// alternates [`Engine::drain`] with blocking on the exchange until the
+    /// whole run quiesces; an error poisons the exchange so peers exit.
     pub(crate) fn run(mut self) -> Result<Vec<ReplayReport>, ReplayError> {
-        if self.shard.is_some() {
-            return self.run_sharded();
-        }
-        // Seed the ready set: initially every rank can make progress.
         for r in 0..self.cursors.len() {
-            self.ready.insert(r);
-        }
-        // O(events) drain: a rank is popped only when it was last known
-        // able to progress — at start, or after one of its wakeup sources
-        // fired (acknowledgement delivered, matching send offered, a
-        // wait-family request resolved, collective epoch filled). Each pop
-        // runs the rank until it blocks again or its stream ends.
-        let mut cancelled = self.poll_cancel();
-        if cancelled.is_none() {
-            'drain: while let Some(ri) = self.ready.pop() {
-                let r = ri as Rank;
-                self.running = r;
-                self.stats.scheduler_wakeups += 1;
-                if let Some(slept) = self.cursors[ri].slept_at.take() {
-                    // Every scheduler turn that elapsed while this rank
-                    // slept is a pass on which the round-robin engine
-                    // would have re-polled it to no effect.
-                    self.stats.polls_avoided += self.pops - slept;
-                }
-                self.pops += 1;
-                // The inner drain can retire one rank's whole stream in a
-                // single turn, so the amortized poll lives here — the
-                // cancellation latency bound is one CHECK_INTERVAL of
-                // events, not one scheduler turn.
-                while self.step(r)? {
-                    if let Some(reason) = self.poll_cancel() {
-                        cancelled = Some(reason);
-                        self.running = NO_RANK;
-                        break 'drain;
-                    }
-                }
-                self.running = NO_RANK;
-                if !self.cursors[ri].done {
-                    self.cursors[ri].slept_at = Some(self.pops);
-                }
+            if self.remote_owner(r as Rank).is_none() {
+                self.ready.insert(r);
+            } else {
+                // Ranks another shard owns never run here; marking them
+                // done makes stray wakes no-ops and keeps the drain checks
+                // local.
+                self.cursors[r].done = true;
             }
         }
+        let cancelled = self.drain_to_quiescence().inspect_err(|e| {
+            if let Some(ctx) = &self.shard {
+                ctx.exchange.poison(e.to_string());
+            }
+        })?;
         if let Some(reason) = cancelled {
             return self.finish_cancelled(reason);
         }
-        // The queue drained with live cursors: no wakeup source can ever
-        // fire again, so the remaining ranks are deadlocked (the polling
+        // Quiescence with live cursors: no wakeup source can ever fire
+        // again, so the remaining ranks are deadlocked (the polling
         // engine's no-progress diagnostic, reached without O(p·events)
         // polling).
         if self.cursors.iter().any(|c| !c.done) && !self.knobs.crash_tolerant {
@@ -1141,80 +1124,68 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
         Ok(reports)
     }
 
-    /// The shard-mode drain loop: alternate between draining the local
-    /// ready set and blocking on the exchange, until global quiescence.
-    /// Bit-identity with the single-threaded engine is argued on
-    /// [`crate::shard`]; local errors poison the exchange so peers exit.
-    fn run_sharded(mut self) -> Result<Vec<ReplayReport>, ReplayError> {
-        let ctx = self.shard.as_ref().expect("sharded run").clone();
-        for r in 0..self.cursors.len() {
-            if ctx.owns(r as Rank) {
-                self.ready.insert(r);
-            } else {
-                // Non-owned cursors never run; marking them done makes
-                // stray wakes no-ops and keeps the drain checks local.
-                self.cursors[r].done = true;
-            }
-        }
+    /// Drains the ready set, then — only when sharded — applies what the
+    /// exchange delivers and drains again, until the run quiesces or the
+    /// cancel token fires.
+    fn drain_to_quiescence(&mut self) -> Result<Option<CancelReason>, ReplayError> {
         loop {
-            while let Some(ri) = self.ready.pop() {
-                let r = ri as Rank;
-                self.running = r;
-                self.stats.scheduler_wakeups += 1;
-                if let Some(slept) = self.cursors[ri].slept_at.take() {
-                    self.stats.polls_avoided += self.pops - slept;
-                }
-                self.pops += 1;
-                loop {
-                    match self.step(r) {
-                        Ok(true) => {}
-                        Ok(false) => break,
-                        Err(e) => {
-                            ctx.exchange.poison(e.to_string());
-                            return Err(e);
-                        }
-                    }
-                }
-                self.running = NO_RANK;
-                if !self.cursors[ri].done {
-                    self.cursors[ri].slept_at = Some(self.pops);
-                }
+            if let Some(reason) = self.drain()? {
+                return Ok(Some(reason));
             }
-            match ctx.exchange.recv(ctx.me) {
+            let inbox = match &self.shard {
+                Some(ctx) => ctx.exchange.recv(ctx.me),
+                None => return Ok(None),
+            };
+            match inbox {
                 Inbox::Messages(msgs) => {
                     for env in msgs {
-                        if let Err(e) = self.apply_envelope(env) {
-                            ctx.exchange.poison(e.to_string());
-                            return Err(e);
-                        }
+                        self.apply_envelope(env)?;
                     }
                 }
-                Inbox::Done => break,
+                Inbox::Done => return Ok(None),
                 Inbox::Poisoned(msg) => {
                     return Err(ReplayError::Corrupt(format!("peer shard failed: {msg}")))
                 }
             }
         }
-        // Global quiescence with owned ranks still live: the distributed
-        // form of the single-engine deadlock diagnostic.
-        if (0..self.cursors.len()).any(|r| ctx.owns(r as Rank) && !self.cursors[r].done) {
-            let stuck: Vec<String> = self
-                .cursors
-                .iter()
-                .enumerate()
-                .filter(|(r, _)| ctx.owns(*r as Rank))
-                .filter_map(|(r, c)| {
-                    c.current
-                        .as_ref()
-                        .map(|e| format!("rank {r} stuck at seq {} ({})", e.seq, e.kind.name()))
-                })
-                .collect();
-            return Err(ReplayError::Corrupt(format!(
-                "matching made no progress: {}",
-                stuck.join("; ")
-            )));
+    }
+
+    /// O(events) drain: a rank is popped only when it was last known able
+    /// to progress — at start, or after one of its wakeup sources fired
+    /// (acknowledgement delivered, matching send offered, a wait-family
+    /// request resolved, collective epoch filled). Each pop runs the rank
+    /// until it blocks again or its stream ends.
+    fn drain(&mut self) -> Result<Option<CancelReason>, ReplayError> {
+        if let Some(reason) = self.poll_cancel() {
+            return Ok(Some(reason));
         }
-        self.finish()
+        while let Some(ri) = self.ready.pop() {
+            let r = ri as Rank;
+            self.running = r;
+            self.stats.scheduler_wakeups += 1;
+            if let Some(slept) = self.cursors[ri].slept_at.take() {
+                // Every scheduler turn that elapsed while this rank slept
+                // is a pass on which the round-robin engine would have
+                // re-polled it to no effect.
+                self.stats.polls_avoided += self.pops - slept;
+            }
+            self.pops += 1;
+            // The inner drain can retire one rank's whole stream in a
+            // single turn, so the amortized poll lives here — the
+            // cancellation latency bound is one CHECK_INTERVAL of events,
+            // not one scheduler turn.
+            while self.step(r)? {
+                if let Some(reason) = self.poll_cancel() {
+                    self.running = NO_RANK;
+                    return Ok(Some(reason));
+                }
+            }
+            self.running = NO_RANK;
+            if !self.cursors[ri].done {
+                self.cursors[ri].slept_at = Some(self.pops);
+            }
+        }
+        Ok(None)
     }
 
     /// Applies one cross-shard effect to local state.
@@ -1228,21 +1199,10 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
             } => self.resolve_ack(sender, candidate, edges),
             Envelope::Coll {
                 epoch,
-                rank,
                 kind_name,
                 bytes,
-                contrib,
-                start_node,
-            } => self.coll_contribution(
-                epoch,
-                kind_name,
-                bytes,
-                CollEntry {
-                    rank,
-                    drift: contrib,
-                    start_node,
-                },
-            ),
+                entry,
+            } => self.enter_collective(epoch, kind_name, bytes, entry),
         }
     }
 
@@ -1261,9 +1221,12 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
             .send(to, env);
     }
 
-    /// Broadcasts to every other shard (collective contributions).
+    /// Broadcasts to every other shard (collective entries).
     fn ship_all(&self, env: Envelope<B::Val>) {
-        let ctx = self.shard.as_ref().expect("sharded");
+        let ctx = self
+            .shard
+            .as_ref()
+            .expect("broadcasting requires a shard context");
         for s in 0..ctx.owners.shards() {
             if s != ctx.me {
                 ctx.exchange.send(s, env.clone());
@@ -1370,6 +1333,7 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
             ));
         }
         self.stats.window_high_water = self.matches.high_water();
+        self.stats.engines = 1;
         let final_drift: Vec<B::Val> = self.cursors.iter().map(|c| c.drift).collect();
         let last_end_local: Vec<Cycles> = self.cursors.iter().map(|c| c.last_end_local).collect();
         Ok(self.bank.into_reports(
@@ -2047,44 +2011,35 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
             self.cursors[ri].scratch_epoch = epoch;
             self.cursors[ri].posted = true;
             let rounds = match kind_name {
+                _ if bcast_root.is_some_and(|root| root != r) => 0,
                 "reduce" | "gather" => 1,
                 "alltoall" => p.saturating_sub(1),
                 _ => (p as f64).log2().ceil() as u32,
             };
+            // Draw lδ at entry: the rank blocks until the hub resolves, so
+            // its collective stream is drawn in epoch order whenever the
+            // epoch fills, on one engine or across shards.
+            let delta = self
+                .bank
+                .sample(r, DeltaClass::CollectiveRounds { rounds, bytes });
+            let entry = CollEntry {
+                rank: r,
+                contrib: B::add(d0, delta),
+                delta,
+                rounds,
+                start_node: NodeId::start(r, ev.seq),
+            };
             if self.shard.is_some() {
-                // Sharded: sample this rank's lδ now — it blocks until the
-                // hub resolves, so entry order equals the single-threaded
-                // engine's per-rank draw order — and broadcast the
-                // pre-added contribution so every shard can resolve the
-                // hub locally. Each rank derives its own round count (for
-                // a well-formed trace all members agree on the root).
-                let rounds = match bcast_root {
-                    Some(root) if r != root => 0,
-                    _ => rounds,
-                };
-                let l_delta = self
-                    .bank
-                    .sample(r, DeltaClass::CollectiveRounds { rounds, bytes });
-                self.bank.tally_injected(l_delta);
-                let entry = CollEntry {
-                    rank: r,
-                    drift: B::add(d0, l_delta),
-                    start_node: NodeId::start(r, ev.seq),
-                };
                 self.ship_all(Envelope::Coll {
                     epoch,
-                    rank: r,
                     kind_name,
                     bytes,
-                    contrib: entry.drift,
-                    start_node: entry.start_node,
+                    entry: entry.clone(),
                 });
-                self.coll_entries += 1;
-                self.note_window();
-                self.coll_contribution(epoch, kind_name, bytes, entry)?;
-            } else {
-                self.step_collective_enter(r, ev, kind_name, bytes, bcast_root, rounds, d0, epoch)?;
             }
+            self.coll_entries += 1;
+            self.note_window();
+            self.enter_collective(epoch, kind_name, bytes, entry)?;
         }
         let epoch = self.cursors[ri].scratch_epoch;
         let (hub, hub_node, drained) = match self.colls.state_mut(epoch) {
@@ -2118,133 +2073,10 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
         Ok(true)
     }
 
-    /// The single-engine collective entry: queue the raw entry drift; the
-    /// lδ deltas are sampled when the slot fills (`resolve_collective`).
-    #[allow(clippy::too_many_arguments)]
-    fn step_collective_enter(
-        &mut self,
-        r: Rank,
-        ev: &EventRecord,
-        kind_name: &'static str,
-        bytes: u64,
-        bcast_root: Option<Rank>,
-        rounds: u32,
-        d0: B::Val,
-        epoch: u64,
-    ) -> Result<(), ReplayError> {
-        let p = self.cursors.len() as u32;
-        let full_slot = {
-            let state = self
-                .colls
-                .state_mut(epoch)
-                .expect("collective epoch cleared while a rank still enters it");
-            if matches!(state, CollState::Vacant) {
-                *state = CollState::Filling(CollSlot {
-                    kind_name,
-                    bytes,
-                    root_full_rounds: bcast_root,
-                    rounds,
-                    entries: Vec::new(),
-                });
-            }
-            let CollState::Filling(slot) = state else {
-                return Err(ReplayError::Corrupt(format!(
-                    "epoch {epoch}: rank {r} entered an already-resolved collective"
-                )));
-            };
-            if slot.kind_name != kind_name || slot.bytes != bytes {
-                return Err(ReplayError::CollectiveMismatch(format!(
-                    "epoch {epoch}: rank {r} called {kind_name}({bytes}B) but epoch began \
-                         with {}({}B)",
-                    slot.kind_name, slot.bytes
-                )));
-            }
-            slot.entries.push(CollEntry {
-                rank: r,
-                drift: d0,
-                start_node: NodeId::start(r, ev.seq),
-            });
-            if slot.entries.len() == p as usize {
-                let CollState::Filling(slot) = std::mem::replace(state, CollState::Vacant) else {
-                    unreachable!("checked Filling above")
-                };
-                Some(slot)
-            } else {
-                None
-            }
-        };
-        self.coll_entries += 1;
-        self.note_window();
-        if let Some(slot) = full_slot {
-            self.resolve_collective(epoch, slot);
-        }
-        Ok(())
-    }
-
-    /// Computes the hub drift for a filled collective slot (Fig. 4):
-    /// `hub = max_i(D(enter_i) + lδ_i)`.
-    fn resolve_collective(&mut self, epoch: u64, mut slot: CollSlot<B::Val>) {
-        slot.entries.sort_unstable_by_key(|e| e.rank);
-        self.stats.collectives += 1;
-        let record = self.graph.is_some();
-        let mut hub = B::splat(Drift::MIN);
-        let hub_anchor = slot.entries.first().expect("non-empty slot");
-        let hub_node = NodeId::hub(hub_anchor.rank, hub_anchor.start_node.seq);
-        let mut edges = Vec::new();
-        for e in &slot.entries {
-            let rounds = match slot.root_full_rounds {
-                Some(root) if e.rank != root => 0,
-                _ => slot.rounds,
-            };
-            let l_delta = self.bank.sample(
-                e.rank,
-                DeltaClass::CollectiveRounds {
-                    rounds,
-                    bytes: slot.bytes,
-                },
-            );
-            self.bank.tally_injected(l_delta);
-            hub = B::max(hub, B::add(e.drift, l_delta));
-            if record {
-                edges.push(Edge {
-                    src: e.start_node,
-                    dst: hub_node,
-                    base: 0,
-                    class: DeltaClass::CollectiveRounds {
-                        rounds,
-                        bytes: slot.bytes,
-                    },
-                    sampled: B::lane0(l_delta),
-                    is_message: true,
-                });
-            }
-        }
-        if let Some(g) = self.graph.as_mut() {
-            for e in edges {
-                g.add_edge(e);
-            }
-        }
-        let state = self
-            .colls
-            .state_mut(epoch)
-            .expect("epoch slot exists while resolving");
-        *state = CollState::Done(CollDone {
-            hub,
-            hub_node,
-            remaining: slot.entries.len(),
-        });
-        // Every participant either is blocked on this collective right now
-        // or will reach it with the hub already resolved.
-        for e in &slot.entries {
-            self.wake(e.rank);
-        }
-    }
-
-    /// Sharded collective entry: every shard sees every rank's pre-added
-    /// contribution (locally for owned ranks, via `Envelope::Coll` for the
-    /// rest) and resolves the hub independently — the hub is a commutative
-    /// max, so all shards agree bit-for-bit.
-    fn coll_contribution(
+    /// Adds one rank's entry to its epoch — an owned rank's from
+    /// `step_collective`, another shard's from the exchange — and resolves
+    /// the epoch once all `p` ranks have entered.
+    fn enter_collective(
         &mut self,
         epoch: u64,
         kind_name: &'static str,
@@ -2253,64 +2085,73 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
     ) -> Result<(), ReplayError> {
         let p = self.cursors.len();
         let r = entry.rank;
-        let full_slot = {
-            let state = self
-                .colls
-                .state_mut(epoch)
-                .expect("collective epoch cleared while a rank still enters it");
-            if matches!(state, CollState::Vacant) {
-                *state = CollState::Filling(CollSlot {
-                    kind_name,
-                    bytes,
-                    root_full_rounds: None,
-                    rounds: 0,
-                    entries: Vec::new(),
-                });
-            }
-            let CollState::Filling(slot) = state else {
-                return Err(ReplayError::Corrupt(format!(
-                    "epoch {epoch}: rank {r} entered an already-resolved collective"
-                )));
-            };
-            if slot.kind_name != kind_name || slot.bytes != bytes {
-                return Err(ReplayError::CollectiveMismatch(format!(
-                    "epoch {epoch}: rank {r} called {kind_name}({bytes}B) but epoch began \
-                     with {}({}B)",
-                    slot.kind_name, slot.bytes
-                )));
-            }
-            slot.entries.push(entry);
-            if slot.entries.len() == p {
-                let CollState::Filling(slot) = std::mem::replace(state, CollState::Vacant) else {
-                    unreachable!("checked Filling above")
-                };
-                Some(slot)
-            } else {
-                None
-            }
-        };
-        if let Some(slot) = full_slot {
-            self.resolve_collective_shard(epoch, slot);
+        let state = self
+            .colls
+            .state_mut(epoch)
+            .expect("collective epoch cleared while a rank still enters it");
+        if matches!(state, CollState::Vacant) {
+            *state = CollState::Filling(CollSlot {
+                kind_name,
+                bytes,
+                entries: Vec::new(),
+            });
         }
+        let CollState::Filling(slot) = state else {
+            return Err(ReplayError::Corrupt(format!(
+                "epoch {epoch}: rank {r} entered an already-resolved collective"
+            )));
+        };
+        if slot.kind_name != kind_name || slot.bytes != bytes {
+            return Err(ReplayError::CollectiveMismatch(format!(
+                "epoch {epoch}: rank {r} called {kind_name}({bytes}B) but epoch began \
+                 with {}({}B)",
+                slot.kind_name, slot.bytes
+            )));
+        }
+        slot.entries.push(entry);
+        if slot.entries.len() < p {
+            return Ok(());
+        }
+        let CollState::Filling(slot) = std::mem::replace(state, CollState::Vacant) else {
+            unreachable!("checked Filling above")
+        };
+        self.resolve_collective(epoch, slot);
         Ok(())
     }
 
-    /// Resolves a filled sharded collective: the deltas were already sampled
-    /// and added by each rank's owner, so the hub is a pure max fold.
-    fn resolve_collective_shard(&mut self, epoch: u64, mut slot: CollSlot<B::Val>) {
+    /// Resolves a filled epoch (Fig. 4): `hub = max_i(D(enter_i) + lδ_i)`
+    /// over the pre-added contributions. The draws of owned ranks count
+    /// toward `injected_total` here, at fill, so an epoch a crash frontier
+    /// or a cancellation leaves unfilled counts nothing.
+    fn resolve_collective(&mut self, epoch: u64, mut slot: CollSlot<B::Val>) {
         slot.entries.sort_unstable_by_key(|e| e.rank);
         self.stats.collectives += 1;
+        let anchor = slot.entries.first().expect("non-empty slot");
+        let hub_node = NodeId::hub(anchor.rank, anchor.start_node.seq);
         let mut hub = B::splat(Drift::MIN);
         for e in &slot.entries {
-            hub = B::max(hub, e.drift);
+            hub = B::max(hub, e.contrib);
+            if self.remote_owner(e.rank).is_none() {
+                self.bank.tally_injected(e.delta);
+            }
+            if let Some(g) = self.graph.as_mut() {
+                g.add_edge(Edge {
+                    src: e.start_node,
+                    dst: hub_node,
+                    base: 0,
+                    class: DeltaClass::CollectiveRounds {
+                        rounds: e.rounds,
+                        bytes: slot.bytes,
+                    },
+                    sampled: B::lane0(e.delta),
+                    is_message: true,
+                });
+            }
         }
-        let hub_anchor = slot.entries.first().expect("non-empty slot");
-        let hub_node = NodeId::hub(hub_anchor.rank, hub_anchor.start_node.seq);
         let remaining = self
             .shard
             .as_ref()
-            .expect("shard collective resolved without shard context")
-            .owned_count();
+            .map_or(slot.entries.len(), ShardCtx::owned_count);
         let state = self
             .colls
             .state_mut(epoch)
@@ -2320,8 +2161,9 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
             hub_node,
             remaining,
         });
-        // Only owned ranks can be blocked here; wakes for foreign ranks are
-        // dropped by their pre-set `done` cursors.
+        // Every owned participant either is blocked on this collective
+        // right now or will reach it with the hub already resolved; wakes
+        // for another shard's ranks are dropped by their `done` cursors.
         for e in &slot.entries {
             self.wake(e.rank);
         }
@@ -2489,6 +2331,44 @@ mod tests {
         let report = replay(&trace, model);
         // Only root samples rounds: hub = 2 rounds × 100 = 200 for everyone.
         assert_eq!(report.final_drift, vec![200; 4]);
+    }
+
+    /// A malformed bcast whose ranks disagree on the root: each rank pays
+    /// rounds only when it names itself root, on one engine as on shards.
+    #[test]
+    fn bcast_with_disagreeing_roots_replays_alike_on_one_engine_and_shards() {
+        use mpg_trace::EventKind;
+        let mut mt = MemTrace::new(4);
+        for r in 0..4u32 {
+            let kinds = [
+                EventKind::Init,
+                EventKind::Bcast {
+                    root: if r == 0 { 1 } else { 0 },
+                    bytes: 64,
+                    comm_size: 4,
+                },
+                EventKind::Finalize,
+            ];
+            for (seq, kind) in kinds.into_iter().enumerate() {
+                let t = 10 * seq as u64;
+                mt.push(EventRecord {
+                    rank: r,
+                    seq: seq as u64,
+                    t_start: t,
+                    t_end: t + 10,
+                    kind,
+                });
+            }
+        }
+        let mut model = PerturbationModel::quiet("m");
+        model.latency = Dist::Constant(100.0).into();
+        let replayer = Replayer::new(ReplayConfig::new(model));
+        let one = replayer.run(&mt).unwrap();
+        let streams = (0..4).map(|r| mt.iter_rank(r).map(Ok)).collect();
+        let sharded = replayer.run_streams_parallel(streams, 2).unwrap();
+        // No rank names itself root, so no rank pays a round.
+        assert_eq!(one.final_drift, vec![0; 4]);
+        assert_eq!(sharded.final_drift, one.final_drift);
     }
 
     #[test]

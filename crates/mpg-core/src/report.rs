@@ -57,6 +57,11 @@ pub struct ReplayStats {
     /// one is a poll the old round-robin engine would have wasted on that
     /// rank. A direct measure of what the wakeup queue saves.
     pub polls_avoided: u64,
+    /// Engines whose schedules produced this report: 1 for one engine,
+    /// the shard count for a partition-parallel replay. The scheduler
+    /// counters describe a schedule only when this is 1; summed over
+    /// shards they change from run to run.
+    pub engines: u32,
     /// Number of drift lanes that shared the traversal producing this
     /// report: 1 for a scalar replay, the batch width for a lane-batched
     /// sweep replay ([`lane_replays`](crate::lane::lane_replays)).

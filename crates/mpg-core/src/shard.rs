@@ -7,13 +7,18 @@
 //! The engine's observable outputs are max-plus algebra over sampled
 //! deltas, and every source of nondeterminism is structurally absent:
 //!
+//! * **Shared code.** A single engine is the one-shard case of this
+//!   protocol: the drain loop, the collective entry (draw at entry) and
+//!   the collective resolver (fold, tally and record at fill) are the
+//!   same code in both modes, and only the exchange is skipped. What the
+//!   shards compute is therefore not a second protocol that must match
+//!   the first; the arguments below are about what splitting the ranks
+//!   can change.
 //! * **Sampling.** [`PerturbSampler`](crate::perturb::PerturbSampler)
 //!   keeps an independent RNG stream per `(rank, class group)`, and every
 //!   delta for rank `r` is drawn by the shard that owns `r`, in `r`'s own
 //!   program order. Thread interleaving cannot reorder draws within a
-//!   stream. Collective deltas are drawn at *entry* (the rank blocks until
-//!   the hub resolves anyway), which is the same per-rank draw order the
-//!   single-threaded engine produces by resolving epochs in order.
+//!   stream.
 //! * **Matching.** Channels are per-`(src, dst)` FIFOs and each shard's
 //!   inbox preserves per-sender envelope order, so the k-th send on a
 //!   channel always pairs with the k-th receive no matter which side's
@@ -25,7 +30,9 @@
 //! Scheduler-order diagnostics (`scheduler_wakeups`, `polls_avoided`,
 //! `window_high_water`) are the deliberate exception: they describe each
 //! shard's private schedule and are merged additively/by-max, not
-//! reproduced.
+//! reproduced. The merged report records its engine count, and the
+//! rendered report leaves the `scheduler:` line out when it is above 1,
+//! so sharded stdout is the same on every run.
 //!
 //! # Termination
 //!
@@ -33,16 +40,15 @@
 //! over exactly when every shard is blocked *and* no envelope is in
 //! flight — at that point no wakeup source can ever fire again, which is
 //! also how deadlocked traces are detected (a shard left with blocked
-//! owned ranks reports them, mirroring the single-threaded engine's
-//! no-progress diagnostic).
+//! owned ranks reports them with the single engine's no-progress
+//! diagnostic, from the same code).
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
 use mpg_trace::{EventRecord, Rank, TraceError};
 
-use crate::graph::NodeId;
-use crate::replay::{AckEdges, ReplayConfig};
+use crate::replay::{AckEdges, CollEntry, ReplayConfig};
 use crate::report::ReplayError;
 use crate::report::ReplayReport;
 use crate::stream::{SendRecord, SenderRef};
@@ -74,21 +80,17 @@ pub(crate) enum Envelope<V> {
         /// uniform).
         edges: AckEdges,
     },
-    /// One rank's collective contribution, broadcast to every other shard:
-    /// `D(entry) + lδ` with the delta already sampled by the owner.
+    /// One rank's collective entry, broadcast to every other shard: the
+    /// owner drew its `lδ` when the rank entered.
     Coll {
         /// Global collective epoch.
         epoch: u64,
-        /// Contributing rank.
-        rank: Rank,
         /// Collective kind, for cross-rank mismatch validation.
         kind_name: &'static str,
         /// Payload size, for mismatch validation.
         bytes: u64,
-        /// `D(entry) + lδ`, pre-sampled.
-        contrib: V,
-        /// The contributing rank's start subevent (hub-anchor derivation).
-        start_node: NodeId,
+        /// The entry: contributing rank, `D(entry) + lδ`, the draw.
+        entry: CollEntry<V>,
     },
 }
 
@@ -260,10 +262,6 @@ impl<V> Clone for ShardCtx<V> {
 }
 
 impl<V> ShardCtx<V> {
-    pub(crate) fn owns(&self, rank: Rank) -> bool {
-        self.owners.owner(rank) == self.me
-    }
-
     /// Number of ranks this shard owns (collective drain count).
     pub(crate) fn owned_count(&self) -> usize {
         self.owners.count(self.me)
@@ -388,6 +386,7 @@ fn merge_reports(
         merged.warnings.extend(part.warnings);
     }
     merged.stats.collectives = shard0_collectives;
+    merged.stats.engines = owners.shards() as u32;
     let (open, sends, recvs) = leaks;
     if open > 0 || sends > 0 || recvs > 0 {
         merged.warnings.push(format!(

@@ -38,7 +38,7 @@ use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use crossbeam_channel::Receiver;
 
 use crate::error::SimError;
-use crate::matching::MatchEngine;
+use crate::matching::EnvelopeMatcher;
 use crate::message::{MsgInFlight, Party, PostedRecv, RecvInfo};
 use crate::network::NetworkModel;
 use crate::program::SendMode;
@@ -150,7 +150,7 @@ pub struct Coordinator<'t> {
     p: u32,
     send_mode: SendMode,
     states: Vec<RankState>,
-    engine: MatchEngine,
+    engine: EnvelopeMatcher<MsgInFlight, PostedRecv>,
     net: NetworkModel,
     os_noise: OsNoiseModel,
     noise_rngs: Vec<StreamRng>,
@@ -190,7 +190,7 @@ impl<'t> Coordinator<'t> {
             p,
             send_mode,
             states: (0..p).map(|_| RankState::new()).collect(),
-            engine: MatchEngine::new(),
+            engine: EnvelopeMatcher::new(),
             net,
             os_noise,
             noise_rngs: (0..p)
@@ -265,7 +265,7 @@ impl<'t> Coordinator<'t> {
                 })
                 .collect();
             let mut blocked = blocked;
-            blocked.push(self.engine.dump());
+            blocked.push(dump_unmatched(&self.engine));
             return Err(SimError::Deadlock { blocked });
         }
     }
@@ -973,5 +973,57 @@ impl<'t> Coordinator<'t> {
             self.states[r as usize].parked = None;
             self.reply(r, Reply::Done { now: end }, end);
         }
+    }
+}
+
+/// Human-readable dump of unmatched matching state (deadlock diagnostics).
+fn dump_unmatched(engine: &EnvelopeMatcher<MsgInFlight, PostedRecv>) -> String {
+    let mut counts: HashMap<(Rank, Rank), usize> = HashMap::new();
+    for m in engine.iter_in_flight() {
+        *counts.entry((m.src, m.dst)).or_default() += 1;
+    }
+    let mut parts = Vec::new();
+    for ((s, d), n) in counts {
+        parts.push(format!("{n} unmatched msg(s) {s}->{d}"));
+    }
+    for pr in engine.iter_posted() {
+        parts.push(format!(
+            "recv posted on {} for src={} tag={}",
+            pr.dst, pr.src_pattern, pr.tag_pattern
+        ));
+    }
+    parts.sort();
+    parts.join(", ")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn dump_mentions_leftovers() {
+        let mut e = EnvelopeMatcher::new();
+        e.post_send(MsgInFlight {
+            src: 0,
+            dst: 2,
+            tag: 5,
+            bytes: 8,
+            send_enter: 0,
+            arrival: 100,
+            ack_latency: 0,
+            sender: Party::Blocking,
+            sender_done: false,
+        });
+        e.post_recv(PostedRecv {
+            dst: 1,
+            src_pattern: 0,
+            tag_pattern: 5,
+            posted_at: 0,
+            receiver: Party::Blocking,
+            order: 0,
+        });
+        let d = dump_unmatched(&e);
+        assert!(d.contains("0->2"), "{d}");
+        assert!(d.contains("recv posted on 1"), "{d}");
     }
 }

@@ -61,7 +61,7 @@ pub mod tracer;
 
 pub use comm::Comm;
 pub use error::SimError;
-pub use matching::{EnvelopeMatcher, MatchEngine, RecvEnvelope, SendEnvelope};
+pub use matching::{EnvelopeMatcher, RecvEnvelope, SendEnvelope};
 pub use message::RecvInfo;
 pub use program::{CollectiveMode, SendMode, SimOutcome, Simulation};
 pub use rank::{RankCtx, Req};

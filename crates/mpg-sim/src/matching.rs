@@ -15,10 +15,10 @@
 //! over anything implementing [`SendEnvelope`]/[`RecvEnvelope`], so other
 //! consumers (notably `mpg-lint`'s static match-resolution pass) reuse the
 //! exact same matching rules on their own lightweight envelope types. The
-//! simulator's [`MatchEngine`] is a thin wrapper instantiated with
+//! simulator's coordinator instantiates it with
 //! [`MsgInFlight`]/[`PostedRecv`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::message::{MsgInFlight, PostedRecv};
 use mpg_trace::{Rank, Tag, ANY_SOURCE, ANY_TAG};
@@ -351,67 +351,6 @@ impl<S: SendEnvelope, R: RecvEnvelope> EnvelopeMatcher<S, R> {
     }
 }
 
-/// The simulator's matching state over [`MsgInFlight`]/[`PostedRecv`].
-#[derive(Debug, Default)]
-pub struct MatchEngine {
-    inner: EnvelopeMatcher<MsgInFlight, PostedRecv>,
-}
-
-impl MatchEngine {
-    /// Creates an empty engine.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Monotone order stamp for posted receives.
-    pub fn next_post_order(&mut self) -> u64 {
-        self.inner.next_post_order()
-    }
-
-    /// Offers a send to the engine. If a posted receive accepts it, the
-    /// matched pair is returned; otherwise the message is queued.
-    pub fn post_send(&mut self, msg: MsgInFlight) -> Option<(MsgInFlight, PostedRecv)> {
-        self.inner.post_send(msg)
-    }
-
-    /// Offers a posted receive. If an in-flight message matches, the matched
-    /// pair is returned; otherwise the receive is queued.
-    pub fn post_recv(&mut self, pr: PostedRecv) -> Option<(MsgInFlight, PostedRecv)> {
-        self.inner.post_recv(pr)
-    }
-
-    /// Number of unmatched in-flight messages (bounded-memory accounting for
-    /// the windowed analyzer and for leak checks at finalize).
-    pub fn in_flight_count(&self) -> usize {
-        self.inner.in_flight_count()
-    }
-
-    /// Number of unmatched posted receives.
-    pub fn posted_count(&self) -> usize {
-        self.inner.posted_count()
-    }
-
-    /// Human-readable dump of unmatched state (deadlock diagnostics).
-    pub fn dump(&self) -> String {
-        let mut counts: HashMap<(Rank, Rank), usize> = HashMap::new();
-        for m in self.inner.iter_in_flight() {
-            *counts.entry((m.src, m.dst)).or_default() += 1;
-        }
-        let mut parts = Vec::new();
-        for ((s, d), n) in counts {
-            parts.push(format!("{n} unmatched msg(s) {s}->{d}"));
-        }
-        for pr in self.inner.iter_posted() {
-            parts.push(format!(
-                "recv posted on {} for src={} tag={}",
-                pr.dst, pr.src_pattern, pr.tag_pattern
-            ));
-        }
-        parts.sort();
-        parts.join(", ")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,7 +384,7 @@ mod tests {
 
     #[test]
     fn send_then_recv_matches() {
-        let mut e = MatchEngine::new();
+        let mut e = EnvelopeMatcher::<MsgInFlight, PostedRecv>::new();
         assert!(e.post_send(msg(0, 1, 5, 100)).is_none());
         let (m, _) = e.post_recv(recv(1, 0, 5, 0)).expect("should match");
         assert_eq!(m.tag, 5);
@@ -455,7 +394,7 @@ mod tests {
 
     #[test]
     fn recv_then_send_matches() {
-        let mut e = MatchEngine::new();
+        let mut e = EnvelopeMatcher::<MsgInFlight, PostedRecv>::new();
         assert!(e.post_recv(recv(1, 0, 5, 0)).is_none());
         let (_, pr) = e.post_send(msg(0, 1, 5, 100)).expect("should match");
         assert_eq!(pr.tag_pattern, 5);
@@ -463,7 +402,7 @@ mod tests {
 
     #[test]
     fn non_overtaking_same_pattern() {
-        let mut e = MatchEngine::new();
+        let mut e = EnvelopeMatcher::<MsgInFlight, PostedRecv>::new();
         e.post_send(msg(0, 1, 5, 300)); // first sent, arrives later
         e.post_send(msg(0, 1, 5, 100));
         let (m, _) = e.post_recv(recv(1, 0, 5, 0)).unwrap();
@@ -473,7 +412,7 @@ mod tests {
 
     #[test]
     fn tag_selectivity_skips_non_matching() {
-        let mut e = MatchEngine::new();
+        let mut e = EnvelopeMatcher::<MsgInFlight, PostedRecv>::new();
         e.post_send(msg(0, 1, 3, 100));
         e.post_send(msg(0, 1, 5, 200));
         let (m, _) = e.post_recv(recv(1, 0, 5, 0)).unwrap();
@@ -483,7 +422,7 @@ mod tests {
 
     #[test]
     fn posted_receive_order_respected() {
-        let mut e = MatchEngine::new();
+        let mut e = EnvelopeMatcher::<MsgInFlight, PostedRecv>::new();
         e.post_recv(recv(1, 0, ANY_TAG, 0));
         e.post_recv(recv(1, 0, 5, 1));
         let (_, pr) = e.post_send(msg(0, 1, 5, 100)).unwrap();
@@ -493,7 +432,7 @@ mod tests {
 
     #[test]
     fn any_source_picks_earliest_arrival() {
-        let mut e = MatchEngine::new();
+        let mut e = EnvelopeMatcher::<MsgInFlight, PostedRecv>::new();
         e.post_send(msg(2, 1, 5, 500));
         e.post_send(msg(3, 1, 5, 200));
         let (m, _) = e.post_recv(recv(1, ANY_SOURCE, 5, 0)).unwrap();
@@ -505,7 +444,7 @@ mod tests {
 
     #[test]
     fn any_source_tie_breaks_by_rank() {
-        let mut e = MatchEngine::new();
+        let mut e = EnvelopeMatcher::<MsgInFlight, PostedRecv>::new();
         e.post_send(msg(7, 1, 5, 100));
         e.post_send(msg(2, 1, 5, 100));
         let (m, _) = e.post_recv(recv(1, ANY_SOURCE, 5, 0)).unwrap();
@@ -514,21 +453,11 @@ mod tests {
 
     #[test]
     fn wrong_destination_never_matches() {
-        let mut e = MatchEngine::new();
+        let mut e = EnvelopeMatcher::<MsgInFlight, PostedRecv>::new();
         e.post_send(msg(0, 2, 5, 100));
         assert!(e.post_recv(recv(1, 0, 5, 0)).is_none());
         assert_eq!(e.in_flight_count(), 1);
         assert_eq!(e.posted_count(), 1);
-    }
-
-    #[test]
-    fn dump_mentions_leftovers() {
-        let mut e = MatchEngine::new();
-        e.post_send(msg(0, 2, 5, 100));
-        e.post_recv(recv(1, 0, 5, 0));
-        let d = e.dump();
-        assert!(d.contains("0->2"));
-        assert!(d.contains("recv posted on 1"));
     }
 
     #[test]
