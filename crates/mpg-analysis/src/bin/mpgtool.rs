@@ -310,6 +310,14 @@ fn take_num<T: FromStr>(args: &mut Vec<String>, flag: &str) -> Result<Option<T>,
         .transpose()
 }
 
+/// `--ranks N` of `gen` and `demo`: 8 unless given, and never 0.
+fn take_ranks(args: &mut Vec<String>) -> Result<u32, String> {
+    match take_num(args, "--ranks")? {
+        Some(0) => Err("bad --ranks '0': a job needs at least one rank".into()),
+        ranks => Ok(ranks.unwrap_or(8)),
+    }
+}
+
 /// Pulls every `--deny MPG-RULE` out of `args`.
 fn take_deny(args: &mut Vec<String>) -> Result<Vec<Rule>, String> {
     let mut deny = Vec::new();
@@ -467,7 +475,7 @@ fn scaled_workload(name: &str, scale: u64) -> Option<Box<dyn Workload>> {
 /// replay experiments — a `demo` whose event volume is dialed by `--scale`.
 fn cmd_gen(mut args: Vec<String>) -> Result<ExitCode, String> {
     let workload = take_flag(&mut args, "--workload").unwrap_or_else(|| "stencil".into());
-    let ranks: u32 = take_num(&mut args, "--ranks")?.unwrap_or(8);
+    let ranks = take_ranks(&mut args)?;
     let scale: u64 = take_num(&mut args, "--scale")?.unwrap_or(1);
     let seed: u64 = take_num(&mut args, "--seed")?.unwrap_or(1);
     let [dir] = args.as_slice() else {
@@ -502,7 +510,7 @@ fn cmd_gen(mut args: Vec<String>) -> Result<ExitCode, String> {
 }
 
 fn cmd_demo(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let ranks: u32 = take_num(&mut args, "--ranks")?.unwrap_or(8);
+    let ranks = take_ranks(&mut args)?;
     let seed: u64 = take_num(&mut args, "--seed")?.unwrap_or(1);
     let [name, dir] = args.as_slice() else {
         return Err("demo needs a workload name and a trace directory".into());

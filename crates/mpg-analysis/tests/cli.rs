@@ -431,6 +431,14 @@ fn bad_numeric_flags_exit_2_naming_the_flag() {
             vec!["gen", "--ranks", "x", gen_dir.to_str().unwrap()],
             "bad --ranks 'x'",
         ),
+        (
+            vec!["gen", "--ranks", "0", gen_dir.to_str().unwrap()],
+            "bad --ranks '0'",
+        ),
+        (
+            vec!["demo", "ring", "--ranks", "0", gen_dir.to_str().unwrap()],
+            "bad --ranks '0'",
+        ),
         (vec!["replay", dir, "--shards"], "--shards needs a value"),
     ] {
         let out = mpgtool().args(&args).output().unwrap();
@@ -441,6 +449,29 @@ fn bad_numeric_flags_exit_2_naming_the_flag() {
     }
     assert!(!gen_dir.exists(), "gen wrote a trace on a bad flag");
     std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// A simulation that fails reports its error and nothing else: the rank
+/// threads it unwinds print no panic message and no backtrace.
+#[test]
+fn failed_simulation_prints_only_its_error() {
+    let dir = tmp("gen-one-rank");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = mpgtool()
+        .args(["gen", "--workload", "ring", "--ranks", "1"])
+        .arg(&dir)
+        .env("RUST_BACKTRACE", "1")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "mpgtool: simulation failed: invalid operation on rank 0: \
+         self-message is not supported\n\
+         run with no arguments for usage\n"
+    );
+    assert!(!dir.exists(), "gen wrote a trace for a failed simulation");
 }
 
 #[test]
@@ -593,4 +624,203 @@ fn generated_trace_fingerprint_is_pinned() {
     let key = mpg_trace::trace_fingerprint(&dir).unwrap().key();
     assert_eq!(key, "0004-965df8f5-3707b03697e18f03");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Writes `outcome`'s trace to a fresh directory and returns its key.
+fn saved_key(tag: &str, outcome: mpg_sim::SimOutcome) -> String {
+    let dir = tmp(tag);
+    let _ = std::fs::remove_dir_all(&dir);
+    outcome.trace.save(&dir).unwrap();
+    let key = mpg_trace::trace_fingerprint(&dir).unwrap().key();
+    std::fs::remove_dir_all(&dir).unwrap();
+    key
+}
+
+/// Every `gen` workload at two rank counts and the 8-rank `summa` demo:
+/// the simulator's scheduling of rank calls may change, the bytes it
+/// writes may not.
+#[test]
+fn every_generated_workload_fingerprint_is_pinned() {
+    let pins: [(&[&str], &str); 13] = [
+        (
+            &["gen", "--workload", "ring", "--ranks", "4"],
+            "0004-965df8f5-3707b03697e18f03",
+        ),
+        (
+            &["gen", "--workload", "ring", "--ranks", "16"],
+            "0010-fe1b22ee-df950ed9c2209408",
+        ),
+        (
+            &["gen", "--workload", "stencil", "--ranks", "4"],
+            "0004-1537d488-a79ea7441619eec5",
+        ),
+        (
+            &["gen", "--workload", "stencil", "--ranks", "16"],
+            "0010-ceda69e0-6bc5a6b8282b3bf4",
+        ),
+        (
+            &["gen", "--workload", "master-worker", "--ranks", "4"],
+            "0004-17bc8a13-99751868676ed0d8",
+        ),
+        (
+            &["gen", "--workload", "master-worker", "--ranks", "16"],
+            "0010-551f7433-5810f5eb7feb5dd8",
+        ),
+        (
+            &["gen", "--workload", "solver", "--ranks", "4"],
+            "0004-51d3c798-77c8090d9da42cfc",
+        ),
+        (
+            &["gen", "--workload", "solver", "--ranks", "16"],
+            "0010-b1ca4f4e-3ebe3f9e65cef2c5",
+        ),
+        (
+            &["gen", "--workload", "pipeline", "--ranks", "4"],
+            "0004-7095a4fd-33be35faaba34925",
+        ),
+        (
+            &["gen", "--workload", "pipeline", "--ranks", "16"],
+            "0010-d6ccfcac-5f7762dda21fdb5d",
+        ),
+        (
+            &["gen", "--workload", "transpose", "--ranks", "4"],
+            "0004-428a3654-1c0f209a76040f1a",
+        ),
+        (
+            &["gen", "--workload", "transpose", "--ranks", "16"],
+            "0010-e40f221c-4e5ced69ceac7b01",
+        ),
+        (
+            &["demo", "summa", "--ranks", "8"],
+            "0008-548b3296-4ba8a9ea43a692ed",
+        ),
+    ];
+    let dir = tmp("gen-pins");
+    let mut wrong = Vec::new();
+    for (args, pinned) in pins {
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = mpgtool().args(args).arg(&dir).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let key = mpg_trace::trace_fingerprint(&dir).unwrap().key();
+        if key != pinned {
+            wrong.push(format!("{args:?}: {key}"));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+}
+
+/// The simulator's other modes, run in process: eager sends, expanded
+/// collectives, a noisy platform, and the calls no `gen` workload makes
+/// (`waitsome`, `test`, `bsend`, `rsend`).
+#[test]
+fn simulator_mode_fingerprints_are_pinned() {
+    use mpg_apps::{AllreduceSolver, Stencil, TokenRing, Workload};
+    use mpg_noise::PlatformSignature;
+    use mpg_sim::{CollectiveMode, SendMode, Simulation};
+
+    let quiet = || PlatformSignature::quiet("pins");
+    let stencil = Stencil {
+        iters: 6,
+        cells_per_rank: 500,
+        work_per_cell: 40,
+        halo_bytes: 1_024,
+    };
+    let eager = Simulation::new(6, quiet())
+        .seed(3)
+        .send_mode(SendMode::Eager { threshold: 512 })
+        .run(|ctx| {
+            stencil.run(ctx);
+            let p = ctx.size();
+            ctx.send((ctx.rank() + 1) % p, 9, 256);
+            ctx.recv((ctx.rank() + p - 1) % p, 9);
+        })
+        .unwrap();
+    let solver = AllreduceSolver {
+        iters: 4,
+        local_work: 50_000,
+        vector_bytes: 256,
+    };
+    let expanded = Simulation::new(6, quiet())
+        .seed(4)
+        .collective_mode(CollectiveMode::Expanded)
+        .run(|ctx| {
+            solver.run(ctx);
+            ctx.barrier();
+            ctx.bcast(2, 64);
+            ctx.reduce(1, 64);
+            ctx.scatter(0, 32);
+            ctx.gather(0, 32);
+            ctx.allgather(16);
+            ctx.alltoall(16);
+        })
+        .unwrap();
+    let ring = TokenRing {
+        traversals: 3,
+        particles_per_rank: 8,
+        work_per_pair: 25,
+    };
+    let noisy = Simulation::new(5, PlatformSignature::noisy("pins", 2.0))
+        .seed(5)
+        .run(|ctx| {
+            ring.run(ctx);
+            ctx.allreduce(64);
+        })
+        .unwrap();
+    let primitives = Simulation::new(2, quiet())
+        .seed(6)
+        .run(|ctx| {
+            if ctx.rank() == 0 {
+                ctx.compute(1_000_000);
+                ctx.rsend(1, 1, 64);
+                ctx.bsend(1, 2, 64);
+                ctx.compute(5_000_000);
+                ctx.bsend(1, 3, 64);
+            } else {
+                let a = ctx.irecv(0, 1);
+                let b = ctx.irecv(0, 2);
+                let c = ctx.irecv(0, 3);
+                assert!(ctx.test(c).is_none());
+                let done = ctx.waitsome(&[a, b, c]);
+                assert!(!done.is_empty() && !done.contains(&c));
+                let rest: Vec<_> = [a, b].into_iter().filter(|r| !done.contains(r)).collect();
+                ctx.waitall(&rest);
+                while ctx.test(c).is_none() {
+                    ctx.compute(400_000);
+                }
+            }
+        })
+        .unwrap();
+    let keys = [
+        (
+            "eager",
+            saved_key("pin-eager", eager),
+            "0006-db5b3178-4025cde2131bcd80",
+        ),
+        (
+            "expanded",
+            saved_key("pin-expanded", expanded),
+            "0006-d910f18c-2ed611061675ec7c",
+        ),
+        (
+            "noisy",
+            saved_key("pin-noisy", noisy),
+            "0005-89bb6493-969fe2ddedeebc55",
+        ),
+        (
+            "primitives",
+            saved_key("pin-primitives", primitives),
+            "0002-2eee91ef-c1060b358a6f8948",
+        ),
+    ];
+    let wrong: Vec<String> = keys
+        .iter()
+        .filter(|(_, key, pinned)| key != pinned)
+        .map(|(name, key, _)| format!("{name}: {key}"))
+        .collect();
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }

@@ -2,21 +2,35 @@
 //!
 //! # Protocol
 //!
-//! Every rank thread is, at any instant, in exactly one of four states:
+//! A rank sends its calls in program order. A call that returns something
+//! only the coordinator knows (a receive's envelope, a test's verdict)
+//! asks for a reply and blocks the rank's thread; every other call is
+//! posted and the rank runs on (see [`crate::rank`]). The coordinator
+//! keeps each rank's posted calls in a FIFO behind its *current* call, and
+//! every rank is, at any instant, in exactly one of four states:
 //!
-//! * **running** — executing user code; the coordinator waits for its next
-//!   request before making any global decision (conservative sequencing);
-//! * **pending** — its request has arrived but not been processed;
-//! * **parked** — its request was processed but cannot complete yet
+//! * **running** — it owes a blocking call: it is executing user code or
+//!   posting calls, and the coordinator waits for its next blocking call
+//!   (or `MPI_Finalize`) before making any global decision (conservative
+//!   sequencing). Once that call has arrived, every call before it has too;
+//! * **pending** — its current call has arrived but not been processed;
+//! * **parked** — its current call was processed but cannot complete yet
 //!   (blocking send/recv awaiting a match, wait awaiting a request,
 //!   collective awaiting peers);
 //! * **done** — it has finalized.
+//!
+//! When a current call finishes, a blocking one is answered and the rank
+//! is running again; a posted one hands over to the next call in the FIFO,
+//! which becomes pending at the finished call's end time.
 //!
 //! The main loop (a) drains the channel until no rank is running, (b)
 //! completes any parked waits whose requests resolved, in rank order, then
 //! (c) processes the pending request with the smallest `(enter time, rank)`
 //! key. Because no decision is made while a rank is still running, and all
-//! randomness comes from per-rank streams, the simulation is deterministic.
+//! randomness comes from per-rank streams, the simulation is deterministic;
+//! and because a posted call becomes pending exactly when a reply would
+//! have let the rank send it, the decisions — and the trace — are those of
+//! a rank that waited for every reply.
 //!
 //! # Timing model
 //!
@@ -33,7 +47,7 @@
 //!   (see `Coordinator::complete_collective`).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 
 use crossbeam_channel::Receiver;
 
@@ -99,10 +113,14 @@ struct IrecvStash {
 #[derive(Debug)]
 struct RankState {
     now: Cycles,
-    /// Request arrived, not yet processed.
+    /// Current request arrived, not yet processed.
     pending_op: Option<Op>,
-    /// Processed but blocked.
+    /// Current request processed but blocked.
     parked: Option<Op>,
+    /// The current request waits for a reply.
+    blocking: bool,
+    /// What the rank sent behind its current request, oldest first.
+    posted: VecDeque<Incoming>,
     done: bool,
     reqs: HashMap<ReqId, ReqSlot>,
     next_req: ReqId,
@@ -116,6 +134,8 @@ impl RankState {
             now: 0,
             pending_op: None,
             parked: None,
+            blocking: false,
+            posted: VecDeque::new(),
             done: false,
             reqs: HashMap::new(),
             next_req: 1,
@@ -159,8 +179,10 @@ pub struct Coordinator<'t> {
     tracer: &'t mut dyn Tracer,
     reply_txs: Vec<Sender<Reply>>,
     rx: Receiver<Incoming>,
-    /// Ranks currently executing user code (their next request is owed).
+    /// Ranks that owe a blocking request (or their finalize).
     running: u32,
+    /// A rank's panic, reached in its FIFO: raised at the next step (a).
+    panic: Option<SimError>,
     /// Pending requests keyed by (enter time, rank).
     queue: BinaryHeap<Reverse<(Cycles, Rank)>>,
     /// Parked ranks whose wait may have become satisfiable.
@@ -204,6 +226,7 @@ impl<'t> Coordinator<'t> {
             reply_txs,
             rx,
             running: p,
+            panic: None,
             queue: BinaryHeap::new(),
             worklist: BTreeSet::new(),
             stats: SimStats::default(),
@@ -214,26 +237,36 @@ impl<'t> Coordinator<'t> {
     /// Runs the simulation to completion.
     pub(crate) fn run(mut self) -> Result<(SimStats, Vec<Cycles>), SimError> {
         loop {
-            // (a) Hold every running rank's next request.
-            while self.running > 0 {
-                match self.rx.recv() {
-                    Ok(Incoming::Op { rank, op }) => {
-                        self.running -= 1;
-                        let st = &mut self.states[rank as usize];
-                        debug_assert!(st.pending_op.is_none());
-                        st.pending_op = Some(op);
-                        self.queue.push(Reverse((st.now, rank)));
+            // (a) Hold every running rank's next blocking request, and
+            // everything it posted before it.
+            while self.running > 0 && self.panic.is_none() {
+                let Ok(incoming) = self.rx.recv() else {
+                    return Err(SimError::RankPanicked {
+                        rank: u32::MAX,
+                        message: "rank threads disconnected".into(),
+                    });
+                };
+                // A rank stops running once it sends something it waits
+                // on, or its last message.
+                let (rank, owed) = match &incoming {
+                    Incoming::Op { rank, op, reply } => {
+                        (*rank, *reply || matches!(op, Op::Finalize))
                     }
-                    Ok(Incoming::Panicked { rank, message }) => {
-                        return Err(SimError::RankPanicked { rank, message });
-                    }
-                    Err(_) => {
-                        return Err(SimError::RankPanicked {
-                            rank: u32::MAX,
-                            message: "rank threads disconnected".into(),
-                        });
-                    }
+                    Incoming::Panicked { rank, .. } => (*rank, true),
+                };
+                if owed {
+                    self.running -= 1;
                 }
+                let st = &mut self.states[rank as usize];
+                if st.pending_op.is_none() && st.parked.is_none() {
+                    debug_assert!(st.posted.is_empty());
+                    self.start(rank, incoming);
+                } else {
+                    st.posted.push_back(incoming);
+                }
+            }
+            if let Some(err) = self.panic.take() {
+                return Err(err);
             }
             // (b) Complete satisfiable parked waits, lowest rank first.
             if let Some(&r) = self.worklist.iter().next() {
@@ -303,13 +336,36 @@ impl<'t> Coordinator<'t> {
         seq
     }
 
-    /// Replies to a rank, unblocking its thread and advancing its clock.
+    /// Makes what `rank` sent its current request: an op becomes pending
+    /// at the rank's clock, a panic is raised at the next step (a).
+    fn start(&mut self, rank: Rank, incoming: Incoming) {
+        match incoming {
+            Incoming::Op { op, reply, .. } => {
+                let st = &mut self.states[rank as usize];
+                st.pending_op = Some(op);
+                st.blocking = reply;
+                self.queue.push(Reverse((st.now, rank)));
+            }
+            Incoming::Panicked { rank, message } => {
+                self.panic = Some(SimError::RankPanicked { rank, message });
+            }
+        }
+    }
+
+    /// Finishes `rank`'s current request at `now`. A blocking request is
+    /// answered, unblocking the thread; a posted one hands over to the
+    /// next request the rank sent, if it has arrived.
     fn reply(&mut self, rank: Rank, reply: Reply, now: Cycles) {
-        self.states[rank as usize].now = now;
-        self.running += 1;
-        // A send failure means the thread is gone; the main loop will
-        // observe the disconnect.
-        let _ = self.reply_txs[rank as usize].send(reply);
+        let st = &mut self.states[rank as usize];
+        st.now = now;
+        if st.blocking {
+            self.running += 1;
+            // A send failure means the thread is gone; the main loop will
+            // observe the disconnect.
+            let _ = self.reply_txs[rank as usize].send(reply);
+        } else if let Some(next) = st.posted.pop_front() {
+            self.start(rank, next);
+        }
     }
 
     fn invalid(&self, rank: Rank, detail: impl Into<String>) -> SimError {
@@ -337,7 +393,7 @@ impl<'t> Coordinator<'t> {
             Op::Init => {
                 let end = t + INIT_COST;
                 self.emit(rank, t, end, EventKind::Init);
-                self.reply(rank, Reply::Done { now: end }, end);
+                self.reply(rank, Reply::Done, end);
             }
             Op::Compute { work } => {
                 let stolen = self
@@ -346,7 +402,7 @@ impl<'t> Coordinator<'t> {
                 self.stats.noise_stolen += stolen;
                 let end = t + work + stolen;
                 self.emit(rank, t, end, EventKind::Compute { work });
-                self.reply(rank, Reply::Done { now: end }, end);
+                self.reply(rank, Reply::Done, end);
             }
             Op::Send {
                 dst,
@@ -390,7 +446,7 @@ impl<'t> Coordinator<'t> {
                             protocol,
                         },
                     );
-                    self.reply(rank, Reply::Done { now: end }, end);
+                    self.reply(rank, Reply::Done, end);
                 } else {
                     self.states[rank as usize].parked = Some(Op::Send {
                         dst,
@@ -471,7 +527,7 @@ impl<'t> Coordinator<'t> {
                     self.complete_match(msg, pr);
                 }
                 self.note_in_flight();
-                self.reply(rank, Reply::Started { now: t + o, req }, t + o);
+                self.reply(rank, Reply::Done, t + o);
             }
             Op::Irecv { src, tag } => {
                 self.check_peer(rank, src, true)?;
@@ -501,7 +557,7 @@ impl<'t> Coordinator<'t> {
                 if let Some((msg, pr)) = self.engine.post_recv(pr) {
                     self.complete_match(msg, pr);
                 }
-                self.reply(rank, Reply::Started { now: t + o, req }, t + o);
+                self.reply(rank, Reply::Done, t + o);
             }
             Op::Wait { .. } | Op::WaitAll { .. } | Op::WaitSome { .. } => {
                 self.states[rank as usize].parked = Some(op);
@@ -585,15 +641,7 @@ impl<'t> Coordinator<'t> {
                     None => (false, None),
                 };
                 self.emit(rank, t, end, EventKind::Test { req, completed });
-                self.reply(
-                    rank,
-                    Reply::TestDone {
-                        now: end,
-                        completed,
-                        info,
-                    },
-                    end,
-                );
+                self.reply(rank, Reply::TestDone { completed, info }, end);
             }
             Op::Finalize => {
                 let end = t + FINALIZE_COST;
@@ -601,9 +649,8 @@ impl<'t> Coordinator<'t> {
                 self.states[rank as usize].now = end;
                 self.states[rank as usize].done = true;
                 self.finish_times[rank as usize] = end;
-                // Deliberately not counted as running: the thread exits after
-                // this reply, owing no further request.
-                let _ = self.reply_txs[rank as usize].send(Reply::Done { now: end });
+                // Always posted: the thread exits after sending it, owing
+                // no further request.
             }
         }
         Ok(())
@@ -645,14 +692,7 @@ impl<'t> Coordinator<'t> {
                     },
                 );
                 self.states[pr.dst as usize].parked = None;
-                self.reply(
-                    pr.dst,
-                    Reply::Recv {
-                        now: recv_end,
-                        info,
-                    },
-                    recv_end,
-                );
+                self.reply(pr.dst, Reply::Recv { info }, recv_end);
             }
             Party::Request(req) => {
                 let slot = self.states[pr.dst as usize]
@@ -704,7 +744,7 @@ impl<'t> Coordinator<'t> {
                         },
                     );
                     self.states[msg.src as usize].parked = None;
-                    self.reply(msg.src, Reply::Done { now: send_end }, send_end);
+                    self.reply(msg.src, Reply::Done, send_end);
                 }
                 Party::Request(req) => {
                     let slot = self.states[msg.src as usize]
@@ -740,7 +780,7 @@ impl<'t> Coordinator<'t> {
                     let end = (t + o).max(time);
                     self.emit(rank, t, end, EventKind::Wait { req });
                     self.states[rank as usize].parked = None;
-                    self.reply(rank, Reply::WaitDone { now: end, info }, end);
+                    self.reply(rank, Reply::WaitDone { info }, end);
                 }
             }
             Op::WaitAll { ref reqs } => {
@@ -759,14 +799,7 @@ impl<'t> Coordinator<'t> {
                 }
                 self.emit(rank, t, latest, EventKind::WaitAll { reqs: reqs.clone() });
                 self.states[rank as usize].parked = None;
-                self.reply(
-                    rank,
-                    Reply::WaitDone {
-                        now: latest,
-                        info: None,
-                    },
-                    latest,
-                );
+                self.reply(rank, Reply::WaitDone { info: None }, latest);
             }
             Op::WaitSome { ref reqs } => {
                 if reqs.is_empty() {
@@ -784,7 +817,6 @@ impl<'t> Coordinator<'t> {
                     self.reply(
                         rank,
                         Reply::SomeDone {
-                            now: end,
                             completed: Vec::new(),
                         },
                         end,
@@ -830,14 +862,7 @@ impl<'t> Coordinator<'t> {
                     },
                 );
                 self.states[rank as usize].parked = None;
-                self.reply(
-                    rank,
-                    Reply::SomeDone {
-                        now: end,
-                        completed,
-                    },
-                    end,
-                );
+                self.reply(rank, Reply::SomeDone { completed }, end);
             }
             _ => {}
         }
@@ -971,7 +996,7 @@ impl<'t> Coordinator<'t> {
             let end = hub.max(enter + o);
             self.emit(r, enter, end, kind_event(r));
             self.states[r as usize].parked = None;
-            self.reply(r, Reply::Done { now: end }, end);
+            self.reply(r, Reply::Done, end);
         }
     }
 }

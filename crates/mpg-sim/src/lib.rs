@@ -17,10 +17,15 @@
 //! # Determinism
 //!
 //! Rank programs run on OS threads, but the coordinator is a strict
-//! sequencer: it holds every rank's next request before deciding what to
-//! process, and all randomness is drawn from per-rank
-//! [`StreamRng`](mpg_noise::StreamRng) streams, so a given seed reproduces a
-//! simulation bit for bit.
+//! sequencer. A rank blocks only on a call whose answer the coordinator
+//! alone has (`recv`, `wait` on a receive request, `waitsome`, `test`), or
+//! after a run of 63 posted calls; every other call is posted and the rank
+//! runs on. The coordinator holds every rank's calls up to its next
+//! blocking one before deciding what to process, starts a posted call
+//! exactly when a reply would have let the rank send it, and draws all
+//! randomness from per-rank [`StreamRng`](mpg_noise::StreamRng) streams, so
+//! a given seed reproduces a simulation bit for bit — the same trace as if
+//! every call waited for its reply.
 //!
 //! # Example
 //!

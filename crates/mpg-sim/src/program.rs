@@ -217,8 +217,9 @@ impl Simulation {
             // so that a disconnect is observable.
             drop(req_tx);
             coordinator.run()
-            // Leaving the scope drops the coordinator's reply senders (moved
-            // into it) on error paths, unwinding any still-blocked ranks.
+            // Leaving the scope drops the coordinator's channel ends (moved
+            // into it) on error paths, unwinding every rank still waiting
+            // for a reply or still posting calls.
         });
 
         let (stats, finish_times) = run_result?;

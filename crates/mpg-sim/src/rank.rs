@@ -1,10 +1,16 @@
 //! The rank-side API: what a simulated MPI program calls.
 //!
-//! Every method on [`RankCtx`] traps into the coordinator over a channel and
-//! blocks the rank's thread until the coordinator has advanced virtual time
-//! and replied. From the program's perspective these behave exactly like the
-//! corresponding MPI-1 calls; from the simulator's perspective each call is
-//! one event to sequence.
+//! Every method on [`RankCtx`] sends its call to the coordinator over a
+//! channel, and each call is one event for the coordinator to sequence.
+//! Only a call that returns something the rank cannot know — `recv`,
+//! `wait` on a live receive request, `waitsome` and `test` — blocks the
+//! rank's thread until the coordinator replies. Every other call is
+//! *posted*: the rank already knows its result (nothing, or the request id
+//! the coordinator will assign, counted here), so it carries on without a
+//! reply, at most `RUN_AHEAD - 1` calls in a row. From the program's
+//! perspective these behave exactly like the corresponding MPI-1 calls.
+
+use std::collections::HashSet;
 
 use crossbeam_channel::{Receiver, Sender};
 
@@ -17,6 +23,19 @@ use mpg_trace::{Rank, ReqId, SendProtocol, Tag};
 /// Sentinel panic payload used to unwind rank threads when the simulation
 /// aborts; the thread wrapper recognizes and swallows it.
 pub(crate) const ABORT: &str = "__mpg_sim_abort__";
+
+/// A rank posts at most `RUN_AHEAD - 1` calls in a row; the next one waits
+/// for its reply. This lets the coordinator see a rank that never blocks
+/// on its own (a compute loop behind a send that never matches still
+/// reports a deadlock instead of hanging), and bounds the calls queued
+/// for each rank.
+const RUN_AHEAD: u32 = 64;
+
+/// Unwinds the rank thread after the coordinator has gone away. The
+/// panic hook does not run, so nothing is printed.
+fn abort() -> ! {
+    std::panic::resume_unwind(Box::new(ABORT))
+}
 
 /// A nonblocking-request handle (MPI's `MPI_Request`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -115,23 +134,20 @@ impl Op {
     }
 }
 
-/// Coordinator replies.
+/// Coordinator replies, sent only for a call made with `reply: true`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Reply {
-    /// Operation finished; the rank's clock is now `now`.
-    Done { now: Cycles },
+    /// Operation finished.
+    Done,
     /// A blocking receive finished.
-    Recv { now: Cycles, info: RecvInfo },
-    /// A nonblocking operation was posted; `req` identifies it.
-    Started { now: Cycles, req: ReqId },
+    Recv { info: RecvInfo },
     /// A wait finished; `info` is present when it completed a receive.
-    WaitDone { now: Cycles, info: Option<RecvInfo> },
+    WaitDone { info: Option<RecvInfo> },
     /// A waitsome finished with the given completed subset.
-    SomeDone { now: Cycles, completed: Vec<ReqId> },
+    SomeDone { completed: Vec<ReqId> },
     /// A test probe returned: `completed` tells whether the request
     /// finished; `info` carries the envelope for completed receives.
     TestDone {
-        now: Cycles,
         completed: bool,
         info: Option<RecvInfo>,
     },
@@ -140,8 +156,9 @@ pub(crate) enum Reply {
 /// Messages from rank threads to the coordinator.
 #[derive(Debug)]
 pub(crate) enum Incoming {
-    /// The rank requests an operation.
-    Op { rank: Rank, op: Op },
+    /// The rank requests an operation; with `reply` it blocks until the
+    /// coordinator answers, without it the call is posted.
+    Op { rank: Rank, op: Op, reply: bool },
     /// The rank's thread terminated abnormally (panic in user code).
     Panicked { rank: Rank, message: String },
 }
@@ -150,11 +167,18 @@ pub(crate) enum Incoming {
 pub struct RankCtx {
     rank: Rank,
     size: u32,
-    now: Cycles,
     tx: Sender<Incoming>,
     rx: Receiver<Reply>,
     pub(crate) collective_mode: CollectiveMode,
     pub(crate) finalized: bool,
+    /// The id the coordinator gives this rank's next `isend` or `irecv`:
+    /// its per-rank counter, which also starts at 1.
+    next_req: ReqId,
+    /// Receive requests no wait, waitall, waitsome or test has completed
+    /// yet: a `wait` on one of these returns an envelope, so it blocks.
+    live_recvs: HashSet<ReqId>,
+    /// Calls posted since the last one that waited for a reply.
+    posted: u32,
 }
 
 impl RankCtx {
@@ -168,11 +192,13 @@ impl RankCtx {
         Self {
             rank,
             size,
-            now: 0,
             tx,
             rx,
             collective_mode,
             finalized: false,
+            next_req: 1,
+            live_recvs: HashSet::new(),
+            posted: 0,
         }
     }
 
@@ -186,67 +212,62 @@ impl RankCtx {
         self.size
     }
 
-    /// Current virtual time on this rank's clock (cycles).
-    pub fn now(&self) -> Cycles {
-        self.now
-    }
-
-    fn call(&mut self, op: Op) -> Reply {
+    fn submit(&self, op: Op, reply: bool) {
         assert!(!self.finalized, "MPI call after finalize");
-        if self
-            .tx
-            .send(Incoming::Op {
-                rank: self.rank,
-                op,
-            })
-            .is_err()
-        {
-            std::panic::panic_any(ABORT);
-        }
-        match self.rx.recv() {
-            // A closed channel means the coordinator aborted; unwind.
-            Err(_) => std::panic::panic_any(ABORT),
-            Ok(reply) => {
-                self.now = match &reply {
-                    Reply::Done { now }
-                    | Reply::Recv { now, .. }
-                    | Reply::Started { now, .. }
-                    | Reply::WaitDone { now, .. }
-                    | Reply::SomeDone { now, .. }
-                    | Reply::TestDone { now, .. } => *now,
-                };
-                reply
-            }
+        let rank = self.rank;
+        if self.tx.send(Incoming::Op { rank, op, reply }).is_err() {
+            abort();
         }
     }
 
-    fn expect_done(&mut self, op: Op) {
-        match self.call(op) {
-            Reply::Done { .. } => {}
-            other => unreachable!("coordinator protocol violation: {other:?}"),
+    /// Sends `op` and blocks until the coordinator replies.
+    fn call(&mut self, op: Op) -> Reply {
+        self.submit(op, true);
+        self.posted = 0;
+        // A closed channel means the coordinator aborted; unwind.
+        self.rx.recv().unwrap_or_else(|_| abort())
+    }
+
+    /// Sends `op` without waiting for it, unless it would be the
+    /// `RUN_AHEAD`-th posted call in a row.
+    fn post(&mut self, op: Op) {
+        if self.posted + 1 == RUN_AHEAD {
+            self.call(op);
+        } else {
+            self.submit(op, false);
+            self.posted += 1;
         }
+    }
+
+    /// The request id the coordinator assigns to the `isend` or `irecv`
+    /// just posted.
+    fn take_req(&mut self) -> ReqId {
+        let req = self.next_req;
+        self.next_req += 1;
+        req
     }
 
     pub(crate) fn init(&mut self) {
-        self.expect_done(Op::Init);
+        self.post(Op::Init);
     }
 
+    /// Always posted: the rank makes no call after it.
     pub(crate) fn finalize(&mut self) {
-        self.expect_done(Op::Finalize);
+        self.submit(Op::Finalize, false);
         self.finalized = true;
     }
 
     /// Performs `work` cycles of local computation (the platform may stretch
     /// the interval with OS noise).
     pub fn compute(&mut self, work: Cycles) {
-        self.expect_done(Op::Compute { work });
+        self.post(Op::Compute { work });
     }
 
     /// Blocking standard send (`MPI_Send`): completion follows the
     /// platform's configured protocol (synchronous by default, matching the
     /// paper's Eq. 1).
     pub fn send(&mut self, dst: Rank, tag: Tag, bytes: u64) {
-        self.expect_done(Op::Send {
+        self.post(Op::Send {
             dst,
             tag,
             bytes,
@@ -257,7 +278,7 @@ impl RankCtx {
     /// Synchronous send (`MPI_Ssend`, §3.1.1): always completes only after
     /// the matching receive, regardless of the platform's eager threshold.
     pub fn ssend(&mut self, dst: Rank, tag: Tag, bytes: u64) {
-        self.expect_done(Op::Send {
+        self.post(Op::Send {
             dst,
             tag,
             bytes,
@@ -268,7 +289,7 @@ impl RankCtx {
     /// Buffered send (`MPI_Bsend`, §3.1.1): always completes after the local
     /// buffer copy, independent of the receiver.
     pub fn bsend(&mut self, dst: Rank, tag: Tag, bytes: u64) {
-        self.expect_done(Op::Send {
+        self.post(Op::Send {
             dst,
             tag,
             bytes,
@@ -280,7 +301,7 @@ impl RankCtx {
     /// already posted; calling it otherwise is an erroneous program and
     /// aborts the simulation with an error.
     pub fn rsend(&mut self, dst: Rank, tag: Tag, bytes: u64) {
-        self.expect_done(Op::Send {
+        self.post(Op::Send {
             dst,
             tag,
             bytes,
@@ -299,37 +320,42 @@ impl RankCtx {
 
     /// Nonblocking send; complete with [`wait`](Self::wait) or friends.
     pub fn isend(&mut self, dst: Rank, tag: Tag, bytes: u64) -> Req {
-        match self.call(Op::Isend { dst, tag, bytes }) {
-            Reply::Started { req, .. } => Req(req),
-            other => unreachable!("coordinator protocol violation: {other:?}"),
-        }
+        self.post(Op::Isend { dst, tag, bytes });
+        Req(self.take_req())
     }
 
     /// Nonblocking receive.
     pub fn irecv(&mut self, src: Rank, tag: Tag) -> Req {
-        match self.call(Op::Irecv { src, tag }) {
-            Reply::Started { req, .. } => Req(req),
-            other => unreachable!("coordinator protocol violation: {other:?}"),
-        }
+        self.post(Op::Irecv { src, tag });
+        let req = self.take_req();
+        self.live_recvs.insert(req);
+        Req(req)
     }
 
     /// Blocks until `req` completes; returns the envelope when it was a
     /// receive.
     pub fn wait(&mut self, req: Req) -> Option<RecvInfo> {
-        match self.call(Op::Wait { req: req.0 }) {
-            Reply::WaitDone { info, .. } => info,
+        let op = Op::Wait { req: req.0 };
+        if !self.live_recvs.remove(&req.0) {
+            // A send (or an unknown request, which the coordinator
+            // reports): the answer is `None` whenever it completes.
+            self.post(op);
+            return None;
+        }
+        match self.call(op) {
+            Reply::WaitDone { info } => info,
             other => unreachable!("coordinator protocol violation: {other:?}"),
         }
     }
 
     /// Blocks until every request in `reqs` completes.
     pub fn waitall(&mut self, reqs: &[Req]) {
-        match self.call(Op::WaitAll {
-            reqs: reqs.iter().map(|r| r.0).collect(),
-        }) {
-            Reply::WaitDone { .. } => {}
-            other => unreachable!("coordinator protocol violation: {other:?}"),
+        for r in reqs {
+            self.live_recvs.remove(&r.0);
         }
+        self.post(Op::WaitAll {
+            reqs: reqs.iter().map(|r| r.0).collect(),
+        });
     }
 
     /// Blocks until at least one request completes; returns the completed
@@ -338,7 +364,13 @@ impl RankCtx {
         match self.call(Op::WaitSome {
             reqs: reqs.iter().map(|r| r.0).collect(),
         }) {
-            Reply::SomeDone { completed, .. } => completed.into_iter().map(Req).collect(),
+            Reply::SomeDone { completed } => completed
+                .into_iter()
+                .inspect(|req| {
+                    self.live_recvs.remove(req);
+                })
+                .map(Req)
+                .collect(),
             other => unreachable!("coordinator protocol violation: {other:?}"),
         }
     }
@@ -350,9 +382,12 @@ impl RankCtx {
     #[allow(clippy::option_option)]
     pub fn test(&mut self, req: Req) -> Option<Option<RecvInfo>> {
         match self.call(Op::Test { req: req.0 }) {
-            Reply::TestDone {
-                completed, info, ..
-            } => completed.then_some(info),
+            Reply::TestDone { completed, info } => {
+                if completed {
+                    self.live_recvs.remove(&req.0);
+                }
+                completed.then_some(info)
+            }
             other => unreachable!("coordinator protocol violation: {other:?}"),
         }
     }
@@ -377,7 +412,7 @@ impl RankCtx {
     /// Barrier over all ranks.
     pub fn barrier(&mut self) {
         match self.collective_mode {
-            CollectiveMode::Abstract => self.expect_done(Op::Barrier),
+            CollectiveMode::Abstract => self.post(Op::Barrier),
             CollectiveMode::Expanded => collective::expanded_barrier(self),
         }
     }
@@ -385,7 +420,7 @@ impl RankCtx {
     /// Broadcast of `bytes` from `root`.
     pub fn bcast(&mut self, root: Rank, bytes: u64) {
         match self.collective_mode {
-            CollectiveMode::Abstract => self.expect_done(Op::Bcast { root, bytes }),
+            CollectiveMode::Abstract => self.post(Op::Bcast { root, bytes }),
             CollectiveMode::Expanded => collective::expanded_bcast(self, root, bytes),
         }
     }
@@ -393,7 +428,7 @@ impl RankCtx {
     /// Reduction of `bytes` to `root`.
     pub fn reduce(&mut self, root: Rank, bytes: u64) {
         match self.collective_mode {
-            CollectiveMode::Abstract => self.expect_done(Op::Reduce { root, bytes }),
+            CollectiveMode::Abstract => self.post(Op::Reduce { root, bytes }),
             CollectiveMode::Expanded => collective::expanded_reduce(self, root, bytes),
         }
     }
@@ -401,7 +436,7 @@ impl RankCtx {
     /// All-reduce of `bytes` (Fig. 4's operator).
     pub fn allreduce(&mut self, bytes: u64) {
         match self.collective_mode {
-            CollectiveMode::Abstract => self.expect_done(Op::Allreduce { bytes }),
+            CollectiveMode::Abstract => self.post(Op::Allreduce { bytes }),
             CollectiveMode::Expanded => collective::expanded_allreduce(self, bytes),
         }
     }
@@ -409,7 +444,7 @@ impl RankCtx {
     /// Scatter of `bytes` per rank from `root`.
     pub fn scatter(&mut self, root: Rank, bytes: u64) {
         match self.collective_mode {
-            CollectiveMode::Abstract => self.expect_done(Op::Scatter { root, bytes }),
+            CollectiveMode::Abstract => self.post(Op::Scatter { root, bytes }),
             CollectiveMode::Expanded => collective::expanded_scatter(self, root, bytes),
         }
     }
@@ -417,7 +452,7 @@ impl RankCtx {
     /// Gather of `bytes` per rank to `root`.
     pub fn gather(&mut self, root: Rank, bytes: u64) {
         match self.collective_mode {
-            CollectiveMode::Abstract => self.expect_done(Op::Gather { root, bytes }),
+            CollectiveMode::Abstract => self.post(Op::Gather { root, bytes }),
             CollectiveMode::Expanded => collective::expanded_gather(self, root, bytes),
         }
     }
@@ -425,7 +460,7 @@ impl RankCtx {
     /// All-gather of `bytes` per rank.
     pub fn allgather(&mut self, bytes: u64) {
         match self.collective_mode {
-            CollectiveMode::Abstract => self.expect_done(Op::Allgather { bytes }),
+            CollectiveMode::Abstract => self.post(Op::Allgather { bytes }),
             CollectiveMode::Expanded => collective::expanded_allgather(self, bytes),
         }
     }
@@ -433,7 +468,7 @@ impl RankCtx {
     /// All-to-all personalized exchange of `bytes` per pair.
     pub fn alltoall(&mut self, bytes: u64) {
         match self.collective_mode {
-            CollectiveMode::Abstract => self.expect_done(Op::Alltoall { bytes }),
+            CollectiveMode::Abstract => self.post(Op::Alltoall { bytes }),
             CollectiveMode::Expanded => collective::expanded_alltoall(self, bytes),
         }
     }

@@ -11,6 +11,15 @@ MPGTOOL=target/release/mpgtool
 RATIO_TMP="$(mktemp -d)"
 trap 'rm -rf "$RATIO_TMP"' EXIT
 
+# Trace generation runs pinned to one CPU. The simulator runs a thread per
+# rank, and each blocking call (a ring hop ends in one) hands the CPU from
+# the rank to the coordinator and back, which costs less on one CPU than
+# across two: ring 16 x 40 takes 560-620 ms pinned, 870-930 ms not.
+PIN=""
+if command -v taskset >/dev/null 2>&1; then
+    PIN="taskset -c 0"
+fi
+
 # best_ms CMD...: least wall-clock milliseconds over three runs.
 best_ms() {
     best=""
@@ -72,6 +81,19 @@ analyze_ms=$(best_ms "$MPGTOOL" analyze "$T" --json)
 replay_ms=$(best_ms "$MPGTOOL" replay "$T" --ooc)
 gate "analyze --json / replay --ooc" 1000 "$analyze_ms" "$replay_ms"
 
+# The simulator against the replay of what it writes: pinned `gen` of that
+# stencil may cost at most 12x `replay` of the trace it writes, the two
+# timed in alternation. Measured 5.0-5.3x (240-255 ms over 47-49 ms): a
+# rank posts every call whose result it already knows, and every call of
+# this workload is one, so the only round trips left are the run-ahead
+# cap's. With a channel round trip per call it read 26-37x.
+echo "==> gen <= 12x replay (stencil, 256 ranks, scale 4)"
+G="$RATIO_TMP/stencil-256-gen"
+gen_t() { $PIN "$MPGTOOL" gen --workload stencil --ranks 256 --scale 4 "$G"; }
+replay_t() { "$MPGTOOL" replay "$G"; }
+set -- $(best_pair_ms gen_t replay_t)
+gate "gen / replay" 1200 "$1" "$2"
+
 # The lint passes on a long ring (16 ranks, 256 032 events, 3 200 eager
 # messages per receiver): `lint --all` may cost at most 1.75x the `analyze
 # --json` of the same trace — both build the same recorded graph, so the
@@ -81,12 +103,6 @@ gate "analyze --json / replay --ooc" 1000 "$analyze_ms" "$replay_ms"
 # that cost is quadratic.
 echo "==> lint --all <= 1.75x analyze --json (ring, 16 ranks, scale 40)"
 T="$RATIO_TMP/ring-16"
-# The simulator is one thread per rank: pinned to one CPU it generates the
-# trace several times faster.
-PIN=""
-if command -v taskset >/dev/null 2>&1; then
-    PIN="taskset -c 0"
-fi
 $PIN "$MPGTOOL" gen --workload ring --ranks 16 --scale 40 "$T" >/dev/null
 lint_ms=$(best_ms "$MPGTOOL" lint "$T" --all)
 analyze_ms=$(best_ms "$MPGTOOL" analyze "$T" --json)
