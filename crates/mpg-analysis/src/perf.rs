@@ -243,10 +243,11 @@ fn with_peak_rss<R>(f: impl FnOnce() -> R) -> (R, f64, f64) {
 }
 
 /// The cached on-disk home of a synthesized bench trace. Generating the
-/// pinned 10⁷-event trace takes 15–17 s on 2 CPUs (a thread per rank, each
-/// running up to 63 posted calls ahead of the coordinator), five times a
-/// replay of it, so repeated bench/gate runs reuse the files; the version
-/// tag guards against stale caches across format or workload changes.
+/// pinned 10⁷-event trace takes 10.5–11 s on 2 CPUs (a thread per rank,
+/// each running up to 63 posted calls ahead of the sequencer), 4.5× a
+/// replay of it (2.2–2.4 s), so repeated bench/gate runs reuse the files;
+/// the version tag guards against stale caches across format or workload
+/// changes.
 fn ooc_trace_dir(spec: &OocSpec) -> PathBuf {
     // Every generation input is part of the name: two specs differing in
     // workload, size, or seed must land in different directories, or the

@@ -474,6 +474,32 @@ fn failed_simulation_prints_only_its_error() {
     assert!(!dir.exists(), "gen wrote a trace for a failed simulation");
 }
 
+/// A rank thread the host cannot start fails the simulation like any
+/// other error: the ranks already started unwind, nothing panics, and no
+/// trace is written. 1 024 rank stacks do not fit in 400 MB of address
+/// space.
+#[test]
+fn rank_thread_spawn_failure_is_a_simulation_error() {
+    let dir = tmp("gen-spawn-failure");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg(r#"ulimit -v 400000 && exec "$0" gen --workload stencil --ranks 1024 --scale 1 "$1""#)
+        .arg(env!("CARGO_BIN_EXE_mpgtool"))
+        .arg(&dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(
+        stderr.starts_with("mpgtool: simulation failed: could not start rank"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!dir.exists(), "gen wrote a trace for a failed simulation");
+}
+
 #[test]
 fn lint_usage_and_io_errors_exit_2() {
     let out = mpgtool().arg("lint").output().unwrap();

@@ -2,10 +2,10 @@
 //!
 //! # Protocol
 //!
-//! A rank sends its calls in program order. A call that returns something
-//! only the coordinator knows (a receive's envelope, a test's verdict)
-//! asks for a reply and blocks the rank's thread; every other call is
-//! posted and the rank runs on (see [`crate::rank`]). The coordinator
+//! A rank hands in its calls in program order. A call that returns
+//! something only the coordinator knows (a receive's envelope, a test's
+//! verdict) asks for a reply and blocks the rank's thread; every other call
+//! is posted and the rank runs on (see [`crate::rank`]). The coordinator
 //! keeps each rank's posted calls in a FIFO behind its *current* call, and
 //! every rank is, at any instant, in exactly one of four states:
 //!
@@ -23,14 +23,18 @@
 //! is running again; a posted one hands over to the next call in the FIFO,
 //! which becomes pending at the finished call's end time.
 //!
-//! The main loop (a) drains the channel until no rank is running, (b)
-//! completes any parked waits whose requests resolved, in rank order, then
-//! (c) processes the pending request with the smallest `(enter time, rank)`
-//! key. Because no decision is made while a rank is still running, and all
-//! randomness comes from per-rank streams, the simulation is deterministic;
-//! and because a posted call becomes pending exactly when a reply would
-//! have let the rank send it, the decisions — and the trace — are those of
-//! a rank that waited for every reply.
+//! The coordinator has no thread: it is a state machine the rank threads
+//! share under one lock. (a) `accept` takes each call as it is made. Once
+//! no rank is running, the thread whose call made it so runs `drive`,
+//! which (b) completes any parked waits whose requests resolved, in rank
+//! order, then (c) processes the pending request with the smallest
+//! `(enter time, rank)` key, until a reply puts a rank back to running. An answer goes to the rank's reply
+//! slot, and the rank is recorded to be woken. Because no decision is made
+//! while a rank is still running, and all randomness comes from per-rank
+//! streams, the simulation is deterministic whichever thread drives; and
+//! because a posted call becomes pending exactly when a reply would have
+//! let the rank send it, the decisions — and the trace — are those of a
+//! rank that waited for every reply.
 //!
 //! # Timing model
 //!
@@ -49,8 +53,6 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 
-use crossbeam_channel::Receiver;
-
 use crate::error::SimError;
 use crate::matching::EnvelopeMatcher;
 use crate::message::{MsgInFlight, Party, PostedRecv, RecvInfo};
@@ -59,7 +61,6 @@ use crate::program::SendMode;
 use crate::rank::{Incoming, Op, Reply};
 use crate::tracer::Tracer;
 use crate::Cycles;
-use crossbeam_channel::Sender;
 use mpg_noise::{NoiseProcess, OsNoiseModel, StreamRng};
 use mpg_trace::{EventKind, EventRecord, Rank, ReqId, SendProtocol, Seq, ANY_SOURCE};
 
@@ -86,6 +87,9 @@ pub struct SimStats {
     /// High-water mark of unmatched in-flight messages.
     pub max_in_flight: usize,
 }
+
+/// What a finished run reports: its counters, and each rank's finish time.
+pub(crate) type Finished = (SimStats, Vec<Cycles>);
 
 #[derive(Debug)]
 enum ReqSlot {
@@ -164,9 +168,9 @@ struct CollSlot {
     entries: Vec<(Rank, Cycles)>,
 }
 
-/// The sequencer. Constructed and driven by
-/// [`Simulation::run`](crate::Simulation::run).
-pub struct Coordinator<'t> {
+/// The sequencer. Constructed by
+/// [`Simulation::run`](crate::Simulation::run), driven by the rank threads.
+pub struct Coordinator {
     p: u32,
     send_mode: SendMode,
     states: Vec<RankState>,
@@ -176,12 +180,15 @@ pub struct Coordinator<'t> {
     noise_rngs: Vec<StreamRng>,
     coll_rngs: Vec<StreamRng>,
     collectives: HashMap<u64, CollSlot>,
-    tracer: &'t mut dyn Tracer,
-    reply_txs: Vec<Sender<Reply>>,
-    rx: Receiver<Incoming>,
+    tracer: Box<dyn Tracer>,
+    /// Each rank's answer to its blocking call, until the rank takes it.
+    replies: Vec<Option<Reply>>,
+    /// Ranks answered since the last [`take_woken`](Self::take_woken).
+    woken: Vec<Rank>,
     /// Ranks that owe a blocking request (or their finalize).
     running: u32,
-    /// A rank's panic, reached in its FIFO: raised at the next step (a).
+    /// A rank's panic, reached in its FIFO: raised by the next step of
+    /// [`drive`](Self::drive).
     panic: Option<SimError>,
     /// Pending requests keyed by (enter time, rank).
     queue: BinaryHeap<Reverse<(Cycles, Rank)>>,
@@ -191,22 +198,18 @@ pub struct Coordinator<'t> {
     finish_times: Vec<Cycles>,
 }
 
-impl<'t> Coordinator<'t> {
+impl Coordinator {
     const STREAM_NOISE: u64 = 0x4F53;
     const STREAM_COLL: u64 = 0x0043_4F4C;
 
-    /// Builds a coordinator for `p` ranks. `reply_txs[r]` is rank `r`'s
-    /// reply channel; `rx` receives all rank requests.
-    #[allow(clippy::too_many_arguments)]
+    /// Builds a coordinator for `p` ranks, every one of them running.
     pub(crate) fn new(
         p: u32,
         seed: u64,
         send_mode: SendMode,
         net: NetworkModel,
         os_noise: OsNoiseModel,
-        tracer: &'t mut dyn Tracer,
-        reply_txs: Vec<Sender<Reply>>,
-        rx: Receiver<Incoming>,
+        tracer: Box<dyn Tracer>,
     ) -> Self {
         Self {
             p,
@@ -223,8 +226,8 @@ impl<'t> Coordinator<'t> {
                 .collect(),
             collectives: HashMap::new(),
             tracer,
-            reply_txs,
-            rx,
+            replies: (0..p).map(|_| None).collect(),
+            woken: Vec::new(),
             running: p,
             panic: None,
             queue: BinaryHeap::new(),
@@ -234,43 +237,45 @@ impl<'t> Coordinator<'t> {
         }
     }
 
-    /// Runs the simulation to completion.
-    pub(crate) fn run(mut self) -> Result<(SimStats, Vec<Cycles>), SimError> {
+    /// Takes what a rank sent: a rank stops running once it sends a call
+    /// it waits on, its finalize or its panic. The call becomes the rank's
+    /// current one, or queues behind it.
+    pub(crate) fn accept(&mut self, incoming: Incoming) {
+        let (rank, owed) = match &incoming {
+            Incoming::Op { rank, op, reply } => (*rank, *reply || matches!(op, Op::Finalize)),
+            Incoming::Panicked { rank, .. } => (*rank, true),
+        };
+        if owed {
+            self.running -= 1;
+        }
+        let st = &mut self.states[rank as usize];
+        if st.pending_op.is_none() && st.parked.is_none() {
+            debug_assert!(st.posted.is_empty());
+            self.start(rank, incoming);
+        } else {
+            st.posted.push_back(incoming);
+        }
+    }
+
+    /// Whether [`drive`](Self::drive) has a decision to take: no rank is
+    /// running, or a panic has been reached.
+    pub(crate) fn ready(&self) -> bool {
+        self.running == 0 || self.panic.is_some()
+    }
+
+    /// Takes decisions while [`ready`](Self::ready). Returns `Ok(None)`
+    /// once a reply has put a rank back to running, and the run's counters
+    /// and finish times once every rank is done.
+    pub(crate) fn drive(&mut self) -> Result<Option<Finished>, SimError> {
         loop {
-            // (a) Hold every running rank's next blocking request, and
-            // everything it posted before it.
-            while self.running > 0 && self.panic.is_none() {
-                let Ok(incoming) = self.rx.recv() else {
-                    return Err(SimError::RankPanicked {
-                        rank: u32::MAX,
-                        message: "rank threads disconnected".into(),
-                    });
-                };
-                // A rank stops running once it sends something it waits
-                // on, or its last message.
-                let (rank, owed) = match &incoming {
-                    Incoming::Op { rank, op, reply } => {
-                        (*rank, *reply || matches!(op, Op::Finalize))
-                    }
-                    Incoming::Panicked { rank, .. } => (*rank, true),
-                };
-                if owed {
-                    self.running -= 1;
-                }
-                let st = &mut self.states[rank as usize];
-                if st.pending_op.is_none() && st.parked.is_none() {
-                    debug_assert!(st.posted.is_empty());
-                    self.start(rank, incoming);
-                } else {
-                    st.posted.push_back(incoming);
-                }
-            }
             if let Some(err) = self.panic.take() {
                 return Err(err);
             }
+            if self.running > 0 {
+                return Ok(None);
+            }
             // (b) Complete satisfiable parked waits, lowest rank first.
-            if let Some(&r) = self.worklist.iter().next() {
-                self.worklist.remove(&r);
+            if let Some(r) = self.worklist.pop_first() {
                 self.try_wait_progress(r)?;
                 continue;
             }
@@ -285,9 +290,12 @@ impl<'t> Coordinator<'t> {
             }
             // (d) Termination or deadlock.
             if self.states.iter().all(|s| s.done) {
-                return Ok((self.stats, self.finish_times));
+                return Ok(Some((
+                    std::mem::take(&mut self.stats),
+                    std::mem::take(&mut self.finish_times),
+                )));
             }
-            let blocked: Vec<String> = self
+            let mut blocked: Vec<String> = self
                 .states
                 .iter()
                 .enumerate()
@@ -297,10 +305,24 @@ impl<'t> Coordinator<'t> {
                         .map(|op| format!("rank {r}: {}", op.describe()))
                 })
                 .collect();
-            let mut blocked = blocked;
             blocked.push(dump_unmatched(&self.engine));
             return Err(SimError::Deadlock { blocked });
         }
+    }
+
+    /// Takes `rank`'s answer to its blocking call, once it has one.
+    pub(crate) fn take_reply(&mut self, rank: Rank) -> Option<Reply> {
+        self.replies[rank as usize].take()
+    }
+
+    /// The ranks answered since the last call, in answer order.
+    pub(crate) fn take_woken(&mut self) -> std::vec::Drain<'_, Rank> {
+        self.woken.drain(..)
+    }
+
+    /// Hands back the tracer, for the caller to finish.
+    pub(crate) fn into_tracer(self) -> Box<dyn Tracer> {
+        self.tracer
     }
 
     fn emit(&mut self, rank: Rank, t_start: Cycles, t_end: Cycles, kind: EventKind) {
@@ -337,7 +359,8 @@ impl<'t> Coordinator<'t> {
     }
 
     /// Makes what `rank` sent its current request: an op becomes pending
-    /// at the rank's clock, a panic is raised at the next step (a).
+    /// at the rank's clock, a panic is raised by the next step of
+    /// [`drive`](Self::drive).
     fn start(&mut self, rank: Rank, incoming: Incoming) {
         match incoming {
             Incoming::Op { op, reply, .. } => {
@@ -353,16 +376,15 @@ impl<'t> Coordinator<'t> {
     }
 
     /// Finishes `rank`'s current request at `now`. A blocking request is
-    /// answered, unblocking the thread; a posted one hands over to the
+    /// answered, and the rank is running again; a posted one hands over to the
     /// next request the rank sent, if it has arrived.
     fn reply(&mut self, rank: Rank, reply: Reply, now: Cycles) {
         let st = &mut self.states[rank as usize];
         st.now = now;
         if st.blocking {
             self.running += 1;
-            // A send failure means the thread is gone; the main loop will
-            // observe the disconnect.
-            let _ = self.reply_txs[rank as usize].send(reply);
+            self.replies[rank as usize] = Some(reply);
+            self.woken.push(rank);
         } else if let Some(next) = st.posted.pop_front() {
             self.start(rank, next);
         }

@@ -32,6 +32,14 @@ pub enum SimError {
         /// What was wrong.
         detail: String,
     },
+    /// The host could not start a rank's thread (out of memory, or a
+    /// thread or address-space limit).
+    Spawn {
+        /// The first rank that did not start.
+        rank: u32,
+        /// The operating system's reason.
+        detail: String,
+    },
     /// Trace emission failed (I/O).
     Trace(String),
 }
@@ -50,6 +58,9 @@ impl std::fmt::Display for SimError {
             }
             SimError::InvalidOperation { rank, detail } => {
                 write!(f, "invalid operation on rank {rank}: {detail}")
+            }
+            SimError::Spawn { rank, detail } => {
+                write!(f, "could not start rank {rank}'s thread: {detail}")
             }
             SimError::Trace(m) => write!(f, "trace error: {m}"),
         }

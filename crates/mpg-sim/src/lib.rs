@@ -17,15 +17,19 @@
 //! # Determinism
 //!
 //! Rank programs run on OS threads, but the coordinator is a strict
-//! sequencer. A rank blocks only on a call whose answer the coordinator
-//! alone has (`recv`, `wait` on a receive request, `waitsome`, `test`), or
-//! after a run of 63 posted calls; every other call is posted and the rank
-//! runs on. The coordinator holds every rank's calls up to its next
-//! blocking one before deciding what to process, starts a posted call
-//! exactly when a reply would have let the rank send it, and draws all
-//! randomness from per-rank [`StreamRng`](mpg_noise::StreamRng) streams, so
-//! a given seed reproduces a simulation bit for bit — the same trace as if
-//! every call waited for its reply.
+//! sequencer with no thread of its own. A rank blocks only on a call whose
+//! answer the coordinator alone has (`recv`, `wait` on a receive request,
+//! `waitsome`, `test`), or after a run of 63 posted calls; every other call
+//! is posted and the rank runs on. The coordinator holds every rank's calls
+//! up to its next blocking one before deciding what to process: the rank
+//! thread whose call leaves no rank running takes the decisions, under the
+//! one lock every call takes, and wakes the ranks they answer. Decisions
+//! follow `(enter time, rank)` order and never which thread takes them; a
+//! posted call starts exactly when a reply would have let the rank send it,
+//! and all randomness comes from per-rank
+//! [`StreamRng`](mpg_noise::StreamRng) streams, so a given seed reproduces a
+//! simulation bit for bit — the same trace as if every call waited for its
+//! reply.
 //!
 //! # Example
 //!

@@ -1,13 +1,13 @@
 //! The [`Simulation`] builder and runner.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use crossbeam_channel::{bounded, unbounded};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+use std::thread;
 
 use crate::coordinator::{Coordinator, SimStats};
 use crate::error::SimError;
 use crate::network::NetworkModel;
-use crate::rank::{Incoming, RankCtx, ABORT};
+use crate::rank::{lock, unpark, RankCtx, Shared, ABORT, UNPOISONED};
 use crate::tracer::{MemTracer, NullTracer, Tracer};
 use crate::Cycles;
 use mpg_noise::PlatformSignature;
@@ -151,25 +151,11 @@ impl Simulation {
             .clocks
             .clone()
             .unwrap_or_else(|| (0..self.ranks).map(ClockModel::skewed).collect());
-        let mut mem_tracer;
-        let mut null_tracer;
-        let tracer: &mut dyn Tracer = if self.tracing {
-            mem_tracer = MemTracer::new(clocks);
-            &mut mem_tracer
+        let tracer: Box<dyn Tracer> = if self.tracing {
+            Box::new(MemTracer::new(clocks))
         } else {
-            null_tracer = NullTracer;
-            &mut null_tracer
+            Box::new(NullTracer)
         };
-
-        let (req_tx, req_rx) = unbounded::<Incoming>();
-        let mut reply_txs = Vec::with_capacity(self.ranks as usize);
-        let mut reply_rxs = Vec::with_capacity(self.ranks as usize);
-        for _ in 0..self.ranks {
-            let (tx, rx) = bounded(1);
-            reply_txs.push(tx);
-            reply_rxs.push(rx);
-        }
-
         let net = NetworkModel::new(self.signature.clone(), self.ranks as usize, self.seed);
         let coordinator = Coordinator::new(
             self.ranks,
@@ -178,20 +164,21 @@ impl Simulation {
             net,
             self.signature.os_noise.clone(),
             tracer,
-            reply_txs,
-            req_rx,
         );
+        let shared = Shared::new(coordinator, self.ranks);
 
         let collective_mode = self.collective_mode;
         let ranks = self.ranks;
         let program = &program;
 
-        let run_result = std::thread::scope(|scope| {
-            for (r, reply_rx) in reply_rxs.drain(..).enumerate() {
-                let tx = req_tx.clone();
-                scope.spawn(move || {
-                    let mut ctx =
-                        RankCtx::new(r as u32, ranks, tx.clone(), reply_rx, collective_mode);
+        // The rank threads drive the coordinator among themselves; this
+        // thread only starts them and waits for them.
+        thread::scope(|scope| {
+            for r in 0..ranks {
+                let mine = shared.clone();
+                let spawned = thread::Builder::new().spawn_scoped(scope, move || {
+                    lock(&mine).register(r);
+                    let mut ctx = RankCtx::new(r, ranks, mine, collective_mode);
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
                         ctx.init();
                         program(&mut ctx);
@@ -205,25 +192,41 @@ impl Simulation {
                                 .cloned()
                                 .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
                                 .unwrap_or_else(|| "non-string panic".into());
-                            let _ = tx.send(Incoming::Panicked {
-                                rank: r as u32,
-                                message,
-                            });
+                            ctx.panicked(message);
                         }
                     }
                 });
+                if let Err(e) = spawned {
+                    // The ranks already started would wait forever for
+                    // this one: fail the run, and unwind them.
+                    let mut sh = lock(&shared);
+                    if !sh.aborted {
+                        sh.end = Some(Err(SimError::Spawn {
+                            rank: r,
+                            detail: e.to_string(),
+                        }));
+                    }
+                    let wake = sh.abort_all();
+                    drop(sh);
+                    unpark(wake);
+                    break;
+                }
             }
-            // The coordinator's own copy of the request sender must go away
-            // so that a disconnect is observable.
-            drop(req_tx);
-            coordinator.run()
-            // Leaving the scope drops the coordinator's channel ends (moved
-            // into it) on error paths, unwinding every rank still waiting
-            // for a reply or still posting calls.
         });
 
-        let (stats, finish_times) = run_result?;
-        let trace = tracer
+        let sh = Arc::into_inner(shared)
+            .expect("every rank thread has exited")
+            .into_inner()
+            .expect(UNPOISONED);
+        if let Some(payload) = sh.bug {
+            // A coordinator bug, not the program's: raise it here, as if
+            // this thread had been driving.
+            resume_unwind(payload);
+        }
+        let (stats, finish_times) = sh.end.expect("every rank has finalized or failed")?;
+        let trace = sh
+            .coordinator
+            .into_tracer()
             .finish()
             .map_err(SimError::Trace)?
             .unwrap_or_else(|| MemTrace::new(self.ranks as usize));

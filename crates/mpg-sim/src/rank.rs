@@ -1,20 +1,32 @@
 //! The rank-side API: what a simulated MPI program calls.
 //!
-//! Every method on [`RankCtx`] sends its call to the coordinator over a
-//! channel, and each call is one event for the coordinator to sequence.
-//! Only a call that returns something the rank cannot know — `recv`,
-//! `wait` on a live receive request, `waitsome` and `test` — blocks the
-//! rank's thread until the coordinator replies. Every other call is
-//! *posted*: the rank already knows its result (nothing, or the request id
-//! the coordinator will assign, counted here), so it carries on without a
-//! reply, at most `RUN_AHEAD - 1` calls in a row. From the program's
-//! perspective these behave exactly like the corresponding MPI-1 calls.
+//! Every method on [`RankCtx`] hands its call to the coordinator under the
+//! lock all ranks share, and each call is one event for the coordinator to
+//! sequence. Only a call that returns something the rank cannot know —
+//! `recv`, `wait` on a live receive request, `waitsome` and `test` —
+//! blocks the rank's thread until the coordinator answers. Every other
+//! call is *posted*: the rank already knows its result (nothing, or the
+//! request id the coordinator will assign, counted here), so it carries on
+//! without a reply, at most `RUN_AHEAD - 1` calls in a row. From the
+//! program's perspective these behave exactly like the corresponding
+//! MPI-1 calls.
+//!
+//! There is no coordinator thread. The rank whose call leaves no rank
+//! running drives the coordinator on its own stack, then unparks the other
+//! ranks it answered; if it answered itself, it returns without a thread
+//! switch. A blocked rank parks until its reply slot is filled, so a
+//! blocking call costs at most one switch. A drive that fails marks the
+//! run aborted and unparks every rank, and each one unwinds.
 
+use std::any::Any;
 use std::collections::HashSet;
-
-use crossbeam_channel::{Receiver, Sender};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::{self, Thread};
 
 use crate::collective;
+use crate::coordinator::{Coordinator, Finished};
+use crate::error::SimError;
 use crate::message::RecvInfo;
 use crate::program::CollectiveMode;
 use crate::Cycles;
@@ -31,8 +43,8 @@ pub(crate) const ABORT: &str = "__mpg_sim_abort__";
 /// for each rank.
 const RUN_AHEAD: u32 = 64;
 
-/// Unwinds the rank thread after the coordinator has gone away. The
-/// panic hook does not run, so nothing is printed.
+/// Unwinds the rank thread after the simulation has failed. The panic
+/// hook does not run, so nothing is printed.
 fn abort() -> ! {
     std::panic::resume_unwind(Box::new(ABORT))
 }
@@ -134,7 +146,7 @@ impl Op {
     }
 }
 
-/// Coordinator replies, sent only for a call made with `reply: true`.
+/// Coordinator replies, given only to a call made with `reply: true`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Reply {
     /// Operation finished.
@@ -153,7 +165,7 @@ pub(crate) enum Reply {
     },
 }
 
-/// Messages from rank threads to the coordinator.
+/// What a rank thread hands the coordinator.
 #[derive(Debug)]
 pub(crate) enum Incoming {
     /// The rank requests an operation; with `reply` it blocks until the
@@ -163,12 +175,105 @@ pub(crate) enum Incoming {
     Panicked { rank: Rank, message: String },
 }
 
+/// What the rank threads share, behind one lock: the coordinator, and
+/// what a rank needs to hand the CPU to another.
+pub(crate) struct Shared {
+    pub(crate) coordinator: Coordinator,
+    /// Each rank's thread, registered before its first call.
+    threads: Vec<Option<Thread>>,
+    /// The simulation has failed: every call, and every rank that wakes,
+    /// unwinds with [`ABORT`].
+    pub(crate) aborted: bool,
+    /// How the simulation ended, once it has.
+    pub(crate) end: Option<Result<Finished, SimError>>,
+    /// A panic inside the coordinator itself, for
+    /// [`Simulation::run`](crate::Simulation::run) to raise again.
+    pub(crate) bug: Option<Box<dyn Any + Send>>,
+}
+
+/// The lock every rank thread takes for each call.
+pub(crate) type SharedLock = Arc<Mutex<Shared>>;
+
+/// Locks `shared`.
+pub(crate) fn lock(shared: &SharedLock) -> MutexGuard<'_, Shared> {
+    shared.lock().expect(UNPOISONED)
+}
+
+/// No thread panics while holding the lock: [`Shared::hand_in`] catches
+/// the coordinator's panics.
+pub(crate) const UNPOISONED: &str = "no thread panics holding the simulation lock";
+
+/// Wakes the ranks a drive answered or aborted.
+pub(crate) fn unpark(threads: Vec<Thread>) {
+    for t in threads {
+        t.unpark();
+    }
+}
+
+impl Shared {
+    pub(crate) fn new(coordinator: Coordinator, p: u32) -> SharedLock {
+        Arc::new(Mutex::new(Self {
+            coordinator,
+            threads: vec![None; p as usize],
+            aborted: false,
+            end: None,
+            bug: None,
+        }))
+    }
+
+    /// Records the calling thread as `rank`'s, so that a drive on another
+    /// thread can wake it.
+    pub(crate) fn register(&mut self, rank: Rank) {
+        self.threads[rank as usize] = Some(thread::current());
+    }
+
+    /// Hands `incoming` from `me` to the coordinator and, when that leaves
+    /// no rank running, drives it on this thread. Returns the threads to
+    /// unpark once the lock is released: the other ranks the drive
+    /// answered, or every rank when the simulation failed.
+    fn hand_in(&mut self, incoming: Incoming, me: Rank) -> Vec<Thread> {
+        let coordinator = &mut self.coordinator;
+        let driven = catch_unwind(AssertUnwindSafe(|| {
+            coordinator.accept(incoming);
+            coordinator.ready().then(|| coordinator.drive())
+        }));
+        match driven {
+            Ok(None) => Vec::new(),
+            Ok(Some(Ok(done))) => {
+                if let Some(done) = done {
+                    self.end = Some(Ok(done));
+                }
+                let threads = &self.threads;
+                self.coordinator
+                    .take_woken()
+                    .filter(|&r| r != me)
+                    .filter_map(|r| threads[r as usize].clone())
+                    .collect()
+            }
+            Ok(Some(Err(err))) => {
+                self.end = Some(Err(err));
+                self.abort_all()
+            }
+            Err(payload) => {
+                self.bug = Some(payload);
+                self.abort_all()
+            }
+        }
+    }
+
+    /// Fails the simulation: every rank unwinds at its next call or
+    /// wake-up. Returns every registered thread, to unpark.
+    pub(crate) fn abort_all(&mut self) -> Vec<Thread> {
+        self.aborted = true;
+        self.threads.iter().flatten().cloned().collect()
+    }
+}
+
 /// Per-rank MPI-like handle passed to rank programs.
 pub struct RankCtx {
     rank: Rank,
     size: u32,
-    tx: Sender<Incoming>,
-    rx: Receiver<Reply>,
+    shared: SharedLock,
     pub(crate) collective_mode: CollectiveMode,
     pub(crate) finalized: bool,
     /// The id the coordinator gives this rank's next `isend` or `irecv`:
@@ -185,15 +290,13 @@ impl RankCtx {
     pub(crate) fn new(
         rank: Rank,
         size: u32,
-        tx: Sender<Incoming>,
-        rx: Receiver<Reply>,
+        shared: SharedLock,
         collective_mode: CollectiveMode,
     ) -> Self {
         Self {
             rank,
             size,
-            tx,
-            rx,
+            shared,
             collective_mode,
             finalized: false,
             next_req: 1,
@@ -212,20 +315,59 @@ impl RankCtx {
         self.size
     }
 
-    fn submit(&self, op: Op, reply: bool) {
+    /// Hands `op` to the coordinator; with `reply`, waits for the answer.
+    /// Unwinds with [`ABORT`] once the simulation has failed.
+    fn submit(&self, op: Op, reply: bool) -> Option<Reply> {
         assert!(!self.finalized, "MPI call after finalize");
         let rank = self.rank;
-        if self.tx.send(Incoming::Op { rank, op, reply }).is_err() {
+        let mut sh = lock(&self.shared);
+        if sh.aborted {
+            drop(sh);
             abort();
         }
+        let wake = sh.hand_in(Incoming::Op { rank, op, reply }, rank);
+        let aborted = sh.aborted;
+        // Filled if this drive answered this rank; a posted call has none.
+        let mut answer = sh.coordinator.take_reply(rank);
+        drop(sh);
+        unpark(wake);
+        if aborted {
+            abort();
+        }
+        if !reply {
+            return None;
+        }
+        // Another rank's drive fills the slot and only then unparks this
+        // thread, so a wake-up that precedes `park` is not lost.
+        while answer.is_none() {
+            thread::park();
+            let mut sh = lock(&self.shared);
+            if sh.aborted {
+                drop(sh);
+                abort();
+            }
+            answer = sh.coordinator.take_reply(rank);
+        }
+        answer
+    }
+
+    /// Hands in this rank's panic, unless the simulation has already
+    /// failed. Runs outside the rank's `catch_unwind`, so it never unwinds.
+    pub(crate) fn panicked(&self, message: String) {
+        let rank = self.rank;
+        let mut sh = lock(&self.shared);
+        if sh.aborted {
+            return;
+        }
+        let wake = sh.hand_in(Incoming::Panicked { rank, message }, rank);
+        drop(sh);
+        unpark(wake);
     }
 
     /// Sends `op` and blocks until the coordinator replies.
     fn call(&mut self, op: Op) -> Reply {
-        self.submit(op, true);
         self.posted = 0;
-        // A closed channel means the coordinator aborted; unwind.
-        self.rx.recv().unwrap_or_else(|_| abort())
+        self.submit(op, true).expect("a blocking call is answered")
     }
 
     /// Sends `op` without waiting for it, unless it would be the

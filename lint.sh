@@ -140,6 +140,36 @@ for spec in ring:16 solver:8; do
 done
 echo "    30 sharded runs = the 1-shard run, scheduler line aside"
 
+# The simulator writes the same bytes however the host schedules its rank
+# threads: `gen` of a ring and of a wildcard master-worker, three times
+# unpinned and twice pinned to one CPU, equals the first run.
+echo "==> gen byte-stability (3 runs unpinned, 2 pinned to one CPU)"
+PIN=""
+if command -v taskset >/dev/null 2>&1; then
+    PIN="taskset -c 0"
+fi
+for spec in ring:16:5 master-worker:8:6; do
+    wl="${spec%%:*}"
+    rest="${spec#*:}"
+    for run in 1 2 3 4 5; do
+        pin=""
+        if [ "$run" -gt 3 ]; then
+            pin="$PIN"
+        fi
+        $pin "$MPGTOOL" gen --workload "$wl" --ranks "${rest%%:*}" --scale "${rest#*:}" \
+            "$SMOKE_TMP/gen-$run" >/dev/null
+        if [ "$run" -gt 1 ]; then
+            diff -r "$SMOKE_TMP/gen-1" "$SMOKE_TMP/gen-$run" >/dev/null || {
+                echo "lint: FAIL: $wl gen run $run wrote other bytes than run 1" >&2
+                exit 1
+            }
+            rm -rf "$SMOKE_TMP/gen-$run"
+        fi
+    done
+    rm -rf "$SMOKE_TMP/gen-1"
+done
+echo "    10 gen runs = the first run of their workload, byte for byte"
+
 # Same-host ratios of two verbs on one trace (see ratios.sh).
 ./ratios.sh
 

@@ -12,9 +12,10 @@ RATIO_TMP="$(mktemp -d)"
 trap 'rm -rf "$RATIO_TMP"' EXIT
 
 # Trace generation runs pinned to one CPU. The simulator runs a thread per
-# rank, and each blocking call (a ring hop ends in one) hands the CPU from
-# the rank to the coordinator and back, which costs less on one CPU than
-# across two: ring 16 x 40 takes 560-620 ms pinned, 870-930 ms not.
+# rank, and a blocking call (a ring hop ends in one) that another rank
+# answers hands the CPU to that rank's thread once, which costs less on
+# one CPU than across two: ring 16 x 40 takes 200-290 ms pinned,
+# 510-575 ms not.
 PIN=""
 if command -v taskset >/dev/null 2>&1; then
     PIN="taskset -c 0"
@@ -83,9 +84,9 @@ gate "analyze --json / replay --ooc" 1000 "$analyze_ms" "$replay_ms"
 
 # The simulator against the replay of what it writes: pinned `gen` of that
 # stencil may cost at most 12x `replay` of the trace it writes, the two
-# timed in alternation. Measured 5.0-5.3x (240-255 ms over 47-49 ms): a
+# timed in alternation. Measured 3.3-4.4x (103-153 ms over 29-41 ms): a
 # rank posts every call whose result it already knows, and every call of
-# this workload is one, so the only round trips left are the run-ahead
+# this workload is one, so the only blocking calls left are the run-ahead
 # cap's. With a channel round trip per call it read 26-37x.
 echo "==> gen <= 12x replay (stencil, 256 ranks, scale 4)"
 G="$RATIO_TMP/stencil-256-gen"
@@ -93,6 +94,19 @@ gen_t() { $PIN "$MPGTOOL" gen --workload stencil --ranks 256 --scale 4 "$G"; }
 replay_t() { "$MPGTOOL" replay "$G"; }
 set -- $(best_pair_ms gen_t replay_t)
 gate "gen / replay" 1200 "$1" "$2"
+
+# The same for a ring, where every hop ends in a blocking `wait`: pinned
+# `gen` of ring 16 x 40 may cost at most 7x `replay` of the trace it
+# writes, timed in alternation. Measured 5.2-5.8x (173-282 ms over 33-49
+# ms): the rank whose call leaves no rank running takes the coordinator's
+# decisions itself, so a blocking call costs at most one thread switch.
+# With a coordinator thread, each one cost a switch there and one back:
+# 11-12x (409-466 ms over 37-39 ms).
+echo "==> gen <= 7x replay (ring, 16 ranks, scale 40)"
+G="$RATIO_TMP/ring-16-gen"
+gen_t() { $PIN "$MPGTOOL" gen --workload ring --ranks 16 --scale 40 "$G"; }
+set -- $(best_pair_ms gen_t replay_t)
+gate "gen / replay" 700 "$1" "$2"
 
 # The lint passes on a long ring (16 ranks, 256 032 events, 3 200 eager
 # messages per receiver): `lint --all` may cost at most 1.75x the `analyze
