@@ -1230,7 +1230,7 @@ fn cmd_diff(args: Vec<String>) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `mpgtool bench`: measure the four same-process ratios, optionally
+/// `mpgtool bench`: measure the five same-process ratios, optionally
 /// writing the `BENCH_replay.json` snapshot and/or gating them against
 /// their fixed floors ([`mpg_analysis::perf::check`]).
 fn cmd_bench(mut args: Vec<String>) -> Result<ExitCode, String> {
@@ -1241,7 +1241,13 @@ fn cmd_bench(mut args: Vec<String>) -> Result<ExitCode, String> {
         return Err(format!("bench: unexpected argument '{}'", args[0]));
     }
     let snap = mpg_analysis::perf::measure(reps)?;
-    let (s, i, o, c) = (&snap.sweep, &snap.ingest, &snap.ooc, &snap.cache);
+    let (s, i, o, c, l) = (
+        &snap.sweep,
+        &snap.ingest,
+        &snap.ooc,
+        &snap.cache,
+        &snap.lint,
+    );
     println!(
         "sweep: {} configs on {} in {} lane batch(es), {} traversal(s) saved: \
          {:.1} configs/sec vs {:.1} scalar, one thread each ({:.2}x)",
@@ -1287,6 +1293,16 @@ fn cmd_bench(mut args: Vec<String>) -> Result<ExitCode, String> {
         c.cold_secs,
         c.warm_secs,
         c.warm_speedup()
+    );
+    println!(
+        "lint: {} on {} ranks, {} events: peak RSS +{:.1} MiB linting vs +{:.1} MiB \
+         recording and analysing ({:.2}x)",
+        l.name,
+        l.ranks,
+        l.events,
+        l.lint_rss_growth_mib,
+        l.analyze_rss_growth_mib,
+        l.lint_over_analyze()
     );
     if let Some(path) = out {
         std::fs::write(&path, snap.to_json()).map_err(|e| format!("writing {path}: {e}"))?;

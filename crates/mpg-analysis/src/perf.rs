@@ -12,7 +12,9 @@
 //!   bare decode of the same frame payloads;
 //! - the out-of-core replay of that trace at 1 shard against several, and
 //!   its peak-RSS growth against the trace size;
-//! - a warm cached analyze of that trace against a cold one.
+//! - a warm cached analyze of that trace against a cold one;
+//! - the peak-RSS growth of a full lint of a 512-rank stencil against that
+//!   of recording and analysing the same trace.
 //!
 //! [`PerfSnapshot::to_json`] records the 10⁷-event figures that the
 //! process-level `benchmark/` runs cannot afford. Nothing reads it back.
@@ -73,6 +75,17 @@ pub const WARM_SPEEDUP_FLOOR: f64 = 3.0;
 /// 1.9–2.2× (slicing-by-8, twice): inside the ratio's run-to-run movement,
 /// so the ceiling does not separate them from the one fast pass.
 pub const INGEST_OVER_DECODE_CEILING: f64 = 2.5;
+
+/// Peak-RSS growth of `lint_full` over that of a recording replay plus
+/// `analyze_graph` of the same 512-rank stencil ([`pinned_lint`]), both
+/// in one process. A lint records the same graph and runs the same
+/// analysis (pass 6), so the ratio is what lint holds beyond `analyze`:
+/// the progress simulation, the happens-before index and the other
+/// passes. Measured 1.17–1.23× (+100–110 MiB against +86–89 MiB) with
+/// the index storing each rank's two neighbour columns and full clocks
+/// only on the build's frontier; 3.87–3.95× (+338–349 MiB) when every
+/// epoch keeps a 512-wide clock pair to the end of the build.
+pub const LINT_OVER_ANALYZE_RSS_CEILING: f64 = 1.5;
 
 /// The perturbation model of every out-of-core replay measurement.
 fn perf_model() -> PerturbationModel {
@@ -543,6 +556,92 @@ pub fn measure_cache(spec: &OocSpec) -> Result<CachePerf, String> {
     })
 }
 
+/// The workload of the lint-memory measurement: a 512-rank stencil of
+/// ~4·10⁵ events, cached in the system temp dir like the out-of-core
+/// trace. Wide enough that clock rows as wide as the rank count dominate
+/// a lint's memory; small enough to lint in about a second.
+pub fn pinned_lint() -> OocSpec {
+    OocSpec {
+        name: "lint-stencil-512",
+        workload: "stencil",
+        ranks: 512,
+        scale: 6,
+        seed: 1,
+        shards: 1,
+    }
+}
+
+/// Lint against analyze memory (the `"lint"` section of
+/// `BENCH_replay.json`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct LintPerf {
+    /// Workload name ([`OocSpec::name`]).
+    pub name: String,
+    /// Rank count.
+    pub ranks: u32,
+    /// Events in the linted trace.
+    pub events: u64,
+    /// Peak resident growth of one recording replay plus `analyze_graph`
+    /// (MiB).
+    pub analyze_rss_growth_mib: f64,
+    /// Peak resident growth of one `lint_full` (MiB).
+    pub lint_rss_growth_mib: f64,
+}
+
+impl LintPerf {
+    /// Lint over analyze peak-RSS growth.
+    pub fn lint_over_analyze(&self) -> f64 {
+        if self.analyze_rss_growth_mib > 0.0 {
+            self.lint_rss_growth_mib / self.analyze_rss_growth_mib
+        } else {
+            0.0
+        }
+    }
+}
+
+/// Measures the peak-RSS growth of a full lint and of a recording replay
+/// plus `analyze_graph` over one loaded trace, in one process, each under
+/// its own `with_peak_rss` sampler. The trace is loaded once, before
+/// either sampler starts.
+///
+/// Where it runs matters to the allocator, not to the work. Heap a stage
+/// frees stays resident and serves the next stage's allocations, and glibc
+/// raises its mmap threshold when a large block is freed, after which
+/// multi-MiB buffers come from that heap and are not handed back. So the
+/// analyze side goes after the lint (it can only read smaller, and the
+/// ratio larger, for it), and [`measure`] runs this section after the
+/// out-of-core ones, whose RSS growth it would otherwise hide in its
+/// freed heap, and before the cold analyze, after which a lint reads
+/// 1.87× instead of 1.17×.
+pub fn measure_lint(spec: &OocSpec) -> Result<LintPerf, String> {
+    let dir = ensure_ooc_trace(spec)?;
+    let trace = FileTraceSet::open(&dir)
+        .and_then(|s| s.load())
+        .map_err(|e| format!("loading lint bench trace: {e}"))?;
+    let (diags, lint_base, lint_peak) = with_peak_rss(|| mpg_lint::lint_full(&trace));
+    drop(diags);
+    let cfg = ReplayConfig::new(PerturbationModel::quiet("bench-lint"))
+        .seed(0)
+        .ack_arm(false)
+        .record_graph(true);
+    let (analyzed, analyze_base, analyze_peak) = with_peak_rss(|| {
+        let graph = Replayer::new(cfg)
+            .run(&trace)
+            .map_err(|e| format!("lint bench replay failed: {e}"))?
+            .graph
+            .ok_or("lint bench replay recorded no graph")?;
+        Ok::<_, String>(mpg_lint::analyze_graph(&trace, &graph))
+    });
+    analyzed?;
+    Ok(LintPerf {
+        name: spec.name.to_string(),
+        ranks: spec.ranks,
+        events: trace.total_events() as u64,
+        analyze_rss_growth_mib: (analyze_peak - analyze_base).max(0.0),
+        lint_rss_growth_mib: (lint_peak - lint_base).max(0.0),
+    })
+}
+
 /// A full measurement snapshot (what `BENCH_replay.json` holds).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfSnapshot {
@@ -557,6 +656,9 @@ pub struct PerfSnapshot {
     /// The artifact-cache measurement (cold vs warm analyze over the same
     /// pinned trace).
     pub cache: CachePerf,
+    /// The lint-memory measurement (lint vs analyze peak-RSS growth on
+    /// the 512-rank stencil).
+    pub lint: LintPerf,
 }
 
 /// Config count of the pinned sweep measurement: two full lane batches'
@@ -626,18 +728,22 @@ pub fn measure_sweep(reps: u32) -> SweepPerf {
 /// Takes every section of the snapshot: the sweep at `reps` rounds, the
 /// ingest and out-of-core replay of the pinned 10⁷-event trace at `reps`
 /// capped to 3 (each rep reads ~10⁷ events twice, so the gate stays
-/// minutes-scale), and one cold and one warm analyze of that trace.
+/// minutes-scale), one lint and one analyze of the 512-rank stencil
+/// ([`measure_lint`] says why here), and one cold and one warm analyze of
+/// the pinned trace.
 pub fn measure(reps: u32) -> Result<PerfSnapshot, String> {
     let sweep = measure_sweep(reps);
     let spec = pinned_ooc();
     let ingest = measure_ingest(&spec, reps.min(3)).map_err(|e| format!("ingest bench: {e}"))?;
     let ooc = measure_ooc(&spec, reps.min(3)).map_err(|e| format!("ooc bench: {e}"))?;
+    let lint = measure_lint(&pinned_lint()).map_err(|e| format!("lint bench: {e}"))?;
     let cache = measure_cache(&spec).map_err(|e| format!("cache bench: {e}"))?;
     Ok(PerfSnapshot {
         sweep,
         ingest,
         ooc,
         cache,
+        lint,
     })
 }
 
@@ -655,7 +761,13 @@ impl PerfSnapshot {
     /// Renders the snapshot as the `BENCH_replay.json` document: one block
     /// per section.
     pub fn to_json(&self) -> String {
-        let (s, i, o, c) = (&self.sweep, &self.ingest, &self.ooc, &self.cache);
+        let (s, i, o, c, l) = (
+            &self.sweep,
+            &self.ingest,
+            &self.ooc,
+            &self.cache,
+            &self.lint,
+        );
         let blocks = [
             json_block(
                 "sweep",
@@ -724,6 +836,23 @@ impl PerfSnapshot {
                     ("cold_secs", format!("{:.3}", c.cold_secs)),
                     ("warm_secs", format!("{:.4}", c.warm_secs)),
                     ("warm_speedup", format!("{:.1}", c.warm_speedup())),
+                ],
+            ),
+            json_block(
+                "lint",
+                &[
+                    ("name", format!("\"{}\"", l.name)),
+                    ("ranks", l.ranks.to_string()),
+                    ("events", l.events.to_string()),
+                    (
+                        "analyze_rss_growth_mib",
+                        format!("{:.1}", l.analyze_rss_growth_mib),
+                    ),
+                    (
+                        "lint_rss_growth_mib",
+                        format!("{:.1}", l.lint_rss_growth_mib),
+                    ),
+                    ("lint_over_analyze", format!("{:.2}", l.lint_over_analyze())),
                 ],
             ),
         ];
@@ -798,6 +927,22 @@ fn check_cache(c: &CachePerf) -> Option<String> {
     })
 }
 
+/// [`LINT_OVER_ANALYZE_RSS_CEILING`]: `Some(message)` when a lint's
+/// peak-RSS growth passes that many analyzes'.
+fn check_lint(l: &LintPerf) -> Option<String> {
+    (l.lint_over_analyze() > LINT_OVER_ANALYZE_RSS_CEILING).then(|| {
+        format!(
+            "lint({}): peak RSS grew {:.1} MiB linting against {:.1} MiB recording and \
+             analysing ({:.2}x, ceiling {LINT_OVER_ANALYZE_RSS_CEILING}x) — lint holds \
+             rank-wide state the questions it asks do not need",
+            l.name,
+            l.lint_rss_growth_mib,
+            l.analyze_rss_growth_mib,
+            l.lint_over_analyze()
+        )
+    })
+}
+
 /// Holds every section of `snap` to its fixed floor. Returns one message
 /// per ratio below its floor; empty means the gate passes.
 pub fn check(snap: &PerfSnapshot) -> Vec<String> {
@@ -807,6 +952,7 @@ pub fn check(snap: &PerfSnapshot) -> Vec<String> {
         check_ooc_rss(&snap.ooc),
         check_shards(&snap.ooc),
         check_cache(&snap.cache),
+        check_lint(&snap.lint),
     ]
     .into_iter()
     .flatten()
@@ -864,6 +1010,16 @@ mod tests {
         }
     }
 
+    fn lint(ratio: f64) -> LintPerf {
+        LintPerf {
+            name: "lint-test".into(),
+            ranks: 512,
+            events: 430_000,
+            analyze_rss_growth_mib: 100.0,
+            lint_rss_growth_mib: 100.0 * ratio,
+        }
+    }
+
     #[test]
     fn sweep_floor_fires_below_2x() {
         assert_eq!(check_sweep(&sweep(3.04)), None);
@@ -908,12 +1064,21 @@ mod tests {
     }
 
     #[test]
+    fn lint_ceiling_fires_above_1_5x() {
+        assert_eq!(check_lint(&lint(1.15)), None);
+        assert_eq!(check_lint(&lint(1.5)), None);
+        let msg = check_lint(&lint(2.8)).expect("above the ceiling");
+        assert!(msg.starts_with("lint(lint-test):"), "{msg}");
+    }
+
+    #[test]
     fn check_holds_every_section() {
         let passing = PerfSnapshot {
             sweep: sweep(3.04),
             ingest: ingest(2.0),
             ooc: ooc(93.4, 5.7, 1.72, 2),
             cache: cache(3753.0),
+            lint: lint(1.15),
         };
         assert!(check(&passing).is_empty());
         let failing = PerfSnapshot {
@@ -921,8 +1086,9 @@ mod tests {
             ingest: ingest(3.0),
             ooc: ooc(93.4, 60.0, 1.0, 2),
             cache: cache(1.0),
+            lint: lint(2.8),
         };
-        assert_eq!(check(&failing).len(), 5);
+        assert_eq!(check(&failing).len(), 6);
     }
 
     #[test]
@@ -953,6 +1119,22 @@ mod tests {
         assert_eq!(perf.ranks, 4);
         assert!(perf.events > 0);
         assert!(perf.cold_secs > 0.0 && perf.warm_secs > 0.0);
+    }
+
+    #[test]
+    fn measure_lint_smoke() {
+        let spec = OocSpec {
+            name: "lint-smoke",
+            workload: "stencil",
+            ranks: 4,
+            scale: 1,
+            seed: 5,
+            shards: 1,
+        };
+        let perf = measure_lint(&spec).expect("lint measurement");
+        assert_eq!(perf.ranks, 4);
+        assert!(perf.events > 0);
+        assert!(perf.lint_rss_growth_mib >= 0.0 && perf.analyze_rss_growth_mib >= 0.0);
     }
 
     #[test]

@@ -47,7 +47,7 @@ use mpg_trace::{fnv1a64, MemTrace};
 
 use crate::cancel::{CancelReason, CancelToken};
 use crate::graph::EventGraph;
-use crate::hb::HbIndex;
+use crate::hb::{HbColumns, HbIndex};
 use crate::mpga::{decode_arena, encode_arena};
 use crate::replay::{trace_layout, ReplayConfig, Replayer};
 use crate::report::ReplayError;
@@ -75,8 +75,9 @@ pub enum ArtifactKind {
     /// An MPGA-encoded [`crate::GraphArena`].
     Arena,
     /// Serialized [`crate::HbIndex`] epoch clocks. The blob names its own
-    /// layout in its first word ([`crate::HbIndex::to_bytes`]), so a copy
-    /// cached under an earlier layout reads as a miss and is republished
+    /// layout in its first word and the columns it stores after it
+    /// ([`crate::HbIndex::to_bytes`]), so a copy cached under an earlier
+    /// layout or for other columns reads as a miss and is republished
     /// without a [`CACHE_SCHEMA`] bump.
     HbClocks,
 }
@@ -411,27 +412,26 @@ pub fn cached_recorded_graph(
 }
 
 /// Memoized happens-before clocks: loads the [`HbIndex`] for
-/// `(trace, config)` from the cache when present, building and publishing
-/// it otherwise. The `bool` is `true` on a hit. With a `cancel` token the
-/// build is [`HbIndex::build_cancellable`]: a fired token returns its
-/// reason and publishes nothing.
+/// `(trace, config)` from the cache when a blob with exactly `columns` is
+/// present, building and publishing it otherwise — a blob built for other
+/// columns is a miss, and the rebuild replaces it. The `bool` is `true` on
+/// a hit. The build is [`HbIndex::build_for`]: a fired `cancel` token
+/// returns its reason and publishes nothing.
 pub fn cached_hb_index(
     store: &CacheStore,
     trace_key: &str,
     config_fp: &str,
     graph: &EventGraph,
+    columns: &HbColumns,
     cancel: Option<&CancelToken>,
 ) -> Result<(HbIndex, bool), CancelReason> {
     let key = CacheStore::artifact_key(trace_key, ArtifactKind::HbClocks, config_fp);
     if let Some(bytes) = store.get(&key, ArtifactKind::HbClocks) {
-        if let Some(hb) = HbIndex::from_bytes(&bytes) {
+        if let Some(hb) = HbIndex::from_bytes(&bytes).filter(|hb| hb.columns() == columns) {
             return Ok((hb, true));
         }
     }
-    let hb = match cancel {
-        Some(token) => HbIndex::build_cancellable(graph, token)?,
-        None => HbIndex::build(graph),
-    };
+    let hb = HbIndex::build_for(graph, columns, cancel)?;
     let _ = store.put(&key, ArtifactKind::HbClocks, &hb.to_bytes());
     Ok((hb, false))
 }
@@ -613,27 +613,50 @@ mod tests {
         let _ = fs::remove_dir_all(s.root());
     }
 
-    /// A blob in the layout `HbIndex` used to write is a silent miss: the
-    /// index is rebuilt, republished over the stale entry, and served warm
-    /// from then on.
+    /// A blob in a layout `HbIndex` used to write — the dense one or the
+    /// first epoch layout — is a silent miss: the index is rebuilt,
+    /// republished over the stale entry, and served warm from then on.
     #[test]
     fn stale_hb_layout_misses_and_is_republished() {
-        use crate::hb::tests::{dense_layout_blob, two_rank_message};
+        use crate::hb::tests::{dense_layout_blob, two_rank_message, v1_layout_blob};
 
-        let s = temp_store("hb-layout");
         let graph = two_rank_message();
-        let key = CacheStore::artifact_key("t", ArtifactKind::HbClocks, "cfg");
-        s.put(&key, ArtifactKind::HbClocks, &dense_layout_blob())
-            .unwrap();
-        let (cold, hit) = cached_hb_index(&s, "t", "cfg", &graph, None).unwrap();
+        let all = HbColumns::all(2);
+        for stale in [dense_layout_blob(), v1_layout_blob()] {
+            let s = temp_store("hb-layout");
+            let key = CacheStore::artifact_key("t", ArtifactKind::HbClocks, "cfg");
+            s.put(&key, ArtifactKind::HbClocks, &stale).unwrap();
+            let (cold, hit) = cached_hb_index(&s, "t", "cfg", &graph, &all, None).unwrap();
+            assert!(!hit);
+            assert_eq!(
+                s.get(&key, ArtifactKind::HbClocks),
+                Some(HbIndex::build(&graph).to_bytes())
+            );
+            let (warm, hit) = cached_hb_index(&s, "t", "cfg", &graph, &all, None).unwrap();
+            assert!(hit);
+            assert_eq!(warm.to_bytes(), cold.to_bytes());
+            let _ = fs::remove_dir_all(s.root());
+        }
+    }
+
+    /// A blob built for other columns is a miss too: asking for a
+    /// narrower map rebuilds and republishes, and the map asked for is
+    /// the map served.
+    #[test]
+    fn hb_blob_for_other_columns_is_a_miss() {
+        use crate::hb::tests::two_rank_message;
+
+        let s = temp_store("hb-columns");
+        let graph = two_rank_message();
+        let (all, narrow) = (HbColumns::all(2), HbColumns::new(2, [vec![], vec![0]]));
+        let (_, hit) = cached_hb_index(&s, "t", "cfg", &graph, &all, None).unwrap();
         assert!(!hit);
-        assert_eq!(
-            s.get(&key, ArtifactKind::HbClocks),
-            Some(HbIndex::build(&graph).to_bytes())
-        );
-        let (warm, hit) = cached_hb_index(&s, "t", "cfg", &graph, None).unwrap();
+        let (hb, hit) = cached_hb_index(&s, "t", "cfg", &graph, &narrow, None).unwrap();
+        assert!(!hit);
+        assert_eq!(hb.columns(), &narrow);
+        let (warm, hit) = cached_hb_index(&s, "t", "cfg", &graph, &narrow, None).unwrap();
         assert!(hit);
-        assert_eq!(warm.to_bytes(), cold.to_bytes());
+        assert_eq!(warm.to_bytes(), hb.to_bytes());
         let _ = fs::remove_dir_all(s.root());
     }
 

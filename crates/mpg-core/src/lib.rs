@@ -94,7 +94,7 @@ pub use feasible::{
 };
 pub use forced::{ForcedMatch, ForcedOutcome, MatchPlan};
 pub use graph::{Edge, EventGraph, NodeId, Point};
-pub use hb::{EventId, HbIndex};
+pub use hb::{EventId, HbColumns, HbIndex};
 pub use lane::{lane_replays, plan_lanes, replay_batch, LaneBatch, MAX_LANES};
 pub use mpga::{decode_arena, encode_arena, MpgaError, MPGA_VERSION};
 pub use perturb::{DeltaClass, PerturbationModel, SignedDist};

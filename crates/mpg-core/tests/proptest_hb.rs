@@ -15,20 +15,23 @@
 //! and nonblocking completion edges. The oracle is the only reference:
 //! there is no second clock implementation to compare against.
 //!
-//! Three legs: dense rounds on a few ranks; sparse hand-offs (rendezvous
+//! Four legs: dense rounds on a few ranks; sparse hand-offs (rendezvous
 //! sends among them) and collectives on up to 24 ranks, where long runs of
-//! events share one epoch row; and [`HbIndex::build_bypassing`] against
-//! the closure of the graph with that hub rewritten by hand. Every case
-//! also pins the compression: no more epoch rows than joins.
+//! events share one epoch row; [`HbIndex::build_bypassing`] against the
+//! closure of the graph with that hub rewritten by hand; and indexes that
+//! store a random [`HbColumns`] map, plain and with every hub bypassed in
+//! turn, whose every query the map covers must equal the closure and every
+//! other must answer "nothing known". Every case also pins the
+//! compression: no more epoch rows than joins.
 //!
-//! All three legs check the threshold reading of a row as well
+//! All legs check the threshold reading of a row as well
 //! ([`check_horizons`]): `issue_horizon(q, b)` / `completion_horizon(q, b)`
 //! are the *number* of `q`'s events the oracle orders before `b`, those
 //! events are a prefix of `q`'s program order, the boolean queries are the
 //! one comparison against them — unknown events and ranks past the last
 //! included — and rows never decrease along a rank's program order.
 
-use mpg_core::{EventGraph, HbIndex, NodeId, PerturbationModel, ReplayConfig, Replayer};
+use mpg_core::{EventGraph, HbColumns, HbIndex, NodeId, PerturbationModel, ReplayConfig, Replayer};
 use mpg_noise::PlatformSignature;
 use mpg_sim::RankCtx;
 use mpg_trace::ANY_SOURCE;
@@ -224,7 +227,8 @@ fn reachable(adj: &HashMap<NodeId, Vec<NodeId>>, from: NodeId) -> HashSet<NodeId
 }
 
 /// Checks both relations of `hb` against DFS reachability over `edges`,
-/// for every ordered pair of events.
+/// for every ordered pair of events its [`HbColumns`] cover; a pair they do
+/// not cover must answer `false` (and its horizons `0`).
 fn check_against_closure(
     hb: &HbIndex,
     edges: impl Iterator<Item = (NodeId, NodeId)>,
@@ -247,6 +251,14 @@ fn check_against_closure(
                 for sb in 0..counts[rb as usize] {
                     let a = (ra, sa);
                     let b = (rb, sb);
+                    if !hb.columns().covers(rb, ra) {
+                        if hb.happens_before(a, b) || hb.completes_before(a, b) {
+                            return Err(format!(
+                                "{a:?} is ordered before {b:?} outside the index's columns ({what})"
+                            ));
+                        }
+                        continue;
+                    }
                     let oracle_hb = from_start.contains(&NodeId::start(rb, sb));
                     ordered_before.entry((b, ra)).or_default().0 += u64::from(oracle_hb);
                     if hb.happens_before(a, b) != oracle_hb {
@@ -281,6 +293,11 @@ fn check_against_closure(
     // that equals the oracle's count is also where the ordered prefix ends.
     for (&(b, q), &oracle) in &ordered_before {
         let horizons = (hb.issue_horizon(q, b), hb.completion_horizon(q, b));
+        let oracle = if hb.columns().covers(b.0, q) {
+            oracle
+        } else {
+            (0, 0)
+        };
         if horizons != oracle {
             return Err(format!(
                 "rank {q}'s issue/completion horizons over {b:?} are {horizons:?}, closure counts {oracle:?} ({what})"
@@ -351,6 +368,15 @@ fn check_compression(hb: &HbIndex, graph: &EventGraph) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// A map over `p` ranks naming column `c` for rank `r` where
+/// `mask[r * 9 + c]` is set (`p <= 9`).
+fn masked_columns(p: u32, mask: &[bool]) -> HbColumns {
+    HbColumns::new(
+        p as usize,
+        (0..p).map(|r| (0..p).filter(move |&c| mask[(r * 9 + c) as usize])),
+    )
 }
 
 fn plain_edges(graph: &EventGraph) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
@@ -430,8 +456,44 @@ proptest! {
         hubs.dedup();
         prop_assert!(!hubs.is_empty());
         for hub in hubs {
-            let hb = HbIndex::build_bypassing(&graph, hub);
+            let hb = HbIndex::build_bypassing(&graph, hub, &HbColumns::all(p as usize));
             let what = format!("bypassing {hub:?}, ack_arm={ack_arm}");
+            prop_assert_eq!(
+                check_against_closure(&hb, bypassed_edges(&graph, hub), &counts, &what),
+                Ok(())
+            );
+        }
+    }
+
+    /// An index storing a random column map — dense rounds, wildcard
+    /// gathers and collectives on up to 8 ranks — answers every query the
+    /// map covers as the closure does and no other, built plainly and with
+    /// each hub bypassed in turn; its blob round-trips with the map.
+    #[test]
+    fn projected_index_equals_closure_on_its_columns(
+        p in 2u32..9,
+        sim_seed in 0u64..1_000,
+        rounds in prop::collection::vec(round_strategy(), 1..6),
+        mask in prop::collection::vec(any::<bool>(), 81),
+        ack_arm in any::<bool>(),
+    ) {
+        let (graph, counts) = record(p, sim_seed, &rounds, ack_arm);
+        let columns = masked_columns(p, &mask);
+        let hb = HbIndex::build_for(&graph, &columns, None).expect("no token");
+        prop_assert_eq!(hb.columns(), &columns);
+        let what = format!("columns {columns:?}, ack_arm={ack_arm}");
+        prop_assert_eq!(check_against_closure(&hb, plain_edges(&graph), &counts, &what), Ok(()));
+        prop_assert_eq!(check_compression(&hb, &graph), Ok(()));
+        let bytes = hb.to_bytes();
+        let back = HbIndex::from_bytes(&bytes).expect("own blob decodes");
+        prop_assert_eq!(back.columns(), &columns);
+        prop_assert_eq!(back.to_bytes(), bytes);
+        let mut hubs: Vec<NodeId> = graph.edges().map(|e| e.dst).filter(|n| n.hub).collect();
+        hubs.sort_unstable();
+        hubs.dedup();
+        for hub in hubs {
+            let hb = HbIndex::build_bypassing(&graph, hub, &columns);
+            let what = format!("bypassing {hub:?} under {what}");
             prop_assert_eq!(
                 check_against_closure(&hb, bypassed_edges(&graph, hub), &counts, &what),
                 Ok(())

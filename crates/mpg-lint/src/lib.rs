@@ -85,9 +85,9 @@ pub use waitstate::{
 
 use mpg_core::{
     cached_hb_index, cached_recorded_graph, CacheStore, CancelReason, CancelToken, EventGraph,
-    HbIndex, PerturbationModel, ReplayConfig, Replayer, TraceGate,
+    HbColumns, HbIndex, PerturbationModel, ReplayConfig, Replayer, TraceGate,
 };
-use mpg_trace::{sort_diagnostics, Diagnostic, MemTrace, Rule, Severity};
+use mpg_trace::{sort_diagnostics, Diagnostic, EventKind, MemTrace, Rank, Rule, Severity};
 
 /// The quiet recording-replay configuration behind every lint context —
 /// one definition, so the report keys ([`ruleset_fingerprint`]) and the
@@ -103,6 +103,66 @@ fn lint_replay_config() -> ReplayConfig {
         .seed(0)
         .ack_arm(false)
         .record_graph(true)
+}
+
+/// The happens-before cells the passes ask about, per rank of `trace`
+/// (DESIGN.md §12.1). A horizon is read for one rank's events (the row)
+/// against another rank (the column), and the passes read exactly these:
+///
+/// * each send's destination — pass 7 reads `completion_horizon(dst, send)`
+///   for every send, forbidden-match and watermark alike;
+/// * for a rank that posts an `ANY_SOURCE` receive, every other rank that
+///   sends to it — pass 4 and the explorer compare a wildcard's matched
+///   send with the sends of the other sources both ways
+///   (`issue_horizon(other, matched)`, `happens_before(matched, other)`),
+///   and every one of those sends targets the wildcard's rank.
+///
+/// Built from the trace, not a matching, so it covers every matching the
+/// explorer's forks produce.
+fn query_columns(trace: &MemTrace) -> HbColumns {
+    let p = trace.num_ranks();
+    let mut dests: Vec<Vec<Rank>> = vec![Vec::new(); p];
+    let mut wildcard = vec![false; p];
+    // Destinations already listed for the rank being scanned.
+    let mut listed = vec![false; p];
+    for (r, mine) in dests.iter_mut().enumerate() {
+        for ev in trace.rank(r) {
+            match ev.kind {
+                EventKind::Send { peer, .. } | EventKind::Isend { peer, .. } => {
+                    if let Some(seen) = listed.get_mut(peer as usize).filter(|seen| !**seen) {
+                        *seen = true;
+                        mine.push(peer);
+                    }
+                }
+                EventKind::Recv {
+                    posted_any: true, ..
+                }
+                | EventKind::Irecv {
+                    posted_any: true, ..
+                } => wildcard[r] = true,
+                _ => {}
+            }
+        }
+        for &d in mine.iter() {
+            listed[d as usize] = false;
+        }
+    }
+    let mut senders: Vec<Vec<Rank>> = vec![Vec::new(); p];
+    for (r, mine) in dests.iter().enumerate() {
+        for &d in mine.iter().filter(|&&d| wildcard[d as usize]) {
+            senders[d as usize].push(r as Rank);
+        }
+    }
+    HbColumns::new(
+        p,
+        dests.iter().map(|mine| {
+            let rivals = mine
+                .iter()
+                .filter(|&&d| wildcard[d as usize])
+                .flat_map(|&d| senders[d as usize].iter().copied());
+            mine.iter().copied().chain(rivals)
+        }),
+    )
 }
 
 /// Fingerprint of the lint rule set and its tunables, for report-level
@@ -164,14 +224,17 @@ pub struct LintContext<'t> {
     pub graph: Option<EventGraph>,
     /// Why the graph is absent, when it is.
     pub graph_error: Option<String>,
-    /// Happens-before index over `graph`.
+    /// Happens-before index over `graph`. [`LintContext::build`] stores
+    /// only the cells the passes read; any index whose columns cover
+    /// those (an [`HbIndex::build`] one included) gives the same output.
     pub hb: Option<HbIndex>,
 }
 
 impl<'t> LintContext<'t> {
     /// Builds the artifacts: the progress simulation and the quiet
     /// recording replay run concurrently (they are independent), then the
-    /// happens-before index is derived from the graph.
+    /// happens-before index is derived from the graph, storing only the
+    /// columns the passes ask about (`query_columns`).
     pub fn build(trace: &'t MemTrace) -> Self {
         Self::build_with(trace, None, None).0
     }
@@ -223,13 +286,13 @@ impl<'t> LintContext<'t> {
             Err(e) => (None, Some(e.to_string()), None),
         };
         let hb = graph.as_ref().and_then(|g| {
-            let built = match (cache, cancel) {
-                (Some((store, trace_key)), _) => {
-                    cached_hb_index(store, trace_key, &cfg.fingerprint(), g, cancel)
+            let columns = query_columns(trace);
+            let built = match cache {
+                Some((store, trace_key)) => {
+                    cached_hb_index(store, trace_key, &cfg.fingerprint(), g, &columns, cancel)
                         .map(|(hb, _hit)| hb)
                 }
-                (None, Some(token)) => HbIndex::build_cancellable(g, token),
-                (None, None) => Ok(HbIndex::build(g)),
+                None => HbIndex::build_for(g, &columns, cancel),
             };
             built.map_err(|reason| cancelled = Some(reason)).ok()
         });

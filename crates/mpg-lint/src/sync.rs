@@ -6,9 +6,11 @@
 //! barrier can never match a send issued after it. The pass takes every
 //! envelope-compatible `(receive, send)` pair whose match is forbidden by
 //! the full graph's completion order, then rebuilds the happens-before
-//! index with the barrier's hub bypassed ([`HbIndex::build_bypassing`]);
-//! if every forbidden pair stays forbidden, the barrier orders no
-//! communication and is flagged. Consecutive barriers are each tested with
+//! index with the barrier's hub bypassed ([`HbIndex::build_bypassing`],
+//! over the columns of the index it is compared with); if every forbidden
+//! pair stays forbidden, the barrier orders no communication and is
+//! flagged. With no forbidden pair at all every barrier is flagged and no
+//! index is rebuilt. Consecutive barriers are each tested with
 //! the other still present, so two back-to-back barriers are *individually*
 //! removable even though removing both could differ — the diagnostic says
 //! as much. Data-carrying collectives (bcast, reduce, …) are never
@@ -48,11 +50,11 @@
 //! messages where the pairwise form was `O(n²)` (and, for the forbidden
 //! set, `O(n²)` memory).
 
-use crate::progress::{Matching, SendRec};
+use crate::progress::Matching;
 use mpg_core::arena::NO_NODE;
 use mpg_core::{EventGraph, HbIndex, NodeId, NodeIdx};
 use mpg_trace::{Diagnostic, EventKind, MemTrace, Rank, Rule, Seq, Tag, ANY_SOURCE, ANY_TAG};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Tunables for the synchronization pass.
 #[derive(Debug, Clone, Copy)]
@@ -106,6 +108,8 @@ fn collect_hubs(graph: &EventGraph) -> Vec<Hub> {
 thread_local! {
     /// Horizon reads made by the current test thread.
     static HORIZON_READS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Bypassed indexes built by the current test thread.
+    static BYPASS_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// [`HbIndex::completion_horizon`], the only happens-before read this pass
@@ -213,12 +217,19 @@ fn redundant_barriers(
     let forbidden = forbidden_matches(trace, matching, hb);
     let mut diags = Vec::new();
     for hub in barriers {
-        // Scoped to the iteration: each bypassed index is dropped before
-        // the next barrier's is built, so at most one is alive at a time.
-        let without = HbIndex::build_bypassing(graph, hub.node);
-        let preserved = forbidden
-            .iter()
-            .all(|f| f.last < horizon(&without, f.dst, f.send));
+        // An empty forbidden set holds under any index, so it needs no
+        // bypassed one. Otherwise the bypassed index is scoped to the
+        // iteration: each is dropped before the next barrier's is built, so
+        // at most one is alive at a time, and it stores the columns `hb`
+        // does — the ones read below.
+        let preserved = forbidden.is_empty() || {
+            #[cfg(test)]
+            BYPASS_BUILDS.with(|c| c.set(c.get() + 1));
+            let without = HbIndex::build_bypassing(graph, hub.node, hb.columns());
+            forbidden
+                .iter()
+                .all(|f| f.last < horizon(&without, f.dst, f.send))
+        };
         if preserved {
             let (rank, seq) = (hub.node.rank, hub.node.seq);
             diags.push(
@@ -241,16 +252,24 @@ fn redundant_barriers(
 
 /// `MPG-BUFFER-WATERMARK` per receiving rank.
 fn buffer_watermarks(hb: &HbIndex, matching: &Matching, opts: &SyncOptions) -> Vec<Diagnostic> {
-    let send_info: HashMap<(Rank, Seq), &SendRec> =
-        matching.sends.iter().map(|s| ((s.src, s.seq), s)).collect();
+    // Whether each send is eager, by `(src, seq)`: sorted stably, so the
+    // last record of a key (an unvalidated trace can repeat one) is the
+    // one a lookup finds.
+    let mut eager: Vec<((Rank, Seq), bool)> = matching
+        .sends
+        .iter()
+        .map(|s| ((s.src, s.seq), s.eager))
+        .collect();
+    eager.sort_by_key(|&(send, _)| send);
+    let is_eager = |send: (Rank, Seq)| {
+        let end = eager.partition_point(|&(k, _)| k <= send);
+        end > 0 && eager[end - 1] == (send, true)
+    };
     // Eager matched traffic per receiver: (completion seq, send event).
     type EagerMsg = (Seq, (Rank, Seq));
     let mut per_dst: BTreeMap<Rank, Vec<EagerMsg>> = BTreeMap::new();
     for pair in &matching.pairs {
-        if send_info
-            .get(&pair.send)
-            .is_some_and(|s| s.eager && s.src != pair.recv.0)
-        {
+        if is_eager(pair.send) && pair.send.0 != pair.recv.0 {
             per_dst
                 .entry(pair.recv.0)
                 .or_default()
@@ -369,5 +388,36 @@ mod tests {
         // The ring keeps every sender within a few rounds of its receiver,
         // and the barrier shields each earlier receive from the later sends.
         assert_eq!(diags, Vec::new());
+    }
+
+    /// Barriers between compute phases and no message at all: nothing is
+    /// forbidden, so every barrier is removable — reported, as a rebuild
+    /// per barrier would report it, with no bypassed index built.
+    #[test]
+    fn no_forbidden_match_no_bypassed_index() {
+        const BARRIERS: u64 = 5;
+        let trace = mpg_sim::Simulation::new(3, PlatformSignature::quiet("sync-barriers"))
+            .run(|ctx| {
+                for _ in 0..BARRIERS {
+                    ctx.compute(1_000 * u64::from(ctx.rank() + 1));
+                    ctx.barrier();
+                }
+            })
+            .expect("barrier program simulates")
+            .trace;
+        let ctx = LintContext::build(&trace);
+        let graph = ctx.graph.as_ref().expect("clean trace records a graph");
+        let hb = ctx.hb.as_ref().expect("and an index over it");
+        let matching = &ctx.progress.matching;
+        assert!(forbidden_matches(&trace, matching, hb).is_empty());
+
+        let before = BYPASS_BUILDS.with(|c| c.get());
+        let diags = lint_sync(&trace, graph, hb, matching, &SyncOptions::default());
+        assert_eq!(BYPASS_BUILDS.with(|c| c.get()), before);
+        assert_eq!(diags.len() as u64, BARRIERS);
+        assert!(diags.iter().all(|d| d.rule == Rule::RedundantSync));
+        let mut at: Vec<_> = diags.iter().map(|d| d.span).collect();
+        at.dedup();
+        assert_eq!(at.len() as u64, BARRIERS, "one finding per barrier: {at:?}");
     }
 }

@@ -23,6 +23,9 @@ use proptest::prelude::*;
 #[path = "shared/sync_reference.rs"]
 mod reference;
 
+#[path = "shared/full_index.rs"]
+mod full_index;
+
 /// One SPMD round; every rank appends its share, so blocking calls always
 /// have a partner and the program cannot deadlock.
 #[derive(Debug, Clone)]
@@ -307,6 +310,18 @@ proptest! {
         rounds in prop::collection::vec(round_strategy(), 1..9),
     ) {
         let checked = check(&build(p, &rounds));
+        prop_assert!(checked.is_ok(), "{} on {p} ranks: {rounds:?}", checked.unwrap_err());
+    }
+
+    /// Every pass and the explorer read the same off the lint context's
+    /// column-restricted index as off the all-columns one
+    /// (`shared/full_index.rs`).
+    #[test]
+    fn projected_index_lints_like_the_full_one(
+        p in 2u32..6,
+        rounds in prop::collection::vec(round_strategy(), 1..9),
+    ) {
+        let checked = full_index::projected_lints_like_full(&build(p, &rounds));
         prop_assert!(checked.is_ok(), "{} on {p} ranks: {rounds:?}", checked.unwrap_err());
     }
 }

@@ -127,7 +127,7 @@ fn redundant_barriers(
     for hub in barriers {
         // Scoped to the iteration: each bypassed index is dropped before
         // the next barrier's is built, so at most one is alive at a time.
-        let without = HbIndex::build_bypassing(graph, hub.node);
+        let without = HbIndex::build_bypassing(graph, hub.node, hb.columns());
         let preserved = forbidden
             .iter()
             .all(|&(recv, send)| without.completes_before(recv, send));

@@ -205,6 +205,8 @@ pub fn any_round_strategy() -> impl Strategy<Value = Round> {
     ]
 }
 
+/// (Not every test that includes this file calls it.)
+#[allow(dead_code)]
 pub fn simulate(p: u32, sim_seed: u64, rounds: &[Round]) -> MemTrace {
     try_simulate(p, sim_seed, rounds).expect("generated program simulates")
 }

@@ -1,13 +1,13 @@
 //! The [`Simulation`] builder and runner.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
 use crate::coordinator::{Coordinator, SimStats};
 use crate::error::SimError;
 use crate::network::NetworkModel;
-use crate::rank::{lock, unpark, RankCtx, Shared, ABORT, UNPOISONED};
+use crate::rank::{lock, RankCtx, Shared, ABORT, UNPOISONED};
 use crate::tracer::{MemTracer, NullTracer, Tracer};
 use crate::Cycles;
 use mpg_noise::PlatformSignature;
@@ -172,11 +172,19 @@ impl Simulation {
         let program = &program;
 
         // The rank threads drive the coordinator among themselves; this
-        // thread only starts them and waits for them.
+        // thread only starts them and waits for them. None runs before
+        // all are started: a spawn can fail because the stacks exhausted
+        // the address space, and a rank allocating then (or unwinding,
+        // which allocates too) would abort the process instead.
+        let start = StartGate::default();
         thread::scope(|scope| {
+            let start = &start;
             for r in 0..ranks {
                 let mine = shared.clone();
                 let spawned = thread::Builder::new().spawn_scoped(scope, move || {
+                    if !start.wait() {
+                        return;
+                    }
                     lock(&mine).register(r);
                     let mut ctx = RankCtx::new(r, ranks, mine, collective_mode);
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -198,20 +206,17 @@ impl Simulation {
                 });
                 if let Err(e) = spawned {
                     // The ranks already started would wait forever for
-                    // this one: fail the run, and unwind them.
-                    let mut sh = lock(&shared);
-                    if !sh.aborted {
-                        sh.end = Some(Err(SimError::Spawn {
-                            rank: r,
-                            detail: e.to_string(),
-                        }));
-                    }
-                    let wake = sh.abort_all();
-                    drop(sh);
-                    unpark(wake);
-                    break;
+                    // this one: fail the run, and send them home from the
+                    // gate before they run.
+                    lock(&shared).end = Some(Err(SimError::Spawn {
+                        rank: r,
+                        detail: e.to_string(),
+                    }));
+                    start.open(false);
+                    return;
                 }
             }
+            start.open(true);
         });
 
         let sh = Arc::into_inner(shared)
@@ -235,6 +240,34 @@ impl Simulation {
             finish_times,
             stats,
         })
+    }
+}
+
+/// Holds every rank thread until the spawn loop is done: no rank runs (or
+/// allocates) while the loop may still be exhausting the address space,
+/// and after a failed spawn the started ranks leave without running.
+#[derive(Default)]
+struct StartGate {
+    /// `Some(run)` once the loop is done.
+    state: Mutex<Option<bool>>,
+    opened: Condvar,
+}
+
+impl StartGate {
+    /// Blocks until the gate opens; whether to run.
+    fn wait(&self) -> bool {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if let Some(run) = *state {
+                return run;
+            }
+            state = self.opened.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    fn open(&self, run: bool) {
+        *self.state.lock().unwrap_or_else(|e| e.into_inner()) = Some(run);
+        self.opened.notify_all();
     }
 }
 

@@ -37,7 +37,8 @@ fi
 # Same-process ratio gates over the pinned 10^7-event trace: lanes vs
 # scalar sweep on one thread, strict cursor drain vs bare decode, 1 shard
 # vs several, out-of-core RSS growth vs trace size, warm vs cold analyze,
-# each held to a fixed bound (perf.rs). The first run generates the trace under
+# and lint vs analyze RSS growth on a 512-rank stencil, each held to a
+# fixed bound (perf.rs). The first run generates the trace under
 # $TMPDIR/mpg-bench-ooc-*; later runs reuse it.
 echo "==> mpgtool bench --check --reps 9"
 cargo run --release -q -p mpg-analysis --bin mpgtool -- bench --check --reps 9
