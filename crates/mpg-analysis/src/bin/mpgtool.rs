@@ -66,17 +66,19 @@
 //!
 //! mpgtool replay <trace-dir> [--os MEAN] [--latency CYCLES]
 //!                [--per-byte CPB] [--seed S] [--history FILE] [--lint]
-//!                [--salvage] [--ooc] [--shards N]
+//!                [--salvage] [--shards N]
 //!     Replay under an injected-perturbation model; print per-rank drifts.
-//!     With --history, append the result to an analysis-history log (§7).
-//!     With --lint, refuse to replay a trace that has error-severity lint
-//!     diagnostics. With --salvage, accept a damaged/partial trace: read it
-//!     through the salvage path and replay crash-tolerantly to the crash
-//!     frontier, printing the degradation report. With --ooc, mmap the
-//!     trace files and stream frames lazily instead of loading the trace —
-//!     peak memory stays flat however big the trace is. With --shards N,
-//!     partition the ranks over N worker threads; results are bit-identical
-//!     to the single-threaded replay.
+//!     The trace files are mapped and streamed frame by frame, so peak
+//!     memory stays flat however big the trace is (a rank file truncated
+//!     under the map kills the process with SIGBUS, DESIGN §13.1). With
+//!     --shards N, partition the ranks over N worker threads; results are
+//!     bit-identical to one engine. With --history, append the result to an
+//!     analysis-history log (§7). With --lint, first load the trace and
+//!     refuse it if it has error-severity lint diagnostics. With --salvage,
+//!     replay a damaged/partial trace read through the salvage path,
+//!     crash-tolerantly to the crash frontier, printing the degradation
+//!     report. --ooc is still accepted and prints the mapping summary on
+//!     stderr.
 //!
 //! mpgtool gen [--workload W] [--ranks N] [--scale S] [--seed S] <trace-dir>
 //!     Synthesize a large trace for out-of-core experiments: one of the
@@ -157,7 +159,7 @@ use mpg_apps::{
 use mpg_core::timeline::render_trace_gantt;
 use mpg_core::{
     cached_recorded_graph, dot, ArtifactKind, CacheStore, CachedReport, PerturbationModel,
-    ReplayConfig, Replayer,
+    ReplayConfig, ReplayError, Replayer,
 };
 use mpg_noise::PlatformSignature;
 use mpg_sim::Simulation;
@@ -202,7 +204,7 @@ fn usage() -> ExitCode {
     eprintln!("  mpgtool fsck <trace-dir> [--json] [--inject KIND [--seed S] [--out DIR]]");
     eprintln!(
         "  mpgtool replay <trace-dir> [--os MEAN] [--latency CYCLES] [--per-byte CPB] \
-         [--seed S] [--history FILE] [--lint] [--salvage] [--ooc] [--shards N] \
+         [--seed S] [--history FILE] [--lint] [--salvage] [--shards N] \
          [--cache] [--cache-dir DIR]"
     );
     eprintln!("  mpgtool cache <ls|gc|clear> [--cache-dir DIR] [--max-mib N]");
@@ -408,17 +410,19 @@ fn workload_by_name(name: &str) -> Option<Box<dyn Workload>> {
 }
 
 fn open_trace(dir: &str) -> Result<mpg_trace::MemTrace, String> {
-    let open_err = |e: TraceError| match &e {
-        // Strict-read failures that the salvage path can usually work
-        // around: point the user at fsck. (MissingRanks' own Display
-        // already carries the suggestion.)
+    let set = FileTraceSet::open(Path::new(dir)).map_err(|e| strict_read_error(dir, e))?;
+    set.load().map_err(|e| strict_read_error(dir, e))
+}
+
+/// A strict-read failure of the trace in `dir`; the ones the salvage path
+/// can usually work around point at fsck (`MissingRanks` already does).
+fn strict_read_error(dir: &str, e: TraceError) -> String {
+    match e {
         TraceError::Checksum(_) | TraceError::Unsealed(_) | TraceError::Corrupt(_) => {
             format!("{e} — try `mpgtool fsck {dir}`")
         }
         _ => e.to_string(),
-    };
-    let set = FileTraceSet::open(Path::new(dir)).map_err(open_err)?;
-    set.load().map_err(open_err)
+    }
 }
 
 /// Loads a trace through the salvage path, failing only on unrecoverable
@@ -960,21 +964,12 @@ fn cmd_replay(mut args: Vec<String>) -> Result<ExitCode, String> {
         // always refuse to replay.
         return Err("--lint and --salvage are mutually exclusive".into());
     }
-    if ooc && (lint || salvage) {
-        // Both need the whole trace in memory (the gate pre-scans it, the
-        // salvage path rewrites it), which defeats out-of-core streaming.
-        return Err("--ooc is incompatible with --lint and --salvage".into());
-    }
     let [dir] = args.as_slice() else {
         return Err("replay needs a trace directory".into());
     };
 
     // Model + config construction shared with `mpgtool serve`.
-    let mut cfg =
-        mpg_serve::replay_config(os_mean, latency, per_byte, seed).crash_tolerant(salvage);
-    if lint {
-        cfg = cfg.gate(mpg_lint::replay_gate());
-    }
+    let cfg = mpg_serve::replay_config(os_mean, latency, per_byte, seed).crash_tolerant(salvage);
 
     // Salvaged traces have no trustworthy fingerprint, and --history
     // appends to an external store on every run — neither may short-circuit
@@ -982,67 +977,63 @@ fn cmd_replay(mut args: Vec<String>) -> Result<ExitCode, String> {
     let cache = cache.filter(|_| !salvage && history.is_none());
     let tier = match ReportTier::open(cache, dir, "replay", |trace_key| {
         let knobs = (os_mean, latency, per_byte, seed);
-        mpg_serve::replay_report_key(trace_key, knobs, shards, ooc, lint, &cfg)
+        mpg_serve::replay_report_key(trace_key, knobs, shards, lint, &cfg)
     }) {
         ControlFlow::Break(code) => return Ok(code),
         ControlFlow::Continue(tier) => tier,
     };
     let mut o = String::new();
 
-    let run = if ooc {
-        // Out-of-core: mmap the MPG2 files and stream frames lazily —
-        // the trace is never materialized in memory.
-        let set = OocTraceSet::open(Path::new(dir))
-            .map_err(|e| format!("{e} — try `mpgtool fsck {dir}`"))?;
-        let _ = writeln!(
-            o,
-            "out-of-core: {} ranks, {} records, {} MiB mapped, {} shard(s)",
-            set.num_ranks(),
-            set.total_records(),
-            set.total_bytes() / (1 << 20),
-            shards.max(1),
-        );
-        let streams: Vec<_> = (0..set.num_ranks()).map(|r| set.cursor(r)).collect();
-        Replayer::new(cfg).run_streams_parallel(streams, shards)
+    let run = if salvage {
+        // The salvage scan rebuilds what survived in memory.
+        let (trace, report) = open_salvage(dir)?;
+        if !report.is_clean() {
+            let _ = writeln!(o, "salvage: {report}");
+        }
+        Replayer::new(cfg).run(&trace)
     } else {
-        let trace = if salvage {
-            let (t, report) = open_salvage(dir)?;
-            if !report.is_clean() {
-                let _ = writeln!(o, "salvage: {report}");
-            }
-            t
-        } else {
-            open_trace(dir)?
-        };
-        if shards > 1 {
-            // The shards run on scoped threads, so they stream the
-            // loaded ranks in place.
-            let streams = (0..trace.num_ranks())
-                .map(|r| trace.iter_rank(r).map(Ok))
+        if lint {
+            // The gate needs the whole trace; the replay below does not,
+            // so the loaded copy is dropped before it starts.
+            let errors: Vec<Diagnostic> = mpg_lint::lint_trace(&open_trace(dir)?)
+                .into_iter()
+                .filter(|d| d.severity == Severity::Error)
                 .collect();
-            Replayer::new(cfg).run_streams_parallel(streams, shards)
-        } else {
-            Replayer::new(cfg).run(&trace)
-        }
-    };
-    let report = match run {
-        Ok(r) => r,
-        Err(mpg_core::ReplayError::Gated(diags)) => {
-            print!("{o}");
-            for d in &diags {
-                eprintln!("mpgtool: {d}");
+            if !errors.is_empty() {
+                for d in &errors {
+                    eprintln!("mpgtool: {d}");
+                }
+                eprintln!(
+                    "mpgtool: trace rejected by lint gate ({} error(s))",
+                    errors.len()
+                );
+                return Ok(ExitCode::FAILURE);
             }
+        }
+        // Map the MPG2 files and stream frames lazily: the trace is never
+        // materialized in memory.
+        let set = OocTraceSet::open(Path::new(dir)).map_err(|e| strict_read_error(dir, e))?;
+        if ooc {
             eprintln!(
-                "mpgtool: trace rejected by lint gate ({} error(s))",
-                diags.len()
+                "mpgtool: out-of-core: {} ranks, {} records, {} MiB mapped, {} shard(s)",
+                set.num_ranks(),
+                set.total_records(),
+                set.total_bytes() / (1 << 20),
+                shards.max(1),
             );
-            return Ok(ExitCode::FAILURE);
         }
-        Err(e) => {
-            print!("{o}");
-            return Err(format!("replay failed: {e}"));
-        }
+        let cursors = (0..set.num_ranks()).map(|r| set.cursor(r)).collect();
+        Replayer::new(cfg).run_streams_parallel(cursors, shards)
     };
+    let report = run.map_err(|e| {
+        print!("{o}");
+        // A cursor checks each frame as it first reads it, so damage the
+        // open did not see surfaces here, mid-replay.
+        match e {
+            ReplayError::Trace(_) => format!("replay failed: {e} — try `mpgtool fsck {dir}`"),
+            e => format!("replay failed: {e}"),
+        }
+    })?;
     // Shared with `mpgtool serve` — service output must stay
     // byte-identical to this path.
     o.push_str(&mpg_serve::render_replay_report(&report));

@@ -51,8 +51,8 @@ pub const OOC_RSS_CAP_MIN_MIB: f64 = 48.0;
 
 /// Sharded over 1-shard out-of-core replay of the pinned trace, checked
 /// only with [`SHARD_MIN_CPUS`] CPUs or more. Measured on 2 CPUs: 1.72–1.98×
-/// at the pinned 4 shards here, and `mpgtool replay --ooc` reads 1.79× at
-/// 2 shards and 1.75× at 4. Shards that serialise on one another read
+/// at the pinned 4 shards here, and `mpgtool replay`, which streams the
+/// same cursors, reads 1.79× at `--shards 2` and 1.75× at 4. Shards that serialise on one another read
 /// ≤ 1×, as every run on a 1-CPU host does (0.87× recorded there).
 pub const SHARD_SPEEDUP_FLOOR: f64 = 1.2;
 

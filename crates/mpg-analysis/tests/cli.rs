@@ -275,17 +275,73 @@ fn lint_catches_seeded_deadlock_with_nonzero_exit() {
     assert!(stdout.contains("\"rule\":\"MPG-DEADLOCK\""), "{stdout}");
     assert!(stdout.contains("\"ranks\":[0,1]"), "{stdout}");
 
-    // Replay refuses the trace when gated.
+    // Replay refuses the trace when gated, on one engine or sharded.
+    for shards in [&[][..], &["--shards", "2"], &["--shards", "3"]] {
+        let out = mpgtool()
+            .args(["replay", "--lint"])
+            .args(shards)
+            .arg(&dir)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{shards:?}: {stderr}");
+        assert!(stderr.contains("rejected by lint gate"), "{stderr}");
+    }
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A cursor checks each frame when it first reads it, so a replay finds
+/// some damage at open (a torn tail, a dropped frame) and some mid-stream
+/// (a flipped payload bit). Either way it exits 2 and points at fsck.
+#[test]
+fn damaged_trace_replay_names_fsck() {
+    let dir = tmp("replay-damaged");
+    let damaged = tmp("replay-damaged-injected");
+    let _ = std::fs::remove_dir_all(&dir);
     let out = mpgtool()
-        .args(["replay", "--lint"])
+        .args([
+            "gen",
+            "--workload",
+            "ring",
+            "--ranks",
+            "16",
+            "--scale",
+            "20",
+        ])
         .arg(&dir)
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("rejected by lint gate"), "{stderr}");
-
-    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(out.status.success());
+    for kind in ["bitflip", "truncate", "frame-drop"] {
+        for seed in ["1", "2", "3"] {
+            let _ = std::fs::remove_dir_all(&damaged);
+            let out = mpgtool()
+                .arg("fsck")
+                .arg(&dir)
+                .args(["--inject", kind, "--seed", seed, "--out"])
+                .arg(&damaged)
+                .output()
+                .unwrap();
+            assert!(damaged.exists(), "{out:?}");
+            for ooc in [&[][..], &["--ooc"]] {
+                let out = mpgtool()
+                    .arg("replay")
+                    .arg(&damaged)
+                    .args(ooc)
+                    .output()
+                    .unwrap();
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                let what = format!("{kind} seed {seed} {ooc:?}: {stderr}");
+                assert_eq!(out.status.code(), Some(2), "{what}");
+                assert!(out.stdout.is_empty(), "{what}");
+                assert!(stderr.contains("try `mpgtool fsck"), "{what}");
+            }
+        }
+    }
+    for d in [&dir, &damaged] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
 }
 
 #[test]

@@ -23,7 +23,7 @@
 //! [`ReplayConfig::ack_arm`] (which completion arms exist),
 //! [`ReplayConfig::arrival_bound`] (how receives bound), and
 //! [`ReplayConfig::absorption`] (whether measured slack reshapes message
-//! arms). Configs recording a graph or carrying an admission gate run as
+//! arms). Configs recording a graph or carrying a cancel token run as
 //! scalar singletons. Model, seed and timeline stride vary freely per lane.
 
 use crate::perturb::PerturbSampler;
@@ -65,7 +65,7 @@ fn same_structure(a: &ReplayConfig, b: &ReplayConfig) -> bool {
 
 /// Groups configs into lane batches: structurally compatible configs pack
 /// into batches of up to [`MAX_LANES`] (first-fit in input order, so the
-/// plan is deterministic); graph-recording and gated configs become
+/// plan is deterministic); graph-recording and cancellable configs become
 /// scalar singletons.
 pub fn plan_lanes(configs: &[ReplayConfig]) -> Vec<LaneBatch> {
     let mut batches: Vec<LaneBatch> = Vec::new();
@@ -76,7 +76,7 @@ pub fn plan_lanes(configs: &[ReplayConfig]) -> Vec<LaneBatch> {
     for (i, cfg) in configs.iter().enumerate() {
         // Cancel-bearing configs stay singletons: a fired token must not
         // truncate innocent lane-mates sharing the traversal.
-        if cfg.record_graph || cfg.gate.is_some() || cfg.cancel.is_some() {
+        if cfg.record_graph || cfg.cancel.is_some() {
             batches.push(LaneBatch { members: vec![i] });
             continue;
         }
@@ -126,7 +126,7 @@ pub fn lane_replays(
 }
 
 /// Replays one planned batch (as produced by [`plan_lanes`]): a singleton
-/// takes the scalar path — keeping gate semantics, graph recording, and the
+/// takes the scalar path — keeping graph recording, cancellation, and the
 /// no-lane-overhead codegen — while a wider batch shares one traversal.
 /// Returns one result per member, in member order; a traversal-level
 /// failure is reported to every member.

@@ -99,7 +99,7 @@ pub use lane::{lane_replays, plan_lanes, replay_batch, LaneBatch, MAX_LANES};
 pub use mpga::{decode_arena, encode_arena, MpgaError, MPGA_VERSION};
 pub use perturb::{DeltaClass, PerturbationModel, SignedDist};
 pub use regions::{classify_regions, region_shares, Region, RegionKind};
-pub use replay::{AbsorptionMode, ReplayConfig, Replayer, SlackEstimate, TraceGate};
+pub use replay::{AbsorptionMode, ReplayConfig, Replayer, SlackEstimate};
 pub use report::{
     ArmKind, DegradationReport, RankFrontier, ReplayError, ReplayReport, ReplayStats,
 };

@@ -42,10 +42,9 @@ use crate::report::{
 };
 use crate::shard::{Envelope, Inbox, ShardCtx};
 use crate::stream::{MatchState, PendingRecv, SendRecord, SenderRef};
-use std::sync::Arc;
 
 use crate::{Cycles, Drift};
-use mpg_trace::{Diagnostic, EventKind, EventRecord, MemTrace, Rank, ReqId, Severity, TraceError};
+use mpg_trace::{EventKind, EventRecord, MemTrace, Rank, ReqId, TraceError};
 
 /// How receiver-side slack interacts with incoming message drift.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,36 +78,6 @@ impl SlackEstimate {
     }
 }
 
-/// The callback shape a [`TraceGate`] wraps: a trace checker producing
-/// shared [`Diagnostic`]s.
-pub type TraceChecker = dyn Fn(&MemTrace) -> Vec<Diagnostic> + Send + Sync;
-
-/// A pre-replay admission gate: any callback producing shared
-/// [`Diagnostic`]s for a trace (in practice `mpg-lint`'s full analysis,
-/// but any checker fits). When installed on a [`ReplayConfig`],
-/// [`Replayer::run`] refuses traces with error-severity diagnostics so
-/// downstream experiments fail fast instead of producing wrong drifts.
-#[derive(Clone)]
-pub struct TraceGate(Arc<TraceChecker>);
-
-impl TraceGate {
-    /// Wrap a diagnostic-producing callback.
-    pub fn new(f: impl Fn(&MemTrace) -> Vec<Diagnostic> + Send + Sync + 'static) -> Self {
-        TraceGate(Arc::new(f))
-    }
-
-    /// Run the gate's checker over a trace.
-    pub fn check(&self, trace: &MemTrace) -> Vec<Diagnostic> {
-        (self.0)(trace)
-    }
-}
-
-impl std::fmt::Debug for TraceGate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("TraceGate(..)")
-    }
-}
-
 /// Replay configuration.
 #[derive(Debug, Clone)]
 pub struct ReplayConfig {
@@ -134,11 +103,6 @@ pub struct ReplayConfig {
     /// work); identity replays still produce zero drift. Default `false`
     /// (the paper's conservative posted-bound semantics).
     pub arrival_bound: bool,
-    /// Optional admission gate run by [`Replayer::run`] before replay;
-    /// error-severity diagnostics abort with [`ReplayError::Gated`].
-    /// Applies only to in-memory traces (streamed replays cannot be
-    /// pre-scanned without buffering).
-    pub gate: Option<TraceGate>,
     /// Accept partial rank streams (salvaged traces): when matching drains
     /// with ranks still blocked — their partners are in a lost tail — the
     /// replay stops at the crash frontier and reports per-rank degradation
@@ -168,7 +132,6 @@ impl ReplayConfig {
             record_graph: false,
             timeline_stride: 0,
             arrival_bound: false,
-            gate: None,
             crash_tolerant: false,
             cancel: None,
         }
@@ -210,12 +173,6 @@ impl ReplayConfig {
         self
     }
 
-    /// Installs a pre-replay admission gate.
-    pub fn gate(mut self, gate: TraceGate) -> Self {
-        self.gate = Some(gate);
-        self
-    }
-
     /// Enables crash-tolerant replay of partial (salvaged) traces.
     pub fn crash_tolerant(mut self, on: bool) -> Self {
         self.crash_tolerant = on;
@@ -235,7 +192,7 @@ impl ReplayConfig {
     /// through `Debug`, which is deterministic for a given value.
     pub fn fingerprint(&self) -> String {
         format!(
-            "model={:?};seed={};absorption={:?};ack={};record={};stride={};arrival={};gate={};crash={}",
+            "model={:?};seed={};absorption={:?};ack={};record={};stride={};arrival={};crash={}",
             self.model,
             self.seed,
             self.absorption,
@@ -243,7 +200,6 @@ impl ReplayConfig {
             self.record_graph,
             self.timeline_stride,
             self.arrival_bound,
-            self.gate.is_some(),
             self.crash_tolerant,
         )
     }
@@ -260,21 +216,9 @@ impl Replayer {
         Self { config }
     }
 
-    /// Replays an in-memory trace. When a [`TraceGate`] is configured, the
-    /// trace is checked first and error-severity diagnostics abort the
-    /// replay with [`ReplayError::Gated`].
+    /// Replays an in-memory trace, recording its graph when the config
+    /// asks for one (laid out over each rank's sequence numbers).
     pub fn run(&self, trace: &MemTrace) -> Result<ReplayReport, ReplayError> {
-        if let Some(gate) = &self.config.gate {
-            let errors: Vec<String> = gate
-                .check(trace)
-                .into_iter()
-                .filter(|d| d.severity == Severity::Error)
-                .map(|d| d.to_string())
-                .collect();
-            if !errors.is_empty() {
-                return Err(ReplayError::Gated(errors));
-            }
-        }
         // Concrete (non-boxed) iterators: the engine monomorphizes over the
         // stream type, so the per-event load is a direct, inlinable call
         // instead of a virtual dispatch through `Box<dyn Iterator>`.
@@ -290,28 +234,6 @@ impl Replayer {
         }
         let layout = trace_layout(trace)?;
         self.run_scalar(streams, Some(&layout))
-    }
-
-    /// Replays per-rank event streams (the arbitrarily-large-trace path:
-    /// pair with [`FileTraceSet::streams`](mpg_trace::FileTraceSet::streams)).
-    /// A graph recording needs the streams' event counts up front: use
-    /// [`Replayer::run_streams_with_layout`].
-    pub fn run_streams<'a>(
-        &self,
-        streams: Vec<Box<dyn Iterator<Item = Result<EventRecord, TraceError>> + 'a>>,
-    ) -> Result<ReplayReport, ReplayError> {
-        self.run_scalar(streams, None)
-    }
-
-    /// [`Replayer::run_streams`] with each stream's event count declared
-    /// (an out-of-core set's frame-index record counts), so the replay can
-    /// record a graph.
-    pub fn run_streams_with_layout<'a>(
-        &self,
-        streams: Vec<Box<dyn Iterator<Item = Result<EventRecord, TraceError>> + 'a>>,
-        events_per_rank: &[usize],
-    ) -> Result<ReplayReport, ReplayError> {
-        self.run_scalar(streams, Some(events_per_rank))
     }
 
     /// One single-threaded replay. A graph recording is laid out over
@@ -344,21 +266,21 @@ impl Replayer {
             .expect("scalar replay yields exactly one report"))
     }
 
-    /// Partition-parallel replay: rank streams are sharded across `shards`
+    /// Replays per-rank event streams, the path for traces bigger than
+    /// RAM (pair with [`OocTraceSet::cursor`](mpg_trace::OocTraceSet::cursor)).
+    /// With `shards` ≥ 2 the rank streams are partitioned across that many
     /// worker threads, cross-shard message/ack/collective traffic flows
     /// through a deterministic exchange, and the merged report is
-    /// bit-identical to a single-threaded [`run_streams`](Self::run_streams)
-    /// on drifts, warnings, and every statistic except the scheduler-order
-    /// diagnostics (`scheduler_wakeups`, `polls_avoided`,
-    /// `window_high_water`).
+    /// bit-identical to one engine's on drifts, warnings, and every
+    /// statistic except the scheduler-order diagnostics
+    /// (`scheduler_wakeups`, `polls_avoided`, `window_high_water`).
     ///
-    /// Falls back to the single-threaded engine when sharding cannot help or
-    /// cannot preserve semantics: one shard requested, fewer than two ranks,
-    /// graph recording (edge order is a whole-trace total order; without a
-    /// declared layout it fails as in [`Replayer::run_streams`]), an
-    /// admission gate, crash tolerance, or a cancel token (a cancelled
-    /// partial frontier must be a single engine's clean state, not a
-    /// mid-exchange snapshot).
+    /// Runs one engine when sharding cannot help or cannot preserve
+    /// semantics: one shard requested, fewer than two ranks, crash
+    /// tolerance, or a cancel token (a cancelled partial frontier must be
+    /// a single engine's clean state, not a mid-exchange snapshot). Streams
+    /// declare no event counts, so a config that records a graph fails
+    /// with [`ReplayError::NoLayout`]; record through [`Replayer::run`].
     pub fn run_streams_parallel<I>(
         &self,
         streams: Vec<I>,
@@ -370,7 +292,6 @@ impl Replayer {
         if shards <= 1
             || streams.len() < 2
             || self.config.record_graph
-            || self.config.gate.is_some()
             || self.config.crash_tolerant
             || self.config.cancel.is_some()
         {

@@ -195,12 +195,10 @@ pub enum ReplayError {
     Corrupt(String),
     /// Ranks disagreed on the collective sequence.
     CollectiveMismatch(String),
-    /// A configured [`TraceGate`](crate::TraceGate) rejected the trace
-    /// before replay; carries the rendered error-severity diagnostics.
-    Gated(Vec<String>),
-    /// Graph recording was asked of streams whose per-rank event counts
-    /// were not declared (see
-    /// [`Replayer::run_streams_with_layout`](crate::Replayer::run_streams_with_layout)).
+    /// Graph recording was asked of streams, which declare no per-rank
+    /// event counts to lay the graph out over (see
+    /// [`Replayer::run_streams_parallel`](crate::Replayer::run_streams_parallel));
+    /// [`Replayer::run`](crate::Replayer::run) records from a loaded trace.
     NoLayout,
 }
 
@@ -212,13 +210,6 @@ impl std::fmt::Display for ReplayError {
             ReplayError::CollectiveMismatch(m) => write!(f, "collective mismatch: {m}"),
             ReplayError::NoLayout => {
                 write!(f, "graph recording needs each stream's event count")
-            }
-            ReplayError::Gated(diags) => {
-                write!(f, "trace rejected by lint gate ({} error(s))", diags.len())?;
-                if let Some(first) = diags.first() {
-                    write!(f, ": {first}")?;
-                }
-                Ok(())
             }
         }
     }

@@ -50,10 +50,6 @@
 //! lint and the runtime share a single implementation of the MPI matching
 //! rules. Pass 3 ([`graphcheck::lint_graph`]) inspects the recorded
 //! [`EventGraph`].
-//!
-//! [`replay_gate`] packages [`lint_trace`] as a
-//! [`TraceGate`] so `Replayer::run` can refuse traces
-//! with error-severity defects.
 
 mod envelope;
 pub mod explore;
@@ -85,7 +81,7 @@ pub use waitstate::{
 
 use mpg_core::{
     cached_hb_index, cached_recorded_graph, CacheStore, CancelReason, CancelToken, EventGraph,
-    HbColumns, HbIndex, PerturbationModel, ReplayConfig, Replayer, TraceGate,
+    HbColumns, HbIndex, PerturbationModel, ReplayConfig, Replayer,
 };
 use mpg_trace::{sort_diagnostics, Diagnostic, EventKind, MemTrace, Rank, Rule, Severity};
 
@@ -519,14 +515,6 @@ pub fn lint_perf(
     diags
 }
 
-/// A [`TraceGate`] that runs [`lint_trace`]; install it with
-/// [`ReplayConfig::gate`](mpg_core::ReplayConfig::gate) to make
-/// `Replayer::run` fail with `ReplayError::Gated` on error-severity
-/// diagnostics instead of replaying a defective trace.
-pub fn replay_gate() -> TraceGate {
-    TraceGate::new(lint_trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -718,9 +706,7 @@ mod tests {
     fn gate_rejects_defective_trace() {
         // Missing Init/Finalize: two error diagnostics from pass 0.
         let mt = one_rank_trace(vec![EventKind::Compute { work: 10 }]);
-        let gate = replay_gate();
-        let errors: Vec<_> = gate
-            .check(&mt)
+        let errors: Vec<_> = lint_trace(&mt)
             .into_iter()
             .filter(|d| d.severity == Severity::Error)
             .collect();

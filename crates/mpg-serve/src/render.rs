@@ -27,15 +27,14 @@ pub fn replay_config(os_mean: f64, latency: f64, per_byte: f64, seed: u64) -> Re
 
 /// The report-cache key of `mpgtool replay` with the knobs
 /// `(os_mean, latency, per_byte, seed)` — what [`replay_config`] built
-/// `cfg` from — on the trace whose content key is `trace_key`. `shards`,
-/// `ooc` and `lint` are the replay's `--shards N`, `--ooc` and `--lint`
-/// (a service job replays as `1, false, false`). One definition, so a CLI
-/// replay and a service replay job warm each other's reports.
+/// `cfg` from — on the trace whose content key is `trace_key`. `shards`
+/// and `lint` are the replay's `--shards N` and `--lint` (a service job
+/// replays as `1, false`). One definition, so a CLI replay and a service
+/// replay job warm each other's reports.
 pub fn replay_report_key(
     trace_key: &str,
     (os_mean, latency, per_byte, seed): (f64, f64, f64, u64),
     shards: usize,
-    ooc: bool,
     lint: bool,
     cfg: &ReplayConfig,
 ) -> String {
@@ -44,7 +43,7 @@ pub fn replay_report_key(
         ArtifactKind::Report,
         &format!(
             "cmd=replay;os={os_mean};latency={latency};per_byte={per_byte};seed={seed};\
-             shards={shards};ooc={ooc};lint={lint};{}",
+             shards={shards};lint={lint};{}",
             cfg.fingerprint()
         ),
     )

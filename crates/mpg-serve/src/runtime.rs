@@ -657,7 +657,6 @@ fn run_replay(
             knobs,
             1,
             false,
-            false,
             &cfg,
         ))
     });

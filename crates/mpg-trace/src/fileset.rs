@@ -3,9 +3,9 @@
 //! The analyzer is generic over per-rank record iterators, so both backends
 //! feed it identically: [`MemTrace`] keeps everything in core (tests, small
 //! runs); [`FileTraceSet`] lays one `rank-N.mpg` file per rank plus a small
-//! `meta.txt` in a directory and streams on read, preserving the paper's
-//! arbitrarily-large-trace property. Every strict read decodes through
-//! [`crate::ooc::FrameCursor`].
+//! `meta.txt` in a directory, and [`crate::OocTraceSet`] streams that
+//! directory frame by frame, preserving the paper's arbitrarily-large-trace
+//! property. Every strict read decodes through [`crate::ooc::FrameCursor`].
 
 use std::fmt;
 use std::fs::{self, File};
@@ -14,14 +14,10 @@ use std::path::{Path, PathBuf};
 
 use crate::diag::{json_escape_into, Diagnostic, Rule};
 use crate::event::EventRecord;
-use crate::ooc::{FrameCursor, MappedFile, OocTraceSet};
+use crate::ooc::{FrameCursor, MappedFile};
 use crate::salvage::{salvage_into, RankSalvage};
 use crate::writer::TraceWriter;
 use crate::TraceError;
-
-/// A boxed per-rank stream of decoded records — the shape the analyzer's
-/// `run_streams` consumes.
-pub type BoxedEventStream<'a> = Box<dyn Iterator<Item = Result<EventRecord, TraceError>> + 'a>;
 
 /// An in-memory trace set: `events[rank]` is that rank's ordered stream.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -65,14 +61,6 @@ impl MemTrace {
     /// Infallible per-rank iterator (cloned records).
     pub fn iter_rank(&self, rank: usize) -> impl Iterator<Item = EventRecord> + '_ {
         self.events[rank].iter().cloned()
-    }
-
-    /// Per-rank fallible iterators in rank order, the shape the graph
-    /// builder consumes.
-    pub fn streams(&self) -> Vec<BoxedEventStream<'_>> {
-        (0..self.num_ranks())
-            .map(|r| Box::new(self.iter_rank(r).map(Ok)) as BoxedEventStream<'_>)
-            .collect()
     }
 
     /// Writes this trace set to `dir` as a [`FileTraceSet`].
@@ -180,12 +168,6 @@ impl FileTraceSet {
     /// Number of ranks.
     pub fn num_ranks(&self) -> usize {
         self.ranks
-    }
-
-    /// Per-rank fallible iterators, the shape the graph builder consumes:
-    /// the lazy mmap cursors of [`OocTraceSet::streams`].
-    pub fn streams(&self) -> Result<Vec<BoxedEventStream<'static>>, TraceError> {
-        Ok(OocTraceSet::open(&self.dir)?.streams())
     }
 
     /// Loads the whole set into memory, decoding ranks in parallel on
@@ -461,10 +443,9 @@ mod tests {
     #[test]
     fn streams_yield_rank_order() {
         let t = sample_trace();
-        let streams = t.streams();
-        assert_eq!(streams.len(), 2);
-        for (r, s) in streams.into_iter().enumerate() {
-            let events: Vec<_> = s.collect::<Result<_, _>>().unwrap();
+        assert_eq!(t.num_ranks(), 2);
+        for r in 0..t.num_ranks() {
+            let events: Vec<_> = t.iter_rank(r).collect();
             assert!(events.iter().all(|e| e.rank as usize == r));
             assert_eq!(events.len(), 3);
         }

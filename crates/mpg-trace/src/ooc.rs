@@ -1,10 +1,10 @@
 //! The strict decoder for framed (`MPG2`) per-rank trace files.
 //!
-//! Every strict read in the workspace — `FileTraceSet::load`,
-//! `FileTraceSet::streams`, `OocTraceSet::streams` — goes through the two
-//! steps here; only how the bytes were obtained differs. Both exploit the
-//! property the frame layer was designed for: every frame decodes
-//! standalone (absolute `first_seq` head, per-frame codec reset).
+//! Every strict read in the workspace — `FileTraceSet::load` and
+//! `OocTraceSet::cursor` — goes through the two steps here; only how the
+//! bytes were obtained differs. Both exploit the property the frame layer
+//! was designed for: every frame decodes standalone (absolute `first_seq`
+//! head, per-frame codec reset).
 //!
 //! * [`MappedFile`] is the byte view: a rank file mapped read-only via
 //!   `mmap(2)`, so trace bytes live in the page cache, not the process heap,
@@ -17,9 +17,9 @@
 //!   frame's CRC, sequence contiguity, the chained whole-file checksum and
 //!   the footer counts at the moment the bytes are actually read.
 //!
-//! Cursors have the [`BoxedEventStream`] shape the replay engine consumes,
-//! which is what makes replay of traces bigger than RAM a drop-in path
-//! rather than a second engine.
+//! Cursors are the fallible per-rank record iterators the replay engine
+//! consumes, which is what makes replay of traces bigger than RAM a
+//! drop-in path rather than a second engine.
 //!
 //! Recovery from damage is the salvage walker's job ([`crate::salvage`]),
 //! not this module's: any deviation is a typed error, one class per cause.
@@ -37,7 +37,6 @@ use std::sync::Arc;
 
 use crate::codec::{get_varint, Decoder};
 use crate::event::EventRecord;
-use crate::fileset::BoxedEventStream;
 use crate::frame::{
     crc32c, crc32c_combine, parse_frame_header, Footer, FOOTER_LEN, FOOTER_MARKER,
     FRAME_HEADER_LEN, FRAME_MARKER, MAGIC2, MAX_FRAME_LEN,
@@ -585,14 +584,6 @@ impl OocTraceSet {
             Arc::clone(&self.indexes[rank]),
             rank as u32,
         )
-    }
-
-    /// Per-rank lazy streams in the shape the replay engine consumes.
-    /// Decoding happens on the consuming thread, frame by frame.
-    pub fn streams(&self) -> Vec<BoxedEventStream<'static>> {
-        (0..self.num_ranks())
-            .map(|r| Box::new(self.cursor(r)) as BoxedEventStream<'static>)
-            .collect()
     }
 }
 

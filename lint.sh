@@ -115,16 +115,15 @@ echo "    analyze identity + fsck exit contract hold across 7 workloads"
 
 # Sharded replay prints the same bytes on every run: five runs each at 2,
 # 3 and 4 shards equal the 1-shard run minus its `scheduler:` line (one
-# engine's schedule, left out of a merged report), with the shard count
-# on the `out-of-core:` line normalised.
+# engine's schedule, left out of a merged report).
 echo "==> sharded replay byte-stability (5 runs at 2, 3, 4 shards = 1 shard)"
 for spec in ring:16 solver:8; do
     wl="${spec%%:*}"
     SH_TRACE="$SMOKE_TMP/shards-$wl"
     "$MPGTOOL" gen --workload "$wl" --ranks "${spec#*:}" --scale 10 "$SH_TRACE" >/dev/null
     sh_replay() {
-        "$MPGTOOL" replay "$SH_TRACE" --ooc --os 500 --latency 700 \
-            --per-byte 0.05 --seed 3 --shards "$1" | sed "s/ $1 shard(s)\$/ N shard(s)/"
+        "$MPGTOOL" replay "$SH_TRACE" --os 500 --latency 700 \
+            --per-byte 0.05 --seed 3 --shards "$1"
     }
     sh_replay 1 | grep -v '^scheduler:' > "$SMOKE_TMP/shards-one.txt"
     for n in 2 3 4; do

@@ -6,7 +6,7 @@ use mpg::apps::{Stencil, TokenRing, Workload};
 use mpg::core::{PerturbationModel, ReplayConfig, Replayer};
 use mpg::noise::{Dist, PlatformSignature};
 use mpg::sim::Simulation;
-use mpg::trace::{validate_trace, FileTraceSet};
+use mpg::trace::{validate_trace, FileTraceSet, OocTraceSet};
 
 fn unique_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("mpg-e2e-{tag}-{}", std::process::id()))
@@ -27,7 +27,8 @@ fn disk_roundtrip_replay_matches_in_memory() {
 
     let dir = unique_dir("ring");
     out.trace.save(&dir).unwrap();
-    let fileset = FileTraceSet::open(&dir).unwrap();
+    let set = OocTraceSet::open(&dir).unwrap();
+    let cursors = (0..set.num_ranks()).map(|r| set.cursor(r)).collect();
 
     let mut model = PerturbationModel::quiet("m");
     model.os_local = Dist::Exponential { mean: 400.0 }.into();
@@ -37,7 +38,7 @@ fn disk_roundtrip_replay_matches_in_memory() {
         .run(&out.trace)
         .unwrap();
     let file_report = Replayer::new(ReplayConfig::new(model).seed(2))
-        .run_streams(fileset.streams().unwrap())
+        .run_streams_parallel(cursors, 1)
         .unwrap();
 
     assert_eq!(mem_report.final_drift, file_report.final_drift);

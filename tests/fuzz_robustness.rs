@@ -134,21 +134,19 @@ proptest! {
 fn truncated_trace_stream_reports_error() {
     // A trace whose stream dies mid-way must surface as ReplayError::Trace.
     use mpg::trace::TraceError;
-    let streams: Vec<Box<dyn Iterator<Item = Result<EventRecord, TraceError>>>> = vec![Box::new(
-        vec![
-            Ok(EventRecord {
-                rank: 0,
-                seq: 0,
-                t_start: 0,
-                t_end: 10,
-                kind: EventKind::Init,
-            }),
-            Err(TraceError::Corrupt("disk died".into())),
-        ]
-        .into_iter(),
-    )];
+    let streams: Vec<std::vec::IntoIter<Result<EventRecord, TraceError>>> = vec![vec![
+        Ok(EventRecord {
+            rank: 0,
+            seq: 0,
+            t_start: 0,
+            t_end: 10,
+            kind: EventKind::Init,
+        }),
+        Err(TraceError::Corrupt("disk died".into())),
+    ]
+    .into_iter()];
     let err = Replayer::new(ReplayConfig::new(PerturbationModel::quiet("t")))
-        .run_streams(streams)
+        .run_streams_parallel(streams, 1)
         .unwrap_err();
     assert!(matches!(err, mpg::core::ReplayError::Trace(_)), "{err}");
 }

@@ -8,7 +8,7 @@ use mpg::apps::{TokenRing, Workload};
 use mpg::core::{PerturbationModel, ReplayConfig, Replayer};
 use mpg::noise::{Dist, PlatformSignature};
 use mpg::sim::Simulation;
-use mpg::trace::FileTraceSet;
+use mpg::trace::OocTraceSet;
 
 #[test]
 fn long_trace_streams_from_disk_with_bounded_window() {
@@ -33,9 +33,10 @@ fn long_trace_streams_from_disk_with_bounded_window() {
     model.latency = Dist::Exponential { mean: 350.0 }.into();
     model.os_local = Dist::Exponential { mean: 120.0 }.into();
 
-    let fileset = FileTraceSet::open(&dir).expect("open trace dir");
+    let set = OocTraceSet::open(&dir).expect("open trace dir");
+    let cursors = (0..set.num_ranks()).map(|r| set.cursor(r)).collect();
     let streamed = Replayer::new(ReplayConfig::new(model.clone()).seed(5))
-        .run_streams(fileset.streams().expect("streams"))
+        .run_streams_parallel(cursors, 1)
         .expect("streamed replay");
     let in_memory = Replayer::new(ReplayConfig::new(model).seed(5))
         .run(&out.trace)
