@@ -162,16 +162,40 @@ use mpg_core::{
     ReplayConfig, ReplayError, Replayer,
 };
 use mpg_noise::PlatformSignature;
-use mpg_sim::Simulation;
+use mpg_sim::{SimError, Simulation};
 use mpg_trace::{
     inject_dir, sort_diagnostics, text_to_trace, trace_stats, trace_to_text, validate_trace,
     validate_trace_diagnostics, Diagnostic, FaultKind, FileTraceSet, OocTraceSet, Rule,
     SalvageReport, Severity, TraceError,
 };
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("mpgtool: {msg}");
-    eprintln!("run with no arguments for usage");
+/// Why a verb stopped short of its report: a command line it cannot run,
+/// or a run that failed on its input or the host. Both exit 2; only the
+/// first points at the usage text.
+enum Fail {
+    Usage(String),
+    Run(String),
+}
+
+/// Errors passed up with `?` are the run's.
+impl From<String> for Fail {
+    fn from(msg: String) -> Self {
+        Fail::Run(msg)
+    }
+}
+
+fn usage_error(msg: impl Into<String>) -> Fail {
+    Fail::Usage(msg.into())
+}
+
+fn fail(e: Fail) -> ExitCode {
+    match e {
+        Fail::Usage(msg) => {
+            eprintln!("mpgtool: {msg}");
+            eprintln!("run with no arguments for usage");
+        }
+        Fail::Run(msg) => eprintln!("mpgtool: {msg}"),
+    }
     ExitCode::from(2)
 }
 
@@ -303,28 +327,36 @@ fn finish(tier: Option<&ReportTier>, exit_code: u8, stdout: &str) -> ExitCode {
 /// Pulls `--flag value` out of `args` and parses the value; `Ok(None)`
 /// when the flag is absent. A value that does not parse, or the flag
 /// given last with no value, is a usage error naming the flag.
-fn take_num<T: FromStr>(args: &mut Vec<String>, flag: &str) -> Result<Option<T>, String> {
+fn take_num<T: FromStr>(args: &mut Vec<String>, flag: &str) -> Result<Option<T>, Fail> {
     if args.last().is_some_and(|a| a == flag) {
-        return Err(format!("{flag} needs a value"));
+        return Err(usage_error(format!("{flag} needs a value")));
     }
     take_flag(args, flag)
-        .map(|v| v.parse().map_err(|_| format!("bad {flag} '{v}'")))
+        .map(|v| {
+            v.parse()
+                .map_err(|_| usage_error(format!("bad {flag} '{v}'")))
+        })
         .transpose()
 }
 
 /// `--ranks N` of `gen` and `demo`: 8 unless given, and never 0.
-fn take_ranks(args: &mut Vec<String>) -> Result<u32, String> {
+fn take_ranks(args: &mut Vec<String>) -> Result<u32, Fail> {
     match take_num(args, "--ranks")? {
-        Some(0) => Err("bad --ranks '0': a job needs at least one rank".into()),
+        Some(0) => Err(usage_error(
+            "bad --ranks '0': a job needs at least one rank",
+        )),
         ranks => Ok(ranks.unwrap_or(8)),
     }
 }
 
 /// Pulls every `--deny MPG-RULE` out of `args`.
-fn take_deny(args: &mut Vec<String>) -> Result<Vec<Rule>, String> {
+fn take_deny(args: &mut Vec<String>) -> Result<Vec<Rule>, Fail> {
     let mut deny = Vec::new();
     while let Some(code) = take_flag(args, "--deny") {
-        deny.push(Rule::from_code(&code).ok_or(format!("unknown rule '{code}' for --deny"))?);
+        deny.push(
+            Rule::from_code(&code)
+                .ok_or_else(|| usage_error(format!("unknown rule '{code}' for --deny")))?,
+        );
     }
     Ok(deny)
 }
@@ -475,28 +507,35 @@ fn scaled_workload(name: &str, scale: u64) -> Option<Box<dyn Workload>> {
     })
 }
 
+/// The message of a `gen` or `demo` run that failed: the trace's own
+/// write errors are told apart from the simulation's.
+fn simulation_failed(e: SimError) -> String {
+    match e {
+        SimError::Trace(m) => format!("writing trace: {m}"),
+        e => format!("simulation failed: {e}"),
+    }
+}
+
 /// `mpgtool gen`: synthesize an arbitrarily large trace for out-of-core
 /// replay experiments — a `demo` whose event volume is dialed by `--scale`.
-fn cmd_gen(mut args: Vec<String>) -> Result<ExitCode, String> {
+fn cmd_gen(mut args: Vec<String>) -> Result<ExitCode, Fail> {
     let workload = take_flag(&mut args, "--workload").unwrap_or_else(|| "stencil".into());
     let ranks = take_ranks(&mut args)?;
     let scale: u64 = take_num(&mut args, "--scale")?.unwrap_or(1);
     let seed: u64 = take_num(&mut args, "--seed")?.unwrap_or(1);
     let [dir] = args.as_slice() else {
-        return Err("gen needs a trace directory".into());
+        return Err(usage_error("gen needs a trace directory"));
     };
-    let w = scaled_workload(&workload, scale.max(1)).ok_or(format!(
-        "unknown or unscalable workload '{workload}' \
-         (one of: ring, stencil, master-worker, solver, pipeline, transpose)"
-    ))?;
-    let outcome = Simulation::new(ranks, PlatformSignature::quiet("mpgtool-gen"))
+    let w = scaled_workload(&workload, scale.max(1)).ok_or_else(|| {
+        usage_error(format!(
+            "unknown or unscalable workload '{workload}' \
+             (one of: ring, stencil, master-worker, solver, pipeline, transpose)"
+        ))
+    })?;
+    let run = Simulation::new(ranks, PlatformSignature::quiet("mpgtool-gen"))
         .seed(seed)
-        .run(|ctx| w.run(ctx))
-        .map_err(|e| format!("simulation failed: {e}"))?;
-    outcome
-        .trace
-        .save(&PathBuf::from(dir))
-        .map_err(|e| format!("writing trace: {e}"))?;
+        .run_streamed(Path::new(dir), |ctx| w.run(ctx))
+        .map_err(simulation_failed)?;
     let bytes: u64 = std::fs::read_dir(dir)
         .map(|rd| {
             rd.flatten()
@@ -507,47 +546,46 @@ fn cmd_gen(mut args: Vec<String>) -> Result<ExitCode, String> {
         .unwrap_or(0);
     println!(
         "generated '{workload}' x{scale} on {ranks} ranks: {} events, {} MiB on disk -> {dir}",
-        outcome.trace.total_events(),
+        run.stats.events,
         bytes / (1 << 20),
     );
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_demo(mut args: Vec<String>) -> Result<ExitCode, String> {
+fn cmd_demo(mut args: Vec<String>) -> Result<ExitCode, Fail> {
     let ranks = take_ranks(&mut args)?;
     let seed: u64 = take_num(&mut args, "--seed")?.unwrap_or(1);
     let [name, dir] = args.as_slice() else {
-        return Err("demo needs a workload name and a trace directory".into());
+        return Err(usage_error(
+            "demo needs a workload name and a trace directory",
+        ));
     };
-    let w = workload_by_name(name).ok_or(format!("unknown workload '{name}'"))?;
-    let outcome = Simulation::new(ranks, PlatformSignature::quiet("mpgtool"))
+    let w =
+        workload_by_name(name).ok_or_else(|| usage_error(format!("unknown workload '{name}'")))?;
+    let run = Simulation::new(ranks, PlatformSignature::quiet("mpgtool"))
         .seed(seed)
-        .run(|ctx| w.run(ctx))
-        .map_err(|e| format!("simulation failed: {e}"))?;
-    outcome
-        .trace
-        .save(&PathBuf::from(dir))
-        .map_err(|e| format!("writing trace: {e}"))?;
+        .run_streamed(Path::new(dir), |ctx| w.run(ctx))
+        .map_err(simulation_failed)?;
     println!(
         "traced '{name}' on {ranks} ranks: {} events, makespan {} cycles -> {dir}",
-        outcome.trace.total_events(),
-        outcome.makespan()
+        run.stats.events,
+        run.makespan()
     );
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_stats(args: Vec<String>) -> Result<ExitCode, String> {
+fn cmd_stats(args: Vec<String>) -> Result<ExitCode, Fail> {
     let [dir] = args.as_slice() else {
-        return Err("stats needs a trace directory".into());
+        return Err(usage_error("stats needs a trace directory"));
     };
     print!("{}", trace_stats(&open_trace(dir)?).render());
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_validate(mut args: Vec<String>) -> Result<ExitCode, String> {
+fn cmd_validate(mut args: Vec<String>) -> Result<ExitCode, Fail> {
     let json = take_switch(&mut args, "--json");
     let [dir] = args.as_slice() else {
-        return Err("validate needs a trace directory".into());
+        return Err(usage_error("validate needs a trace directory"));
     };
     // Strict read first; when it fails, fall back to the salvage path so
     // validate can still report *which* rank files are missing, short, or
@@ -557,7 +595,7 @@ fn cmd_validate(mut args: Vec<String>) -> Result<ExitCode, String> {
         Ok(trace) => (trace, None),
         Err(strict_err) => match open_salvage(dir) {
             Ok((trace, report)) => (trace, Some(report)),
-            Err(_) => return Err(strict_err),
+            Err(_) => return Err(Fail::Run(strict_err)),
         },
     };
     let mut diags = validate_trace_diagnostics(&trace);
@@ -590,7 +628,7 @@ fn cmd_validate(mut args: Vec<String>) -> Result<ExitCode, String> {
 ///
 /// Exit code contract (also used by `validate`): 0 when no error-severity
 /// diagnostic fired, 1 when at least one did, 2 on usage or I/O errors.
-fn cmd_lint(mut args: Vec<String>) -> Result<ExitCode, String> {
+fn cmd_lint(mut args: Vec<String>) -> Result<ExitCode, Fail> {
     // `lint --explore` is a shorthand for the explore subcommand with its
     // defaults; explore's own flags (--budget etc.) pass straight through.
     if take_switch(&mut args, "--explore") {
@@ -612,7 +650,8 @@ fn cmd_lint(mut args: Vec<String>) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
     if let Some(code) = take_flag(&mut args, "--explain") {
-        let rule = Rule::from_code(&code).ok_or(format!("unknown rule '{code}' for --explain"))?;
+        let rule = Rule::from_code(&code)
+            .ok_or_else(|| usage_error(format!("unknown rule '{code}' for --explain")))?;
         if json {
             println!("{}", rule_to_json(rule));
         } else {
@@ -628,7 +667,7 @@ fn cmd_lint(mut args: Vec<String>) -> Result<ExitCode, String> {
     let cache = take_cache(&mut args)?;
     let deny = take_deny(&mut args)?;
     let [dir] = args.as_slice() else {
-        return Err("lint needs a trace directory".into());
+        return Err(usage_error("lint needs a trace directory"));
     };
     // Salvaged traces have no trustworthy content fingerprint — never
     // cached.
@@ -675,7 +714,7 @@ fn cmd_lint(mut args: Vec<String>) -> Result<ExitCode, String> {
 /// walk. Exit contract matches lint (0 clean / 1 errors / 2 usage), and
 /// so does `--cache`: the rendered report is memoized under a key naming
 /// every explore option.
-fn cmd_explore(mut args: Vec<String>) -> Result<ExitCode, String> {
+fn cmd_explore(mut args: Vec<String>) -> Result<ExitCode, Fail> {
     let json = take_switch(&mut args, "--json");
     let all = take_switch(&mut args, "--all");
     let cache = take_cache(&mut args)?;
@@ -686,10 +725,10 @@ fn cmd_explore(mut args: Vec<String>) -> Result<ExitCode, String> {
     opts.divergence_pct = take_num(&mut args, "--threshold")?.unwrap_or(opts.divergence_pct);
     opts.seed = take_num(&mut args, "--seed")?.unwrap_or(opts.seed);
     if !opts.divergence_pct.is_finite() || opts.divergence_pct < 0.0 {
-        return Err("--threshold must be a non-negative percentage".into());
+        return Err(usage_error("--threshold must be a non-negative percentage"));
     }
     let [dir] = args.as_slice() else {
-        return Err("explore needs a trace directory".into());
+        return Err(usage_error("explore needs a trace directory"));
     };
     let tier = match ReportTier::open(cache, dir, "explore", |trace_key| {
         CacheStore::artifact_key(
@@ -734,13 +773,13 @@ fn cmd_explore(mut args: Vec<String>) -> Result<ExitCode, String> {
 /// Exit 0 on success (findings are advisory), 2 on usage/I-O errors or if
 /// the accounting identity fails (which would mean the analyzer is wrong
 /// about this trace, so no report is better than a lying one).
-fn cmd_analyze(mut args: Vec<String>) -> Result<ExitCode, String> {
+fn cmd_analyze(mut args: Vec<String>) -> Result<ExitCode, Fail> {
     let json = take_switch(&mut args, "--json");
     let salvage = take_switch(&mut args, "--salvage");
     let cache = take_cache(&mut args)?;
     let top: usize = take_num(&mut args, "--top")?.unwrap_or(5);
     let [dir] = args.as_slice() else {
-        return Err("analyze needs a trace directory".into());
+        return Err(usage_error("analyze needs a trace directory"));
     };
     let cfg = ReplayConfig::new(PerturbationModel::quiet("analyze"))
         .seed(0)
@@ -787,14 +826,14 @@ fn cmd_analyze(mut args: Vec<String>) -> Result<ExitCode, String> {
     .map_err(|e| format!("replay failed: {e}"))?;
     let report = mpg_lint::analyze_graph(&trace, &graph);
     if !report.identity_holds() {
-        return Err(format!(
+        return Err(Fail::Run(format!(
             "accounting identity violated: compute {} + transfer {} + waits {} != makespan {} x {} ranks",
             report.compute,
             report.transfer,
             report.wait_total(),
             report.makespan,
             report.ranks
-        ));
+        )));
     }
     if json {
         let _ = writeln!(o, "{}", report.to_json());
@@ -947,7 +986,7 @@ fn cmd_analyze(mut args: Vec<String>) -> Result<ExitCode, String> {
     Ok(finish(tier.as_ref(), 0, &o))
 }
 
-fn cmd_replay(mut args: Vec<String>) -> Result<ExitCode, String> {
+fn cmd_replay(mut args: Vec<String>) -> Result<ExitCode, Fail> {
     let os_mean: f64 = take_num(&mut args, "--os")?.unwrap_or(0.0);
     let latency: f64 = take_num(&mut args, "--latency")?.unwrap_or(0.0);
     let per_byte: f64 = take_num(&mut args, "--per-byte")?.unwrap_or(0.0);
@@ -962,10 +1001,10 @@ fn cmd_replay(mut args: Vec<String>) -> Result<ExitCode, String> {
         // A salvaged partial trace cannot pass the completed-run lint gate
         // (missing finalizes, unmatched tails) — the combination would
         // always refuse to replay.
-        return Err("--lint and --salvage are mutually exclusive".into());
+        return Err(usage_error("--lint and --salvage are mutually exclusive"));
     }
     let [dir] = args.as_slice() else {
-        return Err("replay needs a trace directory".into());
+        return Err(usage_error("replay needs a trace directory"));
     };
 
     // Model + config construction shared with `mpgtool serve`.
@@ -1042,7 +1081,7 @@ fn cmd_replay(mut args: Vec<String>) -> Result<ExitCode, String> {
         let rec = record_from_report(dir, seed, &report, "mpgtool replay");
         if let Err(e) = store.append(&rec) {
             print!("{o}");
-            return Err(format!("writing history: {e}"));
+            return Err(Fail::Run(format!("writing history: {e}")));
         }
         let n = store.for_trace(dir).map(|v| v.len()).unwrap_or(0);
         let _ = writeln!(
@@ -1070,22 +1109,22 @@ fn copy_trace_dir(src: &Path, dst: &Path) -> std::io::Result<()> {
 ///
 /// Exit code contract: 0 clean, 1 damaged-but-salvaged, 2 unrecoverable
 /// (or usage/I/O error). Scripts rely on this — see `lint.sh`.
-fn cmd_fsck(mut args: Vec<String>) -> Result<ExitCode, String> {
+fn cmd_fsck(mut args: Vec<String>) -> Result<ExitCode, Fail> {
     let json = take_switch(&mut args, "--json");
     let inject = take_flag(&mut args, "--inject");
     let seed: u64 = take_num(&mut args, "--seed")?.unwrap_or(1);
     let out = take_flag(&mut args, "--out");
     let [dir] = args.as_slice() else {
-        return Err("fsck needs a trace directory".into());
+        return Err(usage_error("fsck needs a trace directory"));
     };
     let mut target = PathBuf::from(dir);
     if let Some(kind_name) = inject {
         let Some(kind) = FaultKind::from_name(&kind_name) else {
             let names: Vec<&str> = FaultKind::ALL.iter().map(|k| k.name()).collect();
-            return Err(format!(
+            return Err(usage_error(format!(
                 "unknown fault kind '{kind_name}' (one of: {})",
                 names.join(", ")
-            ));
+            )));
         };
         let dst = out.map_or_else(|| PathBuf::from(format!("{dir}-injected")), PathBuf::from);
         copy_trace_dir(&target, &dst)
@@ -1126,9 +1165,9 @@ fn cmd_fsck(mut args: Vec<String>) -> Result<ExitCode, String> {
     })
 }
 
-fn cmd_dot(args: Vec<String>) -> Result<ExitCode, String> {
+fn cmd_dot(args: Vec<String>) -> Result<ExitCode, Fail> {
     let [dir] = args.as_slice() else {
-        return Err("dot needs a trace directory".into());
+        return Err(usage_error("dot needs a trace directory"));
     };
     let trace = open_trace(dir)?;
     let report =
@@ -1142,17 +1181,19 @@ fn cmd_dot(args: Vec<String>) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_export(args: Vec<String>) -> Result<ExitCode, String> {
+fn cmd_export(args: Vec<String>) -> Result<ExitCode, Fail> {
     let [dir] = args.as_slice() else {
-        return Err("export needs a trace directory".into());
+        return Err(usage_error("export needs a trace directory"));
     };
     print!("{}", trace_to_text(&open_trace(dir)?));
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_import(args: Vec<String>) -> Result<ExitCode, String> {
+fn cmd_import(args: Vec<String>) -> Result<ExitCode, Fail> {
     let [file, dir] = args.as_slice() else {
-        return Err("import needs a text file and a trace directory".into());
+        return Err(usage_error(
+            "import needs a text file and a trace directory",
+        ));
     };
     let text = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
     let trace = text_to_trace(&text).map_err(|e| format!("parsing {file}: {e}"))?;
@@ -1174,19 +1215,19 @@ fn cmd_import(args: Vec<String>) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_timeline(mut args: Vec<String>) -> Result<ExitCode, String> {
+fn cmd_timeline(mut args: Vec<String>) -> Result<ExitCode, Fail> {
     let width: usize = take_num(&mut args, "--width")?.unwrap_or(100);
     let [dir] = args.as_slice() else {
-        return Err("timeline needs a trace directory".into());
+        return Err(usage_error("timeline needs a trace directory"));
     };
     let trace = open_trace(dir)?;
     print!("{}", render_trace_gantt(&trace, width.clamp(10, 400)));
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_diff(args: Vec<String>) -> Result<ExitCode, String> {
+fn cmd_diff(args: Vec<String>) -> Result<ExitCode, Fail> {
     let [a, b] = args.as_slice() else {
-        return Err("diff needs two trace directories".into());
+        return Err(usage_error("diff needs two trace directories"));
     };
     let (ta, tb) = (open_trace(a)?, open_trace(b)?);
     let (sa, sb) = (trace_stats(&ta), trace_stats(&tb));
@@ -1221,23 +1262,27 @@ fn cmd_diff(args: Vec<String>) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `mpgtool bench`: measure the five same-process ratios, optionally
+/// `mpgtool bench`: measure the six same-process ratios, optionally
 /// writing the `BENCH_replay.json` snapshot and/or gating them against
 /// their fixed floors ([`mpg_analysis::perf::check`]).
-fn cmd_bench(mut args: Vec<String>) -> Result<ExitCode, String> {
+fn cmd_bench(mut args: Vec<String>) -> Result<ExitCode, Fail> {
     let out = take_flag(&mut args, "--out");
     let check = take_switch(&mut args, "--check");
     let reps: u32 = take_num(&mut args, "--reps")?.unwrap_or(5);
     if !args.is_empty() {
-        return Err(format!("bench: unexpected argument '{}'", args[0]));
+        return Err(usage_error(format!(
+            "bench: unexpected argument '{}'",
+            args[0]
+        )));
     }
     let snap = mpg_analysis::perf::measure(reps)?;
-    let (s, i, o, c, l) = (
+    let (s, i, o, c, l, g) = (
         &snap.sweep,
         &snap.ingest,
         &snap.ooc,
         &snap.cache,
         &snap.lint,
+        &snap.gen,
     );
     println!(
         "sweep: {} configs on {} in {} lane batch(es), {} traversal(s) saved: \
@@ -1295,6 +1340,17 @@ fn cmd_bench(mut args: Vec<String>) -> Result<ExitCode, String> {
         l.analyze_rss_growth_mib,
         l.lint_over_analyze()
     );
+    println!(
+        "gen: {} on {} ranks, {} events ({:.1} MiB on disk) in {:.2}s: peak RSS +{:.1} MiB \
+         ({:.2}x the trace)",
+        g.name,
+        g.ranks,
+        g.events,
+        g.trace_mib,
+        g.secs,
+        g.rss_growth_mib,
+        g.growth_over_trace()
+    );
     if let Some(path) = out {
         std::fs::write(&path, snap.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
         println!("snapshot: wrote {path}");
@@ -1318,16 +1374,19 @@ fn cmd_bench(mut args: Vec<String>) -> Result<ExitCode, String> {
 /// (default 512) and sweeps leftover temp files, `clear` removes
 /// everything. All operate on `--cache-dir DIR`, else `$MPG_CACHE_DIR`,
 /// else the system temp default.
-fn cmd_cache(mut args: Vec<String>) -> Result<ExitCode, String> {
+fn cmd_cache(mut args: Vec<String>) -> Result<ExitCode, Fail> {
     if args.is_empty() {
-        return Err("cache needs a subcommand: ls, gc, or clear".into());
+        return Err(usage_error("cache needs a subcommand: ls, gc, or clear"));
     }
     let sub = args.remove(0);
     let root =
         take_flag(&mut args, "--cache-dir").map_or_else(CacheStore::default_dir, PathBuf::from);
     let max_mib: u64 = take_num(&mut args, "--max-mib")?.unwrap_or(512);
     if !args.is_empty() {
-        return Err(format!("cache: unexpected argument '{}'", args[0]));
+        return Err(usage_error(format!(
+            "cache: unexpected argument '{}'",
+            args[0]
+        )));
     }
     let store =
         CacheStore::open(&root).map_err(|e| format!("opening cache {}: {e}", root.display()))?;
@@ -1363,9 +1422,9 @@ fn cmd_cache(mut args: Vec<String>) -> Result<ExitCode, String> {
             ExitCode::SUCCESS
         }
         other => {
-            return Err(format!(
+            return Err(usage_error(format!(
                 "unknown cache subcommand '{other}' (ls, gc, clear)"
-            ))
+            )))
         }
     })
 }
@@ -1376,7 +1435,7 @@ fn cmd_cache(mut args: Vec<String>) -> Result<ExitCode, String> {
 /// file; `-` or no flag reads stdin. Exit 0 on a completed stream
 /// (protocol-level errors are in-band `err` lines), 2 on usage or I/O
 /// failure.
-fn cmd_serve(mut args: Vec<String>) -> Result<ExitCode, String> {
+fn cmd_serve(mut args: Vec<String>) -> Result<ExitCode, Fail> {
     use std::time::Duration;
     let script = take_flag(&mut args, "--script");
     let workers: usize = take_num(&mut args, "--workers")?.unwrap_or(2);
@@ -1388,12 +1447,12 @@ fn cmd_serve(mut args: Vec<String>) -> Result<ExitCode, String> {
     let chaos_ops = take_flag(&mut args, "--chaos");
     let cache = take_cache(&mut args)?;
     if let Some(extra) = args.first() {
-        return Err(format!("serve: unexpected argument '{extra}'"));
+        return Err(usage_error(format!("serve: unexpected argument '{extra}'")));
     }
     let chaos = match chaos_ops {
         Some(list) => {
             let fams: Vec<&str> = list.split(',').filter(|s| !s.is_empty()).collect();
-            mpg_serve::ChaosPlan::seeded(chaos_seed, &fams)?
+            mpg_serve::ChaosPlan::seeded(chaos_seed, &fams).map_err(Fail::Usage)?
         }
         None => mpg_serve::ChaosPlan::none(),
     };
@@ -1450,5 +1509,5 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(args),
         _ => return usage(),
     };
-    run.unwrap_or_else(|e| fail(&e))
+    run.unwrap_or_else(fail)
 }

@@ -14,12 +14,14 @@
 //!   its peak-RSS growth against the trace size;
 //! - a warm cached analyze of that trace against a cold one;
 //! - the peak-RSS growth of a full lint of a 512-rank stencil against that
-//!   of recording and analysing the same trace.
+//!   of recording and analysing the same trace;
+//! - the peak-RSS growth of generating a long 16-rank stencil against the
+//!   bytes it writes.
 //!
 //! [`PerfSnapshot::to_json`] records the 10⁷-event figures that the
 //! process-level `benchmark/` runs cannot afford. Nothing reads it back.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,7 +32,7 @@ use mpg_core::{
     LaneBatch, PerturbationModel, ReplayConfig, Replayer,
 };
 use mpg_noise::{Dist, PlatformSignature};
-use mpg_sim::Simulation;
+use mpg_sim::{Simulation, StreamedRun};
 use mpg_trace::codec::{get_varint, Decoder};
 use mpg_trace::{FileTraceSet, MemTrace, OocTraceSet, TraceError};
 
@@ -86,6 +88,15 @@ pub const INGEST_OVER_DECODE_CEILING: f64 = 2.5;
 /// only on the build's frontier; 3.87–3.95× (+338–349 MiB) when every
 /// epoch keeps a 512-wide clock pair to the end of the build.
 pub const LINT_OVER_ANALYZE_RSS_CEILING: f64 = 1.5;
+
+/// Peak-RSS growth of generating [`pinned_gen`]'s trace over the size of
+/// the trace it writes. The simulator streams each rank's records into
+/// its 64 KiB frame buffer and writes full frames, so it holds the rank
+/// threads, the coordinator's state and one buffer per rank, however long
+/// the run. Measured 1.38–1.45× (+2.6–2.7 MiB for 1.9 MiB on disk).
+/// Collecting the whole trace in memory and saving it afterwards reads
+/// 11.3–11.8× (+21.4–22.2 MiB).
+pub const GEN_OVER_TRACE_RSS_CEILING: f64 = 4.0;
 
 /// The perturbation model of every out-of-core replay measurement.
 fn perf_model() -> PerturbationModel {
@@ -231,8 +242,12 @@ fn resident_mib() -> Option<f64> {
 
 /// Runs `f` while a sampler thread tracks the process's resident set,
 /// returning `(result, baseline_mib, peak_mib)`. Sampling (every ~2 ms)
-/// rather than `VmHWM` is deliberate: the high-water mark remembers the
-/// trace *generation* phase, which would mask any growth the replay adds.
+/// rather than `VmHWM` is deliberate: the high-water mark is the whole
+/// process's and cannot be reset per section, so it reports the largest
+/// earlier section instead of the one measured — a cold cache's
+/// generation of the pinned 10⁷-event trace peaks at 126–149 MiB (888 MiB
+/// when the simulator collected the trace before saving it), far above
+/// the few MiB the out-of-core replay adds.
 fn with_peak_rss<R>(f: impl FnOnce() -> R) -> (R, f64, f64) {
     let baseline = resident_mib().unwrap_or(0.0);
     let stop = Arc::new(AtomicBool::new(false));
@@ -256,10 +271,12 @@ fn with_peak_rss<R>(f: impl FnOnce() -> R) -> (R, f64, f64) {
 }
 
 /// The cached on-disk home of a synthesized bench trace. Generating the
-/// pinned 10⁷-event trace takes 10.5–11 s on 2 CPUs (a thread per rank,
-/// each running up to 63 posted calls ahead of the sequencer), 4.5× a
-/// replay of it (2.2–2.4 s), so repeated bench/gate runs reuse the files;
-/// the version tag guards against stale caches across format or workload
+/// pinned 10⁷-event trace takes 10.3–13.6 s on 2 CPUs (a thread per rank,
+/// each running up to 63 posted calls ahead of the sequencer, each rank's
+/// records streamed into its file a frame at a time; 13.8–15.7 s beside
+/// it when the whole trace was collected in memory first), 4.4–5.8× a
+/// replay of it (2.36 s), so repeated bench/gate runs reuse the files; the
+/// version tag guards against stale caches across format or workload
 /// changes.
 fn ooc_trace_dir(spec: &OocSpec) -> PathBuf {
     // Every generation input is part of the name: two specs differing in
@@ -283,9 +300,15 @@ fn ensure_ooc_trace(spec: &OocSpec) -> Result<PathBuf, String> {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+    generate(spec, &dir)?;
+    Ok(dir)
+}
+
+/// Simulates `spec`'s workload, streaming its trace into `dir`.
+fn generate(spec: &OocSpec, dir: &Path) -> Result<StreamedRun, String> {
     if spec.workload != "stencil" {
         return Err(format!(
-            "unknown ooc bench workload '{}' (only 'stencil' is synthesizable)",
+            "unknown bench workload '{}' (only 'stencil' is synthesizable)",
             spec.workload
         ));
     }
@@ -295,15 +318,86 @@ fn ensure_ooc_trace(spec: &OocSpec) -> Result<PathBuf, String> {
         work_per_cell: 40,
         halo_bytes: 1_024,
     };
-    let trace = Simulation::new(spec.ranks, PlatformSignature::quiet("perf-ooc"))
+    Simulation::new(spec.ranks, PlatformSignature::quiet("perf-ooc"))
         .seed(spec.seed)
-        .run(|ctx| stencil.run(ctx))
-        .map_err(|e| format!("ooc bench simulation failed: {e}"))?
-        .trace;
-    trace
-        .save(&dir)
-        .map_err(|e| format!("writing ooc bench trace: {e}"))?;
-    Ok(dir)
+        .run_streamed(dir, |ctx| stencil.run(ctx))
+        .map_err(|e| format!("bench simulation failed: {e}"))
+}
+
+/// The workload of the generation-memory measurement: a 16-rank stencil
+/// of ~2.2·10⁵ events (1.9 MiB on disk), long enough that every rank
+/// writes several frames. Few ranks keep it from moving the later
+/// sections' numbers: a 512-rank simulation (streamed or collected) run
+/// first leaves the allocator in a state where [`measure_lint`]'s analyze
+/// side grows 62–70 MiB instead of 85–88 MiB.
+pub fn pinned_gen() -> OocSpec {
+    OocSpec {
+        name: "gen-stencil-16",
+        workload: "stencil",
+        ranks: 16,
+        scale: 100,
+        seed: 1,
+        shards: 1,
+    }
+}
+
+/// Trace generation's memory (the `"gen"` section of
+/// `BENCH_replay.json`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct GenPerf {
+    /// Workload name ([`OocSpec::name`]).
+    pub name: String,
+    /// Rank count.
+    pub ranks: u32,
+    /// Events written.
+    pub events: u64,
+    /// On-disk trace size (MiB).
+    pub trace_mib: f64,
+    /// Wall-clock seconds of the generation.
+    pub secs: f64,
+    /// Peak resident growth across the generation (MiB).
+    pub rss_growth_mib: f64,
+}
+
+impl GenPerf {
+    /// Peak-RSS growth over the on-disk trace size.
+    pub fn growth_over_trace(&self) -> f64 {
+        if self.trace_mib > 0.0 {
+            self.rss_growth_mib / self.trace_mib
+        } else {
+            0.0
+        }
+    }
+}
+
+/// Generates `spec`'s trace into a fresh directory under the system temp
+/// dir with the resident-set sampler running, measures the directory, and
+/// removes it. [`measure`] runs this first, before any other section has
+/// grown the heap: memory an earlier section freed would serve the
+/// generation's allocations without growing the resident set.
+pub fn measure_gen(spec: &OocSpec) -> Result<GenPerf, String> {
+    let dir = std::env::temp_dir().join(format!(
+        "mpg-bench-gen-{}-{}",
+        spec.name,
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let start = Instant::now();
+    let (run, base, peak) = with_peak_rss(|| generate(spec, &dir));
+    let secs = start.elapsed().as_secs_f64();
+    let run = run?;
+    let bytes = OocTraceSet::open(&dir)
+        .map_err(|e| format!("opening generated trace: {e}"))?
+        .total_bytes();
+    std::fs::remove_dir_all(&dir).map_err(|e| format!("removing generated trace: {e}"))?;
+    Ok(GenPerf {
+        name: spec.name.to_string(),
+        ranks: spec.ranks,
+        events: run.stats.events,
+        trace_mib: bytes as f64 / (1024.0 * 1024.0),
+        secs,
+        rss_growth_mib: (peak - base).max(0.0),
+    })
 }
 
 /// Measures the out-of-core replay path: `reps` rounds of one timed replay
@@ -659,6 +753,9 @@ pub struct PerfSnapshot {
     /// The lint-memory measurement (lint vs analyze peak-RSS growth on
     /// the 512-rank stencil).
     pub lint: LintPerf,
+    /// The generation-memory measurement (peak-RSS growth of generating
+    /// the 16-rank stencil against its size on disk).
+    pub gen: GenPerf,
 }
 
 /// Config count of the pinned sweep measurement: two full lane batches'
@@ -725,13 +822,16 @@ pub fn measure_sweep(reps: u32) -> SweepPerf {
     }
 }
 
-/// Takes every section of the snapshot: the sweep at `reps` rounds, the
+/// Takes every section of the snapshot: first the generation of the
+/// 16-rank stencil, while no section has grown the heap yet
+/// ([`measure_gen`] says why), then the sweep at `reps` rounds, the
 /// ingest and out-of-core replay of the pinned 10⁷-event trace at `reps`
 /// capped to 3 (each rep reads ~10⁷ events twice, so the gate stays
 /// minutes-scale), one lint and one analyze of the 512-rank stencil
 /// ([`measure_lint`] says why here), and one cold and one warm analyze of
 /// the pinned trace.
 pub fn measure(reps: u32) -> Result<PerfSnapshot, String> {
+    let gen = measure_gen(&pinned_gen()).map_err(|e| format!("gen bench: {e}"))?;
     let sweep = measure_sweep(reps);
     let spec = pinned_ooc();
     let ingest = measure_ingest(&spec, reps.min(3)).map_err(|e| format!("ingest bench: {e}"))?;
@@ -744,6 +844,7 @@ pub fn measure(reps: u32) -> Result<PerfSnapshot, String> {
         ooc,
         cache,
         lint,
+        gen,
     })
 }
 
@@ -761,12 +862,13 @@ impl PerfSnapshot {
     /// Renders the snapshot as the `BENCH_replay.json` document: one block
     /// per section.
     pub fn to_json(&self) -> String {
-        let (s, i, o, c, l) = (
+        let (s, i, o, c, l, g) = (
             &self.sweep,
             &self.ingest,
             &self.ooc,
             &self.cache,
             &self.lint,
+            &self.gen,
         );
         let blocks = [
             json_block(
@@ -853,6 +955,18 @@ impl PerfSnapshot {
                         format!("{:.1}", l.lint_rss_growth_mib),
                     ),
                     ("lint_over_analyze", format!("{:.2}", l.lint_over_analyze())),
+                ],
+            ),
+            json_block(
+                "gen",
+                &[
+                    ("name", format!("\"{}\"", g.name)),
+                    ("ranks", g.ranks.to_string()),
+                    ("events", g.events.to_string()),
+                    ("trace_mib", format!("{:.1}", g.trace_mib)),
+                    ("secs", format!("{:.3}", g.secs)),
+                    ("rss_growth_mib", format!("{:.1}", g.rss_growth_mib)),
+                    ("growth_over_trace", format!("{:.2}", g.growth_over_trace())),
                 ],
             ),
         ];
@@ -943,6 +1057,22 @@ fn check_lint(l: &LintPerf) -> Option<String> {
     })
 }
 
+/// [`GEN_OVER_TRACE_RSS_CEILING`]: `Some(message)` when generating a trace
+/// grows the resident set by more than that many times the trace.
+fn check_gen(g: &GenPerf) -> Option<String> {
+    (g.growth_over_trace() > GEN_OVER_TRACE_RSS_CEILING).then(|| {
+        format!(
+            "gen({}): peak RSS grew {:.1} MiB generating a {:.1} MiB trace ({:.2}x, \
+             ceiling {GEN_OVER_TRACE_RSS_CEILING}x) — the simulator holds the trace \
+             instead of streaming it",
+            g.name,
+            g.rss_growth_mib,
+            g.trace_mib,
+            g.growth_over_trace()
+        )
+    })
+}
+
 /// Holds every section of `snap` to its fixed floor. Returns one message
 /// per ratio below its floor; empty means the gate passes.
 pub fn check(snap: &PerfSnapshot) -> Vec<String> {
@@ -953,6 +1083,7 @@ pub fn check(snap: &PerfSnapshot) -> Vec<String> {
         check_shards(&snap.ooc),
         check_cache(&snap.cache),
         check_lint(&snap.lint),
+        check_gen(&snap.gen),
     ]
     .into_iter()
     .flatten()
@@ -1020,6 +1151,17 @@ mod tests {
         }
     }
 
+    fn gen(ratio: f64) -> GenPerf {
+        GenPerf {
+            name: "gen-test".into(),
+            ranks: 16,
+            events: 216_032,
+            trace_mib: 1.9,
+            secs: 0.3,
+            rss_growth_mib: 1.9 * ratio,
+        }
+    }
+
     #[test]
     fn sweep_floor_fires_below_2x() {
         assert_eq!(check_sweep(&sweep(3.04)), None);
@@ -1072,6 +1214,13 @@ mod tests {
     }
 
     #[test]
+    fn gen_ceiling_fires_on_a_collected_trace() {
+        assert_eq!(check_gen(&gen(1.45)), None);
+        let msg = check_gen(&gen(11.3)).expect("above the ceiling");
+        assert!(msg.starts_with("gen(gen-test):"), "{msg}");
+    }
+
+    #[test]
     fn check_holds_every_section() {
         let passing = PerfSnapshot {
             sweep: sweep(3.04),
@@ -1079,6 +1228,7 @@ mod tests {
             ooc: ooc(93.4, 5.7, 1.72, 2),
             cache: cache(3753.0),
             lint: lint(1.15),
+            gen: gen(1.45),
         };
         assert!(check(&passing).is_empty());
         let failing = PerfSnapshot {
@@ -1087,8 +1237,9 @@ mod tests {
             ooc: ooc(93.4, 60.0, 1.0, 2),
             cache: cache(1.0),
             lint: lint(2.8),
+            gen: gen(11.3),
         };
-        assert_eq!(check(&failing).len(), 6);
+        assert_eq!(check(&failing).len(), 7);
     }
 
     #[test]
@@ -1135,6 +1286,22 @@ mod tests {
         assert_eq!(perf.ranks, 4);
         assert!(perf.events > 0);
         assert!(perf.lint_rss_growth_mib >= 0.0 && perf.analyze_rss_growth_mib >= 0.0);
+    }
+
+    #[test]
+    fn measure_gen_smoke() {
+        let spec = OocSpec {
+            name: "gen-smoke",
+            workload: "stencil",
+            ranks: 4,
+            scale: 1,
+            seed: 6,
+            shards: 1,
+        };
+        let perf = measure_gen(&spec).expect("gen measurement");
+        assert_eq!(perf.ranks, 4);
+        assert!(perf.events > 0 && perf.trace_mib > 0.0 && perf.secs > 0.0);
+        assert!(perf.rss_growth_mib >= 0.0);
     }
 
     #[test]

@@ -524,10 +524,113 @@ fn failed_simulation_prints_only_its_error() {
     assert_eq!(
         String::from_utf8_lossy(&out.stderr),
         "mpgtool: simulation failed: invalid operation on rank 0: \
-         self-message is not supported\n\
-         run with no arguments for usage\n"
+         self-message is not supported\n"
     );
     assert!(!dir.exists(), "gen wrote a trace for a failed simulation");
+}
+
+const USAGE_HINT: &str = "run with no arguments for usage";
+
+/// The usage hint follows a command line that cannot run, and only that:
+/// a damaged trace or a failed simulation is not a usage error. Both exit
+/// 2.
+#[test]
+fn usage_hint_only_on_usage_errors() {
+    let dir = tmp("hint");
+    let damaged = tmp("hint-bitflip");
+    for d in [&dir, &damaged] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+    let out = mpgtool()
+        .args(["gen", "--workload", "ring", "--ranks", "4", "--scale", "20"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = mpgtool()
+        .arg("fsck")
+        .arg(&dir)
+        .args(["--inject", "bitflip", "--seed", "1", "--out"])
+        .arg(&damaged)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let gen_dir = tmp("hint-gen");
+    let runs: [(Vec<&std::ffi::OsStr>, bool); 4] = [
+        (vec!["replay".as_ref(), damaged.as_os_str()], false),
+        (
+            vec!["gen", "--workload", "ring", "--ranks", "1"]
+                .into_iter()
+                .map(AsRef::as_ref)
+                .chain([gen_dir.as_os_str()])
+                .collect(),
+            false,
+        ),
+        (vec!["lint".as_ref()], true),
+        (
+            vec!["gen", "--ranks", "x"]
+                .into_iter()
+                .map(AsRef::as_ref)
+                .chain([gen_dir.as_os_str()])
+                .collect(),
+            true,
+        ),
+    ];
+    for (args, hint) in runs {
+        let out = mpgtool().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("mpgtool: "), "{args:?}: {stderr}");
+        assert_eq!(stderr.contains(USAGE_HINT), hint, "{args:?}: {stderr}");
+    }
+    assert!(!gen_dir.exists());
+    for d in [&dir, &damaged] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
+}
+
+/// `gen` keeps no rank file open between frames: 128 ranks write under
+/// an open-file limit of 64, which applies to the child only.
+#[test]
+fn gen_writes_more_ranks_than_open_files() {
+    let dir = tmp("gen-ulimit-n");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg(r#"ulimit -n 64 && exec "$0" gen --workload stencil --ranks 128 "$1""#)
+        .arg(env!("CARGO_BIN_EXE_mpgtool"))
+        .arg(&dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert_eq!(
+        mpg_trace::FileTraceSet::open(&dir).unwrap().num_ranks(),
+        128
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A `gen` whose output path is a regular file fails as a write error,
+/// exit 2 with no panic, and leaves the file as it was.
+#[test]
+fn gen_onto_a_regular_file_is_a_write_error() {
+    let file = tmp("gen-onto-file");
+    std::fs::write(&file, "not a directory").unwrap();
+    let out = mpgtool()
+        .args(["gen", "--workload", "ring", "--ranks", "4"])
+        .arg(&file)
+        .env("RUST_BACKTRACE", "1")
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(stderr.starts_with("mpgtool: writing trace: "), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains(USAGE_HINT), "{stderr}");
+    assert_eq!(std::fs::read(&file).unwrap(), b"not a directory");
+    std::fs::remove_file(&file).unwrap();
 }
 
 /// A rank thread the host cannot start fails the simulation like any

@@ -72,7 +72,7 @@ pub use comm::Comm;
 pub use error::SimError;
 pub use matching::{EnvelopeMatcher, RecvEnvelope, SendEnvelope};
 pub use message::RecvInfo;
-pub use program::{CollectiveMode, SendMode, SimOutcome, Simulation};
+pub use program::{CollectiveMode, SendMode, SimOutcome, Simulation, StreamedRun};
 pub use rank::{RankCtx, Req};
 
 /// Virtual time in cycles (same unit as `mpg_noise::Cycles`).

@@ -1,14 +1,15 @@
 //! The [`Simulation`] builder and runner.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
-use crate::coordinator::{Coordinator, SimStats};
+use crate::coordinator::{Coordinator, Finished, SimStats};
 use crate::error::SimError;
 use crate::network::NetworkModel;
 use crate::rank::{lock, RankCtx, Shared, ABORT, UNPOISONED};
-use crate::tracer::{MemTracer, NullTracer, Tracer};
+use crate::tracer::{FrameTracer, MemTracer, NullTracer, Tracer};
 use crate::Cycles;
 use mpg_noise::PlatformSignature;
 use mpg_trace::{ClockModel, MemTrace};
@@ -67,6 +68,24 @@ pub struct SimOutcome {
 }
 
 impl SimOutcome {
+    /// The job's makespan: the latest rank finish time (global clock).
+    pub fn makespan(&self) -> Cycles {
+        self.finish_times.iter().copied().max().unwrap_or(0)
+    }
+}
+
+/// Everything a simulation that streamed its trace to disk produced
+/// ([`Simulation::run_streamed`]): the trace is in its directory, not
+/// here.
+#[derive(Debug)]
+pub struct StreamedRun {
+    /// Global virtual time at which each rank finished `MPI_Finalize`.
+    pub finish_times: Vec<Cycles>,
+    /// Aggregate counters; `events` is the number of records written.
+    pub stats: SimStats,
+}
+
+impl StreamedRun {
     /// The job's makespan: the latest rank finish time (global clock).
     pub fn makespan(&self) -> Cycles {
         self.finish_times.iter().copied().max().unwrap_or(0)
@@ -135,7 +154,9 @@ impl Simulation {
         self.clocks(vec![ClockModel::ideal(); n])
     }
 
-    /// Disables trace collection (benchmarking the simulator itself).
+    /// Disables trace collection in [`run`](Self::run) (benchmarking the
+    /// simulator itself). [`run_streamed`](Self::run_streamed) always
+    /// writes its trace.
     pub fn no_trace(mut self) -> Self {
         self.tracing = false;
         self
@@ -147,15 +168,66 @@ impl Simulation {
     where
         F: Fn(&mut RankCtx) + Sync,
     {
-        let clocks = self
-            .clocks
-            .clone()
-            .unwrap_or_else(|| (0..self.ranks).map(ClockModel::skewed).collect());
+        let clocks = self.trace_clocks();
         let tracer: Box<dyn Tracer> = if self.tracing {
             Box::new(MemTracer::new(clocks))
         } else {
             Box::new(NullTracer)
         };
+        let ranks = self.ranks as usize;
+        let (mut tracer, (stats, finish_times)) = self.simulate(tracer, program)?;
+        let trace = tracer
+            .finish()
+            .map_err(SimError::Trace)?
+            .unwrap_or_else(|| MemTrace::new(ranks));
+        Ok(SimOutcome {
+            trace,
+            finish_times,
+            stats,
+        })
+    }
+
+    /// Runs `program` like [`run`](Self::run), but writes the trace to a
+    /// new trace directory at `dir` while the ranks run, as the paper's
+    /// PMPI tracer does: each rank's records fill a memory-resident buffer
+    /// that is written to the rank's file as one frame when full, so the
+    /// trace is never whole in memory. The files are byte for byte those
+    /// [`MemTrace::save`] writes of `run`'s trace.
+    ///
+    /// A run that fails — the program, a thread that cannot start, or a
+    /// write ([`SimError::Trace`]) — leaves no trace directory: every file
+    /// and directory it created is removed, and nothing else.
+    pub fn run_streamed<F>(self, dir: &Path, program: F) -> Result<StreamedRun, SimError>
+    where
+        F: Fn(&mut RankCtx) + Sync,
+    {
+        let tracer = FrameTracer::create(dir, self.trace_clocks())
+            .map_err(|e| SimError::Trace(e.to_string()))?;
+        let (mut tracer, (stats, finish_times)) = self.simulate(Box::new(tracer), program)?;
+        tracer.finish().map_err(SimError::Trace)?;
+        Ok(StreamedRun {
+            finish_times,
+            stats,
+        })
+    }
+
+    /// The per-rank trace clocks: the configured ones, or skewed.
+    fn trace_clocks(&self) -> Vec<ClockModel> {
+        self.clocks
+            .clone()
+            .unwrap_or_else(|| (0..self.ranks).map(ClockModel::skewed).collect())
+    }
+
+    /// Runs `program` on every rank with `tracer` as the coordinator's
+    /// sink; hands the tracer back unfinished.
+    fn simulate<F>(
+        self,
+        tracer: Box<dyn Tracer>,
+        program: F,
+    ) -> Result<(Box<dyn Tracer>, Finished), SimError>
+    where
+        F: Fn(&mut RankCtx) + Sync,
+    {
         let net = NetworkModel::new(self.signature.clone(), self.ranks as usize, self.seed);
         let coordinator = Coordinator::new(
             self.ranks,
@@ -228,18 +300,8 @@ impl Simulation {
             // this thread had been driving.
             resume_unwind(payload);
         }
-        let (stats, finish_times) = sh.end.expect("every rank has finalized or failed")?;
-        let trace = sh
-            .coordinator
-            .into_tracer()
-            .finish()
-            .map_err(SimError::Trace)?
-            .unwrap_or_else(|| MemTrace::new(self.ranks as usize));
-        Ok(SimOutcome {
-            trace,
-            finish_times,
-            stats,
-        })
+        let finished = sh.end.expect("every rank has finalized or failed")?;
+        Ok((sh.coordinator.into_tracer(), finished))
     }
 }
 

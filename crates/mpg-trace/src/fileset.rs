@@ -8,8 +8,8 @@
 //! property. Every strict read decodes through [`crate::ooc::FrameCursor`].
 
 use std::fmt;
-use std::fs::{self, File};
-use std::io::{BufWriter, Write as _};
+use std::fs::{self, File, OpenOptions};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::diag::{json_escape_into, Diagnostic, Rule};
@@ -65,21 +65,136 @@ impl MemTrace {
 
     /// Writes this trace set to `dir` as a [`FileTraceSet`].
     pub fn save(&self, dir: &Path) -> Result<FileTraceSet, TraceError> {
-        fs::create_dir_all(dir)?;
+        let mut out = TraceDirWriter::create(dir, self.num_ranks())?;
         for (r, events) in self.events.iter().enumerate() {
-            let f = File::create(FileTraceSet::rank_path(dir, r))?;
-            let mut w = TraceWriter::new(BufWriter::new(f), 1 << 16);
             for e in events {
-                w.record(e)?;
+                out.record(r, e)?;
             }
-            w.finish()?;
         }
-        let mut meta = File::create(dir.join("meta.txt"))?;
-        writeln!(meta, "ranks={}", self.num_ranks())?;
-        Ok(FileTraceSet {
+        out.finish()
+    }
+}
+
+/// Encoded bytes each rank holds before spilling them to its file as one
+/// frame: the size of the paper's memory-resident buffer, the same for
+/// every trace directory written.
+const RANK_BUFFER_BYTES: usize = 1 << 16;
+
+/// Writes a trace directory while its records arrive: one flush-on-full
+/// [`TraceWriter`] per rank, each spilling a frame to `rank-N.mpg` when
+/// its buffer is full, and `meta.txt` at [`finish`](Self::finish). This is
+/// the one definition of the directory's layout on the write side:
+/// [`MemTrace::save`] and the simulator's streaming tracer both write
+/// through it, so what they write cannot drift apart.
+///
+/// No rank file stays open between frames: each spill opens its file,
+/// appends the frame and closes it, so a run with more ranks than the
+/// process may hold open files still writes. A writer dropped unsealed —
+/// a failed run, an I/O error — removes every file and directory it
+/// created and nothing else.
+pub struct TraceDirWriter {
+    dir: PathBuf,
+    /// The outermost directory this writer created, if it created any.
+    created_dir: Option<PathBuf>,
+    /// Each rank's writer; its sink holds at most the frames of one spill
+    /// until they are appended to the rank's file.
+    writers: Vec<TraceWriter<Vec<u8>>>,
+    /// Rank files this writer has created.
+    created: Vec<bool>,
+    created_meta: bool,
+    sealed: bool,
+}
+
+impl TraceDirWriter {
+    /// Creates `dir` (and any missing parent) for a trace of `ranks` ranks.
+    pub fn create(dir: &Path, ranks: usize) -> Result<Self, TraceError> {
+        let created_dir = dir
+            .ancestors()
+            .take_while(|d| !d.as_os_str().is_empty() && !d.exists())
+            .last()
+            .map(Path::to_path_buf);
+        let out = Self {
             dir: dir.to_path_buf(),
-            ranks: self.num_ranks(),
+            created_dir,
+            writers: (0..ranks)
+                .map(|_| TraceWriter::new(Vec::new(), RANK_BUFFER_BYTES))
+                .collect(),
+            created: vec![false; ranks],
+            created_meta: false,
+            sealed: false,
+        };
+        fs::create_dir_all(dir)?;
+        Ok(out)
+    }
+
+    /// Appends `rec` to rank `rank`'s stream, writing a frame to the rank's
+    /// file when that fills its buffer. Records of one rank must arrive in
+    /// sequence order.
+    pub fn record(&mut self, rank: usize, rec: &EventRecord) -> Result<(), TraceError> {
+        let w = &mut self.writers[rank];
+        let frames = w.flush_count();
+        w.record(rec)?;
+        if w.flush_count() != frames {
+            let spilled = std::mem::take(w.get_mut());
+            self.append(rank, &spilled)?;
+        }
+        Ok(())
+    }
+
+    /// Appends `bytes` to rank `rank`'s file, creating it on first use.
+    fn append(&mut self, rank: usize, bytes: &[u8]) -> Result<(), TraceError> {
+        let path = FileTraceSet::rank_path(&self.dir, rank);
+        let mut file = if self.created[rank] {
+            OpenOptions::new().append(true).open(path)?
+        } else {
+            let file = File::create(path)?;
+            self.created[rank] = true;
+            file
+        };
+        file.write_all(bytes)?;
+        Ok(())
+    }
+
+    /// Seals every rank file (last frame and footer) and writes
+    /// `meta.txt`.
+    pub fn finish(mut self) -> Result<FileTraceSet, TraceError> {
+        let ranks = self.writers.len();
+        for (r, w) in std::mem::take(&mut self.writers).into_iter().enumerate() {
+            let tail = w.finish()?;
+            self.append(r, &tail)?;
+        }
+        let mut meta = File::create(self.dir.join("meta.txt"))?;
+        self.created_meta = true;
+        writeln!(meta, "ranks={ranks}")?;
+        self.sealed = true;
+        Ok(FileTraceSet {
+            dir: self.dir.clone(),
+            ranks,
         })
+    }
+}
+
+impl Drop for TraceDirWriter {
+    fn drop(&mut self) {
+        if self.sealed {
+            return;
+        }
+        // Best effort: a file that cannot be removed stays, and so then
+        // does its directory (`remove_dir` only removes empty ones).
+        for (r, _) in self.created.iter().enumerate().filter(|(_, &c)| c) {
+            let _ = fs::remove_file(FileTraceSet::rank_path(&self.dir, r));
+        }
+        if self.created_meta {
+            let _ = fs::remove_file(self.dir.join("meta.txt"));
+        }
+        if let Some(root) = &self.created_dir {
+            for d in self.dir.ancestors() {
+                let _ = fs::remove_dir(d);
+                if d == root {
+                    break;
+                }
+            }
+        }
     }
 }
 

@@ -40,7 +40,7 @@ pub use diag::{
 };
 pub use event::{EventKind, EventRecord, Rank, ReqId, SendProtocol, Seq, Tag, ANY_SOURCE, ANY_TAG};
 pub use faultgen::{inject_dir, mutate_bytes, FaultKind, FaultPlan};
-pub use fileset::{FileTraceSet, FsckStatus, MemTrace, SalvageReport};
+pub use fileset::{FileTraceSet, FsckStatus, MemTrace, SalvageReport, TraceDirWriter};
 pub use hash::{fnv1a64, fnv1a64_append, trace_fingerprint, TraceFingerprint};
 pub use ooc::{FrameCursor, FrameIndex, MappedFile, OocTraceSet};
 pub use salvage::{salvage_bytes, salvage_into, RankSalvage, SealStatus};

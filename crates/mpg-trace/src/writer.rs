@@ -116,6 +116,12 @@ impl<W: Write> TraceWriter<W> {
         Ok(self.sink)
     }
 
+    /// The sink the frames are written to (a caller that spills into a
+    /// `Vec` drains it here).
+    pub fn get_mut(&mut self) -> &mut W {
+        &mut self.sink
+    }
+
     /// Number of buffer spills (= frames written) so far
     /// (tracer-overhead diagnostics).
     pub fn flush_count(&self) -> u64 {

@@ -4,6 +4,62 @@
 # reviewers assume it exits 0.
 set -eu
 cd "$(dirname "$0")"
+MPGTOOL=target/release/mpgtool
+
+# gen_stability TMP: the simulator writes the same bytes however the host
+# schedules its rank threads — `gen` of a ring, a wildcard master-worker
+# and a stencil, three times unpinned and twice pinned to one CPU, equals
+# the first run — and `gen`'s streaming writer writes what the collecting
+# one does: `import` of the first run's `export` (which saves a whole
+# in-memory trace) is that directory byte for byte.
+gen_stability() {
+    echo "==> gen byte-stability (3 runs unpinned, 2 pinned to one CPU; import of export)"
+    pin=""
+    if command -v taskset >/dev/null 2>&1; then
+        pin="taskset -c 0"
+    fi
+    for spec in ring:16:5 master-worker:8:6 stencil:16:2; do
+        wl="${spec%%:*}"
+        rest="${spec#*:}"
+        for run in 1 2 3 4 5; do
+            on=""
+            if [ "$run" -gt 3 ]; then
+                on="$pin"
+            fi
+            $on "$MPGTOOL" gen --workload "$wl" --ranks "${rest%%:*}" --scale "${rest#*:}" \
+                "$1/gen-$run" >/dev/null
+            if [ "$run" -gt 1 ]; then
+                diff -r "$1/gen-1" "$1/gen-$run" >/dev/null || {
+                    echo "lint: FAIL: $wl gen run $run wrote other bytes than run 1" >&2
+                    exit 1
+                }
+                rm -rf "$1/gen-$run"
+            fi
+        done
+        "$MPGTOOL" export "$1/gen-1" > "$1/gen.txt"
+        "$MPGTOOL" import "$1/gen.txt" "$1/gen-imported" >/dev/null
+        diff -r "$1/gen-1" "$1/gen-imported" >/dev/null || {
+            echo "lint: FAIL: $wl: import of gen's export wrote other bytes than gen" >&2
+            exit 1
+        }
+        rm -rf "$1/gen-1" "$1/gen-imported" "$1/gen.txt"
+    done
+    echo "    15 gen runs = the first run of their workload; import of each export = it"
+}
+
+# `./lint.sh LEG...` runs only the named legs against an already built
+# target/release/mpgtool; CI calls the legs it shares with this script so.
+if [ $# -gt 0 ]; then
+    LEG_TMP="$(mktemp -d)"
+    trap 'rm -rf "$LEG_TMP"' EXIT
+    for leg in "$@"; do
+        case "$leg" in
+            gen_stability) "$leg" "$LEG_TMP" ;;
+            *) echo "lint: unknown leg '$leg' (legs: gen_stability)" >&2; exit 2 ;;
+        esac
+    done
+    exit 0
+fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -48,7 +104,6 @@ cargo run --release -q -p mpg-analysis --bin mpgtool -- bench --check --reps 9
 # matrix. Scripts and CI depend on the exit codes checked here.
 echo "==> analyze + fsck smoke suite"
 cargo build --release -q -p mpg-analysis --bin mpgtool
-MPGTOOL=target/release/mpgtool
 SMOKE_TMP="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_TMP"' EXIT
 
@@ -140,35 +195,7 @@ for spec in ring:16 solver:8; do
 done
 echo "    30 sharded runs = the 1-shard run, scheduler line aside"
 
-# The simulator writes the same bytes however the host schedules its rank
-# threads: `gen` of a ring and of a wildcard master-worker, three times
-# unpinned and twice pinned to one CPU, equals the first run.
-echo "==> gen byte-stability (3 runs unpinned, 2 pinned to one CPU)"
-PIN=""
-if command -v taskset >/dev/null 2>&1; then
-    PIN="taskset -c 0"
-fi
-for spec in ring:16:5 master-worker:8:6; do
-    wl="${spec%%:*}"
-    rest="${spec#*:}"
-    for run in 1 2 3 4 5; do
-        pin=""
-        if [ "$run" -gt 3 ]; then
-            pin="$PIN"
-        fi
-        $pin "$MPGTOOL" gen --workload "$wl" --ranks "${rest%%:*}" --scale "${rest#*:}" \
-            "$SMOKE_TMP/gen-$run" >/dev/null
-        if [ "$run" -gt 1 ]; then
-            diff -r "$SMOKE_TMP/gen-1" "$SMOKE_TMP/gen-$run" >/dev/null || {
-                echo "lint: FAIL: $wl gen run $run wrote other bytes than run 1" >&2
-                exit 1
-            }
-            rm -rf "$SMOKE_TMP/gen-$run"
-        fi
-    done
-    rm -rf "$SMOKE_TMP/gen-1"
-done
-echo "    10 gen runs = the first run of their workload, byte for byte"
+gen_stability "$SMOKE_TMP"
 
 # Same-host ratios of two verbs on one trace (see ratios.sh).
 ./ratios.sh

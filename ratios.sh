@@ -84,34 +84,38 @@ replay_ms=$(best_ms "$MPGTOOL" replay "$T")
 gate "analyze --json / replay" 1000 "$analyze_ms" "$replay_ms"
 
 # The simulator against the replay of what it writes: pinned `gen` of that
-# stencil may cost at most 12x `replay` of the trace it writes, the two
-# timed in alternation. Measured 3.3-4.4x (103-153 ms over 29-41 ms): a
+# stencil may cost at most 9.5x `replay` of the trace it writes, the two
+# timed in alternation. Measured 3.5-5.8x (127-194 ms over 29-45 ms): a
 # rank posts every call whose result it already knows, and every call of
 # this workload is one, so the only blocking calls left are the run-ahead
-# cap's. With a channel round trip per call it read 26-37x.
-echo "==> gen <= 12x replay (stencil, 256 ranks, scale 4)"
+# cap's; the tracer encodes each record into its rank's frame buffer as it
+# is released and writes full frames. With a channel round trip per call
+# it read 26-37x. The bound was 12x while `gen` collected the whole trace
+# in memory and saved it afterwards (4.9-8.3x beside the streamed runs);
+# streaming made `gen` 0.79x as long in median over 11 alternating pairs,
+# and 12 x 0.79 = 9.5.
+echo "==> gen <= 9.5x replay (stencil, 256 ranks, scale 4)"
 G="$RATIO_TMP/stencil-256-gen"
 gen_t() { $PIN "$MPGTOOL" gen --workload stencil --ranks 256 --scale 4 "$G"; }
 replay_t() { "$MPGTOOL" replay "$G"; }
 set -- $(best_pair_ms gen_t replay_t)
-gate "gen / replay" 1200 "$1" "$2"
+gate "gen / replay" 950 "$1" "$2"
 
 # The same for a ring, where every hop ends in a blocking `wait`: pinned
-# `gen` of ring 16 x 40 may cost at most 9x `replay` of the trace it
-# writes, timed in alternation. Measured 6.3-8.6x (273-339 ms over 34-50
+# `gen` of ring 16 x 40 may cost at most 7.5x `replay` of the trace it
+# writes, timed in alternation. Measured 5.3-6.9x (206-290 ms over 31-48
 # ms): the rank whose call leaves no rank running takes the coordinator's
 # decisions itself, so a blocking call costs at most one thread switch.
 # With a coordinator thread, each one cost a switch there and one back:
-# 13-16x (555-679 ms) over the same replay. The bound was 7x while
-# `replay` loaded the trace before replaying it (5.2-5.8x then, 11-12x
-# with the coordinator thread); streaming frames made that denominator
-# 1.21-1.3x faster and left `gen` as it was, so the old bound scales to
-# 7 x 1.21-1.3 = 8.5-9.1x.
-echo "==> gen <= 9x replay (ring, 16 ranks, scale 40)"
+# 13-16x (555-679 ms) over the same replay. The bound was 9x while `gen`
+# collected the whole trace and saved it afterwards (5.8-9.05x beside the
+# streamed runs, 268-366 ms); streaming made `gen` 0.81x as long in median
+# over 11 alternating pairs, and 9 x 0.81 = 7.3, rounded up to 7.5.
+echo "==> gen <= 7.5x replay (ring, 16 ranks, scale 40)"
 G="$RATIO_TMP/ring-16-gen"
 gen_t() { $PIN "$MPGTOOL" gen --workload ring --ranks 16 --scale 40 "$G"; }
 set -- $(best_pair_ms gen_t replay_t)
-gate "gen / replay" 900 "$1" "$2"
+gate "gen / replay" 750 "$1" "$2"
 
 # The lint passes on a long ring (16 ranks, 256 032 events, 3 200 eager
 # messages per receiver): `lint --all` may cost at most 1.75x the `analyze
