@@ -536,14 +536,7 @@ fn cmd_gen(mut args: Vec<String>) -> Result<ExitCode, Fail> {
         .seed(seed)
         .run_streamed(Path::new(dir), |ctx| w.run(ctx))
         .map_err(simulation_failed)?;
-    let bytes: u64 = std::fs::read_dir(dir)
-        .map(|rd| {
-            rd.flatten()
-                .filter_map(|e| e.metadata().ok())
-                .map(|m| m.len())
-                .sum()
-        })
-        .unwrap_or(0);
+    let bytes = FileTraceSet::open(Path::new(dir)).map_or(0, |t| t.disk_bytes());
     println!(
         "generated '{workload}' x{scale} on {ranks} ranks: {} events, {} MiB on disk -> {dir}",
         run.stats.events,
@@ -1275,7 +1268,8 @@ fn cmd_bench(mut args: Vec<String>) -> Result<ExitCode, Fail> {
             args[0]
         )));
     }
-    let snap = mpg_analysis::perf::measure(reps)?;
+    let exe = std::env::current_exe().map_err(|e| format!("locating mpgtool: {e}"))?;
+    let snap = mpg_analysis::perf::measure(reps, &exe)?;
     let (s, i, o, c, l, g) = (
         &snap.sweep,
         &snap.ingest,

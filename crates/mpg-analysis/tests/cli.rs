@@ -611,6 +611,52 @@ fn gen_writes_more_ranks_than_open_files() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `gen` over a trace of more ranks removes the rank files the replaced
+/// `meta.txt` named past the new rank count, and prints what it prints
+/// into a fresh directory.
+#[test]
+fn gen_over_a_wider_trace_removes_its_stale_rank_files() {
+    let (dir, fresh) = (tmp("gen-narrower"), tmp("gen-narrower-fresh"));
+    let gen = |ranks: &str, d: &PathBuf| {
+        let out = mpgtool()
+            .args(["gen", "--workload", "ring", "--ranks", ranks])
+            .arg(d)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout)
+            .unwrap()
+            .replace(&d.display().to_string(), "DIR")
+    };
+    for d in [&dir, &fresh] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+    gen("8", &dir);
+    assert_eq!(gen("4", &dir), gen("4", &fresh));
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        [
+            "meta.txt",
+            "rank-0.mpg",
+            "rank-1.mpg",
+            "rank-2.mpg",
+            "rank-3.mpg"
+        ]
+    );
+    for d in [&dir, &fresh] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
+}
+
 /// A `gen` whose output path is a regular file fails as a write error,
 /// exit 2 with no panic, and leaves the file as it was.
 #[test]

@@ -913,7 +913,7 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
     pub(crate) fn new(knobs: EngineKnobs, bank: B, streams: Vec<I>) -> Self {
         let p = streams.len();
         Self {
-            matches: MatchState::with_ranks(p),
+            matches: MatchState::new(),
             cursors: streams
                 .into_iter()
                 .map(|it| Cursor {
@@ -1112,7 +1112,7 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
     /// Applies one cross-shard effect to local state.
     fn apply_envelope(&mut self, env: Envelope<B::Val>) -> Result<(), ReplayError> {
         match env {
-            Envelope::Offer { src, dst, rec } => self.deliver_send(src, dst, rec),
+            Envelope::Offer(rec) => self.deliver_send(rec),
             Envelope::Ack {
                 sender,
                 candidate,
@@ -1527,7 +1527,15 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
             EventKind::Irecv { peer, tag, req, .. } => {
                 let (peer, tag, req) = (*peer, *tag, *req);
                 let end_node = NodeId::end(r, ev.seq);
-                let state = match self.matches.take_send(peer, r, tag) {
+                let pr = PendingRecv {
+                    src: peer,
+                    tag,
+                    req,
+                    rank: r,
+                    d_posted: d0,
+                    end_node,
+                };
+                let state = match self.matches.post_recv(pr) {
                     Some(rec) => {
                         self.stats.messages_matched += 1;
                         // The receive's data arrives independently of any
@@ -1538,20 +1546,7 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
                         self.ack_at_arrival(&rec, d0, end_node)?;
                         ReqState::RecvReady(rec)
                     }
-                    None => {
-                        self.matches.queue_pending_recv(
-                            peer,
-                            r,
-                            PendingRecv {
-                                tag,
-                                req,
-                                rank: r,
-                                d_posted: d0,
-                                end_node,
-                            },
-                        );
-                        ReqState::PendingRecvWaiting
-                    }
+                    None => ReqState::PendingRecvWaiting,
                 };
                 self.cursors[ri].reqs.insert(req, state);
                 self.open_reqs += 1;
@@ -1651,6 +1646,8 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
         self.cursors[ri].scratch_os1 = os1;
         self.cursors[ri].posted = true;
         let rec = SendRecord {
+            src: r,
+            dst: peer,
             tag,
             bytes,
             d_src: d0,
@@ -1664,31 +1661,20 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
             // The receiver's matching state lives on another shard; ship
             // the fully-sampled record there. The acknowledgement, if any,
             // returns through the exchange the same way.
-            self.ship(
-                to,
-                Envelope::Offer {
-                    src: r,
-                    dst: peer,
-                    rec,
-                },
-            );
+            self.ship(to, Envelope::Offer(rec));
             self.note_window();
             return Ok(());
         }
-        self.deliver_send(r, peer, rec)
+        self.deliver_send(rec)
     }
 
-    /// Lands a send record on the local `(src, dst)` channel: matches a
-    /// queued nonblocking receive or queues the record, waking whichever
-    /// rank may now progress. Called from `post_send` for local peers and
-    /// from the exchange for records shipped across shards.
-    fn deliver_send(
-        &mut self,
-        src: Rank,
-        dst: Rank,
-        rec: SendRecord<B::Val>,
-    ) -> Result<(), ReplayError> {
-        if let Some((pr, rec)) = self.matches.offer_send(src, dst, rec) {
+    /// Lands a send record in the local matching state: matches a pending
+    /// nonblocking receive or queues the record, waking whichever rank may
+    /// now progress. Called from `post_send` for local peers and from the
+    /// exchange for records shipped across shards.
+    fn deliver_send(&mut self, rec: SendRecord<B::Val>) -> Result<(), ReplayError> {
+        let dst = rec.dst;
+        if let Some((rec, pr)) = self.matches.offer_send(rec) {
             self.stats.messages_matched += 1;
             self.ack_at_arrival(&rec, pr.d_posted, pr.end_node)?;
             match self.cursors[pr.rank as usize].reqs.get_mut(pr.req) {

@@ -59,16 +59,9 @@ use crate::Drift;
 /// type-check for every bank).
 #[derive(Debug, Clone)]
 pub(crate) enum Envelope<V> {
-    /// A send whose receiver lives on another shard: the full send record,
-    /// delivered to the receiver's matching state.
-    Offer {
-        /// Sending rank.
-        src: Rank,
-        /// Receiving rank (owned by the destination shard).
-        dst: Rank,
-        /// The sampled send record.
-        rec: SendRecord<V>,
-    },
+    /// A send whose receiver lives on another shard: the full sampled send
+    /// record, delivered to the receiver's matching state.
+    Offer(SendRecord<V>),
     /// A resolved acknowledgement whose sender lives on another shard.
     Ack {
         /// Who completes the send side.

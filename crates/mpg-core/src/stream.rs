@@ -5,9 +5,10 @@
 //! processor."
 //!
 //! Traces record the *matched* source and tag for every receive (wildcards
-//! are resolved by the run itself), so replay matching reduces to per
-//! `(src, dst)` channel FIFOs with tag-selective scans — the same
-//! non-overtaking discipline MPI guarantees and the simulator implements.
+//! are resolved by the run itself), so replay posts concrete patterns to
+//! the one matching kernel, [`EnvelopeMatcher`], the simulator, lint and
+//! the DES share. This module adds only what the engine prints: the §4.2
+//! window accounting and the unmatched counts.
 //!
 //! Matching consults **only** ranks, tags and queue order — never drift
 //! values — which is what lets the lane-batched engine evaluate K
@@ -16,42 +17,9 @@
 //! [`MAX_LANES`](crate::lane::MAX_LANES)-wide lane vector for sweeps) and
 //! every decision is identical for every lane by construction.
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
-
 use crate::graph::NodeId;
 use crate::{Cycles, Drift};
-use mpg_trace::{Rank, ReqId, Tag};
-
-/// Multiply-xor hasher for the channel map (FxHash construction). Channel
-/// keys are small `(src, dst)` rank pairs hashed on every match operation —
-/// the replay hot path — where SipHash's per-lookup cost is measurable and
-/// its DoS resistance buys nothing.
-#[derive(Debug, Default)]
-pub struct ChannelHasher(u64);
-
-impl Hasher for ChannelHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(n as u64);
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        // 0x51_7c_c1_b7_27_22_0a_95 = (2^64 / phi) rounded to odd.
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-type ChannelMap<V> = HashMap<(Rank, Rank), Channel<V>, BuildHasherDefault<ChannelHasher>>;
+use mpg_trace::{EnvelopeMatcher, Rank, RecvEnvelope, ReqId, SendEnvelope, Tag};
 
 /// Who completes the send side of a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,6 +47,10 @@ pub enum SenderRef {
 /// vector for batched sweeps.
 #[derive(Debug, Clone)]
 pub struct SendRecord<V = Drift> {
+    /// Sending rank.
+    pub src: Rank,
+    /// Receiving rank.
+    pub dst: Rank,
     /// Message tag.
     pub tag: Tag,
     /// Payload size.
@@ -102,6 +74,8 @@ pub struct SendRecord<V = Drift> {
 /// A receive posted before its message record arrived.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingRecv<V = Drift> {
+    /// Matched source (exact — resolved by the original run).
+    pub src: Rank,
     /// Matched tag (exact — resolved by the original run).
     pub tag: Tag,
     /// The irecv request this will resolve (pending receives are only
@@ -117,105 +91,94 @@ pub struct PendingRecv<V = Drift> {
     pub end_node: NodeId,
 }
 
-#[derive(Debug, Clone)]
-struct Channel<V> {
-    sends: VecDeque<SendRecord<V>>,
-    pending_recvs: VecDeque<PendingRecv<V>>,
-}
+impl<V> SendEnvelope for SendRecord<V> {
+    fn src(&self) -> Rank {
+        self.src
+    }
 
-// Hand-written so `Channel<V>: Default` holds without a `V: Default` bound
-// (the deques start empty either way).
-impl<V> Default for Channel<V> {
-    fn default() -> Self {
-        Self {
-            sends: VecDeque::new(),
-            pending_recvs: VecDeque::new(),
-        }
+    fn dst(&self) -> Rank {
+        self.dst
+    }
+
+    fn tag(&self) -> Tag {
+        self.tag
+    }
+
+    // Replay's receives are concrete, so the matcher never orders by this.
+    fn arrival(&self) -> u64 {
+        0
     }
 }
 
-/// Rank counts up to this size get a dense `p × p` channel table (≤ 256 KiB
-/// of empty deques) so hot-path matching is a direct index, no hashing.
-const MAX_DENSE_RANKS: usize = 64;
+impl<V> RecvEnvelope for PendingRecv<V> {
+    const CONCRETE: bool = true;
+
+    fn dst(&self) -> Rank {
+        self.rank
+    }
+
+    fn src_pattern(&self) -> Rank {
+        self.src
+    }
+
+    fn tag_pattern(&self) -> Tag {
+        self.tag
+    }
+}
+
+/// A blocking receive's pattern: probed on every retry, never posted.
+struct BlockingRecv {
+    src: Rank,
+    dst: Rank,
+    tag: Tag,
+}
+
+impl RecvEnvelope for BlockingRecv {
+    const CONCRETE: bool = true;
+
+    fn dst(&self) -> Rank {
+        self.dst
+    }
+
+    fn src_pattern(&self) -> Rank {
+        self.src
+    }
+
+    fn tag_pattern(&self) -> Tag {
+        self.tag
+    }
+}
 
 /// All cross-rank matching state, with window accounting.
 #[derive(Debug)]
 pub struct MatchState<V = Drift> {
-    /// Rank count covered by `dense`; 0 when running hash-only.
-    ranks: usize,
-    /// Dense `src * ranks + dst` channel table for small rank counts.
-    dense: Vec<Channel<V>>,
-    /// Fallback for large rank counts and for out-of-range ranks named by
-    /// corrupt traces (which must keep the old map semantics: queued, never
-    /// matched, reported as unmatched at the end).
-    sparse: ChannelMap<V>,
-    retained: usize,
+    matcher: EnvelopeMatcher<SendRecord<V>, PendingRecv<V>>,
     high_water: usize,
 }
 
 impl<V> Default for MatchState<V> {
     fn default() -> Self {
         Self {
-            ranks: 0,
-            dense: Vec::new(),
-            sparse: ChannelMap::default(),
-            retained: 0,
+            matcher: EnvelopeMatcher::new(),
             high_water: 0,
         }
     }
 }
 
 impl<V> MatchState<V> {
-    /// Creates empty, hash-only state (no dense table).
+    /// Creates empty state.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates state for a known rank count, with the dense fast path when
-    /// the count is small enough.
-    pub fn with_ranks(ranks: usize) -> Self {
-        let mut s = Self::default();
-        if ranks <= MAX_DENSE_RANKS {
-            s.ranks = ranks;
-            s.dense = (0..ranks * ranks).map(|_| Channel::default()).collect();
-        }
-        s
-    }
-
-    fn dense_index(&self, src: Rank, dst: Rank) -> Option<usize> {
-        let (s, d) = (src as usize, dst as usize);
-        if s < self.ranks && d < self.ranks {
-            Some(s * self.ranks + d)
-        } else {
-            None
-        }
-    }
-
-    /// The channel for `(src, dst)`, creating it if absent.
-    fn channel_mut(&mut self, src: Rank, dst: Rank) -> &mut Channel<V> {
-        match self.dense_index(src, dst) {
-            Some(i) => &mut self.dense[i],
-            None => self.sparse.entry((src, dst)).or_default(),
-        }
-    }
-
-    /// The channel for `(src, dst)` if it exists (never allocates).
-    fn channel_lookup_mut(&mut self, src: Rank, dst: Rank) -> Option<&mut Channel<V>> {
-        match self.dense_index(src, dst) {
-            Some(i) => Some(&mut self.dense[i]),
-            None => self.sparse.get_mut(&(src, dst)),
-        }
-    }
-
-    fn bump(&mut self, delta: isize) {
-        self.retained = (self.retained as isize + delta) as usize;
-        self.high_water = self.high_water.max(self.retained);
+    fn note(&mut self) {
+        self.note_external(0);
     }
 
     /// Extra retained items tracked by the caller (open requests,
     /// collective entries) folded into the high-water mark.
     pub fn note_external(&mut self, external: usize) {
-        self.high_water = self.high_water.max(self.retained + external);
+        self.high_water = self.high_water.max(self.retained() + external);
     }
 
     /// Peak retained items (the §4.2 window bound).
@@ -223,60 +186,44 @@ impl<V> MatchState<V> {
         self.high_water
     }
 
-    /// Currently retained items.
+    /// Currently retained items: unmatched send records and pending
+    /// receives.
     pub fn retained(&self) -> usize {
-        self.retained
+        self.unmatched_sends() + self.unmatched_recvs()
     }
 
-    /// Offers a send record on `(src, dst)`. If a pending (nonblocking)
-    /// receive was queued first for this tag, returns it — the caller
-    /// resolves that request; otherwise the record is queued.
-    pub fn offer_send(
-        &mut self,
-        src: Rank,
-        dst: Rank,
-        rec: SendRecord<V>,
-    ) -> Option<(PendingRecv<V>, SendRecord<V>)> {
-        let ch = self.channel_mut(src, dst);
-        if let Some(i) = ch.pending_recvs.iter().position(|p| p.tag == rec.tag) {
-            let pr = ch.pending_recvs.remove(i).unwrap();
-            self.bump(-1);
-            return Some((pr, rec));
-        }
-        ch.sends.push_back(rec);
-        self.bump(1);
-        None
+    /// Offers a send record. If a pending (nonblocking) receive was posted
+    /// first for it, returns the pair — the caller resolves that request;
+    /// otherwise the record is queued.
+    pub fn offer_send(&mut self, rec: SendRecord<V>) -> Option<(SendRecord<V>, PendingRecv<V>)> {
+        let pair = self.matcher.post_send(rec);
+        self.note();
+        pair
     }
 
-    /// Takes the earliest queued send with `tag` on `(src, dst)`, if any.
+    /// Takes the earliest queued send with `tag` on `(src, dst)` for a
+    /// blocking receive, which is never posted: its cursor stalls and
+    /// retries when a record lands.
     pub fn take_send(&mut self, src: Rank, dst: Rank, tag: Tag) -> Option<SendRecord<V>> {
-        let ch = self.channel_lookup_mut(src, dst)?;
-        let i = ch.sends.iter().position(|s| s.tag == tag)?;
-        let rec = ch.sends.remove(i).unwrap();
-        self.bump(-1);
-        Some(rec)
+        self.matcher.take_match(&BlockingRecv { src, dst, tag })
     }
 
-    /// Queues a nonblocking receive that found no send record yet. Must be
-    /// called in post order per channel so later sends resolve receives in
-    /// MPI order.
-    pub fn queue_pending_recv(&mut self, src: Rank, dst: Rank, pr: PendingRecv<V>) {
-        self.channel_mut(src, dst).pending_recvs.push_back(pr);
-        self.bump(1);
-    }
-
-    fn channels(&self) -> impl Iterator<Item = &Channel<V>> {
-        self.dense.iter().chain(self.sparse.values())
+    /// Posts a nonblocking receive: returns the queued send it takes, or
+    /// keeps it pending until [`offer_send`](Self::offer_send) brings one.
+    pub fn post_recv(&mut self, pr: PendingRecv<V>) -> Option<SendRecord<V>> {
+        let rec = self.matcher.post_recv(pr).map(|(rec, _)| rec);
+        self.note();
+        rec
     }
 
     /// Count of unmatched send records (post-replay §4.3 diagnostics).
     pub fn unmatched_sends(&self) -> usize {
-        self.channels().map(|c| c.sends.len()).sum()
+        self.matcher.in_flight_count()
     }
 
     /// Count of unmatched pending receives.
     pub fn unmatched_recvs(&self) -> usize {
-        self.channels().map(|c| c.pending_recvs.len()).sum()
+        self.matcher.posted_count()
     }
 }
 
@@ -284,102 +231,75 @@ impl<V> MatchState<V> {
 mod tests {
     use super::*;
 
-    fn pending(tag: Tag, req: mpg_trace::ReqId) -> PendingRecv {
+    fn pending(src: Rank, dst: Rank, tag: Tag, req: ReqId) -> PendingRecv {
         PendingRecv {
+            src,
             tag,
             req,
-            rank: 1,
+            rank: dst,
             d_posted: 0,
-            end_node: NodeId::end(1, 0),
+            end_node: NodeId::end(dst, 0),
         }
     }
 
-    fn rec(tag: Tag, d_msg: Drift) -> SendRecord {
+    fn rec(src: Rank, dst: Rank, tag: Tag, d_msg: Drift) -> SendRecord {
         SendRecord {
+            src,
+            dst,
             tag,
             bytes: 8,
             d_src: 0,
             d_msg,
             ack_lambda: 0,
             sender: SenderRef::Done,
-            src_node: NodeId::start(0, 0),
+            src_node: NodeId::start(src, 0),
             send_start_local: 0,
         }
     }
 
     #[test]
-    fn fifo_per_tag() {
-        let mut m = MatchState::new();
-        assert!(m.offer_send(0, 1, rec(5, 10)).is_none());
-        assert!(m.offer_send(0, 1, rec(5, 20)).is_none());
-        assert!(m.offer_send(0, 1, rec(7, 30)).is_none());
-        assert_eq!(m.take_send(0, 1, 5).unwrap().d_msg, 10);
-        assert_eq!(m.take_send(0, 1, 7).unwrap().d_msg, 30);
-        assert_eq!(m.take_send(0, 1, 5).unwrap().d_msg, 20);
-        assert!(m.take_send(0, 1, 5).is_none());
-    }
-
-    #[test]
     fn pending_recv_resolves_in_post_order() {
         let mut m = MatchState::new();
-        m.queue_pending_recv(0, 1, pending(5, 1));
-        m.queue_pending_recv(0, 1, pending(5, 2));
-        let (pr, _) = m.offer_send(0, 1, rec(5, 10)).unwrap();
+        assert!(m.post_recv(pending(0, 1, 5, 1)).is_none());
+        assert!(m.post_recv(pending(0, 1, 5, 2)).is_none());
+        let (_, pr) = m.offer_send(rec(0, 1, 5, 10)).unwrap();
         assert_eq!(pr.req, 1);
-        let (pr, _) = m.offer_send(0, 1, rec(5, 20)).unwrap();
+        let (_, pr) = m.offer_send(rec(0, 1, 5, 20)).unwrap();
         assert_eq!(pr.req, 2);
     }
 
     #[test]
     fn pending_recv_tag_selective() {
         let mut m = MatchState::new();
-        m.queue_pending_recv(0, 1, pending(9, 1));
+        m.post_recv(pending(0, 1, 9, 1));
         // A tag-5 send must not satisfy the tag-9 pending receive.
-        assert!(m.offer_send(0, 1, rec(5, 10)).is_none());
+        assert!(m.offer_send(rec(0, 1, 5, 10)).is_none());
         assert_eq!(m.unmatched_sends(), 1);
         assert_eq!(m.unmatched_recvs(), 1);
     }
 
     #[test]
-    fn channels_are_directional() {
+    fn far_ranks_queue_and_count_as_unmatched() {
+        // A corrupt trace can name any rank, the wildcard values included;
+        // they are queued, matched only by an equal envelope and counted as
+        // unmatched at the end, never a panic.
         let mut m = MatchState::new();
-        m.offer_send(0, 1, rec(5, 10));
-        assert!(m.take_send(1, 0, 5).is_none());
-        assert!(m.take_send(0, 1, 5).is_some());
-    }
-
-    #[test]
-    fn dense_table_matches_hash_semantics() {
-        let mut m = MatchState::with_ranks(4);
-        assert!(m.offer_send(0, 1, rec(5, 10)).is_none());
-        assert!(m.offer_send(0, 1, rec(5, 20)).is_none());
-        assert!(m.take_send(1, 0, 5).is_none());
-        assert_eq!(m.take_send(0, 1, 5).unwrap().d_msg, 10);
-        m.queue_pending_recv(2, 3, pending(7, 9));
-        let (pr, _) = m.offer_send(2, 3, rec(7, 30)).unwrap();
-        assert_eq!(pr.req, 9);
-        assert_eq!(m.unmatched_sends(), 1);
-        assert_eq!(m.high_water(), 2);
-    }
-
-    #[test]
-    fn dense_table_spills_out_of_range_ranks() {
-        // A corrupt trace can name ranks beyond the table; they must keep
-        // the old map behaviour (queued, counted as unmatched) rather than
-        // panic.
-        let mut m = MatchState::with_ranks(2);
-        m.offer_send(0, 77, rec(5, 10));
-        m.queue_pending_recv(93, 1, pending(5, 1));
+        m.offer_send(rec(0, 77, 5, 10));
+        m.post_recv(pending(93, 1, 5, 1));
+        m.post_recv(pending(Rank::MAX, 0, Tag::MAX, 2));
+        assert!(m.offer_send(rec(3, 0, 4, 10)).is_none());
         assert!(m.take_send(0, 77, 5).is_some());
-        assert_eq!(m.unmatched_recvs(), 1);
+        assert_eq!(m.unmatched_recvs(), 2);
         assert!(m.take_send(50, 60, 5).is_none());
+        assert!(m.take_send(Rank::MAX, 0, Tag::MAX).is_none());
+        assert_eq!(m.unmatched_sends(), 1);
     }
 
     #[test]
     fn window_accounting() {
         let mut m = MatchState::new();
-        m.offer_send(0, 1, rec(5, 1));
-        m.offer_send(0, 1, rec(5, 2));
+        m.offer_send(rec(0, 1, 5, 1));
+        m.offer_send(rec(0, 1, 5, 2));
         assert_eq!(m.retained(), 2);
         m.take_send(0, 1, 5);
         assert_eq!(m.retained(), 1);

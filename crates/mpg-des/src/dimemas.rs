@@ -23,7 +23,9 @@ use std::collections::HashMap;
 use crate::engine::{EventQueue, ResourcePool};
 use crate::Cycles;
 use mpg_noise::PlatformSignature;
-use mpg_trace::{EventKind, EventRecord, MemTrace, Rank, ReqId, Tag};
+use mpg_trace::{
+    EnvelopeMatcher, EventKind, EventRecord, MemTrace, Rank, RecvEnvelope, ReqId, SendEnvelope, Tag,
+};
 
 /// The Dimemas communication/machine model.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,23 +118,78 @@ enum Blocked {
     AtColl,
 }
 
-#[derive(Debug, Clone)]
-struct PendingSend {
-    tag: Tag,
-    bytes: u64,
-    ready: Cycles,
-    /// Sender rank and whether its cursor is blocked on this send.
-    src: Rank,
-    blocking: bool,
-    /// Isend request to complete, when nonblocking.
-    req: Option<ReqId>,
+/// Who completes one side of a matched transfer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Party {
+    /// The rank's cursor is blocked on the operation.
+    Blocking,
+    /// The completion lands in the rank's request table.
+    Request(ReqId),
+    /// Nobody: a buffered or ready send completed locally.
+    Local,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct PostedIrecv {
+/// One side of a point-to-point transfer, as the matcher files it: a send
+/// from `rank` to `peer`, or a receive on `rank` from `peer`. The trace
+/// recorded the matched source and tag, so a receive's pattern is concrete.
+#[derive(Debug, Clone)]
+struct Side {
+    rank: Rank,
+    peer: Rank,
     tag: Tag,
-    req: ReqId,
-    posted: Cycles,
+    /// Payload size; the send's is what the transfer carries.
+    bytes: u64,
+    /// When the data may leave (a send) or the receiver is ready (a
+    /// receive).
+    at: Cycles,
+    party: Party,
+}
+
+impl Side {
+    fn new(rank: Rank, peer: Rank, tag: Tag, bytes: u64, at: Cycles, party: Party) -> Self {
+        Self {
+            rank,
+            peer,
+            tag,
+            bytes,
+            at,
+            party,
+        }
+    }
+}
+
+impl SendEnvelope for Side {
+    fn src(&self) -> Rank {
+        self.rank
+    }
+
+    fn dst(&self) -> Rank {
+        self.peer
+    }
+
+    fn tag(&self) -> Tag {
+        self.tag
+    }
+
+    fn arrival(&self) -> u64 {
+        self.at
+    }
+}
+
+impl RecvEnvelope for Side {
+    const CONCRETE: bool = true;
+
+    fn dst(&self) -> Rank {
+        self.rank
+    }
+
+    fn src_pattern(&self) -> Rank {
+        self.peer
+    }
+
+    fn tag_pattern(&self) -> Tag {
+        self.tag
+    }
 }
 
 #[derive(Debug)]
@@ -167,8 +224,7 @@ struct Runner<'m> {
     states: Vec<RankState>,
     queue: EventQueue<Rank>,
     buses: ResourcePool,
-    sends: HashMap<(Rank, Rank), Vec<PendingSend>>,
-    irecvs: HashMap<(Rank, Rank), Vec<PostedIrecv>>,
+    matcher: EnvelopeMatcher<Side, Side>,
     colls: HashMap<u64, Vec<(Rank, Cycles)>>,
 }
 
@@ -195,8 +251,7 @@ impl<'m> Runner<'m> {
                 .collect(),
             queue,
             buses: ResourcePool::new(model.buses),
-            sends: HashMap::new(),
-            irecvs: HashMap::new(),
+            matcher: EnvelopeMatcher::new(),
             colls: HashMap::new(),
         }
     }
@@ -314,34 +369,17 @@ impl<'m> Runner<'m> {
                     protocol,
                     mpg_trace::SendProtocol::Buffered | mpg_trace::SendProtocol::Ready
                 );
+                let party = if local_completion {
+                    Party::Local
+                } else {
+                    Party::Blocking
+                };
+                let matched = self.offer(Side::new(r, peer, tag, bytes, t + o, party), true);
                 if local_completion {
-                    if !self.try_complete_against_receiver_nb_local(r, peer, tag, bytes, t + o) {
-                        self.sends.entry((r, peer)).or_default().push(PendingSend {
-                            tag,
-                            bytes,
-                            ready: t + o,
-                            src: r,
-                            blocking: false,
-                            req: None,
-                        });
-                    }
                     self.resume(r, t + o + self.model.transfer_only(bytes));
-                    return Ok(());
+                } else if !matched {
+                    self.states[ri].blocked = Blocked::AtSend;
                 }
-                // Is the receiver already blocked on this receive, or has it
-                // posted a matching irecv?
-                if self.try_complete_against_receiver(r, peer, tag, bytes, t + o) {
-                    return Ok(());
-                }
-                self.sends.entry((r, peer)).or_default().push(PendingSend {
-                    tag,
-                    bytes,
-                    ready: t + o,
-                    src: r,
-                    blocking: true,
-                    req: None,
-                });
-                self.states[ri].blocked = Blocked::AtSend;
             }
             EventKind::Isend {
                 peer,
@@ -349,40 +387,33 @@ impl<'m> Runner<'m> {
                 bytes,
                 req,
             } => {
-                if !self.try_complete_against_receiver_nb(r, peer, tag, bytes, t + o, req) {
-                    self.sends.entry((r, peer)).or_default().push(PendingSend {
-                        tag,
-                        bytes,
-                        ready: t + o,
-                        src: r,
-                        blocking: false,
-                        req: Some(req),
-                    });
-                }
+                self.offer(
+                    Side::new(r, peer, tag, bytes, t + o, Party::Request(req)),
+                    true,
+                );
                 self.resume(r, t + o);
             }
-            EventKind::Recv { peer, tag, .. } => {
-                if let Some(ps) = self.take_send(peer, r, tag) {
-                    let (recv_end, send_end) = self.transfer(ps.ready, t + o, ps.bytes);
-                    self.settle_sender(&ps, send_end);
-                    self.resume(r, recv_end);
-                } else {
+            EventKind::Recv {
+                peer, tag, bytes, ..
+            } => {
+                if !self.offer(
+                    Side::new(r, peer, tag, bytes, t + o, Party::Blocking),
+                    false,
+                ) {
                     self.states[ri].blocked = Blocked::AtRecv { src: peer, tag };
                 }
             }
-            EventKind::Irecv { peer, tag, req, .. } => {
-                if let Some(ps) = self.take_send(peer, r, tag) {
-                    let (recv_end, send_end) = self.transfer(ps.ready, t + o, ps.bytes);
-                    self.settle_sender(&ps, send_end);
-                    self.states[ri].completions.insert(req, recv_end);
-                    self.maybe_wake_waiter(r);
-                } else {
-                    self.irecvs.entry((peer, r)).or_default().push(PostedIrecv {
-                        tag,
-                        req,
-                        posted: t + o,
-                    });
-                }
+            EventKind::Irecv {
+                peer,
+                tag,
+                bytes,
+                req,
+                ..
+            } => {
+                self.offer(
+                    Side::new(r, peer, tag, bytes, t + o, Party::Request(req)),
+                    false,
+                );
                 self.resume(r, t + o);
             }
             EventKind::Wait { req } => self.block_on_waits(r, vec![req], t, o),
@@ -443,134 +474,42 @@ impl<'m> Runner<'m> {
         Ok(())
     }
 
-    fn take_send(&mut self, src: Rank, dst: Rank, tag: Tag) -> Option<PendingSend> {
-        let q = self.sends.get_mut(&(src, dst))?;
-        let i = q.iter().position(|s| s.tag == tag)?;
-        Some(q.remove(i))
-    }
-
-    /// Sender-side completion after a transfer is booked.
-    fn settle_sender(&mut self, ps: &PendingSend, send_end: Cycles) {
-        if ps.blocking {
-            debug_assert_eq!(self.states[ps.src as usize].blocked, Blocked::AtSend);
-            self.resume(ps.src, send_end);
-        } else if let Some(req) = ps.req {
-            self.states[ps.src as usize]
-                .completions
-                .insert(req, send_end);
-            self.maybe_wake_waiter(ps.src);
+    /// Offers one side of a transfer to the matcher. When it pairs, books
+    /// the transfer and completes both sides, the one that waited in the
+    /// matcher first, and returns true.
+    fn offer(&mut self, side: Side, is_send: bool) -> bool {
+        let pair = if is_send {
+            self.matcher.post_send(side)
+        } else {
+            self.matcher.post_recv(side)
+        };
+        let Some((send, recv)) = pair else {
+            return false;
+        };
+        let (recv_end, send_end) = self.transfer(send.at, recv.at, send.bytes);
+        let mut sides = [
+            (send.rank, send.party, send_end),
+            (recv.rank, recv.party, recv_end),
+        ];
+        if is_send {
+            sides.reverse();
         }
+        for (r, party, at) in sides {
+            self.settle(r, party, at);
+        }
+        true
     }
 
-    /// A blocking send arriving when the receiver is already waiting (or has
-    /// a matching irecv posted). Returns true when fully handled.
-    fn try_complete_against_receiver(
-        &mut self,
-        src: Rank,
-        dst: Rank,
-        tag: Tag,
-        bytes: u64,
-        send_ready: Cycles,
-    ) -> bool {
-        if let Blocked::AtRecv {
-            src: want_src,
-            tag: want_tag,
-        } = self.states[dst as usize].blocked
-        {
-            if want_src == src && want_tag == tag {
-                let recv_ready = self.states[dst as usize].clock + self.model.overhead;
-                let (recv_end, send_end) = self.transfer(send_ready, recv_ready, bytes);
-                self.resume(dst, recv_end);
-                self.resume(src, send_end);
-                return true;
+    /// Completes one side of a booked transfer at `at`.
+    fn settle(&mut self, r: Rank, party: Party, at: Cycles) {
+        match party {
+            Party::Blocking => self.resume(r, at),
+            Party::Request(req) => {
+                self.states[r as usize].completions.insert(req, at);
+                self.maybe_wake_waiter(r);
             }
+            Party::Local => {}
         }
-        if let Some(ir) = self.take_irecv(src, dst, tag) {
-            let (recv_end, send_end) = self.transfer(send_ready, ir.posted, bytes);
-            self.states[dst as usize]
-                .completions
-                .insert(ir.req, recv_end);
-            self.maybe_wake_waiter(dst);
-            self.resume(src, send_end);
-            return true;
-        }
-        false
-    }
-
-    /// Isend counterpart of the above; the sender never blocks.
-    fn try_complete_against_receiver_nb(
-        &mut self,
-        src: Rank,
-        dst: Rank,
-        tag: Tag,
-        bytes: u64,
-        send_ready: Cycles,
-        req: ReqId,
-    ) -> bool {
-        if let Blocked::AtRecv {
-            src: want_src,
-            tag: want_tag,
-        } = self.states[dst as usize].blocked
-        {
-            if want_src == src && want_tag == tag {
-                let recv_ready = self.states[dst as usize].clock + self.model.overhead;
-                let (recv_end, send_end) = self.transfer(send_ready, recv_ready, bytes);
-                self.resume(dst, recv_end);
-                self.states[src as usize].completions.insert(req, send_end);
-                self.maybe_wake_waiter(src);
-                return true;
-            }
-        }
-        if let Some(ir) = self.take_irecv(src, dst, tag) {
-            let (recv_end, send_end) = self.transfer(send_ready, ir.posted, bytes);
-            self.states[dst as usize]
-                .completions
-                .insert(ir.req, recv_end);
-            self.maybe_wake_waiter(dst);
-            self.states[src as usize].completions.insert(req, send_end);
-            self.maybe_wake_waiter(src);
-            return true;
-        }
-        false
-    }
-
-    /// Buffered/ready send against an already-waiting receiver: books the
-    /// transfer and completes the receiver, but never blocks the sender.
-    fn try_complete_against_receiver_nb_local(
-        &mut self,
-        src: Rank,
-        dst: Rank,
-        tag: Tag,
-        bytes: u64,
-        send_ready: Cycles,
-    ) -> bool {
-        if let Blocked::AtRecv {
-            src: want_src,
-            tag: want_tag,
-        } = self.states[dst as usize].blocked
-        {
-            if want_src == src && want_tag == tag {
-                let recv_ready = self.states[dst as usize].clock + self.model.overhead;
-                let (recv_end, _send_end) = self.transfer(send_ready, recv_ready, bytes);
-                self.resume(dst, recv_end);
-                return true;
-            }
-        }
-        if let Some(ir) = self.take_irecv(src, dst, tag) {
-            let (recv_end, _send_end) = self.transfer(send_ready, ir.posted, bytes);
-            self.states[dst as usize]
-                .completions
-                .insert(ir.req, recv_end);
-            self.maybe_wake_waiter(dst);
-            return true;
-        }
-        false
-    }
-
-    fn take_irecv(&mut self, src: Rank, dst: Rank, tag: Tag) -> Option<PostedIrecv> {
-        let q = self.irecvs.get_mut(&(src, dst))?;
-        let i = q.iter().position(|p| p.tag == tag)?;
-        Some(q.remove(i))
     }
 
     fn block_on_waits(&mut self, r: Rank, reqs: Vec<ReqId>, t: Cycles, o: Cycles) {
@@ -732,6 +671,32 @@ mod tests {
         });
         let report = DimemasReplay::new(model()).run(&trace).unwrap();
         assert!(report.makespan() > 0);
+    }
+
+    #[test]
+    fn earliest_posted_receive_takes_the_first_message() {
+        // Rank 1 is already blocked in the recv when the first message
+        // arrives, but the irecv was posted before it, so the irecv takes
+        // that message and the recv waits for the second, 10⁶ cycles later;
+        // the compute burst runs after that.
+        let trace = traced(2, |ctx| {
+            if ctx.rank() == 0 {
+                ctx.compute(100_000);
+                ctx.send(1, 5, 64);
+                ctx.compute(1_000_000);
+                ctx.send(1, 5, 64);
+            } else {
+                let req = ctx.irecv(0, 5);
+                ctx.recv(0, 5);
+                ctx.compute(1_000_000);
+                ctx.wait(req);
+            }
+        });
+        let truth = trace.rank(1).last().unwrap().t_end;
+        let report = DimemasReplay::new(model()).run(&trace).unwrap();
+        let predicted = report.finish_times[1];
+        let rel_err = (predicted as f64 - truth as f64).abs() / truth as f64;
+        assert!(rel_err < 0.05, "predicted {predicted}, simulated {truth}");
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! the diagnostics require: the channel, the pattern, the payload size, and
 //! the `(rank, seq)` provenance used to point diagnostics at trace lines.
 
-use mpg_sim::{RecvEnvelope, SendEnvelope};
-use mpg_trace::{Rank, ReqId, Seq, Tag};
+use mpg_trace::{Rank, RecvEnvelope, ReqId, SendEnvelope, Seq, Tag};
 
 /// An offered (possibly unmatched) send, as the lint matcher sees it.
 #[derive(Debug, Clone, Copy)]

@@ -45,10 +45,10 @@
 //! (budget 0) in [`lint_full`] and is driven with a real budget through
 //! [`lint_explore`] / `mpgtool explore`.
 //!
-//! Passes 1, 2 and 5 run off one lockstep progress simulation that reuses
-//! the simulator's [`EnvelopeMatcher`](mpg_sim::EnvelopeMatcher) — the
-//! lint and the runtime share a single implementation of the MPI matching
-//! rules. Pass 3 ([`graphcheck::lint_graph`]) inspects the recorded
+//! Passes 1, 2 and 5 run off one lockstep progress simulation that matches
+//! through [`EnvelopeMatcher`](mpg_trace::EnvelopeMatcher) — the lint, the
+//! runtime, replay and the DES share a single implementation of the MPI
+//! matching rules. Pass 3 ([`graphcheck::lint_graph`]) inspects the recorded
 //! [`EventGraph`].
 
 mod envelope;

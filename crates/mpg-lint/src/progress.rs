@@ -40,9 +40,9 @@
 //! plan runs the same loop to quiescence. [`run_progress`] under a witness
 //! policy stays the from-scratch reference both are tested against.
 //!
-//! Matching reuses the simulator's [`EnvelopeMatcher`] so the lint passes
-//! and the runtime share one implementation of the non-overtaking,
-//! posted-order, wildcard-arbitration rules.
+//! Matching runs through `mpg-trace`'s [`EnvelopeMatcher`], so the lint
+//! passes, the runtime, replay and the DES share one implementation of the
+//! non-overtaking, posted-order, wildcard-arbitration rules.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -50,10 +50,9 @@ use std::fmt;
 use crate::envelope::{LintRecv, LintSend};
 use mpg_core::forced::{ForcedOutcome, MatchPlan};
 use mpg_core::EventId;
-use mpg_sim::EnvelopeMatcher;
 use mpg_trace::{
-    Diagnostic, EventKind, EventRecord, MemTrace, Rank, ReqId, Rule, SendProtocol, Seq, Tag,
-    ANY_SOURCE, ANY_TAG,
+    Diagnostic, EnvelopeMatcher, EventKind, EventRecord, MemTrace, Rank, ReqId, Rule, SendProtocol,
+    Seq, Tag, ANY_SOURCE, ANY_TAG,
 };
 
 /// How the simulation resolves receive patterns.

@@ -54,7 +54,6 @@ use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 
 use crate::error::SimError;
-use crate::matching::EnvelopeMatcher;
 use crate::message::{MsgInFlight, Party, PostedRecv, RecvInfo};
 use crate::network::NetworkModel;
 use crate::program::SendMode;
@@ -62,7 +61,9 @@ use crate::rank::{Incoming, Op, Reply};
 use crate::tracer::Tracer;
 use crate::Cycles;
 use mpg_noise::{NoiseProcess, OsNoiseModel, StreamRng};
-use mpg_trace::{EventKind, EventRecord, Rank, ReqId, SendProtocol, Seq, ANY_SOURCE};
+use mpg_trace::{
+    EnvelopeMatcher, EventKind, EventRecord, Rank, ReqId, SendProtocol, Seq, ANY_SOURCE,
+};
 
 /// Fixed virtual cost of `MPI_Init` / `MPI_Finalize` bookkeeping.
 pub(crate) const INIT_COST: Cycles = 1_000;

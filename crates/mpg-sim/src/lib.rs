@@ -61,7 +61,6 @@ pub mod collective;
 pub mod comm;
 pub mod coordinator;
 pub mod error;
-pub mod matching;
 pub mod message;
 pub mod network;
 pub mod program;
@@ -70,7 +69,6 @@ pub mod tracer;
 
 pub use comm::Comm;
 pub use error::SimError;
-pub use matching::{EnvelopeMatcher, RecvEnvelope, SendEnvelope};
 pub use message::RecvInfo;
 pub use program::{CollectiveMode, SendMode, SimOutcome, Simulation, StreamedRun};
 pub use rank::{RankCtx, Req};

@@ -1,8 +1,8 @@
-//! Message and request bookkeeping types shared by the matching engine and
-//! the coordinator.
+//! Message and request bookkeeping types the coordinator files in its
+//! [`EnvelopeMatcher`](mpg_trace::EnvelopeMatcher).
 
 use crate::Cycles;
-use mpg_trace::{Rank, ReqId, Tag, ANY_SOURCE, ANY_TAG};
+use mpg_trace::{Rank, RecvEnvelope, ReqId, SendEnvelope, Tag, ANY_SOURCE};
 
 /// What a completed receive learned from the matched message — the shape of
 /// MPI's `MPI_Status`.
@@ -70,21 +70,48 @@ pub struct PostedRecv {
 }
 
 impl PostedRecv {
-    /// Does this posted receive accept a message with `(src, tag)`?
-    pub fn matches(&self, src: Rank, tag: Tag) -> bool {
-        (self.src_pattern == ANY_SOURCE || self.src_pattern == src)
-            && (self.tag_pattern == ANY_TAG || self.tag_pattern == tag)
-    }
-
     /// True when the receive was posted with a wildcard source.
     pub fn posted_any_source(&self) -> bool {
         self.src_pattern == ANY_SOURCE
     }
 }
 
+impl SendEnvelope for MsgInFlight {
+    fn src(&self) -> Rank {
+        self.src
+    }
+
+    fn dst(&self) -> Rank {
+        self.dst
+    }
+
+    fn tag(&self) -> Tag {
+        self.tag
+    }
+
+    fn arrival(&self) -> u64 {
+        self.arrival
+    }
+}
+
+impl RecvEnvelope for PostedRecv {
+    fn dst(&self) -> Rank {
+        self.dst
+    }
+
+    fn src_pattern(&self) -> Rank {
+        self.src_pattern
+    }
+
+    fn tag_pattern(&self) -> Tag {
+        self.tag_pattern
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpg_trace::ANY_TAG;
 
     fn posted(src: Rank, tag: Tag) -> PostedRecv {
         PostedRecv {
@@ -99,12 +126,12 @@ mod tests {
 
     #[test]
     fn pattern_matching() {
-        assert!(posted(3, 7).matches(3, 7));
-        assert!(!posted(3, 7).matches(4, 7));
-        assert!(!posted(3, 7).matches(3, 8));
-        assert!(posted(ANY_SOURCE, 7).matches(9, 7));
-        assert!(posted(3, ANY_TAG).matches(3, 123));
-        assert!(posted(ANY_SOURCE, ANY_TAG).matches(5, 5));
+        assert!(posted(3, 7).accepts(3, 7));
+        assert!(!posted(3, 7).accepts(4, 7));
+        assert!(!posted(3, 7).accepts(3, 8));
+        assert!(posted(ANY_SOURCE, 7).accepts(9, 7));
+        assert!(posted(3, ANY_TAG).accepts(3, 123));
+        assert!(posted(ANY_SOURCE, ANY_TAG).accepts(5, 5));
     }
 
     #[test]

@@ -27,6 +27,7 @@ pub mod faultgen;
 pub mod fileset;
 pub mod frame;
 pub mod hash;
+pub mod matching;
 pub mod ooc;
 pub mod salvage;
 pub mod stats;
@@ -42,6 +43,7 @@ pub use event::{EventKind, EventRecord, Rank, ReqId, SendProtocol, Seq, Tag, ANY
 pub use faultgen::{inject_dir, mutate_bytes, FaultKind, FaultPlan};
 pub use fileset::{FileTraceSet, FsckStatus, MemTrace, SalvageReport, TraceDirWriter};
 pub use hash::{fnv1a64, fnv1a64_append, trace_fingerprint, TraceFingerprint};
+pub use matching::{EnvelopeMatcher, RecvEnvelope, SendEnvelope};
 pub use ooc::{FrameCursor, FrameIndex, MappedFile, OocTraceSet};
 pub use salvage::{salvage_bytes, salvage_into, RankSalvage, SealStatus};
 pub use stats::{trace_stats, TraceStats};

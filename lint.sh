@@ -47,15 +47,261 @@ gen_stability() {
     echo "    15 gen runs = the first run of their workload; import of each export = it"
 }
 
+# shard_stability TMP: sharded replay prints the same bytes on every run:
+# five runs each at 2, 3 and 4 shards equal the 1-shard run minus its
+# `scheduler:` line (one engine's schedule, left out of a merged report).
+shard_stability() {
+    echo "==> sharded replay byte-stability (5 runs at 2, 3, 4 shards = 1 shard)"
+    for spec in ring:16 solver:8; do
+        wl="${spec%%:*}"
+        SH_TRACE="$1/shards-$wl"
+        "$MPGTOOL" gen --workload "$wl" --ranks "${spec#*:}" --scale 10 "$SH_TRACE" >/dev/null
+        "$MPGTOOL" replay "$SH_TRACE" --os 500 --latency 700 --per-byte 0.05 --seed 3 \
+            --shards 1 | grep -v '^scheduler:' > "$1/shards-one.txt"
+        for n in 2 3 4; do
+            for i in 1 2 3 4 5; do
+                "$MPGTOOL" replay "$SH_TRACE" --os 500 --latency 700 --per-byte 0.05 \
+                    --seed 3 --shards "$n" > "$1/shards-run.txt"
+                cmp -s "$1/shards-one.txt" "$1/shards-run.txt" || {
+                    echo "lint: FAIL: $wl replay --shards $n (run $i) differs from 1 shard:" >&2
+                    diff "$1/shards-one.txt" "$1/shards-run.txt" >&2 || true
+                    exit 1
+                }
+            done
+        done
+        rm -rf "$SH_TRACE"
+    done
+    echo "    30 sharded runs = the 1-shard run, scheduler line aside"
+}
+
+# expect_exit WANT CMD...: CMD exits WANT (its output discarded).
+expect_exit() {
+    want="$1"; shift
+    set +e
+    "$@" >/dev/null 2>&1
+    got=$?
+    set -e
+    if [ "$got" -ne "$want" ]; then
+        echo "lint: FAIL: exit $got (want $want): $*" >&2
+        exit 1
+    fi
+}
+
+# cache_check TMP LABEL WANT_STDOUT_FILE WANT_WARM(yes|no) CMD...: CMD
+# exits 0 with WANT_STDOUT_FILE's bytes and claims a warm hit iff wanted;
+# its stderr stays in TMP/cache-err.txt.
+cache_check() {
+    ct="$1"; label="$2"; want_out="$3"; want_warm="$4"; shift 4
+    set +e
+    "$MPGTOOL" "$@" > "$ct/cache-out.txt" 2> "$ct/cache-err.txt"
+    got=$?
+    set -e
+    if [ "$got" -ne 0 ]; then
+        echo "lint: FAIL: $label exited $got" >&2
+        exit 1
+    fi
+    if ! cmp -s "$want_out" "$ct/cache-out.txt"; then
+        echo "lint: FAIL: $label stdout diverged from the uncached run" >&2
+        exit 1
+    fi
+    if [ "$want_warm" = yes ]; then
+        grep -q "warm hit" "$ct/cache-err.txt" || {
+            echo "lint: FAIL: $label missed the cache" >&2; exit 1; }
+    else
+        if grep -q "warm hit" "$ct/cache-err.txt"; then
+            echo "lint: FAIL: $label claimed a warm hit" >&2; exit 1
+        fi
+    fi
+}
+
+# corrupt_cache DIR: adds 128 (mod 256) to one payload byte of every cached
+# artifact in DIR — a guaranteed change the MPGC envelope CRC must catch.
+corrupt_cache() {
+    for art in "$1"/*.mpgc; do
+        b=$(dd if="$art" bs=1 skip=30 count=1 2>/dev/null | od -An -tu1 | tr -d ' \n')
+        b="${b:-0}"
+        printf "\\$(printf '%03o' $(( (b + 128) % 256 )))" \
+            | dd of="$art" bs=1 seek=30 conv=notrunc 2>/dev/null
+    done
+}
+
+# cache_identity TMP: artifact-cache end-to-end. For each cached command,
+# the cold run (which populates the cache) and the warm run (which serves
+# the memoized report) must print stdout byte-identical to the uncached
+# run; a corrupted artifact must fall back cold — still identical — and
+# self-repair; and `cache gc`/`cache clear` must manage the directory.
+# Correctness only: the warm-speedup timing gate is the `"cache"` section
+# of `bench --check`.
+cache_identity() {
+    echo "==> artifact cache e2e (cold = warm = corrupt-fallback, gc, clear)"
+    CACHE_DIR="$1/cache"
+    CACHE_TRACE="$1/cache-trace"
+    "$MPGTOOL" demo stencil --ranks 8 --seed 3 "$CACHE_TRACE" >/dev/null
+    for cmd in replay lint analyze; do
+        base="$1/cache-$cmd-base.txt"
+        "$MPGTOOL" "$cmd" "$CACHE_TRACE" > "$base"
+        cache_check "$1" "$cmd cold" "$base" no \
+            "$cmd" "$CACHE_TRACE" --cache --cache-dir "$CACHE_DIR"
+        cache_check "$1" "$cmd warm" "$base" yes \
+            "$cmd" "$CACHE_TRACE" --cache --cache-dir "$CACHE_DIR"
+        corrupt_cache "$CACHE_DIR"
+        cache_check "$1" "$cmd corrupt-fallback" "$base" no \
+            "$cmd" "$CACHE_TRACE" --cache --cache-dir "$CACHE_DIR"
+        cache_check "$1" "$cmd repaired-warm" "$base" yes \
+            "$cmd" "$CACHE_TRACE" --cache --cache-dir "$CACHE_DIR"
+    done
+
+    "$MPGTOOL" cache ls --cache-dir "$CACHE_DIR" | grep -q "report-" || {
+        echo "lint: FAIL: cache ls shows no report artifacts" >&2; exit 1; }
+    "$MPGTOOL" cache gc --cache-dir "$CACHE_DIR" --max-mib 0 | grep -q "gc removed" || {
+        echo "lint: FAIL: cache gc removed nothing" >&2; exit 1; }
+    "$MPGTOOL" cache ls --cache-dir "$CACHE_DIR" | grep -q "(0 entries)" || {
+        echo "lint: FAIL: cache not empty after gc --max-mib 0" >&2; exit 1; }
+    "$MPGTOOL" cache clear --cache-dir "$CACHE_DIR" | grep -q "cleared 0" || {
+        echo "lint: FAIL: cache clear on an empty cache misreported" >&2; exit 1; }
+    echo "    warm = cold across replay/lint/analyze; corruption falls back; gc/clear ok"
+}
+
+# explore_contract TMP: schedule-explorer smoke — the exit contract (0
+# clean / 2 usage), a cached report warm run byte-identical to the cold
+# run, and budget 0 leaving plain-lint stdout untouched (pass 8 registered
+# but inert).
+explore_contract() {
+    echo "==> explore exit contract + frontier warm-run byte-identity"
+    EXP_TRACE="$1/explore-trace"
+    EXP_CACHE="$1/explore-cache"
+    "$MPGTOOL" demo master-worker --ranks 8 "$EXP_TRACE" >/dev/null
+    expect_exit 0 "$MPGTOOL" explore "$EXP_TRACE" --budget 16
+    expect_exit 2 "$MPGTOOL" explore "$EXP_TRACE" --budget nonsense
+    expect_exit 2 "$MPGTOOL" explore
+    "$MPGTOOL" explore "$EXP_TRACE" --budget 16 > "$1/explore-base.txt"
+    cache_check "$1" "explore cold" "$1/explore-base.txt" no \
+        explore "$EXP_TRACE" --budget 16 --cache --cache-dir "$EXP_CACHE"
+    cache_check "$1" "explore warm" "$1/explore-base.txt" yes \
+        explore "$EXP_TRACE" --budget 16 --cache --cache-dir "$EXP_CACHE"
+    grep -q "warm hit (explore report)" "$1/cache-err.txt" || {
+        echo "lint: FAIL: explore warm run was not an explore-report hit" >&2; exit 1; }
+    "$MPGTOOL" lint "$EXP_TRACE" > "$1/explore-lint.txt"
+    "$MPGTOOL" explore "$EXP_TRACE" --budget 0 | grep -v "^explore:" \
+        > "$1/explore-b0.txt"
+    cmp -s "$1/explore-lint.txt" "$1/explore-b0.txt" || {
+        echo "lint: FAIL: budget-0 explore diverged from plain lint" >&2; exit 1; }
+    echo "    exit contract holds; warm frontier = cold bytes; budget 0 inert"
+}
+
+# serve_smoke TMP: supervised service smoke: drive `mpgtool serve` over the line protocol.
+# Leg 1 — seeded chaos storm (panics, stalls, transient I/O, artifact
+# corruption) across 12 jobs: nothing may wedge and the invariant checker
+# must come back clean. Leg 2 — chaos-free byte-identity + warm cache:
+# a service job's `result` bytes, cached cold, warm and uncached, must
+# equal the solo CLI run's stdout, and the second submission must be a
+# cache hit. Leg 3 — resident traces, by count: two workers, 14 jobs of
+# all three kinds on one trace, decoded once (a worker that misses a trace
+# being decoded waits for that copy, so the counts repeat exactly).
+serve_smoke() {
+    echo "==> serve chaos smoke (invariants + byte-identity vs solo run)"
+    SERVE_TRACE="$1/serve-trace"
+    SERVE_CACHE="$1/serve-cache"
+    "$MPGTOOL" demo ring --ranks 4 --seed 5 "$SERVE_TRACE" >/dev/null
+    "$MPGTOOL" replay "$SERVE_TRACE" --os 400 --latency 150 --seed 2 \
+        > "$1/serve-solo.txt"
+
+    {
+        i=1
+        while [ "$i" -le 12 ]; do
+            echo "submit replay $SERVE_TRACE os=400 latency=150 seed=2"
+            i=$((i + 1))
+        done
+        i=1
+        while [ "$i" -le 12 ]; do
+            echo "wait job-$i"
+            i=$((i + 1))
+        done
+        echo "stats"
+        echo "check"
+        echo "shutdown"
+    } > "$1/serve-storm.txt"
+    "$MPGTOOL" serve --script "$1/serve-storm.txt" \
+        --workers 3 --chaos panic,delay,io-error,corrupt-artifact --chaos-seed 7 \
+        --cache --cache-dir "$SERVE_CACHE" > "$1/serve-storm-out.txt"
+    grep -q "^ok check clean$" "$1/serve-storm-out.txt" || {
+        echo "lint: FAIL: chaos storm broke a service invariant:" >&2
+        cat "$1/serve-storm-out.txt" >&2
+        exit 1
+    }
+    grep -q "^ok shutdown drained=true$" "$1/serve-storm-out.txt" || {
+        echo "lint: FAIL: chaos storm did not drain on shutdown" >&2; exit 1; }
+
+    rm -rf "$SERVE_CACHE"
+    {
+        echo "submit replay $SERVE_TRACE os=400 latency=150 seed=2"
+        echo "wait job-1"
+        echo "result job-1 out=$1/serve-cold.txt"
+        echo "submit replay $SERVE_TRACE os=400 latency=150 seed=2"
+        echo "wait job-2"
+        echo "result job-2 out=$1/serve-warm.txt"
+        echo "stats"
+        echo "check"
+        echo "shutdown"
+    } > "$1/serve-ident.txt"
+    "$MPGTOOL" serve --script "$1/serve-ident.txt" \
+        --cache --cache-dir "$SERVE_CACHE" > "$1/serve-ident-out.txt"
+    cmp -s "$1/serve-solo.txt" "$1/serve-cold.txt" || {
+        echo "lint: FAIL: service replay diverged from the solo CLI run" >&2; exit 1; }
+    cmp -s "$1/serve-solo.txt" "$1/serve-warm.txt" || {
+        echo "lint: FAIL: warm service replay diverged from the solo CLI run" >&2; exit 1; }
+    grep -q "cache-hits=1" "$1/serve-ident-out.txt" || {
+        echo "lint: FAIL: second service submission was not a warm cache hit" >&2; exit 1; }
+    grep -q "^ok check clean$" "$1/serve-ident-out.txt" || {
+        echo "lint: FAIL: identity leg broke a service invariant" >&2; exit 1; }
+    printf 'submit replay %s os=400 latency=150 seed=2\nwait job-1\nresult job-1 out=%s\nshutdown\n' \
+        "$SERVE_TRACE" "$1/serve-nocache.txt" > "$1/serve-nocache-script.txt"
+    "$MPGTOOL" serve --script "$1/serve-nocache-script.txt" >/dev/null
+    cmp -s "$1/serve-solo.txt" "$1/serve-nocache.txt" || {
+        echo "lint: FAIL: uncached service replay diverged from the solo CLI run" >&2; exit 1; }
+
+    {
+        i=1
+        while [ "$i" -le 12 ]; do
+            echo "submit replay $SERVE_TRACE os=400 latency=150 seed=$i"
+            i=$((i + 1))
+        done
+        echo "submit lint $SERVE_TRACE"
+        echo "submit explore $SERVE_TRACE budget=4"
+        i=1
+        while [ "$i" -le 14 ]; do
+            echo "wait job-$i"
+            i=$((i + 1))
+        done
+        echo "stats"
+        echo "check"
+        echo "shutdown"
+    } > "$1/serve-resident.txt"
+    "$MPGTOOL" serve --script "$1/serve-resident.txt" --workers 2 \
+        > "$1/serve-resident-out.txt"
+    grep -q "^ok stats submitted=14 done=14 .* trace-loads=1 trace-hits=13 " \
+        "$1/serve-resident-out.txt" || {
+        echo "lint: FAIL: 14 jobs on one trace were not 1 decode + 13 resident hits:" >&2
+        grep "^ok stats" "$1/serve-resident-out.txt" >&2
+        exit 1
+    }
+    grep -q "^ok check clean$" "$1/serve-resident-out.txt" || {
+        echo "lint: FAIL: resident leg broke a service invariant" >&2; exit 1; }
+    echo "    chaos storm clean; service bytes = solo bytes; warm hit on resubmit;"
+    echo "    14 jobs on one trace = 1 decode + 13 resident hits"
+}
+
 # `./lint.sh LEG...` runs only the named legs against an already built
-# target/release/mpgtool; CI calls the legs it shares with this script so.
+# target/release/mpgtool; CI runs each leg it shares with this script so,
+# so the two cannot drift apart.
+LEGS="gen_stability shard_stability cache_identity explore_contract serve_smoke"
 if [ $# -gt 0 ]; then
     LEG_TMP="$(mktemp -d)"
     trap 'rm -rf "$LEG_TMP"' EXIT
     for leg in "$@"; do
-        case "$leg" in
-            gen_stability) "$leg" "$LEG_TMP" ;;
-            *) echo "lint: unknown leg '$leg' (legs: gen_stability)" >&2; exit 2 ;;
+        case " $LEGS " in
+            *" $leg "*) "$leg" "$LEG_TMP" ;;
+            *) echo "lint: unknown leg '$leg' (legs: $LEGS)" >&2; exit 2 ;;
         esac
     done
     exit 0
@@ -107,18 +353,6 @@ cargo build --release -q -p mpg-analysis --bin mpgtool
 SMOKE_TMP="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_TMP"' EXIT
 
-expect_exit() {
-    want="$1"; shift
-    set +e
-    "$@" >/dev/null 2>&1
-    got=$?
-    set -e
-    if [ "$got" -ne "$want" ]; then
-        echo "lint: FAIL: exit $got (want $want): $*" >&2
-        exit 1
-    fi
-}
-
 # Wait-state & slack analysis must terminate cleanly on every workload
 # (exit 0 ⇒ the accounting identity held exactly) and produce JSON.
 analyze_workload() {
@@ -168,225 +402,17 @@ for wl in ring stencil master-worker solver pipeline transpose summa; do
 done
 echo "    analyze identity + fsck exit contract hold across 7 workloads"
 
-# Sharded replay prints the same bytes on every run: five runs each at 2,
-# 3 and 4 shards equal the 1-shard run minus its `scheduler:` line (one
-# engine's schedule, left out of a merged report).
-echo "==> sharded replay byte-stability (5 runs at 2, 3, 4 shards = 1 shard)"
-for spec in ring:16 solver:8; do
-    wl="${spec%%:*}"
-    SH_TRACE="$SMOKE_TMP/shards-$wl"
-    "$MPGTOOL" gen --workload "$wl" --ranks "${spec#*:}" --scale 10 "$SH_TRACE" >/dev/null
-    sh_replay() {
-        "$MPGTOOL" replay "$SH_TRACE" --os 500 --latency 700 \
-            --per-byte 0.05 --seed 3 --shards "$1"
-    }
-    sh_replay 1 | grep -v '^scheduler:' > "$SMOKE_TMP/shards-one.txt"
-    for n in 2 3 4; do
-        for i in 1 2 3 4 5; do
-            sh_replay "$n" > "$SMOKE_TMP/shards-run.txt"
-            cmp -s "$SMOKE_TMP/shards-one.txt" "$SMOKE_TMP/shards-run.txt" || {
-                echo "lint: FAIL: $wl replay --shards $n (run $i) differs from 1 shard:" >&2
-                diff "$SMOKE_TMP/shards-one.txt" "$SMOKE_TMP/shards-run.txt" >&2 || true
-                exit 1
-            }
-        done
-    done
-    rm -rf "$SH_TRACE"
-done
-echo "    30 sharded runs = the 1-shard run, scheduler line aside"
+shard_stability "$SMOKE_TMP"
 
 gen_stability "$SMOKE_TMP"
 
 # Same-host ratios of two verbs on one trace (see ratios.sh).
 ./ratios.sh
 
-# Artifact-cache end-to-end: for each cached command, the cold run (which
-# populates the cache) and the warm run (which serves the memoized report)
-# must print stdout byte-identical to the uncached run; a corrupted
-# artifact must fall back cold — still identical — and self-repair; and
-# `cache gc`/`cache clear` must manage the directory. Correctness only:
-# the warm-speedup timing gate is the `"cache"` section of
-# `bench --check` above.
-echo "==> artifact cache e2e (cold = warm = corrupt-fallback, gc, clear)"
-CACHE_DIR="$SMOKE_TMP/cache"
-CACHE_TRACE="$SMOKE_TMP/cache-trace"
-"$MPGTOOL" demo stencil --ranks 8 --seed 3 "$CACHE_TRACE" >/dev/null
+cache_identity "$SMOKE_TMP"
 
-# cache_check LABEL WANT_STDOUT_FILE WANT_WARM(yes|no) CMD...
-cache_check() {
-    label="$1"; want_out="$2"; want_warm="$3"; shift 3
-    set +e
-    "$MPGTOOL" "$@" > "$SMOKE_TMP/cache-out.txt" 2> "$SMOKE_TMP/cache-err.txt"
-    got=$?
-    set -e
-    if [ "$got" -ne 0 ]; then
-        echo "lint: FAIL: $label exited $got" >&2
-        exit 1
-    fi
-    if ! cmp -s "$want_out" "$SMOKE_TMP/cache-out.txt"; then
-        echo "lint: FAIL: $label stdout diverged from the uncached run" >&2
-        exit 1
-    fi
-    if [ "$want_warm" = yes ]; then
-        grep -q "warm hit" "$SMOKE_TMP/cache-err.txt" || {
-            echo "lint: FAIL: $label missed the cache" >&2; exit 1; }
-    else
-        if grep -q "warm hit" "$SMOKE_TMP/cache-err.txt"; then
-            echo "lint: FAIL: $label claimed a warm hit" >&2; exit 1
-        fi
-    fi
-}
+explore_contract "$SMOKE_TMP"
 
-# Adds 128 (mod 256) to one payload byte of every cached artifact — a
-# guaranteed change the MPGC envelope CRC must catch.
-corrupt_cache() {
-    for art in "$CACHE_DIR"/*.mpgc; do
-        b=$(dd if="$art" bs=1 skip=30 count=1 2>/dev/null | od -An -tu1 | tr -d ' \n')
-        b="${b:-0}"
-        printf "\\$(printf '%03o' $(( (b + 128) % 256 )))" \
-            | dd of="$art" bs=1 seek=30 conv=notrunc 2>/dev/null
-    done
-}
-
-for cmd in replay lint analyze; do
-    base="$SMOKE_TMP/cache-$cmd-base.txt"
-    "$MPGTOOL" "$cmd" "$CACHE_TRACE" > "$base"
-    cache_check "$cmd cold" "$base" no \
-        "$cmd" "$CACHE_TRACE" --cache --cache-dir "$CACHE_DIR"
-    cache_check "$cmd warm" "$base" yes \
-        "$cmd" "$CACHE_TRACE" --cache --cache-dir "$CACHE_DIR"
-    corrupt_cache
-    cache_check "$cmd corrupt-fallback" "$base" no \
-        "$cmd" "$CACHE_TRACE" --cache --cache-dir "$CACHE_DIR"
-    cache_check "$cmd repaired-warm" "$base" yes \
-        "$cmd" "$CACHE_TRACE" --cache --cache-dir "$CACHE_DIR"
-done
-
-"$MPGTOOL" cache ls --cache-dir "$CACHE_DIR" | grep -q "report-" || {
-    echo "lint: FAIL: cache ls shows no report artifacts" >&2; exit 1; }
-"$MPGTOOL" cache gc --cache-dir "$CACHE_DIR" --max-mib 0 | grep -q "gc removed" || {
-    echo "lint: FAIL: cache gc removed nothing" >&2; exit 1; }
-"$MPGTOOL" cache ls --cache-dir "$CACHE_DIR" | grep -q "(0 entries)" || {
-    echo "lint: FAIL: cache not empty after gc --max-mib 0" >&2; exit 1; }
-"$MPGTOOL" cache clear --cache-dir "$CACHE_DIR" | grep -q "cleared 0" || {
-    echo "lint: FAIL: cache clear on an empty cache misreported" >&2; exit 1; }
-echo "    warm = cold across replay/lint/analyze; corruption falls back; gc/clear ok"
-
-# Schedule-explorer smoke: exit contract (0 clean / 2 usage), cached
-# frontier warm run byte-identical to the cold run, and budget 0 leaving
-# plain-lint stdout untouched (pass 8 registered but inert).
-echo "==> explore exit contract + frontier warm-run byte-identity"
-EXP_TRACE="$SMOKE_TMP/explore-trace"
-EXP_CACHE="$SMOKE_TMP/explore-cache"
-"$MPGTOOL" demo master-worker --ranks 8 "$EXP_TRACE" >/dev/null
-expect_exit 0 "$MPGTOOL" explore "$EXP_TRACE" --budget 16
-expect_exit 2 "$MPGTOOL" explore "$EXP_TRACE" --budget nonsense
-expect_exit 2 "$MPGTOOL" explore
-"$MPGTOOL" explore "$EXP_TRACE" --budget 16 > "$SMOKE_TMP/explore-base.txt"
-cache_check "explore cold" "$SMOKE_TMP/explore-base.txt" no \
-    explore "$EXP_TRACE" --budget 16 --cache --cache-dir "$EXP_CACHE"
-cache_check "explore warm" "$SMOKE_TMP/explore-base.txt" yes \
-    explore "$EXP_TRACE" --budget 16 --cache --cache-dir "$EXP_CACHE"
-"$MPGTOOL" lint "$EXP_TRACE" > "$SMOKE_TMP/explore-lint.txt"
-"$MPGTOOL" explore "$EXP_TRACE" --budget 0 | grep -v "^explore:" \
-    > "$SMOKE_TMP/explore-b0.txt"
-cmp -s "$SMOKE_TMP/explore-lint.txt" "$SMOKE_TMP/explore-b0.txt" || {
-    echo "lint: FAIL: budget-0 explore diverged from plain lint" >&2; exit 1; }
-echo "    exit contract holds; warm frontier = cold bytes; budget 0 inert"
-
-# Supervised service smoke: drive `mpgtool serve` over the line protocol.
-# Leg 1 — seeded chaos storm (panics, stalls, transient I/O, artifact
-# corruption) across 12 jobs: nothing may wedge and the invariant checker
-# must come back clean. Leg 2 — chaos-free byte-identity + warm cache:
-# a service job's `result` bytes must equal the solo CLI run's stdout,
-# and the second submission must be a cache hit. Leg 3 — resident traces,
-# by count: two workers, 14 jobs of all three kinds on one trace, decoded
-# once (a worker that misses a trace being decoded waits for that copy, so
-# the counts repeat exactly).
-echo "==> serve chaos smoke (invariants + byte-identity vs solo run)"
-SERVE_TRACE="$SMOKE_TMP/serve-trace"
-SERVE_CACHE="$SMOKE_TMP/serve-cache"
-"$MPGTOOL" demo ring --ranks 4 --seed 5 "$SERVE_TRACE" >/dev/null
-"$MPGTOOL" replay "$SERVE_TRACE" --os 400 --latency 150 --seed 2 \
-    > "$SMOKE_TMP/serve-solo.txt"
-
-{
-    i=1
-    while [ "$i" -le 12 ]; do
-        echo "submit replay $SERVE_TRACE os=400 latency=150 seed=2"
-        i=$((i + 1))
-    done
-    i=1
-    while [ "$i" -le 12 ]; do
-        echo "wait job-$i"
-        i=$((i + 1))
-    done
-    echo "stats"
-    echo "check"
-    echo "shutdown"
-} > "$SMOKE_TMP/serve-storm.txt"
-"$MPGTOOL" serve --script "$SMOKE_TMP/serve-storm.txt" \
-    --workers 3 --chaos panic,delay,io-error,corrupt-artifact --chaos-seed 7 \
-    --cache --cache-dir "$SERVE_CACHE" > "$SMOKE_TMP/serve-storm-out.txt"
-grep -q "^ok check clean$" "$SMOKE_TMP/serve-storm-out.txt" || {
-    echo "lint: FAIL: chaos storm broke a service invariant:" >&2
-    cat "$SMOKE_TMP/serve-storm-out.txt" >&2
-    exit 1
-}
-grep -q "^ok shutdown drained=true$" "$SMOKE_TMP/serve-storm-out.txt" || {
-    echo "lint: FAIL: chaos storm did not drain on shutdown" >&2; exit 1; }
-
-rm -rf "$SERVE_CACHE"
-{
-    echo "submit replay $SERVE_TRACE os=400 latency=150 seed=2"
-    echo "wait job-1"
-    echo "result job-1 out=$SMOKE_TMP/serve-cold.txt"
-    echo "submit replay $SERVE_TRACE os=400 latency=150 seed=2"
-    echo "wait job-2"
-    echo "result job-2 out=$SMOKE_TMP/serve-warm.txt"
-    echo "stats"
-    echo "check"
-    echo "shutdown"
-} > "$SMOKE_TMP/serve-ident.txt"
-"$MPGTOOL" serve --script "$SMOKE_TMP/serve-ident.txt" \
-    --cache --cache-dir "$SERVE_CACHE" > "$SMOKE_TMP/serve-ident-out.txt"
-cmp -s "$SMOKE_TMP/serve-solo.txt" "$SMOKE_TMP/serve-cold.txt" || {
-    echo "lint: FAIL: service replay diverged from the solo CLI run" >&2; exit 1; }
-cmp -s "$SMOKE_TMP/serve-solo.txt" "$SMOKE_TMP/serve-warm.txt" || {
-    echo "lint: FAIL: warm service replay diverged from the solo CLI run" >&2; exit 1; }
-grep -q "cache-hits=1" "$SMOKE_TMP/serve-ident-out.txt" || {
-    echo "lint: FAIL: second service submission was not a warm cache hit" >&2; exit 1; }
-grep -q "^ok check clean$" "$SMOKE_TMP/serve-ident-out.txt" || {
-    echo "lint: FAIL: identity leg broke a service invariant" >&2; exit 1; }
-
-{
-    i=1
-    while [ "$i" -le 12 ]; do
-        echo "submit replay $SERVE_TRACE os=400 latency=150 seed=$i"
-        i=$((i + 1))
-    done
-    echo "submit lint $SERVE_TRACE"
-    echo "submit explore $SERVE_TRACE budget=4"
-    i=1
-    while [ "$i" -le 14 ]; do
-        echo "wait job-$i"
-        i=$((i + 1))
-    done
-    echo "stats"
-    echo "check"
-    echo "shutdown"
-} > "$SMOKE_TMP/serve-resident.txt"
-"$MPGTOOL" serve --script "$SMOKE_TMP/serve-resident.txt" --workers 2 \
-    > "$SMOKE_TMP/serve-resident-out.txt"
-grep -q "^ok stats submitted=14 done=14 .* trace-loads=1 trace-hits=13 " \
-    "$SMOKE_TMP/serve-resident-out.txt" || {
-    echo "lint: FAIL: 14 jobs on one trace were not 1 decode + 13 resident hits:" >&2
-    grep "^ok stats" "$SMOKE_TMP/serve-resident-out.txt" >&2
-    exit 1
-}
-grep -q "^ok check clean$" "$SMOKE_TMP/serve-resident-out.txt" || {
-    echo "lint: FAIL: resident leg broke a service invariant" >&2; exit 1; }
-echo "    chaos storm clean; service bytes = solo bytes; warm hit on resubmit;"
-echo "    14 jobs on one trace = 1 decode + 13 resident hits"
+serve_smoke "$SMOKE_TMP"
 
 echo "lint: clean"
