@@ -125,9 +125,10 @@
 //!     per config (both on one thread), a strict frame-cursor drain of the
 //!     pinned 10^7-event trace against a bare decode of its frames, the
 //!     out-of-core replay of that trace at 1 shard against several (with
-//!     its peak-RSS growth), and a warm cached analyze against a cold one.
-//!     With --out, write the snapshot (BENCH_replay.json). With --check,
-//!     exit 1 if a ratio passes its fixed bound.
+//!     its peak-RSS growth), and a warm cached analyze against a cold one;
+//!     and one count, the bytes per edge of a recorded graph. With --out,
+//!     write the snapshot (BENCH_replay.json). With --check, exit 1 if a
+//!     ratio or the count passes its fixed bound.
 //! ```
 //!
 //! `replay`, `lint`, `explore` and `analyze` accept `--cache` (or
@@ -165,8 +166,8 @@ use mpg_noise::PlatformSignature;
 use mpg_sim::{SimError, Simulation};
 use mpg_trace::{
     inject_dir, sort_diagnostics, text_to_trace, trace_stats, trace_to_text, validate_trace,
-    validate_trace_diagnostics, Diagnostic, FaultKind, FileTraceSet, OocTraceSet, Rule,
-    SalvageReport, Severity, TraceError,
+    validate_trace_diagnostics, Diagnostic, EventRecord, FaultKind, FileTraceSet, FrameCursor,
+    OocTraceSet, Rule, SalvageReport, Severity, TraceError,
 };
 
 /// Why a verb stopped short of its report: a command line it cannot run,
@@ -1024,10 +1025,12 @@ fn cmd_replay(mut args: Vec<String>) -> Result<ExitCode, Fail> {
         }
         Replayer::new(cfg).run(&trace)
     } else {
-        if lint {
-            // The gate needs the whole trace; the replay below does not,
-            // so the loaded copy is dropped before it starts.
-            let errors: Vec<Diagnostic> = mpg_lint::lint_trace(&open_trace(dir)?)
+        // The gate needs the whole trace, so a gated replay reads the copy
+        // it loaded; otherwise the MPG2 files are mapped and their frames
+        // streamed lazily, and the trace is never materialized in memory.
+        let loaded = if lint {
+            let trace = open_trace(dir)?;
+            let errors: Vec<Diagnostic> = mpg_lint::lint_trace(&trace)
                 .into_iter()
                 .filter(|d| d.severity == Severity::Error)
                 .collect();
@@ -1041,21 +1044,32 @@ fn cmd_replay(mut args: Vec<String>) -> Result<ExitCode, Fail> {
                 );
                 return Ok(ExitCode::FAILURE);
             }
-        }
-        // Map the MPG2 files and stream frames lazily: the trace is never
-        // materialized in memory.
-        let set = OocTraceSet::open(Path::new(dir)).map_err(|e| strict_read_error(dir, e))?;
-        if ooc {
-            eprintln!(
-                "mpgtool: out-of-core: {} ranks, {} records, {} MiB mapped, {} shard(s)",
-                set.num_ranks(),
-                set.total_records(),
-                set.total_bytes() / (1 << 20),
-                shards.max(1),
-            );
-        }
-        let cursors = (0..set.num_ranks()).map(|r| set.cursor(r)).collect();
-        Replayer::new(cfg).run_streams_parallel(cursors, shards)
+            Some(trace)
+        } else {
+            None
+        };
+        let streams: Vec<RankStream> = match &loaded {
+            Some(trace) => (0..trace.num_ranks())
+                .map(|r| RankStream::Loaded(trace.rank(r).iter()))
+                .collect(),
+            None => {
+                let set =
+                    OocTraceSet::open(Path::new(dir)).map_err(|e| strict_read_error(dir, e))?;
+                if ooc {
+                    eprintln!(
+                        "mpgtool: out-of-core: {} ranks, {} records, {} MiB mapped, {} shard(s)",
+                        set.num_ranks(),
+                        set.total_records(),
+                        set.total_bytes() / (1 << 20),
+                        shards.max(1),
+                    );
+                }
+                (0..set.num_ranks())
+                    .map(|r| RankStream::Mapped(set.cursor(r)))
+                    .collect()
+            }
+        };
+        Replayer::new(cfg).run_streams_parallel(streams, shards)
     };
     let report = run.map_err(|e| {
         print!("{o}");
@@ -1083,6 +1097,25 @@ fn cmd_replay(mut args: Vec<String>) -> Result<ExitCode, Fail> {
         );
     }
     Ok(finish(tier.as_ref(), 0, &o))
+}
+
+/// One rank's events for `replay`: frames read from the mapped rank file,
+/// or the records of the copy `--lint` loaded for its gate.
+enum RankStream<'t> {
+    Mapped(FrameCursor),
+    Loaded(std::slice::Iter<'t, EventRecord>),
+}
+
+impl Iterator for RankStream<'_> {
+    type Item = Result<EventRecord, TraceError>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        match self {
+            RankStream::Mapped(cursor) => cursor.next(),
+            RankStream::Loaded(records) => records.next().cloned().map(Ok),
+        }
+    }
 }
 
 /// Copies the flat trace directory `src` into `dst` (created fresh).
@@ -1333,6 +1366,13 @@ fn cmd_bench(mut args: Vec<String>) -> Result<ExitCode, Fail> {
         l.lint_rss_growth_mib,
         l.analyze_rss_growth_mib,
         l.lint_over_analyze()
+    );
+    println!(
+        "graph: {}: {} edges recorded in {} column bytes ({:.2} bytes per edge)",
+        l.name,
+        l.graph_edges,
+        l.graph_edge_bytes,
+        l.graph_bytes_per_edge()
     );
     println!(
         "gen: {} on {} ranks, {} events ({:.1} MiB on disk) in {:.2}s: peak RSS +{:.1} MiB \

@@ -83,10 +83,12 @@ pub const INGEST_OVER_DECODE_CEILING: f64 = 2.5;
 /// in one process. A lint records the same graph and runs the same
 /// analysis (pass 6), so the ratio is what lint holds beyond `analyze`:
 /// the progress simulation, the happens-before index and the other
-/// passes. Measured 1.17–1.23× (+100–110 MiB against +86–89 MiB) with
-/// the index storing each rank's two neighbour columns and full clocks
-/// only on the build's frontier; 3.87–3.95× (+338–349 MiB) when every
-/// epoch keeps a 512-wide clock pair to the end of the build.
+/// passes. Measured 1.25–1.30× (+75 MiB against +58–60 MiB) with the index
+/// storing each rank's two neighbour columns and full clocks only on the
+/// build's frontier, and the recorded graph's lean edge columns, which
+/// shrink both sides (1.17–1.23×, +100–110 MiB against +86–89 MiB, with
+/// the dense ones); 3.87–3.95× (+338–349 MiB) when every epoch keeps a
+/// 512-wide clock pair to the end of the build.
 pub const LINT_OVER_ANALYZE_RSS_CEILING: f64 = 1.5;
 
 /// Peak-RSS growth of generating [`pinned_gen`]'s trace over the size of
@@ -97,6 +99,16 @@ pub const LINT_OVER_ANALYZE_RSS_CEILING: f64 = 1.5;
 /// Collecting the whole trace in memory and saving it afterwards reads
 /// 11.3–11.8× (+21.4–22.2 MiB).
 pub const GEN_OVER_TRACE_RSS_CEILING: f64 = 4.0;
+
+/// Heap bytes per edge of the graph [`measure_lint`] records from
+/// [`pinned_lint`]'s trace, read from the arena's own accounting
+/// (`GraphArena::edge_column_bytes`), so the row is a count, not a timing,
+/// and reads the same on any host. A quiet recording keeps endpoints, base
+/// weight and a tag byte per edge, a payload only on the edges whose class
+/// has one and no sampled column: 18.75 bytes per edge measured (983 376
+/// edges). The dense columns (a 16-byte class, a sampled delta and a
+/// message flag per edge) held 41.
+pub const GRAPH_BYTES_PER_EDGE_CEILING: f64 = 22.0;
 
 /// The perturbation model of every out-of-core replay measurement.
 fn perf_model() -> PerturbationModel {
@@ -705,6 +717,10 @@ pub struct LintPerf {
     pub analyze_rss_growth_mib: f64,
     /// Peak resident growth of one `lint_full` (MiB).
     pub lint_rss_growth_mib: f64,
+    /// Edges of the recorded graph.
+    pub graph_edges: u64,
+    /// Heap bytes its edge columns hold.
+    pub graph_edge_bytes: u64,
 }
 
 impl LintPerf {
@@ -712,6 +728,15 @@ impl LintPerf {
     pub fn lint_over_analyze(&self) -> f64 {
         if self.analyze_rss_growth_mib > 0.0 {
             self.lint_rss_growth_mib / self.analyze_rss_growth_mib
+        } else {
+            0.0
+        }
+    }
+
+    /// Heap bytes per edge of the recorded graph.
+    pub fn graph_bytes_per_edge(&self) -> f64 {
+        if self.graph_edges > 0 {
+            self.graph_edge_bytes as f64 / self.graph_edges as f64
         } else {
             0.0
         }
@@ -731,7 +756,8 @@ impl LintPerf {
 /// ratio larger, for it), and [`measure`] runs this section after the
 /// out-of-core ones, whose RSS growth it would otherwise hide in its
 /// freed heap, and before the cold analyze, after which a lint reads
-/// 1.87× instead of 1.17×.
+/// 1.87× instead of 1.17×. The recorded graph's edge columns are counted
+/// too ([`GRAPH_BYTES_PER_EDGE_CEILING`]).
 pub fn measure_lint(spec: &OocSpec) -> Result<LintPerf, String> {
     let dir = cached_trace(spec)?;
     let trace = FileTraceSet::open(&dir)
@@ -749,15 +775,20 @@ pub fn measure_lint(spec: &OocSpec) -> Result<LintPerf, String> {
             .map_err(|e| format!("lint bench replay failed: {e}"))?
             .graph
             .ok_or("lint bench replay recorded no graph")?;
-        Ok::<_, String>(mpg_lint::analyze_graph(&trace, &graph))
+        let arena = graph.arena();
+        let columns = (arena.num_edges(), arena.edge_column_bytes());
+        mpg_lint::analyze_graph(&trace, &graph);
+        Ok::<_, String>(columns)
     });
-    analyzed?;
+    let (graph_edges, graph_edge_bytes) = analyzed?;
     Ok(LintPerf {
         name: spec.name.to_string(),
         ranks: spec.ranks,
         events: trace.total_events() as u64,
         analyze_rss_growth_mib: (analyze_peak - analyze_base).max(0.0),
         lint_rss_growth_mib: (lint_peak - lint_base).max(0.0),
+        graph_edges: graph_edges as u64,
+        graph_edge_bytes: graph_edge_bytes as u64,
     })
 }
 
@@ -982,6 +1013,11 @@ impl PerfSnapshot {
                         format!("{:.1}", l.lint_rss_growth_mib),
                     ),
                     ("lint_over_analyze", format!("{:.2}", l.lint_over_analyze())),
+                    ("graph_edges", l.graph_edges.to_string()),
+                    (
+                        "graph_bytes_per_edge",
+                        format!("{:.2}", l.graph_bytes_per_edge()),
+                    ),
                 ],
             ),
             json_block(
@@ -1084,6 +1120,21 @@ fn check_lint(l: &LintPerf) -> Option<String> {
     })
 }
 
+/// [`GRAPH_BYTES_PER_EDGE_CEILING`]: `Some(message)` when the recorded
+/// graph holds more bytes per edge.
+fn check_graph_bytes(l: &LintPerf) -> Option<String> {
+    (l.graph_bytes_per_edge() > GRAPH_BYTES_PER_EDGE_CEILING).then(|| {
+        format!(
+            "graph({}): the recorded graph holds {:.2} bytes per edge over {} edges \
+             (ceiling {GRAPH_BYTES_PER_EDGE_CEILING}) — an edge column is wider than \
+             a quiet recording needs",
+            l.name,
+            l.graph_bytes_per_edge(),
+            l.graph_edges
+        )
+    })
+}
+
 /// [`GEN_OVER_TRACE_RSS_CEILING`]: `Some(message)` when generating a trace
 /// grows the resident set by more than that many times the trace.
 fn check_gen(g: &GenPerf) -> Option<String> {
@@ -1110,6 +1161,7 @@ pub fn check(snap: &PerfSnapshot) -> Vec<String> {
         check_shards(&snap.ooc),
         check_cache(&snap.cache),
         check_lint(&snap.lint),
+        check_graph_bytes(&snap.lint),
         check_gen(&snap.gen),
     ]
     .into_iter()
@@ -1175,6 +1227,8 @@ mod tests {
             events: 430_000,
             analyze_rss_growth_mib: 100.0,
             lint_rss_growth_mib: 100.0 * ratio,
+            graph_edges: 1_000,
+            graph_edge_bytes: 17_500,
         }
     }
 
@@ -1241,6 +1295,17 @@ mod tests {
     }
 
     #[test]
+    fn graph_ceiling_fires_on_dense_edge_columns() {
+        assert_eq!(check_graph_bytes(&lint(1.15)), None);
+        let dense = LintPerf {
+            graph_edge_bytes: 41_000,
+            ..lint(1.15)
+        };
+        let msg = check_graph_bytes(&dense).expect("above the ceiling");
+        assert!(msg.starts_with("graph(lint-test): "), "{msg}");
+    }
+
+    #[test]
     fn gen_ceiling_fires_on_a_collected_trace() {
         assert_eq!(check_gen(&gen(1.45)), None);
         let msg = check_gen(&gen(11.3)).expect("above the ceiling");
@@ -1263,10 +1328,13 @@ mod tests {
             ingest: ingest(3.0),
             ooc: ooc(93.4, 60.0, 1.0, 2),
             cache: cache(1.0),
-            lint: lint(2.8),
+            lint: LintPerf {
+                graph_edge_bytes: 41_000,
+                ..lint(2.8)
+            },
             gen: gen(11.3),
         };
-        assert_eq!(check(&failing).len(), 7);
+        assert_eq!(check(&failing).len(), 8);
     }
 
     #[test]
@@ -1313,6 +1381,8 @@ mod tests {
         assert_eq!(perf.ranks, 4);
         assert!(perf.events > 0);
         assert!(perf.lint_rss_growth_mib >= 0.0 && perf.analyze_rss_growth_mib >= 0.0);
+        assert!(perf.graph_edges > 0);
+        assert_eq!(check_graph_bytes(&perf), None, "{perf:?}");
     }
 
     #[test]

@@ -53,6 +53,59 @@ pub(crate) const FLAG_TOUCHED: u8 = 1 << 0;
 /// Set on labeled nodes; their `label_code` / `label_t` are meaningful.
 pub(crate) const FLAG_LABELED: u8 = 1 << 1;
 
+/// Edge class tags, one per [`DeltaClass`] variant: the numbering of the
+/// MPGA `class_tag` column.
+const TAG_NONE: u8 = 0;
+const TAG_OS_LOCAL: u8 = 1;
+const TAG_OS_REMOTE: u8 = 2;
+const TAG_LAMBDA: u8 = 3;
+const TAG_TRANSFER: u8 = 4;
+const TAG_MESSAGE_PATH: u8 = 5;
+const TAG_COLLECTIVE: u8 = 6;
+/// Set in an edge's tag byte when it is a message edge.
+const TAG_MSG: u8 = 1 << 7;
+
+/// A class as its tag and payload: `(tag, bytes, rounds)`, the payload
+/// zero for the classes that carry none.
+pub(crate) fn class_parts(c: DeltaClass) -> (u8, u64, u32) {
+    match c {
+        DeltaClass::None => (TAG_NONE, 0, 0),
+        DeltaClass::OsLocal => (TAG_OS_LOCAL, 0, 0),
+        DeltaClass::OsRemote => (TAG_OS_REMOTE, 0, 0),
+        DeltaClass::Lambda => (TAG_LAMBDA, 0, 0),
+        DeltaClass::Transfer { bytes } => (TAG_TRANSFER, bytes, 0),
+        DeltaClass::MessagePath { bytes } => (TAG_MESSAGE_PATH, bytes, 0),
+        DeltaClass::CollectiveRounds { rounds, bytes } => (TAG_COLLECTIVE, bytes, rounds),
+    }
+}
+
+/// The class a tag and payload name; `None` for an unknown tag. A payload
+/// the tag's class does not carry is ignored.
+pub(crate) fn class_of_parts(tag: u8, bytes: u64, rounds: u32) -> Option<DeltaClass> {
+    Some(match tag {
+        TAG_NONE => DeltaClass::None,
+        TAG_OS_LOCAL => DeltaClass::OsLocal,
+        TAG_OS_REMOTE => DeltaClass::OsRemote,
+        TAG_LAMBDA => DeltaClass::Lambda,
+        TAG_TRANSFER => DeltaClass::Transfer { bytes },
+        TAG_MESSAGE_PATH => DeltaClass::MessagePath { bytes },
+        TAG_COLLECTIVE => DeltaClass::CollectiveRounds { rounds, bytes },
+        _ => return None,
+    })
+}
+
+/// True for the tags whose class carries a payload.
+fn has_payload(tag: u8) -> bool {
+    matches!(tag, TAG_TRANSFER | TAG_MESSAGE_PATH | TAG_COLLECTIVE)
+}
+
+/// 64 edges' payload bits and the number of payload edges before them.
+#[derive(Debug, Clone, Copy)]
+struct PayloadBlock {
+    bits: u64,
+    before: u32,
+}
+
 /// Columnar storage for one recorded message-passing graph.
 ///
 /// Node columns cover the whole layout from construction; edges append to
@@ -81,9 +134,16 @@ pub struct GraphArena {
     pub(crate) edge_src: Vec<NodeIdx>,
     pub(crate) edge_dst: Vec<NodeIdx>,
     pub(crate) edge_base: Vec<Cycles>,
-    pub(crate) edge_class: Vec<DeltaClass>,
-    pub(crate) edge_sampled: Vec<Drift>,
-    pub(crate) edge_msg: Vec<bool>,
+    /// Class tag, `TAG_MSG` set on message edges.
+    edge_tag: Vec<u8>,
+    /// Which edges carry a payload, 64 to a block.
+    payload_blocks: Vec<PayloadBlock>,
+    /// The payloads, in edge order: `bytes` and `rounds` (0 but for
+    /// `CollectiveRounds`).
+    payload_bytes: Vec<u64>,
+    payload_rounds: Vec<u32>,
+    /// Sampled deltas; empty while every one pushed is zero.
+    edge_sampled: Vec<Drift>,
 }
 
 impl GraphArena {
@@ -128,9 +188,11 @@ impl GraphArena {
             edge_src: Vec::new(),
             edge_dst: Vec::new(),
             edge_base: Vec::new(),
-            edge_class: Vec::new(),
+            edge_tag: Vec::new(),
+            payload_blocks: Vec::new(),
+            payload_bytes: Vec::new(),
+            payload_rounds: Vec::new(),
             edge_sampled: Vec::new(),
-            edge_msg: Vec::new(),
         })
     }
 
@@ -339,9 +401,73 @@ impl GraphArena {
         self.edge_src.push(src);
         self.edge_dst.push(dst);
         self.edge_base.push(edge.base);
-        self.edge_class.push(edge.class);
-        self.edge_sampled.push(edge.sampled);
-        self.edge_msg.push(edge.is_message);
+        self.push_class(edge.class, edge.is_message);
+        self.push_sampled(edge.sampled);
+    }
+
+    /// Appends the class and message flag of the next edge to the tag and
+    /// payload columns.
+    pub(crate) fn push_class(&mut self, class: DeltaClass, is_message: bool) {
+        let i = self.edge_tag.len();
+        let (tag, bytes, rounds) = class_parts(class);
+        if i.is_multiple_of(64) {
+            self.payload_blocks.push(PayloadBlock {
+                bits: 0,
+                before: self.payload_bytes.len() as u32,
+            });
+        }
+        if has_payload(tag) {
+            self.payload_blocks.last_mut().expect("pushed above").bits |= 1 << (i % 64);
+            self.payload_bytes.push(bytes);
+            self.payload_rounds.push(rounds);
+        }
+        self.edge_tag
+            .push(if is_message { tag | TAG_MSG } else { tag });
+    }
+
+    /// Appends the sampled delta of the edge whose class was pushed last:
+    /// nothing while every delta so far is zero; the first nonzero one
+    /// backfills the zeros before it.
+    pub(crate) fn push_sampled(&mut self, sampled: Drift) {
+        if !self.edge_sampled.is_empty() || sampled != 0 {
+            self.edge_sampled.resize(self.edge_tag.len() - 1, 0);
+            self.edge_sampled.push(sampled);
+        }
+    }
+
+    /// Sets the sampled delta of edge `i`, allocating the column on the
+    /// first nonzero one.
+    pub(crate) fn set_edge_sampled(&mut self, i: usize, sampled: Drift) {
+        assert!(i < self.num_edges(), "edge {i} out of range");
+        if self.edge_sampled.is_empty() {
+            if sampled == 0 {
+                return;
+            }
+            self.edge_sampled = vec![0; self.num_edges()];
+        }
+        self.edge_sampled[i] = sampled;
+    }
+
+    /// The sampled column, dense; `None` while every delta is zero.
+    pub(crate) fn sampled_column(&self) -> Option<&[Drift]> {
+        (!self.edge_sampled.is_empty()).then_some(&self.edge_sampled[..])
+    }
+
+    /// The class tag of edge `i`, message flag cleared.
+    pub(crate) fn edge_tag(&self, i: usize) -> u8 {
+        self.edge_tag[i] & !TAG_MSG
+    }
+
+    /// The payload `(bytes, rounds)` of edge `i`; zeros when its class
+    /// carries none.
+    pub(crate) fn edge_payload(&self, i: usize) -> (u64, u32) {
+        if !has_payload(self.edge_tag(i)) {
+            return (0, 0);
+        }
+        let block = self.payload_blocks[i / 64];
+        let below = block.bits & ((1 << (i % 64)) - 1);
+        let k = block.before as usize + below.count_ones() as usize;
+        (self.payload_bytes[k], self.payload_rounds[k])
     }
 
     /// Materializes edge `i` from the columns (cheap: one copy).
@@ -350,9 +476,9 @@ impl GraphArena {
             src: self.node_id(self.edge_src[i]),
             dst: self.node_id(self.edge_dst[i]),
             base: self.edge_base[i],
-            class: self.edge_class[i],
-            sampled: self.edge_sampled[i],
-            is_message: self.edge_msg[i],
+            class: self.edge_class(i),
+            sampled: self.edge_sampled(i),
+            is_message: self.edge_is_message(i),
         }
     }
 
@@ -373,17 +499,55 @@ impl GraphArena {
 
     /// Delta class of edge `i`.
     pub fn edge_class(&self, i: usize) -> DeltaClass {
-        self.edge_class[i]
+        let tag = self.edge_tag(i);
+        let (bytes, rounds) = self.edge_payload(i);
+        class_of_parts(tag, bytes, rounds).expect("the columns hold known tags only")
     }
 
     /// Sampled delta of edge `i`.
     pub fn edge_sampled(&self, i: usize) -> Drift {
-        self.edge_sampled[i]
+        match self.edge_sampled.get(i) {
+            Some(&d) => d,
+            None => {
+                assert!(i < self.num_edges(), "edge {i} out of range");
+                0
+            }
+        }
     }
 
     /// True when edge `i` is a message (cross-rank) edge.
     pub fn edge_is_message(&self, i: usize) -> bool {
-        self.edge_msg[i]
+        self.edge_tag[i] & TAG_MSG != 0
+    }
+
+    /// Heap bytes the edge columns hold: what the graph costs per edge.
+    /// Counts lengths, not capacities — the slack a growing `Vec` leaves
+    /// is address space no page backs until written.
+    #[doc(hidden)]
+    pub fn edge_column_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&self.edge_src[..])
+            + size_of_val(&self.edge_dst[..])
+            + size_of_val(&self.edge_base[..])
+            + size_of_val(&self.edge_tag[..])
+            + size_of_val(&self.payload_blocks[..])
+            + size_of_val(&self.payload_bytes[..])
+            + size_of_val(&self.payload_rounds[..])
+            + size_of_val(&self.edge_sampled[..])
+    }
+
+    /// Heap bytes the node columns and the hub tables hold, counted like
+    /// [`GraphArena::edge_column_bytes`] (the hub map by entry size).
+    #[doc(hidden)]
+    pub fn node_column_bytes(&self) -> usize {
+        use std::mem::{size_of, size_of_val};
+        size_of_val(&self.base[..])
+            + size_of_val(&self.hubs[..])
+            + self.hub_ordinal.len() * size_of::<((Rank, Seq), u32)>()
+            + size_of_val(&self.node_rank[..])
+            + size_of_val(&self.node_flags[..])
+            + size_of_val(&self.label_code[..])
+            + size_of_val(&self.label_t[..])
     }
 
     /// Incoming-edge CSR: for each node, the positions of edges whose sink
@@ -403,8 +567,12 @@ impl GraphArena {
     /// anchored at zero. Returns one drift per node index.
     pub fn propagate_dense(&self) -> Vec<Drift> {
         let mut drift = vec![0i64; self.num_nodes()];
-        for i in 0..self.num_edges() {
-            let cand = drift[self.edge_src[i] as usize] + self.edge_sampled[i];
+        // With every delta zero, no candidate rises above the anchor.
+        let Some(sampled) = self.sampled_column() else {
+            return drift;
+        };
+        for (i, &d) in sampled.iter().enumerate() {
+            let cand = drift[self.edge_src[i] as usize] + d;
             let slot = &mut drift[self.edge_dst[i] as usize];
             if cand > *slot {
                 *slot = cand;

@@ -47,18 +47,15 @@ pub fn to_dot(graph: &EventGraph, title: &str) -> String {
     writeln!(out, "  rankdir=LR;").unwrap();
     writeln!(out, "  node [shape=box, fontsize=9];").unwrap();
 
-    // Cluster per rank, nodes in (seq, point) order.
+    // Cluster per rank, nodes in (seq, point) order: sorted by rank first,
+    // so each cluster is one run of the sorted nodes.
     let mut nodes: Vec<(NodeId, crate::graph::NodeLabel)> = graph.nodes().collect();
     nodes.sort_by_key(|(n, _)| (n.rank, n.seq, n.point, n.hub));
-    let ranks: Vec<u32> = {
-        let mut r: Vec<u32> = nodes.iter().map(|(n, _)| n.rank).collect();
-        r.dedup();
-        r
-    };
-    for rank in ranks {
+    for cluster in nodes.chunk_by(|(a, _), (b, _)| a.rank == b.rank) {
+        let rank = cluster[0].0.rank;
         writeln!(out, "  subgraph cluster_rank{rank} {{").unwrap();
         writeln!(out, "    label=\"rank {rank}\";").unwrap();
-        for (n, label) in nodes.iter().filter(|(n, _)| n.rank == rank) {
+        for (n, label) in cluster {
             writeln!(
                 out,
                 "    {} [label=\"{}@{}\"];",

@@ -93,10 +93,11 @@ pub struct SlackSweep<'g> {
     latest: Vec<Cycles>,
     /// Effective cost per edge (parallel to edge positions).
     cost: Vec<Cycles>,
-    /// Wait interval per blocking-op end node (0 ⇒ none).
+    /// Wait interval per event, read at its end subevent (0 ⇒ none).
     wait: Vec<Cycles>,
-    /// Binding incoming message arm per end node: the edge position whose
-    /// source time defines the wait interval (`NO_ARM` ⇒ none).
+    /// Binding incoming message arm per event, into its end subevent: the
+    /// edge position whose source time defines the wait interval
+    /// (`NO_ARM` ⇒ none).
     binding: Vec<u32>,
     /// Preferred tight incoming edge per node — the step a chain walk
     /// takes back from it (`NO_ARM` ⇒ none; see DESIGN.md §17.3).
@@ -135,6 +136,14 @@ pub struct StaticPath {
     /// node whose binding message arm is the chain edge, the node's wait
     /// interval.
     pub wait_cycles: Cycles,
+}
+
+/// The event whose end subevent node `i` is: its position in the
+/// per-event `wait` and `binding` columns. `None` for a start subevent or
+/// a hub — a start's op window is empty, so it has no wait interval.
+fn end_event(arena: &GraphArena, i: NodeIdx) -> Option<usize> {
+    // Every rank's slots start at an even index, so an end is odd.
+    (i & 1 == 1 && !arena.is_hub(i)).then_some((i >> 1) as usize)
 }
 
 /// Re-timed observed time of node `i`: a labeled event node's label time
@@ -191,37 +200,39 @@ impl<'g> SlackSweep<'g> {
         // rank's *own* send-start (arrival-resolved ack) is not a cause of
         // waiting and is excluded. The binding arm is the latest-arriving
         // one (the first of equals).
-        let mut wait = vec![0 as Cycles; n_nodes];
-        let mut binding = vec![NO_ARM; n_nodes];
+        let n_events = (n_nodes - arena.num_hubs()) / 2;
+        let mut wait = vec![0 as Cycles; n_events];
+        let mut binding = vec![NO_ARM; n_events];
         let mut causality_clamps = 0usize;
         for e in 0..n_edges {
             let (src, dst) = (src_of(e), dst_of(e));
-            if !arena.edge_is_message(e) || arena.is_hub(dst) {
+            let Some(ev) = end_event(arena, dst).filter(|_| arena.edge_is_message(e)) else {
                 continue;
-            }
+            };
             if !arena.is_hub(src) && arena.node_rank[src as usize] == arena.node_rank[dst as usize]
             {
                 continue;
             }
-            let b = binding[dst as usize];
+            let b = binding[ev];
             if b == NO_ARM || time(src).unwrap_or(0) > time(src_of(b as usize)).unwrap_or(0) {
-                binding[dst as usize] = e as u32;
+                binding[ev] = e as u32;
             }
         }
-        for (end, &b) in binding.iter().enumerate() {
+        for (ev, &b) in binding.iter().enumerate() {
             if b == NO_ARM {
                 continue;
             }
-            let end = end as NodeIdx;
+            let end = (2 * ev + 1) as NodeIdx;
             let m = time(src_of(b as usize)).unwrap_or(0);
-            let (Some(t_start), Some(t_end)) = (time(arena.start_of(end)), time(end)) else {
+            let (Some(t_start), Some(t_end)) = (time(end - 1), time(end)) else {
                 continue;
             };
             if m > t_end {
                 causality_clamps += 1;
             }
-            wait[end as usize] = m.saturating_sub(t_start).min(t_end.saturating_sub(t_start));
+            wait[ev] = m.saturating_sub(t_start).min(t_end.saturating_sub(t_start));
         }
+        let wait_at = |i: NodeIdx| end_event(arena, i).map_or(0, |ev| wait[ev]);
 
         // -- Effective edge costs -------------------------------------------
         let cost: Vec<Cycles> = (0..n_edges)
@@ -239,11 +250,11 @@ impl<'g> SlackSweep<'g> {
                         (Some(s), Some(t)) => t.saturating_sub(s),
                         _ => 0,
                     };
-                    dur.saturating_sub(wait[dst as usize])
+                    dur.saturating_sub(wait_at(dst))
                 } else if !arena.is_hub(dst) && dst == src + 1 && arena.start_of(dst) == src {
                     // Intra edge of an op: its duration minus time spent
                     // blocked (zero for ops with no remote arm).
-                    arena.edge_base(e).saturating_sub(wait[dst as usize])
+                    arena.edge_base(e).saturating_sub(wait_at(dst))
                 } else {
                     // Gap edges and other local structure: traced interval.
                     arena.edge_base(e)
@@ -278,9 +289,9 @@ impl<'g> SlackSweep<'g> {
                 *p = e as u32;
             }
         }
-        for (p, &b) in pred.iter_mut().zip(&binding) {
+        for (ev, &b) in binding.iter().enumerate() {
             if b != NO_ARM && tight(b as usize) {
-                *p = b;
+                pred[2 * ev + 1] = b;
             }
         }
 
@@ -331,6 +342,12 @@ impl<'g> SlackSweep<'g> {
         self.arena.node_index(node)
     }
 
+    /// Wait interval and binding arm of node `i`: those of the event whose
+    /// end subevent it is, `(0, NO_ARM)` for any other node.
+    fn wait_state(&self, i: NodeIdx) -> (Cycles, u32) {
+        end_event(self.arena, i).map_or((0, NO_ARM), |ev| (self.wait[ev], self.binding[ev]))
+    }
+
     /// Re-timed observed time of a node (offset-normalized local clock).
     pub fn time(&self, node: NodeId) -> Option<Cycles> {
         observed(
@@ -370,14 +387,13 @@ impl<'g> SlackSweep<'g> {
     /// spent blocked on the latest incoming message arm. Zero for nodes
     /// with no remote arm.
     pub fn wait(&self, end: NodeId) -> Cycles {
-        self.idx(&end).map_or(0, |i| self.wait[i as usize])
+        self.idx(&end).map_or(0, |i| self.wait_state(i).0)
     }
 
     /// The binding incoming message arm of an end node: the edge whose
     /// source time defines the node's wait interval.
     pub fn binding_arm(&self, end: NodeId) -> Option<usize> {
-        let i = self.idx(&end)?;
-        let b = self.binding[i as usize];
+        let b = self.wait_state(self.idx(&end)?).1;
         (b != NO_ARM).then_some(b as usize)
     }
 
@@ -431,8 +447,9 @@ impl<'g> SlackSweep<'g> {
             if arena.edge_is_message(i) {
                 message_hops += 1;
             }
-            if self.binding[cur] == i as u32 {
-                wait_cycles += self.wait[cur];
+            let (wait, binding) = self.wait_state(cur as NodeIdx);
+            if binding == i as u32 {
+                wait_cycles += wait;
             }
             let src = arena.edge_src(i);
             if !arena.is_hub(src) {
@@ -491,7 +508,7 @@ pub fn predicted_graph(graph: &EventGraph, model: &PerturbationModel) -> Option<
     let arena = out.arena_mut();
     for i in 0..arena.num_edges() {
         let src = arena.node_id(arena.edge_src(i));
-        arena.edge_sampled[i] = match arena.edge_class(i) {
+        let sampled = match arena.edge_class(i) {
             DeltaClass::None => 0,
             // An acknowledgement arm anchored at the sender's own start
             // subevent stands for the full forward path plus the return
@@ -505,6 +522,7 @@ pub fn predicted_graph(graph: &EventGraph, model: &PerturbationModel) -> Option<
             }
             class => sampler.sample(0, class),
         };
+        arena.set_edge_sampled(i, sampled);
     }
     Some(out)
 }

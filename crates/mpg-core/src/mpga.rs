@@ -31,6 +31,13 @@
 //! in the layout the count table declares (see [`crate::arena`]). A kind
 //! code indexes [`EventKind::NAMES`].
 //!
+//! The edge columns on disk are dense, though the arena holds them lean
+//! (one tag byte with the message flag folded in, a payload only where
+//! the class has one, no sampled column for a quiet graph): the encoder
+//! writes what the arena elides as zeros, and the decoder folds the
+//! columns back, so every artifact is byte-identical to the dense
+//! arena's.
+//!
 //! The trailing `crc` is CRC32C over every preceding byte, so truncation
 //! and bitflips are always detected. Column sections start on 8-byte
 //! boundaries: a future loader may borrow them zero-copy straight out of
@@ -51,8 +58,7 @@
 use mpg_trace::frame::crc32c;
 use mpg_trace::EventKind;
 
-use crate::arena::{GraphArena, FLAG_LABELED, FLAG_TOUCHED};
-use crate::perturb::DeltaClass;
+use crate::arena::{class_of_parts, GraphArena, FLAG_LABELED, FLAG_TOUCHED};
 
 /// Magic bytes opening an MPGA artifact.
 pub const MPGA_MAGIC: &[u8; 4] = b"MPGA";
@@ -91,40 +97,6 @@ impl std::fmt::Display for MpgaError {
 
 impl std::error::Error for MpgaError {}
 
-/// Edge delta-class tags, one per [`DeltaClass`] variant.
-const TAG_NONE: u8 = 0;
-const TAG_OS_LOCAL: u8 = 1;
-const TAG_OS_REMOTE: u8 = 2;
-const TAG_LAMBDA: u8 = 3;
-const TAG_TRANSFER: u8 = 4;
-const TAG_MESSAGE_PATH: u8 = 5;
-const TAG_COLLECTIVE: u8 = 6;
-
-fn class_to_columns(c: DeltaClass) -> (u8, u64, u32) {
-    match c {
-        DeltaClass::None => (TAG_NONE, 0, 0),
-        DeltaClass::OsLocal => (TAG_OS_LOCAL, 0, 0),
-        DeltaClass::OsRemote => (TAG_OS_REMOTE, 0, 0),
-        DeltaClass::Lambda => (TAG_LAMBDA, 0, 0),
-        DeltaClass::Transfer { bytes } => (TAG_TRANSFER, bytes, 0),
-        DeltaClass::MessagePath { bytes } => (TAG_MESSAGE_PATH, bytes, 0),
-        DeltaClass::CollectiveRounds { rounds, bytes } => (TAG_COLLECTIVE, bytes, rounds),
-    }
-}
-
-fn class_from_columns(tag: u8, bytes: u64, rounds: u32) -> Result<DeltaClass, MpgaError> {
-    Ok(match tag {
-        TAG_NONE => DeltaClass::None,
-        TAG_OS_LOCAL => DeltaClass::OsLocal,
-        TAG_OS_REMOTE => DeltaClass::OsRemote,
-        TAG_LAMBDA => DeltaClass::Lambda,
-        TAG_TRANSFER => DeltaClass::Transfer { bytes },
-        TAG_MESSAGE_PATH => DeltaClass::MessagePath { bytes },
-        TAG_COLLECTIVE => DeltaClass::CollectiveRounds { rounds, bytes },
-        t => return Err(MpgaError::Malformed(format!("unknown delta-class tag {t}"))),
-    })
-}
-
 fn pad8(out: &mut Vec<u8>) {
     while !out.len().is_multiple_of(8) {
         out.push(0);
@@ -140,13 +112,6 @@ fn put_u32s(out: &mut Vec<u8>, xs: &[u32]) {
 }
 
 fn put_u64s(out: &mut Vec<u8>, xs: &[u64]) {
-    out.reserve(xs.len() * 8);
-    for &x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-fn put_i64s(out: &mut Vec<u8>, xs: &[i64]) {
     out.reserve(xs.len() * 8);
     for &x in xs {
         out.extend_from_slice(&x.to_le_bytes());
@@ -185,23 +150,25 @@ pub fn encode_arena(arena: &GraphArena) -> Vec<u8> {
     put_u32s(&mut out, &arena.edge_src);
     put_u32s(&mut out, &arena.edge_dst);
     put_u64s(&mut out, &arena.edge_base);
-    put_i64s(&mut out, &arena.edge_sampled);
-
-    let mut tags = Vec::with_capacity(edges);
-    let mut class_bytes = Vec::with_capacity(edges);
-    let mut class_rounds = Vec::with_capacity(edges);
-    for &c in &arena.edge_class {
-        let (t, b, r) = class_to_columns(c);
-        tags.push(t);
-        class_bytes.push(b);
-        class_rounds.push(r);
+    // The on-disk columns stay dense: a quiet graph's elided deltas are
+    // written as zeros, and every edge carries a (zero) payload.
+    match arena.sampled_column() {
+        Some(sampled) => sampled
+            .iter()
+            .for_each(|d| out.extend_from_slice(&d.to_le_bytes())),
+        None => out.resize(out.len() + 8 * edges, 0),
     }
-    put_u8s(&mut out, &tags);
-    put_u64s(&mut out, &class_bytes);
-    put_u32s(&mut out, &class_rounds);
-
-    let msg: Vec<u8> = arena.edge_msg.iter().map(|&m| u8::from(m)).collect();
-    put_u8s(&mut out, &msg);
+    out.extend((0..edges).map(|i| arena.edge_tag(i)));
+    pad8(&mut out);
+    for i in 0..edges {
+        out.extend_from_slice(&arena.edge_payload(i).0.to_le_bytes());
+    }
+    for i in 0..edges {
+        out.extend_from_slice(&arena.edge_payload(i).1.to_le_bytes());
+    }
+    pad8(&mut out);
+    out.extend((0..edges).map(|i| u8::from(arena.edge_is_message(i))));
+    pad8(&mut out);
 
     let crc = crc32c(&out);
     out.extend_from_slice(&crc.to_le_bytes());
@@ -237,28 +204,31 @@ impl<'a> Reader<'a> {
     }
 
     fn u32s(&mut self, n: usize) -> Result<Vec<u32>, MpgaError> {
-        let b = self.take(n.checked_mul(4).ok_or(MpgaError::Truncated)?)?;
-        let v = b
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        self.align8()?;
-        Ok(v)
+        Ok(self.lazy_u32s(n)?.collect())
     }
 
     fn u64s(&mut self, n: usize) -> Result<Vec<u64>, MpgaError> {
-        let b = self.take(n.checked_mul(8).ok_or(MpgaError::Truncated)?)?;
-        Ok(b.chunks_exact(8)
-            .map(|c| {
-                let mut buf = [0u8; 8];
-                buf.copy_from_slice(c);
-                u64::from_le_bytes(buf)
-            })
-            .collect())
+        Ok(self.lazy_u64s(n)?.collect())
     }
 
-    fn i64s(&mut self, n: usize) -> Result<Vec<i64>, MpgaError> {
-        Ok(self.u64s(n)?.into_iter().map(|x| x as i64).collect())
+    /// `n` little-endian `u64`s, left in place: an iterator over the
+    /// bytes the body holds for them.
+    fn lazy_u64s(&mut self, n: usize) -> Result<impl Iterator<Item = u64> + 'a, MpgaError> {
+        let b = self.take(n.checked_mul(8).ok_or(MpgaError::Truncated)?)?;
+        Ok(b.chunks_exact(8).map(|c| {
+            let mut buf = [0u8; 8];
+            buf.copy_from_slice(c);
+            u64::from_le_bytes(buf)
+        }))
+    }
+
+    /// `n` little-endian `u32`s and the padding after them, the values
+    /// left in place like [`Reader::lazy_u64s`]'s.
+    fn lazy_u32s(&mut self, n: usize) -> Result<impl Iterator<Item = u32> + 'a, MpgaError> {
+        let b = self.take(n.checked_mul(4).ok_or(MpgaError::Truncated)?)?;
+        self.align8()?;
+        Ok(b.chunks_exact(4)
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
     }
 
     fn u8s(&mut self, n: usize) -> Result<Vec<u8>, MpgaError> {
@@ -328,10 +298,10 @@ pub fn decode_arena(bytes: &[u8]) -> Result<GraphArena, MpgaError> {
     let edge_src = r.u32s(edges)?;
     let edge_dst = r.u32s(edges)?;
     let edge_base = r.u64s(edges)?;
-    let edge_sampled = r.i64s(edges)?;
+    let edge_sampled = r.lazy_u64s(edges)?;
     let tags = r.u8s(edges)?;
-    let class_bytes = r.u64s(edges)?;
-    let class_rounds = r.u32s(edges)?;
+    let class_bytes = r.lazy_u64s(edges)?;
+    let class_rounds = r.lazy_u32s(edges)?;
     let msg = r.u8s(edges)?;
     if r.pos != body.len() {
         return Err(MpgaError::Malformed(format!(
@@ -379,10 +349,6 @@ pub fn decode_arena(bytes: &[u8]) -> Result<GraphArena, MpgaError> {
             return Err(malformed("edge endpoint is not a reached node"));
         }
     }
-    let edge_class = (0..edges)
-        .map(|i| class_from_columns(tags[i], class_bytes[i], class_rounds[i]))
-        .collect::<Result<Vec<_>, _>>()?;
-
     arena.node_flags = node_flags;
     arena.label_code = label_code;
     arena.label_t = label_t;
@@ -390,9 +356,17 @@ pub fn decode_arena(bytes: &[u8]) -> Result<GraphArena, MpgaError> {
     arena.edge_src = edge_src;
     arena.edge_dst = edge_dst;
     arena.edge_base = edge_base;
-    arena.edge_class = edge_class;
-    arena.edge_sampled = edge_sampled;
-    arena.edge_msg = msg.iter().map(|&m| m != 0).collect();
+    // The lean columns: a tag byte per edge, a payload only where the
+    // class has one, and no sampled column for a quiet graph.
+    let payloads = class_bytes.zip(class_rounds);
+    for (((&tag, (bytes, rounds)), &m), sampled) in
+        tags.iter().zip(payloads).zip(&msg).zip(edge_sampled)
+    {
+        let class = class_of_parts(tag, bytes, rounds)
+            .ok_or_else(|| malformed(&format!("unknown delta-class tag {tag}")))?;
+        arena.push_class(class, m != 0);
+        arena.push_sampled(sampled as i64);
+    }
     Ok(arena)
 }
 
@@ -400,6 +374,7 @@ pub fn decode_arena(bytes: &[u8]) -> Result<GraphArena, MpgaError> {
 mod tests {
     use super::*;
     use crate::graph::{Edge, NodeId};
+    use crate::perturb::DeltaClass;
 
     fn sample_arena() -> GraphArena {
         let mut a = GraphArena::new(&[1, 6, 8]);
