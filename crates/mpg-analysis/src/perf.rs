@@ -302,8 +302,10 @@ fn ooc_trace_dir(spec: &OocSpec) -> PathBuf {
 }
 
 /// `spec`'s cached trace directory, if it holds a scannable trace with the
-/// right rank count. [`measure`] generates every missing one first
-/// ([`generate_cold_traces`]); nothing else does.
+/// right rank count; it never generates one. [`measure`] generates each
+/// missing pinned trace first, in a child `mpgtool gen`
+/// ([`generate_cold_traces`]); the unit tests generate their miniature
+/// specs in-process before calling a section.
 fn cached_trace(spec: &OocSpec) -> Result<PathBuf, String> {
     let dir = ooc_trace_dir(spec);
     let set = OocTraceSet::open(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
@@ -441,7 +443,9 @@ pub fn measure_gen(spec: &OocSpec) -> Result<GenPerf, String> {
 /// at 1 shard then one at [`OocSpec::shards`] shards over the mmap-backed
 /// cursors, best of each kept, with the resident-set sampler running across
 /// the whole section. Alternating the two keeps each pair of walls seconds
-/// apart. It reads the cached trace [`measure`] generates.
+/// apart.
+///
+/// Precondition: `spec`'s trace is cached ([`measure`] caches it first).
 pub fn measure_ooc(spec: &OocSpec, reps: u32) -> Result<OocPerf, String> {
     let dir = cached_trace(spec)?;
     let set = OocTraceSet::open(&dir).map_err(|e| format!("opening ooc bench trace: {e}"))?;
@@ -521,6 +525,8 @@ impl IngestPerf {
 /// by rank, which side goes first alternating too, so both see the same
 /// host speed and the same cache state; each side's wall is the sum over
 /// ranks of its best rep. Fails if the sides disagree on a record count.
+///
+/// Precondition: `spec`'s trace is cached ([`measure`] caches it first).
 pub fn measure_ingest(spec: &OocSpec, reps: u32) -> Result<IngestPerf, String> {
     let dir = cached_trace(spec)?;
     let before = resident_mib();
@@ -624,6 +630,8 @@ impl CachePerf {
 /// "cold" is honest and nothing leaks into a user's cache. The warm output
 /// is asserted byte-identical to the cold output before any number is
 /// reported: a speedup that changes the answer is a bug, not a result.
+///
+/// Precondition: `spec`'s trace is cached ([`measure`] caches it first).
 pub fn measure_cache(spec: &OocSpec) -> Result<CachePerf, String> {
     let dir = cached_trace(spec)?;
     let events = OocTraceSet::open(&dir)
@@ -758,6 +766,8 @@ impl LintPerf {
 /// freed heap, and before the cold analyze, after which a lint reads
 /// 1.87× instead of 1.17×. The recorded graph's edge columns are counted
 /// too ([`GRAPH_BYTES_PER_EDGE_CEILING`]).
+///
+/// Precondition: `spec`'s trace is cached ([`measure`] caches it first).
 pub fn measure_lint(spec: &OocSpec) -> Result<LintPerf, String> {
     let dir = cached_trace(spec)?;
     let trace = FileTraceSet::open(&dir)
@@ -1349,6 +1359,39 @@ mod tests {
         assert!(sweep.configs_per_sec > 0.0 && sweep.scalar_configs_per_sec > 0.0);
     }
 
+    /// Meets the sections' precondition for a miniature spec that
+    /// [`measure`] never generates: `spec`'s trace in its cached directory.
+    /// A missing one is generated in-process (a unit test cannot reach the
+    /// `mpgtool` binary; at 4–8 ranks × scale 1 the simulation leaves no
+    /// heap worth keeping out of the process) into a per-process sibling,
+    /// then renamed into place, so two test processes sharing one temp dir
+    /// never read a half-written trace. A rename that loses to a finished
+    /// trace keeps that one and removes its own.
+    fn ensure_cached_trace(spec: &OocSpec) {
+        if cached_trace(spec).is_ok() {
+            return;
+        }
+        let dir = ooc_trace_dir(spec);
+        let mut tmp = dir.clone().into_os_string();
+        tmp.push(format!(".tmp-{}", std::process::id()));
+        let tmp = PathBuf::from(tmp);
+        let _ = std::fs::remove_dir_all(&tmp);
+        generate(spec, &tmp).expect("generating the miniature trace");
+        for _ in 0..2 {
+            if std::fs::rename(&tmp, &dir).is_ok() {
+                return;
+            }
+            if cached_trace(spec).is_ok() {
+                std::fs::remove_dir_all(&tmp).expect("removing the losing trace");
+                return;
+            }
+            // A stale directory that is not a finished trace: clear it
+            // and retry the rename once.
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        panic!("cannot move {} to {}", tmp.display(), dir.display());
+    }
+
     #[test]
     fn measure_cache_smoke() {
         // A miniature spec: cold populates the dedicated cache, warm hits
@@ -1361,6 +1404,7 @@ mod tests {
             seed: 3,
             shards: 1,
         };
+        ensure_cached_trace(&spec);
         let perf = measure_cache(&spec).expect("cache measurement");
         assert_eq!(perf.ranks, 4);
         assert!(perf.events > 0);
@@ -1377,6 +1421,7 @@ mod tests {
             seed: 5,
             shards: 1,
         };
+        ensure_cached_trace(&spec);
         let perf = measure_lint(&spec).expect("lint measurement");
         assert_eq!(perf.ranks, 4);
         assert!(perf.events > 0);
@@ -1411,6 +1456,7 @@ mod tests {
             seed: 4,
             shards: 1,
         };
+        ensure_cached_trace(&spec);
         let perf = measure_ingest(&spec, 1).expect("ingest measurement");
         assert!(perf.events > 0);
         assert!(perf.cursor_secs > 0.0 && perf.decode_secs > 0.0);
@@ -1429,6 +1475,7 @@ mod tests {
             seed: 1,
             shards: 2,
         };
+        ensure_cached_trace(&spec);
         let perf = measure_ooc(&spec, 1).expect("ooc measurement");
         assert_eq!(perf.ranks, 8);
         assert!(perf.events > 0);
