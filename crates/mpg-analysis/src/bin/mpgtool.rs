@@ -140,7 +140,10 @@
 //! still load the recorded graph (an MPGA artifact) and `lint`/`explore`
 //! the happens-before clocks from the same cache. Cached output is
 //! byte-identical to a cold run; cache status notes go to stderr.
-//! Salvaged, unsealed, and history-logging runs are never cached.
+//! Salvaged, unsealed, and history-logging runs are never cached. The
+//! keys and the lookup are `mpg_serve::tier`'s, which `serve` jobs go
+//! through too: a `submit replay|lint|explore` job and the CLI run with
+//! the same options warm each other.
 //! Numeric flags take a number: a value that does not parse, or a flag
 //! given last with no value, exits 2 naming the flag.
 
@@ -159,10 +162,10 @@ use mpg_apps::{
 };
 use mpg_core::timeline::render_trace_gantt;
 use mpg_core::{
-    cached_recorded_graph, dot, ArtifactKind, CacheStore, CachedReport, PerturbationModel,
-    ReplayConfig, ReplayError, Replayer,
+    cached_recorded_graph, dot, CacheStore, PerturbationModel, ReplayConfig, ReplayError, Replayer,
 };
 use mpg_noise::PlatformSignature;
+use mpg_serve::ReportTier;
 use mpg_sim::{SimError, Simulation};
 use mpg_trace::{
     inject_dir, sort_diagnostics, text_to_trace, trace_stats, trace_to_text, validate_trace,
@@ -259,67 +262,43 @@ fn take_cache(args: &mut Vec<String>) -> Result<Option<CacheStore>, String> {
         .map_err(|e| format!("opening cache {}: {e}", root.display()))
 }
 
-/// Where one verb run keeps its finished report: the store, the trace's
-/// content key (the arena and clock artifacts are keyed by it too) and
-/// the key the report's `(exit code, stdout)` is memoized under.
-struct ReportTier {
-    store: CacheStore,
-    trace_key: String,
-    key: String,
-}
-
-impl ReportTier {
-    /// Opens the report tier of a `verb` run on `dir`, `report_key`
-    /// deriving the report's key from the trace's content key. A trace
-    /// that cannot be fingerprinted cheaply (unsealed) runs cold and
-    /// uncached; the note goes to stderr so stdout stays byte-identical to
-    /// an uncached run. On a warm hit the cached stdout is printed and
-    /// `Break` carries the cached exit code.
-    fn open(
-        cache: Option<CacheStore>,
-        dir: &str,
-        verb: &str,
-        report_key: impl FnOnce(&str) -> String,
-    ) -> ControlFlow<ExitCode, Option<Self>> {
-        let Some(store) = cache else {
+/// Opens the report tier (`mpg_serve::tier`) of a `verb` run on `dir`,
+/// `report_key` deriving the report's key from the trace's content key.
+/// A trace that cannot be fingerprinted cheaply (unsealed) runs cold and
+/// uncached; the note goes to stderr so stdout stays byte-identical to an
+/// uncached run. On a warm hit the cached stdout is printed and `Break`
+/// carries the cached exit code.
+fn open_tier<'a>(
+    cache: Option<&'a CacheStore>,
+    dir: &str,
+    verb: &str,
+    report_key: impl FnOnce(&str) -> String,
+) -> ControlFlow<ExitCode, Option<ReportTier<'a>>> {
+    let Some(store) = cache else {
+        return ControlFlow::Continue(None);
+    };
+    let trace_key = match mpg_trace::trace_fingerprint(Path::new(dir)) {
+        Ok(fp) => fp.key(),
+        Err(e) => {
+            eprintln!("mpgtool: cache: {e}; running cold without caching");
             return ControlFlow::Continue(None);
-        };
-        let trace_key = match mpg_trace::trace_fingerprint(Path::new(dir)) {
-            Ok(fp) => fp.key(),
-            Err(e) => {
-                eprintln!("mpgtool: cache: {e}; running cold without caching");
-                return ControlFlow::Continue(None);
-            }
-        };
-        let key = report_key(&trace_key);
-        if let Some(rep) = store.get_report(&key) {
-            eprintln!("mpgtool: cache: warm hit ({verb} report)");
-            print!("{}", rep.stdout);
-            return ControlFlow::Break(ExitCode::from(rep.exit_code));
         }
-        ControlFlow::Continue(Some(ReportTier {
-            store,
-            trace_key,
-            key,
-        }))
-    }
-
-    /// The store and trace key the arena and clock artifacts go through.
-    fn artifacts(&self) -> (&CacheStore, &str) {
-        (&self.store, &self.trace_key)
+    };
+    match ReportTier::open(store, trace_key, report_key) {
+        ControlFlow::Break(hit) => {
+            eprintln!("mpgtool: cache: warm hit ({verb} report)");
+            print!("{}", hit.stdout);
+            ControlFlow::Break(ExitCode::from(hit.exit_code))
+        }
+        ControlFlow::Continue(tier) => ControlFlow::Continue(Some(tier)),
     }
 }
 
 /// Prints a finished report and exits with `exit_code`, publishing the
-/// report to `tier` first. A failed publish is nonfatal: the run already
-/// has its output.
+/// report to `tier` first.
 fn finish(tier: Option<&ReportTier>, exit_code: u8, stdout: &str) -> ExitCode {
     if let Some(tier) = tier {
-        let report = CachedReport {
-            exit_code,
-            stdout: stdout.to_string(),
-        };
-        let _ = tier.store.put_report(&tier.key, &report);
+        tier.publish(exit_code, stdout);
     }
     print!("{stdout}");
     ExitCode::from(exit_code)
@@ -360,13 +339,6 @@ fn take_deny(args: &mut Vec<String>) -> Result<Vec<Rule>, Fail> {
         );
     }
     Ok(deny)
-}
-
-/// The `--deny` set as a report key names it: codes sorted, comma-joined.
-fn deny_key(deny: &[Rule]) -> String {
-    let mut codes: Vec<&str> = deny.iter().map(|r| r.code()).collect();
-    codes.sort_unstable();
-    codes.join(",")
 }
 
 /// Escalates every `--deny` rule to error severity, then re-sorts.
@@ -665,17 +637,8 @@ fn cmd_lint(mut args: Vec<String>) -> Result<ExitCode, Fail> {
     };
     // Salvaged traces have no trustworthy content fingerprint — never
     // cached.
-    let tier = match ReportTier::open(cache.filter(|_| !salvage), dir, "lint", |trace_key| {
-        CacheStore::artifact_key(
-            trace_key,
-            ArtifactKind::Report,
-            &format!(
-                "cmd=lint;json={json};all={all};deny={};rules={}",
-                deny_key(&deny),
-                mpg_lint::ruleset_fingerprint()
-            ),
-        )
-    }) {
+    let key = |trace_key: &str| mpg_serve::lint_report_key(trace_key, json, all, &deny);
+    let tier = match open_tier(cache.as_ref().filter(|_| !salvage), dir, "lint", key) {
         ControlFlow::Break(code) => return Ok(code),
         ControlFlow::Continue(tier) => tier,
     };
@@ -700,8 +663,8 @@ fn cmd_lint(mut args: Vec<String>) -> Result<ExitCode, Fail> {
         // byte-identical to this path.
         mpg_serve::render_lint_report(&diags, all, trace.total_events(), trace.num_ranks())
     };
-    let errors = diags.iter().any(|d| d.severity == Severity::Error);
-    Ok(finish(tier.as_ref(), u8::from(errors), &out))
+    let exit_code = mpg_serve::lint_exit_code(&diags);
+    Ok(finish(tier.as_ref(), exit_code, &out))
 }
 
 /// `mpgtool explore`: full lint plus the bounded pass-8 schedule-space
@@ -724,18 +687,8 @@ fn cmd_explore(mut args: Vec<String>) -> Result<ExitCode, Fail> {
     let [dir] = args.as_slice() else {
         return Err(usage_error("explore needs a trace directory"));
     };
-    let tier = match ReportTier::open(cache, dir, "explore", |trace_key| {
-        CacheStore::artifact_key(
-            trace_key,
-            ArtifactKind::Report,
-            &format!(
-                "cmd=explore;json={json};all={all};deny={};{};rules={}",
-                deny_key(&deny),
-                opts.fingerprint(),
-                mpg_lint::ruleset_fingerprint()
-            ),
-        )
-    }) {
+    let key = |trace_key: &str| mpg_serve::explore_report_key(trace_key, json, all, &deny, &opts);
+    let tier = match open_tier(cache.as_ref(), dir, "explore", key) {
         ControlFlow::Break(code) => return Ok(code),
         ControlFlow::Continue(tier) => tier,
     };
@@ -754,8 +707,8 @@ fn cmd_explore(mut args: Vec<String>) -> Result<ExitCode, Fail> {
         let (events, ranks) = (trace.total_events(), trace.num_ranks());
         mpg_serve::render_explore_report(&out.diags, &out.stats, all, events, ranks)
     };
-    let errors = out.diags.iter().any(|d| d.severity == Severity::Error);
-    Ok(finish(tier.as_ref(), u8::from(errors), &rendered))
+    let exit_code = mpg_serve::lint_exit_code(&out.diags);
+    Ok(finish(tier.as_ref(), exit_code, &rendered))
 }
 
 /// `mpgtool analyze`: static wait-state & slack analysis of a trace — no
@@ -781,17 +734,8 @@ fn cmd_analyze(mut args: Vec<String>) -> Result<ExitCode, Fail> {
         .crash_tolerant(salvage);
     // Salvaged traces have no trustworthy content fingerprint — never
     // cached.
-    let tier = match ReportTier::open(cache.filter(|_| !salvage), dir, "analyze", |trace_key| {
-        CacheStore::artifact_key(
-            trace_key,
-            ArtifactKind::Report,
-            &format!(
-                "cmd=analyze;json={json};top={top};thresholds={:?};{}",
-                mpg_lint::PerfThresholds::default(),
-                cfg.fingerprint()
-            ),
-        )
-    }) {
+    let key = |trace_key: &str| mpg_serve::analyze_report_key(trace_key, json, top, &cfg);
+    let tier = match open_tier(cache.as_ref().filter(|_| !salvage), dir, "analyze", key) {
         ControlFlow::Break(code) => return Ok(code),
         ControlFlow::Continue(tier) => tier,
     };
@@ -1008,10 +952,9 @@ fn cmd_replay(mut args: Vec<String>) -> Result<ExitCode, Fail> {
     // appends to an external store on every run — neither may short-circuit
     // through the cache. The key is the one a service replay job uses.
     let cache = cache.filter(|_| !salvage && history.is_none());
-    let tier = match ReportTier::open(cache, dir, "replay", |trace_key| {
-        let knobs = (os_mean, latency, per_byte, seed);
-        mpg_serve::replay_report_key(trace_key, knobs, shards, lint, &cfg)
-    }) {
+    let knobs = (os_mean, latency, per_byte, seed);
+    let key = |trace_key: &str| mpg_serve::replay_report_key(trace_key, knobs, shards, lint, &cfg);
+    let tier = match open_tier(cache.as_ref(), dir, "replay", key) {
         ControlFlow::Break(code) => return Ok(code),
         ControlFlow::Continue(tier) => tier,
     };

@@ -130,77 +130,125 @@ fn warm_runs_are_byte_identical_across_demo_workloads() {
     }
 }
 
-/// A `serve` replay job and `mpgtool replay` with the same knobs key their
-/// reports alike: whichever runs first warms the other, and the warm
-/// bytes are the cold run's bytes.
+/// Two ranks that each receive before they send: a head-to-head deadlock
+/// whose lint and explore exit 1.
+const DEADLOCK: &str = "ranks=2
+rank 0
+0 10 init
+10 20 recv peer=1 tag=0 bytes=8 any=0
+20 30 send peer=1 tag=0 bytes=8
+30 40 finalize
+rank 1
+0 10 init
+10 20 recv peer=0 tag=0 bytes=8 any=0
+20 30 send peer=0 tag=0 bytes=8
+30 40 finalize
+";
+
+/// A `serve` job and the `mpgtool` run with the same options key their
+/// reports alike, for every job kind: whichever runs first warms the
+/// other, the warm bytes are the cold solo run's, and a warm CLI run
+/// exits with the cold run's code — 1 for a lint that finds an error.
 #[test]
-fn cli_and_service_replays_share_reports() {
-    let trace = tmp("shared-trace");
-    let _ = std::fs::remove_dir_all(&trace);
-    let trace = trace.to_str().unwrap();
-    let (_, err, code) = run(&["demo", "ring", "--ranks", "4", "--seed", "2", trace]);
-    assert_eq!(code, 0, "demo: {err}");
-    for cli_first in [true, false] {
-        let cache = tmp(&format!("shared-cache-{cli_first}"));
-        let result = tmp(&format!("shared-result-{cli_first}"));
-        let script = tmp(&format!("shared-script-{cli_first}"));
-        let _ = std::fs::remove_dir_all(&cache);
-        std::fs::write(
-            &script,
-            format!(
-                "submit replay {trace} os=200 seed=5\nwait job-1\nresult job-1 out={}\nstats\nshutdown\n",
-                result.display()
-            ),
-        )
-        .unwrap();
-        let cache = cache.to_str().unwrap();
-        let serve = || {
-            let (out, err, code) = run(&[
-                "serve",
-                "--script",
-                script.to_str().unwrap(),
-                "--workers",
-                "1",
-                "--cache-dir",
-                cache,
-            ]);
-            assert_eq!(code, 0, "serve: {err}");
-            assert!(out.contains("ok job-1 done"), "{out}");
-            (out, std::fs::read_to_string(&result).unwrap())
-        };
-        let cli = || {
-            let args = [
-                "replay",
-                trace,
-                "--os",
-                "200",
-                "--seed",
-                "5",
-                "--cache-dir",
-                cache,
-            ];
-            let (out, err, code) = run(&args);
-            assert_eq!(code, 0, "replay: {err}");
-            (out, err)
-        };
-        if cli_first {
-            let (cold, err) = cli();
-            assert!(!err.contains("warm hit"), "{err}");
-            let (stats, job) = serve();
-            assert!(stats.contains(" cache-hits=1 "), "{stats}");
-            assert_eq!(job, cold);
-        } else {
-            let (stats, job) = serve();
-            assert!(stats.contains(" cache-hits=0 "), "{stats}");
-            let (warm, err) = cli();
-            assert!(err.contains("warm hit (replay report)"), "{err}");
-            assert_eq!(warm, job);
-        }
-        let _ = std::fs::remove_dir_all(cache);
-        let _ = std::fs::remove_file(&result);
-        let _ = std::fs::remove_file(&script);
+fn cli_and_service_jobs_share_reports() {
+    let ring = tmp("shared-ring");
+    let master_worker = tmp("shared-mw");
+    let deadlock = tmp("shared-deadlock");
+    let deadlock_text = tmp("shared-deadlock.txt");
+    for dir in [&ring, &master_worker, &deadlock] {
+        let _ = std::fs::remove_dir_all(dir);
     }
-    let _ = std::fs::remove_dir_all(trace);
+    let (ring, master_worker, deadlock) = (
+        ring.to_str().unwrap(),
+        master_worker.to_str().unwrap(),
+        deadlock.to_str().unwrap(),
+    );
+    let (_, err, code) = run(&["demo", "ring", "--ranks", "4", "--seed", "2", ring]);
+    assert_eq!(code, 0, "demo: {err}");
+    let (_, err, code) = run(&["demo", "master-worker", "--ranks", "4", master_worker]);
+    assert_eq!(code, 0, "demo: {err}");
+    std::fs::write(&deadlock_text, DEADLOCK).unwrap();
+    let (_, err, code) = run(&["import", deadlock_text.to_str().unwrap(), deadlock]);
+    assert_eq!(code, 0, "import: {err}");
+    // (submit line, CLI twin, the cold run's exit code)
+    let mut cases: Vec<(String, Vec<&str>, i32)> = vec![(
+        format!("replay {ring} os=200 seed=5"),
+        vec!["replay", ring, "--os", "200", "--seed", "5"],
+        0,
+    )];
+    for (trace, code) in [(master_worker, 0), (deadlock, 1)] {
+        cases.push((format!("lint {trace}"), vec!["lint", trace], code));
+        cases.push((
+            format!("explore {trace} budget=8 seed=2"),
+            vec!["explore", trace, "--budget", "8", "--seed", "2"],
+            code,
+        ));
+    }
+    for (i, (submit, cli_args, cold_code)) in cases.iter().enumerate() {
+        let (cold, err, code) = run(cli_args);
+        assert_eq!(code, *cold_code, "{submit}: {err}");
+        for cli_first in [true, false] {
+            let cache = tmp(&format!("shared-cache-{i}-{cli_first}"));
+            let result = tmp(&format!("shared-result-{i}-{cli_first}"));
+            let script = tmp(&format!("shared-script-{i}-{cli_first}"));
+            let _ = std::fs::remove_dir_all(&cache);
+            std::fs::write(
+                &script,
+                format!(
+                    "submit {submit}\nwait job-1\nresult job-1 out={}\nstats\nshutdown\n",
+                    result.display()
+                ),
+            )
+            .unwrap();
+            let cache = cache.to_str().unwrap();
+            let serve = || {
+                let (out, err, code) = run(&[
+                    "serve",
+                    "--script",
+                    script.to_str().unwrap(),
+                    "--workers",
+                    "1",
+                    "--cache-dir",
+                    cache,
+                ]);
+                assert_eq!(code, 0, "serve: {err}");
+                assert!(out.contains("ok job-1 done"), "{submit}: {out}");
+                (out, std::fs::read_to_string(&result).unwrap())
+            };
+            let cli = || {
+                let mut args = cli_args.clone();
+                args.extend(["--cache-dir", cache]);
+                run(&args)
+            };
+            if cli_first {
+                let (out, err, code) = cli();
+                assert_eq!((out.as_str(), code), (cold.as_str(), *cold_code), "{err}");
+                assert!(!err.contains("warm hit"), "{err}");
+                let (stats, job) = serve();
+                assert!(stats.contains(" cache-hits=1 "), "{submit}: {stats}");
+                assert_eq!(job, cold, "{submit}");
+            } else {
+                let (stats, job) = serve();
+                assert!(stats.contains(" cache-hits=0 "), "{submit}: {stats}");
+                assert_eq!(job, cold, "{submit}");
+                let (warm, err, code) = cli();
+                let verb = cli_args[0];
+                assert!(err.contains(&format!("warm hit ({verb} report)")), "{err}");
+                assert_eq!(
+                    (warm.as_str(), code),
+                    (cold.as_str(), *cold_code),
+                    "{submit}"
+                );
+            }
+            let _ = std::fs::remove_dir_all(cache);
+            let _ = std::fs::remove_file(&result);
+            let _ = std::fs::remove_file(&script);
+        }
+    }
+    for dir in [ring, master_worker, deadlock] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    let _ = std::fs::remove_file(&deadlock_text);
 }
 
 /// The one `arena-*` artifact in a cache directory.

@@ -892,6 +892,33 @@ mod tests {
         assert!(predicted_graph(&g, &bad).is_none());
     }
 
+    /// A collective edge may carry any round count the MPGA decoder
+    /// accepts. Under a constant model its delta is one round's times the
+    /// count, drawn once: `u32::MAX` rounds predict in well under a
+    /// second, even in a debug build.
+    #[test]
+    fn predicted_graph_prices_a_huge_round_count_at_once() {
+        let mut g = EventGraph::new(&[1, 1]);
+        g.label(NodeId::end(0, 0), "allreduce", 10);
+        g.label(NodeId::end(1, 0), "allreduce", 10);
+        g.add_edge(Edge {
+            src: NodeId::end(0, 0),
+            dst: NodeId::end(1, 0),
+            base: 0,
+            class: DeltaClass::CollectiveRounds {
+                rounds: u32::MAX,
+                bytes: 8,
+            },
+            sampled: 0,
+            is_message: false,
+        });
+        let m = PerturbationModel::per_message_constant("c", 700.0);
+        let started = std::time::Instant::now();
+        let p = predicted_graph(&g, &m).expect("predictable");
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(p.edge(0).sampled, 700 * Drift::from(u32::MAX));
+    }
+
     #[test]
     fn drift_slack_zero_on_binding_chain() {
         let mut g = EventGraph::new(&[1, 2]);

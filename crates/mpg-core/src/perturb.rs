@@ -250,21 +250,33 @@ impl PerturbSampler {
                     + self.model.os_remote.sample(&mut rngs[G_OS])
             }
             DeltaClass::CollectiveRounds { rounds, bytes } => {
-                let round_work = 100 + bytes; // mirrors the round combine cost
-                let mut total = 0;
-                for _ in 0..rounds {
-                    total += scaled_os(
-                        &self.model.os_local,
-                        self.model.os_quantum,
-                        round_work,
-                        &mut rngs[G_COLL],
-                    ) + self.model.latency.sample(&mut rngs[G_COLL])
-                        + (self.model.per_byte * bytes as f64).round() as Drift
-                        + self.model.transfer_jitter.sample(&mut rngs[G_COLL]);
-                }
-                total
+                self.sample_rounds(rank, rounds, bytes)
             }
         }
+    }
+
+    /// A collective's `rounds` rounds, each drawing OS noise, latency and
+    /// a `bytes`-sized transfer from `rank`'s collective stream.
+    fn sample_rounds(&mut self, rank: u32, rounds: u32, bytes: u64) -> Drift {
+        let round_work = 100 + bytes; // mirrors the round combine cost
+        let model = &self.model;
+        let rng = &mut self.rngs[rank as usize][G_COLL];
+        let mut round = || {
+            scaled_os(&model.os_local, model.os_quantum, round_work, rng)
+                .saturating_add(model.latency.sample(rng))
+                .saturating_add((model.per_byte * bytes as f64).round() as Drift)
+                .saturating_add(model.transfer_jitter.sample(rng))
+        };
+        // A constant model draws the same round every time and reads no
+        // randomness, so one draw stands for all of them: a decoded graph
+        // may carry any `u32` round count.
+        if [&model.os_local, &model.latency, &model.transfer_jitter]
+            .iter()
+            .all(|d| matches!(d.dist, Dist::Zero | Dist::Constant(_)))
+        {
+            return round().saturating_mul(Drift::from(rounds));
+        }
+        (0..rounds).fold(0, |total: Drift, _| total.saturating_add(round()))
     }
 
     /// Draws the OS-noise delta for a local edge covering `work` cycles,
@@ -375,6 +387,55 @@ mod tests {
             }),
             550.0
         );
+    }
+
+    /// The multiplied constant-model path against the round-by-round sum
+    /// it replaces, on models with every constant component, a negated
+    /// one, per-byte cost and quantum-scaled OS noise.
+    #[test]
+    fn constant_collective_rounds_multiply_as_they_loop() {
+        let mut models = Vec::new();
+        let mut m = PerturbationModel::quiet("all");
+        m.os_local = Dist::Constant(13.0).into();
+        m.latency = Dist::Constant(700.0).into();
+        m.transfer_jitter = Dist::Constant(3.0).into();
+        m.per_byte = 0.25;
+        models.push(m.clone());
+        m.latency = SignedDist::negative(Dist::Constant(40.0));
+        models.push(m.clone());
+        m.os_quantum = Some(64);
+        models.push(m);
+        models.push(PerturbationModel::per_message_constant("lat", 700.0));
+        models.push(PerturbationModel::quiet("q"));
+        for model in models {
+            let mut s = PerturbSampler::new(model.clone(), 1, 5);
+            for rounds in 0..64u32 {
+                let bytes = 40 + u64::from(rounds);
+                let class = DeltaClass::CollectiveRounds { rounds, bytes };
+                let mut rng = StreamRng::new(5, 0x5045_0003);
+                let looped: Drift = (0..rounds)
+                    .map(|_| {
+                        scaled_os(&model.os_local, model.os_quantum, 100 + bytes, &mut rng)
+                            + model.latency.sample(&mut rng)
+                            + (model.per_byte * bytes as f64).round() as Drift
+                            + model.transfer_jitter.sample(&mut rng)
+                    })
+                    .sum();
+                assert_eq!(s.sample(0, class), looped, "{} x{rounds}", model.name);
+            }
+        }
+    }
+
+    #[test]
+    fn collective_rounds_saturate_instead_of_overflowing() {
+        let mut m = PerturbationModel::quiet("huge");
+        m.latency = Dist::Constant(1e15).into();
+        let mut s = PerturbSampler::new(m, 1, 0);
+        let class = DeltaClass::CollectiveRounds {
+            rounds: u32::MAX,
+            bytes: 0,
+        };
+        assert_eq!(s.sample(0, class), Drift::MAX);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! | `panic` | worker unwinding (at open, or after K engine checks) | job `crashed` + quarantined, worker respawned |
 //! | `delay` | deadlines (stall before execution) | job `deadline-exceeded` with partial output |
 //! | `io-error` | retry loop (first attempts fail transiently) | job recovers, `attempts > 1` |
-//! | `corrupt-artifact` | cache integrity (damage the report artifact) | silent miss, output still byte-identical |
+//! | `corrupt-artifact` | cache integrity (damage every artifact in the store: replay, lint and explore reports, arenas, clocks) | silent miss, output still byte-identical |
 //!
 //! Every choice is a pure function of `(seed, job id)`, so a chaos run is
 //! replayable: same seed, same faults, same outcomes.
@@ -37,8 +37,9 @@ pub enum ChaosOp {
         /// Attempts that fail before the job is allowed to proceed.
         failures: u32,
     },
-    /// Corrupt the job's cached report artifact (flip bytes in the store)
-    /// before the job consults the cache: must degrade to a silent miss.
+    /// Corrupt every artifact in the store (flip a byte of each) before
+    /// the job consults the cache — its report and, for lint and explore,
+    /// the arena and clocks: each must degrade to a silent miss.
     CorruptArtifact,
 }
 

@@ -22,8 +22,11 @@
 //!   takes the service down.
 //! * **Retries** — transient I/O failures are retried under a bounded,
 //!   deterministically-jittered exponential backoff ([`RetryPolicy`]).
-//! * **Warm artifacts** — replay jobs share the content-addressed report
-//!   cache with solo `mpgtool` runs; cache anomalies are silent misses.
+//! * **Warm artifacts** — replay, lint and explore jobs share the
+//!   content-addressed report cache, and lint and explore jobs the arena
+//!   and clock artifacts, with solo `mpgtool` runs: every report key and
+//!   the one lookup/publish path live in [`tier`]. Cache anomalies are
+//!   silent misses.
 //! * **Resident traces** — a decoded trace stays in memory under its
 //!   content fingerprint, within a byte budget, so the jobs of a sweep
 //!   over one trace decode it once.
@@ -45,13 +48,16 @@ pub mod render;
 mod resident;
 pub mod retry;
 pub mod runtime;
+pub mod tier;
 
 pub use chaos::{ChaosOp, ChaosPlan, CHAOS_OPS};
 pub use job::{JobId, JobKind, JobSpec, JobState, JobStatus, ServeError};
 pub use proto::serve_script;
 pub use render::{
-    render_explore_report, render_lint_report, render_replay_report, replay_config,
-    replay_report_key,
+    lint_exit_code, render_explore_report, render_lint_report, render_replay_report, replay_config,
 };
 pub use retry::RetryPolicy;
 pub use runtime::{JobRuntime, RuntimeConfig, RuntimeStats};
+pub use tier::{
+    analyze_report_key, explore_report_key, lint_report_key, replay_report_key, ReportTier,
+};

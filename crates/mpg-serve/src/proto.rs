@@ -9,7 +9,7 @@
 //! wait <job> [timeout-ms=N]         # block until terminal (default 30000)
 //! result <job> [out=PATH]           # status line + raw output (or to PATH)
 //! cancel <job>
-//! stats
+//! stats                             # cache-hits: jobs of any kind a report hit answered
 //! quarantine
 //! check                             # run the invariant checker
 //! shutdown

@@ -6,7 +6,7 @@
 
 use std::fmt::Write as _;
 
-use mpg_core::{ArtifactKind, CacheStore, PerturbationModel, ReplayConfig, ReplayReport};
+use mpg_core::{PerturbationModel, ReplayConfig, ReplayReport};
 use mpg_trace::{Diagnostic, Severity};
 
 /// The `mpgtool replay` perturbation model and config for the given knobs
@@ -23,30 +23,6 @@ pub fn replay_config(os_mean: f64, latency: f64, per_byte: f64, seed: u64) -> Re
     model.per_byte = per_byte;
     model.name = format!("os={os_mean} latency={latency} per_byte={per_byte}");
     ReplayConfig::new(model).seed(seed)
-}
-
-/// The report-cache key of `mpgtool replay` with the knobs
-/// `(os_mean, latency, per_byte, seed)` — what [`replay_config`] built
-/// `cfg` from — on the trace whose content key is `trace_key`. `shards`
-/// and `lint` are the replay's `--shards N` and `--lint` (a service job
-/// replays as `1, false`). One definition, so a CLI replay and a service
-/// replay job warm each other's reports.
-pub fn replay_report_key(
-    trace_key: &str,
-    (os_mean, latency, per_byte, seed): (f64, f64, f64, u64),
-    shards: usize,
-    lint: bool,
-    cfg: &ReplayConfig,
-) -> String {
-    CacheStore::artifact_key(
-        trace_key,
-        ArtifactKind::Report,
-        &format!(
-            "cmd=replay;os={os_mean};latency={latency};per_byte={per_byte};seed={seed};\
-             shards={shards};lint={lint};{}",
-            cfg.fingerprint()
-        ),
-    )
 }
 
 /// Renders a replay report exactly as `mpgtool replay` prints it: model
@@ -121,6 +97,12 @@ pub fn render_replay_report(report: &ReplayReport) -> String {
         }
     }
     o
+}
+
+/// The exit code `mpgtool lint` and `mpgtool explore` return for a
+/// finished run: 1 when any diagnostic is an error, else 0.
+pub fn lint_exit_code(diags: &[Diagnostic]) -> u8 {
+    u8::from(diags.iter().any(|d| d.severity == Severity::Error))
 }
 
 /// Renders sorted lint diagnostics exactly as `mpgtool lint` prints them

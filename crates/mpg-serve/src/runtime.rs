@@ -11,11 +11,14 @@
 //! the engines' [`CancelToken`] plumbing, so a cut-short replay comes back
 //! as a *partial frontier report*, not an error.
 //!
-//! Every job kind gets its trace through `open_trace`, which serves it
-//! from the runtime's resident set (`resident.rs`, DESIGN §20) when a
-//! trace of the directory's content fingerprint is already decoded.
+//! Every job kind goes through `run_cached`: a report-cache hit answers
+//! without opening the trace (`tier.rs`, DESIGN §14.4); a miss gets the
+//! trace through `open_trace`, which serves it from the runtime's
+//! resident set (`resident.rs`, DESIGN §20) when a trace of the
+//! directory's content fingerprint is already decoded.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -23,7 +26,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mpg_core::{CacheStore, CancelToken, ReplayError, Replayer};
+use mpg_core::{CacheStore, CancelReason, CancelToken, ReplayError, Replayer};
 use mpg_trace::{MemTrace, TraceError};
 
 use crate::chaos::{ChaosOp, ChaosPlan};
@@ -31,6 +34,7 @@ use crate::job::{JobId, JobKind, JobSpec, JobState, JobStatus, ServeError};
 use crate::render;
 use crate::resident::{trace_key, ResidentTraces};
 use crate::retry::RetryPolicy;
+use crate::tier::{self, ReportTier};
 
 /// Runtime tuning knobs.
 #[derive(Debug, Clone)]
@@ -44,7 +48,8 @@ pub struct RuntimeConfig {
     pub default_deadline: Option<Duration>,
     /// Transient-failure retry budget and backoff shape.
     pub retry: RetryPolicy,
-    /// Artifact cache for warm replays (shared with solo `mpgtool` runs).
+    /// Report, arena and clock cache for warm jobs (shared with solo
+    /// `mpgtool` runs).
     pub cache: Option<CacheStore>,
     /// Chaos plan (tests / `--chaos`); [`ChaosPlan::none`] in production.
     pub chaos: ChaosPlan,
@@ -80,7 +85,7 @@ pub struct RuntimeStats {
     pub crashed: u64,
     /// Workers respawned after a crash.
     pub respawns: u64,
-    /// Warm report-cache hits.
+    /// Jobs answered by a report-cache hit (any kind).
     pub cache_hits: u64,
     /// Full trace decodes that completed (resident misses, and traces
     /// without a fingerprint).
@@ -529,6 +534,19 @@ struct Outcome {
     attempts: u32,
 }
 
+impl Outcome {
+    /// A job that ended in `state` with `output` (its attempt count is
+    /// filled in by the retry loop).
+    fn with_output(state: JobState, output: String) -> Self {
+        Outcome {
+            state,
+            output: Some(output),
+            error: None,
+            attempts: 0,
+        }
+    }
+}
+
 struct RunFailure {
     transient: bool,
     msg: String,
@@ -611,13 +629,11 @@ fn run_once(
             shared,
             token,
             chaos,
-            dir.as_path(),
+            dir,
             (*os_mean, *latency, *per_byte, *seed),
         ),
-        JobKind::Lint { dir } => run_lint(shared, token, dir.as_path()),
-        JobKind::Explore { dir, budget, seed } => {
-            run_explore(shared, token, dir.as_path(), *budget, *seed)
-        }
+        JobKind::Lint { dir } => run_lint(shared, token, dir),
+        JobKind::Explore { dir, budget, seed } => run_explore(shared, token, dir, *budget, *seed),
     }
 }
 
@@ -639,95 +655,100 @@ fn open_trace(
         })
 }
 
+/// What a job body produced: the rendered bytes, the exit code its CLI
+/// twin returns with them, and whether a token cut the run short.
+struct Rendered {
+    stdout: String,
+    exit_code: u8,
+    cancelled: Option<CancelReason>,
+}
+
+/// The report tier of every job kind, the path `mpgtool`'s cached verbs
+/// take too. With a store and a fingerprinted trace, a report hit answers
+/// without opening the trace and counts in `cache_hits`. Otherwise `body`
+/// runs on the (resident) trace, handed the store's arena and clock
+/// artifacts, and a run no token cut short is published under the key.
+/// Any cache anomaly is a silent miss.
+fn run_cached(
+    shared: &Shared,
+    dir: &Path,
+    report_key: impl FnOnce(&str) -> String,
+    body: impl FnOnce(&MemTrace, Option<(&CacheStore, &str)>) -> Result<Rendered, RunFailure>,
+) -> Result<Outcome, RunFailure> {
+    let key = trace_key(dir);
+    let tier = match (&shared.cache, &key) {
+        (Some(store), Some(key)) => match ReportTier::open(store, key.clone(), report_key) {
+            ControlFlow::Break(hit) => {
+                shared.cache_hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(Outcome::with_output(JobState::Done, hit.stdout));
+            }
+            ControlFlow::Continue(tier) => Some(tier),
+        },
+        _ => None,
+    };
+    let trace = open_trace(shared, dir, key)?;
+    let run = body(&trace, tier.as_ref().map(ReportTier::artifacts))?;
+    let state = match run.cancelled {
+        Some(reason) => reason.into(),
+        None => {
+            if let Some(tier) = &tier {
+                tier.publish(run.exit_code, &run.stdout);
+            }
+            JobState::Done
+        }
+    };
+    Ok(Outcome::with_output(state, run.stdout))
+}
+
 fn run_replay(
     shared: &Shared,
     token: &CancelToken,
     chaos: Option<&ChaosOp>,
     dir: &Path,
-    (os_mean, latency, per_byte, seed): (f64, f64, f64, u64),
+    knobs: (f64, f64, f64, u64),
 ) -> Result<Outcome, RunFailure> {
+    let (os_mean, latency, per_byte, seed) = knobs;
     let cfg = render::replay_config(os_mean, latency, per_byte, seed);
-    // Warm path: the key of `mpgtool replay --cache` with the same knobs,
-    // so service and CLI share reports. Any cache anomaly is a silent miss.
-    let key = trace_key(dir);
-    let report_key = shared.cache.as_ref().and_then(|_| {
-        let knobs = (os_mean, latency, per_byte, seed);
-        Some(render::replay_report_key(
-            key.as_deref()?,
-            knobs,
-            1,
-            false,
-            &cfg,
-        ))
-    });
-    if let (Some(store), Some(key)) = (&shared.cache, &report_key) {
-        if let Some(rep) = store.get_report(key) {
-            shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Outcome {
-                state: JobState::Done,
-                output: Some(rep.stdout),
-                error: None,
-                attempts: 0,
-            });
+    let report_key = |trace_key: &str| tier::replay_report_key(trace_key, knobs, 1, false, &cfg);
+    run_cached(shared, dir, report_key, |trace, _| {
+        if let Some(ChaosOp::PanicAtCheck(k)) = chaos {
+            token.fire_after_checks(*k);
         }
-    }
-    let trace = open_trace(shared, dir, key)?;
-    if let Some(ChaosOp::PanicAtCheck(k)) = chaos {
-        token.fire_after_checks(*k);
-    }
-    let report = Replayer::new(cfg.cancel_token(token.clone()))
-        .run(&trace)
-        .map_err(|e: ReplayError| RunFailure {
-            transient: false,
-            msg: format!("replay failed: {e}"),
-        })?;
-    let output = render::render_replay_report(&report);
-    if let Some(reason) = report.cancelled {
-        if matches!(chaos, Some(ChaosOp::PanicAtCheck(_))) {
+        let report = Replayer::new(cfg.clone().cancel_token(token.clone()))
+            .run(trace)
+            .map_err(|e: ReplayError| RunFailure {
+                transient: false,
+                msg: format!("replay failed: {e}"),
+            })?;
+        if report.cancelled.is_some() && matches!(chaos, Some(ChaosOp::PanicAtCheck(_))) {
             panic!(
                 "chaos: injected panic after {} cancellation check(s)",
                 token.checks()
             );
         }
-        return Ok(Outcome {
-            state: reason.into(),
-            output: Some(output),
-            error: None,
-            attempts: 0,
-        });
-    }
-    // Publish only completed runs — a partial frontier must never warm a
-    // future run.
-    if let (Some(store), Some(key)) = (&shared.cache, &report_key) {
-        let _ = store.put_report(
-            key,
-            &mpg_core::CachedReport {
-                exit_code: 0,
-                stdout: output.clone(),
-            },
-        );
-    }
-    Ok(Outcome {
-        state: JobState::Done,
-        output: Some(output),
-        error: None,
-        attempts: 0,
+        Ok(Rendered {
+            stdout: render::render_replay_report(&report),
+            exit_code: 0,
+            cancelled: report.cancelled,
+        })
     })
 }
 
+/// Keyed as `mpgtool lint DIR`: no `--json`, `--all` or `--deny`.
 fn run_lint(shared: &Shared, token: &CancelToken, dir: &Path) -> Result<Outcome, RunFailure> {
-    let trace = open_trace(shared, dir, trace_key(dir))?;
-    let out = mpg_lint::lint_full_with(&trace, None, Some(token));
-    let output =
-        render::render_lint_report(&out.diags, false, trace.total_events(), trace.num_ranks());
-    Ok(Outcome {
-        state: out.cancelled.map_or(JobState::Done, Into::into),
-        output: Some(output),
-        error: None,
-        attempts: 0,
+    let report_key = |trace_key: &str| tier::lint_report_key(trace_key, false, false, &[]);
+    run_cached(shared, dir, report_key, |trace, artifacts| {
+        let out = mpg_lint::lint_full_with(trace, artifacts, Some(token));
+        let (events, ranks) = (trace.total_events(), trace.num_ranks());
+        Ok(Rendered {
+            stdout: render::render_lint_report(&out.diags, false, events, ranks),
+            exit_code: render::lint_exit_code(&out.diags),
+            cancelled: out.cancelled,
+        })
     })
 }
 
+/// Keyed as `mpgtool explore DIR --budget B --seed S`.
 fn run_explore(
     shared: &Shared,
     token: &CancelToken,
@@ -735,25 +756,21 @@ fn run_explore(
     budget: u64,
     seed: u64,
 ) -> Result<Outcome, RunFailure> {
-    let trace = open_trace(shared, dir, trace_key(dir))?;
     let opts = mpg_lint::ExploreOptions {
         seed,
         cancel: Some(token.clone()),
         ..mpg_lint::ExploreOptions::cli_default().budget(budget)
     };
-    let out = mpg_lint::lint_explore(&trace, &opts, None);
-    let output = render::render_explore_report(
-        &out.diags,
-        &out.stats,
-        false,
-        trace.total_events(),
-        trace.num_ranks(),
-    );
-    Ok(Outcome {
-        state: out.cancelled.map_or(JobState::Done, Into::into),
-        output: Some(output),
-        error: None,
-        attempts: 0,
+    let report_key =
+        |trace_key: &str| tier::explore_report_key(trace_key, false, false, &[], &opts);
+    run_cached(shared, dir, report_key, |trace, artifacts| {
+        let out = mpg_lint::lint_explore(trace, &opts, artifacts);
+        let (events, ranks) = (trace.total_events(), trace.num_ranks());
+        Ok(Rendered {
+            stdout: render::render_explore_report(&out.diags, &out.stats, false, events, ranks),
+            exit_code: render::lint_exit_code(&out.diags),
+            cancelled: out.cancelled,
+        })
     })
 }
 
@@ -773,5 +790,121 @@ fn corrupt_cache(root: &Path) {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpg_apps::{MasterWorker, Workload};
+    use mpg_noise::PlatformSignature;
+    use mpg_sim::Simulation;
+
+    /// A lint or explore job that a token cuts short in its recording
+    /// replay — at the first poll, at the second (one check interval in)
+    /// or by a deadline already past — publishes no report, no arena and
+    /// no clocks. The next job runs cold, prints the solo run's bytes and
+    /// publishes all three.
+    #[test]
+    fn cut_short_lint_and_explore_jobs_publish_nothing() {
+        let tag = format!("mpg-serve-cut-{}", std::process::id());
+        let dir = std::env::temp_dir().join(format!("{tag}-trace"));
+        let store_dir = std::env::temp_dir().join(format!("{tag}-store"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&store_dir);
+        let mw = MasterWorker {
+            tasks: 600,
+            task_work: 400,
+            task_bytes: 64,
+            result_bytes: 32,
+        };
+        let trace = Simulation::new(4, PlatformSignature::quiet("svc"))
+            .seed(3)
+            .run(|ctx| mw.run(ctx))
+            .unwrap()
+            .trace;
+        assert!(trace.total_events() as u64 > 2 * mpg_core::CHECK_INTERVAL);
+        trace.save(&dir).unwrap();
+        let store = CacheStore::open(&store_dir).unwrap();
+        let rt = JobRuntime::start(RuntimeConfig {
+            workers: 1,
+            cache: Some(store.clone()),
+            ..RuntimeConfig::default()
+        });
+        let cut_tokens = || {
+            let first = CancelToken::new();
+            first.fire_after_checks(0);
+            let second = CancelToken::new();
+            second.fire_after_checks(2);
+            [first, second, CancelToken::with_deadline(Duration::ZERO)]
+        };
+        let kinds = [
+            JobKind::Lint { dir: dir.clone() },
+            JobKind::Explore {
+                dir: dir.clone(),
+                budget: 8,
+                seed: 2,
+            },
+        ];
+        for kind in &kinds {
+            for token in cut_tokens() {
+                let out = match kind {
+                    JobKind::Lint { dir } => run_lint(&rt.shared, &token, dir),
+                    JobKind::Explore { dir, budget, seed } => {
+                        run_explore(&rt.shared, &token, dir, *budget, *seed)
+                    }
+                    JobKind::Replay { .. } => unreachable!(),
+                }
+                .unwrap_or_else(|f| panic!("{}", f.msg));
+                assert!(
+                    matches!(out.state, JobState::Cancelled | JobState::DeadlineExceeded),
+                    "{kind:?}: {}",
+                    out.state
+                );
+                assert!(out.output.is_some_and(|o| o.contains("lint:")));
+                let left: Vec<String> = store.ls().into_iter().map(|e| e.key).collect();
+                assert!(left.is_empty(), "{kind:?} cut short published {left:?}");
+            }
+        }
+
+        let mut diags = mpg_lint::lint_full(&trace);
+        mpg_trace::sort_diagnostics(&mut diags);
+        let (events, ranks) = (trace.total_events(), trace.num_ranks());
+        let solo_lint = render::render_lint_report(&diags, false, events, ranks);
+        let opts = mpg_lint::ExploreOptions {
+            seed: 2,
+            ..mpg_lint::ExploreOptions::cli_default().budget(8)
+        };
+        let explored = mpg_lint::lint_explore(&trace, &opts, None);
+        let solo_explore =
+            render::render_explore_report(&explored.diags, &explored.stats, false, events, ranks);
+        // The lint job publishes its report, the arena and the clocks; the
+        // explore job reads the latter two and adds its report.
+        let published = [
+            &["arena", "hb", "report"][..],
+            &["arena", "hb", "report", "report"],
+        ];
+        for ((kind, solo), published) in kinds
+            .into_iter()
+            .zip([solo_lint, solo_explore])
+            .zip(published)
+        {
+            let id = rt.submit(JobSpec::new(kind)).unwrap();
+            let st = rt.wait(id, Duration::from_secs(60)).unwrap();
+            assert_eq!(st.state, JobState::Done, "{id}: {:?}", st.error);
+            assert_eq!(st.output.unwrap(), solo, "{id}");
+            let mut kinds: Vec<String> = store
+                .ls()
+                .into_iter()
+                .map(|e| e.key.split('-').next().unwrap().to_string())
+                .collect();
+            kinds.sort();
+            assert_eq!(kinds, published, "{id}");
+        }
+        assert_eq!(rt.stats().cache_hits, 0, "both jobs ran cold");
+        assert!(rt.invariant_violations().is_empty());
+        rt.shutdown(Duration::from_secs(10));
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&store_dir).unwrap();
     }
 }

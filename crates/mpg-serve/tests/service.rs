@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use mpg_apps::{MasterWorker, Stencil, TokenRing, Workload};
-use mpg_core::{CacheStore, Replayer};
+use mpg_core::{ArtifactKind, CacheStore, Replayer};
 use mpg_noise::PlatformSignature;
 use mpg_serve::{
     render_explore_report, render_lint_report, render_replay_report, replay_config, serve_script,
@@ -63,6 +63,27 @@ fn stencil_trace_dir(tag: &str) -> PathBuf {
     let dir = unique_dir(tag);
     let _ = std::fs::remove_dir_all(&dir);
     out.trace.save(&dir).unwrap();
+    dir
+}
+
+/// A master-worker trace on four ranks: wildcard receives, so the
+/// explorer has schedules to walk.
+fn master_worker_dir(tag: &str) -> PathBuf {
+    let mw = MasterWorker {
+        tasks: 12,
+        task_work: 400,
+        task_bytes: 64,
+        result_bytes: 32,
+    };
+    let dir = unique_dir(tag);
+    let _ = std::fs::remove_dir_all(&dir);
+    Simulation::new(4, PlatformSignature::quiet("svc"))
+        .seed(3)
+        .run(|ctx| mw.run(ctx))
+        .unwrap()
+        .trace
+        .save(&dir)
+        .unwrap();
     dir
 }
 
@@ -374,6 +395,95 @@ fn cache_warms_across_jobs_and_corruption_is_a_silent_miss() {
     std::fs::remove_dir_all(&cache_dir).unwrap();
 }
 
+/// Every artifact in `store` reads back whole: each one a job found
+/// damaged was a miss, and the job published it again.
+fn all_artifacts_valid(store: &CacheStore) -> bool {
+    store.ls().iter().all(|e| {
+        let kind = match e.key.split('-').next() {
+            Some("report") => ArtifactKind::Report,
+            Some("arena") => ArtifactKind::Arena,
+            _ => ArtifactKind::HbClocks,
+        };
+        store.get(&e.key, kind).is_some()
+    })
+}
+
+/// Flips the last byte of every artifact whose kind is in `kinds`.
+fn damage(store: &CacheStore, kinds: &[&str]) {
+    for e in store.ls() {
+        if kinds.iter().any(|k| e.key.starts_with(&format!("{k}-"))) {
+            let path = store.root().join(format!("{}.mpgc", e.key));
+            let mut bytes = std::fs::read(&path).unwrap();
+            *bytes.last_mut().unwrap() ^= 0xFF;
+            std::fs::write(&path, bytes).unwrap();
+        }
+    }
+}
+
+/// Chaos `corrupt-artifact` over lint and explore jobs, and the same
+/// damage dealt to one kind of artifact at a time: a damaged report,
+/// arena or clock blob is each a silent miss. The job prints the solo
+/// run's bytes, publishes what it found damaged again, and the
+/// invariants stay clean.
+#[test]
+fn corrupt_lint_and_explore_artifacts_are_silent_misses() {
+    let dir = master_worker_dir("corrupt-lint");
+    let cache_dir = unique_dir("corrupt-lint-store");
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let store = CacheStore::open(&cache_dir).unwrap();
+    let lint = || JobSpec::new(JobKind::Lint { dir: dir.clone() });
+    let explore = || {
+        JobSpec::new(JobKind::Explore {
+            dir: dir.clone(),
+            budget: 8,
+            seed: 2,
+        })
+    };
+    let (lint_oracle, explore_oracle) = (solo_lint(&dir), solo_explore(&dir, 8, 2));
+    let chaos = ChaosPlan::none()
+        .pin(2, ChaosOp::CorruptArtifact)
+        .pin(4, ChaosOp::CorruptArtifact);
+    let rt = JobRuntime::start(RuntimeConfig {
+        workers: 1,
+        cache: Some(store.clone()),
+        chaos,
+        ..RuntimeConfig::default()
+    });
+    let run = |spec: JobSpec, oracle: &str| {
+        let id = rt.submit(spec).unwrap();
+        let st = wait_done(&rt, id);
+        assert_eq!(st.state, JobState::Done, "{id}: {:?}", st.error);
+        assert_eq!(st.output.unwrap(), oracle, "{id}");
+    };
+    // Job 1 publishes the lint report, the arena and the clocks; job 2
+    // finds all three damaged. Job 3 adds the explore report; job 4 finds
+    // all four damaged, and job 5 the lint report job 4 left so.
+    run(lint(), &lint_oracle);
+    assert_eq!(store.ls().len(), 3);
+    run(lint(), &lint_oracle);
+    run(explore(), &explore_oracle);
+    run(explore(), &explore_oracle);
+    run(lint(), &lint_oracle);
+    assert_eq!(rt.stats().cache_hits, 0, "a damaged report hit");
+    assert_eq!(store.ls().len(), 4);
+    assert!(all_artifacts_valid(&store));
+    // A report alone, then with the arena, then with the clocks: a job
+    // reaches the arena and the clocks only when its report misses.
+    for kinds in [&["report"][..], &["report", "arena"], &["report", "hb"]] {
+        damage(&store, kinds);
+        run(lint(), &lint_oracle);
+        run(explore(), &explore_oracle);
+        assert_eq!(rt.stats().cache_hits, 0, "damaged {kinds:?} hit");
+        assert!(all_artifacts_valid(&store), "damaged {kinds:?}");
+    }
+    run(lint(), &lint_oracle);
+    assert_eq!(rt.stats().cache_hits, 1, "the republished report hits");
+    assert!(rt.invariant_violations().is_empty());
+    rt.shutdown(Duration::from_secs(10));
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&cache_dir).unwrap();
+}
+
 #[test]
 fn lint_jobs_run_and_render_through_the_shared_path() {
     let dir = ring_trace_dir("lint");
@@ -496,22 +606,7 @@ fn shutdown_rejects_new_work() {
 
 #[test]
 fn every_job_kind_on_a_resident_trace_prints_the_solo_bytes() {
-    // Wildcard receives, so the explorer has schedules to walk.
-    let mw = MasterWorker {
-        tasks: 12,
-        task_work: 400,
-        task_bytes: 64,
-        result_bytes: 32,
-    };
-    let dir = unique_dir("resident-kinds");
-    let _ = std::fs::remove_dir_all(&dir);
-    Simulation::new(4, PlatformSignature::quiet("svc"))
-        .seed(3)
-        .run(|ctx| mw.run(ctx))
-        .unwrap()
-        .trace
-        .save(&dir)
-        .unwrap();
+    let dir = master_worker_dir("resident-kinds");
     let cache_dir = unique_dir("resident-kinds-store");
     for with_cache in [false, true] {
         let _ = std::fs::remove_dir_all(&cache_dir);
@@ -692,8 +787,12 @@ fn small_jobs_pass(workers: usize, tag: &str) -> mpg_serve::RuntimeStats {
 #[test]
 fn a_pass_of_small_jobs_decodes_each_trace_once() {
     let one = small_jobs_pass(1, "pass-w1");
-    assert_eq!(one.cache_hits, 0);
-    assert_eq!((one.trace_loads, one.trace_hits), (4, 596));
+    // The 60 lints fall on traces 1 and 3, 30 each; only the first of
+    // each misses. Same-trace lints are 20 jobs apart and at most four
+    // are outstanding, so each earlier one has published by then. Every
+    // replay has its own seed and misses.
+    assert_eq!(one.cache_hits, 58);
+    assert_eq!((one.trace_loads, one.trace_hits), (4, 538));
 
     // Two workers that miss a trace neither has seen take turns: the
     // second waits for the first's decode and is served its copy.
