@@ -6,7 +6,7 @@
 //! it (region classification of the drift timeline).
 
 use mpg_apps::{AllreduceSolver, MasterWorker, Pipeline, TokenRing, Workload};
-use mpg_core::{classify_regions, critical_path, region_shares};
+use mpg_core::{classify_regions, critical_path, drift_timeline, region_shares};
 use mpg_core::{PerturbationModel, ReplayConfig, Replayer};
 use mpg_noise::{Dist, PlatformSignature};
 use mpg_sim::Simulation;
@@ -91,14 +91,9 @@ impl Experiment for CriticalRegions {
             let mut model = PerturbationModel::quiet("mix");
             model.os_local = Dist::Exponential { mean: 2_000.0 }.into();
             model.latency = Dist::Exponential { mean: 1_000.0 }.into();
-            let report = Replayer::new(
-                ReplayConfig::new(model)
-                    .seed(151)
-                    .record_graph(true)
-                    .timeline_stride(4),
-            )
-            .run(&trace)
-            .expect("replay");
+            let report = Replayer::new(ReplayConfig::new(model).seed(151).record_graph(true))
+                .run(&trace)
+                .expect("replay");
 
             let graph = report.graph.as_ref().expect("recorded");
             if let Some(cp) = critical_path(graph) {
@@ -119,7 +114,7 @@ impl Experiment for CriticalRegions {
                 .max_by_key(|&(_, d)| *d)
                 .map(|(r, _)| r)
                 .expect("ranks");
-            let regions = classify_regions(&report.timeline[worst]);
+            let regions = classify_regions(&drift_timeline(graph, worst, 4));
             let (tol, acc, sens) = region_shares(&regions);
             region_table.row(vec![name.to_string(), f(tol), f(acc), f(sens)]);
         }
@@ -134,5 +129,26 @@ impl Experiment for CriticalRegions {
                     .into(),
             ],
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The quick run's region-share rows: a change to the drift timeline
+    /// or to the region classifier shows here.
+    #[test]
+    fn quick_region_shares_are_pinned() {
+        let result = CriticalRegions.run(true);
+        let regions = &result.tables[1];
+        assert_eq!(regions.title, "drift-timeline region shares (worst rank)");
+        let pinned = [
+            ["token-ring", "0.098", "0.902", "0.000"],
+            ["allreduce-solver", "0.000", "1.000", "0.000"],
+            ["master-worker", "0.000", "0.956", "0.044"],
+            ["pipeline", "0.000", "1.000", "0.000"],
+        ];
+        assert_eq!(regions.rows, pinned.map(|row| row.map(String::from)));
     }
 }

@@ -2,7 +2,7 @@
 //! six-config lane batch.
 //!
 //! Two layers of checking: (1) the lane path must reproduce each config's
-//! scalar replay bit-for-bit (drifts, stats, timelines, warnings) — the
+//! scalar replay bit-for-bit (drifts, stats, warnings) — the
 //! traversal-sharing invariant; (2) the per-config max drifts must match
 //! the pinned values below, captured from the scalar engine when the lane
 //! path landed — so a regression in *either* path trips the fixture even
@@ -16,8 +16,8 @@ use mpg_core::{PerturbationModel, ReplayConfig, ReplayReport, Replayer};
 use mpg_noise::{Dist, PlatformSignature};
 use mpg_sim::Simulation;
 
-/// The pinned batch: six structurally compatible configs whose models,
-/// seeds and timeline strides all differ.
+/// The pinned batch: six structurally compatible configs whose models
+/// and seeds all differ.
 fn golden_configs() -> Vec<ReplayConfig> {
     (0..6u32)
         .map(|i| {
@@ -31,9 +31,7 @@ fn golden_configs() -> Vec<ReplayConfig> {
             }
             .into();
             m.per_byte = 0.02 * f64::from(i);
-            ReplayConfig::new(m)
-                .seed(50 + u64::from(i))
-                .timeline_stride(if i % 2 == 0 { 5 } else { 0 })
+            ReplayConfig::new(m).seed(50 + u64::from(i))
         })
         .collect()
 }
@@ -72,7 +70,6 @@ fn check(name: &str, w: &dyn Workload, p: u32, golden_max: [i64; 6]) {
             "{name} cfg {i}"
         );
         assert_eq!(got.stats, scalar.stats, "{name} cfg {i}");
-        assert_eq!(got.timeline, scalar.timeline, "{name} cfg {i}");
         assert_eq!(got.warnings, scalar.warnings, "{name} cfg {i}");
         assert_eq!(got.model_name, scalar.model_name, "{name} cfg {i}");
     }

@@ -24,7 +24,7 @@
 //! [`ReplayConfig::arrival_bound`] (how receives bound), and
 //! [`ReplayConfig::absorption`] (whether measured slack reshapes message
 //! arms). Configs recording a graph or carrying a cancel token run as
-//! scalar singletons. Model, seed and timeline stride vary freely per lane.
+//! scalar singletons. Model and seed vary freely per lane.
 
 use crate::perturb::PerturbSampler;
 use crate::replay::{DriftBank, Engine, EngineKnobs, ReplayConfig, Replayer};
@@ -162,31 +162,26 @@ fn run_lane_batch(
     Engine::new(knobs, bank, streams).run()
 }
 
-/// K-lane drift bank: SoA per-lane samplers, tallies and timelines behind
-/// full-width [`LaneVal`] arithmetic.
+/// K-lane drift bank: SoA per-lane samplers and tallies behind full-width
+/// [`LaneVal`] arithmetic.
 pub(crate) struct VecBank {
     /// Live lane count (`samplers.len()`), ≤ [`MAX_LANES`].
     k: usize,
     samplers: Vec<PerturbSampler>,
     model_names: Vec<String>,
-    strides: Vec<usize>,
     injected: [Drift; MAX_LANES],
     arm_wins: [[u64; 4]; MAX_LANES],
     absorbed: [Drift; MAX_LANES],
     propagated: [Drift; MAX_LANES],
-    /// `[lane][rank]` timeline samples.
-    timelines: Vec<Vec<Vec<(Cycles, Drift)>>>,
 }
 
 impl VecBank {
     pub(crate) fn new<'c>(configs: impl Iterator<Item = &'c ReplayConfig>, ranks: usize) -> Self {
         let mut samplers = Vec::new();
         let mut model_names = Vec::new();
-        let mut strides = Vec::new();
         for cfg in configs {
             samplers.push(PerturbSampler::new(cfg.model.clone(), ranks, cfg.seed));
             model_names.push(cfg.model.name.clone());
-            strides.push(cfg.timeline_stride);
         }
         let k = samplers.len();
         assert!(
@@ -197,12 +192,10 @@ impl VecBank {
             k,
             samplers,
             model_names,
-            strides,
             injected: [0; MAX_LANES],
             arm_wins: [[0; 4]; MAX_LANES],
             absorbed: [0; MAX_LANES],
             propagated: [0; MAX_LANES],
-            timelines: vec![vec![Vec::new(); ranks]; k],
         }
     }
 }
@@ -282,15 +275,6 @@ impl DriftBank for VecBank {
         }
     }
 
-    fn sample_timeline(&mut self, rank: usize, events_done: u64, t_end: Cycles, d: LaneVal) {
-        for lane in 0..self.k {
-            let stride = self.strides[lane];
-            if stride > 0 && events_done.is_multiple_of(stride as u64) {
-                self.timelines[lane][rank].push((t_end, d.0[lane]));
-            }
-        }
-    }
-
     fn into_reports(
         mut self,
         final_drift: Vec<LaneVal>,
@@ -321,7 +305,6 @@ impl DriftBank for VecBank {
                 projected_finish_local,
                 warnings: warnings.clone(),
                 stats,
-                timeline: std::mem::take(&mut self.timelines[lane]),
                 graph: None,
                 degradation: None,
                 cancelled: None,
@@ -379,7 +362,6 @@ mod tests {
             .map(|i| {
                 ReplayConfig::new(noisy_model(&format!("m{i}"), 300.0 + 50.0 * i as f64))
                     .seed(40 + i)
-                    .timeline_stride(if i % 2 == 0 { 7 } else { 0 })
             })
             .collect();
         let batched = lane_replays(&trace, &configs);
@@ -392,7 +374,6 @@ mod tests {
             assert_eq!(got.final_drift, scalar.final_drift);
             assert_eq!(got.projected_finish_local, scalar.projected_finish_local);
             assert_eq!(got.stats, scalar.stats);
-            assert_eq!(got.timeline, scalar.timeline);
             assert_eq!(got.warnings, scalar.warnings);
             assert_eq!(got.model_name, scalar.model_name);
         }

@@ -20,8 +20,9 @@
 //!    parametric or empirical distributions (§5) — and
 //! 4. **propagates them with `max()` operators** (Eq. 1/2) while streaming
 //!    the trace through a bounded window (§4.2), producing modified
-//!    per-rank completion times, drift timelines, and absorbed-vs-propagated
-//!    sensitivity accounting.
+//!    per-rank completion times and absorbed-vs-propagated sensitivity
+//!    accounting; per-rank drift timelines and their tolerant/sensitive
+//!    regions are read off the recorded graph ([`regions`]).
 //!
 //! # Drift space
 //!
@@ -98,7 +99,7 @@ pub use hb::{EventId, HbColumns, HbIndex};
 pub use lane::{lane_replays, plan_lanes, replay_batch, LaneBatch, MAX_LANES};
 pub use mpga::{decode_arena, encode_arena, MpgaError, MPGA_VERSION};
 pub use perturb::{DeltaClass, PerturbationModel, SignedDist};
-pub use regions::{classify_regions, region_shares, Region, RegionKind};
+pub use regions::{classify_regions, drift_timeline, region_shares, Region, RegionKind};
 pub use replay::{AbsorptionMode, ReplayConfig, Replayer, SlackEstimate};
 pub use report::{
     ArmKind, DegradationReport, RankFrontier, ReplayError, ReplayReport, ReplayStats,

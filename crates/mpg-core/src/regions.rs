@@ -5,13 +5,16 @@
 //! or fully propagated, corresponding to tolerant or highly sensitive
 //! code, respectively."
 //!
-//! Given a rank's `(t_end, drift)` timeline (sampled by the replayer with
-//! [`timeline_stride`](crate::ReplayConfig::timeline_stride)), this module
-//! segments it into regions classified by how fast drift grows relative to
-//! the run's own average — flat stretches are *tolerant* (injected
-//! perturbation is absorbed or simply absent), steep stretches are
-//! *sensitive*.
+//! Regions are a reading of the drifts one traversal leaves on the graph,
+//! not a second output of the traversal: [`drift_timeline`] reads a rank's
+//! `(t_end, drift)` timeline off a recorded graph (replay with
+//! [`record_graph`](crate::ReplayConfig::record_graph)), and
+//! [`classify_regions`] segments it into regions classified by how fast
+//! drift grows relative to the run's own average — flat stretches are
+//! *tolerant* (injected perturbation is absorbed or simply absent), steep
+//! stretches are *sensitive*.
 
+use crate::graph::EventGraph;
 use crate::{Cycles, Drift};
 
 /// Tolerance classification of one region.
@@ -51,6 +54,34 @@ impl Region {
     pub fn span(&self) -> Cycles {
         self.t_end.saturating_sub(self.t_start)
     }
+}
+
+/// `rank`'s drift timeline: `(label time, propagated drift)` at every
+/// `stride`-th labeled end subevent of the rank, in sequence order — the
+/// events the rank completed, sampled at the `stride`-th, `2·stride`-th, …
+/// of them. The drifts are [`EventGraph::propagate`]'s, which equal the
+/// replay's under the paper's semantics (no negative delta, posted-bound
+/// receives) — the regime [`critical_path`](crate::critical_path) also
+/// assumes. Under a negated model or
+/// [`arrival_bound`](crate::ReplayConfig::arrival_bound) receives the
+/// replay floors shrinking intervals in ways the recorded deltas do not
+/// encode, and the two can differ either way.
+///
+/// # Panics
+///
+/// When `stride` is 0 or `rank` is not a rank of the graph.
+pub fn drift_timeline(graph: &EventGraph, rank: usize, stride: usize) -> Vec<(Cycles, Drift)> {
+    assert!(stride > 0, "timeline stride must be positive");
+    let arena = graph.arena();
+    let drift = arena.propagate_dense();
+    arena
+        .rank_nodes(rank)
+        .skip(1)
+        .step_by(2)
+        .filter_map(|end| arena.label_time(end).map(|t| (t, drift[end as usize])))
+        .skip(stride - 1)
+        .step_by(stride)
+        .collect()
 }
 
 /// Segments a timeline into classified regions.
@@ -122,6 +153,35 @@ pub fn region_shares(regions: &[Region]) -> (f64, f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PerturbationModel, ReplayConfig, Replayer};
+    use mpg_noise::{Dist, PlatformSignature};
+
+    /// One rank computing 100 × 1 000 cycles on a quiet platform, replayed
+    /// with 10 cycles of OS noise on every compute: the rank's `k`-th
+    /// event (Init, 1 000 cycles, is the first) ends at `1000·k` and has
+    /// gathered `10·(k − 1)` cycles of drift.
+    #[test]
+    fn drift_timeline_reads_every_stride_th_event_end() {
+        let trace = mpg_sim::Simulation::new(1, PlatformSignature::quiet("lab"))
+            .ideal_clocks()
+            .run(|ctx| {
+                for _ in 0..100 {
+                    ctx.compute(1_000);
+                }
+            })
+            .unwrap()
+            .trace;
+        let mut model = PerturbationModel::quiet("m");
+        model.os_local = Dist::Constant(10.0).into();
+        let report = Replayer::new(ReplayConfig::new(model).record_graph(true))
+            .run(&trace)
+            .unwrap();
+        let graph = report.graph.as_ref().expect("recorded");
+        let expected: Vec<(Cycles, Drift)> = (1..=10)
+            .map(|i| (1_000 * 10 * i, 10 * (10 * i as Drift - 1)))
+            .collect();
+        assert_eq!(drift_timeline(graph, 0, 10), expected);
+    }
 
     #[test]
     fn empty_and_singleton() {

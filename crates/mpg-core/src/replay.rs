@@ -93,9 +93,6 @@ pub struct ReplayConfig {
     /// Record the walked graph into the report (memory ∝ trace size; off by
     /// default to preserve the streaming bound).
     pub record_graph: bool,
-    /// Emit a per-rank `(t_end, drift)` timeline sample every this many
-    /// events (0 disables).
-    pub timeline_stride: usize,
     /// Assume receive completions were **arrival-dominated**: the local arm
     /// of a message-completing event becomes its shrink floor instead of its
     /// start drift, letting *negative* message deltas pull completions
@@ -122,7 +119,7 @@ pub struct ReplayConfig {
 
 impl ReplayConfig {
     /// Defaults: conservative absorption, synchronous sends, no graph
-    /// recording, no timeline.
+    /// recording.
     pub fn new(model: PerturbationModel) -> Self {
         Self {
             model,
@@ -130,7 +127,6 @@ impl ReplayConfig {
             absorption: AbsorptionMode::Conservative,
             ack_arm: true,
             record_graph: false,
-            timeline_stride: 0,
             arrival_bound: false,
             crash_tolerant: false,
             cancel: None,
@@ -161,12 +157,6 @@ impl ReplayConfig {
         self
     }
 
-    /// Enables timeline sampling.
-    pub fn timeline_stride(mut self, stride: usize) -> Self {
-        self.timeline_stride = stride;
-        self
-    }
-
     /// Enables arrival-bound receive semantics (negative-delta mode).
     pub fn arrival_bound(mut self, on: bool) -> Self {
         self.arrival_bound = on;
@@ -192,13 +182,12 @@ impl ReplayConfig {
     /// through `Debug`, which is deterministic for a given value.
     pub fn fingerprint(&self) -> String {
         format!(
-            "model={:?};seed={};absorption={:?};ack={};record={};stride={};arrival={};crash={}",
+            "model={:?};seed={};absorption={:?};ack={};record={};arrival={};crash={}",
             self.model,
             self.seed,
             self.absorption,
             self.ack_arm,
             self.record_graph,
-            self.timeline_stride,
             self.arrival_bound,
             self.crash_tolerant,
         )
@@ -324,9 +313,9 @@ pub(crate) fn trace_layout(trace: &MemTrace) -> Result<Vec<usize>, ReplayError> 
 /// The structural knobs shared by every lane of a batch: they decide
 /// *traversal* (which arms exist, how receives bound, whether a crash
 /// ends the run), so configs must agree on them to share one pass.
-/// Everything else in a [`ReplayConfig`] (model, seed, timeline stride) is
-/// per-lane; graph recording is a singleton-batch knob, attached by
-/// `Replayer`'s single-engine path.
+/// Everything else in a [`ReplayConfig`] (model, seed) is per-lane; graph
+/// recording is a singleton-batch knob, attached by `Replayer`'s
+/// single-engine path.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EngineKnobs {
     pub(crate) absorption: AbsorptionMode,
@@ -384,9 +373,6 @@ pub(crate) trait DriftBank {
     fn note_collective_arm(&mut self);
     /// Per-lane absorbed/propagated message-drift accounting.
     fn account_absorption(&mut self, local: Self::Val, msg: Self::Val);
-    /// Per-lane timeline sampling (`events_done` is traversal-shared;
-    /// strides are per-lane).
-    fn sample_timeline(&mut self, rank: usize, events_done: u64, t_end: Cycles, d: Self::Val);
     /// Builds one report per lane from the shared traversal outcome.
     fn into_reports(
         self,
@@ -404,12 +390,10 @@ pub(crate) trait DriftBank {
 pub(crate) struct ScalarBank {
     sampler: PerturbSampler,
     model_name: String,
-    stride: usize,
     injected: Drift,
     arm_wins: [u64; 4],
     absorbed: Drift,
     propagated: Drift,
-    timeline: Vec<Vec<(Cycles, Drift)>>,
 }
 
 impl ScalarBank {
@@ -417,12 +401,10 @@ impl ScalarBank {
         Self {
             sampler: PerturbSampler::new(cfg.model.clone(), ranks, cfg.seed),
             model_name: cfg.model.name.clone(),
-            stride: cfg.timeline_stride,
             injected: 0,
             arm_wins: [0; 4],
             absorbed: 0,
             propagated: 0,
-            timeline: vec![Vec::new(); ranks],
         }
     }
 }
@@ -485,12 +467,6 @@ impl DriftBank for ScalarBank {
         self.propagated += (msg - local).max(0);
     }
 
-    fn sample_timeline(&mut self, rank: usize, events_done: u64, t_end: Cycles, d: Drift) {
-        if self.stride > 0 && events_done.is_multiple_of(self.stride as u64) {
-            self.timeline[rank].push((t_end, d));
-        }
-    }
-
     fn into_reports(
         self,
         final_drift: Vec<Drift>,
@@ -516,7 +492,6 @@ impl DriftBank for ScalarBank {
             projected_finish_local,
             warnings,
             stats: shared,
-            timeline: self.timeline,
             graph,
             degradation: None,
             cancelled: None,
@@ -2076,8 +2051,8 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
         }
     }
 
-    /// Finishes an event: advances drift, emits gap edge + labels, samples
-    /// the timeline, clears the cursor.
+    /// Finishes an event: advances drift, emits gap edge + labels, clears
+    /// the cursor.
     fn complete(&mut self, r: Rank, ev: &EventRecord, d_end: B::Val, _info: Option<()>) {
         let ri = r as usize;
         if let Some(g) = self.graph.as_mut() {
@@ -2094,9 +2069,7 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
         if matches!(ev.kind, EventKind::Finalize) {
             c.finalized = true;
         }
-        let events_done = c.events_done;
         self.stats.events += 1;
-        self.bank.sample_timeline(ri, events_done, ev.t_end, d_end);
     }
 
     fn intra_edge(&mut self, r: Rank, ev: &EventRecord, class: DeltaClass, sampled: Drift) {
@@ -2137,6 +2110,22 @@ mod tests {
         Replayer::new(ReplayConfig::new(model).seed(42))
             .run(trace)
             .unwrap()
+    }
+
+    /// The config part of every arena cache key and of the replay,
+    /// analyze, lint and explore report keys: a change to this string turns
+    /// existing cache directories cold.
+    #[test]
+    fn quiet_fingerprint_is_pinned() {
+        assert_eq!(
+            ReplayConfig::new(PerturbationModel::quiet("q")).fingerprint(),
+            "model=PerturbationModel { name: \"q\", \
+             os_local: SignedDist { dist: Zero, negate: false }, \
+             os_remote: SignedDist { dist: Zero, negate: false }, \
+             latency: SignedDist { dist: Zero, negate: false }, per_byte: 0.0, \
+             transfer_jitter: SignedDist { dist: Zero, negate: false }, os_quantum: None };\
+             seed=0;absorption=Conservative;ack=true;record=false;arrival=false;crash=false"
+        );
     }
 
     #[test]
@@ -2525,24 +2514,6 @@ mod tests {
             .unwrap();
         assert_eq!(report.warnings.len(), 1);
         assert!(report.warnings[0].contains("unsynchronized"));
-    }
-
-    #[test]
-    fn timeline_sampling() {
-        let trace = quiet_sim(1, |ctx| {
-            for _ in 0..100 {
-                ctx.compute(1_000);
-            }
-        });
-        let mut model = PerturbationModel::quiet("m");
-        model.os_local = Dist::Constant(10.0).into();
-        let report = Replayer::new(ReplayConfig::new(model).timeline_stride(10))
-            .run(&trace)
-            .unwrap();
-        let tl = &report.timeline[0];
-        assert!(tl.len() >= 9, "{}", tl.len());
-        // Drift grows monotonically for pure local noise.
-        assert!(tl.windows(2).all(|w| w[0].1 <= w[1].1));
     }
 
     /// A partial trace: rank 0 blocks on a receive whose matching send is

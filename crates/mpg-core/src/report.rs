@@ -139,9 +139,6 @@ pub struct ReplayReport {
     pub warnings: Vec<String>,
     /// Counters and sensitivity totals.
     pub stats: ReplayStats,
-    /// Per-rank `(local end time, drift)` samples taken every
-    /// `timeline_stride` events; empty when disabled.
-    pub timeline: Vec<Vec<(Cycles, Drift)>>,
     /// The recorded message-passing graph when
     /// [`record_graph`](crate::ReplayConfig::record_graph) was set.
     pub graph: Option<EventGraph>,
@@ -228,7 +225,6 @@ mod tests {
             projected_finish_local: vec![],
             warnings: vec![],
             stats: ReplayStats::default(),
-            timeline: vec![],
             graph: None,
             degradation: None,
             cancelled: None,

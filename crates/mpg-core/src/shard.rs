@@ -275,8 +275,8 @@ impl<I: Iterator> Iterator for ShardStream<I> {
 }
 
 /// Runs a scalar replay over `shards` threads and merges the per-shard
-/// reports into one, bit-identical (drifts, timeline, arm/absorption
-/// accounting, warnings) to the single-threaded engine except for the
+/// reports into one, bit-identical (drifts, arm/absorption accounting,
+/// warnings) to the single-threaded engine except for the
 /// scheduler-order diagnostics documented on the module.
 pub(crate) fn run_sharded_scalar<I>(
     config: &ReplayConfig,
@@ -371,9 +371,6 @@ fn merge_reports(
                 // re-indexing.
                 merged.final_drift[r] += part.final_drift[r];
                 merged.projected_finish_local[r] += part.projected_finish_local[r];
-                if !part.timeline.is_empty() && !part.timeline[r].is_empty() {
-                    merged.timeline[r] = part.timeline[r].clone();
-                }
             }
         }
         merged.warnings.extend(part.warnings);

@@ -7,11 +7,29 @@
 //! to its `(rank, seq, point)`, and every id-level view must see exactly
 //! the reached nodes: `node_index`, `nodes()`, `node_count()`,
 //! `final_drifts()` and the happens-before index's per-rank event counts.
+//!
+//! A recorded graph, in turn, must answer what replay computes:
+//! [`drift_timeline`] at stride 1 is every event the rank completed, at
+//! its traced end time, ending on the rank's `final_drifts()` entry, and
+//! at stride `k` every `k`-th sample of that. Under a non-negative model
+//! with posted-bound receives that last drift is also the final drift a
+//! replay of the same config without a graph reports. Negated OS noise and
+//! arrival-bound receives let the engine shrink an interval down to its
+//! floor, which the graph's zero-anchored `max` over recorded deltas does
+//! not encode, so only the graph-side claims are checked there.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use mpg_core::{DeltaClass, Edge, EventGraph, HbIndex, NodeId, NodeIdx, Point};
+use mpg_core::{
+    drift_timeline, DeltaClass, Edge, EventGraph, HbIndex, NodeId, NodeIdx, Point, ReplayConfig,
+    Replayer, SignedDist,
+};
+use mpg_noise::Dist;
 use proptest::prelude::*;
+
+#[path = "shared/spmd.rs"]
+mod spmd;
+use spmd::{model, record, round_strategy, simulate};
 
 /// A raw structural id: `rank` is reduced modulo the layout's rank count,
 /// so generated ids land on every rank and both inside and past each
@@ -138,6 +156,44 @@ proptest! {
                 .max()
                 .unwrap_or(0);
             prop_assert_eq!(hb.num_events(r), reached, "rank {}", r);
+        }
+    }
+
+    /// Random programs under OS noise (negated or not) and latency, with
+    /// either receive semantics.
+    #[test]
+    fn drift_timeline_reads_the_replay_off_the_graph(
+        p in 2u32..7,
+        sim_seed in 0u64..1_000,
+        rounds in prop::collection::vec(round_strategy(), 1..8),
+        os_mean in 1u64..3_000,
+        negate_os in any::<bool>(),
+        lat_mean in 1u64..3_000,
+        arrival_bound in any::<bool>(),
+        seed in 0u64..1_000,
+        stride in 2usize..12,
+    ) {
+        let trace = simulate(p, sim_seed, &rounds);
+        let mut m = model(seed);
+        let os = Dist::Exponential { mean: os_mean as f64 };
+        m.os_local = if negate_os { SignedDist::negative(os) } else { os.into() };
+        m.latency = Dist::Exponential { mean: lat_mean as f64 }.into();
+        let cfg = ReplayConfig::new(m).seed(seed).arrival_bound(arrival_bound);
+        let graph = record(&trace, &cfg.clone().record_graph(true));
+        let report = Replayer::new(cfg).run(&trace).expect("replay succeeds");
+        let finals = graph.final_drifts().into_iter().zip(report.final_drift);
+        for (r, (graph_final, replay_final)) in finals.enumerate() {
+            let every = drift_timeline(&graph, r, 1);
+            let ends: Vec<u64> = trace.rank(r).iter().map(|e| e.t_end).collect();
+            let times: Vec<u64> = every.iter().map(|&(t, _)| t).collect();
+            prop_assert_eq!(times, ends, "rank {}", r);
+            let last = every.last().map(|&(_, d)| d);
+            prop_assert_eq!(last, Some(graph_final), "rank {}", r);
+            if !negate_os && !arrival_bound {
+                prop_assert_eq!(last, Some(replay_final), "rank {}", r);
+            }
+            let strided: Vec<_> = every.iter().copied().skip(stride - 1).step_by(stride).collect();
+            prop_assert_eq!(drift_timeline(&graph, r, stride), strided, "rank {}", r);
         }
     }
 }

@@ -3,7 +3,7 @@
 //! The windowed file-backed path ([`OocTraceSet`] cursors) and the sharded
 //! path, both through [`Replayer::run_streams_parallel`], must be
 //! **bit-identical** to the plain in-memory replay: same per-rank drifts,
-//! same projected finishes, same warnings, same timeline samples, and the same statistics — except
+//! same projected finishes, same warnings, and the same statistics — except
 //! the three scheduler-order diagnostics (`scheduler_wakeups`,
 //! `polls_avoided`, `window_high_water`), which describe *how* the
 //! traversal was scheduled, not *what* it computed.
@@ -132,7 +132,6 @@ fn assert_bit_identical(base: &ReplayReport, got: &ReplayReport, what: &str) {
         "{what}: projected_finish_local"
     );
     assert_eq!(base.warnings, got.warnings, "{what}: warnings");
-    assert_eq!(base.timeline, got.timeline, "{what}: timeline");
     assert_eq!(base.model_name, got.model_name, "{what}: model_name");
     let (a, b) = (&base.stats, &got.stats);
     assert_eq!(a.events, b.events, "{what}: stats.events");
@@ -189,9 +188,7 @@ proptest! {
         rounds in prop::collection::vec(round_strategy(), 1..8),
     ) {
         let trace = simulate(p, sim_seed, &rounds);
-        let config = ReplayConfig::new(noisy_model(sim_seed))
-            .seed(replay_seed)
-            .timeline_stride(3);
+        let config = ReplayConfig::new(noisy_model(sim_seed)).seed(replay_seed);
         let base = Replayer::new(config.clone())
             .run(&trace)
             .expect("in-memory replay succeeds");
@@ -265,7 +262,7 @@ fn golden_shard_counts_and_leak_warning() {
         Round::Compute(1_000),
     ];
     let trace = simulate(p, 42, &rounds);
-    let config = ReplayConfig::new(noisy_model(7)).seed(9).timeline_stride(2);
+    let config = ReplayConfig::new(noisy_model(7)).seed(9);
     let base = Replayer::new(config.clone())
         .run(&trace)
         .expect("in-memory replay succeeds");

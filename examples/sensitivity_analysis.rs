@@ -8,7 +8,7 @@
 
 use mpg::analysis::parallel_replays;
 use mpg::apps::{Stencil, Workload};
-use mpg::core::{classify_regions, critical_path, region_shares};
+use mpg::core::{classify_regions, critical_path, drift_timeline, region_shares};
 use mpg::core::{PerturbationModel, ReplayConfig, Replayer};
 use mpg::noise::{Dist, PlatformSignature};
 use mpg::sim::Simulation;
@@ -57,14 +57,9 @@ fn main() {
     // 2. Where does the drift come from at the heaviest amplitude?
     let mut m = PerturbationModel::quiet("worst");
     m.os_local = Dist::Exponential { mean: 64_000.0 }.into();
-    let report = Replayer::new(
-        ReplayConfig::new(m)
-            .seed(2)
-            .record_graph(true)
-            .timeline_stride(8),
-    )
-    .run(&trace)
-    .expect("replay succeeds");
+    let report = Replayer::new(ReplayConfig::new(m).seed(2).record_graph(true))
+        .run(&trace)
+        .expect("replay succeeds");
     let graph = report.graph.as_ref().expect("recorded");
     if let Some(cp) = critical_path(graph) {
         println!("\ncritical path: {}", cp.summary());
@@ -78,7 +73,7 @@ fn main() {
         .max_by_key(|&(_, d)| *d)
         .map(|(r, _)| r)
         .expect("ranks");
-    let regions = classify_regions(&report.timeline[worst]);
+    let regions = classify_regions(&drift_timeline(graph, worst, 8));
     let (tol, acc, sens) = region_shares(&regions);
     println!(
         "rank {worst} timeline: {:.0}% tolerant, {:.0}% accumulating, {:.0}% sensitive \

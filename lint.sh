@@ -291,10 +291,30 @@ serve_smoke() {
     echo "    14 jobs on one trace = 1 decode + 13 resident hits"
 }
 
+# examples TMP: every program under examples/ runs to a zero exit in a
+# release build. Tier 1 only compiles them, and `sensitivity_analysis`
+# reads its drift timeline off the recorded graph, which only a run
+# exercises.
+examples() {
+    echo "==> examples (each runs in release and exits 0)"
+    cargo build --release -q --examples
+    n=0
+    for src in examples/*.rs; do
+        ex="$(basename "$src" .rs)"
+        if ! "target/release/examples/$ex" > "$1/example-$ex.txt" 2>&1; then
+            echo "lint: FAIL: example $ex exited nonzero:" >&2
+            cat "$1/example-$ex.txt" >&2
+            exit 1
+        fi
+        n=$((n + 1))
+    done
+    echo "    $n examples exit 0"
+}
+
 # `./lint.sh LEG...` runs only the named legs against an already built
-# target/release/mpgtool; CI runs each leg it shares with this script so,
-# so the two cannot drift apart.
-LEGS="gen_stability shard_stability cache_identity explore_contract serve_smoke"
+# target/release/mpgtool (`examples` builds the examples it runs); CI runs
+# each leg it shares with this script so, so the two cannot drift apart.
+LEGS="gen_stability shard_stability cache_identity explore_contract serve_smoke examples"
 if [ $# -gt 0 ]; then
     LEG_TMP="$(mktemp -d)"
     trap 'rm -rf "$LEG_TMP"' EXIT
@@ -414,5 +434,7 @@ cache_identity "$SMOKE_TMP"
 explore_contract "$SMOKE_TMP"
 
 serve_smoke "$SMOKE_TMP"
+
+examples "$SMOKE_TMP"
 
 echo "lint: clean"
