@@ -120,15 +120,16 @@
 //!     audits the runtime invariants afterwards.
 //!
 //! mpgtool bench [--out FILE] [--check] [--reps N]
-//!     Measure four pairs of walls, each pair taken in this process
-//!     seconds apart: the lane-batched sweep against one scalar traversal
-//!     per config (both on one thread), a strict frame-cursor drain of the
-//!     pinned 10^7-event trace against a bare decode of its frames, the
-//!     out-of-core replay of that trace at 1 shard against several (with
-//!     its peak-RSS growth), and a warm cached analyze against a cold one;
-//!     and one count, the bytes per edge of a recorded graph. With --out,
-//!     write the snapshot (BENCH_replay.json). With --check, exit 1 if a
-//!     ratio or the count passes its fixed bound.
+//!     Print one line per row of the same-host gate table: the in-process
+//!     ratios (lane-batched sweep against one scalar traversal per config,
+//!     strict frame-cursor drain against bare decode of the pinned
+//!     10^7-event trace, its out-of-core replay at 1 shard against several
+//!     and its peak-RSS growth, warm against cold analyze, lint against
+//!     analyze RSS growth, gen RSS growth against its trace), the bytes
+//!     per edge of a recorded graph, and seven ratios of two child mpgtool
+//!     verbs on one trace, each the median of N alternating rounds with
+//!     its min-max. With --out, write the snapshot (BENCH_replay.json).
+//!     With --check, exit 1 if a row is past its fixed bound.
 //! ```
 //!
 //! `replay`, `lint`, `explore` and `analyze` accept `--cache` (or
@@ -1231,9 +1232,10 @@ fn cmd_diff(args: Vec<String>) -> Result<ExitCode, Fail> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `mpgtool bench`: measure the six same-process ratios, optionally
-/// writing the `BENCH_replay.json` snapshot and/or gating them against
-/// their fixed floors ([`mpg_analysis::perf::check`]).
+/// `mpgtool bench`: take the measurements and print one line per row of
+/// their table ([`mpg_analysis::perf::rows`]), optionally writing the
+/// `BENCH_replay.json` snapshot and/or failing when a row is past its
+/// bound.
 fn cmd_bench(mut args: Vec<String>) -> Result<ExitCode, Fail> {
     let out = take_flag(&mut args, "--out");
     let check = take_switch(&mut args, "--check");
@@ -1246,101 +1248,24 @@ fn cmd_bench(mut args: Vec<String>) -> Result<ExitCode, Fail> {
     }
     let exe = std::env::current_exe().map_err(|e| format!("locating mpgtool: {e}"))?;
     let snap = mpg_analysis::perf::measure(reps, &exe)?;
-    let (s, i, o, c, l, g) = (
-        &snap.sweep,
-        &snap.ingest,
-        &snap.ooc,
-        &snap.cache,
-        &snap.lint,
-        &snap.gen,
-    );
-    println!(
-        "sweep: {} configs on {} in {} lane batch(es), {} traversal(s) saved: \
-         {:.1} configs/sec vs {:.1} scalar, one thread each ({:.2}x)",
-        s.configs,
-        s.workload,
-        s.lane_batches,
-        s.traversals_saved,
-        s.configs_per_sec,
-        s.scalar_configs_per_sec,
-        s.speedup_vs_scalar()
-    );
-    println!(
-        "ingest: {}, {} events ({:.0} MiB): strict cursor drain {:.3}s vs bare decode \
-         {:.3}s ({:.2}x), open maps +{:.1} MiB",
-        i.name,
-        i.events,
-        i.trace_mib,
-        i.cursor_secs,
-        i.decode_secs,
-        i.cursor_over_decode(),
-        i.open_rss_growth_mib
-    );
-    println!(
-        "ooc: {} on {} ranks, {} events ({:.0} MiB mapped): \
-         {:.0} ev/sec windowed, {:.0} ev/sec at {} shards ({:.2}x, {} cpu(s)), \
-         peak RSS +{:.1} MiB",
-        o.name,
-        o.ranks,
-        o.events,
-        o.trace_mib,
-        o.events_per_sec_1shard,
-        o.events_per_sec_sharded,
-        o.shards,
-        o.shard_speedup(),
-        o.host_cpus,
-        o.peak_rss_growth_mib
-    );
-    println!(
-        "cache: {} on {} ranks, {} events: cold analyze {:.2}s, warm {:.3}s ({:.1}x)",
-        c.name,
-        c.ranks,
-        c.events,
-        c.cold_secs,
-        c.warm_secs,
-        c.warm_speedup()
-    );
-    println!(
-        "lint: {} on {} ranks, {} events: peak RSS +{:.1} MiB linting vs +{:.1} MiB \
-         recording and analysing ({:.2}x)",
-        l.name,
-        l.ranks,
-        l.events,
-        l.lint_rss_growth_mib,
-        l.analyze_rss_growth_mib,
-        l.lint_over_analyze()
-    );
-    println!(
-        "graph: {}: {} edges recorded in {} column bytes ({:.2} bytes per edge)",
-        l.name,
-        l.graph_edges,
-        l.graph_edge_bytes,
-        l.graph_bytes_per_edge()
-    );
-    println!(
-        "gen: {} on {} ranks, {} events ({:.1} MiB on disk) in {:.2}s: peak RSS +{:.1} MiB \
-         ({:.2}x the trace)",
-        g.name,
-        g.ranks,
-        g.events,
-        g.trace_mib,
-        g.secs,
-        g.rss_growth_mib,
-        g.growth_over_trace()
-    );
+    let rows = mpg_analysis::perf::rows(&snap);
+    for row in &rows {
+        println!("{}", row.line());
+    }
     if let Some(path) = out {
         std::fs::write(&path, snap.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
         println!("snapshot: wrote {path}");
     }
     if check {
-        let msgs = mpg_analysis::perf::check(&snap);
-        if !msgs.is_empty() {
-            for m in &msgs {
-                eprintln!("mpgtool: bench regression: {m}");
-            }
+        let failed = rows.iter().filter(|row| !row.holds()).count();
+        if failed > 0 {
+            eprintln!(
+                "mpgtool: bench regression: {failed} of {} rows past their bound",
+                rows.len()
+            );
             return Ok(ExitCode::FAILURE);
         }
-        println!("check: every ratio within its bound");
+        println!("check: every row within its bound");
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -39,7 +39,7 @@ pub mod table;
 pub use experiments::{all_experiments, Experiment, ExperimentResult};
 pub use history::{record_from_report, AnalysisRecord, HistoryStore};
 pub use perf::PerfSnapshot;
-pub use sweep::{parallel_replays, sweep_replays, sweep_replays_cancellable, SweepMode};
+pub use sweep::{parallel_replays, sweep_replays, SweepMode};
 pub use table::Table;
 
 /// Cycle unit shared across the workspace.

@@ -18,9 +18,7 @@
 
 use std::num::NonZeroUsize;
 
-use mpg_core::{
-    plan_lanes, replay_batch, CancelToken, LaneBatch, ReplayConfig, ReplayError, ReplayReport,
-};
+use mpg_core::{plan_lanes, replay_batch, LaneBatch, ReplayConfig, ReplayError, ReplayReport};
 use mpg_trace::MemTrace;
 
 /// How [`sweep_replays`] maps configs onto traversals.
@@ -33,28 +31,6 @@ pub enum SweepMode {
     /// behaviour, kept as the baseline `benchmark/` times the lane path
     /// against.
     ThreadsOnly,
-}
-
-/// [`sweep_replays`] under one shared [`CancelToken`]: the token is
-/// installed into every config, so each worker's engine polls it on its
-/// amortized event-count schedule and every in-flight traversal stops
-/// within one check interval of the token firing. Cancel-bearing configs
-/// plan as scalar singletons (a fired token must not truncate lane-mates),
-/// so a cancellable sweep trades the lane-sharing win for uniform, prompt
-/// cancellation — the supervised-runtime trade. Reports from traversals
-/// the token cut short come back `Ok` with `cancelled` set and a partial
-/// frontier, exactly like a solo cancelled replay.
-pub fn sweep_replays_cancellable(
-    trace: &MemTrace,
-    configs: &[ReplayConfig],
-    mode: SweepMode,
-    cancel: &CancelToken,
-) -> Vec<Result<ReplayReport, ReplayError>> {
-    let configs: Vec<ReplayConfig> = configs
-        .iter()
-        .map(|c| c.clone().cancel_token(cancel.clone()))
-        .collect();
-    sweep_replays(trace, &configs, mode)
 }
 
 /// Fixed traversal cost in "lane units": the drift-independent
@@ -266,14 +242,19 @@ mod tests {
         use mpg_core::CancelToken;
         let trace = trace();
         let configs: Vec<ReplayConfig> = (0..4).map(|i| config(f64::from(i) * 100.0)).collect();
+        // Every config carries one shared token.
+        let under = |token: &CancelToken| -> Vec<ReplayConfig> {
+            configs
+                .iter()
+                .map(|c| c.clone().cancel_token(token.clone()))
+                .collect()
+        };
         // Idle token: every report matches its scalar replay and finishes.
         let idle = CancelToken::new();
-        for (cfg, res) in configs.iter().zip(sweep_replays_cancellable(
-            &trace,
-            &configs,
-            SweepMode::Lanes,
-            &idle,
-        )) {
+        for (cfg, res) in configs
+            .iter()
+            .zip(sweep_replays(&trace, &under(&idle), SweepMode::Lanes))
+        {
             let r = res.unwrap();
             assert!(r.cancelled.is_none());
             let seq = Replayer::new(cfg.clone()).run(&trace).unwrap();
@@ -283,7 +264,7 @@ mod tests {
         // report — Ok, never Err, never a hang.
         let fired = CancelToken::new();
         fired.cancel();
-        for res in sweep_replays_cancellable(&trace, &configs, SweepMode::Lanes, &fired) {
+        for res in sweep_replays(&trace, &under(&fired), SweepMode::Lanes) {
             assert!(res.unwrap().cancelled.is_some());
         }
     }

@@ -562,17 +562,22 @@ impl GraphArena {
         Csr::build(self.num_nodes(), &self.edge_src)
     }
 
-    /// Dense perturbation propagation: `D(dst) = max(D(dst), D(src) +
-    /// sampled)` over edges in creation (topological) order, drifts
-    /// anchored at zero. Returns one drift per node index.
+    /// Dense perturbation propagation: `D(dst) = max over incoming edges of
+    /// D(src) + sampled`, over edges in creation (topological) order. Only
+    /// a node with no incoming edge is anchored at zero, so a drift the
+    /// recorded deltas pull below zero stays negative. Returns one drift
+    /// per node index.
     pub fn propagate_dense(&self) -> Vec<Drift> {
         let mut drift = vec![0i64; self.num_nodes()];
-        // With every delta zero, no candidate rises above the anchor.
+        // With every delta zero, every drift is the anchor's.
         let Some(sampled) = self.sampled_column() else {
             return drift;
         };
+        for &d in &self.edge_dst {
+            drift[d as usize] = Drift::MIN;
+        }
         for (i, &d) in sampled.iter().enumerate() {
-            let cand = drift[self.edge_src[i] as usize] + d;
+            let cand = drift[self.edge_src[i] as usize].saturating_add(d);
             let slot = &mut drift[self.edge_dst[i] as usize];
             if cand > *slot {
                 *slot = cand;

@@ -92,9 +92,6 @@ impl CriticalPath {
 /// Extracts the critical path explaining the largest final drift in a
 /// recorded graph. Returns `None` when no drift was accumulated (identity
 /// replay) or the graph is empty.
-///
-/// Only meaningful for non-negative perturbation models (the recorded graph
-/// anchors drifts at zero, matching the streaming engine in that regime).
 pub fn critical_path(graph: &EventGraph) -> Option<CriticalPath> {
     let drifts = graph.propagate();
     // Anchor: the maximally drifted final end node.

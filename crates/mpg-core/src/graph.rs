@@ -198,9 +198,10 @@ impl EventGraph {
     }
 
     /// Generic perturbation propagation: walks edges in topological order
-    /// computing `D(dst) = max(D(dst), D(src) + sampled(edge))`, with every
-    /// node's drift defaulting to 0 (the "no earlier than original" anchor
-    /// of Eq. 1 — valid whenever no sampled delta is negative).
+    /// computing `D(dst) = max over incoming edges of D(src) +
+    /// sampled(edge)`, a node with no incoming edge anchored at 0. The
+    /// recorder folds the engine's shrink floors into the local edges'
+    /// deltas, so these are the streaming replay's drifts.
     ///
     /// This pass knows nothing about MPI: all semantics were baked into the
     /// edge structure when the graph was recorded. It runs over the dense
@@ -276,14 +277,16 @@ mod tests {
 
     #[test]
     fn zero_anchor_holds() {
-        // Negative sampled deltas never pull a drift below zero in the
-        // generic pass.
+        // Only a node with no incoming edge sits at the zero anchor; a
+        // negative delta pulls its sink below it, as the engine's floored
+        // shrink does.
         let mut g = EventGraph::new(&[1]);
         let a = NodeId::start(0, 0);
         let b = NodeId::end(0, 0);
         g.add_edge(edge(a, b, -50));
         let d = g.propagate();
-        assert_eq!(d.get(&b), Some(&0));
+        assert_eq!(d.get(&a), Some(&0));
+        assert_eq!(d.get(&b), Some(&-50));
     }
 
     #[test]

@@ -60,12 +60,7 @@ impl Region {
 /// `stride`-th labeled end subevent of the rank, in sequence order — the
 /// events the rank completed, sampled at the `stride`-th, `2·stride`-th, …
 /// of them. The drifts are [`EventGraph::propagate`]'s, which equal the
-/// replay's under the paper's semantics (no negative delta, posted-bound
-/// receives) — the regime [`critical_path`](crate::critical_path) also
-/// assumes. Under a negated model or
-/// [`arrival_bound`](crate::ReplayConfig::arrival_bound) receives the
-/// replay floors shrinking intervals in ways the recorded deltas do not
-/// encode, and the two can differ either way.
+/// replay's.
 ///
 /// # Panics
 ///

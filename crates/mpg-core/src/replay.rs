@@ -1331,7 +1331,7 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
                         dst: NodeId::end(r, ev.seq),
                         base: ev.duration(),
                         class: DeltaClass::OsLocal,
-                        sampled: B::lane0(delta),
+                        sampled: B::lane0(d_end) - B::lane0(d0),
                         is_message: false,
                     });
                 }
@@ -1383,7 +1383,7 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
                                     dst: NodeId::end(r, ev.seq),
                                     base: ev.duration(),
                                     class: DeltaClass::OsLocal,
-                                    sampled: B::lane0(os1),
+                                    sampled: B::lane0(B::max(local_arm, floor)) - B::lane0(d0),
                                     is_message: false,
                                 });
                                 for &(src, sampled) in ack_edges.as_slice() {
@@ -1411,7 +1411,7 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
                             dst: NodeId::end(r, ev.seq),
                             base: ev.duration(),
                             class: DeltaClass::OsLocal,
-                            sampled: B::lane0(os1),
+                            sampled: B::lane0(d_end) - B::lane0(d0),
                             is_message: false,
                         });
                     }
@@ -1438,7 +1438,7 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
                                 dst: recv_node,
                                 base: ev.duration(),
                                 class: DeltaClass::None,
-                                sampled: 0,
+                                sampled: B::lane0(B::max(local_arm, floor)) - B::lane0(d0),
                                 is_message: false,
                             });
                             g.add_edge(Edge {
@@ -1853,7 +1853,7 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
                 dst: wait_end,
                 base: ev.duration(),
                 class: DeltaClass::None,
-                sampled: 0,
+                sampled: B::lane0(B::max(local_arm, floor)) - B::lane0(d0),
                 is_message: false,
             });
             for e in edges {
@@ -1942,7 +1942,7 @@ impl<B: DriftBank, I: Iterator<Item = Result<EventRecord, TraceError>>> Engine<B
                 dst: NodeId::end(r, ev.seq),
                 base: 0,
                 class: DeltaClass::None,
-                sampled: 0,
+                sampled: B::lane0(d_end) - B::lane0(hub),
                 is_message: true,
             });
         }

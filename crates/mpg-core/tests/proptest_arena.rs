@@ -11,12 +11,10 @@
 //! A recorded graph, in turn, must answer what replay computes:
 //! [`drift_timeline`] at stride 1 is every event the rank completed, at
 //! its traced end time, ending on the rank's `final_drifts()` entry, and
-//! at stride `k` every `k`-th sample of that. Under a non-negative model
-//! with posted-bound receives that last drift is also the final drift a
-//! replay of the same config without a graph reports. Negated OS noise and
-//! arrival-bound receives let the engine shrink an interval down to its
-//! floor, which the graph's zero-anchored `max` over recorded deltas does
-//! not encode, so only the graph-side claims are checked there.
+//! at stride `k` every `k`-th sample of that. That last drift is also the
+//! final drift a replay of the same config without a graph reports, under
+//! negated OS noise and arrival-bound receives too: the recorder writes
+//! each local edge's delta with the engine's floor folded in.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -189,9 +187,7 @@ proptest! {
             prop_assert_eq!(times, ends, "rank {}", r);
             let last = every.last().map(|&(_, d)| d);
             prop_assert_eq!(last, Some(graph_final), "rank {}", r);
-            if !negate_os && !arrival_bound {
-                prop_assert_eq!(last, Some(replay_final), "rank {}", r);
-            }
+            prop_assert_eq!(last, Some(replay_final), "rank {}", r);
             let strided: Vec<_> = every.iter().copied().skip(stride - 1).step_by(stride).collect();
             prop_assert_eq!(drift_timeline(&graph, r, stride), strided, "rank {}", r);
         }

@@ -356,12 +356,11 @@ if [ "$allowed" != "crates/mpg-trace/src/ooc.rs" ]; then
     exit 1
 fi
 
-# Same-process ratio gates over the pinned 10^7-event trace: lanes vs
-# scalar sweep on one thread, strict cursor drain vs bare decode, 1 shard
-# vs several, out-of-core RSS growth vs trace size, warm vs cold analyze,
-# and lint vs analyze RSS growth on a 512-rank stencil, each held to a
-# fixed bound (perf.rs). The first run generates the trace under
-# $TMPDIR/mpg-bench-ooc-*; later runs reuse it.
+# The same-host gate table (perf.rs): in-process ratios over the pinned
+# 10^7-event trace and a 512-rank stencil, and seven ratios of two child
+# mpgtool verbs on one trace, each the median of 9 alternating rounds,
+# every row held to a fixed bound. The first run generates the traces
+# under $TMPDIR/mpg-bench-ooc-*; later runs reuse them.
 echo "==> mpgtool bench --check --reps 9"
 cargo run --release -q -p mpg-analysis --bin mpgtool -- bench --check --reps 9
 
@@ -425,9 +424,6 @@ echo "    analyze identity + fsck exit contract hold across 7 workloads"
 shard_stability "$SMOKE_TMP"
 
 gen_stability "$SMOKE_TMP"
-
-# Same-host ratios of two verbs on one trace (see ratios.sh).
-./ratios.sh
 
 cache_identity "$SMOKE_TMP"
 
