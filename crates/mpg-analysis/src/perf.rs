@@ -1250,12 +1250,14 @@ const REPLAY: Side = Side::Verb("replay", &[]);
 const ANALYZE: Side = Side::Verb("analyze", &["--json"]);
 const LINT: Side = Side::Verb("lint", &["--all"]);
 
-/// The verb legs, each timed by [`measure_leg`].
+/// The verb legs, each timed by [`measure_leg`]. Each "Measured" figure
+/// below is from one `bench --check --reps 9` run on 2 CPUs: the median
+/// ratio of the 9 alternating rounds, then the rounds' range.
 const LEGS: [Leg; 7] = [
     // ROADMAP aim 1's target as a check: a cold `analyze` may cost at most
     // 10x the replay of the same trace, which streams it out of core.
-    // Measured 4.3-4.7x; a CSR build per rank or a hash per node touch on
-    // the analyze path puts it at 20x.
+    // Measured 3.94x (3.18-4.42); a CSR build per rank or a hash per node
+    // touch on the analyze path puts it at 20x.
     Leg {
         name: "analyze --json / replay, stencil 256x4",
         trace: STENCIL_256,
@@ -1265,9 +1267,9 @@ const LEGS: [Leg; 7] = [
     },
     // The simulator against the replay of what it writes: pinned `gen` of
     // that stencil may cost at most 9.5x `replay` of the trace it writes,
-    // the two timed in alternation. Measured 3.5-5.8x (127-194 ms over
-    // 29-45 ms): a rank posts every call whose result it already knows,
-    // and every call of this workload is one, so the only blocking calls
+    // the two timed in alternation. Measured 4.10x (3.95-4.45): a rank
+    // posts every call whose result it already knows, and every call of
+    // this workload is one, so the only blocking calls
     // left are the run-ahead cap's; the tracer encodes each record into
     // its rank's frame buffer as it is released and writes full frames.
     // With a channel round trip per call it read 26-37x. The bound was 12x
@@ -1284,9 +1286,9 @@ const LEGS: [Leg; 7] = [
     },
     // The same for a ring, where every hop ends in a blocking `wait`:
     // pinned `gen` of ring 16 x 40 may cost at most 7.5x `replay` of the
-    // trace it writes, timed in alternation. Measured 5.3-6.9x (206-290 ms
-    // over 31-48 ms): the rank whose call leaves no rank running takes the
-    // coordinator's decisions itself, so a blocking call costs at most one
+    // trace it writes, timed in alternation. Measured 5.75x (4.43-6.42):
+    // the rank whose call leaves no rank running takes the coordinator's
+    // decisions itself, so a blocking call costs at most one
     // thread switch. With a coordinator thread, each one cost a switch
     // there and one back: 13-16x (555-679 ms) over the same replay. The
     // bound was 9x while `gen` collected the whole trace and saved it
@@ -1304,9 +1306,10 @@ const LEGS: [Leg; 7] = [
     // eager messages per receiver): `lint --all` may cost at most 1.75x
     // the `analyze --json` of the same trace — both build the same
     // recorded graph, so the ratio is what the passes add. Measured
-    // 1.0-1.2x; a pass that asks happens-before once per (receive, send)
-    // pair of a receiver puts it at 2.3-2.6x here, and further with every
-    // doubling of the trace, because that cost is quadratic.
+    // 1.26x (1.18-1.76); a pass that asks happens-before once per
+    // (receive, send) pair of a receiver puts it at 2.3-2.6x here, and
+    // further with every doubling of the trace, because that cost is
+    // quadratic.
     Leg {
         name: "lint --all / analyze --json, ring 16x40",
         trace: RING_16,
@@ -1317,8 +1320,9 @@ const LEGS: [Leg; 7] = [
     // The rank-proportional path: the benchmark's 128-rank stencil (53 776
     // events, few per rank), where per-event happens-before work grows
     // with the rank count. `lint --all` may cost at most 2.5x `analyze
-    // --json`. Measured 1.16-1.38x, and 1.54-1.61x at 512 ranks x6. A
-    // clock per node instead of per epoch (DESIGN.md 12.1) spent 205 ms
+    // --json`. Measured 1.51x (1.08-1.76), and 1.54-1.61x (best of 3) at
+    // 512 ranks x6. A clock per node instead of per epoch (DESIGN.md 12.1)
+    // spent 205 ms
     // building the happens-before index of this trace against a ~40 ms
     // analyze, about 6x.
     Leg {
@@ -1331,7 +1335,7 @@ const LEGS: [Leg; 7] = [
     // Pass 4 itself, where its cost would show: the same generator at
     // scale 24 (7 710 events, 1 536 wildcard receives, 9 216 race
     // candidates). `lint --all` may cost at most 10x the `analyze --json`
-    // of the trace. Measured 3.0-3.2x (24-25 ms over 8 ms): a candidate
+    // of the trace. Measured 3.30x (2.59-4.00): a candidate
     // costs the couple of dozen simulation steps between the point where
     // its plan first matters and the point where both swapped receives
     // have matched. Run to the last event and carrying the logs, a
@@ -1346,7 +1350,7 @@ const LEGS: [Leg; 7] = [
     },
     // The pass-8 walk on the same trace: `explore` is the full lint plus
     // the explorer, so `explore --budget 32` may cost at most 4x `lint
-    // --all`. Measured 2.8-3.4x (98-125 ms over 30-43 ms): 32 forced
+    // --all`. Measured 3.48x (2.59-3.63): 32 forced
     // replays, 33 makespan passes, a candidate sweep per replay and
     // 302 610 extensions, of which only the first 32 scheduled are
     // stored; the rest are 20-byte records counted once when the walk

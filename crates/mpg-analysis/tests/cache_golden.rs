@@ -1,23 +1,12 @@
-//! Warm-path golden test: across all seven demo workloads, `mpgtool
-//! replay`/`lint`/`explore`/`analyze` must produce **byte-identical stdout and the
-//! same exit code** in four regimes — no cache, cold cache (populating),
-//! warm cache (hitting), and a cache where every artifact has been
-//! corrupted (falling back cold and republishing). The cache may only ever
-//! change *where* the answer comes from, never the answer; all cache
-//! chatter goes to stderr.
+//! The report tier's edges: CLI runs and `serve` jobs warm each other, a
+//! well-formed arena of another trace planted under a trace's key is a
+//! miss, and `mpgtool cache ls|gc|clear` manage the directory. That a
+//! cache changes only *where* an answer comes from — the four verbs cold,
+//! warm and corrupted over every demo workload — is a cell of
+//! `tests/cross_paths.rs`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
-
-const WORKLOADS: [&str; 7] = [
-    "ring",
-    "stencil",
-    "master-worker",
-    "solver",
-    "pipeline",
-    "transpose",
-    "summa",
-];
 
 fn mpgtool() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mpgtool"))
@@ -35,99 +24,6 @@ fn run(args: &[&str]) -> (String, String, i32) {
         String::from_utf8_lossy(&out.stderr).into_owned(),
         out.status.code().expect("mpgtool not killed by signal"),
     )
-}
-
-/// Flips one byte in the middle of every artifact in the cache directory.
-fn corrupt_every_artifact(cache_dir: &Path) -> usize {
-    let mut n = 0;
-    for entry in std::fs::read_dir(cache_dir).expect("cache dir readable") {
-        let path = entry.expect("dir entry").path();
-        if path.extension().is_none_or(|e| e != "mpgc") {
-            continue;
-        }
-        let mut bytes = std::fs::read(&path).expect("artifact readable");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&path, &bytes).expect("artifact writable");
-        n += 1;
-    }
-    n
-}
-
-#[test]
-fn warm_runs_are_byte_identical_across_demo_workloads() {
-    for wl in WORKLOADS {
-        let trace = tmp(&format!("trace-{wl}"));
-        let cache = tmp(&format!("cache-{wl}"));
-        let _ = std::fs::remove_dir_all(&trace);
-        let _ = std::fs::remove_dir_all(&cache);
-        let (_, err, code) = run(&[
-            "demo",
-            wl,
-            "--ranks",
-            "8",
-            "--seed",
-            "3",
-            trace.to_str().unwrap(),
-        ]);
-        assert_eq!(code, 0, "demo {wl}: {err}");
-        let trace = trace.to_str().unwrap().to_string();
-        let cache_str = cache.to_str().unwrap().to_string();
-
-        let commands: [Vec<&str>; 4] = [
-            vec!["replay", &trace, "--os", "200", "--seed", "5"],
-            vec!["lint", &trace],
-            vec!["explore", &trace, "--budget", "16"],
-            vec!["analyze", &trace],
-        ];
-        for base_args in &commands {
-            let what = format!("{wl}/{}", base_args[0]);
-            let mut cached_args = base_args.clone();
-            cached_args.extend_from_slice(&["--cache", "--cache-dir", &cache_str]);
-
-            let (base_out, _, base_code) = run(base_args);
-            assert!(!base_out.is_empty(), "{what}: baseline produced no output");
-
-            // Cold: populates, byte-identical, no warm-hit chatter.
-            let (cold_out, cold_err, cold_code) = run(&cached_args);
-            assert_eq!(cold_out, base_out, "{what}: cold stdout diverged");
-            assert_eq!(cold_code, base_code, "{what}: cold exit diverged");
-            assert!(
-                !cold_err.contains("warm hit"),
-                "{what}: cold run claimed a warm hit: {cold_err}"
-            );
-
-            // Warm: hits the memoized report, still byte-identical.
-            let (warm_out, warm_err, warm_code) = run(&cached_args);
-            assert_eq!(warm_out, base_out, "{what}: warm stdout diverged");
-            assert_eq!(warm_code, base_code, "{what}: warm exit diverged");
-            assert!(
-                warm_err.contains("warm hit"),
-                "{what}: warm run missed the cache: {warm_err}"
-            );
-
-            // Corrupt every artifact: the run must fall back cold — same
-            // bytes, same exit — and repair the cache for the next round.
-            assert!(corrupt_every_artifact(&cache) > 0, "{what}: nothing cached");
-            let (fb_out, fb_err, fb_code) = run(&cached_args);
-            assert_eq!(fb_out, base_out, "{what}: corrupt-fallback stdout diverged");
-            assert_eq!(fb_code, base_code, "{what}: corrupt-fallback exit diverged");
-            assert!(
-                !fb_err.contains("warm hit"),
-                "{what}: corrupt artifact served as a warm hit: {fb_err}"
-            );
-            let (re_out, re_err, re_code) = run(&cached_args);
-            assert_eq!(re_out, base_out, "{what}: repaired-warm stdout diverged");
-            assert_eq!(re_code, base_code, "{what}: repaired-warm exit diverged");
-            assert!(
-                re_err.contains("warm hit"),
-                "{what}: fallback did not republish: {re_err}"
-            );
-        }
-
-        let _ = std::fs::remove_dir_all(&cache);
-        let _ = std::fs::remove_dir_all(Path::new(&trace));
-    }
 }
 
 /// Two ranks that each receive before they send: a head-to-head deadlock

@@ -9,100 +9,9 @@
 //! "matching made no progress" deadlock-on-drain error — and stay within
 //! its O(events) wakeup bound.
 
-use mpg_core::{PerturbationModel, ReplayConfig, Replayer};
-use mpg_noise::{Dist, PlatformSignature};
-use mpg_sim::RankCtx;
+use mpg_core::{ReplayConfig, Replayer};
+use mpg_testkit::{noisy_model, round_strategy, simulate, SPMD};
 use proptest::prelude::*;
-
-/// One deadlock-free communication round; every rank executes the same
-/// sequence, so blocking calls always have a matching partner.
-#[derive(Debug, Clone)]
-enum Round {
-    /// Local work only.
-    Compute(u64),
-    /// Nonblocking ring: irecv from the left, isend to the right, waitall.
-    Ring { tag: u32, bytes: u64 },
-    /// Blocking sendrecv shifted by `shift` ranks.
-    Shift { shift: u32, tag: u32, bytes: u64 },
-    /// Even/odd paired blocking exchange (odd rank out sits idle).
-    Pair { tag: u32, bytes: u64 },
-    /// Ring via individually waited requests, reversed completion order.
-    RingWaitRev { tag: u32, bytes: u64 },
-    /// Barrier.
-    Barrier,
-    /// Allreduce.
-    Allreduce { bytes: u64 },
-    /// Broadcast from a root (reduced modulo the rank count).
-    Bcast { root: u32, bytes: u64 },
-}
-
-fn run_round(ctx: &mut RankCtx, round: &Round) {
-    let p = ctx.size();
-    let me = ctx.rank();
-    match *round {
-        Round::Compute(work) => ctx.compute(work),
-        Round::Ring { tag, bytes } => {
-            let right = (me + 1) % p;
-            let left = (me + p - 1) % p;
-            let r = ctx.irecv(left, tag);
-            let s = ctx.isend(right, tag, bytes);
-            ctx.waitall(&[r, s]);
-        }
-        Round::Shift { shift, tag, bytes } => {
-            let shift = 1 + shift % (p - 1).max(1);
-            let dst = (me + shift) % p;
-            let src = (me + p - shift) % p;
-            ctx.sendrecv(dst, tag, bytes, src, tag);
-        }
-        Round::Pair { tag, bytes } => {
-            if me.is_multiple_of(2) {
-                if me + 1 < p {
-                    ctx.send(me + 1, tag, bytes);
-                    ctx.recv(me + 1, tag);
-                }
-            } else {
-                ctx.recv(me - 1, tag);
-                ctx.send(me - 1, tag, bytes);
-            }
-        }
-        Round::RingWaitRev { tag, bytes } => {
-            let right = (me + 1) % p;
-            let left = (me + p - 1) % p;
-            let r = ctx.irecv(left, tag);
-            let s = ctx.isend(right, tag, bytes);
-            ctx.wait(s);
-            ctx.wait(r);
-        }
-        Round::Barrier => ctx.barrier(),
-        Round::Allreduce { bytes } => ctx.allreduce(bytes),
-        Round::Bcast { root, bytes } => ctx.bcast(root % p, bytes),
-    }
-}
-
-fn round_strategy() -> impl Strategy<Value = Round> {
-    prop_oneof![
-        (1u64..20_000).prop_map(Round::Compute),
-        (0u32..4, 1u64..4_096).prop_map(|(tag, bytes)| Round::Ring { tag, bytes }),
-        (0u32..8, 0u32..4, 1u64..4_096).prop_map(|(shift, tag, bytes)| Round::Shift {
-            shift,
-            tag,
-            bytes
-        }),
-        (0u32..4, 1u64..4_096).prop_map(|(tag, bytes)| Round::Pair { tag, bytes }),
-        (0u32..4, 1u64..4_096).prop_map(|(tag, bytes)| Round::RingWaitRev { tag, bytes }),
-        Just(Round::Barrier),
-        (1u64..2_048).prop_map(|bytes| Round::Allreduce { bytes }),
-        (0u32..8, 1u64..2_048).prop_map(|(root, bytes)| Round::Bcast { root, bytes }),
-    ]
-}
-
-fn noisy_model() -> PerturbationModel {
-    let mut m = PerturbationModel::quiet("prop");
-    m.os_local = Dist::Exponential { mean: 500.0 }.into();
-    m.latency = Dist::Exponential { mean: 700.0 }.into();
-    m.per_byte = 0.05;
-    m
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
@@ -111,19 +20,10 @@ proptest! {
     fn random_valid_programs_never_deadlock_the_ready_queue(
         p in 2u32..10,
         sim_seed in 0u64..1_000,
-        rounds in prop::collection::vec(round_strategy(), 1..14),
+        rounds in prop::collection::vec(round_strategy(SPMD), 1..14),
     ) {
-        let trace = mpg_sim::Simulation::new(p, PlatformSignature::quiet("prop"))
-            .ideal_clocks()
-            .seed(sim_seed)
-            .run(|ctx| {
-                for round in &rounds {
-                    run_round(ctx, round);
-                }
-            })
-            .expect("generated program simulates")
-            .trace;
-        let rep = Replayer::new(ReplayConfig::new(noisy_model()).seed(11))
+        let trace = simulate(p, sim_seed, &rounds);
+        let rep = Replayer::new(ReplayConfig::new(noisy_model(sim_seed)).seed(11))
             .run(&trace)
             .expect("ready-queue scheduler drains the trace without deadlock");
         // Every traced event retired: nothing was left asleep on the queue.

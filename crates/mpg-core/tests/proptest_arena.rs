@@ -25,9 +25,7 @@ use mpg_core::{
 use mpg_noise::Dist;
 use proptest::prelude::*;
 
-#[path = "shared/spmd.rs"]
-mod spmd;
-use spmd::{model, record, round_strategy, simulate};
+use mpg_testkit::{noisy_model, record, round_strategy, simulate, SPMD};
 
 /// A raw structural id: `rank` is reduced modulo the layout's rank count,
 /// so generated ids land on every rank and both inside and past each
@@ -163,7 +161,7 @@ proptest! {
     fn drift_timeline_reads_the_replay_off_the_graph(
         p in 2u32..7,
         sim_seed in 0u64..1_000,
-        rounds in prop::collection::vec(round_strategy(), 1..8),
+        rounds in prop::collection::vec(round_strategy(SPMD), 1..8),
         os_mean in 1u64..3_000,
         negate_os in any::<bool>(),
         lat_mean in 1u64..3_000,
@@ -172,7 +170,7 @@ proptest! {
         stride in 2usize..12,
     ) {
         let trace = simulate(p, sim_seed, &rounds);
-        let mut m = model(seed);
+        let mut m = noisy_model(seed);
         let os = Dist::Exponential { mean: os_mean as f64 };
         m.os_local = if negate_os { SignedDist::negative(os) } else { os.into() };
         m.latency = Dist::Exponential { mean: lat_mean as f64 }.into();

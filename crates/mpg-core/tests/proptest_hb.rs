@@ -1,8 +1,8 @@
 //! Property tests: the epoch-compressed happens-before index equals
 //! brute-force transitive closure.
 //!
-//! Random deadlock-free SPMD programs (the same round shapes the lane
-//! proptest uses, plus a wildcard-receive gather) are simulated, replayed
+//! Random deadlock-free SPMD programs (wildcard-free rounds plus a
+//! wildcard-receive gather, from `mpg-testkit`) are simulated, replayed
 //! with graph recording, and the [`HbIndex`] built from the recorded graph
 //! is checked against a DFS reachability oracle over the raw edge list,
 //! for **every** ordered pair of events:
@@ -31,185 +31,47 @@
 //! one comparison against them — unknown events and ranks past the last
 //! included — and rows never decrease along a rank's program order.
 
-use mpg_core::{EventGraph, HbColumns, HbIndex, NodeId, PerturbationModel, ReplayConfig, Replayer};
-use mpg_noise::PlatformSignature;
-use mpg_sim::RankCtx;
-use mpg_trace::ANY_SOURCE;
+use mpg_core::{EventGraph, HbColumns, HbIndex, NodeId, PerturbationModel, ReplayConfig};
+use mpg_testkit::{round_strategy, simulate, Round, Shape};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
-/// One deadlock-free communication round; every rank executes the same
-/// sequence, so blocking calls always have a matching partner.
-#[derive(Debug, Clone)]
-enum Round {
-    Compute(u64),
-    /// Nonblocking ring: irecv from the left, isend to the right, waitall.
-    Ring {
-        tag: u32,
-        bytes: u64,
-    },
-    /// Blocking sendrecv shifted by `shift` ranks.
-    Shift {
-        shift: u32,
-        tag: u32,
-        bytes: u64,
-    },
-    /// Even/odd paired blocking exchange (odd rank out sits idle).
-    Pair {
-        tag: u32,
-        bytes: u64,
-    },
-    /// Wildcard gather: everyone sends to the root, which posts
-    /// `p − 1` ANY_SOURCE receives — the shape race detection cares about.
-    GatherAny {
-        root: u32,
-        tag: u32,
-        bytes: u64,
-    },
-    /// One message between two ranks while everyone else computes — the
-    /// sparse shape where most events inherit their predecessor's epoch.
-    /// `sync` makes it a rendezvous send, which always records an
-    /// acknowledgement edge back to the sender.
-    Handoff {
-        from: u32,
-        hop: u32,
-        tag: u32,
-        bytes: u64,
-        sync: bool,
-    },
-    Barrier,
-    Allreduce {
-        bytes: u64,
-    },
-}
-
-fn run_round(ctx: &mut RankCtx, round: &Round) {
-    let p = ctx.size();
-    let me = ctx.rank();
-    match *round {
-        Round::Compute(work) => ctx.compute(work),
-        Round::Ring { tag, bytes } => {
-            let r = ctx.irecv((me + p - 1) % p, tag);
-            let s = ctx.isend((me + 1) % p, tag, bytes);
-            ctx.waitall(&[r, s]);
-        }
-        Round::Shift { shift, tag, bytes } => {
-            let shift = 1 + shift % (p - 1).max(1);
-            ctx.sendrecv((me + shift) % p, tag, bytes, (me + p - shift) % p, tag);
-        }
-        Round::Pair { tag, bytes } => {
-            if me.is_multiple_of(2) {
-                if me + 1 < p {
-                    ctx.send(me + 1, tag, bytes);
-                    ctx.recv(me + 1, tag);
-                }
-            } else {
-                ctx.recv(me - 1, tag);
-                ctx.send(me - 1, tag, bytes);
-            }
-        }
-        Round::GatherAny { root, tag, bytes } => {
-            let root = root % p;
-            if me == root {
-                for _ in 1..p {
-                    ctx.recv(ANY_SOURCE, tag);
-                }
-            } else {
-                ctx.send(root, tag, bytes);
-            }
-        }
-        Round::Handoff {
-            from,
-            hop,
-            tag,
-            bytes,
-            sync,
-        } => {
-            let from = from % p;
-            let to = (from + 1 + hop % (p - 1)) % p;
-            if me == from && sync {
-                ctx.ssend(to, tag, bytes);
-            } else if me == from {
-                ctx.send(to, tag, bytes);
-            } else if me == to {
-                ctx.recv(from, tag);
-            } else {
-                ctx.compute(bytes);
-            }
-        }
-        Round::Barrier => ctx.barrier(),
-        Round::Allreduce { bytes } => ctx.allreduce(bytes),
-    }
-}
-
-fn round_strategy() -> impl Strategy<Value = Round> {
-    prop_oneof![
-        (1u64..20_000).prop_map(Round::Compute),
-        (0u32..4, 1u64..4_096).prop_map(|(tag, bytes)| Round::Ring { tag, bytes }),
-        (0u32..8, 0u32..4, 1u64..4_096).prop_map(|(shift, tag, bytes)| Round::Shift {
-            shift,
-            tag,
-            bytes
-        }),
-        (0u32..4, 1u64..4_096).prop_map(|(tag, bytes)| Round::Pair { tag, bytes }),
-        (0u32..8, 0u32..4, 1u64..4_096).prop_map(|(root, tag, bytes)| Round::GatherAny {
-            root,
-            tag,
-            bytes
-        }),
-        Just(Round::Barrier),
-        (1u64..2_048).prop_map(|bytes| Round::Allreduce { bytes }),
-    ]
-}
+/// Dense rounds: the wildcard-free shapes and a wildcard gather, the
+/// shape race detection cares about.
+const DENSE: &[Shape] = &[
+    Shape::Compute,
+    Shape::Ring,
+    Shape::Shift,
+    Shape::Pair,
+    Shape::GatherAny,
+    Shape::Barrier,
+    Shape::Allreduce,
+];
 
 /// Rounds for the wide leg: mostly sparse hand-offs, so most of a rank's
 /// events sit between joins, with the occasional collective or ring to
 /// join everybody at once.
-fn sparse_round_strategy() -> impl Strategy<Value = Round> {
-    let handoff = || {
-        (0u32..24, 0u32..24, 0u32..4, 1u64..4_096, any::<bool>()).prop_map(
-            |(from, hop, tag, bytes, sync)| Round::Handoff {
-                from,
-                hop,
-                tag,
-                bytes,
-                sync,
-            },
-        )
-    };
-    prop_oneof![
-        handoff(),
-        handoff(),
-        handoff(),
-        (1u64..20_000).prop_map(Round::Compute),
-        (0u32..4, 1u64..4_096).prop_map(|(tag, bytes)| Round::Ring { tag, bytes }),
-        Just(Round::Barrier),
-        (1u64..2_048).prop_map(|bytes| Round::Allreduce { bytes }),
-    ]
-}
+const SPARSE: &[Shape] = &[
+    Shape::Handoff,
+    Shape::Handoff,
+    Shape::Handoff,
+    Shape::Compute,
+    Shape::Ring,
+    Shape::Barrier,
+    Shape::Allreduce,
+];
 
 /// Simulates `rounds` on `p` ranks and records the replayed graph. Returns
 /// it with the number of events per rank.
 fn record(p: u32, sim_seed: u64, rounds: &[Round], ack_arm: bool) -> (EventGraph, Vec<u64>) {
-    let trace = mpg_sim::Simulation::new(p, PlatformSignature::quiet("prop-hb"))
-        .ideal_clocks()
-        .seed(sim_seed)
-        .run(|ctx| {
-            for round in rounds {
-                run_round(ctx, round);
-            }
-        })
-        .expect("generated program simulates")
-        .trace;
+    let trace = simulate(p, sim_seed, rounds);
     let cfg = ReplayConfig::new(PerturbationModel::quiet("prop-hb"))
         .seed(0)
-        .ack_arm(ack_arm)
-        .record_graph(true);
-    let report = Replayer::new(cfg).run(&trace).expect("valid trace replays");
+        .ack_arm(ack_arm);
     let counts = (0..p as usize)
         .map(|r| trace.rank(r).len() as u64)
         .collect();
-    (report.graph.expect("graph recorded"), counts)
+    (mpg_testkit::record(&trace, &cfg), counts)
 }
 
 /// All nodes reachable from `from` by one or more edges.
@@ -405,7 +267,7 @@ proptest! {
     fn hb_index_equals_transitive_closure(
         p in 2u32..7,
         sim_seed in 0u64..1_000,
-        rounds in prop::collection::vec(round_strategy(), 1..6),
+        rounds in prop::collection::vec(round_strategy(DENSE), 1..6),
         ack_arm in any::<bool>(),
     ) {
         let (graph, counts) = record(p, sim_seed, &rounds, ack_arm);
@@ -423,7 +285,7 @@ proptest! {
     fn wide_sparse_index_equals_transitive_closure(
         p in 8u32..25,
         sim_seed in 0u64..1_000,
-        rounds in prop::collection::vec(sparse_round_strategy(), 2..7),
+        rounds in prop::collection::vec(round_strategy(SPARSE), 2..7),
         ack_arm in any::<bool>(),
     ) {
         let (graph, counts) = record(p, sim_seed, &rounds, ack_arm);
@@ -440,8 +302,8 @@ proptest! {
     fn bypassed_index_equals_closure_without_the_hub(
         p in 2u32..9,
         sim_seed in 0u64..1_000,
-        before in prop::collection::vec(sparse_round_strategy(), 0..4),
-        after in prop::collection::vec(sparse_round_strategy(), 0..4),
+        before in prop::collection::vec(round_strategy(SPARSE), 0..4),
+        after in prop::collection::vec(round_strategy(SPARSE), 0..4),
         ack_arm in any::<bool>(),
     ) {
         // At least one collective, wherever the generated rounds put it.
@@ -473,7 +335,7 @@ proptest! {
     fn projected_index_equals_closure_on_its_columns(
         p in 2u32..9,
         sim_seed in 0u64..1_000,
-        rounds in prop::collection::vec(round_strategy(), 1..6),
+        rounds in prop::collection::vec(round_strategy(DENSE), 1..6),
         mask in prop::collection::vec(any::<bool>(), 81),
         ack_arm in any::<bool>(),
     ) {

@@ -1,160 +1,20 @@
-//! Out-of-core & partition-parallel replay equivalence.
-//!
-//! The windowed file-backed path ([`OocTraceSet`] cursors) and the sharded
-//! path, both through [`Replayer::run_streams_parallel`], must be
-//! **bit-identical** to the plain in-memory replay: same per-rank drifts,
-//! same projected finishes, same warnings, and the same statistics — except
-//! the three scheduler-order diagnostics (`scheduler_wakeups`,
-//! `polls_avoided`, `window_high_water`), which describe *how* the
-//! traversal was scheduled, not *what* it computed.
-//!
-//! Exercised two ways: random deadlock-free SPMD programs under a noisy
-//! model (proptest), and a golden pass over deterministic demo programs at
-//! several shard counts.
+//! Out-of-core and partition-parallel replay equivalence: the windowed
+//! file-backed path ([`OocTraceSet`] cursors) and the sharded path, both
+//! through [`Replayer::run_streams_parallel`], are **bit-identical** to the
+//! plain in-memory replay — same per-rank drifts, projected finishes,
+//! warnings and statistics, except what [`mpg_testkit::computed`] leaves
+//! out — and so is the §4.3 leak warning. Streams declare no event counts,
+//! so a graph recording asked of them is refused. Random programs come
+//! from `mpg-testkit`; this is the random-program row of the streamed and
+//! sharded cell of `mpg-analysis`'s `tests/cross_paths.rs`, whose
+//! `demo_traces_take_every_in_process_path` runs the same paths on the
+//! seven demo traces.
 
-use mpg_core::{PerturbationModel, ReplayConfig, ReplayReport, Replayer};
-use mpg_noise::{Dist, PlatformSignature};
-use mpg_sim::RankCtx;
+use mpg_core::{PerturbationModel, ReplayConfig, Replayer};
+use mpg_noise::PlatformSignature;
+use mpg_testkit::{computed, noisy_model, round_strategy, scratch_dir, simulate, Round, SPMD};
 use mpg_trace::{EventRecord, MemTrace, OocTraceSet, TraceError};
 use proptest::prelude::*;
-
-/// One deadlock-free communication round; every rank executes the same
-/// sequence, so blocking calls always have a matching partner.
-#[derive(Debug, Clone)]
-enum Round {
-    Compute(u64),
-    /// Nonblocking ring: irecv from the left, isend to the right, waitall.
-    Ring {
-        tag: u32,
-        bytes: u64,
-    },
-    /// Blocking sendrecv shifted by `shift` ranks.
-    Shift {
-        shift: u32,
-        tag: u32,
-        bytes: u64,
-    },
-    /// Even/odd paired blocking exchange (odd rank out sits idle).
-    Pair {
-        tag: u32,
-        bytes: u64,
-    },
-    Barrier,
-    Allreduce {
-        bytes: u64,
-    },
-    Bcast {
-        root: u32,
-        bytes: u64,
-    },
-}
-
-fn run_round(ctx: &mut RankCtx, round: &Round) {
-    let p = ctx.size();
-    let me = ctx.rank();
-    match *round {
-        Round::Compute(work) => ctx.compute(work),
-        Round::Ring { tag, bytes } => {
-            let r = ctx.irecv((me + p - 1) % p, tag);
-            let s = ctx.isend((me + 1) % p, tag, bytes);
-            ctx.waitall(&[r, s]);
-        }
-        Round::Shift { shift, tag, bytes } => {
-            let shift = 1 + shift % (p - 1).max(1);
-            ctx.sendrecv((me + shift) % p, tag, bytes, (me + p - shift) % p, tag);
-        }
-        Round::Pair { tag, bytes } => {
-            if me.is_multiple_of(2) {
-                if me + 1 < p {
-                    ctx.send(me + 1, tag, bytes);
-                    ctx.recv(me + 1, tag);
-                }
-            } else {
-                ctx.recv(me - 1, tag);
-                ctx.send(me - 1, tag, bytes);
-            }
-        }
-        Round::Barrier => ctx.barrier(),
-        Round::Allreduce { bytes } => ctx.allreduce(bytes),
-        Round::Bcast { root, bytes } => ctx.bcast(root % p, bytes),
-    }
-}
-
-fn round_strategy() -> impl Strategy<Value = Round> {
-    prop_oneof![
-        (1u64..20_000).prop_map(Round::Compute),
-        (0u32..4, 1u64..4_096).prop_map(|(tag, bytes)| Round::Ring { tag, bytes }),
-        (0u32..8, 0u32..4, 1u64..4_096).prop_map(|(shift, tag, bytes)| Round::Shift {
-            shift,
-            tag,
-            bytes
-        }),
-        (0u32..4, 1u64..4_096).prop_map(|(tag, bytes)| Round::Pair { tag, bytes }),
-        Just(Round::Barrier),
-        (1u64..2_048).prop_map(|bytes| Round::Allreduce { bytes }),
-        (0u32..8, 1u64..2_048).prop_map(|(root, bytes)| Round::Bcast { root, bytes }),
-    ]
-}
-
-/// A noisy model exercising every delta class, including the per-byte term.
-fn noisy_model(seed_hint: u64) -> PerturbationModel {
-    let mut m = PerturbationModel::quiet("ooc-prop");
-    m.os_local = Dist::Exponential {
-        mean: 40.0 + (seed_hint % 7) as f64,
-    }
-    .into();
-    m.os_remote = Dist::Uniform { lo: 0.0, hi: 25.0 }.into();
-    m.latency = Dist::Exponential { mean: 120.0 }.into();
-    m.per_byte = 0.05;
-    m.transfer_jitter = Dist::Uniform { lo: 0.0, hi: 10.0 }.into();
-    m
-}
-
-fn simulate(p: u32, sim_seed: u64, rounds: &[Round]) -> MemTrace {
-    mpg_sim::Simulation::new(p, PlatformSignature::quiet("ooc"))
-        .ideal_clocks()
-        .seed(sim_seed)
-        .run(|ctx| {
-            for round in rounds {
-                run_round(ctx, round);
-            }
-        })
-        .expect("generated program simulates")
-        .trace
-}
-
-/// The equivalence contract: everything except the scheduler-order
-/// diagnostics must match bit-for-bit.
-fn assert_bit_identical(base: &ReplayReport, got: &ReplayReport, what: &str) {
-    assert_eq!(base.final_drift, got.final_drift, "{what}: final_drift");
-    assert_eq!(
-        base.projected_finish_local, got.projected_finish_local,
-        "{what}: projected_finish_local"
-    );
-    assert_eq!(base.warnings, got.warnings, "{what}: warnings");
-    assert_eq!(base.model_name, got.model_name, "{what}: model_name");
-    let (a, b) = (&base.stats, &got.stats);
-    assert_eq!(a.events, b.events, "{what}: stats.events");
-    assert_eq!(
-        a.messages_matched, b.messages_matched,
-        "{what}: stats.messages_matched"
-    );
-    assert_eq!(a.collectives, b.collectives, "{what}: stats.collectives");
-    assert_eq!(
-        a.injected_total, b.injected_total,
-        "{what}: stats.injected_total"
-    );
-    assert_eq!(a.arm_wins, b.arm_wins, "{what}: stats.arm_wins");
-    assert_eq!(
-        a.absorbed_message_drift, b.absorbed_message_drift,
-        "{what}: stats.absorbed_message_drift"
-    );
-    assert_eq!(
-        a.propagated_message_drift, b.propagated_message_drift,
-        "{what}: stats.propagated_message_drift"
-    );
-    assert_eq!(a.lanes, b.lanes, "{what}: stats.lanes");
-}
 
 fn mem_streams(
     trace: &MemTrace,
@@ -168,12 +28,6 @@ fn mem_streams(
         .collect()
 }
 
-fn fresh_dir(tag: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("mpg-oocprop-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -184,8 +38,8 @@ proptest! {
         p in 2u32..10,
         sim_seed in 0u64..1_000,
         replay_seed in 0u64..1_000,
-        shards in 2usize..6,
-        rounds in prop::collection::vec(round_strategy(), 1..8),
+        shards in 2usize..9,
+        rounds in prop::collection::vec(round_strategy(SPMD), 1..8),
     ) {
         let trace = simulate(p, sim_seed, &rounds);
         let config = ReplayConfig::new(noisy_model(sim_seed)).seed(replay_seed);
@@ -195,22 +49,22 @@ proptest! {
         let sharded = Replayer::new(config)
             .run_streams_parallel(mem_streams(&trace), shards)
             .expect("sharded replay succeeds");
-        assert_bit_identical(&base, &sharded, &format!("{shards} shards"));
+        prop_assert_eq!(computed(&sharded), computed(&base), "{} shards", shards);
     }
 
     /// The windowed out-of-core path (mmap-backed frame cursors) is
-    /// bit-identical to the in-memory replay, on one engine and sharded.
-    /// Streams declare no event counts, so a graph recording asked of them
-    /// is refused.
+    /// bit-identical to the in-memory replay, on one engine and sharded,
+    /// and refuses a graph recording.
     #[test]
     fn windowed_ooc_replay_is_bit_identical(
-        p in 2u32..8,
+        p in 2u32..10,
         sim_seed in 0u64..1_000,
         replay_seed in 0u64..1_000,
-        rounds in prop::collection::vec(round_strategy(), 1..6),
+        shards in 2usize..9,
+        rounds in prop::collection::vec(round_strategy(SPMD), 1..8),
     ) {
         let trace = simulate(p, sim_seed, &rounds);
-        let dir = fresh_dir(&format!("{p}-{sim_seed}-{replay_seed}"));
+        let dir = scratch_dir(&format!("oocprop-{p}-{sim_seed}-{replay_seed}"));
         trace.save(&dir).expect("trace saves");
         let ooc = OocTraceSet::open(&dir).expect("ooc set opens");
         let cursors = || (0..ooc.num_ranks()).map(|r| ooc.cursor(r)).collect();
@@ -219,11 +73,11 @@ proptest! {
         let base = Replayer::new(config.clone())
             .run(&trace)
             .expect("in-memory replay succeeds");
-        for shards in [1, 4] {
+        for shards in [1, shards] {
             let windowed = Replayer::new(config.clone())
                 .run_streams_parallel(cursors(), shards)
                 .expect("windowed replay succeeds");
-            assert_bit_identical(&base, &windowed, &format!("windowed {shards} shard(s)"));
+            prop_assert_eq!(computed(&windowed), computed(&base), "windowed {} shard(s)", shards);
         }
         prop_assert!(matches!(
             Replayer::new(config.record_graph(true)).run_streams_parallel(cursors(), 1),
@@ -274,8 +128,12 @@ fn golden_shard_counts_and_leak_warning() {
         let got = Replayer::new(config.clone())
             .run_streams_parallel(mem_streams(&trace), shards)
             .expect("sharded replay succeeds");
-        assert_bit_identical(&base, &got, &format!("golden {shards} shards"));
+        assert_eq!(computed(&got), computed(&base), "golden {shards} shards");
     }
+    assert!(matches!(
+        Replayer::new(config.record_graph(true)).run_streams_parallel(mem_streams(&trace), 1),
+        Err(mpg_core::ReplayError::NoLayout)
+    ));
 
     // A trace with unmatched asynchronous traffic must produce the same
     // §4.3 warning string from the merged sharded report.

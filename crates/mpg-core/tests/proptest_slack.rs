@@ -1,8 +1,8 @@
 //! Property tests tying the static slack analyzer to the dynamic replay
 //! engine.
 //!
-//! Random deadlock-free SPMD programs (the same round shapes the lane and
-//! scheduler proptests use) are simulated on ideal clocks and quiet-replayed
+//! Random deadlock-free SPMD programs (`mpg_testkit::SPMD`) are simulated
+//! on ideal clocks and quiet-replayed
 //! into a recorded graph; three families of properties must then hold:
 //!
 //! 1. **Schedule fidelity** — the zero-drift forward sweep under effective
@@ -24,110 +24,15 @@ use mpg_core::{
     critical_path, drift_slack, predicted_graph, Cycles, EventGraph, NodeId, PerturbationModel,
     Point, ReplayConfig, Replayer, SlackSweep,
 };
-use mpg_noise::{Dist, PlatformSignature};
-use mpg_sim::RankCtx;
+use mpg_noise::Dist;
+use mpg_testkit::{round_strategy, simulate, Round, SPMD};
 use proptest::prelude::*;
-
-/// One deadlock-free communication round; every rank executes the same
-/// sequence, so blocking calls always have a matching partner.
-#[derive(Debug, Clone)]
-enum Round {
-    Compute(u64),
-    /// Nonblocking ring: irecv from the left, isend to the right, waitall.
-    Ring {
-        tag: u32,
-        bytes: u64,
-    },
-    /// Blocking sendrecv shifted by `shift` ranks.
-    Shift {
-        shift: u32,
-        tag: u32,
-        bytes: u64,
-    },
-    /// Even/odd paired blocking exchange (odd rank out sits idle).
-    Pair {
-        tag: u32,
-        bytes: u64,
-    },
-    Barrier,
-    Allreduce {
-        bytes: u64,
-    },
-    Bcast {
-        root: u32,
-        bytes: u64,
-    },
-}
-
-fn run_round(ctx: &mut RankCtx, round: &Round) {
-    let p = ctx.size();
-    let me = ctx.rank();
-    match *round {
-        Round::Compute(work) => ctx.compute(work),
-        Round::Ring { tag, bytes } => {
-            let r = ctx.irecv((me + p - 1) % p, tag);
-            let s = ctx.isend((me + 1) % p, tag, bytes);
-            ctx.waitall(&[r, s]);
-        }
-        Round::Shift { shift, tag, bytes } => {
-            let shift = 1 + shift % (p - 1).max(1);
-            ctx.sendrecv((me + shift) % p, tag, bytes, (me + p - shift) % p, tag);
-        }
-        Round::Pair { tag, bytes } => {
-            if me.is_multiple_of(2) {
-                if me + 1 < p {
-                    ctx.send(me + 1, tag, bytes);
-                    ctx.recv(me + 1, tag);
-                }
-            } else {
-                ctx.recv(me - 1, tag);
-                ctx.send(me - 1, tag, bytes);
-            }
-        }
-        Round::Barrier => ctx.barrier(),
-        Round::Allreduce { bytes } => ctx.allreduce(bytes),
-        Round::Bcast { root, bytes } => ctx.bcast(root % p, bytes),
-    }
-}
-
-fn round_strategy() -> impl Strategy<Value = Round> {
-    prop_oneof![
-        (1u64..20_000).prop_map(Round::Compute),
-        (0u32..4, 1u64..4_096).prop_map(|(tag, bytes)| Round::Ring { tag, bytes }),
-        (0u32..8, 0u32..4, 1u64..4_096).prop_map(|(shift, tag, bytes)| Round::Shift {
-            shift,
-            tag,
-            bytes
-        }),
-        (0u32..4, 1u64..4_096).prop_map(|(tag, bytes)| Round::Pair { tag, bytes }),
-        Just(Round::Barrier),
-        (1u64..2_048).prop_map(|bytes| Round::Allreduce { bytes }),
-        (0u32..8, 1u64..2_048).prop_map(|(root, bytes)| Round::Bcast { root, bytes }),
-    ]
-}
 
 /// Simulates a random program on ideal clocks and quiet-replays it into a
 /// recorded event graph.
 fn record(p: u32, sim_seed: u64, rounds: &[Round]) -> EventGraph {
-    let trace = mpg_sim::Simulation::new(p, PlatformSignature::quiet("prop"))
-        .ideal_clocks()
-        .seed(sim_seed)
-        .run(|ctx| {
-            for round in rounds {
-                run_round(ctx, round);
-            }
-        })
-        .expect("generated program simulates")
-        .trace;
-    Replayer::new(
-        ReplayConfig::new(PerturbationModel::quiet("record"))
-            .seed(0)
-            .record_graph(true),
-    )
-    .run(&trace)
-    .expect("quiet replay succeeds")
-    .graph
-    .expect("graph recorded")
+    let quiet = ReplayConfig::new(PerturbationModel::quiet("record")).seed(0);
+    mpg_testkit::record(&simulate(p, sim_seed, rounds), &quiet)
 }
 
 /// The per-rank final end subevents whose max earliest time is the
@@ -172,7 +77,7 @@ proptest! {
     fn sweep_is_exact_and_slack_is_max_absorbable_delay(
         p in 2u32..7,
         sim_seed in 0u64..1_000,
-        rounds in prop::collection::vec(round_strategy(), 1..7),
+        rounds in prop::collection::vec(round_strategy(SPMD), 1..7),
     ) {
         let graph = record(p, sim_seed, &rounds);
         let sweep = SlackSweep::sweep(&graph);
@@ -216,21 +121,12 @@ proptest! {
     fn constant_model_prediction_matches_replay(
         p in 2u32..7,
         sim_seed in 0u64..1_000,
-        rounds in prop::collection::vec(round_strategy(), 1..7),
+        rounds in prop::collection::vec(round_strategy(SPMD), 1..7),
         os_const in 0u32..400,
         lat_const in 0u32..400,
         replay_seed in 0u64..1_000,
     ) {
-        let trace = mpg_sim::Simulation::new(p, PlatformSignature::quiet("prop"))
-            .ideal_clocks()
-            .seed(sim_seed)
-            .run(|ctx| {
-                for round in &rounds {
-                    run_round(ctx, round);
-                }
-            })
-            .expect("generated program simulates")
-            .trace;
+        let trace = simulate(p, sim_seed, &rounds);
 
         let mut model = PerturbationModel::quiet("const");
         if os_const > 0 {
@@ -241,15 +137,10 @@ proptest! {
         }
 
         // Quiet recording replay -> static prediction.
-        let base = Replayer::new(
-            ReplayConfig::new(PerturbationModel::quiet("record"))
-                .seed(0)
-                .record_graph(true),
-        )
-        .run(&trace)
-        .expect("quiet replay succeeds")
-        .graph
-        .expect("graph recorded");
+        let base = mpg_testkit::record(
+            &trace,
+            &ReplayConfig::new(PerturbationModel::quiet("record")).seed(0),
+        );
         let predicted = predicted_graph(&base, &model).expect("constant model is predictable");
 
         // Real recording replay under the same model.

@@ -955,7 +955,7 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hb_races::wildcard_programs::{round_strategy, try_simulate};
+    use mpg_testkit::{round_strategy, try_simulate, PINNED};
     use proptest::prelude::*;
 
     /// A budget drawn from fixed values or from around the program's seed
@@ -1060,7 +1060,7 @@ mod tests {
         fn flat_frontier_equals_the_eager_walk(
             p in 2u32..7,
             sim_seed in 0u64..1_000,
-            rounds in prop::collection::vec(round_strategy(true), 1..6),
+            rounds in prop::collection::vec(round_strategy(PINNED), 1..6),
             budget in prop_oneof![budgets(), Just(Budget::Fixed(u64::MAX))],
             depth in 1usize..5,
             seed in 0u64..8,
@@ -1088,7 +1088,7 @@ mod tests {
         fn colliding_set_hashes_still_equal_the_eager_walk(
             p in 2u32..7,
             sim_seed in 0u64..1_000,
-            rounds in prop::collection::vec(round_strategy(true), 1..6),
+            rounds in prop::collection::vec(round_strategy(PINNED), 1..6),
             budget in budgets(),
             depth in 1usize..5,
             seed in 0u64..8,

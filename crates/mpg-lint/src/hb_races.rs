@@ -389,10 +389,6 @@ pub fn lint_races(trace: &MemTrace, matching: &Matching, hb: &HbIndex) -> Vec<Di
         .collect()
 }
 
-#[cfg(test)]
-#[path = "../tests/shared/wildcard_programs.rs"]
-pub(crate) mod wildcard_programs;
-
 /// The trace of `mpgtool gen --workload master-worker --ranks 8 --scale 6`
 /// (the benchmark's `master-worker-wild-8`): 384 tasks handed out through
 /// `ANY_SOURCE` result receives.
@@ -414,7 +410,6 @@ pub(crate) fn master_worker_trace() -> MemTrace {
 
 #[cfg(test)]
 mod tests {
-    use super::wildcard_programs::{any_round_strategy, round_strategy, simulate, try_simulate};
     use super::*;
     use crate::explore::extensions;
     use crate::progress::{
@@ -423,6 +418,7 @@ mod tests {
     use crate::LintContext;
     use mpg_core::forced::ForcedOutcome;
     use mpg_noise::PlatformSignature;
+    use mpg_testkit::{round_strategy, simulate, try_simulate, ANY_WILDCARD, WILDCARD};
     use mpg_trace::EventRecord;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -514,7 +510,7 @@ mod tests {
         fn channel_windows_equal_the_linear_scan(
             p in 2u32..7,
             sim_seed in 0u64..1_000,
-            rounds in prop::collection::vec(round_strategy(false), 1..6),
+            rounds in prop::collection::vec(round_strategy(WILDCARD), 1..6),
         ) {
             let trace = simulate(p, sim_seed, &rounds);
             let ctx = LintContext::build(&trace);
@@ -566,7 +562,7 @@ mod tests {
         fn channel_windows_survive_unvalidated_traces(
             p in 3u32..6,
             sim_seed in 0u64..1_000,
-            rounds in prop::collection::vec(round_strategy(false), 2..6),
+            rounds in prop::collection::vec(round_strategy(WILDCARD), 2..6),
             rank in 0usize..6,
             pos in 0usize..64,
             mutation in 0u32..4,
@@ -671,7 +667,7 @@ mod tests {
             fn cases(
                 p in 2u32..7,
                 sim_seed in 0u64..1_000,
-                rounds in prop::collection::vec(any_round_strategy(), 1..6),
+                rounds in prop::collection::vec(round_strategy(ANY_WILDCARD), 1..6),
             ) {
                 let Some(trace) = try_simulate(p, sim_seed, &rounds) else {
                     continue;

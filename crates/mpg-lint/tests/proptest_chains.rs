@@ -14,54 +14,19 @@ use std::collections::BTreeSet;
 use mpg_core::{EventGraph, NodeId, NodeIdx, Point, SlackSweep};
 use mpg_lint::{rank_chains, ChainSummary, LintContext};
 use mpg_noise::PlatformSignature;
-use mpg_sim::RankCtx;
+use mpg_testkit::{round_strategy, run_round, Shape};
 use proptest::prelude::*;
 
-#[derive(Debug, Clone)]
-enum Round {
-    /// Rank-dependent work, so ranks reach the next round at different
-    /// times and the sweep has waits to chain through.
-    Compute(u64),
-    Ring {
-        tag: u32,
-        bytes: u64,
-    },
-    Shift {
-        shift: u32,
-        bytes: u64,
-    },
-    Barrier,
-    Allreduce(u64),
-}
-
-fn run_round(ctx: &mut RankCtx, round: &Round) {
-    let p = ctx.size();
-    let me = ctx.rank();
-    match *round {
-        Round::Compute(work) => ctx.compute(work * u64::from(1 + me % 3)),
-        Round::Ring { tag, bytes } => {
-            let r = ctx.irecv((me + p - 1) % p, tag);
-            let s = ctx.isend((me + 1) % p, tag, bytes);
-            ctx.waitall(&[r, s]);
-        }
-        Round::Shift { shift, bytes } => {
-            let shift = 1 + shift % (p - 1).max(1);
-            ctx.sendrecv((me + shift) % p, 9, bytes, (me + p - shift) % p, 9);
-        }
-        Round::Barrier => ctx.barrier(),
-        Round::Allreduce(bytes) => ctx.allreduce(bytes),
-    }
-}
-
-fn round_strategy() -> impl Strategy<Value = Round> {
-    prop_oneof![
-        (1u64..20_000).prop_map(Round::Compute),
-        (0u32..3, 1u64..2_048).prop_map(|(tag, bytes)| Round::Ring { tag, bytes }),
-        (0u32..8, 1u64..2_048).prop_map(|(shift, bytes)| Round::Shift { shift, bytes }),
-        Just(Round::Barrier),
-        (1u64..1_024).prop_map(Round::Allreduce),
-    ]
-}
+/// Rank-skewed work between rings, shifts and collectives: ranks reach
+/// each round at different times, so the sweep has waits to chain
+/// through.
+const CHAINED: &[Shape] = &[
+    Shape::Skewed,
+    Shape::Ring,
+    Shape::Shift,
+    Shape::Barrier,
+    Shape::Allreduce,
+];
 
 /// The tight chain back from `anchor`, over a CSR built for this walk alone.
 fn chain_over_fresh_csr(graph: &EventGraph, sweep: &SlackSweep, anchor: NodeId) -> ChainSummary {
@@ -119,7 +84,7 @@ proptest! {
     fn pred_chains_equal_fresh_csr_chains(
         p in 2u32..9,
         sim_seed in 0u64..1_000,
-        rounds in prop::collection::vec(round_strategy(), 1..8),
+        rounds in prop::collection::vec(round_strategy(CHAINED), 1..8),
     ) {
         let trace = mpg_sim::Simulation::new(p, PlatformSignature::quiet("prop-chains"))
             .seed(sim_seed)

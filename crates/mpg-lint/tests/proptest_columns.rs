@@ -13,9 +13,7 @@
 
 use proptest::prelude::*;
 
-#[path = "shared/wildcard_programs.rs"]
-mod wildcard_programs;
-use wildcard_programs::{any_round_strategy, try_simulate};
+use mpg_testkit::{round_strategy, try_simulate, ANY_WILDCARD};
 
 #[path = "shared/full_index.rs"]
 mod full_index;
@@ -27,7 +25,7 @@ proptest! {
     fn projected_index_lints_and_explores_like_the_full_one(
         p in 2u32..7,
         sim_seed in 0u64..1_000,
-        rounds in prop::collection::vec(any_round_strategy(), 1..7),
+        rounds in prop::collection::vec(round_strategy(ANY_WILDCARD), 1..7),
     ) {
         if let Some(trace) = try_simulate(p, sim_seed, &rounds) {
             let checked = full_index::projected_lints_like_full(&trace);

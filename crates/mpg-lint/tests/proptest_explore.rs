@@ -19,9 +19,7 @@ use mpg_lint::{
 };
 use proptest::prelude::*;
 
-#[path = "shared/wildcard_programs.rs"]
-mod wildcard_programs;
-use wildcard_programs::{round_strategy, simulate as trace_of};
+use mpg_testkit::{round_strategy, simulate as trace_of, PINNED};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
@@ -31,7 +29,7 @@ proptest! {
         p in 2u32..6,
         sim_seed in 0u64..1_000,
         explore_seed in 0u64..8,
-        rounds in prop::collection::vec(round_strategy(true), 1..5),
+        rounds in prop::collection::vec(round_strategy(PINNED), 1..5),
     ) {
         let trace = trace_of(p, sim_seed, &rounds);
         let opts = ExploreOptions {
@@ -74,7 +72,7 @@ proptest! {
     fn budget_zero_is_bit_identical_to_lint_full(
         p in 2u32..6,
         sim_seed in 0u64..1_000,
-        rounds in prop::collection::vec(round_strategy(true), 1..5),
+        rounds in prop::collection::vec(round_strategy(PINNED), 1..5),
     ) {
         let trace = trace_of(p, sim_seed, &rounds);
         let out = lint_explore(&trace, &ExploreOptions::default(), None);

@@ -33,12 +33,6 @@ impl Empirical {
         Self { sorted, mean }
     }
 
-    /// Builds from integer cycle samples.
-    pub fn from_cycles(samples: &[u64]) -> Self {
-        let xs: Vec<f64> = samples.iter().map(|&x| x as f64).collect();
-        Self::from_samples(&xs)
-    }
-
     /// Number of underlying samples.
     pub fn len(&self) -> usize {
         self.sorted.len()

@@ -64,12 +64,6 @@ impl StreamRng {
         self.inner.gen::<f64>()
     }
 
-    /// Uniform `u64` in `[lo, hi]` (inclusive).
-    #[inline]
-    pub fn uniform_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        self.inner.gen_range(lo..=hi)
-    }
-
     /// Uniform `usize` in `[0, n)`; `n` must be nonzero.
     #[inline]
     pub fn index(&mut self, n: usize) -> usize {

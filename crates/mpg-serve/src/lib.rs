@@ -49,6 +49,7 @@ mod resident;
 pub mod retry;
 pub mod runtime;
 pub mod tier;
+mod turn;
 
 pub use chaos::{ChaosOp, ChaosPlan, CHAOS_OPS};
 pub use job::{JobId, JobKind, JobSpec, JobState, JobStatus, ServeError};

@@ -21,23 +21,23 @@
 //!   insert. Least-recently-used copies are evicted to make room; a trace
 //!   estimated above the whole budget is handed to its job and never
 //!   retained.
-//! * **One decode per key at a time**: a worker that misses a key another
-//!   worker is decoding waits for that decode and takes its copy. Two
-//!   decodes side by side would each run `load()`'s thread per core, and
-//!   whether a worker arriving a few milliseconds late decoded or hit
-//!   would be the scheduler's choice (DESIGN §20.4). Nothing is handed
-//!   over: a waiter that finds no copy (the decode failed, or was over
-//!   budget) takes the turn and decodes for itself, so every job still
-//!   reports its own load's error.
+//! * **One decode per key at a time** (`turn.rs`): a worker that misses a
+//!   key another worker is decoding waits for that decode and takes its
+//!   copy. Two decodes side by side would each run `load()`'s thread per
+//!   core, and whether a worker arriving a few milliseconds late decoded
+//!   or hit would be the scheduler's choice (DESIGN §20.4). A waiter that
+//!   finds no copy (the decode failed, or was over budget) decodes for
+//!   itself, so every job still reports its own load's error.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 use mpg_trace::{EventRecord, FileTraceSet, MemTrace, TraceError};
 
 use crate::runtime::lock;
+use crate::turn::{Turn, Turns};
 
 /// Byte budget of the resident set.
 const BUDGET_BYTES: u64 = 256 << 20;
@@ -68,8 +68,6 @@ struct Entry {
 struct Inner {
     entries: HashMap<String, Entry>,
     clock: u64,
-    /// Keys some worker holds the [`Turn`] to decode right now.
-    decoding: HashSet<String>,
 }
 
 impl Inner {
@@ -90,25 +88,10 @@ impl Inner {
 pub(crate) struct ResidentTraces {
     budget: u64,
     inner: Mutex<Inner>,
-    /// Signalled whenever a key leaves [`Inner::decoding`].
-    decoded: Condvar,
+    /// The turns to decode a key.
+    turns: Turns,
     loads: AtomicU64,
     hits: AtomicU64,
-}
-
-/// The right to decode one key, held across the load. Dropping it — after
-/// the insert, on a failed load, or while unwinding — lets the key's
-/// waiters look again.
-struct Turn<'a> {
-    set: &'a ResidentTraces,
-    key: &'a str,
-}
-
-impl Drop for Turn<'_> {
-    fn drop(&mut self) {
-        lock(&self.set.inner).decoding.remove(self.key);
-        self.set.decoded.notify_all();
-    }
 }
 
 impl ResidentTraces {
@@ -120,7 +103,7 @@ impl ResidentTraces {
         ResidentTraces {
             budget,
             inner: Mutex::new(Inner::default()),
-            decoded: Condvar::new(),
+            turns: Turns::default(),
             loads: AtomicU64::new(0),
             hits: AtomicU64::new(0),
         }
@@ -148,22 +131,20 @@ impl ResidentTraces {
     /// The resident copy under `key`, marked most recently used — after
     /// waiting out a decode of that key, if one is running — or, when
     /// there is no copy, the turn to decode it.
-    fn claim<'a>(&'a self, key: &'a str) -> Result<Arc<MemTrace>, Turn<'a>> {
-        let mut inner = lock(&self.inner);
-        loop {
-            if let Some(trace) = inner.touch(key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(trace);
-            }
-            if !inner.decoding.contains(key) {
-                inner.decoding.insert(key.to_string());
-                return Err(Turn { set: self, key });
-            }
-            inner = self
-                .decoded
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
+    fn claim(&self, key: &str) -> Result<Arc<MemTrace>, Turn<'_>> {
+        if let Some(trace) = self.touch(key) {
+            return Ok(trace);
         }
+        let turn = self.turns.take(key, None).expect("no token to fire");
+        self.touch(key).ok_or(turn)
+    }
+
+    /// The resident copy under `key`, marked most recently used and
+    /// counted as a hit.
+    fn touch(&self, key: &str) -> Option<Arc<MemTrace>> {
+        let trace = lock(&self.inner).touch(key)?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(trace)
     }
 
     /// The full load, every frame CRC checked.
@@ -236,7 +217,7 @@ impl ResidentTraces {
 
     /// Decode turns held right now; none once the runtime is drained.
     pub(crate) fn decoding(&self) -> usize {
-        lock(&self.inner).decoding.len()
+        self.turns.held()
     }
 }
 

@@ -12,10 +12,11 @@
 //! as a *partial frontier report*, not an error.
 //!
 //! Every job kind goes through `run_cached`: a report-cache hit answers
-//! without opening the trace (`tier.rs`, DESIGN §14.4); a miss gets the
-//! trace through `open_trace`, which serves it from the runtime's
-//! resident set (`resident.rs`, DESIGN §20) when a trace of the
-//! directory's content fingerprint is already decoded.
+//! without opening the trace (`tier.rs`, DESIGN §14.4); a miss — one per
+//! report key at a time (`turn.rs`) — gets the trace through
+//! `open_trace`, which serves it from the runtime's resident set
+//! (`resident.rs`, DESIGN §20) when a trace of the directory's content
+//! fingerprint is already decoded.
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::ControlFlow;
@@ -26,7 +27,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mpg_core::{CacheStore, CancelReason, CancelToken, ReplayError, Replayer};
+use mpg_core::{CacheStore, CachedReport, CancelReason, CancelToken, ReplayError, Replayer};
 use mpg_trace::{MemTrace, TraceError};
 
 use crate::chaos::{ChaosOp, ChaosPlan};
@@ -35,6 +36,7 @@ use crate::render;
 use crate::resident::{trace_key, ResidentTraces};
 use crate::retry::RetryPolicy;
 use crate::tier::{self, ReportTier};
+use crate::turn::Turns;
 
 /// Runtime tuning knobs.
 #[derive(Debug, Clone)]
@@ -131,6 +133,8 @@ struct Shared {
     retry: RetryPolicy,
     cache: Option<CacheStore>,
     resident: ResidentTraces,
+    /// The turns to compute a report.
+    reports: Turns,
     chaos: ChaosPlan,
 }
 
@@ -167,6 +171,7 @@ impl JobRuntime {
             retry: cfg.retry,
             cache: cfg.cache,
             resident: ResidentTraces::new(),
+            reports: Turns::default(),
             chaos: cfg.chaos,
         });
         let workers = (0..cfg.workers.max(1))
@@ -423,9 +428,9 @@ impl JobRuntime {
                 "resident traces over budget: {resident} > {budget} bytes"
             ));
         }
-        let turns = self.shared.resident.decoding();
+        let turns = self.shared.resident.decoding() + self.shared.reports.held();
         if turns > 0 {
-            v.push(format!("{turns} trace decode turn(s) still held"));
+            v.push(format!("{turns} decode or report turn(s) still held"));
         }
         v
     }
@@ -668,30 +673,46 @@ struct Rendered {
 /// without opening the trace and counts in `cache_hits`. Otherwise `body`
 /// runs on the (resident) trace, handed the store's arena and clock
 /// artifacts, and a run no token cut short is published under the key.
-/// Any cache anomaly is a silent miss.
+/// A miss waits out a run of the same report key that another worker is
+/// computing and looks again, so that run's report answers it; a job
+/// whose token fires while it waits ends as the token says. Any cache
+/// anomaly is a silent miss.
 fn run_cached(
     shared: &Shared,
+    token: &CancelToken,
     dir: &Path,
     report_key: impl FnOnce(&str) -> String,
     body: impl FnOnce(&MemTrace, Option<(&CacheStore, &str)>) -> Result<Rendered, RunFailure>,
 ) -> Result<Outcome, RunFailure> {
     let key = trace_key(dir);
     let tier = match (&shared.cache, &key) {
-        (Some(store), Some(key)) => match ReportTier::open(store, key.clone(), report_key) {
-            ControlFlow::Break(hit) => {
+        (Some(store), Some(key)) => {
+            let report_key = report_key(key);
+            let open = || ReportTier::open(store, key.clone(), |_| report_key.clone());
+            let hit = |hit: CachedReport| {
                 shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Outcome::with_output(JobState::Done, hit.stdout));
+                Ok(Outcome::with_output(JobState::Done, hit.stdout))
+            };
+            if let ControlFlow::Break(cached) = open() {
+                return hit(cached);
             }
-            ControlFlow::Continue(tier) => Some(tier),
-        },
+            let turn = match shared.reports.take(&report_key, Some(token)) {
+                Ok(turn) => turn,
+                Err(reason) => return Ok(Outcome::with_output(reason.into(), String::new())),
+            };
+            match open() {
+                ControlFlow::Break(cached) => return hit(cached),
+                ControlFlow::Continue(tier) => Some((tier, turn)),
+            }
+        }
         _ => None,
     };
     let trace = open_trace(shared, dir, key)?;
-    let run = body(&trace, tier.as_ref().map(ReportTier::artifacts))?;
+    let run = body(&trace, tier.as_ref().map(|(tier, _)| tier.artifacts()))?;
     let state = match run.cancelled {
         Some(reason) => reason.into(),
         None => {
-            if let Some(tier) = &tier {
+            if let Some((tier, _)) = &tier {
                 tier.publish(run.exit_code, &run.stdout);
             }
             JobState::Done
@@ -710,7 +731,7 @@ fn run_replay(
     let (os_mean, latency, per_byte, seed) = knobs;
     let cfg = render::replay_config(os_mean, latency, per_byte, seed);
     let report_key = |trace_key: &str| tier::replay_report_key(trace_key, knobs, 1, false, &cfg);
-    run_cached(shared, dir, report_key, |trace, _| {
+    run_cached(shared, token, dir, report_key, |trace, _| {
         if let Some(ChaosOp::PanicAtCheck(k)) = chaos {
             token.fire_after_checks(*k);
         }
@@ -737,7 +758,7 @@ fn run_replay(
 /// Keyed as `mpgtool lint DIR`: no `--json`, `--all` or `--deny`.
 fn run_lint(shared: &Shared, token: &CancelToken, dir: &Path) -> Result<Outcome, RunFailure> {
     let report_key = |trace_key: &str| tier::lint_report_key(trace_key, false, false, &[]);
-    run_cached(shared, dir, report_key, |trace, artifacts| {
+    run_cached(shared, token, dir, report_key, |trace, artifacts| {
         let out = mpg_lint::lint_full_with(trace, artifacts, Some(token));
         let (events, ranks) = (trace.total_events(), trace.num_ranks());
         Ok(Rendered {
@@ -763,7 +784,7 @@ fn run_explore(
     };
     let report_key =
         |trace_key: &str| tier::explore_report_key(trace_key, false, false, &[], &opts);
-    run_cached(shared, dir, report_key, |trace, artifacts| {
+    run_cached(shared, token, dir, report_key, |trace, artifacts| {
         let out = mpg_lint::lint_explore(trace, &opts, artifacts);
         let (events, ranks) = (trace.total_events(), trace.num_ranks());
         Ok(Rendered {

@@ -484,6 +484,100 @@ fn corrupt_lint_and_explore_artifacts_are_silent_misses() {
     std::fs::remove_dir_all(&cache_dir).unwrap();
 }
 
+/// A master-worker trace on eight ranks with 600 tasks: a lint long
+/// enough that a second worker arrives while it runs.
+fn busy_master_worker_dir(tag: &str) -> PathBuf {
+    let mw = MasterWorker {
+        tasks: 600,
+        task_work: 400,
+        task_bytes: 64,
+        result_bytes: 32,
+    };
+    let dir = unique_dir(tag);
+    let _ = std::fs::remove_dir_all(&dir);
+    Simulation::new(8, PlatformSignature::quiet("svc"))
+        .seed(3)
+        .run(|ctx| mw.run(ctx))
+        .unwrap()
+        .trace
+        .save(&dir)
+        .unwrap();
+    dir
+}
+
+/// Two workers take lint jobs of one trace together: the second waits for
+/// the first's report instead of running the same lint beside it, so four
+/// such jobs on a fresh store run the lint once and hit three times.
+#[test]
+fn report_misses_of_one_key_run_once() {
+    let dir = busy_master_worker_dir("single-flight");
+    let cache_dir = unique_dir("single-flight-store");
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let rt = JobRuntime::start(RuntimeConfig {
+        workers: 2,
+        cache: Some(CacheStore::open(&cache_dir).unwrap()),
+        ..RuntimeConfig::default()
+    });
+    let ids: Vec<JobId> = (0..4)
+        .map(|_| {
+            rt.submit(JobSpec::new(JobKind::Lint { dir: dir.clone() }))
+                .unwrap()
+        })
+        .collect();
+    let oracle = solo_lint(&dir);
+    for id in ids {
+        let st = wait_done(&rt, id);
+        assert_eq!(st.state, JobState::Done, "{id}: {:?}", st.error);
+        assert_eq!(st.output.unwrap(), oracle, "{id}");
+    }
+    assert_eq!(rt.stats().cache_hits, 3, "two workers both ran the lint");
+    assert!(rt.invariant_violations().is_empty());
+    rt.shutdown(Duration::from_secs(10));
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&cache_dir).unwrap();
+}
+
+/// A job whose deadline passes while it waits for another worker's run of
+/// the same report key stops waiting and ends `DeadlineExceeded`; the run
+/// it waited on is still going.
+#[test]
+fn deadline_fires_while_waiting_for_a_report_turn() {
+    let dir = busy_master_worker_dir("turn-deadline");
+    let cache_dir = unique_dir("turn-deadline-store");
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let rt = JobRuntime::start(RuntimeConfig {
+        workers: 2,
+        cache: Some(CacheStore::open(&cache_dir).unwrap()),
+        ..RuntimeConfig::default()
+    });
+    let explore = || {
+        JobSpec::new(JobKind::Explore {
+            dir: dir.clone(),
+            budget: 1_000_000,
+            seed: 2,
+        })
+    };
+    let long = rt.submit(explore()).unwrap();
+    // Held turns show up as a violation while `long` runs.
+    let start = std::time::Instant::now();
+    while rt.invariant_violations().is_empty() {
+        assert!(start.elapsed() < Duration::from_secs(5), "no turn taken");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let short = rt
+        .submit(explore().deadline(Duration::from_millis(100)))
+        .unwrap();
+    assert_eq!(wait_done(&rt, short).state, JobState::DeadlineExceeded);
+    assert_eq!(rt.status(long).unwrap().state, JobState::Running);
+    rt.cancel(long).unwrap();
+    assert_eq!(wait_done(&rt, long).state, JobState::Cancelled);
+    assert_eq!(rt.stats().cache_hits, 0);
+    assert!(rt.invariant_violations().is_empty());
+    rt.shutdown(Duration::from_secs(10));
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&cache_dir).unwrap();
+}
+
 #[test]
 fn lint_jobs_run_and_render_through_the_shared_path() {
     let dir = ring_trace_dir("lint");
@@ -602,62 +696,6 @@ fn shutdown_rejects_new_work() {
         ServeError::ShuttingDown
     );
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn every_job_kind_on_a_resident_trace_prints_the_solo_bytes() {
-    let dir = master_worker_dir("resident-kinds");
-    let cache_dir = unique_dir("resident-kinds-store");
-    for with_cache in [false, true] {
-        let _ = std::fs::remove_dir_all(&cache_dir);
-        let rt = JobRuntime::start(RuntimeConfig {
-            workers: 1,
-            cache: with_cache.then(|| CacheStore::open(&cache_dir).unwrap()),
-            ..RuntimeConfig::default()
-        });
-        let explore = JobKind::Explore {
-            dir: dir.clone(),
-            budget: 8,
-            seed: 2,
-        };
-        // Job 1 decodes; every later job that opens the trace shares it.
-        let jobs = [
-            (replay_spec_seeded(&dir, 9), solo_replay(&dir, 9)),
-            (
-                JobSpec::new(JobKind::Lint { dir: dir.clone() }),
-                solo_lint(&dir),
-            ),
-            (JobSpec::new(explore), solo_explore(&dir, 8, 2)),
-            (replay_spec_seeded(&dir, 10), solo_replay(&dir, 10)),
-            // With a store this is a report hit and never opens the trace.
-            (replay_spec_seeded(&dir, 9), solo_replay(&dir, 9)),
-        ];
-        for (spec, oracle) in jobs {
-            let id = rt.submit(spec).unwrap();
-            let st = wait_done(&rt, id);
-            assert_eq!(st.state, JobState::Done, "{id}: {:?}", st.error);
-            assert_eq!(st.output.unwrap(), oracle, "{id}, cache {with_cache}");
-        }
-        let stats = rt.stats();
-        let report_hits = u64::from(with_cache);
-        assert_eq!(stats.cache_hits, report_hits);
-        assert_eq!(stats.trace_loads, 1);
-        assert_eq!(stats.trace_hits, 4 - report_hits);
-        assert!(stats.resident_bytes > 0);
-        assert!(rt.invariant_violations().is_empty());
-
-        let mut out = Vec::new();
-        serve_script(&b"stats\n"[..], &mut out, &rt).unwrap();
-        let line = String::from_utf8(out).unwrap();
-        let tail = format!(
-            " workers=1 trace-loads=1 trace-hits={} resident-bytes={}\n",
-            stats.trace_hits, stats.resident_bytes
-        );
-        assert!(line.ends_with(&tail), "{line}");
-        rt.shutdown(Duration::from_secs(10));
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
-    std::fs::remove_dir_all(&cache_dir).unwrap();
 }
 
 #[test]

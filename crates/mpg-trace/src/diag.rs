@@ -341,12 +341,6 @@ impl Diagnostic {
         self
     }
 
-    /// Override the severity (e.g. `--deny` escalation).
-    pub fn with_severity(mut self, severity: Severity) -> Self {
-        self.severity = severity;
-        self
-    }
-
     /// Render as one JSON object (hand-rolled; this crate is
     /// dependency-free).
     pub fn to_json(&self) -> String {

@@ -311,10 +311,27 @@ examples() {
     echo "    $n examples exit 0"
 }
 
+# one_generator TMP: the random SPMD program generator stays single.
+# Every test draws its programs from crates/mpg-testkit; a file anywhere
+# else that defines a `Round` alphabet or a `round_strategy` is a second
+# copy of it.
+one_generator() {
+    echo "==> one SPMD program generator (crates/mpg-testkit)"
+    copies="$(grep -rnE --include='*.rs' --exclude-dir=target --exclude-dir=.git \
+        'enum Round\b|fn round_strategy\b' . | grep -v '^\./crates/mpg-testkit/' || true)"
+    if [ -n "$copies" ]; then
+        echo "lint: FAIL: a program generator outside crates/mpg-testkit:" >&2
+        echo "$copies" >&2
+        exit 1
+    fi
+    echo "    enum Round and fn round_strategy are defined in crates/mpg-testkit only"
+}
+
 # `./lint.sh LEG...` runs only the named legs against an already built
-# target/release/mpgtool (`examples` builds the examples it runs); CI runs
-# each leg it shares with this script so, so the two cannot drift apart.
-LEGS="gen_stability shard_stability cache_identity explore_contract serve_smoke examples"
+# target/release/mpgtool (`examples` builds the examples it runs;
+# `one_generator` reads sources only); CI runs each leg it shares with
+# this script so, so the two cannot drift apart.
+LEGS="gen_stability shard_stability cache_identity explore_contract serve_smoke examples one_generator"
 if [ $# -gt 0 ]; then
     LEG_TMP="$(mktemp -d)"
     trap 'rm -rf "$LEG_TMP"' EXIT
@@ -355,6 +372,8 @@ if [ "$allowed" != "crates/mpg-trace/src/ooc.rs" ]; then
     echo "lint: FAIL: unsafe_code allowed outside ooc.rs: $allowed" >&2
     exit 1
 fi
+
+one_generator
 
 # The same-host gate table (perf.rs): in-process ratios over the pinned
 # 10^7-event trace and a 512-rank stencil, and seven ratios of two child

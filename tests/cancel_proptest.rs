@@ -1,109 +1,14 @@
 //! Cooperative-cancellation robustness: firing a [`CancelToken`] at an
 //! arbitrary point of any demo workload's replay must yield a clean
-//! partial report — never a panic, hang, or error — and an unfired token
-//! must leave the replay bit-identical to a token-free run.
+//! partial report — never a panic, hang, or error. That an unfired token
+//! leaves the replay bit-identical to a token-free run is a cell of
+//! `mpg-analysis`'s `tests/cross_paths.rs`.
 
 use proptest::prelude::*;
 
-use mpg::apps::{
-    AllreduceSolver, GridSumma, MasterWorker, Pipeline, Stencil, TokenRing, Transpose, Workload,
-};
 use mpg::core::{CancelReason, CancelToken, PerturbationModel, ReplayConfig, Replayer};
-use mpg::noise::{Dist, PlatformSignature};
-use mpg::sim::Simulation;
-use mpg::trace::MemTrace;
-
-/// The seven demo workloads `mpgtool demo` ships, at reduced sizes.
-/// `summa` needs 8 ranks (a 2×4 grid); everything else runs on 4.
-fn demo_workloads() -> Vec<(&'static str, u32, Box<dyn Workload>)> {
-    vec![
-        (
-            "ring",
-            4,
-            Box::new(TokenRing {
-                traversals: 3,
-                particles_per_rank: 8,
-                work_per_pair: 25,
-            }),
-        ),
-        (
-            "stencil",
-            4,
-            Box::new(Stencil {
-                iters: 6,
-                cells_per_rank: 500,
-                work_per_cell: 30,
-                halo_bytes: 256,
-            }),
-        ),
-        (
-            "master-worker",
-            4,
-            Box::new(MasterWorker {
-                tasks: 16,
-                task_work: 20_000,
-                task_bytes: 128,
-                result_bytes: 128,
-            }),
-        ),
-        (
-            "solver",
-            4,
-            Box::new(AllreduceSolver {
-                iters: 6,
-                local_work: 20_000,
-                vector_bytes: 128,
-            }),
-        ),
-        (
-            "pipeline",
-            4,
-            Box::new(Pipeline {
-                waves: 6,
-                work_per_stage: 10_000,
-                payload: 256,
-            }),
-        ),
-        (
-            "transpose",
-            4,
-            Box::new(Transpose {
-                steps: 4,
-                rows_per_rank: 16,
-                work_per_element: 10,
-                block_bytes: 256,
-            }),
-        ),
-        (
-            "summa",
-            8,
-            Box::new(GridSumma {
-                rows: 2,
-                cols: 4,
-                panel_bytes: 1_024,
-                local_work: 20_000,
-            }),
-        ),
-    ]
-}
-
-fn demo_trace(index: usize) -> MemTrace {
-    use std::sync::OnceLock;
-    static TRACES: OnceLock<Vec<MemTrace>> = OnceLock::new();
-    TRACES.get_or_init(|| {
-        demo_workloads()
-            .iter()
-            .map(|(name, ranks, w)| {
-                Simulation::new(*ranks, PlatformSignature::quiet("cancel-prop"))
-                    .seed(29)
-                    .run(|ctx| w.run(ctx))
-                    .unwrap_or_else(|e| panic!("{name} must simulate cleanly: {e}"))
-                    .trace
-            })
-            .collect()
-    })[index]
-        .clone()
-}
+use mpg::noise::Dist;
+use mpg_testkit::demo_trace;
 
 fn noisy_config(seed: u64) -> ReplayConfig {
     let mut model = PerturbationModel::quiet("cancel-prop");
@@ -127,14 +32,14 @@ proptest! {
     ) {
         let trace = demo_trace(workload);
         let full = Replayer::new(noisy_config(seed))
-            .run(&trace)
+            .run(trace)
             .expect("token-free replay completes");
         prop_assert!(full.cancelled.is_none());
 
         let token = CancelToken::new();
         token.fire_after_checks(fire_at);
         let partial = Replayer::new(noisy_config(seed).cancel_token(token))
-            .run(&trace)
+            .run(trace)
             .expect("cancelled replay must still return Ok");
         match partial.cancelled {
             // Fired mid-flight: a partial frontier, bounded by the full run.
@@ -155,24 +60,5 @@ proptest! {
                 prop_assert!(partial.degradation.is_none());
             }
         }
-    }
-
-    /// An armed-but-never-fired token is invisible: bit-identical drifts,
-    /// stats, and warnings versus the token-free run.
-    #[test]
-    fn unfired_token_is_invisible(
-        workload in 0usize..7,
-        seed in 0u64..64,
-    ) {
-        let trace = demo_trace(workload);
-        let full = Replayer::new(noisy_config(seed)).run(&trace).unwrap();
-        let tokened = Replayer::new(noisy_config(seed).cancel_token(CancelToken::new()))
-            .run(&trace)
-            .unwrap();
-        prop_assert!(tokened.cancelled.is_none());
-        prop_assert_eq!(&tokened.final_drift, &full.final_drift);
-        prop_assert_eq!(&tokened.stats, &full.stats);
-        prop_assert_eq!(&tokened.warnings, &full.warnings);
-        prop_assert_eq!(&tokened.projected_finish_local, &full.projected_finish_local);
     }
 }

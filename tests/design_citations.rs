@@ -1,6 +1,8 @@
 //! Every `DESIGN.md §N` / `§N.M` (or `DESIGN §…`) cited in the code
 //! resolves to a heading of DESIGN.md, so renumbering a section cannot
-//! silently strand the comments that point at it.
+//! silently strand the comments that point at it; and every `*.rs` file
+//! the docs name exists, so deleting or moving a file cannot strand the
+//! prose that points at it.
 
 use std::path::{Path, PathBuf};
 
@@ -82,6 +84,71 @@ fn every_design_citation_resolves_to_a_heading() {
     assert!(
         dangling.is_empty(),
         "citations with no heading: {dangling:#?}"
+    );
+}
+
+/// Every `*.rs` file name a text cites, with the path it is cited under
+/// (`crates/mpg-core/src/hb.rs`, `hb.rs`, `src/hb_races.rs::name`).
+fn rust_files(text: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    for (at, _) in text.match_indices(".rs") {
+        let after = text[at + 3..].chars().next();
+        if after.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_') {
+            continue;
+        }
+        let start = text[..at]
+            .rfind(|c: char| !(c.is_ascii_alphanumeric() || "_-./".contains(c)))
+            .map_or(0, |i| i + 1);
+        let cited = text[start..at + 3].trim_start_matches("./");
+        if cited.len() > 3 && !cited.starts_with('.') {
+            out.push(cited);
+        }
+    }
+    out
+}
+
+#[test]
+fn every_cited_rust_file_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "tests", "src", "examples", "benchmark", "shims"] {
+        files_under(&root.join(dir), &mut files);
+    }
+    let files: Vec<String> = files
+        .iter()
+        .filter_map(|f| f.strip_prefix(root).ok()?.to_str().map(str::to_string))
+        .filter(|f| f.ends_with(".rs"))
+        .collect();
+    let (mut cited, mut missing) = (0, Vec::new());
+    for doc in ["DESIGN.md", "README.md", ".claude/skills/verify/SKILL.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap();
+        for name in rust_files(&text) {
+            cited += 1;
+            let exists = files
+                .iter()
+                .any(|f| f == name || f.ends_with(&format!("/{name}")));
+            if !exists {
+                missing.push(format!("{doc}: {name}"));
+            }
+        }
+    }
+    assert!(
+        cited >= 50,
+        "only {cited} file citations found: is the scan broken?"
+    );
+    assert!(
+        missing.is_empty(),
+        "cited files that do not exist: {missing:#?}"
+    );
+}
+
+#[test]
+fn the_file_scanner_takes_the_path_and_skips_other_extensions() {
+    let text =
+        "see `crates/mpg-core/src/hb.rs`, hb_races.rs::tests and ./lint.rs; not a.rst or .rs";
+    assert_eq!(
+        rust_files(text),
+        ["crates/mpg-core/src/hb.rs", "hb_races.rs", "lint.rs"]
     );
 }
 

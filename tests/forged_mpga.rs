@@ -17,9 +17,7 @@ use mpg::trace::frame::crc32c;
 use mpg::trace::MemTrace;
 use proptest::prelude::*;
 
-#[path = "../crates/mpg-core/tests/shared/spmd.rs"]
-mod spmd;
-use spmd::{model, record, round_strategy, simulate, Round};
+use mpg_testkit::{noisy_model, record, round_strategy, simulate, Round, SPMD};
 
 /// Where each section of an MPGA artifact starts (the layout in
 /// `mpga.rs`), read from its header.
@@ -106,7 +104,7 @@ fn eight_rank_artifact() -> (MemTrace, Vec<u8>) {
         Round::Allreduce { bytes: 8 },
     ];
     let trace = simulate(8, 1, &rounds);
-    let cfg = ReplayConfig::new(model(1)).seed(3).record_graph(true);
+    let cfg = ReplayConfig::new(noisy_model(1)).seed(3).record_graph(true);
     let bytes = encode_arena(record(&trace, &cfg).arena());
     (trace, bytes)
 }
@@ -155,10 +153,10 @@ proptest! {
         sim_seed in 0u64..500,
         pick in any::<u64>(),
         noise in any::<u64>(),
-        rounds in prop::collection::vec(round_strategy(), 1..5),
+        rounds in prop::collection::vec(round_strategy(SPMD), 1..5),
     ) {
         let trace = simulate(p, sim_seed, &rounds);
-        let cfg = ReplayConfig::new(model(sim_seed)).seed(3).record_graph(true);
+        let cfg = ReplayConfig::new(noisy_model(sim_seed)).seed(3).record_graph(true);
         let good = encode_arena(record(&trace, &cfg).arena());
         let at = Sections::of(&good);
         let k = |n: usize| (pick % n.max(1) as u64) as usize;
@@ -195,7 +193,7 @@ proptest! {
         past in any::<bool>(),
     ) {
         let trace = simulate(4, sim_seed, &[Round::Barrier, Round::Compute(10), Round::Barrier]);
-        let cfg = ReplayConfig::new(model(sim_seed)).seed(3).record_graph(true);
+        let cfg = ReplayConfig::new(noisy_model(sim_seed)).seed(3).record_graph(true);
         let mut bytes = encode_arena(record(&trace, &cfg).arena());
         let at = Sections::of(&bytes);
         prop_assert_eq!(at.hubs, 2);
